@@ -8,11 +8,10 @@ states, concentration bounds with vacuity-aware verdicts, and Monte Carlo
 checks of the same quantities over uniformly sampled initial states.
 """
 
-from .dynamics import (Trajectory, equilibration_metric, evolve_reduced,
+from .dynamics import (Trajectory, equilibrate, equilibration_metric, evolve_reduced,
                        finite_time_average, stratified_times, write_trajectory_csv)
 from .equilibrium import (EigenstateReductions, OverlapCoefficients,
-                          bath_averaged_equilibrium, cross_reductions, delta,
-                          eigenstate_reductions, eth_fit, full_average, gibbs_state,
+                          bath_averaged_equilibrium, delta, eigenstate_reductions,
                           overlaps, require_nondegenerate,
                           subspace_averaged_equilibrium, subspace_weights,
                           time_averaged_state, write_reductions_csv)
@@ -28,21 +27,20 @@ from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import (MonteCarloEstimate, SubspaceBasis, bath_prefix_basis,
                        full_basis, monte_carlo_average, product_subspace,
-                       sample_amplitudes, sample_product_state, sample_uniform_columns,
+                       sample_amplitudes, sample_uniform_columns,
                        sample_uniform_state, split_counts, stream_generators)
 from .spectral import (CompositeHamiltonian, SpectralData, assemble,
                        check_nondegenerate_gaps, check_nondegenerate_spectrum,
                        degenerate_level_pairs, eigendecompose, fix_phases,
-                       read_matrix, reconstruct, write_matrix)
+                       read_matrix, reconstruct, write_csv, write_matrix)
 from .theorems import (CONCENTRATION_RATE, THEOREM_IDS, VERDICTS, TheoremReport,
-                       assign_verdict, concentration_tail, energy_dispersion,
-                       epsilon_prime, low_dispersion_fraction, max_possible_lhs,
-                       necessary_condition_lhs, necessary_condition_report,
-                       popescu_bound, popescu_report, popescu_tail_frequency,
-                       read_report, recompute_rhs, sufficient_condition_report,
-                       theorem0_empirical_lhs, theorem0_mean_report, theorem0_rhs,
-                       theorem0_tail_frequency, theorem0_tail_report, theorem2_lhs,
-                       theorem2_reports, write_report)
+                       assign_verdict, concentration_tail, epsilon_prime,
+                       max_possible_lhs, necessary_condition_lhs,
+                       necessary_condition_report, popescu_bound, popescu_report,
+                       popescu_tail_frequency, read_report, recompute_rhs,
+                       sufficient_condition_report, theorem0_empirical_lhs,
+                       theorem0_mean_report, theorem0_rhs, theorem0_tail_report,
+                       theorem2_lhs, theorem2_reports, write_report)
 from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"

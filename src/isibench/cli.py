@@ -20,136 +20,52 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
-from .dynamics import Trajectory, evolve_reduced, stratified_times, write_trajectory_csv
-from .equilibrium import (EigenstateReductions, eigenstate_reductions, overlaps,
-                          time_averaged_state, write_reductions_csv)
+from .dynamics import Trajectory, equilibrate, stratified_times, write_trajectory_csv
+from .equilibrium import (EigenstateReductions, OverlapCoefficients,
+                          eigenstate_reductions, overlaps, time_averaged_state,
+                          write_reductions_csv)
 from .equilibrium import delta as subspace_delta
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
-from .hilbert import PureState, SpaceLayout, bloch_vector, purity, tensor_product
-from .models import (CommutingModelSpec, analytic_eigensystem, build_commuting_model,
-                     build_random_model, sample_commuting_spec, sample_cucchietti_spec)
+from .hilbert import (DensityMatrix, PureState, SpaceLayout, bloch_vector, purity,
+                      tensor_product)
+from .models import (analytic_eigensystem, build_commuting_model, build_random_model,
+                     sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import (SubspaceBasis, bath_prefix_basis, full_basis, product_subspace,
                        sample_uniform_state, stream_generators)
 from .spectral import (CompositeHamiltonian, SpectralData, check_nondegenerate_gaps,
-                       check_nondegenerate_spectrum, eigendecompose, read_matrix)
-from .theorems import (THEOREM_IDS, TheoremReport, necessary_condition_lhs,
-                       necessary_condition_report, popescu_report,
-                       sufficient_condition_report, theorem0_mean_report,
-                       theorem0_tail_report, theorem2_lhs, theorem2_reports,
-                       write_report)
+                       check_nondegenerate_spectrum, eigendecompose, read_matrix,
+                       write_csv)
+from .theorems import (THEOREM_IDS, THEOREMS, TheoremReport, necessary_condition_lhs,
+                       theorem2_lhs, theorem2_reports, write_report)
 from .tolerances import DEFAULT, Tolerances
 
 DEFAULT_SEED = 12345
 DEFAULT_OUT_DIR = "isibench-out"
 
-_STAGE_MODEL, _STAGE_INITIAL, _STAGE_BOUNDS, _STAGE_DYNAMICS, _STAGE_SWEEP = range(5)
+MODEL_KINDS = ("commuting", "cucchietti", "random", "file")
 
-_MODEL_KEYS = {
-    "commuting": {"kind", "seed", "dim_bath", "level_splitting", "coupling_scale",
-                  "energy_scale"},
-    "cucchietti": {"kind", "seed", "n_spins", "level_splitting", "coupling_scale",
-                   "field_scale"},
-    "random": {"kind", "seed", "dim_system", "dim_bath", "interaction_strength"},
-    "file": {"kind", "seed", "path", "dim_system"},
-}
-
-# None marks a section validated elsewhere (tolerance overrides check their
-# own field names).
-_SECTION_KEYS = {
-    "model": set().union(*_MODEL_KEYS.values()),
-    "initial_state": {"system", "bath"},
-    "analysis": {"theorems", "subspace", "dim_restricted", "epsilon", "p",
-                 "n_samples", "n_streams", "n_starts", "allow_degenerate"},
-    "dynamics": {"enabled", "horizon_over_min_gap", "n_times"},
-    "sweep": {"parameter", "values", "draws", "metrics"},
-    "tolerances": None,
-    "output": {"dir"},
-}
-
-_SWEEP_PARAMETERS = {
-    "commuting": {"dim_bath", "level_splitting", "coupling_scale", "energy_scale"},
-    "cucchietti": {"n_spins", "level_splitting", "coupling_scale", "field_scale"},
-    "random": {"dim_system", "dim_bath", "interaction_strength"},
-    "file": set(),
-}
-_INTEGER_PARAMETERS = {"dim_bath", "dim_system", "n_spins"}
-
-_SWEEP_METRICS = ("delta", "mean_squared_polarization", "lhs_i", "necessary_lhs",
-                  "equilibration_metric", "min_level_spacing")
+# Seed paths below the root seed, by stage.  Report k of THEOREM_IDS draws
+# from (2, k); the draws of a sweep use their own table (see _draw_seeds).
+RUN_SEEDS = {"model": (0,), "system": (1, 0), "bath": (1, 1), "bounds": (2,),
+             "dynamics": (3,)}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully typed experiment description; picklable for sweep workers."""
-
-    kind: str
-    seed: int
-    dim_system: int | None
-    dim_bath: int
-    n_spins: int | None
-    level_splitting: float
-    coupling_scale: float
-    energy_scale: float
-    field_scale: float
-    interaction_strength: float
-    matrix_path: str | None
-    initial_system: str
-    initial_bath: str
-    theorems: tuple[str, ...]
-    subspace: str
-    dim_restricted: int | None
-    epsilon: float
-    p: float
-    n_samples: int
-    n_streams: int
-    n_starts: int
-    allow_degenerate: bool
-    dynamics_enabled: bool
-    horizon_over_min_gap: float
-    n_times: int
-    sweep_parameter: str | None
-    sweep_values: tuple[float, ...]
-    sweep_draws: int
-    sweep_metrics: tuple[str, ...]
-    out_dir: str
-    tolerances: Tolerances
-
-
-@dataclass
-class ModelBundle:
-    kind: str
-    layout: SpaceLayout | None
-    spectral: SpectralData
-    commuting: CommutingModelSpec | None
-    hamiltonian: CompositeHamiltonian | None
-    source: str
-
-
-@dataclass
-class Pipeline:
-    """Shared state of the equilibrium-and-beyond stages."""
-
-    bundle: ModelBundle
-    layout: SpaceLayout
-    psi: PureState
-    phi: PureState
-    coeffs: object
-    reductions: EigenstateReductions
-    subspace: SubspaceBasis
-    delta_value: float
-    notes: list[str]
+def _draw_seeds(point: int, draw: int) -> dict[str, tuple[int, ...]]:
+    stages = ("model", "system", "search", "bath", "dynamics")
+    return {stage: (4, point, draw, k) for k, stage in enumerate(stages)}
 
 
 def derived_seed(root: int, *path: int) -> int:
@@ -169,12 +85,11 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_number(text: str):
-    stripped = text.strip()
-    try:
-        return int(stripped)
-    except ValueError:
-        return float(stripped)
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
 
 
 def _parse_name_list(text: str) -> tuple[str, ...]:
@@ -186,6 +101,110 @@ def _parse_name_list(text: str) -> tuple[str, ...]:
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part.strip()) for part in text.split(",") if part.strip())
+
+
+def _parse_theorems(text: str) -> tuple[str, ...]:
+    theorems = _parse_name_list(text)
+    for tid in theorems:
+        if tid not in THEOREM_IDS:
+            raise ConfigError(f"unknown theorem {tid!r} in analysis.theorems "
+                              f"(valid: {', '.join(THEOREM_IDS)})")
+    if len(set(theorems)) != len(theorems):
+        raise ConfigError("analysis.theorems lists a theorem twice")
+    return theorems
+
+
+def _parse_subspace(text: str) -> str:
+    subspace = text.strip()
+    prefix, sep, arg = subspace.partition(":")
+    if subspace not in ("full", "product_bath") and (
+            prefix != "bath_prefix" or not sep or not arg.isdigit() or int(arg) < 1):
+        raise ConfigError(f"bad analysis.subspace {subspace!r} "
+                          "(use full, product_bath, or bath_prefix:<dim>)")
+    return subspace
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """How the config entry ``name`` (``section.key``) is read.
+
+    ``low`` is the smallest valid value: an int bound is inclusive, the float
+    0.0 asks for a positive value.  ``kinds`` lists the model kinds that
+    accept the entry.
+    """
+
+    name: str
+    parse: Callable[[str], Any]
+    low: int | float | None = None
+    kinds: tuple[str, ...] = MODEL_KINDS
+
+
+def _key(name: str, parse: Callable[[str], Any], default: Any = None,
+         low: int | float | None = None, kinds: tuple[str, ...] = MODEL_KINDS):
+    """An ExperimentConfig field read from one config entry."""
+    return field(default=default, metadata={"key": ConfigKey(name, parse, low, kinds)})
+
+
+_SPIN = ("commuting", "cucchietti")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Fully typed experiment description; picklable for sweep workers.
+
+    Together with _TOLERANCE_KEYS its fields are the config table: each one
+    reads the entry its ConfigKey names and defaults to the field default.
+    """
+
+    kind: str = _key("model.kind", str.strip)
+    seed: int = _key("model.seed", int, DEFAULT_SEED)
+    dim_system: int | None = _key("model.dim_system", int, None, 2, ("random", "file"))
+    dim_bath: int = _key("model.dim_bath", int, 16, 1, ("commuting", "random"))
+    n_spins: int | None = _key("model.n_spins", int, None, 1, ("cucchietti",))
+    level_splitting: float = _key("model.level_splitting", float, 1.0, kinds=_SPIN)
+    coupling_scale: float = _key("model.coupling_scale", float, 1.0, kinds=_SPIN)
+    energy_scale: float = _key("model.energy_scale", float, 1.0, kinds=("commuting",))
+    field_scale: float = _key("model.field_scale", float, 1.0, kinds=("cucchietti",))
+    interaction_strength: float = _key("model.interaction_strength", float, 1.0,
+                                       kinds=("random",))
+    matrix_path: str | None = _key("model.path", str.strip, kinds=("file",))
+    initial_system: str = _key("initial_state.system", str.strip, "plus")
+    initial_bath: str = _key("initial_state.bath", str.strip, "random")
+    theorems: tuple[str, ...] = _key("analysis.theorems", _parse_theorems,
+                                     ("SufficientISI", "T2i", "T2ii"))
+    subspace: str = _key("analysis.subspace", _parse_subspace, "product_bath")
+    dim_restricted: int | None = _key("analysis.dim_restricted", int, None, 1)
+    epsilon: float = _key("analysis.epsilon", float, 0.05)
+    p: float = _key("analysis.p", float, 1.0)
+    n_samples: int = _key("analysis.n_samples", int, 400, 2)
+    n_streams: int = _key("analysis.n_streams", int, 1, 1)
+    n_starts: int = _key("analysis.n_starts", int, 512, 1)
+    allow_degenerate: bool = _key("analysis.allow_degenerate", _parse_bool, False)
+    dynamics_enabled: bool = _key("dynamics.enabled", _parse_bool, False)
+    horizon_over_min_gap: float = _key("dynamics.horizon_over_min_gap", float, 1000.0,
+                                       0.0)
+    n_times: int = _key("dynamics.n_times", int, 2000, 1)
+    sweep_parameter: str | None = _key("sweep.parameter", str.strip)
+    sweep_values: tuple[float, ...] = _key("sweep.values", _parse_float_list, ())
+    sweep_draws: int = _key("sweep.draws", int, 20, 1)
+    sweep_metrics: tuple[str, ...] = _key("sweep.metrics", _parse_name_list,
+                                          ("mean_squared_polarization",))
+    out_dir: str = _key("output.dir", str.strip, DEFAULT_OUT_DIR)
+    tolerances: Tolerances = DEFAULT
+
+
+# The [tolerances] entries: the fields of Tolerances that a run reads.
+_TOLERANCE_KEYS = {
+    **{name: ConfigKey(f"tolerances.{name}", int, 1)
+       for name in ("decompose_dim_cap", "gap_check_dim_cap")},
+    **{name: ConfigKey(f"tolerances.{name}", _parse_finite, 0.0)
+       for name in ("hamiltonian_asymmetry", "residual", "unitarity",
+                    "spectrum_degeneracy", "gap_degeneracy", "eth_search_tol",
+                    "sufficient_isi_threshold", "verdict_boundary")},
+}
+CONFIG_KEYS = {key.name: key for key in [
+    *(f.metadata["key"] for f in fields(ExperimentConfig) if f.metadata),
+    *_TOLERANCE_KEYS.values()]}
 
 
 def bundled_config_names() -> tuple[str, ...]:
@@ -228,233 +247,97 @@ def _apply_overrides(raw: dict[str, dict[str, str]], overrides: list[str]) -> No
         raw.setdefault(section, {})[key.strip()] = value.strip()
 
 
-def _take(raw: dict, section: str, key: str, parse, default=None, required=False):
-    mapping = raw.get(section, {})
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"missing required key {section}.{key}")
+def _read(raw: dict[str, dict[str, str]], key: ConfigKey, default: Any):
+    """The parsed, range-checked value of one entry, or ``default``."""
+    section, _, name = key.name.partition(".")
+    text = raw.get(section, {}).get(name)
+    if text is None:
         return default
-    text = mapping[key]
     try:
-        return parse(text)
+        value = key.parse(text)
     except (ValueError, TypeError) as err:
-        raise ConfigError(f"bad value for {section}.{key}: {text!r} ({err})") from None
+        raise ConfigError(f"bad value for {key.name}: {text!r} ({err})") from None
+    if isinstance(key.low, float) and not value > key.low:
+        raise ConfigError(f"{key.name} must be positive")
+    if isinstance(key.low, int) and value < key.low:
+        raise ConfigError(f"{key.name} must be >= {key.low}, got {value}")
+    return value
+
+
+def _check_sweep(config: ExperimentConfig) -> None:
+    parameter, values = config.sweep_parameter, config.sweep_values
+    # The numeric model keys of the kind but the seed; a matrix file has none.
+    sweepable = [] if config.kind == "file" else sorted(
+        name.partition(".")[2] for name, key in CONFIG_KEYS.items()
+        if name.startswith("model.") and name != "model.seed"
+        and config.kind in key.kinds and key.parse in (int, float))
+    if parameter not in sweepable:
+        valid = ", ".join(sweepable) or "none"
+        raise ConfigError(f"sweep.parameter {parameter!r} is not sweepable "
+                          f"for model kind {config.kind!r} (valid: {valid})")
+    if not values:
+        raise ConfigError("sweep.values must list at least one value")
+    if len(set(values)) != len(values):
+        raise ConfigError("sweep.values lists a value twice")
+    for metric in config.sweep_metrics:
+        if metric not in _SWEEP_METRICS:
+            raise ConfigError(f"unknown sweep metric {metric!r} "
+                              f"(valid: {', '.join(_SWEEP_METRICS)})")
+    if CONFIG_KEYS[f"model.{parameter}"].parse is int:
+        for value in values:
+            if value != int(value) or value < 1:
+                raise ConfigError(f"sweep.values for {parameter} must be "
+                                  f"positive integers, got {value}")
 
 
 def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
+    sections = {name.partition(".")[0] for name in CONFIG_KEYS}
     for section in raw:
-        if section not in _SECTION_KEYS:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
-    for section, allowed in _SECTION_KEYS.items():
-        if allowed is None:
-            continue
-        for key in raw.get(section, {}):
-            if key not in allowed:
+    for section, keys in raw.items():
+        for key in keys:
+            if f"{section}.{key}" not in CONFIG_KEYS:
                 raise ConfigError(f"unknown key {section}.{key}")
 
-    kind = _take(raw, "model", "kind", str.strip, required=True)
-    if kind not in _MODEL_KEYS:
+    kind = _read(raw, CONFIG_KEYS["model.kind"], None)
+    if kind is None:
+        raise ConfigError("missing required key model.kind")
+    if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r} "
-                          f"(choose one of {', '.join(sorted(_MODEL_KEYS))})")
+                          f"(choose one of {', '.join(sorted(MODEL_KINDS))})")
     for key in raw.get("model", {}):
-        if key not in _MODEL_KEYS[kind]:
+        if kind not in CONFIG_KEYS[f"model.{key}"].kinds:
             raise ConfigError(f"key model.{key} is not valid for model kind {kind!r}")
 
-    seed = args.seed if args.seed is not None else _take(raw, "model", "seed", int,
-                                                         default=DEFAULT_SEED)
-
-    theorems = _take(raw, "analysis", "theorems", _parse_name_list,
-                     default=("SufficientISI", "T2i", "T2ii"))
-    for tid in theorems:
-        if tid not in THEOREM_IDS:
-            raise ConfigError(f"unknown theorem {tid!r} in analysis.theorems "
-                              f"(valid: {', '.join(THEOREM_IDS)})")
-    if len(set(theorems)) != len(theorems):
-        raise ConfigError("analysis.theorems lists a theorem twice")
-
-    subspace = _take(raw, "analysis", "subspace", str.strip, default="product_bath")
-    if subspace not in ("full", "product_bath"):
-        prefix, sep, arg = subspace.partition(":")
-        if prefix != "bath_prefix" or not sep or not arg.isdigit() or int(arg) < 1:
-            raise ConfigError(f"bad analysis.subspace {subspace!r} "
-                              "(use full, product_bath, or bath_prefix:<dim>)")
-
-    n_samples = _take(raw, "analysis", "n_samples", int, default=400)
-    if n_samples < 2:
-        raise ConfigError(f"analysis.n_samples must be >= 2, got {n_samples}")
-    n_streams = _take(raw, "analysis", "n_streams", int, default=1)
-    if n_streams < 1:
-        raise ConfigError(f"analysis.n_streams must be >= 1, got {n_streams}")
-    n_starts = _take(raw, "analysis", "n_starts", int, default=512)
-    if n_starts < 1:
-        raise ConfigError(f"analysis.n_starts must be >= 1, got {n_starts}")
-
-    horizon_factor = _take(raw, "dynamics", "horizon_over_min_gap", float,
-                           default=1000.0)
-    if horizon_factor <= 0:
-        raise ConfigError("dynamics.horizon_over_min_gap must be positive")
-    n_times = _take(raw, "dynamics", "n_times", int, default=2000)
-    if n_times < 1:
-        raise ConfigError(f"dynamics.n_times must be >= 1, got {n_times}")
-
-    sweep_parameter = _take(raw, "sweep", "parameter", str.strip)
-    sweep_values = _take(raw, "sweep", "values", _parse_float_list, default=())
-    sweep_draws = _take(raw, "sweep", "draws", int, default=20)
-    sweep_metrics = _take(raw, "sweep", "metrics", _parse_name_list,
-                          default=("mean_squared_polarization",))
-    if sweep_parameter is not None:
-        if sweep_parameter not in _SWEEP_PARAMETERS[kind]:
-            valid = ", ".join(sorted(_SWEEP_PARAMETERS[kind])) or "none"
-            raise ConfigError(f"sweep.parameter {sweep_parameter!r} is not sweepable "
-                              f"for model kind {kind!r} (valid: {valid})")
-        if not sweep_values:
-            raise ConfigError("sweep.values must list at least one value")
-        if len(set(sweep_values)) != len(sweep_values):
-            raise ConfigError("sweep.values lists a value twice")
-        if sweep_draws < 1:
-            raise ConfigError(f"sweep.draws must be >= 1, got {sweep_draws}")
-        for metric in sweep_metrics:
-            if metric not in _SWEEP_METRICS:
-                raise ConfigError(f"unknown sweep metric {metric!r} "
-                                  f"(valid: {', '.join(_SWEEP_METRICS)})")
-        if sweep_parameter in _INTEGER_PARAMETERS:
-            for value in sweep_values:
-                if value != int(value) or value < 1:
-                    raise ConfigError(f"sweep.values for {sweep_parameter} must be "
-                                      f"positive integers, got {value}")
-
-    overrides = raw.get("tolerances", {})
-    try:
-        tolerances = DEFAULT.replaced(**{key: _parse_number(value)
-                                         for key, value in overrides.items()})
-    except ValueError as err:
-        raise ConfigError(f"bad tolerance override: {err}") from None
-
-    out_dir = args.out if args.out is not None else _take(raw, "output", "dir",
-                                                          str.strip,
-                                                          default=DEFAULT_OUT_DIR)
-
-    dim_restricted = _take(raw, "analysis", "dim_restricted", int)
-    if dim_restricted is not None and dim_restricted < 1:
-        raise ConfigError(f"analysis.dim_restricted must be >= 1, got {dim_restricted}")
-
-    config = ExperimentConfig(
-        kind=kind,
-        seed=seed,
-        dim_system=_take(raw, "model", "dim_system", int),
-        dim_bath=_take(raw, "model", "dim_bath", int, default=16),
-        n_spins=_take(raw, "model", "n_spins", int),
-        level_splitting=_take(raw, "model", "level_splitting", float, default=1.0),
-        coupling_scale=_take(raw, "model", "coupling_scale", float, default=1.0),
-        energy_scale=_take(raw, "model", "energy_scale", float, default=1.0),
-        field_scale=_take(raw, "model", "field_scale", float, default=1.0),
-        interaction_strength=_take(raw, "model", "interaction_strength", float,
-                                   default=1.0),
-        matrix_path=_take(raw, "model", "path", str.strip),
-        initial_system=_take(raw, "initial_state", "system", str.strip,
-                             default="plus"),
-        initial_bath=_take(raw, "initial_state", "bath", str.strip, default="random"),
-        theorems=tuple(theorems),
-        subspace=subspace,
-        dim_restricted=dim_restricted,
-        epsilon=_take(raw, "analysis", "epsilon", float, default=0.05),
-        p=_take(raw, "analysis", "p", float, default=1.0),
-        n_samples=n_samples,
-        n_streams=n_streams,
-        n_starts=n_starts,
-        allow_degenerate=_take(raw, "analysis", "allow_degenerate", _parse_bool,
-                               default=False),
-        dynamics_enabled=_take(raw, "dynamics", "enabled", _parse_bool, default=False),
-        horizon_over_min_gap=horizon_factor,
-        n_times=n_times,
-        sweep_parameter=sweep_parameter,
-        sweep_values=tuple(sweep_values),
-        sweep_draws=sweep_draws,
-        sweep_metrics=tuple(sweep_metrics),
-        out_dir=out_dir,
-        tolerances=tolerances,
-    )
+    given = {"kind": kind, "seed": args.seed, "out_dir": args.out}
+    values = {f.name: given[f.name] if given.get(f.name) is not None
+              else _read(raw, f.metadata["key"], f.default)
+              for f in fields(ExperimentConfig) if f.metadata}
+    tolerances = replace(DEFAULT, **{name: _read(raw, key, getattr(DEFAULT, name))
+                                     for name, key in _TOLERANCE_KEYS.items()})
+    config = ExperimentConfig(**values, tolerances=tolerances)
     if kind == "cucchietti" and config.n_spins is None:
         raise ConfigError("model kind cucchietti needs model.n_spins")
     if kind == "file" and config.matrix_path is None:
         raise ConfigError("model kind file needs model.path")
-    if config.dim_bath < 1:
-        raise ConfigError(f"model.dim_bath must be >= 1, got {config.dim_bath}")
-    if config.n_spins is not None and config.n_spins < 1:
-        raise ConfigError(f"model.n_spins must be >= 1, got {config.n_spins}")
-    if config.dim_system is not None and config.dim_system < 2:
-        raise ConfigError(f"model.dim_system must be >= 2, got {config.dim_system}")
+    if config.sweep_parameter is not None:
+        _check_sweep(config)
     return config
 
 
-# ------------------------------------------------------------------ build --
+# --------------------------------------------------------------- pipeline --
 
-def _build_model(config: ExperimentConfig, want_dense: bool = False,
-                 model_seed: int | None = None) -> ModelBundle:
-    if model_seed is None:
-        model_seed = derived_seed(config.seed, _STAGE_MODEL)
-    rng = stream_generators(model_seed, 1)[0]
-    tol = config.tolerances
-
-    if config.kind in ("commuting", "cucchietti"):
-        if config.kind == "commuting":
-            spec = sample_commuting_spec(config.dim_bath, config.level_splitting,
-                                         config.coupling_scale, config.energy_scale,
-                                         rng)
-            source = (f"commuting spin-bath (dS=2, dB={spec.dim_bath}, "
-                      f"level splitting {config.level_splitting:g})")
-        else:
-            spec = sample_cucchietti_spec(config.n_spins, config.level_splitting,
-                                          config.coupling_scale, config.field_scale,
-                                          rng)
-            source = (f"independent-spin bath (n_spins={config.n_spins}, dS=2, "
-                      f"dB={spec.dim_bath})")
-        dim_total = 2 * spec.dim_bath
-        if dim_total > tol.decompose_dim_cap:
-            raise CapExceededError(f"composite dimension {dim_total} exceeds the cap "
-                                   f"{tol.decompose_dim_cap}")
-        ham = build_commuting_model(spec, tol) if want_dense else None
-        return ModelBundle(config.kind, spec.layout, analytic_eigensystem(spec),
-                           spec, ham, source)
-
-    if config.kind == "random":
-        ds = config.dim_system if config.dim_system is not None else 2
-        ham = build_random_model(ds, config.dim_bath, config.interaction_strength,
-                                 rng, tol)
-        spectral = eigendecompose(ham, tol)
-        source = (f"random Gaussian model (dS={ds}, dB={config.dim_bath}, "
-                  f"interaction strength {config.interaction_strength:g})")
-        return ModelBundle("random", ham.layout, spectral, None, ham, source)
-
-    matrix, layout = read_matrix(config.matrix_path)
-    if layout is None and config.dim_system is not None:
-        dim = matrix.shape[0]
-        if dim % config.dim_system != 0:
-            raise ConfigError(f"matrix dimension {dim} is not divisible by "
-                              f"dim_system {config.dim_system}")
-        layout = SpaceLayout(config.dim_system, dim // config.dim_system)
-    elif layout is not None and config.dim_system is not None \
-            and layout.dim_system != config.dim_system:
-        raise ConfigError(f"model.dim_system {config.dim_system} contradicts the "
-                          f"file's layout tag dS={layout.dim_system}")
-    spectral = eigendecompose(matrix, config.tolerances)
-    return ModelBundle("file", layout, spectral, None, None,
-                       f"matrix file {config.matrix_path} (d={spectral.dim})")
+@dataclass
+class ModelBundle:
+    layout: SpaceLayout | None
+    spectral: SpectralData
+    hamiltonian: CompositeHamiltonian | None
+    source: str
 
 
-def _require_layout(bundle: ModelBundle) -> SpaceLayout:
-    if bundle.layout is None:
-        raise ConfigError("the matrix file declares no system/bath split; "
-                          "set model.dim_system or tag the file")
-    return bundle.layout
-
-
-def _named_qubit_state(name: str) -> np.ndarray | None:
-    s = 1.0 / math.sqrt(2.0)
-    table = {"up": (1.0, 0.0), "down": (0.0, 1.0), "plus": (s, s), "minus": (s, -s)}
-    if name in table:
-        return np.array(table[name], dtype=complex)
-    return None
+_S = 1.0 / math.sqrt(2.0)
+_QUBIT_STATES = {"up": (1.0, 0.0), "down": (0.0, 1.0), "plus": (_S, _S), "minus": (_S, -_S)}
 
 
 def _factor_state(name: str, dim: int, space: str, seed: int) -> PureState:
@@ -468,58 +351,190 @@ def _factor_state(name: str, dim: int, space: str, seed: int) -> PureState:
         vec = np.zeros(dim, dtype=complex)
         vec[int(index_text)] = 1.0
         return PureState(vec, space=space)
-    named = _named_qubit_state(name)
-    if named is None:
+    if name not in _QUBIT_STATES:
         raise ConfigError(f"unknown initial state {name!r} "
                           "(use up, down, plus, minus, random, or basis:<k>)")
     if dim != 2:
         raise ConfigError(f"initial state {name!r} needs a two-level factor, "
                           f"got dimension {dim}")
-    return PureState(named, space=space)
+    return PureState(np.array(_QUBIT_STATES[name], dtype=complex), space=space)
 
 
-def _analysis_subspace(config: ExperimentConfig, layout: SpaceLayout,
-                       psi: PureState) -> SubspaceBasis:
-    token = config.subspace
-    if token == "full":
-        return full_basis(layout.dim_total)
-    if token == "product_bath":
-        return product_subspace(psi, None, layout)
-    prefix_dim = int(token.partition(":")[2])
-    if prefix_dim > layout.dim_bath:
-        raise ConfigError(f"subspace {token!r} exceeds the bath dimension "
-                          f"{layout.dim_bath}")
-    return product_subspace(psi, bath_prefix_basis(layout, prefix_dim), layout)
+class Pipeline:
+    """The stages of one experiment, each computed on first use and at most once.
+
+    Every command builds one pipeline, and every sweep draw builds its own
+    with its own seed table.  Stages call the layer functions through this
+    module's imports, so a tracer that wraps those names sees every call.
+    """
+
+    def __init__(self, config: ExperimentConfig,
+                 seeds: dict[str, tuple[int, ...]] = RUN_SEEDS,
+                 dense: bool = False) -> None:
+        self.config = config
+        self.seeds = seeds
+        self.dense = dense  # also build the dense Hamiltonian of a commuting model
+
+    def seed(self, stage: str, *path: int) -> int:
+        return derived_seed(self.config.seed, *self.seeds[stage], *path)
+
+    def prepare(self) -> "Pipeline":
+        """Resolve the stages whose errors must come before any file is written."""
+        _ = self.coeffs, self.delta
+        return self
+
+    @cached_property
+    def model(self) -> ModelBundle:
+        config, tol = self.config, self.config.tolerances
+        rng = stream_generators(self.seed("model"), 1)[0]
+        if config.kind in ("commuting", "cucchietti"):
+            if config.kind == "commuting":
+                spec = sample_commuting_spec(config.dim_bath, config.level_splitting,
+                                             config.coupling_scale, config.energy_scale,
+                                             rng)
+                source = (f"commuting spin-bath (dS=2, dB={spec.dim_bath}, "
+                          f"level splitting {config.level_splitting:g})")
+            else:
+                spec = sample_cucchietti_spec(config.n_spins, config.level_splitting,
+                                              config.coupling_scale, config.field_scale,
+                                              rng)
+                source = (f"independent-spin bath (n_spins={config.n_spins}, dS=2, "
+                          f"dB={spec.dim_bath})")
+            dim_total = 2 * spec.dim_bath
+            if dim_total > tol.decompose_dim_cap:
+                raise CapExceededError(f"composite dimension {dim_total} exceeds the "
+                                       f"cap {tol.decompose_dim_cap}")
+            ham = build_commuting_model(spec, tol) if self.dense else None
+            return ModelBundle(spec.layout, analytic_eigensystem(spec), ham, source)
+
+        if config.kind == "random":
+            ds = config.dim_system if config.dim_system is not None else 2
+            ham = build_random_model(ds, config.dim_bath, config.interaction_strength,
+                                     rng, tol)
+            source = (f"random Gaussian model (dS={ds}, dB={config.dim_bath}, "
+                      f"interaction strength {config.interaction_strength:g})")
+            return ModelBundle(ham.layout, eigendecompose(ham, tol), ham, source)
+
+        matrix, layout = read_matrix(config.matrix_path)
+        if layout is None and config.dim_system is not None:
+            dim = matrix.shape[0]
+            if dim % config.dim_system != 0:
+                raise ConfigError(f"matrix dimension {dim} is not divisible by "
+                                  f"dim_system {config.dim_system}")
+            layout = SpaceLayout(config.dim_system, dim // config.dim_system)
+        elif layout is not None and config.dim_system is not None \
+                and layout.dim_system != config.dim_system:
+            raise ConfigError(f"model.dim_system {config.dim_system} contradicts the "
+                              f"file's layout tag dS={layout.dim_system}")
+        spectral = eigendecompose(matrix, tol)
+        return ModelBundle(layout, spectral, None,
+                           f"matrix file {config.matrix_path} (d={spectral.dim})")
+
+    @property
+    def spectral(self) -> SpectralData:
+        return self.model.spectral
+
+    @cached_property
+    def layout(self) -> SpaceLayout:
+        if self.model.layout is None:
+            raise ConfigError("the matrix file declares no system/bath split; "
+                              "set model.dim_system or tag the file")
+        return self.model.layout
+
+    @cached_property
+    def psi(self) -> PureState:
+        return _factor_state(self.config.initial_system, self.layout.dim_system,
+                             "system", self.seed("system"))
+
+    @cached_property
+    def phi(self) -> PureState:
+        return _factor_state(self.config.initial_bath, self.layout.dim_bath, "bath",
+                             self.seed("bath"))
+
+    @cached_property
+    def coeffs(self) -> OverlapCoefficients:
+        return overlaps(self.spectral, tensor_product(self.psi, self.phi))
+
+    @cached_property
+    def reductions(self) -> EigenstateReductions:
+        return eigenstate_reductions(self.spectral, self.layout)
+
+    @cached_property
+    def subspace(self) -> SubspaceBasis:
+        token, layout = self.config.subspace, self.layout
+        if token == "full":
+            return full_basis(layout.dim_total)
+        if token == "product_bath":
+            return product_subspace(self.psi, None, layout)
+        prefix_dim = int(token.partition(":")[2])
+        if prefix_dim > layout.dim_bath:
+            raise ConfigError(f"subspace {token!r} exceeds the bath dimension "
+                              f"{layout.dim_bath}")
+        return product_subspace(self.psi, bath_prefix_basis(layout, prefix_dim), layout)
+
+    @cached_property
+    def delta(self) -> float:
+        return subspace_delta(self.reductions, self.subspace, self.spectral)
+
+    @cached_property
+    def spectrum_check(self) -> tuple[bool, float]:
+        """(nondegenerate, smallest level spacing)."""
+        return check_nondegenerate_spectrum(self.spectral, self.config.tolerances)
+
+    @property
+    def notes(self) -> list[str]:
+        if self.spectrum_check[0]:
+            return []
+        return ["note: spectrum is degenerate; the nondegeneracy hypothesis "
+                "of the equilibrium formulas is violated"]
+
+    @cached_property
+    def rho_bar(self) -> DensityMatrix:
+        return time_averaged_state(self.coeffs, self.reductions, self.spectral,
+                                   self.config.tolerances,
+                                   allow_degenerate=self.config.allow_degenerate)
+
+    @cached_property
+    def dynamics(self) -> tuple[float, Trajectory, float]:
+        """(horizon, trajectory, mean trace distance to the time average)."""
+        spectral = self.spectral
+        if spectral.min_level_spacing <= 0.0:
+            raise ValidationError("degenerate spectrum gives no gap timescale for the "
+                                  "evolution horizon")
+        horizon = self.config.horizon_over_min_gap / spectral.min_level_spacing
+        rng = stream_generators(self.seed("dynamics"), 1)[0]
+        times = stratified_times(horizon, self.config.n_times, rng)
+        return (horizon, *equilibrate(self.coeffs, spectral, self.layout, times,
+                                      self.rho_bar))
+
+    @cached_property
+    def theorem2(self) -> tuple[TheoremReport, TheoremReport]:
+        return theorem2_reports(self.reductions, self.config.epsilon,
+                                self.layout.dim_bath, 1.0, "asymptotic",
+                                self.config.tolerances)
+
+    @cached_property
+    def reports(self) -> tuple[dict[str, TheoremReport], list[str]]:
+        """The configured theorem reports, and notes on the ones skipped."""
+        config = self.config
+        reports: dict[str, TheoremReport] = {}
+        notes: list[str] = []
+        for tid in config.theorems:
+            theorem = THEOREMS[tid]
+            if theorem.nondegenerate and config.allow_degenerate \
+                    and not self.spectrum_check[0]:
+                notes.append(f"note: {tid} skipped (degenerate spectrum)")
+                continue
+            seed = self.seed("bounds", THEOREM_IDS.index(tid))
+            reports[tid] = theorem.evaluate(self, config, seed)
+        return reports, notes
 
 
-def _prepare_pipeline(config: ExperimentConfig, bundle: ModelBundle | None = None
-                      ) -> Pipeline:
-    if bundle is None:
-        bundle = _build_model(config)
-    layout = _require_layout(bundle)
-    psi = _factor_state(config.initial_system, layout.dim_system, "system",
-                        derived_seed(config.seed, _STAGE_INITIAL, 0))
-    phi = _factor_state(config.initial_bath, layout.dim_bath, "bath",
-                        derived_seed(config.seed, _STAGE_INITIAL, 1))
-    psi0 = tensor_product(psi, phi)
-    coeffs = overlaps(bundle.spectral, psi0)
-    reductions = eigenstate_reductions(bundle.spectral, layout)
-    subspace = _analysis_subspace(config, layout, psi)
-    delta_value = subspace_delta(reductions, subspace, bundle.spectral)
-    notes = []
-    if not check_nondegenerate_spectrum(bundle.spectral, config.tolerances)[0]:
-        notes.append("note: spectrum is degenerate; the nondegeneracy hypothesis "
-                     "of the equilibrium formulas is violated")
-    return Pipeline(bundle=bundle, layout=layout, psi=psi, phi=phi, coeffs=coeffs,
-                    reductions=reductions, subspace=subspace,
-                    delta_value=delta_value, notes=notes)
+# ------------------------------------------------------------------ lines --
 
-
-# ----------------------------------------------------------------- stages --
-
-def _spectrum_lines(bundle: ModelBundle, tolerances: Tolerances) -> list[str]:
-    spectral = bundle.spectral
-    spectrum_ok, spacing = check_nondegenerate_spectrum(spectral, tolerances)
+def _spectrum_lines(pipe: Pipeline) -> list[str]:
+    spectral, tolerances = pipe.spectral, pipe.config.tolerances
+    spectrum_ok, spacing = pipe.spectrum_check
     lines = [
         f"dimension: {spectral.dim}",
         f"spectral norm: {spectral.spectral_norm:.6g}",
@@ -536,61 +551,7 @@ def _spectrum_lines(bundle: ModelBundle, tolerances: Tolerances) -> list[str]:
 
 
 def _write_spectrum_csv(path: Path, spectral: SpectralData) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("# schema_version 1\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "energy"])
-        for n, energy in enumerate(spectral.eigenvalues):
-            writer.writerow([str(n), f"{energy:.17g}"])
-
-
-def _build_reports(config: ExperimentConfig, pipe: Pipeline
-                   ) -> tuple[dict[str, TheoremReport], list[str]]:
-    tol = config.tolerances
-    spectral = pipe.bundle.spectral
-    spectrum_ok = check_nondegenerate_spectrum(spectral, tol)[0]
-    reports: dict[str, TheoremReport] = {}
-    notes: list[str] = []
-    t2_pair: tuple[TheoremReport, TheoremReport] | None = None
-    for tid in config.theorems:
-        seed_k = derived_seed(config.seed, _STAGE_BOUNDS, THEOREM_IDS.index(tid))
-        if tid == "SufficientISI":
-            reports[tid] = sufficient_condition_report(pipe.delta_value,
-                                                       tolerances=tol)
-        elif tid in ("T0i", "T0ii"):
-            if not spectrum_ok and config.allow_degenerate:
-                notes.append(f"note: {tid} skipped (degenerate spectrum)")
-                continue
-            if tid == "T0i":
-                reports[tid] = theorem0_mean_report(pipe.subspace, spectral,
-                                                    pipe.reductions, config.n_samples,
-                                                    seed_k, config.n_streams, tol)
-            else:
-                reports[tid] = theorem0_tail_report(pipe.subspace, spectral,
-                                                    pipe.reductions, config.epsilon,
-                                                    config.n_samples, seed_k,
-                                                    config.n_streams, tol)
-        elif tid in ("T1", "T1prime"):
-            if tid == "T1":
-                dim_restricted = (config.dim_restricted if config.dim_restricted
-                                  is not None else pipe.layout.dim_bath)
-                p = config.p
-            else:
-                dim_restricted, p = pipe.layout.dim_bath, 1.0
-            reports[tid] = necessary_condition_report(pipe.reductions, config.epsilon,
-                                                      dim_restricted, p, tid,
-                                                      config.n_starts, seed_k, tol)
-        elif tid in ("T2i", "T2ii"):
-            if t2_pair is None:
-                t2_pair = theorem2_reports(pipe.reductions, config.epsilon,
-                                           pipe.layout.dim_bath, 1.0, "asymptotic",
-                                           tol)
-            reports[tid] = t2_pair[0 if tid == "T2i" else 1]
-        elif tid == "Popescu":
-            reports[tid] = popescu_report(pipe.layout, config.epsilon,
-                                          config.n_samples, seed_k,
-                                          config.n_streams, tol)
-    return reports, notes
+    write_csv(path, ["n", "energy"], enumerate(spectral.eigenvalues))
 
 
 def _report_lines(reports: dict[str, TheoremReport]) -> list[str]:
@@ -618,14 +579,12 @@ def _conclusion_line(config: ExperimentConfig, reports: dict[str, TheoremReport]
             f"{config.epsilon:g}")
 
 
-def _equilibrium_lines(config: ExperimentConfig, pipe: Pipeline) -> list[str]:
-    rho_bar = time_averaged_state(pipe.coeffs, pipe.reductions, pipe.bundle.spectral,
-                                  config.tolerances,
-                                  allow_degenerate=config.allow_degenerate)
+def _equilibrium_lines(pipe: Pipeline) -> list[str]:
+    rho_bar = pipe.rho_bar
     lines = [
-        f"subspace: {config.subspace} (dR={pipe.subspace.dim_subspace})",
-        f"delta: {pipe.delta_value:.12g}",
-        f"sqrt(delta): {math.sqrt(pipe.delta_value):.12g}",
+        f"subspace: {pipe.config.subspace} (dR={pipe.subspace.dim_subspace})",
+        f"delta: {pipe.delta:.12g}",
+        f"sqrt(delta): {math.sqrt(pipe.delta):.12g}",
         f"time-averaged state purity: {purity(rho_bar):.6g}",
     ]
     if pipe.layout.dim_system == 2:
@@ -635,28 +594,14 @@ def _equilibrium_lines(config: ExperimentConfig, pipe: Pipeline) -> list[str]:
     return lines
 
 
-def _run_dynamics(config: ExperimentConfig, pipe: Pipeline
-                  ) -> tuple[Trajectory, list[str]]:
-    spectral = pipe.bundle.spectral
-    if spectral.min_level_spacing <= 0.0:
-        raise ValidationError("degenerate spectrum gives no gap timescale for the "
-                              "evolution horizon")
-    horizon = config.horizon_over_min_gap / spectral.min_level_spacing
-    rng = stream_generators(derived_seed(config.seed, _STAGE_DYNAMICS), 1)[0]
-    times = stratified_times(horizon, config.n_times, rng)
-    trajectory = evolve_reduced(pipe.coeffs, spectral, pipe.layout, times)
-    rho_bar = time_averaged_state(pipe.coeffs, pipe.reductions, spectral,
-                                  config.tolerances,
-                                  allow_degenerate=config.allow_degenerate)
-    deviations = np.linalg.eigvalsh(trajectory.states - rho_bar.matrix[None, :, :])
-    metric = float(np.abs(deviations).sum(axis=1).mean())
+def _dynamics_lines(pipe: Pipeline) -> list[str]:
+    horizon, _, metric = pipe.dynamics
     bound = 2.0 * pipe.layout.dim_system / math.sqrt(pipe.subspace.dim_subspace)
-    lines = [
-        f"dynamics: horizon={horizon:.6g} n_times={config.n_times}",
+    return [
+        f"dynamics: horizon={horizon:.6g} n_times={pipe.config.n_times}",
         f"mean distance to equilibrium: {metric:.6g}",
         f"equilibration bound 2 dS / sqrt(dR): {bound:.6g}",
     ]
-    return trajectory, lines
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -665,19 +610,16 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return path
 
 
-def _emit(lines: list[str]) -> None:
-    print("\n".join(lines))
-
-
 # ------------------------------------------------------------- subcommands --
 
-def _cmd_model_info(config: ExperimentConfig, args, name: str) -> int:
-    bundle = _build_model(config, want_dense=True)
-    lines = [f"model: {bundle.source}", f"seed: {config.seed}"]
-    if bundle.layout is not None:
-        lines.append(f"layout: dS={bundle.layout.dim_system} "
-                     f"dB={bundle.layout.dim_bath} d={bundle.layout.dim_total}")
-    ham = bundle.hamiltonian
+def _cmd_model_info(config: ExperimentConfig, args, name: str) -> list[str]:
+    pipe = Pipeline(config, dense=True)
+    model = pipe.model
+    lines = [f"model: {model.source}", f"seed: {config.seed}"]
+    if model.layout is not None:
+        lines.append(f"layout: dS={model.layout.dim_system} "
+                     f"dB={model.layout.dim_bath} d={model.layout.dim_total}")
+    ham = model.hamiltonian
     if ham is not None:
         def norm(mat):
             return float(np.abs(np.linalg.eigvalsh(mat)).max())
@@ -685,47 +627,44 @@ def _cmd_model_info(config: ExperimentConfig, args, name: str) -> int:
         lines.append(f"part norms: system={norm(ham.system):.6g} "
                      f"bath={norm(ham.bath):.6g} "
                      f"interaction={norm(ham.interaction):.6g}")
-        eye_b = np.eye(bundle.layout.dim_bath)
-        eye_s = np.eye(bundle.layout.dim_system)
+        eye_b = np.eye(model.layout.dim_bath)
+        eye_s = np.eye(model.layout.dim_system)
         lifted_s = np.kron(ham.system, eye_b)
         lifted_b = np.kron(eye_s, ham.bath)
         comm_s = lifted_s @ ham.interaction - ham.interaction @ lifted_s
         comm_b = lifted_b @ ham.interaction - ham.interaction @ lifted_b
         lines.append(f"commutator norms: [HSx1, HSB]={norm(1j * comm_s):.6g} "
                      f"[1xHB, HSB]={norm(1j * comm_b):.6g}")
-    if bundle.kind == "random":
+    if config.kind == "random":
         lines.append("ensemble: independent Gaussian Hermitian parts, entry "
                      "variance 1/dim per part")
-    lines.extend(_spectrum_lines(bundle, config.tolerances))
-    _emit(lines)
-    return 0
+    lines.extend(_spectrum_lines(pipe))
+    return lines
 
 
-def _cmd_spectrum(config: ExperimentConfig, args, name: str) -> int:
-    bundle = _build_model(config)
+def _cmd_spectrum(config: ExperimentConfig, args, name: str) -> list[str]:
+    pipe = Pipeline(config)
+    spectral = pipe.spectral
     out = _out_dir(config)
-    _write_spectrum_csv(out / "spectrum.csv", bundle.spectral)
-    lines = _spectrum_lines(bundle, config.tolerances)
+    _write_spectrum_csv(out / "spectrum.csv", spectral)
+    lines = _spectrum_lines(pipe)
     lines.append(f"wrote {out / 'spectrum.csv'}")
-    _emit(lines)
-    return 0
+    return lines
 
 
-def _cmd_equilibrium(config: ExperimentConfig, args, name: str) -> int:
-    pipe = _prepare_pipeline(config)
+def _cmd_equilibrium(config: ExperimentConfig, args, name: str) -> list[str]:
+    pipe = Pipeline(config).prepare()
     out = _out_dir(config)
-    write_reductions_csv(out / "reductions.csv", pipe.bundle.spectral,
-                         pipe.reductions)
-    lines = _equilibrium_lines(config, pipe)
+    write_reductions_csv(out / "reductions.csv", pipe.spectral, pipe.reductions)
+    lines = _equilibrium_lines(pipe)
     lines.extend(pipe.notes)
     lines.append(f"wrote {out / 'reductions.csv'}")
-    _emit(lines)
-    return 0
+    return lines
 
 
-def _cmd_bounds(config: ExperimentConfig, args, name: str) -> int:
-    pipe = _prepare_pipeline(config)
-    reports, notes = _build_reports(config, pipe)
+def _cmd_bounds(config: ExperimentConfig, args, name: str) -> list[str]:
+    pipe = Pipeline(config).prepare()
+    reports, notes = pipe.reports
     out = _out_dir(config)
     lines = _report_lines(reports)
     for tid, report in reports.items():
@@ -734,106 +673,73 @@ def _cmd_bounds(config: ExperimentConfig, args, name: str) -> int:
         lines.append(f"wrote {path}")
     lines.extend(notes + pipe.notes)
     lines.append(_conclusion_line(config, reports))
-    _emit(lines)
-    return 0
+    return lines
 
 
-def _cmd_dynamics(config: ExperimentConfig, args, name: str) -> int:
-    pipe = _prepare_pipeline(config)
-    trajectory, lines = _run_dynamics(config, pipe)
+def _cmd_dynamics(config: ExperimentConfig, args, name: str) -> list[str]:
+    pipe = Pipeline(config).prepare()
+    lines = _dynamics_lines(pipe)
     out = _out_dir(config)
-    write_trajectory_csv(out / "trajectory.csv", trajectory)
+    write_trajectory_csv(out / "trajectory.csv", pipe.dynamics[1])
     lines.extend(pipe.notes)
     lines.append(f"wrote {out / 'trajectory.csv'}")
-    _emit(lines)
-    return 0
+    return lines
 
 
-def _cmd_run(config: ExperimentConfig, args, name: str) -> int:
-    pipe = _prepare_pipeline(config)
+def _cmd_run(config: ExperimentConfig, args, name: str) -> list[str]:
+    pipe = Pipeline(config).prepare()
     out = _out_dir(config)
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     lines = [
         f"# generated: {stamp}",
         f"config: {name}",
         f"seed: {config.seed}",
-        f"model: {pipe.bundle.source}",
+        f"model: {pipe.model.source}",
         f"initial state: system={config.initial_system} bath={config.initial_bath}",
     ]
-    lines.extend(_spectrum_lines(pipe.bundle, config.tolerances))
-    _write_spectrum_csv(out / "spectrum.csv", pipe.bundle.spectral)
-    write_reductions_csv(out / "reductions.csv", pipe.bundle.spectral,
-                         pipe.reductions)
-    lines.extend(_equilibrium_lines(config, pipe))
-    reports, notes = _build_reports(config, pipe)
+    lines.extend(_spectrum_lines(pipe))
+    _write_spectrum_csv(out / "spectrum.csv", pipe.spectral)
+    write_reductions_csv(out / "reductions.csv", pipe.spectral, pipe.reductions)
+    lines.extend(_equilibrium_lines(pipe))
+    reports, notes = pipe.reports
     for tid, report in reports.items():
         write_report(out / f"report_{tid}.json", report)
     lines.extend(_report_lines(reports))
     lines.extend(notes)
     if config.dynamics_enabled:
-        trajectory, dynamics_lines = _run_dynamics(config, pipe)
-        write_trajectory_csv(out / "trajectory.csv", trajectory)
-        lines.extend(dynamics_lines)
+        lines.extend(_dynamics_lines(pipe))
+        write_trajectory_csv(out / "trajectory.csv", pipe.dynamics[1])
     lines.extend(pipe.notes)
     lines.append(_conclusion_line(config, reports))
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _emit(lines + [f"wrote {out / 'summary.txt'}"])
-    return 0
+    return lines + [f"wrote {out / 'summary.txt'}"]
 
 
 # ------------------------------------------------------------------ sweep --
 
-def _with_parameter(config: ExperimentConfig, value: float) -> ExperimentConfig:
-    parameter = config.sweep_parameter
-    if parameter in _INTEGER_PARAMETERS:
-        return replace(config, **{parameter: int(value)})
-    return replace(config, **{parameter: float(value)})
+# Metric of one sweep draw, each from the stages it needs.
+_SWEEP_METRICS: dict[str, Callable[[Pipeline], float]] = {
+    "delta": lambda pipe: pipe.delta,
+    "mean_squared_polarization": lambda pipe: pipe.reductions.mean_squared_polarization,
+    "lhs_i": lambda pipe: theorem2_lhs(pipe.reductions)[0],
+    "necessary_lhs": lambda pipe: necessary_condition_lhs(
+        pipe.reductions, n_starts=pipe.config.n_starts, seed=pipe.seed("search"),
+        tolerances=pipe.config.tolerances),
+    "equilibration_metric": lambda pipe: pipe.dynamics[2],
+    "min_level_spacing": lambda pipe: pipe.spectral.min_level_spacing,
+}
 
 
 def _point_metrics(payload: tuple[ExperimentConfig, int, float]) -> dict:
     config, point_index, value = payload
-    varied = _with_parameter(config, value)
+    parameter = config.sweep_parameter
+    cast = CONFIG_KEYS[f"model.{parameter}"].parse  # int or float, see _check_sweep
+    varied = replace(config, **{parameter: cast(value)})
     samples: dict[str, list[float]] = {metric: [] for metric in varied.sweep_metrics}
     for draw in range(varied.sweep_draws):
-        bundle = _build_model(varied, model_seed=derived_seed(
-            varied.seed, _STAGE_SWEEP, point_index, draw, 0))
-        layout = _require_layout(bundle)
-        psi = _factor_state(varied.initial_system, layout.dim_system, "system",
-                            derived_seed(varied.seed, _STAGE_SWEEP, point_index,
-                                         draw, 1))
-        reductions = eigenstate_reductions(bundle.spectral, layout)
-        subspace = _analysis_subspace(varied, layout, psi)
+        pipe = Pipeline(varied, _draw_seeds(point_index, draw))
         for metric in varied.sweep_metrics:
-            if metric == "delta":
-                result = subspace_delta(reductions, subspace, bundle.spectral)
-            elif metric == "mean_squared_polarization":
-                result = reductions.mean_squared_polarization
-            elif metric == "lhs_i":
-                result = theorem2_lhs(reductions)[0]
-            elif metric == "necessary_lhs":
-                result = necessary_condition_lhs(reductions, n_starts=varied.n_starts,
-                                                 seed=derived_seed(varied.seed,
-                                                                   _STAGE_SWEEP,
-                                                                   point_index, draw,
-                                                                   2),
-                                                 tolerances=varied.tolerances)
-            elif metric == "min_level_spacing":
-                result = bundle.spectral.min_level_spacing
-            else:
-                phi = _factor_state(varied.initial_bath, layout.dim_bath, "bath",
-                                    derived_seed(varied.seed, _STAGE_SWEEP,
-                                                 point_index, draw, 3))
-                coeffs = overlaps(bundle.spectral, tensor_product(psi, phi))
-                horizon = (varied.horizon_over_min_gap
-                           / bundle.spectral.min_level_spacing)
-                rng = stream_generators(derived_seed(varied.seed, _STAGE_SWEEP,
-                                                     point_index, draw, 4), 1)[0]
-                from .dynamics import equilibration_metric
-                result = equilibration_metric(coeffs, bundle.spectral, layout,
-                                              horizon, varied.n_times, rng,
-                                              reductions, varied.tolerances,
-                                              varied.allow_degenerate)
-            samples[metric].append(float(result))
+            samples[metric].append(float(_SWEEP_METRICS[metric](pipe)))
     row: dict[str, float] = {"value": value, "n_draws": varied.sweep_draws}
     for metric, values in samples.items():
         data = np.asarray(values)
@@ -843,7 +749,7 @@ def _point_metrics(payload: tuple[ExperimentConfig, int, float]) -> dict:
     return row
 
 
-def _cmd_sweep(config: ExperimentConfig, args, name: str) -> int:
+def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
     if config.sweep_parameter is None:
         raise ConfigError("sweep needs a [sweep] section with parameter and values")
     values = sorted(config.sweep_values)
@@ -855,22 +761,12 @@ def _cmd_sweep(config: ExperimentConfig, args, name: str) -> int:
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             rows = list(pool.map(_point_metrics, payloads))
 
-    out = _out_dir(config)
     columns = ["parameter", "value", "n_draws"]
     for metric in config.sweep_metrics:
         columns.extend([f"{metric}_mean", f"{metric}_se"])
-    path = out / "sweep.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("# schema_version 1\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            record = [config.sweep_parameter, f"{row['value']:.17g}",
-                      str(int(row["n_draws"]))]
-            for metric in config.sweep_metrics:
-                record.append(f"{row[f'{metric}_mean']:.17g}")
-                record.append(f"{row[f'{metric}_se']:.17g}")
-            writer.writerow(record)
+    path = _out_dir(config) / "sweep.csv"
+    write_csv(path, columns, ([config.sweep_parameter] + [row[c] for c in columns[1:]]
+                              for row in rows))
 
     lines = [f"sweep over {config.sweep_parameter} "
              f"({len(values)} points, {config.sweep_draws} draws each)"]
@@ -880,21 +776,24 @@ def _cmd_sweep(config: ExperimentConfig, args, name: str) -> int:
                      for metric in config.sweep_metrics)
         lines.append("  " + " ".join(parts))
     lines.append(f"wrote {path}")
-    _emit(lines)
-    return 0
+    return lines
 
 
 # ------------------------------------------------------------------- main --
 
 _COMMANDS = {
-    "run": _cmd_run,
-    "model-info": _cmd_model_info,
-    "spectrum": _cmd_spectrum,
-    "equilibrium": _cmd_equilibrium,
-    "bounds": _cmd_bounds,
-    "dynamics": _cmd_dynamics,
-    "sweep": _cmd_sweep,
+    "run": (_cmd_run, "full pipeline with summary"),
+    "model-info": (_cmd_model_info, "print model dimensions, norms, and commutator checks"),
+    "spectrum": (_cmd_spectrum, "diagonalize and run degeneracy checks"),
+    "equilibrium": (_cmd_equilibrium, "eigenstate reductions and the time-averaged state"),
+    "bounds": (_cmd_bounds, "evaluate the configured theorem reports"),
+    "dynamics": (_cmd_dynamics, "reduced evolution and equilibration metric"),
+    "sweep": (_cmd_sweep, "metric over a model-parameter grid"),
 }
+
+# Exit code by error type; the first match wins, so subclasses come first.
+_EXIT_CODES = ((ConfigError, 2), (CapExceededError, 3), (DegenerateSpectrumError, 4),
+               (IsibenchError, 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -904,16 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "system-bath models.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "run": "full pipeline with summary",
-        "model-info": "print model dimensions, norms, and commutator checks",
-        "spectrum": "diagonalize and run degeneracy checks",
-        "equilibrium": "eigenstate reductions and the time-averaged state",
-        "bounds": "evaluate the configured theorem reports",
-        "dynamics": "reduced evolution and equilibration metric",
-        "sweep": "metric over a model-parameter grid",
-    }
-    for command, description in descriptions.items():
+    for command, (_, description) in _COMMANDS.items():
         sub = subparsers.add_parser(command, help=description)
         sub.add_argument("--config", required=True,
                          help="config file path or bundled config name "
@@ -938,19 +828,12 @@ def main(argv=None) -> int:
         raw = _parse_sections(text, name)
         _apply_overrides(raw, args.override)
         config = _extract_config(raw, args)
-        return _COMMANDS[args.command](config, args, name)
-    except ConfigError as err:
-        print(f"error: {' '.join(str(err).split())}", file=sys.stderr)
-        return 2
-    except CapExceededError as err:
-        print(f"error: {' '.join(str(err).split())}", file=sys.stderr)
-        return 3
-    except DegenerateSpectrumError as err:
-        print(f"error: {' '.join(str(err).split())}", file=sys.stderr)
-        return 4
+        lines = _COMMANDS[args.command][0](config, args, name)
     except IsibenchError as err:
         print(f"error: {' '.join(str(err).split())}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
+    print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,16 +10,14 @@ module evaluates without materializing all pairwise reduced operators.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .equilibrium import EigenstateReductions, OverlapCoefficients, time_averaged_state
 from .errors import CapExceededError, ValidationError
 from .hilbert import DensityMatrix, SpaceLayout, batched_bloch_vectors, partial_trace_bath
-from .spectral import SpectralData
+from .spectral import SpectralData, write_csv
 from .tolerances import DEFAULT, Tolerances
 
 EVOLUTION_ELEMENT_CAP = 20_000_000
@@ -132,9 +130,16 @@ def equilibration_metric(coefficients: OverlapCoefficients, spectral: SpectralDa
     equilibrium = time_averaged_state(coefficients, reductions, spectral, tolerances,
                                       allow_degenerate=allow_degenerate)
     times = stratified_times(horizon, n_times, rng)
-    states = _reduced_states(coefficients, spectral, layout, times)
-    deviations = np.linalg.eigvalsh(states - equilibrium.matrix[None, :, :])
-    return float(np.abs(deviations).sum(axis=1).mean())
+    return equilibrate(coefficients, spectral, layout, times, equilibrium)[1]
+
+
+def equilibrate(coefficients: OverlapCoefficients, spectral: SpectralData,
+                layout: SpaceLayout, times: np.ndarray,
+                equilibrium: DensityMatrix) -> tuple[Trajectory, float]:
+    """Reduced trajectory along ``times`` and its mean trace distance to ``equilibrium``."""
+    trajectory = evolve_reduced(coefficients, spectral, layout, times)
+    deviations = np.linalg.eigvalsh(trajectory.states - equilibrium.matrix[None, :, :])
+    return trajectory, float(np.abs(deviations).sum(axis=1).mean())
 
 
 def _average_kernel(eigenvalues: np.ndarray, horizon: float) -> np.ndarray:
@@ -190,14 +195,5 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     """One row per time: t, purity, and Bloch components for qubit systems."""
     qubit = trajectory.layout.dim_system == 2
     header = ["t", "purity"] + (["p_x", "p_y", "p_z"] if qubit else [])
-    purities = trajectory.purities()
-    bloch = trajectory.bloch() if qubit else None
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write("# schema_version 1\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for k in range(trajectory.n_times):
-            row = [f"{trajectory.times[k]:.17g}", f"{purities[k]:.17g}"]
-            if qubit:
-                row += [f"{bloch[k, a]:.17g}" for a in range(3)]
-            writer.writerow(row)
+    bloch = trajectory.bloch().T if qubit else ()
+    write_csv(path, header, zip(trajectory.times, trajectory.purities(), *bloch))

@@ -15,17 +15,15 @@ the tests.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import CapExceededError, DegenerateSpectrumError, ValidationError
-from .hilbert import (DensityMatrix, PureState, SpaceLayout, batched_bloch_vectors,
-                      maximally_mixed, trace_distance)
+from .errors import DegenerateSpectrumError, ValidationError
+from .hilbert import DensityMatrix, PureState, SpaceLayout, batched_bloch_vectors
 from .sampling import SubspaceBasis
-from .spectral import SpectralData, check_nondegenerate_spectrum, degenerate_level_pairs
+from .spectral import (SpectralData, check_nondegenerate_spectrum, degenerate_level_pairs,
+                       write_csv)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -133,24 +131,6 @@ def eigenstate_reductions(spectral: SpectralData,
     bloch = batched_bloch_vectors(mats) if layout.dim_system == 2 else None
     return EigenstateReductions(matrices=mats, purities=purities, bloch=bloch,
                                 layout=layout)
-
-
-def cross_reductions(spectral: SpectralData, layout: SpaceLayout,
-                     tolerances: Tolerances = DEFAULT) -> np.ndarray:
-    """All pairwise reductions tr_B |n><m| as a (d, d, dS, dS) array.
-
-    Memory grows like d^2, so this refuses above
-    ``tolerances.cross_reduction_cache_cap``; the dynamics module avoids the
-    cache entirely by evolving amplitudes.
-    """
-    d = spectral.dim
-    if d > tolerances.cross_reduction_cache_cap:
-        raise CapExceededError(
-            f"cross reductions at d={d} exceed the cache cap "
-            f"{tolerances.cross_reduction_cache_cap}"
-        )
-    blocks = spectral.eigenvectors.T.reshape(d, layout.dim_system, layout.dim_bath)
-    return np.einsum("nib,mjb->nmij", blocks, blocks.conj())
 
 
 def require_nondegenerate(spectral: SpectralData, tolerances: Tolerances = DEFAULT,
@@ -264,85 +244,11 @@ def subspace_averaged_equilibrium(subspace: SubspaceBasis, reductions: Eigenstat
     return DensityMatrix(mat, space="system")
 
 
-def full_average(layout: SpaceLayout) -> DensityMatrix:
-    """Average equilibrium state over the whole composite space: I/dS."""
-    return maximally_mixed(layout.dim_system)
-
-
-def gibbs_state(system_h: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-beta H)/Z, computed stably via the eigenbasis."""
-    evals, evecs = np.linalg.eigh(np.asarray(system_h, dtype=complex))
-    log_weights = -beta * evals
-    log_weights -= log_weights.max()
-    weights = np.exp(log_weights)
-    weights /= weights.sum()
-    return (evecs * weights[None, :]) @ evecs.conj().T
-
-
-def eth_fit(reduction: DensityMatrix, system_h: np.ndarray,
-            tolerances: Tolerances = DEFAULT) -> tuple[float, float]:
-    """Best-fit inverse temperature of one eigenstate reduction.
-
-    Minimizes the trace distance between the reduction and the Gibbs family
-    of the system Hamiltonian over beta in [-span, +span]/norm(HS) (negative
-    temperatures included, as appropriate for finite spectra).  A coarse scan
-    locates the basin and golden-section search refines it; returns
-    (beta, residual distance).
-    """
-    hs = np.asarray(system_h, dtype=complex)
-    evals = np.linalg.eigvalsh(hs)
-    hnorm = float(np.abs(evals).max())
-    if hnorm == 0.0:
-        raise ValidationError("system Hamiltonian is zero; no Gibbs family to fit")
-    if float(np.diff(np.sort(evals)).min()) <= tolerances.spectrum_degeneracy * hnorm:
-        raise DegenerateSpectrumError("system Hamiltonian spectrum is degenerate; "
-                                      "beta is not identifiable")
-    span = tolerances.eth_beta_span / hnorm
-
-    target = reduction.matrix
-
-    def distance(beta: float) -> float:
-        return trace_distance(target, gibbs_state(hs, beta))
-
-    grid = np.linspace(-span, span, 129)
-    values = [distance(b) for b in grid]
-    best = int(np.argmin(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = distance(c), distance(e)
-    while (b - a) * hnorm > tolerances.eth_search_tol:
-        if fc <= fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = distance(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = distance(e)
-    beta = 0.5 * (a + b)
-    return float(beta), float(distance(beta))
-
-
 def write_reductions_csv(path, spectral: SpectralData,
                          reductions: EigenstateReductions) -> None:
-    """One row per eigenstate: index, energy, purity, and Bloch components (qubits).
-
-    The first line is a schema comment so downstream parsers can detect
-    column changes.
-    """
+    """One row per eigenstate: index, energy, purity, and Bloch components (qubits)."""
     qubit = reductions.bloch is not None
     header = ["n", "energy", "purity"] + (["p_x", "p_y", "p_z"] if qubit else [])
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write("# schema_version 1\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for n in range(spectral.dim):
-            row = [str(n), f"{spectral.eigenvalues[n]:.17g}", f"{reductions.purities[n]:.17g}"]
-            if qubit:
-                row += [f"{reductions.bloch[n, a]:.17g}" for a in range(3)]
-            writer.writerow(row)
+    bloch = reductions.bloch.T if qubit else ()
+    write_csv(path, header, zip(range(spectral.dim), spectral.eigenvalues,
+                                reductions.purities, *bloch))

@@ -49,20 +49,6 @@ class SpaceLayout:
     def dim_total(self) -> int:
         return self.dim_system * self.dim_bath
 
-    def dim_of(self, space: str) -> int:
-        """Dimension of the tagged factor (or of the composite)."""
-        if space == "system":
-            return self.dim_system
-        if space == "bath":
-            return self.dim_bath
-        if space == "composite":
-            return self.dim_total
-        raise ValidationError(f"unknown space tag {space!r}")
-
-    def split_index(self, idx: int) -> tuple[int, int]:
-        """Composite basis label -> (system label, bath label)."""
-        return divmod(int(idx), self.dim_bath)
-
 
 @dataclass(frozen=True)
 class PureState:

@@ -22,11 +22,6 @@ from .errors import ValidationError
 from .hilbert import PureState, SpaceLayout
 from .tolerances import DEFAULT
 
-# Guard for keeping per-sample values in memory (needed for the
-# trace-distance-to-mean summary of matrix-valued estimates).
-KEEP_VALUES_ELEMENT_CAP = 20_000_000
-
-
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal columns spanning a subspace of one factor (or the composite)."""
@@ -123,31 +118,11 @@ def sample_uniform_state(basis: SubspaceBasis, rng: np.random.Generator) -> Pure
     return PureState(vec, space=basis.space)
 
 
-def sample_product_state(system_basis: SubspaceBasis, bath_basis: SubspaceBasis,
-                         rng: np.random.Generator) -> PureState:
-    """Independent Haar draws on two factor subspaces, tensored system-slow.
-
-    The system factor is drawn first, then the bath factor; this order is part
-    of the reproducibility contract.
-    """
-    if system_basis.space != "system" or bath_basis.space != "bath":
-        raise ValidationError(
-            "sample_product_state takes (system, bath) bases, got "
-            f"({system_basis.space}, {bath_basis.space})"
-        )
-    psi = sample_uniform_state(system_basis, rng)
-    phi = sample_uniform_state(bath_basis, rng)
-    return PureState(np.kron(psi.amplitudes, phi.amplitudes), space="composite")
-
-
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     """Sample mean with standard errors and full provenance.
 
-    ``mean``/``standard_error`` keep the shape of the functional's value.  For
-    matrix-valued functionals ``distance_mean``/``distance_se`` summarize how
-    far individual samples sit from the mean in trace norm (None when the
-    sample store would exceed the memory guard).
+    ``mean``/``standard_error`` keep the shape of the functional's value.
     """
 
     mean: Any
@@ -155,8 +130,6 @@ class MonteCarloEstimate:
     n_samples: int
     seed: int
     n_streams: int = 1
-    distance_mean: float | None = None
-    distance_se: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_samples < 2:
@@ -235,7 +208,6 @@ def monte_carlo_average(functional: Callable[[Any], Any],
 
     partial_sums: list[_CompensatedSum] = []
     partial_sq: list[_CompensatedSum] = []
-    kept: list[np.ndarray] | None = None
     shape: tuple[int, ...] | None = None
     is_complex = False
 
@@ -251,8 +223,6 @@ def monte_carlo_average(functional: Callable[[Any], Any],
             if shape is None:
                 shape = value.shape
                 is_complex = np.iscomplexobj(value)
-                if np.prod(shape, dtype=int) * n_samples <= KEEP_VALUES_ELEMENT_CAP:
-                    kept = []
             elif value.shape != shape:
                 raise ValidationError(
                     f"functional changed shape: {value.shape} vs {shape}"
@@ -263,8 +233,6 @@ def monte_carlo_average(functional: Callable[[Any], Any],
                 acc_sq = _CompensatedSum(shape, np.float64)
             acc.add(value.astype(acc.total.dtype, copy=False))
             acc_sq.add(np.abs(value) ** 2)
-            if kept is not None:
-                kept.append(value)
         if acc is not None:
             partial_sums.append(acc)
             partial_sq.append(acc_sq)
@@ -280,17 +248,8 @@ def monte_carlo_average(functional: Callable[[Any], Any],
     var = (merged_sq.value - n_samples * np.abs(mean) ** 2) / (n_samples - 1)
     se = np.sqrt(np.maximum(var, 0.0) / n_samples)
 
-    distance_mean = distance_se = None
-    if len(shape) == 2 and shape[0] == shape[1] and kept is not None:
-        deviations = np.stack(kept) - mean
-        distances = np.linalg.svd(deviations, compute_uv=False).sum(axis=-1)
-        distance_mean = float(distances.mean())
-        distance_se = float(distances.std(ddof=1) / np.sqrt(n_samples))
-
     if shape == ():
         mean = complex(mean) if is_complex else float(mean)
         se = float(se)
-    return MonteCarloEstimate(
-        mean=mean, standard_error=se, n_samples=n_samples, seed=seed,
-        n_streams=n_streams, distance_mean=distance_mean, distance_se=distance_se,
-    )
+    return MonteCarloEstimate(mean=mean, standard_error=se, n_samples=n_samples,
+                              seed=seed, n_streams=n_streams)

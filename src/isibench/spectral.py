@@ -9,11 +9,12 @@ the output instead of silently passing.
 Hamiltonians can be round-tripped through a small text format (one header
 line with a magic tag, one with dimensions and the system/bath split, then
 one row per line as interleaved real/imag pairs printed with %.17g, which is
-lossless for doubles).
+lossless for doubles).  The CSV data files of a run share ``write_csv``.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,15 +104,12 @@ def assemble(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray | Non
 class SpectralData:
     """Eigenvalues (ascending) and phase-fixed eigenvector columns.
 
-    ``min_level_spacing`` is the smallest consecutive eigenvalue difference;
-    ``min_gap_collision`` is filled by check_nondegenerate_gaps (None until
-    computed).
+    ``min_level_spacing`` is the smallest consecutive eigenvalue difference.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     min_level_spacing: float
-    min_gap_collision: float | None = None
 
     def __post_init__(self) -> None:
         evals = np.array(self.eigenvalues, dtype=float, copy=True)
@@ -270,6 +268,20 @@ def write_matrix(path, matrix: np.ndarray, layout: SpaceLayout | None = None) ->
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a data file: a ``# schema_version 1`` line, the header, the rows.
+
+    Strings are written as they are and numbers in %.17g (lossless for
+    doubles); the schema line lets downstream parsers detect column changes.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write("# schema_version 1\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, str) else f"{v:.17g}" for v in row]
+                         for row in rows)
+
+
 def read_matrix(path) -> tuple[np.ndarray, SpaceLayout | None]:
     """Read a matrix written by write_matrix; returns (matrix, layout-or-None)."""
     text = Path(path).read_text(encoding="utf-8")
@@ -277,7 +289,7 @@ def read_matrix(path) -> tuple[np.ndarray, SpaceLayout | None]:
     if not lines:
         raise ConfigError(f"{path}: empty matrix file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != MATRIX_FORMAT_MAGIC:
+    if len(head) != 2 or head[0] != MATRIX_FORMAT_MAGIC or not head[1].isdecimal():
         raise ConfigError(f"{path}: line 1: expected '{MATRIX_FORMAT_MAGIC} <version>'")
     if int(head[1]) != MATRIX_FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported format version {head[1]}")

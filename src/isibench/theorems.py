@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,8 +37,6 @@ from .tolerances import DEFAULT, Tolerances
 # Concentration rate constant of the Levy-type tail bounds, 1/(18 pi^3).
 CONCENTRATION_RATE = 1.0 / (18.0 * math.pi**3)
 
-THEOREM_IDS = ("SufficientISI", "T0i", "T0ii", "T1", "T1prime", "T2i", "T2ii",
-               "Popescu")
 VERDICTS = ("satisfied", "violated", "vacuous", "indeterminate")
 
 _SCALAR_TYPES = (bool, int, float, str)
@@ -108,62 +107,48 @@ def theorem0_empirical_lhs(subspace: SubspaceBasis, spectral: SpectralData,
     functional of the state, so it has a closed form for every subspace).
     """
     require_nondegenerate(spectral, tolerances)
-    reference = subspace_averaged_equilibrium(subspace, reductions, spectral).matrix
+    return _equilibrium_distance_estimate(subspace, spectral, reductions, None,
+                                          n_samples, seed, n_streams)
+
+
+def _equilibrium_distance_estimate(subspace: SubspaceBasis, spectral: SpectralData,
+                                   reductions: EigenstateReductions,
+                                   threshold: float | None, n_samples: int, seed: int,
+                                   n_streams: int) -> MonteCarloEstimate:
+    """Distance of the equilibrium states of subspace draws to their average."""
     eigenvectors = spectral.eigenvectors
     matrices = reductions.matrices
 
-    def equilibrium_distance(column: np.ndarray) -> float:
+    def equilibrium_state(column: np.ndarray) -> np.ndarray:
         populations = np.abs(eigenvectors.conj().T @ column) ** 2
-        state = np.einsum("n,nij->ij", populations, matrices)
-        return trace_distance(state, reference)
+        return np.einsum("n,nij->ij", populations, matrices)
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        return sample_uniform_columns(subspace, 1, rng)[:, 0]
-
-    return monte_carlo_average(equilibrium_distance, draw, n_samples, seed, n_streams)
-
-
-def _exceedance_estimate(subspace: SubspaceBasis, spectral: SpectralData,
-                         reductions: EigenstateReductions, threshold: float,
-                         n_samples: int, seed: int,
-                         n_streams: int) -> MonteCarloEstimate:
-    """Frequency of equilibrium states farther than ``threshold`` from the average."""
     reference = subspace_averaged_equilibrium(subspace, reductions, spectral).matrix
-    eigenvectors = spectral.eigenvectors
-    matrices = reductions.matrices
-
-    def exceeds(column: np.ndarray) -> float:
-        populations = np.abs(eigenvectors.conj().T @ column) ** 2
-        state = np.einsum("n,nij->ij", populations, matrices)
-        return float(trace_distance(state, reference) > threshold)
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        return sample_uniform_columns(subspace, 1, rng)[:, 0]
-
-    return monte_carlo_average(exceeds, draw, n_samples, seed, n_streams)
+    return _distance_estimate(equilibrium_state, reference, subspace, threshold,
+                              n_samples, seed, n_streams)
 
 
-def theorem0_tail_frequency(subspace: SubspaceBasis, spectral: SpectralData,
-                            reductions: EigenstateReductions, epsilon: float,
-                            n_samples: int, seed: int, n_streams: int = 1,
-                            tolerances: Tolerances = DEFAULT) -> tuple[float, float]:
-    """Empirical tail frequency and its concentration bound.
+def _distance_estimate(state_of: Callable[[np.ndarray], np.ndarray],
+                       reference: np.ndarray, basis: SubspaceBasis,
+                       threshold: float | None, n_samples: int, seed: int,
+                       n_streams: int) -> MonteCarloEstimate:
+    """Monte Carlo over Haar draws from ``basis`` of one state's distance to ``reference``.
 
-    Counts how often the sampled equilibrium state sits farther than
-    sqrt(dS delta / dR) + epsilon from the subspace average, against the
-    bound 2 exp(-c dR epsilon^2).
+    ``state_of`` maps a drawn column to its state.  With a ``threshold`` each
+    draw counts 1 when its distance exceeds it and 0 otherwise, so the mean
+    is the exceedance frequency.
     """
-    require_nondegenerate(spectral, tolerances)
-    delta_value = subspace_delta(reductions, subspace, spectral)
-    strong, _ = theorem0_rhs(reductions.layout.dim_system, subspace.dim_subspace,
-                             delta_value)
-    estimate = _exceedance_estimate(subspace, spectral, reductions,
-                                    strong + epsilon, n_samples, seed, n_streams)
-    return estimate.mean, concentration_tail(subspace.dim_subspace, epsilon)
+    def distance(column: np.ndarray) -> float:
+        value = trace_distance(state_of(column), reference)
+        return value if threshold is None else float(value > threshold)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return sample_uniform_columns(basis, 1, rng)[:, 0]
+
+    return monte_carlo_average(distance, draw, n_samples, seed, n_streams)
 
 
 def necessary_condition_lhs(reductions: EigenstateReductions,
-                            layout: SpaceLayout | None = None,
                             n_starts: int = 512, seed: int = 0,
                             tolerances: Tolerances = DEFAULT) -> float:
     """sup over system states of || bath-averaged equilibrium - I/dS ||.
@@ -175,11 +160,7 @@ def necessary_condition_lhs(reductions: EigenstateReductions,
     ``n_starts`` Haar starts refined by coordinate ascent (the assumed
     nondegenerate spectrum is the caller's responsibility here).
     """
-    if layout is None:
-        layout = reductions.layout
-    elif (layout.dim_system, layout.dim_bath) != (reductions.layout.dim_system,
-                                                  reductions.layout.dim_bath):
-        raise ValidationError("layout disagrees with the reductions' layout")
+    layout = reductions.layout
     if layout.dim_system == 2:
         gram = reductions.bloch.T @ reductions.bloch
         return float(np.linalg.eigvalsh(gram / reductions.dim)[-1])
@@ -256,103 +237,119 @@ def popescu_tail_frequency(layout: SpaceLayout, epsilon: float, n_samples: int,
     sqrt(dS/dB) + epsilon from the maximally mixed state in trace distance.
     """
     threshold, _ = popescu_bound(layout.dim_system, layout.dim_bath, epsilon)
-    basis = full_basis(layout.dim_total)
     mixed = np.eye(layout.dim_system) / layout.dim_system
-
-    def exceeds(column: np.ndarray) -> float:
-        reduced = partial_trace_bath(column, layout)
-        return float(trace_distance(reduced.matrix, mixed) > threshold)
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        return sample_uniform_columns(basis, 1, rng)[:, 0]
-
-    return monte_carlo_average(exceeds, draw, n_samples, seed, n_streams)
+    return _distance_estimate(lambda column: partial_trace_bath(column, layout).matrix,
+                              mixed, full_basis(layout.dim_total), threshold, n_samples,
+                              seed, n_streams)
 
 
-def energy_dispersion(amplitudes: np.ndarray, energies: np.ndarray) -> float:
-    """Standard deviation of energy for amplitudes in the energy eigenbasis."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    levels = np.asarray(energies, dtype=float)
-    if amps.shape != levels.shape or amps.ndim != 1:
-        raise ValidationError("amplitudes and energies must be matching vectors")
-    weights = np.abs(amps) ** 2
-    total = weights.sum()
-    if total <= 0:
-        raise ValidationError("amplitudes vanish")
-    weights /= total
-    mean = float(weights @ levels)
-    return math.sqrt(max(float(weights @ (levels - mean) ** 2), 0.0))
+def _necessary_rhs(p: dict) -> float:
+    return epsilon_prime(float(p["epsilon"]), int(p["dS"]), int(p["dR"]), float(p["p"]))
 
 
-def low_dispersion_fraction(energies: np.ndarray, threshold: float, n_samples: int,
-                            seed: int, n_streams: int = 1) -> MonteCarloEstimate:
-    """Haar fraction of states whose energy dispersion stays below a threshold.
+def _qubit_rhs(factor: float) -> Callable[[dict], float]:
+    """T2 bound: ``factor`` times epsilon, or times the full accuracy constant."""
+    def rhs(p: dict) -> float:
+        mode = p.get("bound_mode", "asymptotic")
+        if mode == "asymptotic":
+            return factor * float(p["epsilon"])
+        if mode == "formula":
+            return factor * _necessary_rhs(p)
+        raise ValidationError(f"unknown bound_mode {mode!r}")
+    return rhs
 
-    An empirical stand-in for the measure of the restricted bath family in
-    the necessary condition: the family of low-dispersion states is never
-    constructed explicitly, only its measure is estimated.
+
+@dataclass(frozen=True)
+class Theorem:
+    """One entry of the theorem registry.
+
+    ``rhs`` recomputes the bound from a report's parameters, and ``max_lhs``
+    is the largest value the left-hand side can take (bounds at or above it
+    are vacuous).  ``evaluate(pipe, config, seed)`` builds the report from
+    the stages of a ``cli.Pipeline``.  ``nondegenerate`` marks the reports
+    whose formulas need a nondegenerate spectrum.
     """
-    levels = np.asarray(energies, dtype=float)
-    if levels.ndim != 1 or levels.size < 1:
-        raise ValidationError(f"energies must be a nonempty vector, got {levels.shape}")
-    if threshold < 0:
-        raise ValidationError(f"threshold must be >= 0, got {threshold}")
 
-    def within(amps: np.ndarray) -> float:
-        return float(energy_dispersion(amps, levels) <= threshold)
+    rhs: Callable[[dict], float]
+    max_lhs: Callable[[dict], float]
+    evaluate: Callable[[Any, Any, int], "TheoremReport"]
+    nondegenerate: bool = False
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        return sample_amplitudes(levels.size, 1, rng)[:, 0]
 
-    return monte_carlo_average(within, draw, n_samples, seed, n_streams)
+def _one(p: dict) -> float:
+    return 1.0
+
+
+def _necessary_max(p: dict) -> float:
+    return 2.0 * (1.0 - 1.0 / int(p["dS"]))
+
+
+# Probabilities and qubit polarization statistics cap at 1.  The
+# necessary-condition supremum compares a density matrix against the
+# maximally mixed state, so it caps at 2(1 - 1/dS) (a Bloch-vector norm, at
+# most 1, for qubits).  Mean trace distances cap at 2.  The evaluators look
+# up the report builders by name when they run, so that a tracer that wraps
+# this module's functions sees the calls.  The order fixes each report's
+# seed (its index here) and must not change.
+THEOREMS = {
+    "SufficientISI": Theorem(
+        lambda p: float(p["threshold"]), _one,
+        lambda pipe, c, seed: sufficient_condition_report(pipe.delta,
+                                                          tolerances=c.tolerances)),
+    "T0i": Theorem(
+        lambda p: theorem0_rhs(int(p["dS"]), int(p["dR"]), float(p["delta"]))[0],
+        lambda p: 2.0,
+        lambda pipe, c, seed: theorem0_mean_report(
+            pipe.subspace, pipe.spectral, pipe.reductions, c.n_samples, seed,
+            c.n_streams, c.tolerances),
+        nondegenerate=True),
+    "T0ii": Theorem(
+        lambda p: concentration_tail(int(p["dR"]), float(p["epsilon"])), _one,
+        lambda pipe, c, seed: theorem0_tail_report(
+            pipe.subspace, pipe.spectral, pipe.reductions, c.epsilon, c.n_samples,
+            seed, c.n_streams, c.tolerances),
+        nondegenerate=True),
+    "T1": Theorem(
+        _necessary_rhs, _necessary_max,
+        lambda pipe, c, seed: necessary_condition_report(
+            pipe.reductions, c.epsilon, c.dim_restricted or pipe.layout.dim_bath, c.p,
+            "T1", c.n_starts, seed, c.tolerances)),
+    "T1prime": Theorem(
+        _necessary_rhs, _necessary_max,
+        lambda pipe, c, seed: necessary_condition_report(
+            pipe.reductions, c.epsilon, pipe.layout.dim_bath, 1.0, "T1prime",
+            c.n_starts, seed, c.tolerances)),
+    "T2i": Theorem(_qubit_rhs(math.sqrt(3.0)), _one,
+                   lambda pipe, c, seed: pipe.theorem2[0]),
+    "T2ii": Theorem(_qubit_rhs(3.0), _one, lambda pipe, c, seed: pipe.theorem2[1]),
+    "Popescu": Theorem(
+        lambda p: concentration_tail(int(p["dB"]), float(p["epsilon"])), _one,
+        lambda pipe, c, seed: popescu_report(pipe.layout, c.epsilon, c.n_samples, seed,
+                                             c.n_streams, c.tolerances)),
+}
+THEOREM_IDS = tuple(THEOREMS)
+
+
+def _theorem(theorem_id: str) -> Theorem:
+    if theorem_id not in THEOREMS:
+        raise ValidationError(f"unknown theorem id {theorem_id!r}")
+    return THEOREMS[theorem_id]
 
 
 def max_possible_lhs(theorem_id: str, parameters: dict) -> float:
-    """Largest value the report's left-hand side can take, for vacuity checks.
-
-    Probabilities and qubit polarization statistics cap at 1.  The
-    necessary-condition supremum compares a density matrix against the
-    maximally mixed state, so it caps at 2(1 - 1/dS) (a Bloch-vector norm,
-    at most 1, for qubits).  Mean trace distances cap at 2.
-    """
-    if theorem_id in ("T0ii", "Popescu", "T2i", "T2ii", "SufficientISI"):
-        return 1.0
-    if theorem_id in ("T1", "T1prime"):
-        return 2.0 * (1.0 - 1.0 / int(parameters["dS"]))
-    if theorem_id == "T0i":
-        return 2.0
-    raise ValidationError(f"unknown theorem id {theorem_id!r}")
+    """Largest value the report's left-hand side can take, for vacuity checks."""
+    return _theorem(theorem_id).max_lhs(parameters)
 
 
 def recompute_rhs(theorem_id: str, parameters: dict) -> float:
     """Right-hand side recomputed from a report's recorded parameters."""
-    p = parameters
+    theorem = _theorem(theorem_id)
     try:
-        if theorem_id == "SufficientISI":
-            return float(p["threshold"])
-        if theorem_id == "T0i":
-            return theorem0_rhs(int(p["dS"]), int(p["dR"]), float(p["delta"]))[0]
-        if theorem_id == "T0ii":
-            return concentration_tail(int(p["dR"]), float(p["epsilon"]))
-        if theorem_id in ("T1", "T1prime"):
-            return epsilon_prime(float(p["epsilon"]), int(p["dS"]), int(p["dR"]),
-                                 float(p["p"]))
-        if theorem_id in ("T2i", "T2ii"):
-            factor = math.sqrt(3.0) if theorem_id == "T2i" else 3.0
-            mode = p.get("bound_mode", "asymptotic")
-            if mode == "asymptotic":
-                return factor * float(p["epsilon"])
-            if mode == "formula":
-                return factor * epsilon_prime(float(p["epsilon"]), int(p["dS"]),
-                                              int(p["dR"]), float(p["p"]))
-            raise ValidationError(f"unknown bound_mode {mode!r}")
-        if theorem_id == "Popescu":
-            return concentration_tail(int(p["dB"]), float(p["epsilon"]))
+        return theorem.rhs(parameters)
     except KeyError as missing:
         raise ValidationError(
             f"report for {theorem_id} is missing parameter {missing.args[0]!r}"
         ) from None
-    raise ValidationError(f"unknown theorem id {theorem_id!r}")
 
 
 def assign_verdict(theorem_id: str, lhs: float, rhs: float,
@@ -490,6 +487,16 @@ def _float_params(mapping: dict) -> dict:
     return out
 
 
+def _report(theorem_id: str, lhs: float, rhs: float, parameters: dict,
+            tolerances: Tolerances) -> TheoremReport:
+    """The report and its verdict; a non-default verdict boundary is recorded."""
+    if tolerances.verdict_boundary != DEFAULT.verdict_boundary:
+        parameters["verdict_boundary"] = tolerances.verdict_boundary
+    lhs, rhs = float(lhs), float(rhs)
+    verdict = assign_verdict(theorem_id, lhs, rhs, parameters)
+    return TheoremReport(theorem_id, lhs, rhs, verdict, parameters)
+
+
 def sufficient_condition_report(delta_value: float, threshold: float | None = None,
                                 tolerances: Tolerances = DEFAULT) -> TheoremReport:
     """Report on the smallness condition sqrt(delta) << 1.
@@ -507,9 +514,7 @@ def sufficient_condition_report(delta_value: float, threshold: float | None = No
         raise ValidationError(f"threshold must be positive, got {threshold}")
     lhs = math.sqrt(delta_value)
     parameters = _float_params({"delta": delta_value, "threshold": threshold})
-    _record_boundary(parameters, tolerances)
-    verdict = assign_verdict("SufficientISI", lhs, float(threshold), parameters)
-    return TheoremReport("SufficientISI", lhs, float(threshold), verdict, parameters)
+    return _report("SufficientISI", lhs, threshold, parameters, tolerances)
 
 
 def theorem0_mean_report(subspace: SubspaceBasis, spectral: SpectralData,
@@ -528,9 +533,7 @@ def theorem0_mean_report(subspace: SubspaceBasis, spectral: SpectralData,
         "seed": seed, "n_streams": n_streams,
         "lhs_standard_error": estimate.standard_error, "weak_rhs": weak,
     })
-    _record_boundary(parameters, tolerances)
-    verdict = assign_verdict("T0i", estimate.mean, strong, parameters)
-    return TheoremReport("T0i", float(estimate.mean), strong, verdict, parameters)
+    return _report("T0i", estimate.mean, strong, parameters, tolerances)
 
 
 def theorem0_tail_report(subspace: SubspaceBasis, spectral: SpectralData,
@@ -544,17 +547,16 @@ def theorem0_tail_report(subspace: SubspaceBasis, spectral: SpectralData,
     dr = subspace.dim_subspace
     strong, _ = theorem0_rhs(ds, dr, delta_value)
     bound = concentration_tail(dr, epsilon)
-    estimate = _exceedance_estimate(subspace, spectral, reductions, strong + epsilon,
-                                    n_samples, seed, n_streams)
+    estimate = _equilibrium_distance_estimate(subspace, spectral, reductions,
+                                              strong + epsilon, n_samples, seed,
+                                              n_streams)
     parameters = _float_params({
         "dS": ds, "dR": dr, "delta": delta_value, "epsilon": epsilon,
         "distance_threshold": strong + epsilon, "c": CONCENTRATION_RATE,
         "n_samples": n_samples, "seed": seed, "n_streams": n_streams,
         "lhs_standard_error": estimate.standard_error,
     })
-    _record_boundary(parameters, tolerances)
-    verdict = assign_verdict("T0ii", estimate.mean, bound, parameters)
-    return TheoremReport("T0ii", float(estimate.mean), bound, verdict, parameters)
+    return _report("T0ii", estimate.mean, bound, parameters, tolerances)
 
 
 def necessary_condition_report(reductions: EigenstateReductions, epsilon: float,
@@ -582,9 +584,7 @@ def necessary_condition_report(reductions: EigenstateReductions, epsilon: float,
     if ds > 2:
         parameters.update(_float_params({"n_starts": n_starts, "seed": seed}))
         parameters["lhs_is_lower_bound"] = True
-    _record_boundary(parameters, tolerances)
-    verdict = assign_verdict(theorem_id, lhs, rhs, parameters)
-    return TheoremReport(theorem_id, lhs, rhs, verdict, parameters)
+    return _report(theorem_id, lhs, rhs, parameters, tolerances)
 
 
 def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
@@ -612,16 +612,9 @@ def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
         "c": CONCENTRATION_RATE, "epsilon_prime": full_constant,
     })
     base["bound_mode"] = bound_mode
-    _record_boundary(base, tolerances)
     scale = epsilon if bound_mode == "asymptotic" else full_constant
-    reports = []
-    for theorem_id, lhs, factor in (("T2i", lhs_i, math.sqrt(3.0)),
-                                    ("T2ii", lhs_ii, 3.0)):
-        rhs = factor * scale
-        parameters = dict(base)
-        verdict = assign_verdict(theorem_id, lhs, rhs, parameters)
-        reports.append(TheoremReport(theorem_id, lhs, rhs, verdict, parameters))
-    return reports[0], reports[1]
+    return (_report("T2i", lhs_i, math.sqrt(3.0) * scale, dict(base), tolerances),
+            _report("T2ii", lhs_ii, 3.0 * scale, dict(base), tolerances))
 
 
 def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int, seed: int,
@@ -636,11 +629,4 @@ def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int, seed: in
         "n_samples": n_samples, "seed": seed, "n_streams": n_streams,
         "lhs_standard_error": estimate.standard_error,
     })
-    _record_boundary(parameters, tolerances)
-    verdict = assign_verdict("Popescu", estimate.mean, bound, parameters)
-    return TheoremReport("Popescu", float(estimate.mean), bound, verdict, parameters)
-
-
-def _record_boundary(parameters: dict, tolerances: Tolerances) -> None:
-    if tolerances.verdict_boundary != DEFAULT.verdict_boundary:
-        parameters["verdict_boundary"] = tolerances.verdict_boundary
+    return _report("Popescu", estimate.mean, bound, parameters, tolerances)

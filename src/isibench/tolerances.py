@@ -2,7 +2,7 @@
 
 Every module takes a :class:`Tolerances` record instead of hard-coding
 thresholds, so a whole run can be tightened or loosened from one place
-(the CLI maps its ``[tolerances]`` config section onto this record).
+(the CLI's ``[tolerances]`` config section sets the fields a run reads).
 Relative thresholds are scaled by the spectral norm of the operator they
 are applied to; the docstrings of the consuming functions say which is
 which.
@@ -38,11 +38,9 @@ class Tolerances:
     decompose_dim_cap: int = 8192      # dense eigensolver refusal point
     gap_check_dim_cap: int = 4096      # the O(d^2) gap scan refuses above this
     kernel_dim_cap: int = 4096         # dense d x d time-average kernel cap
-    cross_reduction_cache_cap: int = 512  # d above which all-pairs rho_nm is refused
 
     # search and verdict parameters
-    eth_beta_span: float = 50.0        # Gibbs fit bracket, in units of 1/norm(HS)
-    eth_search_tol: float = 1e-8       # golden-section interval width on beta*norm(HS)
+    eth_search_tol: float = 1e-8       # smallest step of the non-qubit T1 supremum search
     sufficient_isi_threshold: float = 0.1  # smallness cutoff for sqrt(delta)
     verdict_boundary: float = 1e-9     # |lhs - rhs| window reported as indeterminate
 

@@ -358,3 +358,47 @@ class TestSweepCommand:
                                    "[sweep]\nparameter = dim_system\nvalues = 2\n")
         assert cli.main(["sweep", "--config", cfg]) == 2
         assert "not sweepable" in capsys.readouterr().err
+
+
+class TestInputHardening:
+    def test_non_numeric_matrix_version_exits_2(self, tmp_path, capsys):
+        matrix_path = tmp_path / "bad.mat"
+        matrix_path.write_text("isibench-matrix x\n1 1 0 0\n0 0\n", encoding="utf-8")
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
+        assert cli.main(["spectrum", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "isibench-matrix <version>" in err
+
+    @pytest.mark.parametrize("entry, field", [
+        ("hermiticity = 1e-30", "hermiticity"),
+        ("decompose_dim_cap = -1", "decompose_dim_cap"),
+        ("gap_check_dim_cap = 1.5", "gap_check_dim_cap"),
+        ("residual = 0", "residual"),
+        ("verdict_boundary = inf", "verdict_boundary"),
+    ])
+    def test_bad_tolerance_override_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                             entry, field):
+        cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 4\n"
+                                   f"[tolerances]\n{entry}\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"tolerances.{field}" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestDegenerateSpectrumSkip:
+    def test_allow_degenerate_skips_t0_reports_with_notes(self, tmp_path, capsys):
+        matrix_path = tmp_path / "degenerate.mat"
+        write_matrix(matrix_path, np.diag([1.0, 1.0, 2.0, 3.0]), SpaceLayout(2, 2))
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n"
+                                   "[analysis]\ntheorems = SufficientISI, T0i, T0ii\n"
+                                   "allow_degenerate = true\n")
+        out_dir = tmp_path / "out"
+        assert cli.main(["bounds", "--config", cfg, "--out", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "note: T0i skipped (degenerate spectrum)" in out
+        assert "note: T0ii skipped (degenerate spectrum)" in out
+        assert sorted(p.name for p in out_dir.iterdir()) == ["report_SufficientISI.json"]

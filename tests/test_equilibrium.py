@@ -6,9 +6,8 @@ import pytest
 from isibench import (DegenerateSpectrumError, DensityMatrix, PureState,
                       SpaceLayout, SubspaceBasis, ValidationError, assemble,
                       bath_averaged_equilibrium, bath_prefix_basis, delta,
-                      eigendecompose, eigenstate_reductions, eth_fit,
-                      full_average, full_basis, gibbs_state, maximally_mixed,
-                      monte_carlo_average, overlaps, product_subspace,
+                      eigendecompose, eigenstate_reductions, full_basis,
+                      maximally_mixed, monte_carlo_average, overlaps, product_subspace,
                       sample_commuting_spec,
                       sample_uniform_state, subspace_averaged_equilibrium,
                       subspace_weights, time_averaged_state, trace_distance,
@@ -280,61 +279,17 @@ class TestBathAveragedEquilibrium:
         assert abs(slope + 0.5) < 0.12
 
 
-class TestGibbsFit:
-    def test_zero_beta_is_maximally_mixed(self):
-        rng = np.random.default_rng(109)
-        hs = random_hermitian(2, rng)
-        assert np.abs(gibbs_state(hs, 0.0) - np.eye(2) / 2).max() < 1e-12
-
-    def test_fit_recovers_planted_temperature(self):
-        rng = np.random.default_rng(113)
-        hs = random_hermitian(2, rng)
-        target = DensityMatrix(gibbs_state(hs, 0.7), space="system")
-        beta, residual = eth_fit(target, hs)
-        assert beta == pytest.approx(0.7, abs=1e-6)
-        assert residual < 1e-7
-
-    def test_fit_of_maximally_mixed_is_infinite_temperature(self):
-        rng = np.random.default_rng(127)
-        hs = random_hermitian(2, rng)
-        beta, residual = eth_fit(maximally_mixed(2), hs)
-        assert beta == pytest.approx(0.0, abs=1e-6)
-        assert residual < 1e-7
-
-    def test_pure_reduction_keeps_positive_residual(self):
-        rng = np.random.default_rng(131)
-        spec = sample_commuting_spec(8, 1.0, 1.0, 1.0, rng)
-        spectral = analytic_eigensystem(spec)
-        reductions = eigenstate_reductions(spectral, spec.layout)
-        hs = 0.5 * np.diag([1.0, -1.0])
-        # the residual against diagonal Gibbs states is the transverse Bloch
-        # radius, so pick the eigenstate with the largest coherence
-        pick = int(np.abs(reductions.matrices[:, 0, 1]).argmax())
-        target = DensityMatrix(reductions.matrices[pick], space="system")
-        beta, residual = eth_fit(target, hs)
-        grid = np.linspace(-60.0, 60.0, 4001)
-        scan = min(trace_distance(target.matrix, gibbs_state(hs, b)) for b in grid)
-        assert residual > 0.01
-        assert residual <= scan + 1e-9
-
-    def test_degenerate_system_hamiltonian_refused(self):
-        with pytest.raises(DegenerateSpectrumError):
-            eth_fit(maximally_mixed(2), np.eye(2))
-
-    def test_zero_hamiltonian_refused(self):
-        with pytest.raises(ValidationError):
-            eth_fit(maximally_mixed(2), np.zeros((2, 2)))
-
-
 class TestFullAverage:
     def test_full_average_is_maximally_mixed(self):
-        rho = full_average(SpaceLayout(3, 5))
-        assert np.abs(rho.matrix - np.eye(3) / 3).max() == 0.0
+        # completeness of the eigenbasis makes the full-space average I/dS
+        _, spectral, reductions, _ = _random_problem(3, 5, 131)
+        rho = subspace_averaged_equilibrium(full_basis(15), reductions, spectral)
+        assert np.abs(rho.matrix - np.eye(3) / 3).max() < 1e-12
 
     def test_full_subspace_average_matches(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 137)
         rho = subspace_averaged_equilibrium(full_basis(16), reductions, spectral)
-        assert trace_distance(rho, full_average(layout)) < 1e-10
+        assert trace_distance(rho, maximally_mixed(layout.dim_system)) < 1e-10
 
 
 class TestReductionsCsv:

@@ -6,7 +6,7 @@ import scipy.stats
 
 from isibench import (PureState, SpaceLayout, SubspaceBasis, ValidationError,
                       bath_prefix_basis, full_basis, monte_carlo_average,
-                      partial_trace_bath, product_subspace, sample_product_state,
+                      partial_trace_bath, product_subspace,
                       sample_uniform_state, split_counts, stream_generators)
 from isibench.sampling import _CompensatedSum, sample_uniform_columns
 
@@ -81,9 +81,10 @@ class TestProductSampling:
         rng = np.random.default_rng(4)
         psi = random_state(2, rng)
         phi = random_state(3, rng)
-        sys_basis = SubspaceBasis(psi.reshape(-1, 1), space="system")
         bath_basis = SubspaceBasis(phi.reshape(-1, 1), space="bath")
-        out = sample_product_state(sys_basis, bath_basis, rng)
+        sub = product_subspace(PureState(psi, space="system"), bath_basis,
+                               SpaceLayout(2, 3))
+        out = sample_uniform_state(sub, rng)
         assert abs(abs(np.vdot(np.kron(psi, phi), out.amplitudes)) - 1.0) < 1e-12
 
     def test_fixed_system_reduction_is_pure(self):
@@ -96,23 +97,6 @@ class TestProductSampling:
             draw = sample_uniform_state(sub, rng)
             reduced = partial_trace_bath(draw, layout).matrix
             assert np.abs(reduced - target).max() < 1e-10
-
-    def test_marginal_covariance_vanishes(self):
-        rng = np.random.default_rng(7)
-        sys_basis = full_basis(2, "system")
-        bath_basis = full_basis(2, "bath")
-        n = 4000
-        sys_pop = np.empty(n)
-        bath_pop = np.empty(n)
-        for k in range(n):
-            state = sample_product_state(sys_basis, bath_basis, rng)
-            amps = state.amplitudes.reshape(2, 2)
-            sys_pop[k] = np.abs(amps[0, :]).sum() ** 2 / 2.0
-            bath_pop[k] = np.abs(amps[:, 0]).sum() ** 2 / 2.0
-        cov = np.mean((sys_pop - sys_pop.mean()) * (bath_pop - bath_pop.mean()))
-        se = np.std((sys_pop - sys_pop.mean()) * (bath_pop - bath_pop.mean()),
-                    ddof=1) / math.sqrt(n)
-        assert abs(cov) < 3 * se
 
 
 class TestMonteCarlo:

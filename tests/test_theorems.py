@@ -7,13 +7,12 @@ import pytest
 from isibench import (CONCENTRATION_RATE, THEOREM_IDS, PureState, SpaceLayout,
                       SubspaceBasis, TheoremReport, ValidationError,
                       assign_verdict, concentration_tail, eigendecompose,
-                      eigenstate_reductions, energy_dispersion, epsilon_prime,
-                      full_basis, low_dispersion_fraction, max_possible_lhs,
-                      necessary_condition_lhs, necessary_condition_report,
-                      popescu_bound, popescu_report, popescu_tail_frequency,
-                      product_subspace, read_report, recompute_rhs,
-                      sufficient_condition_report, theorem0_empirical_lhs,
-                      theorem0_mean_report, theorem0_rhs, theorem0_tail_frequency,
+                      eigenstate_reductions, epsilon_prime, full_basis,
+                      max_possible_lhs, necessary_condition_lhs,
+                      necessary_condition_report, popescu_bound, popescu_report,
+                      popescu_tail_frequency, product_subspace, read_report,
+                      recompute_rhs, sufficient_condition_report,
+                      theorem0_empirical_lhs, theorem0_mean_report, theorem0_rhs,
                       theorem0_tail_report, theorem2_lhs, theorem2_reports,
                       write_report)
 from isibench.equilibrium import EigenstateReductions
@@ -162,17 +161,17 @@ class TestTheorem0Sampling:
 
     def test_tail_frequency_zero_beyond_range(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 19)
-        freq, bound = theorem0_tail_frequency(full_basis(16), spectral, reductions,
-                                              epsilon=2.0, n_samples=64, seed=23)
-        assert freq == 0.0
-        assert bound == pytest.approx(concentration_tail(16, 2.0))
+        report = theorem0_tail_report(full_basis(16), spectral, reductions,
+                                      epsilon=2.0, n_samples=64, seed=23)
+        assert report.lhs == 0.0
+        assert report.rhs == pytest.approx(concentration_tail(16, 2.0))
 
     def test_tail_respects_nonvacuous_bound(self):
         layout, spectral, reductions, _ = _random_problem(2, 128, 29)
-        freq, bound = theorem0_tail_frequency(full_basis(256), spectral, reductions,
-                                              epsilon=1.5, n_samples=200, seed=31)
-        assert bound < 1.0
-        assert freq <= bound
+        report = theorem0_tail_report(full_basis(256), spectral, reductions,
+                                      epsilon=1.5, n_samples=200, seed=31)
+        assert report.rhs < 1.0
+        assert report.lhs <= report.rhs
 
 
 class TestNecessaryCondition:
@@ -267,28 +266,6 @@ class TestPopescuSampling:
         first = popescu_tail_frequency(layout, epsilon=0.3, n_samples=200, seed=71)
         second = popescu_tail_frequency(layout, epsilon=0.3, n_samples=200, seed=71)
         assert first.mean == second.mean
-
-
-class TestEnergyDispersion:
-    def test_eigenstate_has_zero_dispersion(self):
-        amps = np.zeros(4, dtype=complex)
-        amps[2] = 1.0
-        assert energy_dispersion(amps, np.array([0.0, 1.0, 2.0, 3.0])) == 0.0
-
-    def test_equal_superposition_of_two_levels(self):
-        amps = np.array([1.0, 1.0]) / math.sqrt(2)
-        assert energy_dispersion(amps, np.array([0.0, 1.0])) == pytest.approx(0.5)
-
-    def test_two_level_fraction_is_total_above_half_gap(self):
-        est = low_dispersion_fraction(np.array([0.0, 1.0]), threshold=0.5,
-                                      n_samples=64, seed=73)
-        assert est.mean == 1.0
-
-    def test_fraction_monotone_in_threshold(self):
-        energies = np.linspace(0.0, 3.0, 8)
-        loose = low_dispersion_fraction(energies, 1.0, n_samples=400, seed=79)
-        tight = low_dispersion_fraction(energies, 0.5, n_samples=400, seed=79)
-        assert tight.mean <= loose.mean
 
 
 class TestVerdictPolicy:
