@@ -37,8 +37,7 @@ from .theorems import (CONCENTRATION_RATE, THEOREM_IDS, VERDICTS, TheoremReport,
                        assign_verdict, concentration_tail, epsilon_prime,
                        max_possible_lhs, necessary_condition_lhs,
                        necessary_condition_report, popescu_bound, popescu_report,
-                       popescu_tail_frequency, read_report, recompute_rhs,
-                       sufficient_condition_report, theorem0_empirical_lhs,
+                       read_report, recompute_rhs, sufficient_condition_report,
                        theorem0_mean_report, theorem0_rhs, theorem0_tail_report,
                        theorem2_lhs, theorem2_reports, write_report)
 from .tolerances import DEFAULT, Tolerances

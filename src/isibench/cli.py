@@ -13,7 +13,9 @@ Subcommands run the pipeline stages standalone or end to end:
 Configs are flat INI-style text with one level of sections; unknown sections
 or keys are errors.  Every run derives all randomness from a single root
 seed, so identical configs give byte-identical data files (the only
-timestamp lives in the summary header).
+timestamp lives in the summary header) on the same machine, with the same
+numpy/BLAS build and the same BLAS thread count.  Another thread count moves
+the numbers in their last digits (see the README).
 """
 
 from __future__ import annotations
@@ -321,6 +323,9 @@ def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
         raise ConfigError("model kind cucchietti needs model.n_spins")
     if kind == "file" and config.matrix_path is None:
         raise ConfigError("model kind file needs model.path")
+    if config.n_streams > config.n_samples:
+        raise ConfigError(f"analysis.n_streams = {config.n_streams} exceeds "
+                          f"analysis.n_samples = {config.n_samples}")
     if config.sweep_parameter is not None:
         _check_sweep(config)
     return config

@@ -179,8 +179,8 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
     if coefficients.dim != spectral.dim or reductions.dim != spectral.dim:
         raise ValidationError("coefficients, reductions, and spectral data disagree on d")
     if require_nondegenerate(spectral, tolerances, allow_degenerate):
-        mat = np.einsum("n,nij->ij", coefficients.populations, reductions.matrices)
-        return DensityMatrix(mat, space="system")
+        return DensityMatrix(weighted_reduction(coefficients.populations, reductions),
+                             space="system")
     layout = reductions.layout
     mat = np.zeros((layout.dim_system, layout.dim_system), dtype=complex)
     for block in _degenerate_blocks(spectral, tolerances):
@@ -190,12 +190,33 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
     return DensityMatrix(mat, space="system")
 
 
-def subspace_weights(spectral: SpectralData, subspace: SubspaceBasis) -> np.ndarray:
-    """w_n = <n| Pi_R |n> / dR; nonnegative, summing to 1."""
+def subspace_projection(spectral: SpectralData,
+                        subspace: SubspaceBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Overlaps <b_r|n> of the subspace basis with the eigenvectors, (dR, d),
+    and the weights w_n = sum_r |<b_r|n>|^2 / dR = <n| Pi_R |n> / dR."""
     if subspace.space != "composite" or subspace.dim_ambient != spectral.dim:
         raise ValidationError("subspace must live in the composite space of the spectrum")
     overlap = subspace.columns.conj().T @ spectral.eigenvectors
-    return np.sum(np.abs(overlap) ** 2, axis=0) / subspace.dim_subspace
+    return overlap, np.sum(np.abs(overlap) ** 2, axis=0) / subspace.dim_subspace
+
+
+def subspace_weights(spectral: SpectralData, subspace: SubspaceBasis) -> np.ndarray:
+    """w_n = <n| Pi_R |n> / dR; nonnegative, summing to 1."""
+    return subspace_projection(spectral, subspace)[1]
+
+
+def weighted_purity(weights: np.ndarray, reductions: EigenstateReductions) -> float:
+    """sum_n w_n tr(rho_n^2), checked to lie in [1/dS, 1]."""
+    value = float(weights @ reductions.purities)
+    lower = 1.0 / reductions.layout.dim_system
+    if not lower - 1e-9 <= value <= 1.0 + 1e-9:
+        raise ValidationError(f"delta = {value:.15g} outside [{lower:.6g}, 1]")
+    return value
+
+
+def weighted_reduction(weights: np.ndarray, reductions: EigenstateReductions) -> np.ndarray:
+    """sum_n w_n rho_n for weights of shape (..., d); shape (..., dS, dS)."""
+    return np.einsum("...n,nij->...ij", weights, reductions.matrices)
 
 
 def delta(reductions: EigenstateReductions, subspace: SubspaceBasis,
@@ -207,12 +228,7 @@ def delta(reductions: EigenstateReductions, subspace: SubspaceBasis,
     sqrt(delta) is the sufficient condition for equilibrium states to be
     initial-state independent within the subspace.
     """
-    w = subspace_weights(spectral, subspace)
-    value = float(w @ reductions.purities)
-    lower = 1.0 / reductions.layout.dim_system
-    if not lower - 1e-9 <= value <= 1.0 + 1e-9:
-        raise ValidationError(f"delta = {value:.15g} outside [{lower:.6g}, 1]")
-    return value
+    return weighted_purity(subspace_weights(spectral, subspace), reductions)
 
 
 def bath_averaged_equilibrium(psi: PureState, reductions: EigenstateReductions) -> DensityMatrix:
@@ -239,9 +255,8 @@ def subspace_averaged_equilibrium(subspace: SubspaceBasis, reductions: Eigenstat
     average equals sum_n w_n rho_n with the same weights as in delta.  Valid
     for every subspace, product or not.
     """
-    w = subspace_weights(spectral, subspace)
-    mat = np.einsum("n,nij->ij", w, reductions.matrices)
-    return DensityMatrix(mat, space="system")
+    weights = subspace_weights(spectral, subspace)
+    return DensityMatrix(weighted_reduction(weights, reductions), space="system")
 
 
 def write_reductions_csv(path, spectral: SpectralData,

@@ -257,6 +257,18 @@ def trace_distance(rho1, rho2) -> float:
     return trace_norm(difference)
 
 
+def batched_trace_distances(states: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Trace distances of an (n, k, k) stack of unit-trace states to one reference.
+
+    Qubit distances are the Euclidean distances of the Bloch vectors, so no
+    eigensolver runs; larger systems take one batched ``eigvalsh``.
+    """
+    difference = np.asarray(states, dtype=complex) - _as_matrix(reference)
+    if difference.shape[1:] == (2, 2):
+        return np.linalg.norm(batched_bloch_vectors(difference), axis=1)
+    return np.abs(np.linalg.eigvalsh(difference)).sum(axis=1)
+
+
 def purity(rho) -> float:
     """tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
     m = _as_matrix(rho)

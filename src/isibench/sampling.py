@@ -6,9 +6,11 @@ the target subspace.  The induced measure is the uniform one on the unit
 sphere of the span and does not depend on the basis choice.
 
 Monte Carlo estimates are deterministic for a given (seed, n_streams): each
-stream is a Philox child of the seed, partial sums use compensated (Neumaier)
-accumulation, and merging streams in any order moves the result by less than
-1e-13 relative.
+stream is a Philox child of the seed, one stream's draws are made in
+batches that consume its generator exactly as one draw at a time would,
+each stream's values are summed once, and the stream sums are added in
+stream order.  Identical inputs give bit-identical estimates on the same
+machine and numpy/BLAS build with the same BLAS thread count.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ import numpy as np
 from .errors import ValidationError
 from .hilbert import PureState, SpaceLayout
 from .tolerances import DEFAULT
+
+# Largest number of complex entries in one chunk's (d, count) buffer of a
+# batched Monte Carlo estimate: 2**21 entries of 16 bytes, 32 MB.
+MONTE_CARLO_ELEMENT_CAP = 2**21
+
 
 @dataclass(frozen=True)
 class SubspaceBasis:
@@ -139,34 +146,6 @@ class MonteCarloEstimate:
             raise ValidationError("standard errors must be finite and nonnegative")
 
 
-class _CompensatedSum:
-    """Neumaier compensated elementwise accumulator.
-
-    The running compensation makes the final value independent of the order in
-    which partial sums are merged, far below the 1e-13 contract.
-    """
-
-    def __init__(self, shape: tuple[int, ...], dtype) -> None:
-        self.total = np.zeros(shape, dtype=dtype)
-        self.residue = np.zeros(shape, dtype=dtype)
-
-    def add(self, value: np.ndarray) -> None:
-        new_total = self.total + value
-        swapped = np.abs(self.total) >= np.abs(value)
-        self.residue = self.residue + np.where(
-            swapped, (self.total - new_total) + value, (value - new_total) + self.total
-        )
-        self.total = new_total
-
-    def merge(self, other: "_CompensatedSum") -> None:
-        self.add(other.total)
-        self.residue = self.residue + other.residue
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.total + self.residue
-
-
 def split_counts(n_samples: int, n_streams: int) -> list[int]:
     """Deterministic near-even split of the sample budget across streams."""
     if n_streams < 1:
@@ -181,6 +160,55 @@ def stream_generators(seed: int, n_streams: int) -> list[np.random.Generator]:
     """Philox children of the seed; stream i is reproducible in isolation."""
     children = np.random.SeedSequence(seed).spawn(n_streams)
     return [np.random.Generator(np.random.Philox(child)) for child in children]
+
+
+def _estimate(draw: Callable[[np.random.Generator, int], np.ndarray], chunk: int,
+              n_samples: int, seed: int, n_streams: int) -> MonteCarloEstimate:
+    """Mean and standard error of the values ``draw(rng, count)`` returns.
+
+    ``draw`` gives the (count, ...) values of the next ``count`` samples of a
+    stream.  Each stream is drawn in chunks of at most ``chunk`` samples and
+    summed once; the stream sums are added in stream order.
+    """
+    if n_samples < 2:
+        raise ValidationError(f"need at least 2 samples, got {n_samples}")
+    counts = split_counts(n_samples, n_streams)
+    total = total_sq = 0.0
+    for index, (rng, count) in enumerate(zip(stream_generators(seed, n_streams), counts)):
+        values = np.concatenate([draw(rng, min(chunk, count - start))
+                                 for start in range(0, count, chunk)])
+        finite = np.isfinite(values).reshape(count, -1).all(axis=1)
+        if not finite.all():
+            raise ValidationError(f"non-finite value at stream {index}, "
+                                  f"sample {int(np.argmin(finite))}")
+        total = total + values.sum(axis=0)
+        total_sq = total_sq + (np.abs(values) ** 2).sum(axis=0)
+
+    mean = total / n_samples
+    # complex variance E|X|^2 - |EX|^2, elementwise
+    var = (total_sq - n_samples * np.abs(mean) ** 2) / (n_samples - 1)
+    se = np.sqrt(np.maximum(var, 0.0) / n_samples)
+    if np.ndim(mean) == 0:
+        mean = complex(mean) if np.iscomplexobj(mean) else float(mean)
+        se = float(se)
+    return MonteCarloEstimate(mean=mean, standard_error=se, n_samples=n_samples,
+                              seed=seed, n_streams=n_streams)
+
+
+def batched_monte_carlo(values_of: Callable[[np.ndarray], np.ndarray], dim: int,
+                        width: int, n_samples: int, seed: int,
+                        n_streams: int = 1) -> MonteCarloEstimate:
+    """Mean and standard error of a value of Haar-uniform vectors of C^dim.
+
+    ``values_of`` maps a (dim, count) block of amplitudes to the (count,)
+    values of its columns.  ``width`` is the length of the longest
+    per-sample row it builds; a chunk holds at most
+    MONTE_CARLO_ELEMENT_CAP // width samples.  The draws are those of
+    per-sample ``sample_amplitudes(dim, 1, rng)`` calls, in the same order.
+    """
+    chunk = max(1, MONTE_CARLO_ELEMENT_CAP // width)
+    return _estimate(lambda rng, count: values_of(sample_amplitudes(dim, count, rng)),
+                     chunk, n_samples, seed, n_streams)
 
 
 def monte_carlo_average(functional: Callable[[Any], Any],
@@ -199,57 +227,15 @@ def monte_carlo_average(functional: Callable[[Any], Any],
     Raises
     ------
     ValidationError : if the functional returns a non-finite value (with the
-        offending stream and sample index in the message).
+        offending stream and sample index in the message) or changes shape.
     """
-    if n_samples < 2:
-        raise ValidationError(f"need at least 2 samples, got {n_samples}")
-    counts = split_counts(n_samples, n_streams)
-    streams = stream_generators(seed, n_streams)
+    shapes: set[tuple[int, ...]] = set()
 
-    partial_sums: list[_CompensatedSum] = []
-    partial_sq: list[_CompensatedSum] = []
-    shape: tuple[int, ...] | None = None
-    is_complex = False
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        values = [np.asarray(functional(sampler(rng))) for _ in range(count)]
+        shapes.update(value.shape for value in values)
+        if len(shapes) > 1:
+            raise ValidationError(f"functional changed shape: {sorted(shapes)}")
+        return np.stack(values)
 
-    for stream_idx, (rng, count) in enumerate(zip(streams, counts)):
-        acc = acc_sq = None
-        for k in range(count):
-            value = np.asarray(functional(sampler(rng)))
-            if not np.all(np.isfinite(value)):
-                raise ValidationError(
-                    f"functional returned a non-finite value at stream {stream_idx}, "
-                    f"sample {k}"
-                )
-            if shape is None:
-                shape = value.shape
-                is_complex = np.iscomplexobj(value)
-            elif value.shape != shape:
-                raise ValidationError(
-                    f"functional changed shape: {value.shape} vs {shape}"
-                )
-            if acc is None:
-                dtype = np.complex128 if is_complex else np.float64
-                acc = _CompensatedSum(shape, dtype)
-                acc_sq = _CompensatedSum(shape, np.float64)
-            acc.add(value.astype(acc.total.dtype, copy=False))
-            acc_sq.add(np.abs(value) ** 2)
-        if acc is not None:
-            partial_sums.append(acc)
-            partial_sq.append(acc_sq)
-
-    merged = partial_sums[0]
-    merged_sq = partial_sq[0]
-    for acc, acc_sq in zip(partial_sums[1:], partial_sq[1:]):
-        merged.merge(acc)
-        merged_sq.merge(acc_sq)
-
-    mean = merged.value / n_samples
-    # complex variance E|X|^2 - |EX|^2, elementwise
-    var = (merged_sq.value - n_samples * np.abs(mean) ** 2) / (n_samples - 1)
-    se = np.sqrt(np.maximum(var, 0.0) / n_samples)
-
-    if shape == ():
-        mean = complex(mean) if is_complex else float(mean)
-        se = float(se)
-    return MonteCarloEstimate(mean=mean, standard_error=se, n_samples=n_samples,
-                              seed=seed, n_streams=n_streams)
+    return _estimate(draw, n_samples, n_samples, seed, n_streams)

@@ -23,14 +23,15 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .equilibrium import (EigenstateReductions, require_nondegenerate,
-                          subspace_averaged_equilibrium)
-from .equilibrium import delta as subspace_delta
+from .equilibrium import (EigenstateReductions, require_nondegenerate, subspace_projection,
+                          weighted_purity, weighted_reduction)
 from .errors import ValidationError
-from .hilbert import SpaceLayout, partial_trace_bath, trace_distance
-from .sampling import (MonteCarloEstimate, SubspaceBasis, full_basis,
-                       monte_carlo_average, sample_amplitudes, sample_uniform_columns,
-                       stream_generators)
+# trace_distance is kept importable from here: the benchmark's tracer test
+# looks it up under this module.
+from .hilbert import (DensityMatrix, SpaceLayout, batched_partial_trace_bath,  # noqa: F401
+                      batched_trace_distances, trace_distance)
+from .sampling import (MonteCarloEstimate, SubspaceBasis, batched_monte_carlo,
+                       sample_amplitudes, stream_generators)
 from .spectral import SpectralData
 from .tolerances import DEFAULT, Tolerances
 
@@ -95,57 +96,46 @@ def epsilon_prime(epsilon: float, dim_system: int, dim_restricted: int,
             + 2.0 / cube_root + (8.0 / p) * math.exp(-CONCENTRATION_RATE * cube_root))
 
 
-def theorem0_empirical_lhs(subspace: SubspaceBasis, spectral: SpectralData,
-                           reductions: EigenstateReductions, n_samples: int,
-                           seed: int, n_streams: int = 1,
-                           tolerances: Tolerances = DEFAULT) -> MonteCarloEstimate:
-    """Mean distance between sampled equilibrium states and the subspace average.
+# BLAS kernels compute a trailing partial block of GEMM rows differently from
+# whole blocks, so a draw's populations would depend on where its chunk ends.
+# Padding every chunk to whole blocks of this many rows keeps them the same.
+_GEMM_ROW_BLOCK = 8
 
-    Draws initial states Haar-uniformly from the subspace, forms each one's
-    infinite-time average, and measures its trace distance to the exact
-    subspace-averaged equilibrium state (the average is a quadratic
-    functional of the state, so it has a closed form for every subspace).
+
+def _theorem0(subspace: SubspaceBasis, spectral: SpectralData,
+              reductions: EigenstateReductions, epsilon: float | None, n_samples: int,
+              seed: int, n_streams: int, tolerances: Tolerances
+              ) -> tuple[float, float, float, MonteCarloEstimate]:
+    """delta, the bounds of theorem0_rhs, and the Monte Carlo estimate of a report.
+
+    Initial states are drawn Haar-uniformly from the subspace, and the
+    estimate is the mean trace distance of their infinite-time averages to
+    the exact subspace-averaged equilibrium state (a quadratic functional of
+    the state, so it has a closed form for every subspace) or, with an
+    ``epsilon``, the frequency of distances beyond the sharp bound plus
+    epsilon.  One projection of the subspace on the eigenbasis serves it
+    all: it gives the weights (so delta and the average), and each chunk of
+    drawn amplitudes a its populations |<n|B a>|^2 in one GEMM and its
+    equilibrium states in one einsum.
     """
     require_nondegenerate(spectral, tolerances)
-    return _equilibrium_distance_estimate(subspace, spectral, reductions, None,
-                                          n_samples, seed, n_streams)
+    overlap, weights = subspace_projection(spectral, subspace)
+    delta_value = weighted_purity(weights, reductions)
+    strong, weak = theorem0_rhs(reductions.layout.dim_system, subspace.dim_subspace,
+                                delta_value)
+    threshold = None if epsilon is None else strong + epsilon
+    reference = DensityMatrix(weighted_reduction(weights, reductions)).matrix
 
+    def values(amplitudes: np.ndarray) -> np.ndarray:
+        rows = amplitudes.T.conj()
+        padded = np.pad(rows, ((0, -len(rows) % _GEMM_ROW_BLOCK), (0, 0)))
+        populations = np.abs((padded @ overlap)[:len(rows)]) ** 2
+        distances = batched_trace_distances(weighted_reduction(populations, reductions),
+                                            reference)
+        return distances if threshold is None else (distances > threshold).astype(float)
 
-def _equilibrium_distance_estimate(subspace: SubspaceBasis, spectral: SpectralData,
-                                   reductions: EigenstateReductions,
-                                   threshold: float | None, n_samples: int, seed: int,
-                                   n_streams: int) -> MonteCarloEstimate:
-    """Distance of the equilibrium states of subspace draws to their average."""
-    eigenvectors = spectral.eigenvectors
-    matrices = reductions.matrices
-
-    def equilibrium_state(column: np.ndarray) -> np.ndarray:
-        populations = np.abs(eigenvectors.conj().T @ column) ** 2
-        return np.einsum("n,nij->ij", populations, matrices)
-
-    reference = subspace_averaged_equilibrium(subspace, reductions, spectral).matrix
-    return _distance_estimate(equilibrium_state, reference, subspace, threshold,
-                              n_samples, seed, n_streams)
-
-
-def _distance_estimate(state_of: Callable[[np.ndarray], np.ndarray],
-                       reference: np.ndarray, basis: SubspaceBasis,
-                       threshold: float | None, n_samples: int, seed: int,
-                       n_streams: int) -> MonteCarloEstimate:
-    """Monte Carlo over Haar draws from ``basis`` of one state's distance to ``reference``.
-
-    ``state_of`` maps a drawn column to its state.  With a ``threshold`` each
-    draw counts 1 when its distance exceeds it and 0 otherwise, so the mean
-    is the exceedance frequency.
-    """
-    def distance(column: np.ndarray) -> float:
-        value = trace_distance(state_of(column), reference)
-        return value if threshold is None else float(value > threshold)
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        return sample_uniform_columns(basis, 1, rng)[:, 0]
-
-    return monte_carlo_average(distance, draw, n_samples, seed, n_streams)
+    return delta_value, strong, weak, batched_monte_carlo(
+        values, subspace.dim_subspace, spectral.dim, n_samples, seed, n_streams)
 
 
 def necessary_condition_lhs(reductions: EigenstateReductions,
@@ -227,20 +217,6 @@ def popescu_bound(dim_system: int, dim_bath: int,
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     return (math.sqrt(dim_system / dim_bath) + epsilon,
             concentration_tail(dim_bath, epsilon))
-
-
-def popescu_tail_frequency(layout: SpaceLayout, epsilon: float, n_samples: int,
-                           seed: int, n_streams: int = 1) -> MonteCarloEstimate:
-    """Frequency of Haar composite states whose reduction strays from I/dS.
-
-    Samples the full composite space and counts reductions farther than
-    sqrt(dS/dB) + epsilon from the maximally mixed state in trace distance.
-    """
-    threshold, _ = popescu_bound(layout.dim_system, layout.dim_bath, epsilon)
-    mixed = np.eye(layout.dim_system) / layout.dim_system
-    return _distance_estimate(lambda column: partial_trace_bath(column, layout).matrix,
-                              mixed, full_basis(layout.dim_total), threshold, n_samples,
-                              seed, n_streams)
 
 
 def _necessary_rhs(p: dict) -> float:
@@ -522,12 +498,10 @@ def theorem0_mean_report(subspace: SubspaceBasis, spectral: SpectralData,
                          n_streams: int = 1,
                          tolerances: Tolerances = DEFAULT) -> TheoremReport:
     """Empirical mean equilibrium distance against sqrt(dS delta / dR)."""
-    delta_value = subspace_delta(reductions, subspace, spectral)
+    delta_value, strong, weak, estimate = _theorem0(
+        subspace, spectral, reductions, None, n_samples, seed, n_streams, tolerances)
     ds = reductions.layout.dim_system
     dr = subspace.dim_subspace
-    strong, weak = theorem0_rhs(ds, dr, delta_value)
-    estimate = theorem0_empirical_lhs(subspace, spectral, reductions, n_samples,
-                                      seed, n_streams, tolerances)
     parameters = _float_params({
         "dS": ds, "dR": dr, "delta": delta_value, "n_samples": n_samples,
         "seed": seed, "n_streams": n_streams,
@@ -541,15 +515,11 @@ def theorem0_tail_report(subspace: SubspaceBasis, spectral: SpectralData,
                          n_samples: int, seed: int, n_streams: int = 1,
                          tolerances: Tolerances = DEFAULT) -> TheoremReport:
     """Empirical exceedance frequency against 2 exp(-c dR epsilon^2)."""
-    require_nondegenerate(spectral, tolerances)
-    delta_value = subspace_delta(reductions, subspace, spectral)
+    bound = concentration_tail(subspace.dim_subspace, epsilon)
+    delta_value, strong, _, estimate = _theorem0(
+        subspace, spectral, reductions, epsilon, n_samples, seed, n_streams, tolerances)
     ds = reductions.layout.dim_system
     dr = subspace.dim_subspace
-    strong, _ = theorem0_rhs(ds, dr, delta_value)
-    bound = concentration_tail(dr, epsilon)
-    estimate = _equilibrium_distance_estimate(subspace, spectral, reductions,
-                                              strong + epsilon, n_samples, seed,
-                                              n_streams)
     parameters = _float_params({
         "dS": ds, "dR": dr, "delta": delta_value, "epsilon": epsilon,
         "distance_threshold": strong + epsilon, "c": CONCENTRATION_RATE,
@@ -620,9 +590,21 @@ def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
 def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int, seed: int,
                    n_streams: int = 1,
                    tolerances: Tolerances = DEFAULT) -> TheoremReport:
-    """Typicality of instantaneous reductions over the full composite space."""
+    """Typicality of instantaneous reductions over the full composite space.
+
+    Samples the full composite space and compares the frequency of
+    reductions farther than sqrt(dS/dB) + epsilon from the maximally mixed
+    state in trace distance with 2 exp(-c dB epsilon^2).
+    """
     threshold, bound = popescu_bound(layout.dim_system, layout.dim_bath, epsilon)
-    estimate = popescu_tail_frequency(layout, epsilon, n_samples, seed, n_streams)
+    mixed = np.eye(layout.dim_system) / layout.dim_system
+
+    def values(columns: np.ndarray) -> np.ndarray:
+        reduced = batched_partial_trace_bath(columns, layout)
+        return (batched_trace_distances(reduced, mixed) > threshold).astype(float)
+
+    estimate = batched_monte_carlo(values, layout.dim_total, layout.dim_total, n_samples,
+                                   seed, n_streams)
     parameters = _float_params({
         "dS": layout.dim_system, "dB": layout.dim_bath, "epsilon": epsilon,
         "distance_threshold": threshold, "c": CONCENTRATION_RATE,

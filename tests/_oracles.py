@@ -92,3 +92,39 @@ def random_hermitian(dim, rng):
 def random_state(dim, rng):
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return vec / np.linalg.norm(vec)
+
+
+def eigenstate_reductions_loop(vectors, dim_system, dim_bath):
+    """Bath-traced projector of every eigenvector (column), one at a time."""
+    return [ptrace_bath_loop(np.outer(v, v.conj()), dim_system, dim_bath)
+            for v in np.asarray(vectors).T]
+
+
+def naive_distance_estimate(state_of, reference, dim, n_samples, seed, n_streams,
+                            threshold=None):
+    """Mean and standard error of the trace distance of state_of(vec) to reference.
+
+    vec runs over Haar-uniform unit vectors of C^dim, drawn one at a time from
+    Philox children of the seed, the first n_samples % n_streams streams
+    taking one sample more.  With a threshold each sample counts 1 when its
+    distance exceeds it and 0 otherwise.
+    """
+    children = np.random.SeedSequence(seed).spawn(n_streams)
+    base, extra = divmod(n_samples, n_streams)
+    values = []
+    for index, child in enumerate(children):
+        rng = np.random.Generator(np.random.Philox(child))
+        for _ in range(base + (1 if index < extra else 0)):
+            normals = rng.standard_normal((dim, 2))
+            vec = normals[:, 0] + 1j * normals[:, 1]
+            vec = vec / np.linalg.norm(vec)
+            distance = float(np.abs(np.linalg.eigvalsh(state_of(vec) - reference)).sum())
+            values.append(distance if threshold is None else float(distance > threshold))
+    total = 0.0
+    for value in values:
+        total += value
+    mean = total / n_samples
+    spread = 0.0
+    for value in values:
+        spread += (value - mean) ** 2
+    return mean, float(np.sqrt(spread / (n_samples - 1) / n_samples))

@@ -5,6 +5,7 @@ capsys; one smoke test goes through ``python -m isibench.cli`` to cover the
 module entry point.
 """
 
+import os
 import re
 import subprocess
 import sys
@@ -126,6 +127,16 @@ class TestConfigErrors:
                          "--out", str(tmp_path / "out")]) == 2
         assert "contradicts" in capsys.readouterr().err
 
+    def test_more_streams_than_samples_exits_2_before_any_write(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 8\n"
+                                   "[analysis]\ntheorems = SufficientISI, T0i\n"
+                                   "n_samples = 3\nn_streams = 5\n")
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "analysis.n_streams" in err and "analysis.n_samples" in err
+        assert not out_dir.exists()
+
     def test_unknown_initial_state_name(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 4\n"
                                    "[initial_state]\nsystem = sideways\n")
@@ -227,6 +238,41 @@ class TestModelInfo:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert "layout: dS=2 dB=8 d=16" in result.stdout
+
+
+def _assert_close(first, second, bound, what):
+    first, second = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
+    assert first.shape == second.shape, what
+    assert np.all(np.abs(first - second) <= bound * np.maximum(1.0, np.abs(first))), what
+
+
+class TestReproducibilityScope:
+    def test_blas_thread_count_moves_only_last_digits(self, tmp_path):
+        # The README states these bounds; trajectory.csv gets the loose one.
+        outs = []
+        for threads in (1, 2):
+            out_dir = tmp_path / f"threads{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "isibench.cli", "run", "--config",
+                 "random_contrast", "--seed", "3", "--out", str(out_dir)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads)),
+                capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            outs.append(out_dir)
+        first, second = outs
+
+        names = sorted(path.name for path in first.glob("report_*.json"))
+        assert len(names) == 7
+        assert names == sorted(path.name for path in second.glob("report_*.json"))
+        for name in names:
+            a, b = read_report(first / name), read_report(second / name)
+            assert a.verdict == b.verdict, name
+            _assert_close([a.lhs, a.rhs], [b.lhs, b.rhs], 1e-12, name)
+        for name, bound in (("spectrum.csv", 1e-12), ("reductions.csv", 1e-12),
+                            ("trajectory.csv", 1e-6)):
+            _assert_close(np.loadtxt(first / name, delimiter=",", skiprows=2),
+                          np.loadtxt(second / name, delimiter=",", skiprows=2),
+                          bound, name)
 
 
 class TestBoundsCommand:

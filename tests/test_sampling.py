@@ -6,9 +6,9 @@ import scipy.stats
 
 from isibench import (PureState, SpaceLayout, SubspaceBasis, ValidationError,
                       bath_prefix_basis, full_basis, monte_carlo_average,
-                      partial_trace_bath, product_subspace,
+                      partial_trace_bath, product_subspace, sample_amplitudes,
                       sample_uniform_state, split_counts, stream_generators)
-from isibench.sampling import _CompensatedSum, sample_uniform_columns
+from isibench.sampling import sample_uniform_columns
 
 from _oracles import ks_uniform_statistic, random_state
 
@@ -62,6 +62,12 @@ class TestUniformSampling:
             mean = populations[level].mean()
             se = populations[level].std(ddof=1) / math.sqrt(cols.shape[1])
             assert abs(mean - 1.0 / 8.0) < 3 * se
+
+    def test_one_batch_draws_what_single_draws_do(self):
+        batch = sample_amplitudes(37, 50, stream_generators(95, 1)[0])
+        rng = stream_generators(95, 1)[0]
+        singles = np.hstack([sample_amplitudes(37, 1, rng) for _ in range(50)])
+        assert np.array_equal(batch, singles)
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(92)
@@ -179,28 +185,6 @@ class TestAccumulation:
             counts = split_counts(n, k)
             assert sum(counts) == n
             assert max(counts) - min(counts) <= 1
-
-    def test_compensated_merge_order_stability(self):
-        rng = np.random.default_rng(11)
-        values = np.concatenate([rng.uniform(0, 1, 5000) * 10.0 ** rng.integers(
-            -8, 8, 5000), np.ones(5000) * 1e-12])
-        partials = []
-        for chunk in np.array_split(values, 8):
-            acc = _CompensatedSum((), float)
-            for v in chunk:
-                acc.add(float(v))
-            partials.append(acc)
-
-        def merged(order):
-            total = _CompensatedSum((), float)
-            for index in order:
-                total.merge(partials[index])
-            return float(total.value)
-
-        forward = merged(range(8))
-        backward = merged(reversed(range(8)))
-        scale = max(1.0, abs(forward))
-        assert abs(forward - backward) / scale < 1e-13
 
     def test_stream_generators_are_deterministic(self):
         a = stream_generators(123, 3)

@@ -6,21 +6,24 @@ import pytest
 
 from isibench import (CONCENTRATION_RATE, THEOREM_IDS, PureState, SpaceLayout,
                       SubspaceBasis, TheoremReport, ValidationError,
-                      assign_verdict, concentration_tail, eigendecompose,
+                      assign_verdict, bath_prefix_basis, concentration_tail,
+                      eigendecompose,
                       eigenstate_reductions, epsilon_prime, full_basis,
                       max_possible_lhs, necessary_condition_lhs,
                       necessary_condition_report, popescu_bound, popescu_report,
-                      popescu_tail_frequency, product_subspace, read_report,
+                      product_subspace, read_report,
                       recompute_rhs, sufficient_condition_report,
-                      theorem0_empirical_lhs, theorem0_mean_report, theorem0_rhs,
+                      theorem0_mean_report, theorem0_rhs,
                       theorem0_tail_report, theorem2_lhs, theorem2_reports,
                       write_report)
+from isibench import sampling
 from isibench.equilibrium import EigenstateReductions
 from isibench.models import analytic_eigensystem, sample_commuting_spec
 from isibench.spectral import SpectralData
 
-from _oracles import (mp_concentration_tail, mp_epsilon_prime,
-                      mp_theorem0_strong, random_hermitian, random_state)
+from _oracles import (eigenstate_reductions_loop, mp_concentration_tail,
+                      mp_epsilon_prime, mp_theorem0_strong, naive_distance_estimate,
+                      ptrace_bath_loop, random_hermitian, random_state)
 
 
 def _commuting_problem(db, seed):
@@ -137,17 +140,17 @@ class TestTheorem0Sampling:
         layout, spectral, reductions, rng = _random_problem(2, 4, 3)
         column = spectral.eigenvectors @ random_state(8, rng)
         basis = SubspaceBasis(column.reshape(-1, 1))
-        est = theorem0_empirical_lhs(basis, spectral, reductions, n_samples=16, seed=5)
-        assert est.mean < 1e-12
+        report = theorem0_mean_report(basis, spectral, reductions, n_samples=16, seed=5)
+        assert report.lhs < 1e-12
 
     def test_commuting_subspace_mean_respects_bound(self):
         spec, spectral, reductions, rng = _commuting_problem(64, 7)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
         basis = product_subspace(psi, None, spec.layout)
-        est = theorem0_empirical_lhs(basis, spectral, reductions, n_samples=400,
-                                     seed=11, n_streams=2)
+        report = theorem0_mean_report(basis, spectral, reductions, n_samples=400,
+                                      seed=11, n_streams=2)
         strong, _ = theorem0_rhs(2, 64, 1.0)
-        assert est.mean <= strong + 3.0 * est.standard_error
+        assert report.lhs <= strong + 3.0 * report.parameters["lhs_standard_error"]
 
     def test_random_model_full_space_mean_respects_bound(self):
         layout, spectral, reductions, rng = _random_problem(2, 16, 13)
@@ -155,9 +158,9 @@ class TestTheorem0Sampling:
         from isibench import delta as delta_fn
         delta_value = delta_fn(reductions, basis, spectral)
         strong, _ = theorem0_rhs(2, 32, delta_value)
-        est = theorem0_empirical_lhs(basis, spectral, reductions, n_samples=400,
-                                     seed=17)
-        assert est.mean <= strong + 3.0 * est.standard_error
+        report = theorem0_mean_report(basis, spectral, reductions, n_samples=400,
+                                      seed=17)
+        assert report.lhs <= strong + 3.0 * report.parameters["lhs_standard_error"]
 
     def test_tail_frequency_zero_beyond_range(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 19)
@@ -256,16 +259,84 @@ class TestTheorem2:
 class TestPopescuSampling:
     def test_tail_frequency_stays_under_bound(self):
         layout = SpaceLayout(2, 16)
-        est = popescu_tail_frequency(layout, epsilon=0.5, n_samples=400, seed=67)
+        report = popescu_report(layout, epsilon=0.5, n_samples=400, seed=67)
         _, bound = popescu_bound(2, 16, 0.5)
-        assert est.mean <= bound
-        assert est.mean < 0.05
+        assert report.lhs <= bound
+        assert report.lhs < 0.05
 
     def test_estimates_are_reproducible(self):
         layout = SpaceLayout(2, 8)
-        first = popescu_tail_frequency(layout, epsilon=0.3, n_samples=200, seed=71)
-        second = popescu_tail_frequency(layout, epsilon=0.3, n_samples=200, seed=71)
-        assert first.mean == second.mean
+        first = popescu_report(layout, epsilon=0.3, n_samples=200, seed=71)
+        second = popescu_report(layout, epsilon=0.3, n_samples=200, seed=71)
+        assert first.lhs == second.lhs
+
+
+# (dS, dB, subspace): the qubit subspaces take the Bloch-vector distances,
+# the dS = 3 full space the batched eigvalsh.
+_BATCHED_CASES = [(2, 16, "product_bath"), (2, 16, "bath_prefix:5"), (3, 8, "full")]
+_EPSILON = 0.02
+
+
+def _batched_problem(ds, db, subspace):
+    layout, spectral, reductions, rng = _random_problem(ds, db, 41)
+    if subspace == "full":
+        return layout, spectral, reductions, full_basis(layout.dim_total)
+    psi = PureState(random_state(ds, rng), space="system")
+    bath = None if subspace == "product_bath" else bath_prefix_basis(layout, 5)
+    return layout, spectral, reductions, product_subspace(psi, bath, layout)
+
+
+def _batched_estimates(layout, spectral, reductions, basis, n_streams):
+    """(lhs, standard error) of the T0i, T0ii and Popescu reports."""
+    reports = (
+        theorem0_mean_report(basis, spectral, reductions, 60, 3, n_streams),
+        theorem0_tail_report(basis, spectral, reductions, _EPSILON, 60, 5, n_streams),
+        popescu_report(layout, _EPSILON, 60, 7, n_streams))
+    return [(r.lhs, r.parameters["lhs_standard_error"]) for r in reports]
+
+
+class TestBatchedEstimates:
+    @pytest.mark.parametrize("n_streams", [1, 3])
+    @pytest.mark.parametrize("ds, db, subspace", _BATCHED_CASES)
+    def test_reports_match_the_per_sample_oracle(self, ds, db, subspace, n_streams):
+        layout, spectral, reductions, basis = _batched_problem(ds, db, subspace)
+        estimates = _batched_estimates(layout, spectral, reductions, basis, n_streams)
+
+        vectors, columns = spectral.eigenvectors.T, basis.columns
+        rhos = eigenstate_reductions_loop(spectral.eigenvectors, ds, db)
+        dim_r = columns.shape[1]
+        weights = [np.linalg.norm(columns.conj().T @ v) ** 2 / dim_r for v in vectors]
+        average = sum(w * rho for w, rho in zip(weights, rhos))
+        delta_value = sum(w * np.trace(rho @ rho).real for w, rho in zip(weights, rhos))
+
+        def equilibrium(vec):
+            column = columns @ vec
+            return sum(abs(np.vdot(v, column)) ** 2 * rho for v, rho in zip(vectors, rhos))
+
+        def reduced(vec):
+            return ptrace_bath_loop(np.outer(vec, vec.conj()), ds, db)
+
+        t0_threshold = math.sqrt(ds * delta_value / dim_r) + _EPSILON
+        expected = [
+            naive_distance_estimate(equilibrium, average, dim_r, 60, 3, n_streams),
+            naive_distance_estimate(equilibrium, average, dim_r, 60, 5, n_streams,
+                                    t0_threshold),
+            naive_distance_estimate(reduced, np.eye(ds) / ds, ds * db, 60, 7, n_streams,
+                                    math.sqrt(ds / db) + _EPSILON)]
+        for (mean, se), (ref_mean, ref_se) in zip(estimates, expected):
+            assert mean == pytest.approx(ref_mean, rel=1e-12, abs=0.0)
+            assert se == pytest.approx(ref_se, rel=1e-12, abs=0.0)
+        # No draw reaches the T0ii threshold of these models, but Popescu's
+        # frequency lies strictly inside (0, 1), so draws fall on both sides.
+        assert 0.0 < expected[2][0] < 1.0
+
+    @pytest.mark.parametrize("ds, db, subspace", _BATCHED_CASES)
+    def test_chunking_leaves_the_estimates_bit_identical(self, monkeypatch, ds, db,
+                                                         subspace):
+        problem = _batched_problem(ds, db, subspace)
+        whole = _batched_estimates(*problem, n_streams=3)
+        monkeypatch.setattr(sampling, "MONTE_CARLO_ELEMENT_CAP", 1)
+        assert _batched_estimates(*problem, n_streams=3) == whole
 
 
 class TestVerdictPolicy:
