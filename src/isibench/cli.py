@@ -94,6 +94,14 @@ def _parse_finite(text: str) -> float:
     return value
 
 
+def _parse_scale(text: str) -> float:
+    """A half-width s of the model's uniform draws on [-s, s]; 2s must be finite."""
+    value = _parse_finite(text)
+    if not math.isfinite(2.0 * value):
+        raise ValueError("the draws on [-s, s] overflow")
+    return value
+
+
 def _parse_name_list(text: str) -> tuple[str, ...]:
     items = tuple(part.strip() for part in text.split(",") if part.strip())
     if not items:
@@ -102,7 +110,7 @@ def _parse_name_list(text: str) -> tuple[str, ...]:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in text.split(",") if part.strip())
+    return tuple(_parse_finite(part) for part in text.split(",") if part.strip())
 
 
 def _parse_theorems(text: str) -> tuple[str, ...]:
@@ -163,11 +171,11 @@ class ExperimentConfig:
     dim_system: int | None = _key("model.dim_system", int, None, 2, ("random", "file"))
     dim_bath: int = _key("model.dim_bath", int, 16, 1, ("commuting", "random"))
     n_spins: int | None = _key("model.n_spins", int, None, 1, ("cucchietti",))
-    level_splitting: float = _key("model.level_splitting", float, 1.0, kinds=_SPIN)
-    coupling_scale: float = _key("model.coupling_scale", float, 1.0, kinds=_SPIN)
-    energy_scale: float = _key("model.energy_scale", float, 1.0, kinds=("commuting",))
-    field_scale: float = _key("model.field_scale", float, 1.0, kinds=("cucchietti",))
-    interaction_strength: float = _key("model.interaction_strength", float, 1.0,
+    level_splitting: float = _key("model.level_splitting", _parse_finite, 1.0, kinds=_SPIN)
+    coupling_scale: float = _key("model.coupling_scale", _parse_scale, 1.0, kinds=_SPIN)
+    energy_scale: float = _key("model.energy_scale", _parse_scale, 1.0, kinds=("commuting",))
+    field_scale: float = _key("model.field_scale", _parse_scale, 1.0, kinds=("cucchietti",))
+    interaction_strength: float = _key("model.interaction_strength", _parse_finite, 1.0,
                                        kinds=("random",))
     matrix_path: str | None = _key("model.path", str.strip, kinds=("file",))
     initial_system: str = _key("initial_state.system", str.strip, "plus")
@@ -176,15 +184,15 @@ class ExperimentConfig:
                                      ("SufficientISI", "T2i", "T2ii"))
     subspace: str = _key("analysis.subspace", _parse_subspace, "product_bath")
     dim_restricted: int | None = _key("analysis.dim_restricted", int, None, 1)
-    epsilon: float = _key("analysis.epsilon", float, 0.05)
-    p: float = _key("analysis.p", float, 1.0)
+    epsilon: float = _key("analysis.epsilon", _parse_finite, 0.05, 0)
+    p: float = _key("analysis.p", _parse_finite, 1.0)
     n_samples: int = _key("analysis.n_samples", int, 400, 2)
     n_streams: int = _key("analysis.n_streams", int, 1, 1)
     n_starts: int = _key("analysis.n_starts", int, 512, 1)
     allow_degenerate: bool = _key("analysis.allow_degenerate", _parse_bool, False)
     dynamics_enabled: bool = _key("dynamics.enabled", _parse_bool, False)
-    horizon_over_min_gap: float = _key("dynamics.horizon_over_min_gap", float, 1000.0,
-                                       0.0)
+    horizon_over_min_gap: float = _key("dynamics.horizon_over_min_gap", _parse_finite,
+                                       1000.0, 0.0)
     n_times: int = _key("dynamics.n_times", int, 2000, 1)
     sweep_parameter: str | None = _key("sweep.parameter", str.strip)
     sweep_values: tuple[float, ...] = _key("sweep.values", _parse_float_list, ())
@@ -201,7 +209,7 @@ _TOLERANCE_KEYS = {
        for name in ("decompose_dim_cap", "gap_check_dim_cap")},
     **{name: ConfigKey(f"tolerances.{name}", _parse_finite, 0.0)
        for name in ("hamiltonian_asymmetry", "residual", "unitarity",
-                    "spectrum_degeneracy", "gap_degeneracy", "eth_search_tol",
+                    "spectrum_degeneracy", "gap_degeneracy",
                     "sufficient_isi_threshold", "verdict_boundary")},
 }
 CONFIG_KEYS = {key.name: key for key in [
@@ -272,7 +280,7 @@ def _check_sweep(config: ExperimentConfig) -> None:
     sweepable = [] if config.kind == "file" else sorted(
         name.partition(".")[2] for name, key in CONFIG_KEYS.items()
         if name.startswith("model.") and name != "model.seed"
-        and config.kind in key.kinds and key.parse in (int, float))
+        and config.kind in key.kinds and key.parse is not str.strip)
     if parameter not in sweepable:
         valid = ", ".join(sweepable) or "none"
         raise ConfigError(f"sweep.parameter {parameter!r} is not sweepable "
@@ -285,11 +293,12 @@ def _check_sweep(config: ExperimentConfig) -> None:
         if metric not in _SWEEP_METRICS:
             raise ConfigError(f"unknown sweep metric {metric!r} "
                               f"(valid: {', '.join(_SWEEP_METRICS)})")
-    if CONFIG_KEYS[f"model.{parameter}"].parse is int:
-        for value in values:
-            if value != int(value) or value < 1:
-                raise ConfigError(f"sweep.values for {parameter} must be "
-                                  f"positive integers, got {value}")
+    key = CONFIG_KEYS[f"model.{parameter}"]
+    for value in values:  # each must be valid for the model key it replaces
+        try:
+            _read({"model": {parameter: f"{value:.17g}"}}, key, None)
+        except ConfigError as err:
+            raise ConfigError(f"sweep.values: {err}") from None
 
 
 def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
@@ -323,6 +332,10 @@ def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
         raise ConfigError("model kind cucchietti needs model.n_spins")
     if kind == "file" and config.matrix_path is None:
         raise ConfigError("model kind file needs model.path")
+    if config.epsilon == 0 and {"T0ii", "Popescu"} & set(config.theorems):
+        raise ConfigError("analysis.epsilon must be positive with T0ii or Popescu")
+    if not 0.0 <= config.p <= 1.0:
+        raise ConfigError(f"analysis.p = {config.p} must lie in [0, 1]")
     if config.n_streams > config.n_samples:
         raise ConfigError(f"analysis.n_streams = {config.n_streams} exceeds "
                           f"analysis.n_samples = {config.n_samples}")
@@ -728,8 +741,7 @@ _SWEEP_METRICS: dict[str, Callable[[Pipeline], float]] = {
     "mean_squared_polarization": lambda pipe: pipe.reductions.mean_squared_polarization,
     "lhs_i": lambda pipe: theorem2_lhs(pipe.reductions)[0],
     "necessary_lhs": lambda pipe: necessary_condition_lhs(
-        pipe.reductions, n_starts=pipe.config.n_starts, seed=pipe.seed("search"),
-        tolerances=pipe.config.tolerances),
+        pipe.reductions, n_starts=pipe.config.n_starts, seed=pipe.seed("search")),
     "equilibration_metric": lambda pipe: pipe.dynamics[2],
     "min_level_spacing": lambda pipe: pipe.spectral.min_level_spacing,
 }
@@ -738,7 +750,7 @@ _SWEEP_METRICS: dict[str, Callable[[Pipeline], float]] = {
 def _point_metrics(payload: tuple[ExperimentConfig, int, float]) -> dict:
     config, point_index, value = payload
     parameter = config.sweep_parameter
-    cast = CONFIG_KEYS[f"model.{parameter}"].parse  # int or float, see _check_sweep
+    cast = CONFIG_KEYS[f"model.{parameter}"].parse  # checked on values in _check_sweep
     varied = replace(config, **{parameter: cast(value)})
     samples: dict[str, list[float]] = {metric: [] for metric in varied.sweep_metrics}
     for draw in range(varied.sweep_draws):

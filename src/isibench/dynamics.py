@@ -16,7 +16,8 @@ import numpy as np
 
 from .equilibrium import EigenstateReductions, OverlapCoefficients, time_averaged_state
 from .errors import CapExceededError, ValidationError
-from .hilbert import DensityMatrix, SpaceLayout, batched_bloch_vectors, partial_trace_bath
+from .hilbert import (DensityMatrix, SpaceLayout, batched_bloch_vectors,
+                      check_density_stack, partial_trace_bath)
 from .spectral import SpectralData, write_csv
 from .tolerances import DEFAULT, Tolerances
 
@@ -41,13 +42,7 @@ class Trajectory:
             raise ValidationError(
                 f"expected ({times.size}, {ds}, {ds}) states, got {states.shape}"
             )
-        herm_err = float(np.abs(states - states.conj().transpose(0, 2, 1)).max())
-        if herm_err > DEFAULT.hermiticity:
-            raise ValidationError(f"trajectory states not Hermitian: {herm_err:.3e}")
-        traces = np.einsum("tii->t", states)
-        trace_err = float(np.abs(traces - 1.0).max())
-        if trace_err > DEFAULT.trace:
-            raise ValidationError(f"trajectory traces deviate from 1 by {trace_err:.3e}")
+        check_density_stack("trajectory states", states, positive=False)
         times.setflags(write=False)
         states.setflags(write=False)
         object.__setattr__(self, "times", times)

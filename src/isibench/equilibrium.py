@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
-from .hilbert import DensityMatrix, PureState, SpaceLayout, batched_bloch_vectors
+from .hilbert import (DensityMatrix, PureState, SpaceLayout, batched_bloch_vectors,
+                      check_density_stack)
 from .sampling import SubspaceBasis
 from .spectral import (SpectralData, check_nondegenerate_spectrum, degenerate_level_pairs,
                        write_csv)
@@ -74,16 +75,7 @@ class EigenstateReductions:
         ds = self.layout.dim_system
         if mats.shape != (d, ds, ds):
             raise ValidationError(f"expected ({d}, {ds}, {ds}) reductions, got {mats.shape}")
-        herm_err = float(np.abs(mats - mats.conj().transpose(0, 2, 1)).max())
-        if herm_err > DEFAULT.hermiticity:
-            raise ValidationError(f"reductions not Hermitian: {herm_err:.3e}")
-        traces = np.einsum("nii->n", mats)
-        trace_err = float(np.abs(traces - 1.0).max())
-        if trace_err > DEFAULT.trace:
-            raise ValidationError(f"reduction traces deviate from 1 by {trace_err:.3e}")
-        lowest = float(np.linalg.eigvalsh(mats).min())
-        if lowest < -DEFAULT.eigenvalue_floor:
-            raise ValidationError(f"reduction not PSD: lowest eigenvalue {lowest:.3e}")
+        check_density_stack("eigenstate reductions", mats)
         completeness = float(np.abs(mats.mean(axis=0) - np.eye(ds) / ds).max())
         if completeness > DEFAULT.completeness:
             raise ValidationError(

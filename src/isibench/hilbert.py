@@ -80,6 +80,22 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
+def check_density_stack(name: str, mats: np.ndarray, positive: bool = True) -> None:
+    """Refuse an (n, k, k) stack unless each matrix is Hermitian with unit trace
+    and, if ``positive``, PSD; the errors name the failing object ``name``."""
+    asym = float(np.abs(mats - mats.conj().transpose(0, 2, 1)).max())
+    if asym > DEFAULT.hermiticity:
+        raise ValidationError(f"{name} not Hermitian: max asymmetry {asym:.3e}")
+    trace_err = float(np.abs(np.einsum("nii->n", mats) - 1.0).max())
+    if trace_err > DEFAULT.trace:
+        raise ValidationError(f"{name} trace deviates from 1 by {trace_err:.3e}")
+    if positive:
+        lowest = float(np.linalg.eigvalsh(mats).min())
+        if lowest < -DEFAULT.eigenvalue_floor:
+            raise ValidationError(f"{name} not positive semidefinite: "
+                                  f"lowest eigenvalue {lowest:.3e}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix with a space tag.
@@ -98,15 +114,7 @@ class DensityMatrix:
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
         if self.space not in VALID_SPACES:
             raise ValidationError(f"unknown space tag {self.space!r}")
-        asym = float(np.abs(mat - mat.conj().T).max())
-        if asym > DEFAULT.hermiticity:
-            raise ValidationError(f"matrix not Hermitian: max asymmetry {asym:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > DEFAULT.trace:
-            raise ValidationError(f"trace {tr:.15g} deviates from 1 beyond {DEFAULT.trace}")
-        lowest = float(np.linalg.eigvalsh(mat).min())
-        if lowest < -DEFAULT.eigenvalue_floor:
-            raise ValidationError(f"matrix not positive semidefinite: lowest eigenvalue {lowest:.3e}")
+        check_density_stack("density matrix", mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

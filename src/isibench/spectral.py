@@ -259,12 +259,7 @@ def write_matrix(path, matrix: np.ndarray, layout: SpaceLayout | None = None) ->
     ds, db = (layout.dim_system, layout.dim_bath) if layout is not None else (0, 0)
     lines = [f"{MATRIX_FORMAT_MAGIC} {MATRIX_FORMAT_VERSION}",
              f"{mat.shape[0]} {mat.shape[1]} {ds} {db}"]
-    for row in mat:
-        parts = []
-        for entry in row:
-            parts.append(f"{entry.real:.17g}")
-            parts.append(f"{entry.imag:.17g}")
-        lines.append(" ".join(parts))
+    lines.extend(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) for row in mat)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -10,10 +10,7 @@ which.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-
-from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -39,18 +36,9 @@ class Tolerances:
     gap_check_dim_cap: int = 4096      # the O(d^2) gap scan refuses above this
     kernel_dim_cap: int = 4096         # dense d x d time-average kernel cap
 
-    # search and verdict parameters
-    eth_search_tol: float = 1e-8       # smallest step of the non-qubit T1 supremum search
+    # verdict parameters
     sufficient_isi_threshold: float = 0.1  # smallness cutoff for sqrt(delta)
     verdict_boundary: float = 1e-9     # |lhs - rhs| window reported as indeterminate
-
-    def replaced(self, **overrides: float | int) -> "Tolerances":
-        """Copy with the named fields replaced; unknown names are errors."""
-        known = {f.name for f in dataclasses.fields(self)}
-        bad = sorted(set(overrides) - known)
-        if bad:
-            raise ConfigError(f"unknown tolerance fields: {', '.join(bad)}")
-        return dataclasses.replace(self, **overrides)
 
 
 DEFAULT = Tolerances()

@@ -128,3 +128,44 @@ def naive_distance_estimate(state_of, reference, dim, n_samples, seed, n_streams
     for value in values:
         spread += (value - mean) ** 2
     return mean, float(np.sqrt(spread / (n_samples - 1) / n_samples))
+
+
+def necessary_lhs_coordinate_ascent(matrices, dim_bath, n_starts, seed, step_floor=1e-8):
+    """sup over psi of ||(1/dB) sum_n <psi|rho_n|psi> rho_n - I/dS||_1 by coordinate ascent.
+
+    The starts are Haar-uniform vectors drawn one at a time from the Philox
+    child of the seed.  From each, one amplitude at a time moves by +/- step
+    or +/- i step while that raises the objective; when no move does, the
+    step halves, down to step_floor.
+    """
+    mats = np.asarray(matrices)
+    dim_system = mats.shape[1]
+    quad = np.einsum("nij,nkl->ijkl", mats, mats) / dim_bath
+    mixed = np.eye(dim_system) / dim_system
+
+    def objective(psi):
+        averaged = np.einsum("ijkl,k,l->ij", quad, psi.conj(), psi)
+        return float(np.abs(np.linalg.eigvalsh(averaged - mixed)).sum())
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
+    best = 0.0
+    for _ in range(n_starts):
+        normals = rng.standard_normal((dim_system, 2))
+        psi = normals[:, 0] + 1j * normals[:, 1]
+        psi = psi / np.linalg.norm(psi)
+        value = objective(psi)
+        step = 0.5
+        while step > step_floor:
+            improved = False
+            for j in range(dim_system):
+                for direction in (1.0, -1.0, 1.0j, -1.0j):
+                    trial = psi.copy()
+                    trial[j] += step * direction
+                    trial /= np.linalg.norm(trial)
+                    trial_value = objective(trial)
+                    if trial_value > value:
+                        value, psi, improved = trial_value, trial, True
+            if not improved:
+                step *= 0.5
+        best = max(best, value)
+    return best

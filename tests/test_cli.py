@@ -417,21 +417,32 @@ class TestInputHardening:
         assert err.startswith("error: ")
         assert "isibench-matrix <version>" in err
 
-    @pytest.mark.parametrize("entry, field", [
-        ("hermiticity = 1e-30", "hermiticity"),
-        ("decompose_dim_cap = -1", "decompose_dim_cap"),
-        ("gap_check_dim_cap = 1.5", "gap_check_dim_cap"),
-        ("residual = 0", "residual"),
-        ("verdict_boundary = inf", "verdict_boundary"),
+    @pytest.mark.parametrize("entry, field, section", [
+        ("hermiticity = 1e-30", "hermiticity", "tolerances"),
+        ("decompose_dim_cap = -1", "decompose_dim_cap", "tolerances"),
+        ("gap_check_dim_cap = 1.5", "gap_check_dim_cap", "tolerances"),
+        ("residual = 0", "residual", "tolerances"),
+        ("verdict_boundary = inf", "verdict_boundary", "tolerances"),
+        ("eth_search_tol = 1e-8", "eth_search_tol", "tolerances"),
+        ("energy_scale = inf", "energy_scale", "model"),
+        ("energy_scale = 1e308", "energy_scale", "model"),
+        ("epsilon = -1", "epsilon", "analysis"),
+        ("epsilon = nan", "epsilon", "analysis"),
+        ("theorems = T0ii, Popescu\nepsilon = 0", "epsilon", "analysis"),
+        ("theorems = T1\np = 2", "p", "analysis"),
+        ("enabled = true\nhorizon_over_min_gap = inf", "horizon_over_min_gap", "dynamics"),
+        ("parameter = coupling_scale\nvalues = nan, 1", "values", "sweep"),
+        ("parameter = coupling_scale\nvalues = 1e308, 1", "values", "sweep"),
     ])
     def test_bad_tolerance_override_exits_2_naming_the_field(self, tmp_path, capsys,
-                                                             entry, field):
+                                                             entry, field, section):
+        header = "" if section == "model" else f"[{section}]\n"
         cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 4\n"
-                                   f"[tolerances]\n{entry}\n")
+                                   f"{header}{entry}\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert f"tolerances.{field}" in err
+        assert f"{section}.{field}" in err
         assert not (tmp_path / "out").exists()
 
 

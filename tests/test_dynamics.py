@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ class TestFiniteTimeAverage:
 
     def test_kernel_cap_suggests_sampling(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 67)
-        tight = DEFAULT.replaced(kernel_dim_cap=4)
+        tight = replace(DEFAULT, kernel_dim_cap=4)
         with pytest.raises(CapExceededError, match="n_times"):
             finite_time_average(coeffs, spectral, layout, horizon=5.0,
                                 tolerances=tight)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,7 +104,7 @@ class TestEigendecompose:
         assert np.abs(before - after).max() < 1e-10
 
     def test_dimension_cap(self):
-        tight = DEFAULT.replaced(decompose_dim_cap=4)
+        tight = replace(DEFAULT, decompose_dim_cap=4)
         with pytest.raises(CapExceededError):
             eigendecompose(np.eye(8), tight)
 
@@ -143,7 +144,7 @@ class TestDegeneracyChecks:
         assert collision == pytest.approx(0.0)
 
     def test_gap_check_cap(self):
-        tight = DEFAULT.replaced(gap_check_dim_cap=4)
+        tight = replace(DEFAULT, gap_check_dim_cap=4)
         with pytest.raises(CapExceededError):
             check_nondegenerate_gaps(self._data([0.0, 1.0, 3.0, 7.0, 12.0]), tight)
 

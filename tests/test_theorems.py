@@ -23,7 +23,8 @@ from isibench.spectral import SpectralData
 
 from _oracles import (eigenstate_reductions_loop, mp_concentration_tail,
                       mp_epsilon_prime, mp_theorem0_strong, naive_distance_estimate,
-                      ptrace_bath_loop, random_hermitian, random_state)
+                      necessary_lhs_coordinate_ascent, ptrace_bath_loop,
+                      random_hermitian, random_state)
 
 
 def _commuting_problem(db, seed):
@@ -212,6 +213,14 @@ class TestNecessaryCondition:
         value = necessary_condition_lhs(reductions, n_starts=16, seed=3)
         assert value <= 4.0 / 3.0 + 1e-9
         assert value >= 4.0 / 3.0 - 1e-3
+
+    @pytest.mark.parametrize("ds, db, seed", [(3, 8, 5), (3, 32, 7), (4, 8, 11), (4, 16, 13)])
+    def test_search_matches_the_coordinate_ascent_oracle(self, ds, db, seed):
+        layout, spectral, reductions, _ = _random_problem(ds, db, seed)
+        value = necessary_condition_lhs(reductions, n_starts=8, seed=seed)
+        oracle = necessary_lhs_coordinate_ascent(reductions.matrices, db, 8, seed)
+        assert value >= oracle - 1e-12 * max(1.0, abs(oracle))
+        assert abs(value - oracle) <= 1e-10
 
 
 class TestTheorem2:
