@@ -13,7 +13,7 @@ from .dynamics import (Trajectory, equilibrate, equilibration_metric, evolve_red
 from .equilibrium import (EigenstateReductions, OverlapCoefficients,
                           bath_averaged_equilibrium, delta, eigenstate_reductions,
                           overlaps, require_nondegenerate,
-                          subspace_averaged_equilibrium, subspace_weights,
+                          subspace_averaged_equilibrium, subspace_projection,
                           time_averaged_state, write_reductions_csv)
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
@@ -25,10 +25,8 @@ from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, BlochVector, DensityMatr
 from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
                      build_commuting_model, build_cucchietti_bath, build_random_model,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)
-from .sampling import (MonteCarloEstimate, SubspaceBasis, bath_prefix_basis,
-                       full_basis, monte_carlo_average, product_subspace,
-                       sample_amplitudes, sample_uniform_columns,
-                       sample_uniform_state, split_counts, stream_generators)
+from .sampling import (MonteCarloEstimate, monte_carlo_average, sample_amplitudes,
+                       split_counts, stream_generators)
 from .spectral import (CompositeHamiltonian, SpectralData, assemble,
                        check_nondegenerate_gaps, check_nondegenerate_spectrum,
                        degenerate_level_pairs, eigendecompose, fix_phases,

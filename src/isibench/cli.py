@@ -36,8 +36,8 @@ import numpy as np
 
 from .dynamics import Trajectory, equilibrate, stratified_times, write_trajectory_csv
 from .equilibrium import (EigenstateReductions, OverlapCoefficients,
-                          eigenstate_reductions, overlaps, time_averaged_state,
-                          write_reductions_csv)
+                          eigenstate_reductions, overlaps, subspace_projection,
+                          time_averaged_state, write_reductions_csv)
 from .equilibrium import delta as subspace_delta
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
@@ -45,8 +45,7 @@ from .hilbert import (DensityMatrix, PureState, SpaceLayout, bloch_vector, purit
                       tensor_product)
 from .models import (analytic_eigensystem, build_commuting_model, build_random_model,
                      sample_commuting_spec, sample_cucchietti_spec)
-from .sampling import (SubspaceBasis, bath_prefix_basis, full_basis, product_subspace,
-                       sample_uniform_state, stream_generators)
+from .sampling import sample_amplitudes, stream_generators
 from .spectral import (CompositeHamiltonian, SpectralData, check_nondegenerate_gaps,
                        check_nondegenerate_spectrum, eigendecompose, read_matrix,
                        write_csv)
@@ -361,7 +360,7 @@ _QUBIT_STATES = {"up": (1.0, 0.0), "down": (0.0, 1.0), "plus": (_S, _S), "minus"
 def _factor_state(name: str, dim: int, space: str, seed: int) -> PureState:
     if name == "random":
         rng = stream_generators(seed, 1)[0]
-        return sample_uniform_state(full_basis(dim, space), rng)
+        return PureState(sample_amplitudes(dim, 1, rng)[:, 0], space=space)
     if name.startswith("basis:"):
         index_text = name.partition(":")[2]
         if not index_text.isdigit() or int(index_text) >= dim:
@@ -412,18 +411,25 @@ class Pipeline:
                                              rng)
                 source = (f"commuting spin-bath (dS=2, dB={spec.dim_bath}, "
                           f"level splitting {config.level_splitting:g})")
+                scale_key = "energy_scale"
             else:
                 spec = sample_cucchietti_spec(config.n_spins, config.level_splitting,
                                               config.coupling_scale, config.field_scale,
                                               rng)
                 source = (f"independent-spin bath (n_spins={config.n_spins}, dS=2, "
                           f"dB={spec.dim_bath})")
+                scale_key = "field_scale"
             dim_total = 2 * spec.dim_bath
             if dim_total > tol.decompose_dim_cap:
                 raise CapExceededError(f"composite dimension {dim_total} exceeds the "
                                        f"cap {tol.decompose_dim_cap}")
+            try:
+                spectral = analytic_eigensystem(spec)
+            except ValidationError as err:  # an energy range that overflows
+                raise ConfigError(f"{err} (set by model.level_splitting, "
+                                  f"model.coupling_scale and model.{scale_key})") from None
             ham = build_commuting_model(spec, tol) if self.dense else None
-            return ModelBundle(spec.layout, analytic_eigensystem(spec), ham, source)
+            return ModelBundle(spec.layout, spectral, ham, source)
 
         if config.kind == "random":
             ds = config.dim_system if config.dim_system is not None else 2
@@ -478,21 +484,20 @@ class Pipeline:
         return eigenstate_reductions(self.spectral, self.layout)
 
     @cached_property
-    def subspace(self) -> SubspaceBasis:
+    def projection(self) -> np.ndarray:
+        """W = B^H V of the analysis subspace R on the eigenbasis, shape (dR, d)."""
         token, layout = self.config.subspace, self.layout
         if token == "full":
-            return full_basis(layout.dim_total)
-        if token == "product_bath":
-            return product_subspace(self.psi, None, layout)
-        prefix_dim = int(token.partition(":")[2])
-        if prefix_dim > layout.dim_bath:
+            return subspace_projection(self.spectral, layout)
+        prefix_dim = None if token == "product_bath" else int(token.partition(":")[2])
+        if prefix_dim is not None and prefix_dim > layout.dim_bath:
             raise ConfigError(f"subspace {token!r} exceeds the bath dimension "
                               f"{layout.dim_bath}")
-        return product_subspace(self.psi, bath_prefix_basis(layout, prefix_dim), layout)
+        return subspace_projection(self.spectral, layout, self.psi, prefix_dim)
 
     @cached_property
     def delta(self) -> float:
-        return subspace_delta(self.reductions, self.subspace, self.spectral)
+        return subspace_delta(self.reductions, self.projection)
 
     @cached_property
     def spectrum_check(self) -> tuple[bool, float]:
@@ -600,7 +605,7 @@ def _conclusion_line(config: ExperimentConfig, reports: dict[str, TheoremReport]
 def _equilibrium_lines(pipe: Pipeline) -> list[str]:
     rho_bar = pipe.rho_bar
     lines = [
-        f"subspace: {pipe.config.subspace} (dR={pipe.subspace.dim_subspace})",
+        f"subspace: {pipe.config.subspace} (dR={len(pipe.projection)})",
         f"delta: {pipe.delta:.12g}",
         f"sqrt(delta): {math.sqrt(pipe.delta):.12g}",
         f"time-averaged state purity: {purity(rho_bar):.6g}",
@@ -614,7 +619,7 @@ def _equilibrium_lines(pipe: Pipeline) -> list[str]:
 
 def _dynamics_lines(pipe: Pipeline) -> list[str]:
     horizon, _, metric = pipe.dynamics
-    bound = 2.0 * pipe.layout.dim_system / math.sqrt(pipe.subspace.dim_subspace)
+    bound = 2.0 * pipe.layout.dim_system / math.sqrt(len(pipe.projection))
     return [
         f"dynamics: horizon={horizon:.6g} n_times={pipe.config.n_times}",
         f"mean distance to equilibrium: {metric:.6g}",

@@ -6,7 +6,9 @@ the bath-traced projector of eigenvector n and c_n the overlap of the initial
 state with it.  This module computes those objects exactly from spectral
 data, the weighted-purity functional delta that controls the sufficient
 independence condition, and the closed-form subspace averages used as
-references by the theorem evaluators.
+references by the theorem evaluators.  An initial-state subspace R enters
+only through its projection W on the eigenbasis (``subspace_projection``),
+whose column norms give the weights <n|Pi_R|n>/dR.
 
 Everything here is deliberately exact linear algebra; long-time numerical
 integration lives in the dynamics module and is used only as an oracle in
@@ -22,7 +24,6 @@ import numpy as np
 from .errors import DegenerateSpectrumError, ValidationError
 from .hilbert import (DensityMatrix, PureState, SpaceLayout, batched_bloch_vectors,
                       check_density_stack)
-from .sampling import SubspaceBasis
 from .spectral import (SpectralData, check_nondegenerate_spectrum, degenerate_level_pairs,
                        write_csv)
 from .tolerances import DEFAULT, Tolerances
@@ -182,19 +183,32 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
     return DensityMatrix(mat, space="system")
 
 
-def subspace_projection(spectral: SpectralData,
-                        subspace: SubspaceBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Overlaps <b_r|n> of the subspace basis with the eigenvectors, (dR, d),
-    and the weights w_n = sum_r |<b_r|n>|^2 / dR = <n| Pi_R |n> / dR."""
-    if subspace.space != "composite" or subspace.dim_ambient != spectral.dim:
-        raise ValidationError("subspace must live in the composite space of the spectrum")
-    overlap = subspace.columns.conj().T @ spectral.eigenvectors
-    return overlap, np.sum(np.abs(overlap) ** 2, axis=0) / subspace.dim_subspace
+def subspace_projection(spectral: SpectralData, layout: SpaceLayout,
+                        psi: PureState | None = None,
+                        dim_bath: int | None = None) -> np.ndarray:
+    """W = B^H V, the (dR, d) overlaps of an orthonormal basis of the
+    initial-state subspace R with the eigenvectors.
+
+    ``psi=None`` is the whole space, where W is the eigenvector matrix itself;
+    otherwise R = psi (x) span of the first ``dim_bath`` bath levels (all by
+    default), and W[b, n] = sum_i conj(psi_i) <i, b|n>.
+    """
+    if spectral.dim != layout.dim_total:
+        raise ValidationError(f"spectral dim {spectral.dim} != layout {layout.dim_total}")
+    if psi is None:
+        return spectral.eigenvectors
+    if psi.space != "system" or psi.dim != layout.dim_system:
+        raise ValidationError("psi must be a system state matching the layout")
+    k = layout.dim_bath if dim_bath is None else dim_bath
+    if not 1 <= k <= layout.dim_bath:
+        raise ValidationError(f"bath subspace dim {k} outside [1, {layout.dim_bath}]")
+    blocks = spectral.eigenvectors.reshape(layout.dim_system, layout.dim_bath, spectral.dim)
+    return np.einsum("i,ibn->bn", psi.amplitudes.conj(), blocks[:, :k])
 
 
-def subspace_weights(spectral: SpectralData, subspace: SubspaceBasis) -> np.ndarray:
-    """w_n = <n| Pi_R |n> / dR; nonnegative, summing to 1."""
-    return subspace_projection(spectral, subspace)[1]
+def projection_weights(projection: np.ndarray) -> np.ndarray:
+    """w_n = sum_r |W_rn|^2 / dR = <n| Pi_R |n> / dR; nonnegative, summing to 1."""
+    return np.sum(np.abs(projection) ** 2, axis=0) / projection.shape[0]
 
 
 def weighted_purity(weights: np.ndarray, reductions: EigenstateReductions) -> float:
@@ -211,16 +225,15 @@ def weighted_reduction(weights: np.ndarray, reductions: EigenstateReductions) ->
     return np.einsum("...n,nij->...ij", weights, reductions.matrices)
 
 
-def delta(reductions: EigenstateReductions, subspace: SubspaceBasis,
-          spectral: SpectralData) -> float:
+def delta(reductions: EigenstateReductions, projection: np.ndarray) -> float:
     """Subspace-weighted mean purity of the eigenstate reductions.
 
     delta = sum_n w_n tr(rho_n^2) with w_n the normalized diagonal of the
-    subspace projector in the eigenbasis; bounded between 1/dS and 1.  Small
-    sqrt(delta) is the sufficient condition for equilibrium states to be
-    initial-state independent within the subspace.
+    subspace projector, read from the projection W; bounded between 1/dS and
+    1.  Small sqrt(delta) is the sufficient condition for equilibrium states
+    to be initial-state independent within the subspace.
     """
-    return weighted_purity(subspace_weights(spectral, subspace), reductions)
+    return weighted_purity(projection_weights(projection), reductions)
 
 
 def bath_averaged_equilibrium(psi: PureState, reductions: EigenstateReductions) -> DensityMatrix:
@@ -238,17 +251,17 @@ def bath_averaged_equilibrium(psi: PureState, reductions: EigenstateReductions) 
     return DensityMatrix(mat, space="system")
 
 
-def subspace_averaged_equilibrium(subspace: SubspaceBasis, reductions: EigenstateReductions,
-                                  spectral: SpectralData) -> DensityMatrix:
+def subspace_averaged_equilibrium(projection: np.ndarray,
+                                  reductions: EigenstateReductions) -> DensityMatrix:
     """Exact average of the equilibrium state over Haar draws from a subspace.
 
     The equilibrium state is a quadratic functional of the initial vector, and
     the Haar average of |Psi><Psi| over any subspace is Pi_R/dR, so the
     average equals sum_n w_n rho_n with the same weights as in delta.  Valid
-    for every subspace, product or not.
+    for the projection W of every subspace, product or not.
     """
-    weights = subspace_weights(spectral, subspace)
-    return DensityMatrix(weighted_reduction(weights, reductions), space="system")
+    return DensityMatrix(weighted_reduction(projection_weights(projection), reductions),
+                         space="system")
 
 
 def write_reductions_csv(path, spectral: SpectralData,

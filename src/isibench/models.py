@@ -97,10 +97,19 @@ def analytic_eigensystem(spec: CommutingModelSpec) -> SpectralData:
     w = spec.level_splitting
     vx, vy, vz = spec.couplings.T
 
-    radius = np.sqrt((w + vz) ** 2 + vx**2 + vy**2)
-    energies = np.empty(d)
-    energies[0::2] = spec.bath_energies - 0.5 * radius
-    energies[1::2] = spec.bath_energies + 0.5 * radius
+    # Each level's terms are scaled by a power of two, which is exact: r_l
+    # keeps the bits of the plain formula and is finite wherever r_l is.
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = np.stack([w + vz, vx, vy])
+        scale = np.ldexp(1.0, np.frexp(np.abs(parts).max(axis=0))[1] - 1)
+        a, b, c = parts / scale
+        radius = scale * np.sqrt(a**2 + b**2 + c**2)
+        energies = np.empty(d)
+        energies[0::2] = spec.bath_energies - 0.5 * radius
+        energies[1::2] = spec.bath_energies + 0.5 * radius
+        span = energies.max() - energies.min()
+    if not np.isfinite(span):
+        raise ValidationError(f"the energy range E_max - E_min = {span} is not finite")
 
     blocks = np.empty((db, 2, 2), dtype=complex)
     blocks[:, 0, 0] = w + vz

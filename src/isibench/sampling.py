@@ -1,9 +1,12 @@
 """Haar-uniform state sampling and reproducible Monte Carlo averaging.
 
-States are sampled by drawing 2*dR independent standard normals, forming dR
-complex amplitudes, normalizing, and mapping through the orthonormal basis of
-the target subspace.  The induced measure is the uniform one on the unit
-sphere of the span and does not depend on the basis choice.
+States are sampled as amplitude vectors: 2*dR independent standard normals
+form dR complex amplitudes, which are normalized.  The induced measure is
+the uniform one on the unit sphere of C^dR.  The amplitudes are coordinates
+in an orthonormal basis of the target subspace; callers never build that
+basis, because the amplitudes enter only through the subspace's projection
+on the eigenbasis (``equilibrium.subspace_projection``), and the measure
+does not depend on the basis choice.
 
 Monte Carlo estimates are deterministic for a given (seed, n_streams): each
 stream is a Philox child of the seed, one stream's draws are made in
@@ -21,85 +24,10 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import PureState, SpaceLayout
-from .tolerances import DEFAULT
 
 # Largest number of complex entries in one chunk's (d, count) buffer of a
 # batched Monte Carlo estimate: 2**21 entries of 16 bytes, 32 MB.
 MONTE_CARLO_ELEMENT_CAP = 2**21
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal columns spanning a subspace of one factor (or the composite)."""
-
-    columns: np.ndarray
-    space: str = "composite"
-
-    def __post_init__(self) -> None:
-        cols = np.array(self.columns, dtype=complex, copy=True)
-        if cols.ndim != 2 or cols.shape[1] == 0 or cols.shape[0] < cols.shape[1]:
-            raise ValidationError(
-                f"basis must be a tall (ambient, subspace) matrix, got shape {cols.shape}"
-            )
-        # An exact identity (every full_basis) is orthonormal by inspection;
-        # skipping its Gram product keeps large full-space bases O(d^2).
-        identity = (cols.shape[0] == cols.shape[1]
-                    and bool(np.all(np.diagonal(cols) == 1.0))
-                    and float(np.abs(cols).sum()) == float(cols.shape[1]))
-        if not identity:
-            gram = cols.conj().T @ cols
-            err = float(np.abs(gram - np.eye(cols.shape[1])).max())
-            if err > DEFAULT.basis_orthonormality:
-                raise ValidationError(f"columns not orthonormal: max |B^H B - I| = {err:.3e}")
-        cols.setflags(write=False)
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "_identity", identity)
-
-    @property
-    def dim_ambient(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def dim_subspace(self) -> int:
-        return self.columns.shape[1]
-
-    def projector(self) -> np.ndarray:
-        """Pi = B B^dagger on the ambient space."""
-        return self.columns @ self.columns.conj().T
-
-
-def full_basis(dim: int, space: str = "composite") -> SubspaceBasis:
-    """The computational basis of a whole factor space."""
-    return SubspaceBasis(np.eye(dim, dtype=complex), space=space)
-
-
-def bath_prefix_basis(layout: SpaceLayout, dim: int) -> SubspaceBasis:
-    """First ``dim`` computational bath basis vectors (a deterministic B_R choice)."""
-    if not 1 <= dim <= layout.dim_bath:
-        raise ValidationError(f"bath subspace dim {dim} outside [1, {layout.dim_bath}]")
-    return SubspaceBasis(np.eye(layout.dim_bath, dtype=complex)[:, :dim], space="bath")
-
-
-def product_subspace(psi: PureState, bath_basis: SubspaceBasis | None,
-                     layout: SpaceLayout) -> SubspaceBasis:
-    """Composite subspace psi (x) B_R with the system factor frozen.
-
-    ``bath_basis=None`` means the full bath, giving a subspace of dimension
-    dim_bath.
-    """
-    if psi.space != "system":
-        raise ValidationError(f"frozen factor must be a system state, got {psi.space!r}")
-    if psi.dim != layout.dim_system:
-        raise ValidationError(f"system state dim {psi.dim} != layout {layout.dim_system}")
-    if bath_basis is None:
-        bath_cols = np.eye(layout.dim_bath, dtype=complex)
-    else:
-        if bath_basis.space != "bath" or bath_basis.dim_ambient != layout.dim_bath:
-            raise ValidationError("bath_basis must span a subspace of the layout's bath")
-        bath_cols = bath_basis.columns
-    cols = np.kron(psi.amplitudes[:, None], bath_cols)
-    return SubspaceBasis(cols, space="composite")
 
 
 def sample_amplitudes(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,21 +36,6 @@ def sample_amplitudes(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     amps = z[..., 0] + 1j * z[..., 1]
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     return amps.T
-
-
-def sample_uniform_columns(basis: SubspaceBasis, n: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """(ambient, n) array of Haar-uniform vectors from the subspace; hot-loop form."""
-    amplitudes = sample_amplitudes(basis.dim_subspace, n, rng)
-    if getattr(basis, "_identity", False):
-        return amplitudes
-    return basis.columns @ amplitudes
-
-
-def sample_uniform_state(basis: SubspaceBasis, rng: np.random.Generator) -> PureState:
-    """One Haar-uniform pure state from the span of the basis."""
-    vec = sample_uniform_columns(basis, 1, rng)[:, 0]
-    return PureState(vec, space=basis.space)
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ def _require_hermitian(name: str, mat: np.ndarray, tol: float) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     asym = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
-    if asym > tol:
+    if not asym <= tol:  # a NaN entry fails too
         raise ValidationError(f"{name} not Hermitian: max asymmetry {asym:.3e} > {tol:.1e}")
     return arr
 
@@ -312,6 +312,8 @@ def read_matrix(path) -> tuple[np.ndarray, SpaceLayout | None]:
             floats = np.array([float(v) for v in values])
         except ValueError as exc:
             raise ConfigError(f"{path}: line {i + 3}: bad number: {exc}") from None
+        if not np.isfinite(floats).all():
+            raise ConfigError(f"{path}: line {i + 3}: non-finite number")
         data[i] = floats[0::2] + 1j * floats[1::2]
     if ds == 0 and db == 0:
         return data, None

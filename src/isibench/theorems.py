@@ -23,15 +23,15 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .equilibrium import (EigenstateReductions, require_nondegenerate, subspace_projection,
+from .equilibrium import (EigenstateReductions, projection_weights, require_nondegenerate,
                           weighted_purity, weighted_reduction)
 from .errors import ValidationError
 # trace_distance is kept importable from here: the benchmark's tracer test
 # looks it up under this module.
 from .hilbert import (DensityMatrix, SpaceLayout, batched_partial_trace_bath,  # noqa: F401
                       batched_trace_distances, trace_distance)
-from .sampling import (MonteCarloEstimate, SubspaceBasis, batched_monte_carlo,
-                       sample_amplitudes, stream_generators)
+from .sampling import (MonteCarloEstimate, batched_monte_carlo, sample_amplitudes,
+                       stream_generators)
 from .spectral import SpectralData
 from .tolerances import DEFAULT, Tolerances
 
@@ -102,40 +102,40 @@ def epsilon_prime(epsilon: float, dim_system: int, dim_restricted: int,
 _GEMM_ROW_BLOCK = 8
 
 
-def _theorem0(subspace: SubspaceBasis, spectral: SpectralData,
+def _theorem0(projection: np.ndarray, spectral: SpectralData,
               reductions: EigenstateReductions, epsilon: float | None, n_samples: int,
               seed: int, n_streams: int, tolerances: Tolerances
               ) -> tuple[float, float, float, MonteCarloEstimate]:
     """delta, the bounds of theorem0_rhs, and the Monte Carlo estimate of a report.
 
-    Initial states are drawn Haar-uniformly from the subspace, and the
+    Initial states are drawn Haar-uniformly from the subspace R, and the
     estimate is the mean trace distance of their infinite-time averages to
     the exact subspace-averaged equilibrium state (a quadratic functional of
     the state, so it has a closed form for every subspace) or, with an
     ``epsilon``, the frequency of distances beyond the sharp bound plus
-    epsilon.  One projection of the subspace on the eigenbasis serves it
-    all: it gives the weights (so delta and the average), and each chunk of
-    drawn amplitudes a its populations |<n|B a>|^2 in one GEMM and its
-    equilibrium states in one einsum.
+    epsilon.  The projection W = B^H V of R on the eigenbasis serves it all:
+    it gives the weights (so delta and the average), and each chunk of drawn
+    amplitudes a its populations |<n|B a>|^2 = |(a^H W)_n|^2 in one GEMM and
+    its equilibrium states in one einsum.
     """
     require_nondegenerate(spectral, tolerances)
-    overlap, weights = subspace_projection(spectral, subspace)
+    weights = projection_weights(projection)
     delta_value = weighted_purity(weights, reductions)
-    strong, weak = theorem0_rhs(reductions.layout.dim_system, subspace.dim_subspace,
-                                delta_value)
+    dim_r = projection.shape[0]
+    strong, weak = theorem0_rhs(reductions.layout.dim_system, dim_r, delta_value)
     threshold = None if epsilon is None else strong + epsilon
     reference = DensityMatrix(weighted_reduction(weights, reductions)).matrix
 
     def values(amplitudes: np.ndarray) -> np.ndarray:
         rows = amplitudes.T.conj()
         padded = np.pad(rows, ((0, -len(rows) % _GEMM_ROW_BLOCK), (0, 0)))
-        populations = np.abs((padded @ overlap)[:len(rows)]) ** 2
+        populations = np.abs((padded @ projection)[:len(rows)]) ** 2
         distances = batched_trace_distances(weighted_reduction(populations, reductions),
                                             reference)
         return distances if threshold is None else (distances > threshold).astype(float)
 
     return delta_value, strong, weak, batched_monte_carlo(
-        values, subspace.dim_subspace, spectral.dim, n_samples, seed, n_streams)
+        values, dim_r, spectral.dim, n_samples, seed, n_streams)
 
 
 def necessary_condition_lhs(reductions: EigenstateReductions,
@@ -267,13 +267,13 @@ THEOREMS = {
         lambda p: theorem0_rhs(int(p["dS"]), int(p["dR"]), float(p["delta"]))[0],
         lambda p: 2.0,
         lambda pipe, c, seed: theorem0_mean_report(
-            pipe.subspace, pipe.spectral, pipe.reductions, c.n_samples, seed,
+            pipe.projection, pipe.spectral, pipe.reductions, c.n_samples, seed,
             c.n_streams, c.tolerances),
         nondegenerate=True),
     "T0ii": Theorem(
         lambda p: concentration_tail(int(p["dR"]), float(p["epsilon"])), _one,
         lambda pipe, c, seed: theorem0_tail_report(
-            pipe.subspace, pipe.spectral, pipe.reductions, c.epsilon, c.n_samples,
+            pipe.projection, pipe.spectral, pipe.reductions, c.epsilon, c.n_samples,
             seed, c.n_streams, c.tolerances),
         nondegenerate=True),
     "T1": Theorem(
@@ -484,35 +484,33 @@ def sufficient_condition_report(delta_value: float, threshold: float | None = No
     return _report("SufficientISI", lhs, threshold, parameters, tolerances)
 
 
-def theorem0_mean_report(subspace: SubspaceBasis, spectral: SpectralData,
+def theorem0_mean_report(projection: np.ndarray, spectral: SpectralData,
                          reductions: EigenstateReductions, n_samples: int, seed: int,
                          n_streams: int = 1,
                          tolerances: Tolerances = DEFAULT) -> TheoremReport:
-    """Empirical mean equilibrium distance against sqrt(dS delta / dR)."""
+    """Empirical mean equilibrium distance against sqrt(dS delta / dR), for the
+    subspace with projection W = ``projection`` (``subspace_projection``)."""
     delta_value, strong, weak, estimate = _theorem0(
-        subspace, spectral, reductions, None, n_samples, seed, n_streams, tolerances)
-    ds = reductions.layout.dim_system
-    dr = subspace.dim_subspace
+        projection, spectral, reductions, None, n_samples, seed, n_streams, tolerances)
     parameters = _float_params({
-        "dS": ds, "dR": dr, "delta": delta_value, "n_samples": n_samples,
-        "seed": seed, "n_streams": n_streams,
+        "dS": reductions.layout.dim_system, "dR": projection.shape[0],
+        "delta": delta_value, "n_samples": n_samples, "seed": seed, "n_streams": n_streams,
         "lhs_standard_error": estimate.standard_error, "weak_rhs": weak,
     })
     return _report("T0i", estimate.mean, strong, parameters, tolerances)
 
 
-def theorem0_tail_report(subspace: SubspaceBasis, spectral: SpectralData,
+def theorem0_tail_report(projection: np.ndarray, spectral: SpectralData,
                          reductions: EigenstateReductions, epsilon: float,
                          n_samples: int, seed: int, n_streams: int = 1,
                          tolerances: Tolerances = DEFAULT) -> TheoremReport:
     """Empirical exceedance frequency against 2 exp(-c dR epsilon^2)."""
-    bound = concentration_tail(subspace.dim_subspace, epsilon)
+    bound = concentration_tail(projection.shape[0], epsilon)
     delta_value, strong, _, estimate = _theorem0(
-        subspace, spectral, reductions, epsilon, n_samples, seed, n_streams, tolerances)
-    ds = reductions.layout.dim_system
-    dr = subspace.dim_subspace
+        projection, spectral, reductions, epsilon, n_samples, seed, n_streams, tolerances)
     parameters = _float_params({
-        "dS": ds, "dR": dr, "delta": delta_value, "epsilon": epsilon,
+        "dS": reductions.layout.dim_system, "dR": projection.shape[0],
+        "delta": delta_value, "epsilon": epsilon,
         "distance_threshold": strong + epsilon, "c": CONCENTRATION_RATE,
         "n_samples": n_samples, "seed": seed, "n_streams": n_streams,
         "lhs_standard_error": estimate.standard_error,

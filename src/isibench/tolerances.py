@@ -21,7 +21,6 @@ class Tolerances:
     trace: float = 1e-12               # |tr(rho) - 1|
     eigenvalue_floor: float = 1e-10    # allowed negative slack on density eigenvalues
     bloch_excess: float = 1e-10        # allowed excess of |p| over 1
-    basis_orthonormality: float = 1e-10  # max |B^dagger B - I|
     completeness: float = 1e-10        # (1/d) sum_n rho_n vs I/dS
 
     # spectral checks

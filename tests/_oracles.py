@@ -169,3 +169,23 @@ def necessary_lhs_coordinate_ascent(matrices, dim_bath, n_starts, seed, step_flo
                 step *= 0.5
         best = max(best, value)
     return best
+
+
+def kron_basis(dim_total, psi=None, dim_prefix=None):
+    """Orthonormal columns of a subspace of the composite space, built densely.
+
+    psi=None gives the identity (the whole space); otherwise the columns are
+    psi (x) |b> for the first dim_prefix bath levels b (all by default).
+    """
+    if psi is None:
+        return np.eye(dim_total, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    dim_bath = dim_total // psi.size
+    bath = np.eye(dim_bath, dtype=complex)[:, :dim_prefix or dim_bath]
+    return np.kron(psi[:, None], bath)
+
+
+def kron_projection(vectors, psi=None, dim_prefix=None):
+    """B^H V for the kron_basis B: the subspace projection as one dense product."""
+    vectors = np.asarray(vectors)
+    return kron_basis(vectors.shape[0], psi, dim_prefix).conj().T @ vectors

@@ -15,14 +15,12 @@ from isibench import cli
 from isibench.dynamics import equilibration_metric, finite_time_average
 from isibench.equilibrium import (EigenstateReductions, bath_averaged_equilibrium,
                                   delta, eigenstate_reductions, overlaps,
-                                  time_averaged_state)
+                                  subspace_projection, time_averaged_state)
 from isibench.hilbert import (PureState, SpaceLayout, partial_trace_bath,
                               partial_trace_system, tensor_product, trace_distance)
 from isibench.models import (analytic_eigensystem, build_commuting_model,
                              build_random_model, sample_commuting_spec)
-from isibench.sampling import (full_basis, monte_carlo_average, product_subspace,
-                               sample_uniform_columns, sample_uniform_state,
-                               stream_generators)
+from isibench.sampling import monte_carlo_average, sample_amplitudes, stream_generators
 from isibench.spectral import eigendecompose
 from isibench.theorems import (CONCENTRATION_RATE, concentration_tail,
                                epsilon_prime, max_possible_lhs,
@@ -73,8 +71,7 @@ def test_criterion_1_commuting_model_violation(tmp_path, capsys):
     if abs(lhs_ii - 1.0) > 1e-10:
         failures.append(f"mean squared polarization {lhs_ii!r} != 1")
 
-    subspace = product_subspace(PLUS, None, spec.layout)
-    delta_value = delta(reductions, subspace, spectral)
+    delta_value = delta(reductions, subspace_projection(spectral, spec.layout, PLUS))
     if abs(delta_value - 1.0) > 1e-10:
         failures.append(f"delta {delta_value!r} != 1")
 
@@ -118,12 +115,11 @@ def test_criterion_2_analytic_matches_dense(capsys):
 def _equilibrated_fraction(spectral, layout, n_draws, seed):
     reductions = eigenstate_reductions(spectral, layout)
     horizon = 1.0e3 / spectral.min_level_spacing
-    bath = full_basis(layout.dim_bath, "bath")
     bound = 2.0 * layout.dim_system / math.sqrt(layout.dim_bath)
     draw_rng, time_rng = stream_generators(seed, 2)
     hits = 0
     for _ in range(n_draws):
-        phi = sample_uniform_state(bath, draw_rng)
+        phi = PureState(sample_amplitudes(layout.dim_bath, 1, draw_rng)[:, 0], space="bath")
         coeffs = overlaps(spectral, tensor_product(PLUS, phi))
         metric = equilibration_metric(coeffs, spectral, layout, horizon, 2000,
                                       rng=time_rng, reductions=reductions)
@@ -170,22 +166,19 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
         populations = np.abs(eigenvectors.conj().T @ column) ** 2
         return np.einsum("n,nij->ij", populations, matrices)
 
-    bath = full_basis(16, "bath")
     closed = bath_averaged_equilibrium(PLUS, reductions).matrix
     over_bath = monte_carlo_average(
         lambda col: rho_bar(np.kron(PLUS.amplitudes, col)),
-        lambda rng: sample_uniform_columns(bath, 1, rng)[:, 0],
+        lambda rng: sample_amplitudes(16, 1, rng)[:, 0],
         10_000, seed=42, n_streams=2)
     gap = np.abs(over_bath.mean - closed)
     if not np.all(gap <= 3.0 * over_bath.standard_error + 1e-15):
         failures.append(f"bath average misses the closed form by "
                         f"{(gap / (over_bath.standard_error + 1e-300)).max():.1f} SE")
 
-    system = full_basis(2, "system")
-
     def joint_product(rng):
-        a = sample_uniform_columns(system, 1, rng)[:, 0]
-        b = sample_uniform_columns(bath, 1, rng)[:, 0]
+        a = sample_amplitudes(2, 1, rng)[:, 0]
+        b = sample_amplitudes(16, 1, rng)[:, 0]
         return np.kron(a, b)
 
     over_joint = monte_carlo_average(rho_bar, joint_product, 10_000,
@@ -302,8 +295,8 @@ def test_criterion_6_concentration_bound_honesty(capsys):
     spec = sample_commuting_spec(16, 1.0, 1.0, 1.0, np.random.default_rng(61))
     spectral = analytic_eigensystem(spec)
     reductions = eigenstate_reductions(spectral, spec.layout)
-    small = product_subspace(PLUS, None, spec.layout)
-    delta_small = delta(reductions, small, spectral)
+    small = subspace_projection(spectral, spec.layout, PLUS)
+    delta_small = delta(reductions, small)
     reports.append(sufficient_condition_report(delta_small))
     reports.append(theorem0_mean_report(small, spectral, reductions, 400, 62))
     for eps in (0.05, 0.5):
@@ -318,13 +311,14 @@ def test_criterion_6_concentration_bound_honesty(capsys):
     wide_spec = sample_commuting_spec(128, 1.0, 1.0, 1.0, np.random.default_rng(66))
     wide_spectral = analytic_eigensystem(wide_spec)
     wide_reductions = eigenstate_reductions(wide_spectral, wide_spec.layout)
-    reports.append(theorem0_tail_report(full_basis(256), wide_spectral,
-                                        wide_reductions, 1.5, 10_000, 67))
+    wide = subspace_projection(wide_spectral, wide_spec.layout)
+    reports.append(theorem0_tail_report(wide, wide_spectral, wide_reductions, 1.5,
+                                        10_000, 67))
 
     deep_spec = sample_commuting_spec(256, 1.0, 1.0, 1.0, np.random.default_rng(68))
     deep_spectral = analytic_eigensystem(deep_spec)
     deep_reductions = eigenstate_reductions(deep_spectral, deep_spec.layout)
-    deep = product_subspace(PLUS, None, deep_spec.layout)
+    deep = subspace_projection(deep_spectral, deep_spec.layout, PLUS)
     reports.append(theorem0_tail_report(deep, deep_spectral, deep_reductions,
                                         1.5, 10_000, 69))
 
@@ -363,7 +357,7 @@ def test_criterion_7_average_and_trace_oracles(capsys):
         rng = np.random.default_rng(700 + k)
         spectral = eigendecompose(build_random_model(2, 8, 1.0, rng))
         reductions = eigenstate_reductions(spectral, layout)
-        initial = sample_uniform_state(full_basis(16), rng)
+        initial = PureState(sample_amplitudes(16, 1, rng)[:, 0], space="composite")
         coeffs = overlaps(spectral, initial)
         exact = time_averaged_state(coeffs, reductions, spectral)
         horizon = 1.0e4 / spectral.min_level_spacing

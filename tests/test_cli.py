@@ -249,30 +249,32 @@ def _assert_close(first, second, bound, what):
 class TestReproducibilityScope:
     def test_blas_thread_count_moves_only_last_digits(self, tmp_path):
         # The README states these bounds; trajectory.csv gets the loose one.
-        outs = []
-        for threads in (1, 2):
-            out_dir = tmp_path / f"threads{threads}"
-            result = subprocess.run(
-                [sys.executable, "-m", "isibench.cli", "run", "--config",
-                 "random_contrast", "--seed", "3", "--out", str(out_dir)],
-                env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads)),
-                capture_output=True, text=True)
-            assert result.returncode == 0, result.stderr
-            outs.append(out_dir)
-        first, second = outs
+        # Every bundled config is covered.
+        for config in cli.bundled_config_names():
+            outs = []
+            for threads in (1, 2):
+                out_dir = tmp_path / config / f"threads{threads}"
+                result = subprocess.run(
+                    [sys.executable, "-m", "isibench.cli", "run", "--config",
+                     config, "--seed", "3", "--out", str(out_dir)],
+                    env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads)),
+                    capture_output=True, text=True)
+                assert result.returncode == 0, result.stderr
+                outs.append(out_dir)
+            first, second = outs
 
-        names = sorted(path.name for path in first.glob("report_*.json"))
-        assert len(names) == 7
-        assert names == sorted(path.name for path in second.glob("report_*.json"))
-        for name in names:
-            a, b = read_report(first / name), read_report(second / name)
-            assert a.verdict == b.verdict, name
-            _assert_close([a.lhs, a.rhs], [b.lhs, b.rhs], 1e-12, name)
-        for name, bound in (("spectrum.csv", 1e-12), ("reductions.csv", 1e-12),
-                            ("trajectory.csv", 1e-6)):
-            _assert_close(np.loadtxt(first / name, delimiter=",", skiprows=2),
-                          np.loadtxt(second / name, delimiter=",", skiprows=2),
-                          bound, name)
+            names = sorted(path.name for path in first.glob("report_*.json"))
+            assert len(names) == 7, config
+            assert names == sorted(path.name for path in second.glob("report_*.json"))
+            for name in names:
+                a, b = read_report(first / name), read_report(second / name)
+                assert a.verdict == b.verdict, (config, name)
+                _assert_close([a.lhs, a.rhs], [b.lhs, b.rhs], 1e-12, f"{config} {name}")
+            for name, bound in (("spectrum.csv", 1e-12), ("reductions.csv", 1e-12),
+                                ("trajectory.csv", 1e-6)):
+                _assert_close(np.loadtxt(first / name, delimiter=",", skiprows=2),
+                              np.loadtxt(second / name, delimiter=",", skiprows=2),
+                              bound, f"{config} {name}")
 
 
 class TestBoundsCommand:
@@ -433,6 +435,7 @@ class TestInputHardening:
         ("enabled = true\nhorizon_over_min_gap = inf", "horizon_over_min_gap", "dynamics"),
         ("parameter = coupling_scale\nvalues = nan, 1", "values", "sweep"),
         ("parameter = coupling_scale\nvalues = 1e308, 1", "values", "sweep"),
+        ("level_splitting = 1.7e308\nenergy_scale = 8e307", "energy_scale", "model"),
     ])
     def test_bad_tolerance_override_exits_2_naming_the_field(self, tmp_path, capsys,
                                                              entry, field, section):
@@ -444,6 +447,42 @@ class TestInputHardening:
         assert err.startswith("error: ")
         assert f"{section}.{field}" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "run"])
+    @pytest.mark.parametrize("cells", [{(0, 0): "nan"}, {(0, 1): "inf", (1, 0): "inf"},
+                                       {(2, 2): "1e999"}], ids=["nan", "inf_pair", "1e999"])
+    def test_non_finite_matrix_entry_exits_2_naming_the_line(self, tmp_path, capsys,
+                                                             cells, command):
+        matrix_path = tmp_path / "bad.mat"
+        write_matrix(matrix_path, np.diag([1.0, 2.0, 3.0, 5.0]), SpaceLayout(2, 2))
+        lines = matrix_path.read_text(encoding="utf-8").splitlines()
+        for (row, col), token in cells.items():
+            numbers = lines[2 + row].split()
+            numbers[2 * col] = token  # the real part of the entry
+            lines[2 + row] = " ".join(numbers)
+        matrix_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
+        out_dir = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"line {3 + min(row for row, _ in cells)}: non-finite number" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("level_splitting", ["1e308", "1e200"])
+    def test_huge_level_splitting_gives_one_error_line_without_warnings(
+            self, tmp_path, level_splitting):
+        # r_l = sqrt((w + v_z)^2 + v_x^2 + v_y^2) must not overflow: the
+        # energies stay finite, and the lower branch collapses to one level
+        result = subprocess.run(
+            [sys.executable, "-m", "isibench.cli", "run", "--config", "sec5_violation",
+             "--override", "model.dim_bath=4",
+             "--override", f"model.level_splitting={level_splitting}",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert result.returncode == 4
+        assert result.stderr.startswith("error: spectrum has ")
+        assert result.stderr.count("\n") == 1
 
 
 class TestDegenerateSpectrumSkip:

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from isibench import (DegenerateSpectrumError, DensityMatrix, PureState,
-                      SpaceLayout, SubspaceBasis, ValidationError, assemble,
-                      bath_averaged_equilibrium, bath_prefix_basis, delta,
-                      eigendecompose, eigenstate_reductions, full_basis,
-                      maximally_mixed, monte_carlo_average, overlaps, product_subspace,
-                      sample_commuting_spec,
-                      sample_uniform_state, subspace_averaged_equilibrium,
-                      subspace_weights, time_averaged_state, trace_distance,
-                      write_reductions_csv)
+                      SpaceLayout, ValidationError, assemble,
+                      bath_averaged_equilibrium, delta,
+                      eigendecompose, eigenstate_reductions,
+                      maximally_mixed, monte_carlo_average, overlaps, sample_amplitudes,
+                      sample_commuting_spec, subspace_averaged_equilibrium,
+                      subspace_projection, tensor_product, time_averaged_state,
+                      trace_distance, write_reductions_csv)
+from isibench.equilibrium import projection_weights
 from isibench.models import analytic_eigensystem, build_commuting_model
 from isibench.spectral import SpectralData
 
-from _oracles import ptrace_bath_loop, random_hermitian, random_state
+from _oracles import kron_projection, ptrace_bath_loop, random_hermitian, random_state
 
 
 def _random_problem(ds, db, seed):
@@ -24,6 +24,12 @@ def _random_problem(ds, db, seed):
     ham = random_hermitian(layout.dim_total, rng)
     spectral = eigendecompose(ham)
     return layout, spectral, eigenstate_reductions(spectral, layout), rng
+
+
+def _product_draw(psi, dim_bath):
+    """A sampler of psi (x) phi over Haar-uniform bath states phi."""
+    return lambda rng: tensor_product(
+        psi, PureState(sample_amplitudes(dim_bath, 1, rng)[:, 0], space="bath"))
 
 
 class TestOverlaps:
@@ -139,17 +145,47 @@ class TestTimeAveragedState:
         assert np.array_equal(plain.matrix, tolerant.matrix)
 
 
+class TestSubspaceProjection:
+    @pytest.mark.parametrize("subspace", ["full", "product_bath", "bath_prefix:3"])
+    @pytest.mark.parametrize("ds", [2, 3, 4])
+    def test_matches_the_kron_oracle(self, ds, subspace):
+        layout, spectral, _, rng = _random_problem(ds, 6, 151 + ds)
+        # the qubit takes the bundled configs' plus state, larger systems a
+        # random complex one
+        psi = np.array([1.0, 1.0]) / math.sqrt(2) if ds == 2 else random_state(ds, rng)
+        prefix = 3 if subspace.startswith("bath_prefix") else None
+        if subspace == "full":
+            projection = subspace_projection(spectral, layout)
+            expected = kron_projection(spectral.eigenvectors)
+        else:
+            projection = subspace_projection(spectral, layout,
+                                             PureState(psi, space="system"), prefix)
+            expected = kron_projection(spectral.eigenvectors, psi, prefix)
+        assert projection.shape == expected.shape
+        assert np.abs(projection - expected).max() <= 1e-14
+
+    def test_rejects_a_bad_factor_or_prefix(self):
+        layout, spectral, _, _ = _random_problem(2, 4, 157)
+        qutrit = PureState(np.array([1.0, 0.0, 0.0]), space="system")
+        plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
+        with pytest.raises(ValidationError):
+            subspace_projection(spectral, layout, qutrit)
+        for prefix in (0, 5):
+            with pytest.raises(ValidationError):
+                subspace_projection(spectral, layout, plus, prefix)
+
+
 class TestDelta:
     def test_single_state_subspace_gives_that_purity(self):
         layout, spectral, reductions, _ = _random_problem(2, 6, 47)
         k = 2
-        basis = SubspaceBasis(spectral.eigenvectors[:, k].reshape(-1, 1))
-        value = delta(reductions, basis, spectral)
+        vector = spectral.eigenvectors[:, k]
+        value = delta(reductions, vector.conj()[None, :] @ spectral.eigenvectors)
         assert value == pytest.approx(reductions.purities[k], abs=1e-12)
 
     def test_full_space_averages_purities(self):
         layout, spectral, reductions, _ = _random_problem(2, 6, 53)
-        value = delta(reductions, full_basis(12), spectral)
+        value = delta(reductions, subspace_projection(spectral, layout))
         assert value == pytest.approx(reductions.purities.mean(), abs=1e-12)
 
     def test_lower_bound_attained_by_mixed_reductions(self):
@@ -162,7 +198,8 @@ class TestDelta:
         reductions = EigenstateReductions(matrices=mats,
                                           purities=np.full(4, 0.5),
                                           bloch=np.zeros((4, 3)), layout=layout)
-        assert delta(reductions, full_basis(4), spectral) == pytest.approx(0.5, abs=1e-15)
+        projection = subspace_projection(spectral, layout)
+        assert delta(reductions, projection) == pytest.approx(0.5, abs=1e-15)
 
     def test_commuting_model_saturates_upper_bound(self):
         rng = np.random.default_rng(59)
@@ -170,22 +207,20 @@ class TestDelta:
         spectral = analytic_eigensystem(spec)
         reductions = eigenstate_reductions(spectral, spec.layout)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
-        basis = product_subspace(psi, None, spec.layout)
-        assert delta(reductions, basis, spectral) == pytest.approx(1.0, abs=1e-10)
+        projection = subspace_projection(spectral, spec.layout, psi)
+        assert delta(reductions, projection) == pytest.approx(1.0, abs=1e-10)
 
     def test_range_on_random_draws(self):
         for seed in (61, 67, 71):
             layout, spectral, reductions, rng = _random_problem(2, 8, seed)
             psi = PureState(random_state(2, rng), space="system")
-            basis = product_subspace(psi, None, layout)
-            value = delta(reductions, basis, spectral)
+            value = delta(reductions, subspace_projection(spectral, layout, psi))
             assert 0.5 - 1e-12 <= value <= 1.0 + 1e-12
 
     def test_weights_are_a_distribution(self):
         layout, spectral, _, rng = _random_problem(2, 8, 73)
         psi = PureState(random_state(2, rng), space="system")
-        w = subspace_weights(spectral,
-                             product_subspace(psi, bath_prefix_basis(layout, 3), layout))
+        w = projection_weights(subspace_projection(spectral, layout, psi, 3))
         assert np.all(w >= -1e-15)
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -209,8 +244,8 @@ class TestBathAveragedEquilibrium:
         layout, spectral, reductions, rng = _random_problem(2, 8, 83)
         psi = PureState(random_state(2, rng), space="system")
         closed = bath_averaged_equilibrium(psi, reductions)
-        via_weights = subspace_averaged_equilibrium(product_subspace(psi, None, layout),
-                                                    reductions, spectral)
+        via_weights = subspace_averaged_equilibrium(subspace_projection(spectral, layout, psi),
+                                                    reductions)
         assert np.abs(closed.matrix - via_weights.matrix).max() < 1e-12
 
     def test_system_basis_average_recovers_maximally_mixed(self):
@@ -226,15 +261,13 @@ class TestBathAveragedEquilibrium:
     def test_monte_carlo_over_bath_states_matches_closed_form(self):
         layout, spectral, reductions, rng = _random_problem(2, 8, 97)
         psi = PureState(random_state(2, rng), space="system")
-        sub = product_subspace(psi, None, layout)
 
         def functional(state):
             coeffs = overlaps(spectral, state)
             return time_averaged_state(coeffs, reductions, spectral).matrix
 
-        est = monte_carlo_average(functional,
-                                  lambda gen: sample_uniform_state(sub, gen),
-                                  n_samples=4000, seed=101, n_streams=2)
+        est = monte_carlo_average(functional, _product_draw(psi, 8), n_samples=4000,
+                                  seed=101, n_streams=2)
         closed = bath_averaged_equilibrium(psi, reductions)
         gap = np.abs(est.mean - closed.matrix)
         assert np.all(gap <= 3.0 * est.standard_error + 1e-12)
@@ -256,7 +289,6 @@ class TestBathAveragedEquilibrium:
     def test_monte_carlo_error_decays_as_root_n(self):
         layout, spectral, reductions, rng = _random_problem(2, 8, 107)
         psi = PureState(random_state(2, rng), space="system")
-        sub = product_subspace(psi, None, layout)
         closed = bath_averaged_equilibrium(psi, reductions)
 
         def functional(state):
@@ -269,7 +301,7 @@ class TestBathAveragedEquilibrium:
             errors = [
                 trace_distance(
                     monte_carlo_average(functional,
-                                        lambda gen: sample_uniform_state(sub, gen),
+                                        _product_draw(psi, 8),
                                         n_samples=size, seed=1000 * size + rep).mean,
                     closed.matrix)
                 for rep in range(6)
@@ -282,13 +314,13 @@ class TestBathAveragedEquilibrium:
 class TestFullAverage:
     def test_full_average_is_maximally_mixed(self):
         # completeness of the eigenbasis makes the full-space average I/dS
-        _, spectral, reductions, _ = _random_problem(3, 5, 131)
-        rho = subspace_averaged_equilibrium(full_basis(15), reductions, spectral)
+        layout, spectral, reductions, _ = _random_problem(3, 5, 131)
+        rho = subspace_averaged_equilibrium(subspace_projection(spectral, layout), reductions)
         assert np.abs(rho.matrix - np.eye(3) / 3).max() < 1e-12
 
     def test_full_subspace_average_matches(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 137)
-        rho = subspace_averaged_equilibrium(full_basis(16), reductions, spectral)
+        rho = subspace_averaged_equilibrium(subspace_projection(spectral, layout), reductions)
         assert trace_distance(rho, maximally_mixed(layout.dim_system)) < 1e-10
 
 

@@ -43,6 +43,10 @@ class TestAssemble:
         with pytest.raises(ValidationError):
             assemble(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), None)
 
+    def test_nan_entry_fails_the_hermiticity_check(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            assemble(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), None)
+
 
 class TestEigendecompose:
     def test_sorts_diagonal_input(self):

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from isibench import (CONCENTRATION_RATE, THEOREM_IDS, PureState, SpaceLayout,
-                      SubspaceBasis, TheoremReport, ValidationError,
-                      assign_verdict, bath_prefix_basis, concentration_tail,
-                      eigendecompose,
-                      eigenstate_reductions, epsilon_prime, full_basis,
-                      max_possible_lhs, necessary_condition_lhs,
+                      TheoremReport, ValidationError, assign_verdict,
+                      concentration_tail, eigendecompose, eigenstate_reductions,
+                      epsilon_prime, max_possible_lhs, necessary_condition_lhs,
                       necessary_condition_report, popescu_bound, popescu_report,
-                      product_subspace, read_report,
-                      recompute_rhs, sufficient_condition_report,
-                      theorem0_mean_report, theorem0_rhs,
+                      read_report, recompute_rhs, subspace_projection,
+                      sufficient_condition_report, theorem0_mean_report, theorem0_rhs,
                       theorem0_tail_report, theorem2_lhs, theorem2_reports,
                       write_report)
 from isibench import sampling
@@ -21,7 +18,7 @@ from isibench.equilibrium import EigenstateReductions
 from isibench.models import analytic_eigensystem, sample_commuting_spec
 from isibench.spectral import SpectralData
 
-from _oracles import (eigenstate_reductions_loop, mp_concentration_tail,
+from _oracles import (eigenstate_reductions_loop, kron_basis, mp_concentration_tail,
                       mp_epsilon_prime, mp_theorem0_strong, naive_distance_estimate,
                       necessary_lhs_coordinate_ascent, ptrace_bath_loop,
                       random_hermitian, random_state)
@@ -140,40 +137,41 @@ class TestTheorem0Sampling:
     def test_single_state_subspace_has_zero_spread(self):
         layout, spectral, reductions, rng = _random_problem(2, 4, 3)
         column = spectral.eigenvectors @ random_state(8, rng)
-        basis = SubspaceBasis(column.reshape(-1, 1))
-        report = theorem0_mean_report(basis, spectral, reductions, n_samples=16, seed=5)
+        projection = column.conj()[None, :] @ spectral.eigenvectors
+        report = theorem0_mean_report(projection, spectral, reductions, n_samples=16,
+                                      seed=5)
         assert report.lhs < 1e-12
 
     def test_commuting_subspace_mean_respects_bound(self):
         spec, spectral, reductions, rng = _commuting_problem(64, 7)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
-        basis = product_subspace(psi, None, spec.layout)
-        report = theorem0_mean_report(basis, spectral, reductions, n_samples=400,
+        projection = subspace_projection(spectral, spec.layout, psi)
+        report = theorem0_mean_report(projection, spectral, reductions, n_samples=400,
                                       seed=11, n_streams=2)
         strong, _ = theorem0_rhs(2, 64, 1.0)
         assert report.lhs <= strong + 3.0 * report.parameters["lhs_standard_error"]
 
     def test_random_model_full_space_mean_respects_bound(self):
         layout, spectral, reductions, rng = _random_problem(2, 16, 13)
-        basis = full_basis(32)
+        projection = subspace_projection(spectral, layout)
         from isibench import delta as delta_fn
-        delta_value = delta_fn(reductions, basis, spectral)
+        delta_value = delta_fn(reductions, projection)
         strong, _ = theorem0_rhs(2, 32, delta_value)
-        report = theorem0_mean_report(basis, spectral, reductions, n_samples=400,
+        report = theorem0_mean_report(projection, spectral, reductions, n_samples=400,
                                       seed=17)
         assert report.lhs <= strong + 3.0 * report.parameters["lhs_standard_error"]
 
     def test_tail_frequency_zero_beyond_range(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 19)
-        report = theorem0_tail_report(full_basis(16), spectral, reductions,
-                                      epsilon=2.0, n_samples=64, seed=23)
+        report = theorem0_tail_report(subspace_projection(spectral, layout), spectral,
+                                      reductions, epsilon=2.0, n_samples=64, seed=23)
         assert report.lhs == 0.0
         assert report.rhs == pytest.approx(concentration_tail(16, 2.0))
 
     def test_tail_respects_nonvacuous_bound(self):
         layout, spectral, reductions, _ = _random_problem(2, 128, 29)
-        report = theorem0_tail_report(full_basis(256), spectral, reductions,
-                                      epsilon=1.5, n_samples=200, seed=31)
+        report = theorem0_tail_report(subspace_projection(spectral, layout), spectral,
+                                      reductions, epsilon=1.5, n_samples=200, seed=31)
         assert report.rhs < 1.0
         assert report.lhs <= report.rhs
 
@@ -287,19 +285,22 @@ _EPSILON = 0.02
 
 
 def _batched_problem(ds, db, subspace):
+    """(layout, spectral, reductions, projection) and the kron basis of the subspace."""
     layout, spectral, reductions, rng = _random_problem(ds, db, 41)
-    if subspace == "full":
-        return layout, spectral, reductions, full_basis(layout.dim_total)
-    psi = PureState(random_state(ds, rng), space="system")
-    bath = None if subspace == "product_bath" else bath_prefix_basis(layout, 5)
-    return layout, spectral, reductions, product_subspace(psi, bath, layout)
+    psi = None if subspace == "full" else random_state(ds, rng)
+    prefix = 5 if subspace.startswith("bath_prefix") else None
+    state = None if psi is None else PureState(psi, space="system")
+    projection = subspace_projection(spectral, layout, state, prefix)
+    return (layout, spectral, reductions, projection), kron_basis(layout.dim_total, psi,
+                                                                  prefix)
 
 
-def _batched_estimates(layout, spectral, reductions, basis, n_streams):
+def _batched_estimates(layout, spectral, reductions, projection, n_streams):
     """(lhs, standard error) of the T0i, T0ii and Popescu reports."""
     reports = (
-        theorem0_mean_report(basis, spectral, reductions, 60, 3, n_streams),
-        theorem0_tail_report(basis, spectral, reductions, _EPSILON, 60, 5, n_streams),
+        theorem0_mean_report(projection, spectral, reductions, 60, 3, n_streams),
+        theorem0_tail_report(projection, spectral, reductions, _EPSILON, 60, 5,
+                             n_streams),
         popescu_report(layout, _EPSILON, 60, 7, n_streams))
     return [(r.lhs, r.parameters["lhs_standard_error"]) for r in reports]
 
@@ -308,10 +309,11 @@ class TestBatchedEstimates:
     @pytest.mark.parametrize("n_streams", [1, 3])
     @pytest.mark.parametrize("ds, db, subspace", _BATCHED_CASES)
     def test_reports_match_the_per_sample_oracle(self, ds, db, subspace, n_streams):
-        layout, spectral, reductions, basis = _batched_problem(ds, db, subspace)
-        estimates = _batched_estimates(layout, spectral, reductions, basis, n_streams)
+        problem, columns = _batched_problem(ds, db, subspace)
+        estimates = _batched_estimates(*problem, n_streams)
 
-        vectors, columns = spectral.eigenvectors.T, basis.columns
+        spectral = problem[1]
+        vectors = spectral.eigenvectors.T
         rhos = eigenstate_reductions_loop(spectral.eigenvectors, ds, db)
         dim_r = columns.shape[1]
         weights = [np.linalg.norm(columns.conj().T @ v) ** 2 / dim_r for v in vectors]
@@ -342,7 +344,7 @@ class TestBatchedEstimates:
     @pytest.mark.parametrize("ds, db, subspace", _BATCHED_CASES)
     def test_chunking_leaves_the_estimates_bit_identical(self, monkeypatch, ds, db,
                                                          subspace):
-        problem = _batched_problem(ds, db, subspace)
+        problem, _ = _batched_problem(ds, db, subspace)
         whole = _batched_estimates(*problem, n_streams=3)
         monkeypatch.setattr(sampling, "MONTE_CARLO_ELEMENT_CAP", 1)
         assert _batched_estimates(*problem, n_streams=3) == whole
@@ -461,8 +463,8 @@ class TestReports:
 
     def test_mean_report_parameters_reproduce_rhs(self):
         layout, spectral, reductions, _ = _random_problem(2, 16, 103)
-        report = theorem0_mean_report(full_basis(32), spectral, reductions,
-                                      n_samples=100, seed=7)
+        report = theorem0_mean_report(subspace_projection(spectral, layout), spectral,
+                                      reductions, n_samples=100, seed=7)
         assert report.theorem_id == "T0i"
         assert recompute_rhs("T0i", report.parameters) == pytest.approx(report.rhs,
                                                                         rel=1e-12)
@@ -471,8 +473,8 @@ class TestReports:
 
     def test_tail_report_is_vacuous_at_small_dimension(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 107)
-        report = theorem0_tail_report(full_basis(16), spectral, reductions,
-                                      epsilon=0.1, n_samples=64, seed=9)
+        report = theorem0_tail_report(subspace_projection(spectral, layout), spectral,
+                                      reductions, epsilon=0.1, n_samples=64, seed=9)
         assert report.verdict == "vacuous"
         assert report.rhs > 1.0
 
