@@ -8,29 +8,26 @@ states, concentration bounds with vacuity-aware verdicts, and Monte Carlo
 checks of the same quantities over uniformly sampled initial states.
 """
 
-from .dynamics import (Trajectory, equilibrate, equilibration_metric, evolve_reduced,
-                       finite_time_average, stratified_times, write_trajectory_csv)
-from .equilibrium import (EigenstateReductions, OverlapCoefficients,
-                          bath_averaged_equilibrium, delta, eigenstate_reductions,
-                          overlaps, require_nondegenerate,
-                          subspace_averaged_equilibrium, subspace_projection,
-                          time_averaged_state, write_reductions_csv)
+from .dynamics import (Trajectory, equilibrate, evolve_reduced, stratified_times,
+                       write_trajectory_csv)
+from .equilibrium import (EigenstateReductions, OverlapCoefficients, delta,
+                          eigenstate_reductions, overlaps, require_nondegenerate,
+                          subspace_projection, time_averaged_state, write_reductions_csv)
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
 from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, BlochVector, DensityMatrix,
                       PureState, SpaceLayout, batched_bloch_vectors,
-                      batched_partial_trace_bath, bloch_vector, density_from_bloch,
-                      maximally_mixed, partial_trace_bath, partial_trace_system,
+                      batched_partial_trace_bath, bloch_vector, partial_trace_bath,
                       purity, tensor_product, trace_distance, trace_norm)
 from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
                      build_commuting_model, build_cucchietti_bath, build_random_model,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)
-from .sampling import (MonteCarloEstimate, monte_carlo_average, sample_amplitudes,
+from .sampling import (MonteCarloEstimate, batched_monte_carlo, sample_amplitudes,
                        split_counts, stream_generators)
 from .spectral import (CompositeHamiltonian, SpectralData, assemble,
                        check_nondegenerate_gaps, check_nondegenerate_spectrum,
                        degenerate_level_pairs, eigendecompose, fix_phases,
-                       read_matrix, reconstruct, write_csv, write_matrix)
+                       read_matrix, write_csv, write_matrix)
 from .theorems import (CONCENTRATION_RATE, THEOREM_IDS, VERDICTS, TheoremReport,
                        assign_verdict, concentration_tail, epsilon_prime,
                        max_possible_lhs, necessary_condition_lhs,

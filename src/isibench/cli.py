@@ -400,9 +400,30 @@ class Pipeline:
         _ = self.coeffs, self.delta
         return self
 
+    def _check_dimension(self) -> None:
+        """Refuse a composite dimension above the cap before anything is drawn.
+
+        Every kind but a matrix file fixes d in its config: 2 dB, dS dB, or
+        2^(n_spins + 1), compared by bit length so that a huge n_spins is
+        never formed.
+        """
+        config, cap = self.config, self.config.tolerances.decompose_dim_cap
+        if config.kind == "file":
+            return
+        if config.kind == "cucchietti":
+            exponent = config.n_spins + 1
+            too_large, shown = exponent >= cap.bit_length(), f"2^{exponent}"
+        else:
+            dim_total = (config.dim_system or 2) * config.dim_bath
+            too_large, shown = dim_total > cap, str(dim_total)
+        if too_large:
+            raise CapExceededError(f"composite dimension {shown} exceeds the cap {cap} "
+                                   "(tolerances.decompose_dim_cap)")
+
     @cached_property
     def model(self) -> ModelBundle:
         config, tol = self.config, self.config.tolerances
+        self._check_dimension()
         rng = stream_generators(self.seed("model"), 1)[0]
         if config.kind in ("commuting", "cucchietti"):
             if config.kind == "commuting":
@@ -419,10 +440,6 @@ class Pipeline:
                 source = (f"independent-spin bath (n_spins={config.n_spins}, dS=2, "
                           f"dB={spec.dim_bath})")
                 scale_key = "field_scale"
-            dim_total = 2 * spec.dim_bath
-            if dim_total > tol.decompose_dim_cap:
-                raise CapExceededError(f"composite dimension {dim_total} exceeds the "
-                                       f"cap {tol.decompose_dim_cap}")
             try:
                 spectral = analytic_eigensystem(spec)
             except ValidationError as err:  # an energy range that overflows
@@ -667,20 +684,18 @@ def _cmd_model_info(config: ExperimentConfig, args, name: str) -> list[str]:
 
 def _cmd_spectrum(config: ExperimentConfig, args, name: str) -> list[str]:
     pipe = Pipeline(config)
-    spectral = pipe.spectral
-    out = _out_dir(config)
-    _write_spectrum_csv(out / "spectrum.csv", spectral)
     lines = _spectrum_lines(pipe)
+    out = _out_dir(config)
+    _write_spectrum_csv(out / "spectrum.csv", pipe.spectral)
     lines.append(f"wrote {out / 'spectrum.csv'}")
     return lines
 
 
 def _cmd_equilibrium(config: ExperimentConfig, args, name: str) -> list[str]:
     pipe = Pipeline(config).prepare()
+    lines = _equilibrium_lines(pipe) + pipe.notes
     out = _out_dir(config)
     write_reductions_csv(out / "reductions.csv", pipe.spectral, pipe.reductions)
-    lines = _equilibrium_lines(pipe)
-    lines.extend(pipe.notes)
     lines.append(f"wrote {out / 'reductions.csv'}")
     return lines
 
@@ -710,8 +725,8 @@ def _cmd_dynamics(config: ExperimentConfig, args, name: str) -> list[str]:
 
 
 def _cmd_run(config: ExperimentConfig, args, name: str) -> list[str]:
+    """Every stage first, then every file, so that no error follows a write."""
     pipe = Pipeline(config).prepare()
-    out = _out_dir(config)
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     lines = [
         f"# generated: {stamp}",
@@ -721,19 +736,22 @@ def _cmd_run(config: ExperimentConfig, args, name: str) -> list[str]:
         f"initial state: system={config.initial_system} bath={config.initial_bath}",
     ]
     lines.extend(_spectrum_lines(pipe))
-    _write_spectrum_csv(out / "spectrum.csv", pipe.spectral)
-    write_reductions_csv(out / "reductions.csv", pipe.spectral, pipe.reductions)
     lines.extend(_equilibrium_lines(pipe))
     reports, notes = pipe.reports
-    for tid, report in reports.items():
-        write_report(out / f"report_{tid}.json", report)
     lines.extend(_report_lines(reports))
     lines.extend(notes)
     if config.dynamics_enabled:
         lines.extend(_dynamics_lines(pipe))
-        write_trajectory_csv(out / "trajectory.csv", pipe.dynamics[1])
     lines.extend(pipe.notes)
     lines.append(_conclusion_line(config, reports))
+
+    out = _out_dir(config)
+    _write_spectrum_csv(out / "spectrum.csv", pipe.spectral)
+    write_reductions_csv(out / "reductions.csv", pipe.spectral, pipe.reductions)
+    for tid, report in reports.items():
+        write_report(out / f"report_{tid}.json", report)
+    if config.dynamics_enabled:
+        write_trajectory_csv(out / "trajectory.csv", pipe.dynamics[1])
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return lines + [f"wrote {out / 'summary.txt'}"]
 

@@ -4,15 +4,14 @@ With a nondegenerate spectrum the infinite-time average of the reduced state
 is diagonal in the eigenbasis: rho_bar = sum_n |c_n|^2 rho_n, where rho_n is
 the bath-traced projector of eigenvector n and c_n the overlap of the initial
 state with it.  This module computes those objects exactly from spectral
-data, the weighted-purity functional delta that controls the sufficient
-independence condition, and the closed-form subspace averages used as
-references by the theorem evaluators.  An initial-state subspace R enters
-only through its projection W on the eigenbasis (``subspace_projection``),
-whose column norms give the weights <n|Pi_R|n>/dR.
+data, and the weighted-purity functional delta that controls the sufficient
+independence condition.  An initial-state subspace R enters only through
+its projection W on the eigenbasis (``subspace_projection``), whose column
+norms give the weights <n|Pi_R|n>/dR; the Haar average of the equilibrium
+state over R is then sum_n w_n rho_n (``weighted_reduction``).
 
-Everything here is deliberately exact linear algebra; long-time numerical
-integration lives in the dynamics module and is used only as an oracle in
-the tests.
+Everything here is exact linear algebra; time evolution lives in the
+dynamics module.
 """
 
 from __future__ import annotations
@@ -234,34 +233,6 @@ def delta(reductions: EigenstateReductions, projection: np.ndarray) -> float:
     to be initial-state independent within the subspace.
     """
     return weighted_purity(projection_weights(projection), reductions)
-
-
-def bath_averaged_equilibrium(psi: PureState, reductions: EigenstateReductions) -> DensityMatrix:
-    """Average equilibrium state over Haar bath states at fixed system state.
-
-    Closed form (1/dB) sum_n <psi|rho_n|psi> rho_n.  Completeness of the
-    eigenbasis makes the trace exactly 1 (sum_n rho_n = dB * I), which the
-    DensityMatrix constructor re-verifies.
-    """
-    if psi.space != "system" or psi.dim != reductions.layout.dim_system:
-        raise ValidationError("psi must be a system state matching the layout")
-    amps = psi.amplitudes
-    weights = np.einsum("i,nij,j->n", amps.conj(), reductions.matrices, amps).real
-    mat = np.einsum("n,nij->ij", weights, reductions.matrices) / reductions.layout.dim_bath
-    return DensityMatrix(mat, space="system")
-
-
-def subspace_averaged_equilibrium(projection: np.ndarray,
-                                  reductions: EigenstateReductions) -> DensityMatrix:
-    """Exact average of the equilibrium state over Haar draws from a subspace.
-
-    The equilibrium state is a quadratic functional of the initial vector, and
-    the Haar average of |Psi><Psi| over any subspace is Pi_R/dR, so the
-    average equals sum_n w_n rho_n with the same weights as in delta.  Valid
-    for the projection W of every subspace, product or not.
-    """
-    return DensityMatrix(weighted_reduction(projection_weights(projection), reductions),
-                         space="system")
 
 
 def write_reductions_csv(path, spectral: SpectralData,

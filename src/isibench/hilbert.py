@@ -75,10 +75,6 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def projector(self) -> np.ndarray:
-        """|psi><psi| as a plain array."""
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
 
 def check_density_stack(name: str, mats: np.ndarray, positive: bool = True) -> None:
     """Refuse an (n, k, k) stack unless each matrix is Hermitian with unit trace
@@ -139,13 +135,6 @@ class BlochVector:
         if norm > 1.0 + DEFAULT.bloch_excess:
             raise ValidationError(f"Bloch vector length {norm:.15g} exceeds 1")
 
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.px**2 + self.py**2 + self.pz**2))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.px, self.py, self.pz])
-
 
 def _as_matrix(arg) -> np.ndarray:
     """Accept a DensityMatrix or a plain square array."""
@@ -199,20 +188,6 @@ def partial_trace_bath(state, layout: SpaceLayout) -> DensityMatrix:
     _check_composite(mat.shape[0], layout)
     t = mat.reshape(layout.dim_system, layout.dim_bath, layout.dim_system, layout.dim_bath)
     return DensityMatrix(np.einsum("ibjb->ij", t), space="system")
-
-
-def partial_trace_system(state, layout: SpaceLayout) -> DensityMatrix:
-    """Reduce a composite pure state or density matrix to the bath factor."""
-    if isinstance(state, PureState) or (not isinstance(state, DensityMatrix)
-                                        and np.asarray(state).ndim == 1):
-        vec = _as_vector(state)
-        _check_composite(vec.size, layout)
-        block = vec.reshape(layout.dim_system, layout.dim_bath)
-        return DensityMatrix(block.T @ block.conj(), space="bath")
-    mat = _as_matrix(state)
-    _check_composite(mat.shape[0], layout)
-    t = mat.reshape(layout.dim_system, layout.dim_bath, layout.dim_system, layout.dim_bath)
-    return DensityMatrix(np.einsum("aiaj->ij", t), space="bath")
 
 
 def batched_partial_trace_bath(columns: np.ndarray, layout: SpaceLayout) -> np.ndarray:
@@ -298,24 +273,3 @@ def batched_bloch_vectors(mats: np.ndarray) -> np.ndarray:
     if stack.ndim != 3 or stack.shape[1:] != (2, 2):
         raise ValidationError(f"expected an (n, 2, 2) stack, got shape {stack.shape}")
     return np.einsum("nij,aji->na", stack, PAULI).real
-
-
-def density_from_bloch(p) -> DensityMatrix:
-    """Inverse of bloch_vector: rho = (1 + p.sigma)/2."""
-    if isinstance(p, BlochVector):
-        arr = p.as_array()
-    else:
-        arr = np.asarray(p, dtype=float)
-        if arr.shape != (3,):
-            raise ValidationError(f"Bloch vector must have 3 components, got shape {arr.shape}")
-        if np.linalg.norm(arr) > 1.0 + DEFAULT.bloch_excess:
-            raise ValidationError(f"Bloch vector length {np.linalg.norm(arr):.15g} exceeds 1")
-    mat = 0.5 * (np.eye(2, dtype=complex) + np.einsum("a,aij->ij", arr, PAULI))
-    return DensityMatrix(mat, space="system")
-
-
-def maximally_mixed(dim: int, space: str = "system") -> DensityMatrix:
-    """I/dim."""
-    if dim < 1:
-        raise ValidationError(f"dimension must be positive, got {dim}")
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim, space=space)

@@ -8,11 +8,12 @@ basis, because the amplitudes enter only through the subspace's projection
 on the eigenbasis (``equilibrium.subspace_projection``), and the measure
 does not depend on the basis choice.
 
-Monte Carlo estimates are deterministic for a given (seed, n_streams): each
-stream is a Philox child of the seed, one stream's draws are made in
-batches that consume its generator exactly as one draw at a time would,
-each stream's values are summed once, and the stream sums are added in
-stream order.  Identical inputs give bit-identical estimates on the same
+Monte Carlo estimates are batched: the functional maps a whole chunk of
+amplitude columns to their values at once.  They are deterministic for a
+given (seed, n_streams): each stream is a Philox child of the seed, its
+chunks consume the generator exactly as one draw at a time would, each
+stream's values are summed once, and the stream sums are added in stream
+order.  Identical inputs give bit-identical estimates on the same
 machine and numpy/BLAS build with the same BLAS thread count.
 """
 
@@ -75,21 +76,32 @@ def stream_generators(seed: int, n_streams: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
-def _estimate(draw: Callable[[np.random.Generator, int], np.ndarray], chunk: int,
-              n_samples: int, seed: int, n_streams: int) -> MonteCarloEstimate:
-    """Mean and standard error of the values ``draw(rng, count)`` returns.
+def batched_monte_carlo(values_of: Callable[[np.ndarray], np.ndarray], dim: int,
+                        width: int, n_samples: int, seed: int,
+                        n_streams: int = 1) -> MonteCarloEstimate:
+    """Mean and standard error of a value of Haar-uniform vectors of C^dim.
 
-    ``draw`` gives the (count, ...) values of the next ``count`` samples of a
-    stream.  Each stream is drawn in chunks of at most ``chunk`` samples and
-    summed once; the stream sums are added in stream order.
+    ``values_of`` maps a (dim, count) block of amplitudes to the (count, ...)
+    values of its columns, a float or a fixed-shape array per column.
+    ``width`` is the length of the longest per-sample row it builds; a chunk
+    holds at most MONTE_CARLO_ELEMENT_CAP // width samples.  The draws are
+    those of per-sample ``sample_amplitudes(dim, 1, rng)`` calls, in the
+    same order.
+
+    Raises
+    ------
+    ValidationError : for fewer than 2 samples, or a non-finite value (with
+        the offending stream and sample index in the message).
     """
     if n_samples < 2:
         raise ValidationError(f"need at least 2 samples, got {n_samples}")
+    chunk = max(1, MONTE_CARLO_ELEMENT_CAP // width)
     counts = split_counts(n_samples, n_streams)
     total = total_sq = 0.0
     for index, (rng, count) in enumerate(zip(stream_generators(seed, n_streams), counts)):
-        values = np.concatenate([draw(rng, min(chunk, count - start))
-                                 for start in range(0, count, chunk)])
+        values = np.concatenate([
+            values_of(sample_amplitudes(dim, min(chunk, count - start), rng))
+            for start in range(0, count, chunk)])
         finite = np.isfinite(values).reshape(count, -1).all(axis=1)
         if not finite.all():
             raise ValidationError(f"non-finite value at stream {index}, "
@@ -106,49 +118,3 @@ def _estimate(draw: Callable[[np.random.Generator, int], np.ndarray], chunk: int
         se = float(se)
     return MonteCarloEstimate(mean=mean, standard_error=se, n_samples=n_samples,
                               seed=seed, n_streams=n_streams)
-
-
-def batched_monte_carlo(values_of: Callable[[np.ndarray], np.ndarray], dim: int,
-                        width: int, n_samples: int, seed: int,
-                        n_streams: int = 1) -> MonteCarloEstimate:
-    """Mean and standard error of a value of Haar-uniform vectors of C^dim.
-
-    ``values_of`` maps a (dim, count) block of amplitudes to the (count,)
-    values of its columns.  ``width`` is the length of the longest
-    per-sample row it builds; a chunk holds at most
-    MONTE_CARLO_ELEMENT_CAP // width samples.  The draws are those of
-    per-sample ``sample_amplitudes(dim, 1, rng)`` calls, in the same order.
-    """
-    chunk = max(1, MONTE_CARLO_ELEMENT_CAP // width)
-    return _estimate(lambda rng, count: values_of(sample_amplitudes(dim, count, rng)),
-                     chunk, n_samples, seed, n_streams)
-
-
-def monte_carlo_average(functional: Callable[[Any], Any],
-                        sampler: Callable[[np.random.Generator], Any],
-                        n_samples: int, seed: int,
-                        n_streams: int = 1) -> MonteCarloEstimate:
-    """Mean and standard error of ``functional(sampler(rng))`` over seeded draws.
-
-    Parameters
-    ----------
-    functional : maps a sample to a float or a fixed-shape complex/real array.
-    sampler : maps an rng stream to one sample.
-    n_samples, seed, n_streams : the determinism contract; identical values
-        give bit-identical estimates.
-
-    Raises
-    ------
-    ValidationError : if the functional returns a non-finite value (with the
-        offending stream and sample index in the message) or changes shape.
-    """
-    shapes: set[tuple[int, ...]] = set()
-
-    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        values = [np.asarray(functional(sampler(rng))) for _ in range(count)]
-        shapes.update(value.shape for value in values)
-        if len(shapes) > 1:
-            raise ValidationError(f"functional changed shape: {sorted(shapes)}")
-        return np.stack(values)
-
-    return _estimate(draw, n_samples, n_samples, seed, n_streams)

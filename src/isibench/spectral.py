@@ -237,11 +237,6 @@ def check_nondegenerate_gaps(spectral: SpectralData,
     return ok, min_collision
 
 
-def reconstruct(spectral: SpectralData) -> np.ndarray:
-    """Sum_n E_n |v_n><v_n|; should reproduce H within the residual tolerance."""
-    return (spectral.eigenvectors * spectral.eigenvalues[None, :]) @ spectral.eigenvectors.conj().T
-
-
 def write_matrix(path, matrix: np.ndarray, layout: SpaceLayout | None = None) -> None:
     """Write a complex matrix in the package's text format.
 

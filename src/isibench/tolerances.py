@@ -33,7 +33,6 @@ class Tolerances:
     # dimension and memory caps
     decompose_dim_cap: int = 8192      # dense eigensolver refusal point
     gap_check_dim_cap: int = 4096      # the O(d^2) gap scan refuses above this
-    kernel_dim_cap: int = 4096         # dense d x d time-average kernel cap
 
     # verdict parameters
     sufficient_isi_threshold: float = 0.1  # smallness cutoff for sqrt(delta)

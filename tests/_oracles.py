@@ -1,7 +1,8 @@
 """Independent reference implementations the test suite checks against.
 
-Everything here is deliberately naive: index loops, dense propagators, and
-high-precision arithmetic. None of it shares code with the package.
+Everything here is deliberately naive: index loops, dense propagators,
+closed forms in plain numpy, and high-precision arithmetic. None of it
+shares code with the package.
 """
 
 import mpmath
@@ -26,6 +27,56 @@ def ptrace_system_loop(matrix, dim_system, dim_bath):
             for i in range(dim_system):
                 out[a, b] += matrix[i * dim_bath + a, i * dim_bath + b]
     return out
+
+
+def partial_trace_system(state, dim_system, dim_bath):
+    """Reduce a composite vector or matrix to the bath factor by one contraction."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1:
+        block = state.reshape(dim_system, dim_bath)
+        return block.T @ block.conj()
+    return np.einsum("aiaj->ij", state.reshape(dim_system, dim_bath, dim_system, dim_bath))
+
+
+def maximally_mixed(dim):
+    return np.eye(dim, dtype=complex) / dim
+
+
+def density_from_bloch(p):
+    """(1 + p.sigma)/2 for anything with components p.px, p.py, p.pz."""
+    x, y, z = p.px, p.py, p.pz
+    return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
+
+
+def reconstruct(energies, vectors):
+    """sum_n E_n |v_n><v_n|."""
+    return (vectors * energies[None, :]) @ vectors.conj().T
+
+
+def bath_averaged_equilibrium(psi, reductions, dim_bath):
+    """(1/dB) sum_n <psi|rho_n|psi> rho_n: the equilibrium state of psi (x) phi
+    averaged over Haar-uniform bath states phi."""
+    weights = np.einsum("i,nij,j->n", psi.conj(), reductions, psi).real
+    return np.einsum("n,nij->ij", weights, reductions) / dim_bath
+
+
+def subspace_averaged_equilibrium(projection, reductions):
+    """sum_n w_n rho_n with w_n = sum_r |W_rn|^2 / dR: the equilibrium state
+    averaged over Haar-uniform states of the subspace whose projection is W."""
+    weights = (np.abs(projection) ** 2).sum(axis=0) / projection.shape[0]
+    return np.einsum("n,nij->ij", weights, reductions)
+
+
+def finite_time_average(coefficients, energies, vectors, dim_system, dim_bath, horizon):
+    """Reduced state averaged over [0, horizon], in closed form.
+
+    The average of exp(-i (E_n - E_m) t) over [0, T] is exp(-i x/2) sinc(x/2)
+    at x = (E_n - E_m) T; np.sinc makes the equal-energy limit exact.
+    """
+    x = (energies[:, None] - energies[None, :]) * horizon
+    kernel = np.exp(-0.5j * x) * np.sinc(x / (2.0 * np.pi))
+    weighted = vectors * coefficients[None, :]
+    return ptrace_bath_loop(weighted @ kernel @ weighted.conj().T, dim_system, dim_bath)
 
 
 def reduced_state_loop(coefficients, energies, vectors, dim_system, dim_bath, t):

@@ -12,15 +12,14 @@ import numpy as np
 from mpmath import mp, mpf
 
 from isibench import cli
-from isibench.dynamics import equilibration_metric, finite_time_average
-from isibench.equilibrium import (EigenstateReductions, bath_averaged_equilibrium,
-                                  delta, eigenstate_reductions, overlaps,
-                                  subspace_projection, time_averaged_state)
-from isibench.hilbert import (PureState, SpaceLayout, partial_trace_bath,
-                              partial_trace_system, tensor_product, trace_distance)
+from isibench.dynamics import equilibrate, stratified_times
+from isibench.equilibrium import (EigenstateReductions, delta, eigenstate_reductions,
+                                  overlaps, subspace_projection, time_averaged_state)
+from isibench.hilbert import (PureState, SpaceLayout, partial_trace_bath, tensor_product,
+                              trace_distance)
 from isibench.models import (analytic_eigensystem, build_commuting_model,
                              build_random_model, sample_commuting_spec)
-from isibench.sampling import monte_carlo_average, sample_amplitudes, stream_generators
+from isibench.sampling import batched_monte_carlo, sample_amplitudes, stream_generators
 from isibench.spectral import eigendecompose
 from isibench.theorems import (CONCENTRATION_RATE, concentration_tail,
                                epsilon_prime, max_possible_lhs,
@@ -30,9 +29,10 @@ from isibench.theorems import (CONCENTRATION_RATE, concentration_tail,
                                theorem0_rhs, theorem0_tail_report, theorem2_lhs,
                                theorem2_reports)
 
-from _oracles import (mp_concentration_tail, mp_epsilon_prime, mp_theorem0_strong,
-                      ptrace_bath_loop, ptrace_system_loop, random_density,
-                      random_state)
+from _oracles import (bath_averaged_equilibrium, finite_time_average,
+                      mp_concentration_tail, mp_epsilon_prime, mp_theorem0_strong,
+                      partial_trace_system, ptrace_bath_loop, ptrace_system_loop,
+                      random_density, random_state)
 
 PLUS = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0), space="system")
 
@@ -121,8 +121,9 @@ def _equilibrated_fraction(spectral, layout, n_draws, seed):
     for _ in range(n_draws):
         phi = PureState(sample_amplitudes(layout.dim_bath, 1, draw_rng)[:, 0], space="bath")
         coeffs = overlaps(spectral, tensor_product(PLUS, phi))
-        metric = equilibration_metric(coeffs, spectral, layout, horizon, 2000,
-                                      rng=time_rng, reductions=reductions)
+        equilibrium = time_averaged_state(coeffs, reductions, spectral)
+        times = stratified_times(horizon, 2000, time_rng)
+        metric = equilibrate(coeffs, spectral, layout, times, equilibrium)[1]
         hits += metric <= bound
     return hits / n_draws
 
@@ -162,26 +163,29 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
     eigenvectors = spectral.eigenvectors
     matrices = reductions.matrices
 
-    def rho_bar(column):
-        populations = np.abs(eigenvectors.conj().T @ column) ** 2
-        return np.einsum("n,nij->ij", populations, matrices)
+    def rho_bar(system, bath):
+        """Equilibrium states of the product columns system (x) bath."""
+        columns = (system[:, None, :] * bath[None, :, :]).reshape(32, -1)
+        populations = np.abs(eigenvectors.conj().T @ columns) ** 2
+        return np.einsum("nc,nij->cij", populations, matrices)
 
-    closed = bath_averaged_equilibrium(PLUS, reductions).matrix
-    over_bath = monte_carlo_average(
-        lambda col: rho_bar(np.kron(PLUS.amplitudes, col)),
-        lambda rng: sample_amplitudes(16, 1, rng)[:, 0],
-        10_000, seed=42, n_streams=2)
+    closed = bath_averaged_equilibrium(PLUS.amplitudes, matrices, 16)
+    plus = PLUS.amplitudes[:, None]
+    over_bath = batched_monte_carlo(lambda bath: rho_bar(plus, bath), 16, 32,
+                                    10_000, seed=42, n_streams=2)
     gap = np.abs(over_bath.mean - closed)
     if not np.all(gap <= 3.0 * over_bath.standard_error + 1e-15):
         failures.append(f"bath average misses the closed form by "
                         f"{(gap / (over_bath.standard_error + 1e-300)).max():.1f} SE")
 
-    def joint_product(rng):
-        a = sample_amplitudes(2, 1, rng)[:, 0]
-        b = sample_amplitudes(16, 1, rng)[:, 0]
-        return np.kron(a, b)
+    def joint_product(columns):
+        # one draw of C^18 is the draws of C^2 and C^16 in turn; each factor
+        # is renormalised on its own
+        system, bath = columns[:2], columns[2:]
+        return rho_bar(system / np.linalg.norm(system, axis=0),
+                       bath / np.linalg.norm(bath, axis=0))
 
-    over_joint = monte_carlo_average(rho_bar, joint_product, 10_000,
+    over_joint = batched_monte_carlo(joint_product, 18, 32, 10_000,
                                      seed=43, n_streams=2)
     gap = np.abs(over_joint.mean - np.eye(2) / 2.0)
     if not np.all(gap <= 3.0 * over_joint.standard_error + 1e-15):
@@ -361,9 +365,9 @@ def test_criterion_7_average_and_trace_oracles(capsys):
         coeffs = overlaps(spectral, initial)
         exact = time_averaged_state(coeffs, reductions, spectral)
         horizon = 1.0e4 / spectral.min_level_spacing
-        windowed = finite_time_average(coeffs, spectral, layout, horizon)
-        worst_distance = max(worst_distance,
-                             trace_distance(exact.matrix, windowed.matrix))
+        windowed = finite_time_average(coeffs.values, spectral.eigenvalues,
+                                       spectral.eigenvectors, 2, 8, horizon)
+        worst_distance = max(worst_distance, trace_distance(exact.matrix, windowed))
     if worst_distance > 5e-3:
         failures.append(f"finite-horizon average drifts {worst_distance:.2e} "
                         "from the infinite-time state")
@@ -383,7 +387,7 @@ def test_criterion_7_average_and_trace_oracles(capsys):
             worst_trace,
             float(np.abs(partial_trace_bath(rho, pair_layout).matrix
                          - ptrace_bath_loop(rho, ds, db)).max()),
-            float(np.abs(partial_trace_system(rho, pair_layout).matrix
+            float(np.abs(partial_trace_system(rho, ds, db)
                          - ptrace_system_loop(rho, ds, db)).max()))
     if worst_trace > 1e-12:
         failures.append(f"partial traces drift {worst_trace:.2e} from the "

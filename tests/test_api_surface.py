@@ -1,0 +1,60 @@
+"""The package's public definitions are the ones its own code reaches.
+
+A public module-level function or class that nothing in the package refers
+to is API that no command and no bound uses: it belongs with the tests'
+oracles, or nowhere.  ``__init__.py`` only re-exports, so it is neither
+scanned nor counted as a use.  A reference is a name or an attribute with
+the definition's name (through import aliases) outside the definition's own
+body.
+"""
+
+import ast
+from pathlib import Path
+
+import isibench
+
+PACKAGE = Path(isibench.__file__).parent
+
+# Public definitions that nothing in the package calls, each with its reason.
+KEEPERS = {
+    "write_matrix": "writes the matrix format that model kind 'file' reads",
+    "read_report": "reads report files back; the benchmark checks use it",
+    "trace_distance": "the benchmark's tracer test looks it up under theorems",
+    "partial_trace_bath": "acceptance criterion 7 pins it to the index-loop oracle",
+}
+
+
+def _unreferenced() -> set[str]:
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    aliases = {alias.asname: alias.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+    references: dict[str, set[int]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = aliases.get(node.id, node.id)
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            references.setdefault(name, set()).add(id(node))
+    unreferenced = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                own = {id(inner) for inner in ast.walk(node)}
+                if not references.get(node.name, set()) - own:
+                    unreferenced.add(node.name)
+    return unreferenced
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    extra = sorted(_unreferenced() - KEEPERS.keys())
+    assert not extra, f"public definitions that nothing in the package uses: {extra}"
+
+
+def test_every_keeper_still_lacks_a_caller():
+    stale = sorted(KEEPERS.keys() - _unreferenced())
+    assert not stale, f"keepers that the package now calls: {stale}"

@@ -484,6 +484,57 @@ class TestInputHardening:
         assert result.stderr.startswith("error: spectrum has ")
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("config, overrides", [
+        ("cucchietti", ["model.n_spins=64"]),
+        ("sec5_violation", ["model.dim_bath=10000000000000"]),
+        ("random_contrast", ["model.dim_bath=1000000000"]),
+    ], ids=["cucchietti", "commuting", "random"])
+    def test_oversized_model_exits_3_before_anything_is_drawn(self, tmp_path, capsys,
+                                                             config, overrides):
+        if config == "cucchietti":
+            config = _write_cfg(tmp_path, "[model]\nkind = cucchietti\nn_spins = 4\n")
+        out_dir = tmp_path / "out"
+        argv = ["run", "--config", config, "--out", str(out_dir)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: composite dimension ") and err.count("\n") == 1
+        assert "tolerances.decompose_dim_cap" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "equilibrium"])
+    def test_degenerate_spectrum_exits_4_before_any_file(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "out"
+        assert cli.main([command, "--config", "sec5_violation",
+                         "--override", "model.dim_bath=4",
+                         "--override", "model.level_splitting=1e200",
+                         "--out", str(out_dir)]) == 4
+        assert capsys.readouterr().err.startswith("error: spectrum has ")
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_degenerate_spectrum_leaves_bounds_a_note(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli.main(["bounds", "--config", "sec5_violation",
+                         "--override", "model.dim_bath=4",
+                         "--override", "model.level_splitting=1e200",
+                         "--override", "analysis.theorems=SufficientISI,T2ii",
+                         "--out", str(out_dir)]) == 0
+        assert "note: spectrum is degenerate" in capsys.readouterr().out
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "report_SufficientISI.json", "report_T2ii.json"]
+
+    @pytest.mark.parametrize("command", ["dynamics", "run"])
+    def test_evolution_cap_exits_3_naming_n_times(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "out"
+        assert cli.main([command, "--config", "sec5_violation",
+                         "--override", "dynamics.n_times=40000",
+                         "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dynamics.n_times to at most 39062" in err
+        assert not out_dir.exists()
+
 
 class TestDegenerateSpectrumSkip:
     def test_allow_degenerate_skips_t0_reports_with_notes(self, tmp_path, capsys):

@@ -1,21 +1,21 @@
 import math
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
 
 from isibench import (CapExceededError, PureState, SpaceLayout, Trajectory,
                       ValidationError, assemble, eigendecompose,
-                      eigenstate_reductions, equilibration_metric,
-                      evolve_reduced, finite_time_average, overlaps,
+                      eigenstate_reductions, equilibrate, evolve_reduced, overlaps,
                       partial_trace_bath, stratified_times,
                       time_averaged_state, trace_distance, tensor_product,
                       write_trajectory_csv)
+from isibench.dynamics import EVOLUTION_ELEMENT_CAP
 from isibench.hilbert import SIGMA_Z
 from isibench.models import analytic_eigensystem, sample_commuting_spec
-from isibench.tolerances import DEFAULT
 
-from _oracles import expm_propagate, ptrace_bath_loop, random_hermitian, random_state, reduced_state_loop
+from _oracles import (expm_propagate, finite_time_average, ptrace_bath_loop,
+                      random_hermitian, random_state, reduced_state_loop)
 
 
 def _evolution_problem(ds, db, seed):
@@ -26,6 +26,21 @@ def _evolution_problem(ds, db, seed):
     state = PureState(random_state(layout.dim_total, rng), space="composite")
     coeffs = overlaps(spectral, state)
     return ham, layout, spectral, state, coeffs, rng
+
+
+def _equilibration_metric(coeffs, spectral, layout, horizon, n_times, rng=None):
+    """Mean trace distance to the infinite-time average on a stratified grid,
+    computed as the dynamics stage does."""
+    equilibrium = time_averaged_state(coeffs, eigenstate_reductions(spectral, layout),
+                                      spectral)
+    times = stratified_times(horizon, n_times, rng)
+    return equilibrate(coeffs, spectral, layout, times, equilibrium)[1]
+
+
+def _window_average(coeffs, spectral, layout, horizon):
+    """The oracle's closed-form average of the reduced state over [0, horizon]."""
+    return finite_time_average(coeffs.values, spectral.eigenvalues, spectral.eigenvectors,
+                               layout.dim_system, layout.dim_bath, horizon)
 
 
 class TestEvolveReduced:
@@ -118,23 +133,23 @@ class TestEquilibrationMetric:
         ham, layout, spectral, _, _, rng = _evolution_problem(2, 4, 23)
         coeffs = overlaps(spectral, PureState(spectral.eigenvectors[:, 2],
                                               space="composite"))
-        value = equilibration_metric(coeffs, spectral, layout, horizon=25.0,
-                                     n_times=64, rng=rng)
+        value = _equilibration_metric(coeffs, spectral, layout, horizon=25.0,
+                                      n_times=64, rng=rng)
         assert value < 1e-12
 
     def test_positive_and_small_for_generic_state(self):
         ham, layout, spectral, state, coeffs, rng = _evolution_problem(2, 16, 29)
-        value = equilibration_metric(coeffs, spectral, layout,
-                                     horizon=2000.0 / spectral.min_level_spacing,
-                                     n_times=400, rng=rng)
+        value = _equilibration_metric(coeffs, spectral, layout,
+                                      horizon=2000.0 / spectral.min_level_spacing,
+                                      n_times=400, rng=rng)
         assert 0.0 < value < 0.5
 
     def test_matches_direct_computation(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 31)
         reductions = eigenstate_reductions(spectral, layout)
         horizon, n_times = 40.0, 32
-        value = equilibration_metric(coeffs, spectral, layout, horizon=horizon,
-                                     n_times=n_times, reductions=reductions)
+        value = _equilibration_metric(coeffs, spectral, layout, horizon=horizon,
+                                      n_times=n_times)
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
         times = stratified_times(horizon, n_times)
         trajectory = evolve_reduced(coeffs, spectral, layout, times)
@@ -148,8 +163,10 @@ class TestFiniteTimeAverage:
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 37)
         times = np.linspace(0.0, 30.0, 16)
         trajectory = evolve_reduced(coeffs, spectral, layout, times)
-        rho = finite_time_average(trajectory)
-        assert np.abs(rho.matrix - trajectory.states.mean(axis=0)).max() < 1e-14
+        rho = np.mean([reduced_state_loop(coeffs.values, spectral.eigenvalues,
+                                          spectral.eigenvectors, 2, 4, t)
+                       for t in times], axis=0)
+        assert np.abs(rho - trajectory.states.mean(axis=0)).max() < 1e-14
 
     def test_eigenstate_average_is_stationary(self):
         ham, layout, spectral, _, _, _ = _evolution_problem(2, 4, 41)
@@ -157,25 +174,25 @@ class TestFiniteTimeAverage:
         coeffs = overlaps(spectral, PureState(spectral.eigenvectors[:, k],
                                               space="composite"))
         reductions = eigenstate_reductions(spectral, layout)
-        rho = finite_time_average(coeffs, spectral, layout, horizon=7.7)
-        assert np.abs(rho.matrix - reductions.matrices[k]).max() < 1e-12
+        rho = _window_average(coeffs, spectral, layout, horizon=7.7)
+        assert np.abs(rho - reductions.matrices[k]).max() < 1e-12
 
     def test_kernel_path_matches_dense_time_sampling(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 6, 43)
         horizon = 35.0
-        closed = finite_time_average(coeffs, spectral, layout, horizon=horizon)
+        closed = _window_average(coeffs, spectral, layout, horizon=horizon)
         times = np.linspace(0.0, horizon, 20001)
         trajectory = evolve_reduced(coeffs, spectral, layout, times)
         from scipy.integrate import simpson
         sampled = simpson(trajectory.states, x=times, axis=0) / horizon
-        assert np.abs(closed.matrix - sampled).max() < 1e-6
+        assert np.abs(closed - sampled).max() < 1e-6
 
     def test_long_horizon_approaches_infinite_time_average(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 2, 47)
         reductions = eigenstate_reductions(spectral, layout)
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
         horizon = 1e4 / spectral.min_level_spacing
-        rho = finite_time_average(coeffs, spectral, layout, horizon=horizon)
+        rho = _window_average(coeffs, spectral, layout, horizon=horizon)
         assert trace_distance(rho, equilibrium) < 5e-3
 
     def test_residual_decays_like_one_over_horizon(self):
@@ -183,8 +200,7 @@ class TestFiniteTimeAverage:
         reductions = eigenstate_reductions(spectral, layout)
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
         horizons = np.array([1e2, 1e3, 1e4, 1e5]) / spectral.min_level_spacing
-        residuals = [trace_distance(finite_time_average(coeffs, spectral, layout,
-                                                        horizon=h),
+        residuals = [trace_distance(_window_average(coeffs, spectral, layout, horizon=h),
                                     equilibrium)
                      for h in horizons]
         slope = np.polyfit(np.log(horizons), np.log(residuals), 1)[0]
@@ -193,24 +209,24 @@ class TestFiniteTimeAverage:
     def test_sampled_path_agrees_with_kernel_at_scale(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 8, 59)
         horizon = 200.0
-        closed = finite_time_average(coeffs, spectral, layout, horizon=horizon)
-        sampled = finite_time_average(coeffs, spectral, layout, horizon=horizon,
-                                      n_times=40000,
-                                      rng=np.random.default_rng(61))
+        closed = _window_average(coeffs, spectral, layout, horizon=horizon)
+        times = stratified_times(horizon, 40000, np.random.default_rng(61))
+        sampled = evolve_reduced(coeffs, spectral, layout, times).states.mean(axis=0)
         assert trace_distance(closed, sampled) < 5e-3
 
-    def test_kernel_cap_suggests_sampling(self):
+    def test_evolution_cap_names_the_largest_n_times(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 67)
-        tight = replace(DEFAULT, kernel_dim_cap=4)
-        with pytest.raises(CapExceededError, match="n_times"):
-            finite_time_average(coeffs, spectral, layout, horizon=5.0,
-                                tolerances=tight)
+        with pytest.raises(CapExceededError, match="n_times") as caught:
+            evolve_reduced(coeffs, spectral, layout,
+                           np.zeros(EVOLUTION_ELEMENT_CAP // 8 + 1))
+        largest = int(re.search(r"dynamics\.n_times to at most (\d+)",
+                                str(caught.value)).group(1))
+        assert 8 * largest <= EVOLUTION_ELEMENT_CAP < 8 * (largest + 1)
 
-    def test_trajectory_source_takes_no_extra_arguments(self):
+    def test_evolution_needs_a_time_vector(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 2, 71)
-        trajectory = evolve_reduced(coeffs, spectral, layout, np.array([0.0, 1.0]))
         with pytest.raises(ValidationError):
-            finite_time_average(trajectory, horizon=3.0)
+            evolve_reduced(coeffs, spectral, layout, np.array([[0.0, 1.0]]))
 
 
 class TestTrajectoryCsv:

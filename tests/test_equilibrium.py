@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from isibench import (DegenerateSpectrumError, DensityMatrix, PureState,
-                      SpaceLayout, ValidationError, assemble,
-                      bath_averaged_equilibrium, delta,
-                      eigendecompose, eigenstate_reductions,
-                      maximally_mixed, monte_carlo_average, overlaps, sample_amplitudes,
-                      sample_commuting_spec, subspace_averaged_equilibrium,
-                      subspace_projection, tensor_product, time_averaged_state,
+                      SpaceLayout, ValidationError, assemble, batched_monte_carlo,
+                      delta, eigendecompose, eigenstate_reductions, overlaps,
+                      sample_commuting_spec, subspace_projection, time_averaged_state,
                       trace_distance, write_reductions_csv)
-from isibench.equilibrium import projection_weights
+from isibench.equilibrium import projection_weights, weighted_reduction
 from isibench.models import analytic_eigensystem, build_commuting_model
 from isibench.spectral import SpectralData
 
-from _oracles import kron_projection, ptrace_bath_loop, random_hermitian, random_state
+from _oracles import (bath_averaged_equilibrium, kron_projection, maximally_mixed,
+                      ptrace_bath_loop, random_hermitian, random_state,
+                      subspace_averaged_equilibrium)
 
 
 def _random_problem(ds, db, seed):
@@ -26,10 +25,14 @@ def _random_problem(ds, db, seed):
     return layout, spectral, eigenstate_reductions(spectral, layout), rng
 
 
-def _product_draw(psi, dim_bath):
-    """A sampler of psi (x) phi over Haar-uniform bath states phi."""
-    return lambda rng: tensor_product(
-        psi, PureState(sample_amplitudes(dim_bath, 1, rng)[:, 0], space="bath"))
+def _product_equilibria(psi, spectral, reductions):
+    """The batched functional mapping (dB, count) bath states phi to the
+    (count, dS, dS) equilibrium states of psi (x) phi."""
+    def values(phis):
+        columns = np.kron(psi.amplitudes[:, None], phis)
+        populations = np.abs(spectral.eigenvectors.conj().T @ columns) ** 2
+        return weighted_reduction(populations.T, reductions)
+    return values
 
 
 class TestOverlaps:
@@ -232,21 +235,22 @@ class TestBathAveragedEquilibrium:
         ham = assemble(hs, np.zeros((1, 1)), None)
         reductions = eigenstate_reductions(eigendecompose(ham), ham.layout)
         psi = PureState(random_state(2, rng), space="system")
-        rho = bath_averaged_equilibrium(psi, reductions)
+        rho = bath_averaged_equilibrium(psi.amplitudes, reductions.matrices, 1)
         system = eigendecompose(hs)
         expected = np.zeros((2, 2), dtype=complex)
         for n in range(2):
             v = system.eigenvectors[:, n]
             expected += abs(v.conj() @ psi.amplitudes) ** 2 * np.outer(v, v.conj())
-        assert np.abs(rho.matrix - expected).max() < 1e-12
+        assert np.abs(rho - expected).max() < 1e-12
 
     def test_agrees_with_product_subspace_average(self):
         layout, spectral, reductions, rng = _random_problem(2, 8, 83)
         psi = PureState(random_state(2, rng), space="system")
-        closed = bath_averaged_equilibrium(psi, reductions)
+        closed = bath_averaged_equilibrium(psi.amplitudes, reductions.matrices,
+                                           layout.dim_bath)
         via_weights = subspace_averaged_equilibrium(subspace_projection(spectral, layout, psi),
-                                                    reductions)
-        assert np.abs(closed.matrix - via_weights.matrix).max() < 1e-12
+                                                    reductions.matrices)
+        assert np.abs(closed - via_weights).max() < 1e-12
 
     def test_system_basis_average_recovers_maximally_mixed(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 89)
@@ -254,22 +258,17 @@ class TestBathAveragedEquilibrium:
         for i in range(2):
             e = np.zeros(2)
             e[i] = 1.0
-            accum += bath_averaged_equilibrium(PureState(e, space="system"),
-                                               reductions).matrix
+            accum += bath_averaged_equilibrium(e, reductions.matrices, layout.dim_bath)
         assert np.abs(accum / 2 - np.eye(2) / 2).max() < 1e-10
 
     def test_monte_carlo_over_bath_states_matches_closed_form(self):
         layout, spectral, reductions, rng = _random_problem(2, 8, 97)
         psi = PureState(random_state(2, rng), space="system")
 
-        def functional(state):
-            coeffs = overlaps(spectral, state)
-            return time_averaged_state(coeffs, reductions, spectral).matrix
-
-        est = monte_carlo_average(functional, _product_draw(psi, 8), n_samples=4000,
-                                  seed=101, n_streams=2)
-        closed = bath_averaged_equilibrium(psi, reductions)
-        gap = np.abs(est.mean - closed.matrix)
+        est = batched_monte_carlo(_product_equilibria(psi, spectral, reductions), dim=8,
+                                  width=16, n_samples=4000, seed=101, n_streams=2)
+        closed = bath_averaged_equilibrium(psi.amplitudes, reductions.matrices, 8)
+        gap = np.abs(est.mean - closed)
         assert np.all(gap <= 3.0 * est.standard_error + 1e-12)
 
     def test_product_overlap_identity(self):
@@ -289,21 +288,17 @@ class TestBathAveragedEquilibrium:
     def test_monte_carlo_error_decays_as_root_n(self):
         layout, spectral, reductions, rng = _random_problem(2, 8, 107)
         psi = PureState(random_state(2, rng), space="system")
-        closed = bath_averaged_equilibrium(psi, reductions)
-
-        def functional(state):
-            coeffs = overlaps(spectral, state)
-            return time_averaged_state(coeffs, reductions, spectral).matrix
+        closed = bath_averaged_equilibrium(psi.amplitudes, reductions.matrices, 8)
+        functional = _product_equilibria(psi, spectral, reductions)
 
         sizes = (256, 2048, 16384)
         mean_errors = []
         for size in sizes:
             errors = [
                 trace_distance(
-                    monte_carlo_average(functional,
-                                        _product_draw(psi, 8),
-                                        n_samples=size, seed=1000 * size + rep).mean,
-                    closed.matrix)
+                    batched_monte_carlo(functional, dim=8, width=16, n_samples=size,
+                                        seed=1000 * size + rep).mean,
+                    closed)
                 for rep in range(6)
             ]
             mean_errors.append(np.mean(errors))
@@ -315,12 +310,14 @@ class TestFullAverage:
     def test_full_average_is_maximally_mixed(self):
         # completeness of the eigenbasis makes the full-space average I/dS
         layout, spectral, reductions, _ = _random_problem(3, 5, 131)
-        rho = subspace_averaged_equilibrium(subspace_projection(spectral, layout), reductions)
-        assert np.abs(rho.matrix - np.eye(3) / 3).max() < 1e-12
+        rho = subspace_averaged_equilibrium(subspace_projection(spectral, layout),
+                                            reductions.matrices)
+        assert np.abs(rho - np.eye(3) / 3).max() < 1e-12
 
     def test_full_subspace_average_matches(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 137)
-        rho = subspace_averaged_equilibrium(subspace_projection(spectral, layout), reductions)
+        rho = subspace_averaged_equilibrium(subspace_projection(spectral, layout),
+                                            reductions.matrices)
         assert trace_distance(rho, maximally_mixed(layout.dim_system)) < 1e-10
 
 

@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from isibench import (PureState, SpaceLayout, ValidationError, monte_carlo_average,
-                      partial_trace_bath, sample_amplitudes, split_counts,
+from isibench import (SpaceLayout, ValidationError, batched_monte_carlo,
+                      batched_partial_trace_bath, sample_amplitudes, split_counts,
                       stream_generators)
 
 from _oracles import ks_uniform_statistic
-
-
-def _haar_state(dim):
-    """A sampler of Haar-uniform composite states of C^dim."""
-    return lambda rng: PureState(sample_amplitudes(dim, 1, rng)[:, 0], space="composite")
 
 
 class TestUniformSampling:
@@ -38,10 +33,18 @@ class TestUniformSampling:
         assert np.array_equal(batch, singles)
 
 
+def _population(level):
+    """The batched functional |a_level|^2 of amplitude columns."""
+    return lambda amplitudes: np.abs(amplitudes[level]) ** 2
+
+
+def _constant(value):
+    return lambda amplitudes: np.full(amplitudes.shape[1], value)
+
+
 class TestMonteCarlo:
     def test_constant_functional(self):
-        est = monte_carlo_average(lambda s: 1.0,
-                                  lambda rng: rng.standard_normal(), 100, seed=1)
+        est = batched_monte_carlo(_constant(1.0), dim=1, width=1, n_samples=100, seed=1)
         assert est.mean == 1.0
         assert est.standard_error == 0.0
         assert est.n_samples == 100
@@ -49,49 +52,39 @@ class TestMonteCarlo:
     def test_reduction_over_full_space_is_maximally_mixed(self):
         layout = SpaceLayout(2, 8)
 
-        def functional(state):
-            return partial_trace_bath(state, layout).matrix
+        def reductions(amplitudes):
+            return batched_partial_trace_bath(amplitudes, layout)
 
-        est = monte_carlo_average(functional, _haar_state(16), 2000, seed=8)
+        est = batched_monte_carlo(reductions, dim=16, width=16, n_samples=2000, seed=8)
         deviation = np.abs(est.mean - np.eye(2) / 2)
         assert (deviation <= 3 * est.standard_error + 1e-12).all()
 
     def test_amplitude_second_moment(self):
-        def functional(state):
-            return abs(state.amplitudes[0]) ** 2
-
-        est = monte_carlo_average(functional, _haar_state(8), 4000, seed=9)
+        est = batched_monte_carlo(_population(0), dim=8, width=8, n_samples=4000, seed=9)
         assert abs(est.mean - 1.0 / 8.0) < 3 * est.standard_error
 
     def test_requires_two_samples(self):
         with pytest.raises(ValidationError):
-            monte_carlo_average(lambda s: s, lambda rng: 1.0, 1, seed=0)
+            batched_monte_carlo(_constant(1.0), dim=1, width=1, n_samples=1, seed=0)
 
     def test_non_finite_value_aborts_with_diagnostic(self):
-        def functional(sample):
-            return math.nan
-
         with pytest.raises(ValidationError, match="stream"):
-            monte_carlo_average(functional, lambda rng: 0.0, 10, seed=0)
+            batched_monte_carlo(_constant(math.nan), dim=1, width=1, n_samples=10, seed=0)
 
     def test_reproducible_across_runs(self):
-        def functional(state):
-            return abs(state.amplitudes[1]) ** 2
-
         def run():
-            return monte_carlo_average(functional, _haar_state(4), 500, seed=77,
-                                       n_streams=4)
+            return batched_monte_carlo(_population(1), dim=4, width=4, n_samples=500,
+                                       seed=77, n_streams=4)
 
         first, second = run(), run()
         assert first.mean == second.mean
         assert first.standard_error == second.standard_error
 
     def test_stream_count_changes_partition_not_statistics(self):
-        def functional(state):
-            return abs(state.amplitudes[0]) ** 2
-
-        one = monte_carlo_average(functional, _haar_state(4), 3000, seed=10, n_streams=1)
-        four = monte_carlo_average(functional, _haar_state(4), 3000, seed=10, n_streams=4)
+        one = batched_monte_carlo(_population(0), dim=4, width=4, n_samples=3000,
+                                  seed=10, n_streams=1)
+        four = batched_monte_carlo(_population(0), dim=4, width=4, n_samples=3000,
+                                   seed=10, n_streams=4)
         assert abs(one.mean - 0.25) < 3 * one.standard_error
         assert abs(four.mean - 0.25) < 3 * four.standard_error
 
