@@ -3,7 +3,7 @@
 Subcommands run the pipeline stages standalone or end to end:
 
     model-info   build the model and print dimensions, norms, commutators
-    spectrum     diagonalize and write spectrum.csv with degeneracy checks
+    spectrum     diagonalize and write spectrum.csv with the degeneracy check
     equilibrium  eigenstate reductions, time-averaged state, delta
     bounds       evaluate the configured theorem reports
     dynamics     reduced evolution, trajectory.csv, equilibration metric
@@ -36,8 +36,8 @@ import numpy as np
 
 from .dynamics import Trajectory, equilibrate, stratified_times, write_trajectory_csv
 from .equilibrium import (EigenstateReductions, OverlapCoefficients,
-                          eigenstate_reductions, overlaps, subspace_projection,
-                          time_averaged_state, write_reductions_csv)
+                          eigenstate_reductions, overlaps, require_nondegenerate,
+                          subspace_projection, time_averaged_state, write_reductions_csv)
 from .equilibrium import delta as subspace_delta
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
@@ -46,9 +46,8 @@ from .hilbert import (DensityMatrix, PureState, SpaceLayout, bloch_vector, purit
 from .models import (analytic_eigensystem, build_commuting_model, build_random_model,
                      sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import sample_amplitudes, stream_generators
-from .spectral import (CompositeHamiltonian, SpectralData, check_nondegenerate_gaps,
-                       check_nondegenerate_spectrum, eigendecompose, read_matrix,
-                       write_csv)
+from .spectral import (CompositeHamiltonian, SpectralData, check_nondegenerate_spectrum,
+                       eigendecompose, read_matrix, write_csv)
 from .theorems import (THEOREM_IDS, THEOREMS, TheoremReport, necessary_condition_lhs,
                        theorem2_lhs, theorem2_reports, write_report)
 from .tolerances import DEFAULT, Tolerances
@@ -202,15 +201,11 @@ class ExperimentConfig:
     tolerances: Tolerances = DEFAULT
 
 
-# The [tolerances] entries: the fields of Tolerances that a run reads.
+# The [tolerances] entries: one per field of Tolerances, a cap or a threshold.
 _TOLERANCE_KEYS = {
-    **{name: ConfigKey(f"tolerances.{name}", int, 1)
-       for name in ("decompose_dim_cap", "gap_check_dim_cap")},
-    **{name: ConfigKey(f"tolerances.{name}", _parse_finite, 0.0)
-       for name in ("hamiltonian_asymmetry", "residual", "unitarity",
-                    "spectrum_degeneracy", "gap_degeneracy",
-                    "sufficient_isi_threshold", "verdict_boundary")},
-}
+    f.name: ConfigKey(f"tolerances.{f.name}", int, 1) if isinstance(f.default, int)
+    else ConfigKey(f"tolerances.{f.name}", _parse_finite, 0.0)
+    for f in fields(Tolerances)}
 CONFIG_KEYS = {key.name: key for key in [
     *(f.metadata["key"] for f in fields(ExperimentConfig) if f.metadata),
     *_TOLERANCE_KEYS.values()]}
@@ -538,9 +533,8 @@ class Pipeline:
     def dynamics(self) -> tuple[float, Trajectory, float]:
         """(horizon, trajectory, mean trace distance to the time average)."""
         spectral = self.spectral
-        if spectral.min_level_spacing <= 0.0:
-            raise ValidationError("degenerate spectrum gives no gap timescale for the "
-                                  "evolution horizon")
+        # The horizon divides by the level spacing: allow_degenerate cannot apply.
+        require_nondegenerate(spectral, self.config.tolerances)
         horizon = self.config.horizon_over_min_gap / spectral.min_level_spacing
         rng = stream_generators(self.seed("dynamics"), 1)[0]
         times = stratified_times(horizon, self.config.n_times, rng)
@@ -573,21 +567,13 @@ class Pipeline:
 # ------------------------------------------------------------------ lines --
 
 def _spectrum_lines(pipe: Pipeline) -> list[str]:
-    spectral, tolerances = pipe.spectral, pipe.config.tolerances
     spectrum_ok, spacing = pipe.spectrum_check
-    lines = [
-        f"dimension: {spectral.dim}",
-        f"spectral norm: {spectral.spectral_norm:.6g}",
+    return [
+        f"dimension: {pipe.spectral.dim}",
+        f"spectral norm: {pipe.spectral.spectral_norm:.6g}",
         f"min level spacing: {spacing:.6g}",
         f"nondegenerate spectrum: {str(spectrum_ok).lower()}",
     ]
-    if spectral.dim > tolerances.gap_check_dim_cap:
-        lines.append("nondegenerate gaps: skipped (dimension above cap)")
-    else:
-        gaps_ok, collision = check_nondegenerate_gaps(spectral, tolerances)
-        lines.append(f"nondegenerate gaps: {str(gaps_ok).lower()} "
-                     f"(min gap collision {collision:.6g})")
-    return lines
 
 
 def _write_spectrum_csv(path: Path, spectral: SpectralData) -> None:
@@ -824,7 +810,7 @@ def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
 _COMMANDS = {
     "run": (_cmd_run, "full pipeline with summary"),
     "model-info": (_cmd_model_info, "print model dimensions, norms, and commutator checks"),
-    "spectrum": (_cmd_spectrum, "diagonalize and run degeneracy checks"),
+    "spectrum": (_cmd_spectrum, "diagonalize and run the degeneracy check"),
     "equilibrium": (_cmd_equilibrium, "eigenstate reductions and the time-averaged state"),
     "bounds": (_cmd_bounds, "evaluate the configured theorem reports"),
     "dynamics": (_cmd_dynamics, "reduced evolution and equilibration metric"),

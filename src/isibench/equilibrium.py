@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
-from .hilbert import (DensityMatrix, PureState, SpaceLayout, batched_bloch_vectors,
-                      check_density_stack)
-from .spectral import (SpectralData, check_nondegenerate_spectrum, degenerate_level_pairs,
-                       write_csv)
+from .hilbert import (STATE_NORM_TOL, DensityMatrix, PureState, SpaceLayout,
+                      batched_bloch_vectors, check_density_stack)
+from .spectral import SpectralData, degenerate_level_pairs, write_csv
 from .tolerances import DEFAULT, Tolerances
+
+COMPLETENESS_TOL = 1e-10  # max |(1/d) sum_n rho_n - I/dS|
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class OverlapCoefficients:
         if vals.ndim != 1 or vals.size == 0:
             raise ValidationError(f"coefficients must be a vector, got shape {vals.shape}")
         total = float(np.sum(np.abs(vals) ** 2))
-        if abs(total - 1.0) > DEFAULT.state_norm:
+        if abs(total - 1.0) > STATE_NORM_TOL:
             raise ValidationError(f"sum |c_n|^2 = {total:.15g} deviates from 1")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -77,7 +78,7 @@ class EigenstateReductions:
             raise ValidationError(f"expected ({d}, {ds}, {ds}) reductions, got {mats.shape}")
         check_density_stack("eigenstate reductions", mats)
         completeness = float(np.abs(mats.mean(axis=0) - np.eye(ds) / ds).max())
-        if completeness > DEFAULT.completeness:
+        if completeness > COMPLETENESS_TOL:
             raise ValidationError(
                 f"eigenbasis completeness violated: |(1/d) sum rho_n - I/dS| = "
                 f"{completeness:.3e}"
@@ -126,34 +127,25 @@ def eigenstate_reductions(spectral: SpectralData,
 
 
 def require_nondegenerate(spectral: SpectralData, tolerances: Tolerances = DEFAULT,
-                          allow_degenerate: bool = False) -> bool:
+                          allow_degenerate: bool = False) -> list[tuple[int, int]]:
     """Gate for formulas that assume a nondegenerate spectrum.
 
-    Returns True when the hypothesis holds.  When it fails: raises
-    DegenerateSpectrumError naming the colliding levels, unless
-    ``allow_degenerate`` asks to proceed (then returns False so the caller
-    can mark its output as computed under a violated hypothesis).
+    Returns the degenerate level pairs, empty when the hypothesis holds.  When
+    there are some it raises DegenerateSpectrumError naming them, unless
+    ``allow_degenerate`` asks to proceed (the caller then marks its output as
+    computed under a violated hypothesis).
     """
-    ok, _ = check_nondegenerate_spectrum(spectral, tolerances)
-    if ok:
-        return True
-    if not allow_degenerate:
-        pairs = degenerate_level_pairs(spectral, tolerances)
+    pairs = degenerate_level_pairs(spectral, tolerances)
+    if pairs and not allow_degenerate:
         shown = ", ".join(f"({a}, {b})" for a, b in pairs[:8])
         more = "" if len(pairs) <= 8 else f" and {len(pairs) - 8} more"
         raise DegenerateSpectrumError(
             f"spectrum has {len(pairs)} degenerate level pair(s): {shown}{more}; "
-            "pass allow_degenerate=True to average over degenerate blocks",
+            "set analysis.allow_degenerate = true to average over degenerate blocks "
+            "(the dynamics needs a nondegenerate spectrum either way)",
             colliding=pairs,
         )
-    return False
-
-
-def _degenerate_blocks(spectral: SpectralData, tolerances: Tolerances) -> list[np.ndarray]:
-    """Partition level indices into clusters closer than the degeneracy threshold."""
-    threshold = tolerances.spectrum_degeneracy * spectral.spectral_norm
-    splits = np.nonzero(np.diff(spectral.eigenvalues) > threshold)[0] + 1
-    return np.split(np.arange(spectral.dim), splits)
+    return pairs
 
 
 def time_averaged_state(coefficients: OverlapCoefficients, reductions: EigenstateReductions,
@@ -164,18 +156,20 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
     The formula needs a nondegenerate spectrum; degenerate inputs are refused
     with the colliding levels named.  With ``allow_degenerate=True`` the
     average is computed block-exactly instead (project the initial state onto
-    each near-degenerate energy block, reduce, and sum), which is the correct
-    infinite-time average when the degeneracy is exact; callers should mark
-    such output as obtained under a violated hypothesis.
+    each block of levels joined by degenerate pairs, reduce, and sum), which
+    is the correct infinite-time average when the degeneracy is exact;
+    callers should mark such output as obtained under a violated hypothesis.
     """
     if coefficients.dim != spectral.dim or reductions.dim != spectral.dim:
         raise ValidationError("coefficients, reductions, and spectral data disagree on d")
-    if require_nondegenerate(spectral, tolerances, allow_degenerate):
+    pairs = require_nondegenerate(spectral, tolerances, allow_degenerate)
+    if not pairs:
         return DensityMatrix(weighted_reduction(coefficients.populations, reductions),
                              space="system")
     layout = reductions.layout
+    splits = np.setdiff1d(np.arange(1, spectral.dim), [b for _, b in pairs])
     mat = np.zeros((layout.dim_system, layout.dim_system), dtype=complex)
-    for block in _degenerate_blocks(spectral, tolerances):
+    for block in np.split(np.arange(spectral.dim), splits):
         component = spectral.eigenvectors[:, block] @ coefficients.values[block]
         piece = component.reshape(layout.dim_system, layout.dim_bath)
         mat += piece @ piece.conj().T

@@ -14,7 +14,7 @@ class CapExceededError(IsibenchError):
 
 
 class DegenerateSpectrumError(IsibenchError):
-    """The spectrum (or gap structure) violates a nondegeneracy hypothesis.
+    """The spectrum violates the nondegeneracy hypothesis.
 
     ``colliding`` holds index pairs of the offending levels when known.
     """

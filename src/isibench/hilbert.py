@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tolerances import DEFAULT
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -26,6 +25,13 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 VALID_SPACES = ("system", "bath", "composite")
+
+# Invariants of the value types, fixed rather than configurable.
+STATE_NORM_TOL = 1e-12      # |norm(psi) - 1|, also sum |c_n|^2 - 1
+HERMITICITY_TOL = 1e-12     # max |M - M^dagger| for density matrices
+TRACE_TOL = 1e-12           # |tr(rho) - 1|
+EIGENVALUE_FLOOR = 1e-10    # allowed negative slack on density eigenvalues
+BLOCH_EXCESS_TOL = 1e-10    # allowed excess of |p| over 1
 
 
 @dataclass(frozen=True)
@@ -64,9 +70,9 @@ class PureState:
         if self.space not in VALID_SPACES:
             raise ValidationError(f"unknown space tag {self.space!r}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > DEFAULT.state_norm:
+        if abs(norm - 1.0) > STATE_NORM_TOL:
             raise ValidationError(
-                f"state norm {norm:.15g} deviates from 1 by more than {DEFAULT.state_norm}"
+                f"state norm {norm:.15g} deviates from 1 by more than {STATE_NORM_TOL}"
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -80,14 +86,14 @@ def check_density_stack(name: str, mats: np.ndarray, positive: bool = True) -> N
     """Refuse an (n, k, k) stack unless each matrix is Hermitian with unit trace
     and, if ``positive``, PSD; the errors name the failing object ``name``."""
     asym = float(np.abs(mats - mats.conj().transpose(0, 2, 1)).max())
-    if asym > DEFAULT.hermiticity:
+    if asym > HERMITICITY_TOL:
         raise ValidationError(f"{name} not Hermitian: max asymmetry {asym:.3e}")
     trace_err = float(np.abs(np.einsum("nii->n", mats) - 1.0).max())
-    if trace_err > DEFAULT.trace:
+    if trace_err > TRACE_TOL:
         raise ValidationError(f"{name} trace deviates from 1 by {trace_err:.3e}")
     if positive:
         lowest = float(np.linalg.eigvalsh(mats).min())
-        if lowest < -DEFAULT.eigenvalue_floor:
+        if lowest < -EIGENVALUE_FLOOR:
             raise ValidationError(f"{name} not positive semidefinite: "
                                   f"lowest eigenvalue {lowest:.3e}")
 
@@ -97,7 +103,7 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix with a space tag.
 
     Positivity is enforced up to a small negative slack
-    (``Tolerances.eigenvalue_floor``) to absorb round-off from partial traces
+    (``EIGENVALUE_FLOOR``) to absorb round-off from partial traces
     of numerically evolved states.
     """
 
@@ -132,7 +138,7 @@ class BlochVector:
         if not all(np.isfinite(comps)):
             raise ValidationError(f"Bloch components must be finite, got {comps}")
         norm = float(np.sqrt(self.px**2 + self.py**2 + self.pz**2))
-        if norm > 1.0 + DEFAULT.bloch_excess:
+        if norm > 1.0 + BLOCH_EXCESS_TOL:
             raise ValidationError(f"Bloch vector length {norm:.15g} exceeds 1")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hilbert import PAULI, SIGMA_Z, SpaceLayout
-from .spectral import CompositeHamiltonian, SpectralData, _min_spacing, assemble, fix_phases
+from .spectral import CompositeHamiltonian, SpectralData, assemble, fix_phases
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -126,11 +126,8 @@ def analytic_eigensystem(spec: CommutingModelSpec) -> SpectralData:
         vectors[db + levels, cols] = spin_vecs[:, 1, branch]
 
     order = np.argsort(energies, kind="stable")
-    return SpectralData(
-        eigenvalues=energies[order],
-        eigenvectors=fix_phases(vectors[:, order]),
-        min_level_spacing=_min_spacing(energies[order]),
-    )
+    return SpectralData(eigenvalues=energies[order],
+                        eigenvectors=fix_phases(vectors[:, order]))
 
 
 def bit_signs(n_spins: int) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Composite Hamiltonian assembly, eigendecomposition, and degeneracy checks.
+"""Composite Hamiltonian assembly, eigendecomposition, and the degeneracy test.
 
 The equilibration statements this package evaluates assume a nondegenerate
-spectrum, and some of them nondegenerate energy gaps (all Bohr frequencies
-distinct).  Both checks live here, with thresholds relative to the spectral
-norm of H, and both report their margin so borderline cases are visible in
-the output instead of silently passing.
+spectrum.  ``degenerate_level_pairs`` is the one place that decides it: two
+consecutive levels are degenerate when their spacing is at most
+``spectrum_degeneracy`` times the spectral norm of H.  The verdict, the
+refusals and the block average of a degenerate spectrum all read it.
 
 Hamiltonians can be round-tripped through a small text format (one header
 line with a magic tag, one with dimensions and the system/bath split, then
@@ -102,14 +102,10 @@ def assemble(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray | Non
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (ascending) and phase-fixed eigenvector columns.
-
-    ``min_level_spacing`` is the smallest consecutive eigenvalue difference.
-    """
+    """Eigenvalues (ascending) and phase-fixed eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    min_level_spacing: float
 
     def __post_init__(self) -> None:
         evals = np.array(self.eigenvalues, dtype=float, copy=True)
@@ -136,6 +132,13 @@ class SpectralData:
         norm = float(np.abs(self.eigenvalues).max())
         return norm if norm > 0.0 else 1.0
 
+    @property
+    def min_level_spacing(self) -> float:
+        """The smallest consecutive eigenvalue difference (inf for one level)."""
+        if self.dim < 2:
+            return float("inf")
+        return float(np.diff(self.eigenvalues).min())
+
 
 def fix_phases(eigenvectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real positive.
@@ -148,12 +151,6 @@ def fix_phases(eigenvectors: np.ndarray) -> np.ndarray:
     pivots = vecs[anchor, np.arange(vecs.shape[1])]
     phases = pivots / np.abs(pivots)
     return vecs * phases.conj()[None, :]
-
-
-def _min_spacing(evals: np.ndarray) -> float:
-    if evals.size < 2:
-        return float("inf")
-    return float(np.diff(evals).min())
 
 
 def eigendecompose(hamiltonian, tolerances: Tolerances = DEFAULT) -> SpectralData:
@@ -185,56 +182,27 @@ def eigendecompose(hamiltonian, tolerances: Tolerances = DEFAULT) -> SpectralDat
     if unit_err > tolerances.unitarity:
         raise ValidationError(f"eigenvector matrix not unitary: {unit_err:.3e}")
 
-    return SpectralData(eigenvalues=evals, eigenvectors=evecs,
-                        min_level_spacing=_min_spacing(evals))
-
-
-def check_nondegenerate_spectrum(spectral: SpectralData,
-                                 tolerances: Tolerances = DEFAULT) -> tuple[bool, float]:
-    """True iff the smallest level spacing clears tolerances.spectrum_degeneracy*|H|.
-
-    Returns the margin (the spacing itself) alongside, so reports can show how
-    close a passing instance sits to the threshold.
-    """
-    spacing = spectral.min_level_spacing
-    return spacing > tolerances.spectrum_degeneracy * spectral.spectral_norm, spacing
+    return SpectralData(eigenvalues=evals, eigenvectors=evecs)
 
 
 def degenerate_level_pairs(spectral: SpectralData,
                            tolerances: Tolerances = DEFAULT) -> list[tuple[int, int]]:
-    """Index pairs (n, n+1) of consecutive levels closer than the threshold."""
+    """Index pairs (n, n+1) of consecutive levels no farther apart than
+    tolerances.spectrum_degeneracy*|H|; the spectrum is nondegenerate iff
+    there are none."""
     threshold = tolerances.spectrum_degeneracy * spectral.spectral_norm
     diffs = np.diff(spectral.eigenvalues)
     return [(int(i), int(i) + 1) for i in np.nonzero(diffs <= threshold)[0]]
 
 
-def check_nondegenerate_gaps(spectral: SpectralData,
-                             tolerances: Tolerances = DEFAULT) -> tuple[bool, float]:
-    """True iff all d(d-1)/2 positive level differences are pairwise distinct.
+def check_nondegenerate_spectrum(spectral: SpectralData,
+                                 tolerances: Tolerances = DEFAULT) -> tuple[bool, float]:
+    """True iff no level pair is degenerate (see degenerate_level_pairs).
 
-    The definition identifies E_k - E_l = E_m - E_n only for k=l, m=n or
-    k=m, l=n; every remaining coincidence (within
-    tolerances.gap_degeneracy * |H|) is a violation, including any exact
-    degeneracy of the spectrum itself.  Implemented by sorting the gap list
-    and scanning adjacent entries; refuses above the configured dimension cap
-    to avoid an accidental O(d^2) memory blowup.
+    Returns the margin (the smallest level spacing) alongside, so reports can
+    show how close a passing instance sits to the threshold.
     """
-    d = spectral.dim
-    if d > tolerances.gap_check_dim_cap:
-        raise CapExceededError(
-            f"gap check at d={d} exceeds the cap {tolerances.gap_check_dim_cap}"
-        )
-    threshold = tolerances.gap_degeneracy * spectral.spectral_norm
-    if d < 2:
-        return True, float("inf")
-    evals = spectral.eigenvalues
-    gaps = np.concatenate([evals[k:] - evals[:-k] for k in range(1, d)])
-    gaps.sort(kind="stable")
-    collisions = np.diff(gaps)
-    min_collision = float(collisions.min()) if collisions.size else float("inf")
-    spectrum_ok, _ = check_nondegenerate_spectrum(spectral, tolerances)
-    ok = bool(spectrum_ok and min_collision > threshold)
-    return ok, min_collision
+    return not degenerate_level_pairs(spectral, tolerances), spectral.min_level_spacing
 
 
 def write_matrix(path, matrix: np.ndarray, layout: SpaceLayout | None = None) -> None:

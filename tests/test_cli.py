@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from isibench import cli
 from isibench.hilbert import SpaceLayout
 from isibench.spectral import write_matrix
 from isibench.theorems import read_report
+from isibench.tolerances import Tolerances
 
 
 def _write_cfg(tmp_path, text, name="experiment.cfg"):
@@ -165,18 +167,24 @@ class TestErrorExitCodes:
         cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
         assert cli.main(["equilibrium", "--config", cfg,
                          "--out", str(tmp_path / "out")]) == 4
-        assert "degenerate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "degenerate" in err
+        assert "analysis.allow_degenerate = true" in err
 
-    def test_degenerate_spectrum_exits_1_from_dynamics(self, tmp_path, capsys):
-        # The zero minimum gap is caught before the equilibrium average, so
-        # this surfaces as a generic validation failure, not the degeneracy
-        # refusal.
+    def test_degenerate_spectrum_exits_4_from_dynamics(self, tmp_path, capsys):
+        # The horizon is horizon_over_min_gap / min_level_spacing, so not even
+        # analysis.allow_degenerate lets the evolution run.
         matrix_path = tmp_path / "degenerate.mat"
         write_matrix(matrix_path, np.diag([1.0, 1.0, 2.0, 3.0]), SpaceLayout(2, 2))
-        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
-        assert cli.main(["dynamics", "--config", cfg,
-                         "--out", str(tmp_path / "out")]) == 1
-        assert "gap timescale" in capsys.readouterr().err
+        for allow in ("false", "true"):
+            cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n"
+                                       f"[analysis]\nallow_degenerate = {allow}\n")
+            assert cli.main(["dynamics", "--config", cfg,
+                             "--out", str(tmp_path / "out")]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: spectrum has 1 degenerate level pair(s): (0, 1)")
+            assert err.count("\n") == 1
+            assert "the dynamics needs a nondegenerate spectrum" in err
 
 
 class TestSpectrumCommand:
@@ -194,7 +202,7 @@ class TestSpectrumCommand:
         assert lines[1] == "n,energy"
         assert len(lines) == 2 + 4
 
-    def test_equal_spacing_fails_the_gap_check_only(self, tmp_path, capsys):
+    def test_equal_spacing_is_nondegenerate(self, tmp_path, capsys):
         matrix_path = tmp_path / "ladder.mat"
         write_matrix(matrix_path, np.diag([0.0, 1.0, 2.0]))
         cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
@@ -202,7 +210,6 @@ class TestSpectrumCommand:
                          "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "nondegenerate spectrum: true" in out
-        assert "nondegenerate gaps: false" in out
 
 
 class TestModelInfo:
@@ -436,6 +443,8 @@ class TestInputHardening:
         ("parameter = coupling_scale\nvalues = nan, 1", "values", "sweep"),
         ("parameter = coupling_scale\nvalues = 1e308, 1", "values", "sweep"),
         ("level_splitting = 1.7e308\nenergy_scale = 8e307", "energy_scale", "model"),
+        ("gap_degeneracy = 1e-9", "gap_degeneracy", "tolerances"),
+        ("decompose_dim_cap = 1.5", "decompose_dim_cap", "tolerances"),
     ])
     def test_bad_tolerance_override_exits_2_naming_the_field(self, tmp_path, capsys,
                                                              entry, field, section):
@@ -447,6 +456,11 @@ class TestInputHardening:
         assert err.startswith("error: ")
         assert f"{section}.{field}" in err
         assert not (tmp_path / "out").exists()
+
+    def test_tolerances_section_is_exactly_the_tolerances_fields(self):
+        keys = {name.partition(".")[2] for name in cli.CONFIG_KEYS
+                if name.startswith("tolerances.")}
+        assert keys == {f.name for f in fields(Tolerances)}
 
     @pytest.mark.parametrize("command", ["spectrum", "run"])
     @pytest.mark.parametrize("cells", [{(0, 0): "nan"}, {(0, 1): "inf", (1, 0): "inf"},

@@ -115,7 +115,7 @@ class TestTimeAveragedState:
     def test_degenerate_spectrum_is_refused_with_level_pairs(self):
         layout = SpaceLayout(2, 2)
         spectral = SpectralData(np.array([1.0, 1.0, 2.0, 3.0]),
-                                np.eye(4, dtype=complex), min_level_spacing=0.0)
+                                np.eye(4, dtype=complex))
         reductions = eigenstate_reductions(spectral, layout)
         state = PureState(random_state(4, np.random.default_rng(37)), space="composite")
         coeffs = overlaps(spectral, state)
@@ -129,7 +129,7 @@ class TestTimeAveragedState:
         # so the block result is the diagonal of the populations
         layout = SpaceLayout(2, 2)
         spectral = SpectralData(np.array([1.0, 1.0, 2.0, 3.0]),
-                                np.eye(4, dtype=complex), min_level_spacing=0.0)
+                                np.eye(4, dtype=complex))
         reductions = eigenstate_reductions(spectral, layout)
         amps = random_state(4, np.random.default_rng(41))
         coeffs = overlaps(spectral, PureState(amps, space="composite"))
@@ -195,7 +195,7 @@ class TestDelta:
         # hand-built reductions that are all I/2: delta hits its floor 1/dS
         layout = SpaceLayout(2, 2)
         spectral = SpectralData(np.array([0.0, 1.0, 2.0, 4.0]),
-                                np.eye(4, dtype=complex), min_level_spacing=1.0)
+                                np.eye(4, dtype=complex))
         from isibench.equilibrium import EigenstateReductions
         mats = np.broadcast_to(np.eye(2, dtype=complex) / 2, (4, 2, 2)).copy()
         reductions = EigenstateReductions(matrices=mats,

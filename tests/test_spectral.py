@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from isibench import (CapExceededError, ConfigError, SpaceLayout, ValidationError,
-                      assemble, check_nondegenerate_gaps,
-                      check_nondegenerate_spectrum, degenerate_level_pairs,
+                      assemble, check_nondegenerate_spectrum, degenerate_level_pairs,
                       eigendecompose, read_matrix, write_matrix)
 from isibench.hilbert import SIGMA_X, SIGMA_Z
 from isibench.spectral import SpectralData
@@ -116,11 +115,8 @@ class TestEigendecompose:
 
 class TestDegeneracyChecks:
     def _data(self, eigenvalues):
-        dim = len(eigenvalues)
         return SpectralData(np.asarray(eigenvalues, dtype=float),
-                            np.eye(dim, dtype=complex),
-                            min_level_spacing=float(np.min(np.diff(eigenvalues)))
-                            if dim > 1 else math.inf)
+                            np.eye(len(eigenvalues), dtype=complex))
 
     def test_spaced_spectrum_passes(self):
         ok, spacing = check_nondegenerate_spectrum(self._data([0.0, 1.0, 2.0]))
@@ -132,26 +128,6 @@ class TestDegeneracyChecks:
         assert not ok
         assert spacing == 0.0
         assert degenerate_level_pairs(self._data([0.0, 0.0, 1.0])) == [(0, 1)]
-
-    def test_equally_spaced_gaps_fail(self):
-        ok, _ = check_nondegenerate_gaps(self._data([0.0, 1.0, 2.0]))
-        assert not ok
-
-    def test_distinct_gaps_pass(self):
-        ok, collision = check_nondegenerate_gaps(self._data([0.0, 1.0, 3.0]))
-        assert ok
-        assert collision == pytest.approx(1.0)
-
-    def test_hand_enumerated_gap_collision(self):
-        # gaps of (0, 1, 2.5, 4): {1, 2.5, 4, 1.5, 3, 1.5} -> 1.5 repeats
-        ok, collision = check_nondegenerate_gaps(self._data([0.0, 1.0, 2.5, 4.0]))
-        assert not ok
-        assert collision == pytest.approx(0.0)
-
-    def test_gap_check_cap(self):
-        tight = replace(DEFAULT, gap_check_dim_cap=4)
-        with pytest.raises(CapExceededError):
-            check_nondegenerate_gaps(self._data([0.0, 1.0, 3.0, 7.0, 12.0]), tight)
 
 
 class TestMatrixFiles:

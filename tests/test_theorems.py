@@ -43,7 +43,7 @@ def _aligned_reductions():
     largest eigenvalue exactly 1."""
     layout = SpaceLayout(2, 2)
     spectral = SpectralData(np.array([0.0, 1.0, 2.0, 4.0]),
-                            np.eye(4, dtype=complex), min_level_spacing=1.0)
+                            np.eye(4, dtype=complex))
     return spectral, eigenstate_reductions(spectral, layout)
 
 
@@ -205,8 +205,7 @@ class TestNecessaryCondition:
         # computational-basis eigenvectors: the bath average dephases psi, and
         # sup_psi ||diag(|psi|^2) - I/3||_1 = 4/3, attained at a basis state
         layout = SpaceLayout(3, 2)
-        spectral = SpectralData(np.arange(6.0), np.eye(6, dtype=complex),
-                                min_level_spacing=1.0)
+        spectral = SpectralData(np.arange(6.0), np.eye(6, dtype=complex))
         reductions = eigenstate_reductions(spectral, layout)
         value = necessary_condition_lhs(reductions, n_starts=16, seed=3)
         assert value <= 4.0 / 3.0 + 1e-9
