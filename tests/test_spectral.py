@@ -129,6 +129,23 @@ class TestDegeneracyChecks:
         assert spacing == 0.0
         assert degenerate_level_pairs(self._data([0.0, 0.0, 1.0])) == [(0, 1)]
 
+    def test_min_level_spacing_is_derived_from_the_eigenvalues(self):
+        assert self._data([0.0, 1.0, 2.5, 4.0]).min_level_spacing == pytest.approx(1.0)
+        assert self._data([3.0]).min_level_spacing == math.inf
+        assert check_nondegenerate_spectrum(self._data([3.0])) == (True, math.inf)
+
+    def test_threshold_is_relative_to_the_spectral_norm(self):
+        # threshold = 0.1 * max|E_n|: a spacing of 5% of the norm is degenerate
+        # at any overall scale, one of 20% is not.
+        loose = replace(DEFAULT, spectrum_degeneracy=0.1)
+        for scale in (1e-6, 1.0, 1e6):
+            assert degenerate_level_pairs(self._data(scale * np.array([0.0, 0.05, 1.0])),
+                                          loose) == [(0, 1)]
+            ok, spacing = check_nondegenerate_spectrum(
+                self._data(scale * np.array([-1.0, -0.8, 1.0])), loose)
+            assert ok
+            assert spacing == pytest.approx(0.2 * scale)
+
 
 class TestMatrixFiles:
     def test_round_trip_with_layout(self, tmp_path):
