@@ -17,10 +17,10 @@ from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
 from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, BlochVector, DensityMatrix,
                       PureState, SpaceLayout, batched_bloch_vectors,
-                      batched_partial_trace_bath, bloch_vector, partial_trace_bath,
-                      purity, tensor_product, trace_distance, trace_norm)
+                      batched_partial_trace_bath, bloch_vector, purity, tensor_product,
+                      trace_distance, trace_norm)
 from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
-                     build_commuting_model, build_cucchietti_bath, build_random_model,
+                     build_cucchietti_bath, build_random_model, commuting_norms,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import (MonteCarloEstimate, batched_monte_carlo, sample_amplitudes,
                        split_counts, stream_generators)
@@ -30,7 +30,7 @@ from .spectral import (CompositeHamiltonian, SpectralData, assemble,
 from .theorems import (CONCENTRATION_RATE, THEOREM_IDS, VERDICTS, TheoremReport,
                        assign_verdict, concentration_tail, epsilon_prime,
                        max_possible_lhs, necessary_condition_lhs,
-                       necessary_condition_report, popescu_bound, popescu_report,
+                       necessary_condition_report, popescu_report,
                        read_report, recompute_rhs, sufficient_condition_report,
                        theorem0_mean_report, theorem0_rhs, theorem0_tail_report,
                        theorem2_lhs, theorem2_reports, write_report)

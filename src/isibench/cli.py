@@ -34,7 +34,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dynamics import Trajectory, equilibrate, stratified_times, write_trajectory_csv
+from .dynamics import (Trajectory, equilibrate, require_evolution_fits, stratified_times,
+                       write_trajectory_csv)
 from .equilibrium import (EigenstateReductions, OverlapCoefficients,
                           eigenstate_reductions, overlaps, require_nondegenerate,
                           subspace_projection, time_averaged_state, write_reductions_csv)
@@ -43,8 +44,8 @@ from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
 from .hilbert import (DensityMatrix, PureState, SpaceLayout, bloch_vector, purity,
                       tensor_product)
-from .models import (analytic_eigensystem, build_commuting_model, build_random_model,
-                     sample_commuting_spec, sample_cucchietti_spec)
+from .models import (CommutingModelSpec, analytic_eigensystem, build_random_model,
+                     commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import sample_amplitudes, stream_generators
 from .spectral import (CompositeHamiltonian, SpectralData, check_nondegenerate_spectrum,
                        eigendecompose, read_matrix, write_csv)
@@ -165,7 +166,7 @@ class ExperimentConfig:
     """
 
     kind: str = _key("model.kind", str.strip)
-    seed: int = _key("model.seed", int, DEFAULT_SEED)
+    seed: int = _key("model.seed", int, DEFAULT_SEED, 0)
     dim_system: int | None = _key("model.dim_system", int, None, 2, ("random", "file"))
     dim_bath: int = _key("model.dim_bath", int, 16, 1, ("commuting", "random"))
     n_spins: int | None = _key("model.n_spins", int, None, 1, ("cucchietti",))
@@ -296,6 +297,11 @@ def _check_sweep(config: ExperimentConfig) -> None:
 
 
 def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
+    # --seed and --out are read and checked as the entries they override.
+    if args.seed is not None:
+        raw.setdefault("model", {})["seed"] = str(args.seed)
+    if args.out is not None:
+        raw.setdefault("output", {})["dir"] = args.out
     sections = {name.partition(".")[0] for name in CONFIG_KEYS}
     for section in raw:
         if section not in sections:
@@ -315,9 +321,7 @@ def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
         if kind not in CONFIG_KEYS[f"model.{key}"].kinds:
             raise ConfigError(f"key model.{key} is not valid for model kind {kind!r}")
 
-    given = {"kind": kind, "seed": args.seed, "out_dir": args.out}
-    values = {f.name: given[f.name] if given.get(f.name) is not None
-              else _read(raw, f.metadata["key"], f.default)
+    values = {f.name: _read(raw, f.metadata["key"], f.default)
               for f in fields(ExperimentConfig) if f.metadata}
     tolerances = replace(DEFAULT, **{name: _read(raw, key, getattr(DEFAULT, name))
                                      for name, key in _TOLERANCE_KEYS.items()})
@@ -344,7 +348,7 @@ def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
 class ModelBundle:
     layout: SpaceLayout | None
     spectral: SpectralData
-    hamiltonian: CompositeHamiltonian | None
+    parts: CommutingModelSpec | CompositeHamiltonian | None  # what model-info reads
     source: str
 
 
@@ -381,11 +385,9 @@ class Pipeline:
     """
 
     def __init__(self, config: ExperimentConfig,
-                 seeds: dict[str, tuple[int, ...]] = RUN_SEEDS,
-                 dense: bool = False) -> None:
+                 seeds: dict[str, tuple[int, ...]] = RUN_SEEDS) -> None:
         self.config = config
         self.seeds = seeds
-        self.dense = dense  # also build the dense Hamiltonian of a commuting model
 
     def seed(self, stage: str, *path: int) -> int:
         return derived_seed(self.config.seed, *self.seeds[stage], *path)
@@ -440,8 +442,7 @@ class Pipeline:
             except ValidationError as err:  # an energy range that overflows
                 raise ConfigError(f"{err} (set by model.level_splitting, "
                                   f"model.coupling_scale and model.{scale_key})") from None
-            ham = build_commuting_model(spec, tol) if self.dense else None
-            return ModelBundle(spec.layout, spectral, ham, source)
+            return ModelBundle(spec.layout, spectral, spec, source)
 
         if config.kind == "random":
             ds = config.dim_system if config.dim_system is not None else 2
@@ -536,6 +537,7 @@ class Pipeline:
         # The horizon divides by the level spacing: allow_degenerate cannot apply.
         require_nondegenerate(spectral, self.config.tolerances)
         horizon = self.config.horizon_over_min_gap / spectral.min_level_spacing
+        require_evolution_fits(spectral.dim, self.config.n_times)
         rng = stream_generators(self.seed("dynamics"), 1)[0]
         times = stratified_times(horizon, self.config.n_times, rng)
         return (horizon, *equilibrate(self.coeffs, spectral, self.layout, times,
@@ -544,8 +546,7 @@ class Pipeline:
     @cached_property
     def theorem2(self) -> tuple[TheoremReport, TheoremReport]:
         return theorem2_reports(self.reductions, self.config.epsilon,
-                                self.layout.dim_bath, 1.0, "asymptotic",
-                                self.config.tolerances)
+                                self.layout.dim_bath, tolerances=self.config.tolerances)
 
     @cached_property
     def reports(self) -> tuple[dict[str, TheoremReport], list[str]]:
@@ -560,7 +561,7 @@ class Pipeline:
                 notes.append(f"note: {tid} skipped (degenerate spectrum)")
                 continue
             seed = self.seed("bounds", THEOREM_IDS.index(tid))
-            reports[tid] = theorem.evaluate(self, config, seed)
+            reports[tid] = theorem.evaluate(self, seed)
         return reports, notes
 
 
@@ -638,29 +639,33 @@ def _out_dir(config: ExperimentConfig) -> Path:
 
 # ------------------------------------------------------------- subcommands --
 
+def _dense_norms(ham: CompositeHamiltonian) -> tuple[float, ...]:
+    """The norms of ``models.commuting_norms``, from the dense parts."""
+    def norm(mat):
+        return float(np.abs(np.linalg.eigvalsh(mat)).max())
+
+    lifted_s = np.kron(ham.system, np.eye(ham.layout.dim_bath))
+    lifted_b = np.kron(np.eye(ham.layout.dim_system), ham.bath)
+    comm_s = lifted_s @ ham.interaction - ham.interaction @ lifted_s
+    comm_b = lifted_b @ ham.interaction - ham.interaction @ lifted_b
+    return (norm(ham.system), norm(ham.bath), norm(ham.interaction),
+            norm(1j * comm_s), norm(1j * comm_b))
+
+
 def _cmd_model_info(config: ExperimentConfig, args, name: str) -> list[str]:
-    pipe = Pipeline(config, dense=True)
+    pipe = Pipeline(config)
     model = pipe.model
     lines = [f"model: {model.source}", f"seed: {config.seed}"]
     if model.layout is not None:
         lines.append(f"layout: dS={model.layout.dim_system} "
                      f"dB={model.layout.dim_bath} d={model.layout.dim_total}")
-    ham = model.hamiltonian
-    if ham is not None:
-        def norm(mat):
-            return float(np.abs(np.linalg.eigvalsh(mat)).max())
-
-        lines.append(f"part norms: system={norm(ham.system):.6g} "
-                     f"bath={norm(ham.bath):.6g} "
-                     f"interaction={norm(ham.interaction):.6g}")
-        eye_b = np.eye(model.layout.dim_bath)
-        eye_s = np.eye(model.layout.dim_system)
-        lifted_s = np.kron(ham.system, eye_b)
-        lifted_b = np.kron(eye_s, ham.bath)
-        comm_s = lifted_s @ ham.interaction - ham.interaction @ lifted_s
-        comm_b = lifted_b @ ham.interaction - ham.interaction @ lifted_b
-        lines.append(f"commutator norms: [HSx1, HSB]={norm(1j * comm_s):.6g} "
-                     f"[1xHB, HSB]={norm(1j * comm_b):.6g}")
+    if model.parts is not None:
+        norms = (commuting_norms(model.parts) if isinstance(model.parts, CommutingModelSpec)
+                 else _dense_norms(model.parts))
+        lines.append("part norms: system={:.6g} bath={:.6g} interaction={:.6g}"
+                     .format(*norms[:3]))
+        lines.append("commutator norms: [HSx1, HSB]={:.6g} [1xHB, HSB]={:.6g}"
+                     .format(*norms[3:]))
     if config.kind == "random":
         lines.append("ensemble: independent Gaussian Hermitian parts, entry "
                      "variance 1/dim per part")

@@ -16,6 +16,7 @@ import numpy as np
 from .equilibrium import OverlapCoefficients
 from .errors import CapExceededError, ValidationError
 from .hilbert import (DensityMatrix, SpaceLayout, batched_bloch_vectors,
+                      batched_partial_trace_bath, batched_trace_distances,
                       check_density_stack)
 from .spectral import SpectralData, write_csv
 
@@ -59,6 +60,17 @@ class Trajectory:
         return batched_bloch_vectors(self.states)
 
 
+def require_evolution_fits(dim: int, n_times: int) -> None:
+    """Refuse an evolution buffer of dim * n_times elements above the cap; a
+    caller that draws the time grid checks before the draw."""
+    if dim * n_times > EVOLUTION_ELEMENT_CAP:
+        raise CapExceededError(
+            f"evolution buffer d * n_times = {dim} * {n_times} exceeds "
+            f"{EVOLUTION_ELEMENT_CAP}; set dynamics.n_times to at most "
+            f"{EVOLUTION_ELEMENT_CAP // dim}"
+        )
+
+
 def evolve_reduced(coefficients: OverlapCoefficients, spectral: SpectralData,
                    layout: SpaceLayout, times: np.ndarray) -> Trajectory:
     """Exact reduced evolution of the initial state along a time grid."""
@@ -68,18 +80,11 @@ def evolve_reduced(coefficients: OverlapCoefficients, spectral: SpectralData,
     d = spectral.dim
     if coefficients.dim != d or layout.dim_total != d:
         raise ValidationError("coefficients, spectral data, and layout disagree on d")
-    if d * times.size > EVOLUTION_ELEMENT_CAP:
-        raise CapExceededError(
-            f"evolution buffer d * n_times = {d} * {times.size} exceeds "
-            f"{EVOLUTION_ELEMENT_CAP}; set dynamics.n_times to at most "
-            f"{EVOLUTION_ELEMENT_CAP // d}"
-        )
+    require_evolution_fits(d, times.size)
     weights = coefficients.values[:, None] * np.exp(
         -1j * spectral.eigenvalues[:, None] * times[None, :])
-    amplitudes = spectral.eigenvectors @ weights
-    blocks = amplitudes.reshape(layout.dim_system, layout.dim_bath, times.size)
-    return Trajectory(times=times, states=np.einsum("ibt,jbt->tij", blocks, blocks.conj()),
-                      layout=layout)
+    states = batched_partial_trace_bath(spectral.eigenvectors @ weights, layout)
+    return Trajectory(times=times, states=states, layout=layout)
 
 
 def stratified_times(horizon: float, n_times: int,
@@ -103,8 +108,8 @@ def equilibrate(coefficients: OverlapCoefficients, spectral: SpectralData,
                 equilibrium: DensityMatrix) -> tuple[Trajectory, float]:
     """Reduced trajectory along ``times`` and its mean trace distance to ``equilibrium``."""
     trajectory = evolve_reduced(coefficients, spectral, layout, times)
-    deviations = np.linalg.eigvalsh(trajectory.states - equilibrium.matrix[None, :, :])
-    return trajectory, float(np.abs(deviations).sum(axis=1).mean())
+    return trajectory, float(batched_trace_distances(trajectory.states,
+                                                     equilibrium.matrix).mean())
 
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:

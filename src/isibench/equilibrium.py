@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
 from .hilbert import (STATE_NORM_TOL, DensityMatrix, PureState, SpaceLayout,
-                      batched_bloch_vectors, check_density_stack)
+                      batched_bloch_vectors, batched_partial_trace_bath,
+                      check_density_stack)
 from .spectral import SpectralData, degenerate_level_pairs, write_csv
 from .tolerances import DEFAULT, Tolerances
 
@@ -117,9 +118,7 @@ def eigenstate_reductions(spectral: SpectralData,
     """Bath-traced projectors of every eigenvector, batched."""
     if spectral.dim != layout.dim_total:
         raise ValidationError(f"spectral dim {spectral.dim} != layout {layout.dim_total}")
-    blocks = spectral.eigenvectors.T.reshape(layout.dim_total, layout.dim_system,
-                                             layout.dim_bath)
-    mats = np.einsum("nib,njb->nij", blocks, blocks.conj())
+    mats = batched_partial_trace_bath(spectral.eigenvectors, layout)
     purities = np.einsum("nij,nji->n", mats, mats).real
     bloch = batched_bloch_vectors(mats) if layout.dim_system == 2 else None
     return EigenstateReductions(matrices=mats, purities=purities, bloch=bloch,
@@ -166,14 +165,11 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
     if not pairs:
         return DensityMatrix(weighted_reduction(coefficients.populations, reductions),
                              space="system")
-    layout = reductions.layout
     splits = np.setdiff1d(np.arange(1, spectral.dim), [b for _, b in pairs])
-    mat = np.zeros((layout.dim_system, layout.dim_system), dtype=complex)
-    for block in np.split(np.arange(spectral.dim), splits):
-        component = spectral.eigenvectors[:, block] @ coefficients.values[block]
-        piece = component.reshape(layout.dim_system, layout.dim_bath)
-        mat += piece @ piece.conj().T
-    return DensityMatrix(mat, space="system")
+    components = np.stack([spectral.eigenvectors[:, block] @ coefficients.values[block]
+                           for block in np.split(np.arange(spectral.dim), splits)], axis=1)
+    blocks = batched_partial_trace_bath(components, reductions.layout)
+    return DensityMatrix(blocks.sum(axis=0), space="system")
 
 
 def subspace_projection(spectral: SpectralData, layout: SpaceLayout,

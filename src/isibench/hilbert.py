@@ -152,15 +152,6 @@ def _as_matrix(arg) -> np.ndarray:
     return mat
 
 
-def _as_vector(arg) -> np.ndarray:
-    if isinstance(arg, PureState):
-        return arg.amplitudes
-    vec = np.asarray(arg, dtype=complex)
-    if vec.ndim != 1:
-        raise ValidationError(f"expected a vector, got shape {vec.shape}")
-    return vec
-
-
 def tensor_product(psi: PureState, phi: PureState) -> PureState:
     """Compose a system state with a bath state, system index slow.
 
@@ -174,30 +165,11 @@ def tensor_product(psi: PureState, phi: PureState) -> PureState:
     return PureState(np.kron(psi.amplitudes, phi.amplitudes), space="composite")
 
 
-def _check_composite(dim: int, layout: SpaceLayout) -> None:
-    if dim != layout.dim_total:
-        raise ValidationError(
-            f"composite dimension {dim} does not match layout "
-            f"{layout.dim_system}x{layout.dim_bath}"
-        )
-
-
-def partial_trace_bath(state, layout: SpaceLayout) -> DensityMatrix:
-    """Reduce a composite pure state or density matrix to the system factor."""
-    if isinstance(state, PureState) or (not isinstance(state, DensityMatrix)
-                                        and np.asarray(state).ndim == 1):
-        vec = _as_vector(state)
-        _check_composite(vec.size, layout)
-        block = vec.reshape(layout.dim_system, layout.dim_bath)
-        return DensityMatrix(block @ block.conj().T, space="system")
-    mat = _as_matrix(state)
-    _check_composite(mat.shape[0], layout)
-    t = mat.reshape(layout.dim_system, layout.dim_bath, layout.dim_system, layout.dim_bath)
-    return DensityMatrix(np.einsum("ibjb->ij", t), space="system")
-
-
 def batched_partial_trace_bath(columns: np.ndarray, layout: SpaceLayout) -> np.ndarray:
     """System reductions of many composite column vectors at once.
+
+    The package's one bath partial trace: eigenstate reductions, reduced
+    evolution, degenerate-block averages and the Popescu draws all call it.
 
     Parameters
     ----------
@@ -210,9 +182,9 @@ def batched_partial_trace_bath(columns: np.ndarray, layout: SpaceLayout) -> np.n
     wrapping; this is the hot-loop kernel.
     """
     cols = np.asarray(columns, dtype=complex)
-    if cols.ndim != 2:
-        raise ValidationError(f"expected a (d, n) array, got shape {cols.shape}")
-    _check_composite(cols.shape[0], layout)
+    if cols.ndim != 2 or cols.shape[0] != layout.dim_total:
+        raise ValidationError(f"expected a ({layout.dim_total}, n) array for layout "
+                              f"{layout.dim_system}x{layout.dim_bath}, got {cols.shape}")
     blocks = cols.reshape(layout.dim_system, layout.dim_bath, cols.shape[1])
     return np.einsum("ibn,jbn->nij", blocks, blocks.conj())
 
@@ -266,11 +238,7 @@ def purity(rho) -> float:
 
 def bloch_vector(rho) -> BlochVector:
     """Polarization vector of a 2x2 density matrix, p_a = tr(rho sigma_a)."""
-    m = _as_matrix(rho)
-    if m.shape != (2, 2):
-        raise ValidationError(f"bloch_vector needs a 2x2 matrix, got {m.shape}")
-    p = np.einsum("ij,aji->a", m, PAULI).real
-    return BlochVector(float(p[0]), float(p[1]), float(p[2]))
+    return BlochVector(*map(float, batched_bloch_vectors(_as_matrix(rho)[None])[0]))
 
 
 def batched_bloch_vectors(mats: np.ndarray) -> np.ndarray:

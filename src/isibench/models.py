@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import PAULI, SIGMA_Z, SpaceLayout
+from .hilbert import SpaceLayout
 from .spectral import CompositeHamiltonian, SpectralData, assemble, fix_phases
 from .tolerances import DEFAULT, Tolerances
 
@@ -66,21 +66,20 @@ class CommutingModelSpec:
         return SpaceLayout(2, self.dim_bath)
 
 
-def build_commuting_model(spec: CommutingModelSpec,
-                          tolerances: Tolerances = DEFAULT) -> CompositeHamiltonian:
-    """Assemble the dense Hamiltonian of a commuting spin-bath spec.
+def commuting_norms(spec: CommutingModelSpec) -> tuple[float, float, float, float, float]:
+    """Spectral norms of H_S, H_B, H_SB, [H_S x 1, H_SB] and [1 x H_B, H_SB].
 
-    The coupling operators are realized diagonal in the computational bath
-    basis (the common eigenbasis), so their mutual commutators and the
-    commutator with the bath part vanish identically.
+    On bath level l the interaction is (1/2) v_l.sigma, and its commutator
+    with H_S = (w/2) sigma_z is (i w/2)(v_lx sigma_y - v_ly sigma_x), so the
+    norms are |w|/2, max |E_l|, max |v_l|/2 and (|w|/2) max sqrt(v_lx^2 +
+    v_ly^2).  Every bath-side operator is diagonal in the same basis, so the
+    last commutator vanishes.
     """
-    layout = spec.layout
-    hs = 0.5 * spec.level_splitting * SIGMA_Z
-    hb = np.diag(spec.bath_energies).astype(complex)
-    hsb = np.zeros((layout.dim_total, layout.dim_total), dtype=complex)
-    for axis in range(3):
-        hsb += 0.5 * np.kron(PAULI[axis], np.diag(spec.couplings[:, axis]))
-    return assemble(hs, hb, hsb, layout, tolerances)
+    half_splitting = 0.5 * abs(spec.level_splitting)
+    transverse = np.hypot(spec.couplings[:, 0], spec.couplings[:, 1])
+    return (half_splitting, float(np.abs(spec.bath_energies).max()),
+            0.5 * float(np.linalg.norm(spec.couplings, axis=1).max()),
+            half_splitting * float(transverse.max()), 0.0)
 
 
 def analytic_eigensystem(spec: CommutingModelSpec) -> SpectralData:

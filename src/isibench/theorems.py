@@ -1,9 +1,10 @@
 """Bound evaluation and verdicts for the independence theorems.
 
 Each evaluator computes one inequality: an exact or Monte Carlo left-hand
-side, the closed-form right-hand side, and a verdict.  Reports carry every
-parameter needed to recompute the bound, so a serialized report can be
-audited without rerunning the experiment.
+side, the closed-form right-hand side, and a verdict.  The right-hand side is
+computed in one place, the theorem's ``THEOREMS`` entry, from the parameters
+the report records, so a serialized report can be audited without rerunning
+the experiment.
 
 Verdict semantics: ``satisfied``/``violated`` compare the two sides;
 ``vacuous`` flags a bound that exceeds the largest value its left-hand side
@@ -195,51 +196,25 @@ def theorem2_lhs(reductions: EigenstateReductions) -> tuple[float, float]:
     return lhs_i, lhs_ii
 
 
-def popescu_bound(dim_system: int, dim_bath: int,
-                  epsilon: float) -> tuple[float, float]:
-    """Typicality bound for instantaneous reductions of Haar composite states.
-
-    Returns the distance threshold sqrt(dS/dB) + epsilon and the probability
-    bound 2 exp(-c dB epsilon^2) for exceeding it.
-    """
-    if dim_system < 2 or dim_bath < 1:
-        raise ValidationError(f"need dS >= 2 and dB >= 1, got ({dim_system}, {dim_bath})")
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    return (math.sqrt(dim_system / dim_bath) + epsilon,
-            concentration_tail(dim_bath, epsilon))
-
-
 def _necessary_rhs(p: dict) -> float:
     return epsilon_prime(float(p["epsilon"]), int(p["dS"]), int(p["dR"]), float(p["p"]))
-
-
-def _qubit_rhs(factor: float) -> Callable[[dict], float]:
-    """T2 bound: ``factor`` times epsilon, or times the full accuracy constant."""
-    def rhs(p: dict) -> float:
-        mode = p.get("bound_mode", "asymptotic")
-        if mode == "asymptotic":
-            return factor * float(p["epsilon"])
-        if mode == "formula":
-            return factor * _necessary_rhs(p)
-        raise ValidationError(f"unknown bound_mode {mode!r}")
-    return rhs
 
 
 @dataclass(frozen=True)
 class Theorem:
     """One entry of the theorem registry.
 
-    ``rhs`` recomputes the bound from a report's parameters, and ``max_lhs``
-    is the largest value the left-hand side can take (bounds at or above it
-    are vacuous).  ``evaluate(pipe, config, seed)`` builds the report from
-    the stages of a ``cli.Pipeline``.  ``nondegenerate`` marks the reports
-    whose formulas need a nondegenerate spectrum.
+    ``rhs`` computes the bound from a report's parameters, for the report
+    builders and for audits alike, and ``max_lhs`` is the largest value the
+    left-hand side can take (bounds at or above it are vacuous).
+    ``evaluate(pipe, seed)`` builds the report from the stages of a
+    ``cli.Pipeline``.  ``nondegenerate`` marks the reports whose formulas need
+    a nondegenerate spectrum.
     """
 
     rhs: Callable[[dict], float]
     max_lhs: Callable[[dict], float]
-    evaluate: Callable[[Any, Any, int], "TheoremReport"]
+    evaluate: Callable[[Any, int], "TheoremReport"]
     nondegenerate: bool = False
 
 
@@ -261,38 +236,42 @@ def _necessary_max(p: dict) -> float:
 THEOREMS = {
     "SufficientISI": Theorem(
         lambda p: float(p["threshold"]), _one,
-        lambda pipe, c, seed: sufficient_condition_report(pipe.delta,
-                                                          tolerances=c.tolerances)),
+        lambda pipe, seed: sufficient_condition_report(pipe.delta,
+                                                       pipe.config.tolerances)),
     "T0i": Theorem(
         lambda p: theorem0_rhs(int(p["dS"]), int(p["dR"]), float(p["delta"]))[0],
         lambda p: 2.0,
-        lambda pipe, c, seed: theorem0_mean_report(
-            pipe.projection, pipe.spectral, pipe.reductions, c.n_samples, seed,
-            c.n_streams, c.tolerances),
+        lambda pipe, seed: theorem0_mean_report(
+            pipe.projection, pipe.spectral, pipe.reductions, pipe.config.n_samples, seed,
+            pipe.config.n_streams, pipe.config.tolerances),
         nondegenerate=True),
     "T0ii": Theorem(
         lambda p: concentration_tail(int(p["dR"]), float(p["epsilon"])), _one,
-        lambda pipe, c, seed: theorem0_tail_report(
-            pipe.projection, pipe.spectral, pipe.reductions, c.epsilon, c.n_samples,
-            seed, c.n_streams, c.tolerances),
+        lambda pipe, seed: theorem0_tail_report(
+            pipe.projection, pipe.spectral, pipe.reductions, pipe.config.epsilon,
+            pipe.config.n_samples, seed, pipe.config.n_streams, pipe.config.tolerances),
         nondegenerate=True),
     "T1": Theorem(
         _necessary_rhs, _necessary_max,
-        lambda pipe, c, seed: necessary_condition_report(
-            pipe.reductions, c.epsilon, c.dim_restricted or pipe.layout.dim_bath, c.p,
-            "T1", c.n_starts, seed, c.tolerances)),
+        lambda pipe, seed: necessary_condition_report(
+            pipe.reductions, pipe.config.epsilon,
+            pipe.config.dim_restricted or pipe.layout.dim_bath, pipe.config.p, "T1",
+            pipe.config.n_starts, seed, pipe.config.tolerances)),
     "T1prime": Theorem(
         _necessary_rhs, _necessary_max,
-        lambda pipe, c, seed: necessary_condition_report(
-            pipe.reductions, c.epsilon, pipe.layout.dim_bath, 1.0, "T1prime",
-            c.n_starts, seed, c.tolerances)),
-    "T2i": Theorem(_qubit_rhs(math.sqrt(3.0)), _one,
-                   lambda pipe, c, seed: pipe.theorem2[0]),
-    "T2ii": Theorem(_qubit_rhs(3.0), _one, lambda pipe, c, seed: pipe.theorem2[1]),
+        lambda pipe, seed: necessary_condition_report(
+            pipe.reductions, pipe.config.epsilon, pipe.layout.dim_bath, 1.0, "T1prime",
+            pipe.config.n_starts, seed, pipe.config.tolerances)),
+    # The T2 bounds are the large-bath limits sqrt(3) epsilon and 3 epsilon.
+    "T2i": Theorem(lambda p: math.sqrt(3.0) * float(p["epsilon"]), _one,
+                   lambda pipe, seed: pipe.theorem2[0]),
+    "T2ii": Theorem(lambda p: 3.0 * float(p["epsilon"]), _one,
+                    lambda pipe, seed: pipe.theorem2[1]),
     "Popescu": Theorem(
         lambda p: concentration_tail(int(p["dB"]), float(p["epsilon"])), _one,
-        lambda pipe, c, seed: popescu_report(pipe.layout, c.epsilon, c.n_samples, seed,
-                                             c.n_streams, c.tolerances)),
+        lambda pipe, seed: popescu_report(pipe.layout, pipe.config.epsilon,
+                                          pipe.config.n_samples, seed,
+                                          pipe.config.n_streams, pipe.config.tolerances)),
 }
 THEOREM_IDS = tuple(THEOREMS)
 
@@ -454,34 +433,33 @@ def _float_params(mapping: dict) -> dict:
     return out
 
 
-def _report(theorem_id: str, lhs: float, rhs: float, parameters: dict,
+def _report(theorem_id: str, lhs: float, parameters: dict,
             tolerances: Tolerances) -> TheoremReport:
-    """The report and its verdict; a non-default verdict boundary is recorded."""
+    """The report, its bound from the registry entry, and its verdict; a
+    non-default verdict boundary is recorded."""
     if tolerances.verdict_boundary != DEFAULT.verdict_boundary:
         parameters["verdict_boundary"] = tolerances.verdict_boundary
-    lhs, rhs = float(lhs), float(rhs)
+    lhs, rhs = float(lhs), recompute_rhs(theorem_id, parameters)
     verdict = assign_verdict(theorem_id, lhs, rhs, parameters)
     return TheoremReport(theorem_id, lhs, rhs, verdict, parameters)
 
 
-def sufficient_condition_report(delta_value: float, threshold: float | None = None,
+def sufficient_condition_report(delta_value: float,
                                 tolerances: Tolerances = DEFAULT) -> TheoremReport:
     """Report on the smallness condition sqrt(delta) << 1.
 
     The condition is sufficient for subspace independence, so the verdict
     says whether the condition itself holds against the configured smallness
-    threshold: satisfied guarantees independence, violated only withholds
-    the guarantee.
+    threshold ``tolerances.sufficient_isi_threshold``: satisfied guarantees
+    independence, violated only withholds the guarantee.
     """
     if not 0.0 < delta_value <= 1.0 + 1e-9:
         raise ValidationError(f"delta must lie in (0, 1], got {delta_value}")
-    if threshold is None:
-        threshold = tolerances.sufficient_isi_threshold
+    threshold = tolerances.sufficient_isi_threshold
     if threshold <= 0:
         raise ValidationError(f"threshold must be positive, got {threshold}")
-    lhs = math.sqrt(delta_value)
     parameters = _float_params({"delta": delta_value, "threshold": threshold})
-    return _report("SufficientISI", lhs, threshold, parameters, tolerances)
+    return _report("SufficientISI", math.sqrt(delta_value), parameters, tolerances)
 
 
 def theorem0_mean_report(projection: np.ndarray, spectral: SpectralData,
@@ -490,14 +468,14 @@ def theorem0_mean_report(projection: np.ndarray, spectral: SpectralData,
                          tolerances: Tolerances = DEFAULT) -> TheoremReport:
     """Empirical mean equilibrium distance against sqrt(dS delta / dR), for the
     subspace with projection W = ``projection`` (``subspace_projection``)."""
-    delta_value, strong, weak, estimate = _theorem0(
+    delta_value, _, weak, estimate = _theorem0(
         projection, spectral, reductions, None, n_samples, seed, n_streams, tolerances)
     parameters = _float_params({
         "dS": reductions.layout.dim_system, "dR": projection.shape[0],
         "delta": delta_value, "n_samples": n_samples, "seed": seed, "n_streams": n_streams,
         "lhs_standard_error": estimate.standard_error, "weak_rhs": weak,
     })
-    return _report("T0i", estimate.mean, strong, parameters, tolerances)
+    return _report("T0i", estimate.mean, parameters, tolerances)
 
 
 def theorem0_tail_report(projection: np.ndarray, spectral: SpectralData,
@@ -505,7 +483,6 @@ def theorem0_tail_report(projection: np.ndarray, spectral: SpectralData,
                          n_samples: int, seed: int, n_streams: int = 1,
                          tolerances: Tolerances = DEFAULT) -> TheoremReport:
     """Empirical exceedance frequency against 2 exp(-c dR epsilon^2)."""
-    bound = concentration_tail(projection.shape[0], epsilon)
     delta_value, strong, _, estimate = _theorem0(
         projection, spectral, reductions, epsilon, n_samples, seed, n_streams, tolerances)
     parameters = _float_params({
@@ -515,7 +492,7 @@ def theorem0_tail_report(projection: np.ndarray, spectral: SpectralData,
         "n_samples": n_samples, "seed": seed, "n_streams": n_streams,
         "lhs_standard_error": estimate.standard_error,
     })
-    return _report("T0ii", estimate.mean, bound, parameters, tolerances)
+    return _report("T0ii", estimate.mean, parameters, tolerances)
 
 
 def necessary_condition_report(reductions: EigenstateReductions, epsilon: float,
@@ -534,7 +511,6 @@ def necessary_condition_report(reductions: EigenstateReductions, epsilon: float,
         raise ValidationError(f"theorem_id must be T1 or T1prime, got {theorem_id!r}")
     ds = reductions.layout.dim_system
     lhs = necessary_condition_lhs(reductions, n_starts=n_starts, seed=seed)
-    rhs = epsilon_prime(epsilon, ds, dim_restricted, p)
     parameters = _float_params({
         "epsilon": epsilon, "dS": ds, "dR": dim_restricted, "p": p,
         "c": CONCENTRATION_RATE,
@@ -542,37 +518,32 @@ def necessary_condition_report(reductions: EigenstateReductions, epsilon: float,
     if ds > 2:
         parameters.update(_float_params({"n_starts": n_starts, "seed": seed}))
         parameters["lhs_is_lower_bound"] = True
-    return _report(theorem_id, lhs, rhs, parameters, tolerances)
+    return _report(theorem_id, lhs, parameters, tolerances)
 
 
 def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
                      dim_restricted: int, p: float = 1.0,
-                     bound_mode: str = "asymptotic",
                      tolerances: Tolerances = DEFAULT
                      ) -> tuple[TheoremReport, TheoremReport]:
     """Qubit necessary conditions: pairwise alignment and mean squared polarization.
 
-    ``bound_mode='asymptotic'`` compares against sqrt(3) epsilon and
-    3 epsilon, the large-bath limit in which the dimension and tail terms of
-    the accuracy constant vanish; this is the reading under which a mean
-    squared polarization of 1 forbids independence at accuracy better than
-    about 1/3.  ``bound_mode='formula'`` keeps the finite-size constant and
-    is usually vacuous.  The full constant is recorded either way.
+    The bounds are sqrt(3) epsilon and 3 epsilon, the large-bath limit in
+    which the dimension and tail terms of the accuracy constant vanish; this
+    is the reading under which a mean squared polarization of 1 forbids
+    independence at accuracy better than about 1/3.  The finite-size
+    constant, which T1 and T1prime compare against, is recorded as
+    ``epsilon_prime``.
     """
-    if bound_mode not in ("asymptotic", "formula"):
-        raise ValidationError(f"unknown bound_mode {bound_mode!r}")
     if epsilon < 0:
         raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
     lhs_i, lhs_ii = theorem2_lhs(reductions)
-    full_constant = epsilon_prime(epsilon, 2, dim_restricted, p)
     base = _float_params({
         "epsilon": epsilon, "dS": 2, "dR": dim_restricted, "p": p,
-        "c": CONCENTRATION_RATE, "epsilon_prime": full_constant,
+        "c": CONCENTRATION_RATE,
+        "epsilon_prime": epsilon_prime(epsilon, 2, dim_restricted, p),
     })
-    base["bound_mode"] = bound_mode
-    scale = epsilon if bound_mode == "asymptotic" else full_constant
-    return (_report("T2i", lhs_i, math.sqrt(3.0) * scale, dict(base), tolerances),
-            _report("T2ii", lhs_ii, 3.0 * scale, dict(base), tolerances))
+    return (_report("T2i", lhs_i, dict(base), tolerances),
+            _report("T2ii", lhs_ii, base, tolerances))
 
 
 def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int, seed: int,
@@ -584,7 +555,7 @@ def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int, seed: in
     reductions farther than sqrt(dS/dB) + epsilon from the maximally mixed
     state in trace distance with 2 exp(-c dB epsilon^2).
     """
-    threshold, bound = popescu_bound(layout.dim_system, layout.dim_bath, epsilon)
+    threshold = math.sqrt(layout.dim_system / layout.dim_bath) + epsilon
     mixed = np.eye(layout.dim_system) / layout.dim_system
 
     def values(columns: np.ndarray) -> np.ndarray:
@@ -599,4 +570,4 @@ def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int, seed: in
         "n_samples": n_samples, "seed": seed, "n_streams": n_streams,
         "lhs_standard_error": estimate.standard_error,
     })
-    return _report("Popescu", estimate.mean, bound, parameters, tolerances)
+    return _report("Popescu", estimate.mean, parameters, tolerances)

@@ -5,9 +5,15 @@ closed forms in plain numpy, and high-precision arithmetic. None of it
 shares code with the package.
 """
 
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 import scipy.linalg
+
+SIGMA = (np.array([[0, 1], [1, 0]], dtype=complex),
+         np.array([[0, -1j], [1j, 0]], dtype=complex),
+         np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def ptrace_bath_loop(matrix, dim_system, dim_bath):
@@ -140,6 +146,12 @@ def random_hermitian(dim, rng):
     return (raw + raw.conj().T) / 2.0
 
 
+def random_density_factor(dim, rng):
+    """Columns F of a Wishart draw, scaled so that F F^H is a density matrix."""
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return raw / np.linalg.norm(raw)
+
+
 def random_state(dim, rng):
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return vec / np.linalg.norm(vec)
@@ -240,3 +252,31 @@ def kron_projection(vectors, psi=None, dim_prefix=None):
     """B^H V for the kron_basis B: the subspace projection as one dense product."""
     vectors = np.asarray(vectors)
     return kron_basis(vectors.shape[0], psi, dim_prefix).conj().T @ vectors
+
+
+def build_commuting_model(spec):
+    """Dense parts of a commuting spin-bath spec, the couplings diagonal in the bath basis.
+
+    H_S = (w/2) sigma_z, H_B = diag(E_l) and H_SB = (1/2) sum_a sigma_a (x)
+    diag(v_la); ``total`` is H_S (x) 1 + 1 (x) H_B + H_SB.
+    """
+    dim_bath = spec.bath_energies.size
+    system = 0.5 * spec.level_splitting * SIGMA[2]
+    bath = np.diag(spec.bath_energies).astype(complex)
+    interaction = sum(0.5 * np.kron(SIGMA[a], np.diag(spec.couplings[:, a])) for a in range(3))
+    total = np.kron(system, np.eye(dim_bath)) + np.kron(np.eye(2), bath) + interaction
+    return SimpleNamespace(system=system, bath=bath, interaction=interaction, total=total)
+
+
+def part_norms(parts):
+    """|H_S|, |H_B|, |H_SB|, |[H_S (x) 1, H_SB]| and |[1 (x) H_B, H_SB]| by eigvalsh."""
+    def norm(mat):
+        return float(np.abs(np.linalg.eigvalsh(mat)).max())
+
+    dim_system, dim_bath = parts.system.shape[0], parts.bath.shape[0]
+    lifted_s = np.kron(parts.system, np.eye(dim_bath))
+    lifted_b = np.kron(np.eye(dim_system), parts.bath)
+    hsb = parts.interaction
+    return (norm(parts.system), norm(parts.bath), norm(hsb),
+            norm(1j * (lifted_s @ hsb - hsb @ lifted_s)),
+            norm(1j * (lifted_b @ hsb - hsb @ lifted_b)))

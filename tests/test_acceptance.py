@@ -15,24 +15,23 @@ from isibench import cli
 from isibench.dynamics import equilibrate, stratified_times
 from isibench.equilibrium import (EigenstateReductions, delta, eigenstate_reductions,
                                   overlaps, subspace_projection, time_averaged_state)
-from isibench.hilbert import (PureState, SpaceLayout, partial_trace_bath, tensor_product,
-                              trace_distance)
-from isibench.models import (analytic_eigensystem, build_commuting_model,
-                             build_random_model, sample_commuting_spec)
+from isibench.hilbert import (PureState, SpaceLayout, batched_partial_trace_bath,
+                              tensor_product, trace_distance)
+from isibench.models import analytic_eigensystem, build_random_model, sample_commuting_spec
 from isibench.sampling import batched_monte_carlo, sample_amplitudes, stream_generators
 from isibench.spectral import eigendecompose
 from isibench.theorems import (CONCENTRATION_RATE, concentration_tail,
                                epsilon_prime, max_possible_lhs,
                                necessary_condition_lhs, necessary_condition_report,
-                               popescu_bound, popescu_report,
+                               popescu_report,
                                sufficient_condition_report, theorem0_mean_report,
                                theorem0_rhs, theorem0_tail_report, theorem2_lhs,
                                theorem2_reports)
 
-from _oracles import (bath_averaged_equilibrium, finite_time_average,
-                      mp_concentration_tail, mp_epsilon_prime, mp_theorem0_strong,
-                      partial_trace_system, ptrace_bath_loop, ptrace_system_loop,
-                      random_density, random_state)
+from _oracles import (bath_averaged_equilibrium, build_commuting_model,
+                      finite_time_average, mp_concentration_tail, mp_epsilon_prime,
+                      mp_theorem0_strong, partial_trace_system, ptrace_bath_loop,
+                      ptrace_system_loop, random_density_factor, random_state)
 
 PLUS = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0), space="system")
 
@@ -101,7 +100,7 @@ def test_criterion_2_analytic_matches_dense(capsys):
     for db in baths:
         spec = sample_commuting_spec(db, 1.0, 1.0, 1.0, rng)
         analytic = analytic_eigensystem(spec)
-        dense = eigendecompose(build_commuting_model(spec))
+        dense = eigendecompose(build_commuting_model(spec).total)
         gap = float(np.abs(analytic.eigenvalues - dense.eigenvalues).max())
         worst = max(worst, gap / dense.spectral_norm)
         if gap > 1e-10 * dense.spectral_norm:
@@ -286,9 +285,10 @@ def test_criterion_6_concentration_bound_honesty(capsys):
             worst = max(worst, _rel_gap(weak, mp.sqrt(mpf(2) / dim)))
     for db in (16, 512, 4096):
         for eps in (0.1, 0.5):
-            threshold, tail = popescu_bound(2, db, eps)
-            worst = max(worst, _rel_gap(threshold, mp.sqrt(mpf(2) / db) + mpf(eps)))
-            worst = max(worst, _rel_gap(tail, mp_concentration_tail(db, eps)))
+            report = popescu_report(SpaceLayout(2, db), eps, 2, 0)
+            worst = max(worst, _rel_gap(report.parameters["distance_threshold"],
+                                        mp.sqrt(mpf(2) / db) + mpf(eps)))
+            worst = max(worst, _rel_gap(report.rhs, mp_concentration_tail(db, eps)))
     if worst > 1e-12:
         failures.append(f"closed-form arithmetic drifts {worst:.2e} from "
                         "the high-precision oracle")
@@ -308,8 +308,7 @@ def test_criterion_6_concentration_bound_honesty(capsys):
                                             400, 63))
     reports.append(necessary_condition_report(reductions, 0.05, 16, 1.0,
                                               "T1prime", 8, 64))
-    reports.extend(theorem2_reports(reductions, 0.05, 16, 1.0, "asymptotic"))
-    reports.extend(theorem2_reports(reductions, 0.05, 16, 1.0, "formula"))
+    reports.extend(theorem2_reports(reductions, 0.05, 16, 1.0))
     reports.append(popescu_report(spec.layout, 0.05, 400, 65))
 
     wide_spec = sample_commuting_spec(128, 1.0, 1.0, 1.0, np.random.default_rng(66))
@@ -377,16 +376,16 @@ def test_criterion_7_average_and_trace_oracles(capsys):
     worst_trace = 0.0
     for k in range(100):
         ds, db = shapes[k % len(shapes)]
+        # One column, or many whose reductions sum to that of F F^H.
         if k % 2:
-            rho = random_density(ds * db, rng)
+            columns = random_density_factor(ds * db, rng)
         else:
-            column = random_state(ds * db, rng)
-            rho = np.outer(column, column.conj())
-        pair_layout = SpaceLayout(ds, db)
+            columns = random_state(ds * db, rng)[:, None]
+        rho = columns @ columns.conj().T
+        reduced = batched_partial_trace_bath(columns, SpaceLayout(ds, db)).sum(axis=0)
         worst_trace = max(
             worst_trace,
-            float(np.abs(partial_trace_bath(rho, pair_layout).matrix
-                         - ptrace_bath_loop(rho, ds, db)).max()),
+            float(np.abs(reduced - ptrace_bath_loop(rho, ds, db)).max()),
             float(np.abs(partial_trace_system(rho, ds, db)
                          - ptrace_system_loop(rho, ds, db)).max()))
     if worst_trace > 1e-12:

@@ -20,7 +20,6 @@ KEEPERS = {
     "write_matrix": "writes the matrix format that model kind 'file' reads",
     "read_report": "reads report files back; the benchmark checks use it",
     "trace_distance": "the benchmark's tracer test looks it up under theorems",
-    "partial_trace_bath": "acceptance criterion 7 pins it to the index-loop oracle",
 }
 
 

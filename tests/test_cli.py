@@ -549,6 +549,30 @@ class TestInputHardening:
         assert "dynamics.n_times to at most 39062" in err
         assert not out_dir.exists()
 
+    def test_evolution_cap_is_checked_before_the_time_grid_is_drawn(self, tmp_path,
+                                                                    capsys):
+        # A grid of 10^13 times would not fit in memory: the cap must refuse it
+        # before it is drawn.
+        out_dir = tmp_path / "out"
+        assert cli.main(["dynamics", "--config", "sec5_violation",
+                         "--override", "model.dim_bath=4",
+                         "--override", "dynamics.n_times=10000000000000",
+                         "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dynamics.n_times to at most 2500000" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("source", [["--seed", "-1"], ["--override", "model.seed=-7"]],
+                             ids=["flag", "override"])
+    def test_negative_seed_exits_2_before_any_write(self, tmp_path, capsys, source):
+        out_dir = tmp_path / "out"
+        assert cli.main(["spectrum", "--config", "sec5_violation", *source,
+                         "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.seed must be >= 0") and err.count("\n") == 1
+        assert not out_dir.exists()
+
 
 class TestDegenerateSpectrumSkip:
     def test_allow_degenerate_skips_t0_reports_with_notes(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ from isibench import (DegenerateSpectrumError, DensityMatrix, PureState,
                       sample_commuting_spec, subspace_projection, time_averaged_state,
                       trace_distance, write_reductions_csv)
 from isibench.equilibrium import projection_weights, weighted_reduction
-from isibench.models import analytic_eigensystem, build_commuting_model
+from isibench.models import analytic_eigensystem
 from isibench.spectral import SpectralData
 
 from _oracles import (bath_averaged_equilibrium, kron_projection, maximally_mixed,

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from isibench import (BlochVector, DensityMatrix, PureState, SpaceLayout,
-                      ValidationError, bloch_vector, partial_trace_bath, purity,
+                      ValidationError, batched_partial_trace_bath, bloch_vector, purity,
                       tensor_product, trace_distance)
 from isibench.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 from _oracles import (density_from_bloch, maximally_mixed, partial_trace_system,
                       ptrace_bath_loop, ptrace_system_loop, random_density,
-                      random_hermitian, random_state)
+                      random_density_factor, random_hermitian, random_state)
 
 
 class TestLayout:
@@ -68,9 +68,10 @@ class TestTensorProduct:
 class TestPartialTraces:
     def test_bell_state_reduces_to_mixed(self):
         layout = SpaceLayout(2, 2)
-        bell = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2), space="composite")
-        assert np.allclose(partial_trace_bath(bell, layout).matrix, np.eye(2) / 2)
-        assert np.allclose(partial_trace_system(bell.amplitudes, 2, 2), np.eye(2) / 2)
+        bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        assert np.allclose(batched_partial_trace_bath(bell[:, None], layout)[0],
+                           np.eye(2) / 2)
+        assert np.allclose(partial_trace_system(bell, 2, 2), np.eye(2) / 2)
 
     def test_product_state_reduces_to_factors(self):
         layout = SpaceLayout(2, 3)
@@ -78,7 +79,7 @@ class TestPartialTraces:
         psi = PureState(random_state(2, rng), space="system")
         phi = PureState(random_state(3, rng), space="bath")
         joint = tensor_product(psi, phi)
-        assert np.allclose(partial_trace_bath(joint, layout).matrix,
+        assert np.allclose(batched_partial_trace_bath(joint.amplitudes[:, None], layout)[0],
                            np.outer(psi.amplitudes, psi.amplitudes.conj()),
                            atol=1e-12)
         assert np.allclose(partial_trace_system(joint.amplitudes, 2, 3),
@@ -88,28 +89,29 @@ class TestPartialTraces:
     def test_matches_index_loop_oracle(self):
         layout = SpaceLayout(2, 4)
         rng = np.random.default_rng(5)
-        psi = PureState(random_state(8, rng), space="composite")
-        projector = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        assert np.abs(partial_trace_bath(psi, layout).matrix
+        psi = random_state(8, rng)
+        projector = np.outer(psi, psi.conj())
+        assert np.abs(batched_partial_trace_bath(psi[:, None], layout)[0]
                       - ptrace_bath_loop(projector, 2, 4)).max() < 1e-12
-        assert np.abs(partial_trace_system(psi.amplitudes, 2, 4)
+        assert np.abs(partial_trace_system(psi, 2, 4)
                       - ptrace_system_loop(projector, 2, 4)).max() < 1e-12
 
     def test_density_matrix_input_matches_oracle(self):
+        # A density matrix F F^H reduces to the sum of its columns' reductions.
         layout = SpaceLayout(3, 4)
         rng = np.random.default_rng(17)
         for _ in range(20):
-            rho = DensityMatrix(random_density(12, rng), space="composite")
-            assert np.abs(partial_trace_bath(rho, layout).matrix
-                          - ptrace_bath_loop(rho.matrix, 3, 4)).max() < 1e-12
+            factor = random_density_factor(12, rng)
+            reduced = batched_partial_trace_bath(factor, layout).sum(axis=0)
+            assert np.abs(reduced - ptrace_bath_loop(factor @ factor.conj().T, 3, 4)
+                          ).max() < 1e-12
 
     def test_trace_preserved(self):
         layout = SpaceLayout(2, 5)
         rng = np.random.default_rng(23)
         for _ in range(10):
-            rho = DensityMatrix(random_density(10, rng), space="composite")
-            reduced = partial_trace_bath(rho, layout)
-            assert abs(np.trace(reduced.matrix).real - 1.0) < 1e-12
+            reduced = batched_partial_trace_bath(random_density_factor(10, rng), layout)
+            assert abs(np.einsum("nii->", reduced).real - 1.0) < 1e-12
         # the same contraction preserves the trace of arbitrary Hermitian input
         for _ in range(10):
             x = random_hermitian(10, rng)
@@ -120,9 +122,13 @@ class TestPartialTraces:
         layout = SpaceLayout(2, 6)
         rng = np.random.default_rng(29)
         for _ in range(10):
-            rho = DensityMatrix(random_density(12, rng), space="composite")
-            partial_trace_bath(rho, layout)
-            DensityMatrix(partial_trace_system(rho.matrix, 2, 6), space="bath")
+            factor = random_density_factor(12, rng)
+            DensityMatrix(batched_partial_trace_bath(factor, layout).sum(axis=0))
+            DensityMatrix(partial_trace_system(factor @ factor.conj().T, 2, 6), space="bath")
+
+    def test_rejects_columns_of_another_dimension(self):
+        with pytest.raises(ValidationError, match="2x4"):
+            batched_partial_trace_bath(np.ones((6, 3)), SpaceLayout(2, 4))
 
 
 class TestTraceDistance:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from isibench import (CommutingModelSpec, ValidationError, analytic_eigensystem,
-                      bit_signs, build_commuting_model, build_cucchietti_bath,
-                      build_random_model, check_nondegenerate_spectrum,
-                      eigendecompose, gaussian_hermitian, partial_trace_bath,
-                      purity, sample_commuting_spec, sample_cucchietti_spec)
+                      batched_partial_trace_bath, bit_signs, build_cucchietti_bath,
+                      build_random_model, check_nondegenerate_spectrum, commuting_norms,
+                      eigendecompose, gaussian_hermitian, purity, sample_commuting_spec,
+                      sample_cucchietti_spec)
 from isibench.hilbert import SIGMA_X, SIGMA_Z
+
+from _oracles import build_commuting_model, part_norms
 
 
 def _spec(level_splitting, couplings, bath_energies):
@@ -37,7 +39,7 @@ class TestBuildCommuting:
         spec = _spec(1.0, [[1.0, 0.0, 0.0]], [0.0])
         ham = build_commuting_model(spec)
         assert np.abs(ham.total - 0.5 * (SIGMA_Z + SIGMA_X)).max() < 1e-15
-        evals = eigendecompose(ham).eigenvalues
+        evals = eigendecompose(ham.total).eigenvalues
         root_half = math.sqrt(2.0) / 2.0
         assert np.allclose(evals, [-root_half, root_half])
 
@@ -66,6 +68,21 @@ class TestBuildCommuting:
         assert np.abs(commutator).max() > 0.1
 
 
+class TestCommutingNorms:
+    @pytest.mark.parametrize("kind", ["commuting", "cucchietti"])
+    def test_closed_forms_match_the_dense_parts(self, kind):
+        rng = np.random.default_rng(23)
+        for level_splitting in (1.0, -2.5, 0.0):
+            if kind == "commuting":
+                spec = sample_commuting_spec(12, level_splitting, 1.0, 1.0, rng)
+            else:
+                spec = sample_cucchietti_spec(4, level_splitting, 1.0, 1.0, rng)
+            closed = commuting_norms(spec)
+            dense = part_norms(build_commuting_model(spec))
+            assert closed[4] == dense[4] == 0.0
+            assert np.abs(np.subtract(closed, dense)).max() < 1e-12
+
+
 class TestAnalyticEigensystem:
     def test_nearly_decoupled_limit(self):
         spec = _spec(1.0, [[1e-12, 0.0, 0.0]], [0.0])
@@ -85,7 +102,7 @@ class TestAnalyticEigensystem:
         for _ in range(4):
             spec = sample_commuting_spec(12, 1.0, 1.0, 1.0, rng)
             analytic = analytic_eigensystem(spec)
-            dense = eigendecompose(build_commuting_model(spec))
+            dense = eigendecompose(build_commuting_model(spec).total)
             norm = dense.spectral_norm
             assert np.abs(analytic.eigenvalues - dense.eigenvalues).max() < 1e-10 * norm
             for n in range(analytic.dim):
@@ -107,8 +124,7 @@ class TestAnalyticEigensystem:
         rng = np.random.default_rng(17)
         spec = sample_commuting_spec(16, 1.0, 1.0, 1.0, rng)
         data = analytic_eigensystem(spec)
-        for n in range(data.dim):
-            reduced = partial_trace_bath(data.eigenvectors[:, n], spec.layout)
+        for reduced in batched_partial_trace_bath(data.eigenvectors, spec.layout):
             assert purity(reduced) == pytest.approx(1.0, abs=1e-10)
 
     def test_min_level_spacing_field(self):
@@ -170,8 +186,7 @@ class TestRandomModel:
         part_sums = np.add.outer(np.linalg.eigvalsh(ham.system),
                                  np.linalg.eigvalsh(ham.bath)).ravel()
         assert np.allclose(np.sort(part_sums), data.eigenvalues, atol=1e-12)
-        for n in range(data.dim):
-            reduced = partial_trace_bath(data.eigenvectors[:, n], ham.layout)
+        for reduced in batched_partial_trace_bath(data.eigenvectors, ham.layout):
             assert purity(reduced) == pytest.approx(1.0, abs=1e-10)
 
     def test_generic_draws_are_nondegenerate(self):

@@ -8,7 +8,7 @@ from isibench import (CONCENTRATION_RATE, THEOREM_IDS, PureState, SpaceLayout,
                       TheoremReport, ValidationError, assign_verdict,
                       concentration_tail, eigendecompose, eigenstate_reductions,
                       epsilon_prime, max_possible_lhs, necessary_condition_lhs,
-                      necessary_condition_report, popescu_bound, popescu_report,
+                      necessary_condition_report, popescu_report,
                       read_report, recompute_rhs, subspace_projection,
                       sufficient_condition_report, theorem0_mean_report, theorem0_rhs,
                       theorem0_tail_report, theorem2_lhs, theorem2_reports,
@@ -123,13 +123,14 @@ class TestClosedFormBounds:
         p_values = [epsilon_prime(0.1, 2, 64, p) for p in (0.1, 0.5, 1.0)]
         assert all(a > b for a, b in zip(p_values, p_values[1:]))
 
-    def test_popescu_bound_frozen_values(self):
-        threshold, bound = popescu_bound(2, 512, 0.1)
-        assert threshold == pytest.approx(0.1625, rel=1e-14)
-        assert bound == pytest.approx(1.9817363617038426, rel=1e-13)
+    def test_popescu_report_frozen_bounds(self):
+        report = popescu_report(SpaceLayout(2, 512), 0.1, n_samples=2, seed=0)
+        assert report.parameters["distance_threshold"] == pytest.approx(0.1625, rel=1e-14)
+        assert report.rhs == pytest.approx(1.9817363617038426, rel=1e-13)
 
-    def test_popescu_bound_shrinks_with_epsilon(self):
-        tails = [popescu_bound(2, 4096, e)[1] for e in (0.1, 0.3, 0.5, 1.0)]
+    def test_popescu_report_tail_shrinks_with_epsilon(self):
+        tails = [popescu_report(SpaceLayout(2, 4096), e, n_samples=2, seed=0).rhs
+                 for e in (0.1, 0.3, 0.5, 1.0)]
         assert all(a > b for a, b in zip(tails, tails[1:]))
 
 
@@ -266,8 +267,8 @@ class TestPopescuSampling:
     def test_tail_frequency_stays_under_bound(self):
         layout = SpaceLayout(2, 16)
         report = popescu_report(layout, epsilon=0.5, n_samples=400, seed=67)
-        _, bound = popescu_bound(2, 16, 0.5)
-        assert report.lhs <= bound
+        assert report.rhs == concentration_tail(16, 0.5)
+        assert report.lhs <= report.rhs
         assert report.lhs < 0.05
 
     def test_estimates_are_reproducible(self):
@@ -383,9 +384,7 @@ class TestVerdictPolicy:
                    8.143632454972153),
             "T2i": ({"epsilon": 0.05, "dS": 2, "dR": 64, "p": 1.0},
                     math.sqrt(3.0) * 0.05),
-            "T2ii": ({"epsilon": 0.05, "dS": 2, "dR": 64, "p": 1.0,
-                      "bound_mode": "formula"},
-                     3.0 * epsilon_prime(0.05, 2, 64, 1.0)),
+            "T2ii": ({"epsilon": 0.05, "dS": 2, "dR": 64, "p": 1.0}, 3.0 * 0.05),
             "Popescu": ({"dB": 512, "epsilon": 0.1}, 1.9817363617038426),
         }
         for theorem_id, (params, expected) in cases.items():
@@ -431,16 +430,9 @@ class TestReports:
         assert r2ii.rhs == pytest.approx(0.15, rel=1e-14)
         assert r2ii.verdict == "violated"
         assert r2i.verdict == "violated"
-        assert r2ii.parameters["bound_mode"] == "asymptotic"
+        assert "bound_mode" not in r2ii.parameters
         assert r2ii.parameters["epsilon_prime"] == pytest.approx(
             epsilon_prime(0.05, 2, 64, 1.0), rel=1e-13)
-
-    def test_theorem2_formula_mode_is_vacuous_at_bench_scale(self):
-        spec, spectral, reductions, _ = _commuting_problem(16, 89)
-        r2i, r2ii = theorem2_reports(reductions, epsilon=0.05, dim_restricted=16,
-                                     bound_mode="formula")
-        assert r2i.verdict == "vacuous"
-        assert r2ii.verdict == "vacuous"
 
     def test_necessary_report_with_zero_measure_is_vacuous(self):
         spec, spectral, reductions, _ = _commuting_problem(8, 97)
@@ -498,6 +490,19 @@ class TestReports:
         payload["rhs"] = payload["rhs"] * 2.0
         with pytest.raises(ValidationError, match="not reproducible"):
             TheoremReport.from_json(json.dumps(payload))
+
+    def test_formula_mode_t2_report_no_longer_reproduces(self, tmp_path):
+        # A T2 report that compared against 3 epsilon' instead of 3 epsilon.
+        spec, spectral, reductions, _ = _commuting_problem(16, 89)
+        _, report = theorem2_reports(reductions, epsilon=0.05, dim_restricted=16)
+        payload = json.loads(report.to_json())
+        payload["parameters"]["bound_mode"] = "formula"
+        payload["rhs"] = 3.0 * epsilon_prime(0.05, 2, 16, 1.0)
+        payload["verdict"] = "vacuous"
+        path = tmp_path / "report_T2ii.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="not reproducible"):
+            read_report(path)
 
     def test_tampered_verdict_is_rejected(self):
         spec, spectral, reductions, _ = _commuting_problem(16, 127)
