@@ -24,7 +24,8 @@ from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import (MonteCarloEstimate, batched_monte_carlo, sample_amplitudes,
                        split_counts, stream_generators)
-from .spectral import (CompositeHamiltonian, SpectralData, assemble,
+from .spectral import (CompositeHamiltonian, DenseProjection, SparseProjection,
+                       SpectralData, assemble,
                        check_nondegenerate_spectrum, degenerate_level_pairs,
                        eigendecompose, fix_phases, read_matrix, write_csv, write_matrix)
 from .theorems import (CONCENTRATION_RATE, THEOREM_IDS, VERDICTS, TheoremReport,

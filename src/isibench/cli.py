@@ -47,8 +47,9 @@ from .hilbert import (DensityMatrix, PureState, SpaceLayout, bloch_vector, purit
 from .models import (CommutingModelSpec, analytic_eigensystem, build_random_model,
                      commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import sample_amplitudes, stream_generators
-from .spectral import (CompositeHamiltonian, SpectralData, check_nondegenerate_spectrum,
-                       eigendecompose, read_matrix, write_csv)
+from .spectral import (CompositeHamiltonian, DenseProjection, SparseProjection,
+                       SpectralData, check_nondegenerate_spectrum, eigendecompose,
+                       read_matrix, write_csv)
 from .theorems import (THEOREM_IDS, THEOREMS, TheoremReport, necessary_condition_lhs,
                        theorem2_lhs, theorem2_reports, write_report)
 from .tolerances import DEFAULT, Tolerances
@@ -497,7 +498,7 @@ class Pipeline:
         return eigenstate_reductions(self.spectral, self.layout)
 
     @cached_property
-    def projection(self) -> np.ndarray:
+    def projection(self) -> DenseProjection | SparseProjection:
         """W = B^H V of the analysis subspace R on the eigenbasis, shape (dR, d)."""
         token, layout = self.config.subspace, self.layout
         if token == "full":
@@ -536,7 +537,19 @@ class Pipeline:
         spectral = self.spectral
         # The horizon divides by the level spacing: allow_degenerate cannot apply.
         require_nondegenerate(spectral, self.config.tolerances)
-        horizon = self.config.horizon_over_min_gap / spectral.min_level_spacing
+        ratio, spacing = self.config.horizon_over_min_gap, spectral.min_level_spacing
+        horizon = ratio / spacing
+        # 2 max|E_n| bounds every Bohr frequency, so the phases stay finite
+        # when the horizon times it does.
+        rate = 2.0 * spectral.spectral_norm
+        if not math.isfinite(horizon * rate):
+            largest = sys.float_info.max * (spacing / rate)
+            while not math.isfinite(largest / spacing * rate):
+                largest = math.nextafter(largest, 0.0)
+            raise ConfigError(f"dynamics.horizon_over_min_gap = {ratio:g} overflows the "
+                              f"phases of the evolution (smallest level spacing "
+                              f"{spacing:.6g}, max |E| {spectral.spectral_norm:.6g}); "
+                              f"set it to at most {largest!r}")
         require_evolution_fits(spectral.dim, self.config.n_times)
         rng = stream_generators(self.seed("dynamics"), 1)[0]
         times = stratified_times(horizon, self.config.n_times, rng)
@@ -609,7 +622,7 @@ def _conclusion_line(config: ExperimentConfig, reports: dict[str, TheoremReport]
 def _equilibrium_lines(pipe: Pipeline) -> list[str]:
     rho_bar = pipe.rho_bar
     lines = [
-        f"subspace: {pipe.config.subspace} (dR={len(pipe.projection)})",
+        f"subspace: {pipe.config.subspace} (dR={pipe.projection.dim})",
         f"delta: {pipe.delta:.12g}",
         f"sqrt(delta): {math.sqrt(pipe.delta):.12g}",
         f"time-averaged state purity: {purity(rho_bar):.6g}",
@@ -623,7 +636,7 @@ def _equilibrium_lines(pipe: Pipeline) -> list[str]:
 
 def _dynamics_lines(pipe: Pipeline) -> list[str]:
     horizon, _, metric = pipe.dynamics
-    bound = 2.0 * pipe.layout.dim_system / math.sqrt(len(pipe.projection))
+    bound = 2.0 * pipe.layout.dim_system / math.sqrt(pipe.projection.dim)
     return [
         f"dynamics: horizon={horizon:.6g} n_times={pipe.config.n_times}",
         f"mean distance to equilibrium: {metric:.6g}",

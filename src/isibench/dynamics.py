@@ -1,8 +1,12 @@
 """Reduced-state time evolution and its distance to equilibrium.
 
-Evolution is computed in the energy eigenbasis: the composite amplitudes at
-time t are c_n exp(-i E_n t), so the reduced state at many times is two
-matrix products and a batched partial trace; no propagator is ever formed.
+Evolution is computed in the energy eigenbasis and no propagator is ever
+formed.  For dense eigenvectors the composite amplitudes at time t are
+c_n exp(-i E_n t), so the reduced states at many times are one product with
+the eigenvector matrix and a batched partial trace.  For the block form of
+the commuting models only eigenvectors on the same bath level interfere, so
+the reduced state is its time average plus one oscillating term per Bohr
+frequency of a level (``SpectralData.evolved_reductions``).
 The equilibration metric is the mean trace distance of the reduced states
 on a stratified time grid to the infinite-time average.
 """
@@ -16,8 +20,7 @@ import numpy as np
 from .equilibrium import OverlapCoefficients
 from .errors import CapExceededError, ValidationError
 from .hilbert import (DensityMatrix, SpaceLayout, batched_bloch_vectors,
-                      batched_partial_trace_bath, batched_trace_distances,
-                      check_density_stack)
+                      batched_trace_distances, check_density_stack)
 from .spectral import SpectralData, write_csv
 
 EVOLUTION_ELEMENT_CAP = 20_000_000
@@ -81,9 +84,7 @@ def evolve_reduced(coefficients: OverlapCoefficients, spectral: SpectralData,
     if coefficients.dim != d or layout.dim_total != d:
         raise ValidationError("coefficients, spectral data, and layout disagree on d")
     require_evolution_fits(d, times.size)
-    weights = coefficients.values[:, None] * np.exp(
-        -1j * spectral.eigenvalues[:, None] * times[None, :])
-    states = batched_partial_trace_bath(spectral.eigenvectors @ weights, layout)
+    states = spectral.evolved_reductions(coefficients.values, times, layout)
     return Trajectory(times=times, states=states, layout=layout)
 
 

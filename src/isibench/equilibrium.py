@@ -8,7 +8,10 @@ data, and the weighted-purity functional delta that controls the sufficient
 independence condition.  An initial-state subspace R enters only through
 its projection W on the eigenbasis (``subspace_projection``), whose column
 norms give the weights <n|Pi_R|n>/dR; the Haar average of the equilibrium
-state over R is then sum_n w_n rho_n (``weighted_reduction``).
+state over R is then sum_n w_n rho_n (``weighted_reduction``).  The
+eigenvectors are read only through the methods of ``SpectralData``, so the
+same code serves its dense form and the block form of the commuting models,
+where W is stored by its nonzeros and no d x d array exists.
 
 Everything here is exact linear algebra; time evolution lives in the
 dynamics module.
@@ -22,9 +25,9 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
 from .hilbert import (STATE_NORM_TOL, DensityMatrix, PureState, SpaceLayout,
-                      batched_bloch_vectors, batched_partial_trace_bath,
-                      check_density_stack)
-from .spectral import SpectralData, degenerate_level_pairs, write_csv
+                      batched_bloch_vectors, check_density_stack)
+from .spectral import (DenseProjection, SparseProjection, SpectralData,
+                       degenerate_level_pairs, write_csv)
 from .tolerances import DEFAULT, Tolerances
 
 COMPLETENESS_TOL = 1e-10  # max |(1/d) sum_n rho_n - I/dS|
@@ -110,7 +113,7 @@ def overlaps(spectral: SpectralData, initial: PureState) -> OverlapCoefficients:
         raise ValidationError(f"initial state must be composite, got {initial.space!r}")
     if initial.dim != spectral.dim:
         raise ValidationError(f"state dim {initial.dim} != spectral dim {spectral.dim}")
-    return OverlapCoefficients(spectral.eigenvectors.conj().T @ initial.amplitudes)
+    return OverlapCoefficients(spectral.coefficients(initial.amplitudes))
 
 
 def eigenstate_reductions(spectral: SpectralData,
@@ -118,7 +121,7 @@ def eigenstate_reductions(spectral: SpectralData,
     """Bath-traced projectors of every eigenvector, batched."""
     if spectral.dim != layout.dim_total:
         raise ValidationError(f"spectral dim {spectral.dim} != layout {layout.dim_total}")
-    mats = batched_partial_trace_bath(spectral.eigenvectors, layout)
+    mats = spectral.reductions(layout)
     purities = np.einsum("nij,nji->n", mats, mats).real
     bloch = batched_bloch_vectors(mats) if layout.dim_system == 2 else None
     return EigenstateReductions(matrices=mats, purities=purities, bloch=bloch,
@@ -166,38 +169,32 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
         return DensityMatrix(weighted_reduction(coefficients.populations, reductions),
                              space="system")
     splits = np.setdiff1d(np.arange(1, spectral.dim), [b for _, b in pairs])
-    components = np.stack([spectral.eigenvectors[:, block] @ coefficients.values[block]
-                           for block in np.split(np.arange(spectral.dim), splits)], axis=1)
-    blocks = batched_partial_trace_bath(components, reductions.layout)
-    return DensityMatrix(blocks.sum(axis=0), space="system")
+    return DensityMatrix(spectral.dephased_reduction(coefficients.values, splits,
+                                                     reductions.layout), space="system")
 
 
 def subspace_projection(spectral: SpectralData, layout: SpaceLayout,
-                        psi: PureState | None = None,
-                        dim_bath: int | None = None) -> np.ndarray:
+                        psi: PureState | None = None, dim_bath: int | None = None
+                        ) -> DenseProjection | SparseProjection:
     """W = B^H V, the (dR, d) overlaps of an orthonormal basis of the
     initial-state subspace R with the eigenvectors.
 
     ``psi=None`` is the whole space, where W is the eigenvector matrix itself;
     otherwise R = psi (x) span of the first ``dim_bath`` bath levels (all by
-    default), and W[b, n] = sum_i conj(psi_i) <i, b|n>.
+    default), and W[b, n] = sum_i conj(psi_i) <i, b|n>.  The result has the
+    dimension dR, the weights w_n = <n|Pi_R|n>/dR and the populations of
+    drawn amplitudes; it is sparse for the block form.
     """
     if spectral.dim != layout.dim_total:
         raise ValidationError(f"spectral dim {spectral.dim} != layout {layout.dim_total}")
     if psi is None:
-        return spectral.eigenvectors
+        return spectral.projection(layout)
     if psi.space != "system" or psi.dim != layout.dim_system:
         raise ValidationError("psi must be a system state matching the layout")
     k = layout.dim_bath if dim_bath is None else dim_bath
     if not 1 <= k <= layout.dim_bath:
         raise ValidationError(f"bath subspace dim {k} outside [1, {layout.dim_bath}]")
-    blocks = spectral.eigenvectors.reshape(layout.dim_system, layout.dim_bath, spectral.dim)
-    return np.einsum("i,ibn->bn", psi.amplitudes.conj(), blocks[:, :k])
-
-
-def projection_weights(projection: np.ndarray) -> np.ndarray:
-    """w_n = sum_r |W_rn|^2 / dR = <n| Pi_R |n> / dR; nonnegative, summing to 1."""
-    return np.sum(np.abs(projection) ** 2, axis=0) / projection.shape[0]
+    return spectral.projection(layout, psi.amplitudes, k)
 
 
 def weighted_purity(weights: np.ndarray, reductions: EigenstateReductions) -> float:
@@ -214,7 +211,8 @@ def weighted_reduction(weights: np.ndarray, reductions: EigenstateReductions) ->
     return np.einsum("...n,nij->...ij", weights, reductions.matrices)
 
 
-def delta(reductions: EigenstateReductions, projection: np.ndarray) -> float:
+def delta(reductions: EigenstateReductions,
+          projection: DenseProjection | SparseProjection) -> float:
     """Subspace-weighted mean purity of the eigenstate reductions.
 
     delta = sum_n w_n tr(rho_n^2) with w_n the normalized diagonal of the
@@ -222,7 +220,7 @@ def delta(reductions: EigenstateReductions, projection: np.ndarray) -> float:
     1.  Small sqrt(delta) is the sufficient condition for equilibrium states
     to be initial-state independent within the subspace.
     """
-    return weighted_purity(projection_weights(projection), reductions)
+    return weighted_purity(projection.weights, reductions)
 
 
 def write_reductions_csv(path, spectral: SpectralData,

@@ -168,8 +168,10 @@ def tensor_product(psi: PureState, phi: PureState) -> PureState:
 def batched_partial_trace_bath(columns: np.ndarray, layout: SpaceLayout) -> np.ndarray:
     """System reductions of many composite column vectors at once.
 
-    The package's one bath partial trace: eigenstate reductions, reduced
-    evolution, degenerate-block averages and the Popescu draws all call it.
+    The package's one bath partial trace of composite vectors: the dense
+    eigenvectors' reductions, evolution and degenerate-block averages, and
+    the Popescu draws, call it.  The block form of ``SpectralData`` needs
+    none, its eigenvectors being products with bath basis vectors.
 
     Parameters
     ----------

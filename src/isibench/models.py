@@ -4,7 +4,9 @@ The commuting family couples a single spin to a bath through operators that
 are all diagonal in one common bath basis and commute with the bath
 self-Hamiltonian.  Its eigenvectors factorize into (spin eigenvector of a
 2x2 block) (x) (bath basis vector), which makes the eigensystem available in
-closed form and every eigenstate reduction pure.  That structure is exactly
+closed form and every eigenstate reduction pure.  ``analytic_eigensystem``
+returns it in the block form of ``SpectralData`` (the per-level blocks and
+the energy order), so no d x d array is built.  That structure is exactly
 what breaks initial-state independence of the spin, so this family is the
 positive control of the test bench; Gaussian random Hamiltonians are the
 negative control.
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hilbert import SpaceLayout
-from .spectral import CompositeHamiltonian, SpectralData, assemble, fix_phases
+from .spectral import CompositeHamiltonian, SpectralData, assemble
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -83,16 +85,15 @@ def commuting_norms(spec: CommutingModelSpec) -> tuple[float, float, float, floa
 
 
 def analytic_eigensystem(spec: CommutingModelSpec) -> SpectralData:
-    """Closed-form eigensystem of the commuting model, without touching the dense H.
+    """Closed-form eigensystem of the commuting model, in block form.
 
     Per bath level l the spin block is E_l + (1/2)[(w + v_lz) sigma_z
     + v_lx sigma_x + v_ly sigma_y]; its eigenvectors tensored with the l-th
     bath basis vector are composite eigenvectors, with energies
-    E_l -/+ r_l/2 where r_l = sqrt((w + v_lz)^2 + v_lx^2 + v_ly^2).  Output
-    is sorted ascending and phase-fixed exactly like the dense path.
+    E_l -/+ r_l/2 where r_l = sqrt((w + v_lz)^2 + v_lx^2 + v_ly^2).  The
+    result holds the (dB, 2, 2) stack of spin eigenvectors, sorted and
+    phase-fixed as the dense path would be; no d x d array is built.
     """
-    db = spec.dim_bath
-    d = 2 * db
     w = spec.level_splitting
     vx, vy, vz = spec.couplings.T
 
@@ -103,30 +104,18 @@ def analytic_eigensystem(spec: CommutingModelSpec) -> SpectralData:
         scale = np.ldexp(1.0, np.frexp(np.abs(parts).max(axis=0))[1] - 1)
         a, b, c = parts / scale
         radius = scale * np.sqrt(a**2 + b**2 + c**2)
-        energies = np.empty(d)
-        energies[0::2] = spec.bath_energies - 0.5 * radius
-        energies[1::2] = spec.bath_energies + 0.5 * radius
+        energies = spec.bath_energies[:, None] + np.multiply.outer(radius, [-0.5, 0.5])
         span = energies.max() - energies.min()
     if not np.isfinite(span):
         raise ValidationError(f"the energy range E_max - E_min = {span} is not finite")
 
-    blocks = np.empty((db, 2, 2), dtype=complex)
+    blocks = np.empty((spec.dim_bath, 2, 2), dtype=complex)
     blocks[:, 0, 0] = w + vz
     blocks[:, 1, 1] = -(w + vz)
     blocks[:, 0, 1] = vx - 1j * vy
     blocks[:, 1, 0] = vx + 1j * vy
     _, spin_vecs = np.linalg.eigh(blocks)  # ascending, so column 0 is the lower branch
-
-    vectors = np.zeros((d, d), dtype=complex)
-    levels = np.arange(db)
-    for branch in (0, 1):
-        cols = 2 * levels + branch
-        vectors[levels, cols] = spin_vecs[:, 0, branch]
-        vectors[db + levels, cols] = spin_vecs[:, 1, branch]
-
-    order = np.argsort(energies, kind="stable")
-    return SpectralData(eigenvalues=energies[order],
-                        eigenvectors=fix_phases(vectors[:, order]))
+    return SpectralData.from_blocks(energies, spin_vecs)
 
 
 def bit_signs(n_spins: int) -> np.ndarray:

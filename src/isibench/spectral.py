@@ -1,5 +1,12 @@
 """Composite Hamiltonian assembly, eigendecomposition, and the degeneracy test.
 
+``SpectralData`` holds a spectrum and its eigenvectors, densely (from
+``eigendecompose``) or in the block form of the commuting models, whose
+eigenvectors are system vectors times bath basis vectors.  Its methods are
+the package's only readers of eigenvectors, so no other module depends on
+the form; the subspace projections they build are ``DenseProjection`` and
+``SparseProjection``.
+
 The equilibration statements this package evaluates assume a nondegenerate
 spectrum.  ``degenerate_level_pairs`` is the one place that decides it: two
 consecutive levels are degenerate when their spacing is at most
@@ -21,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, ValidationError
-from .hilbert import SpaceLayout
+from .hilbert import SpaceLayout, batched_partial_trace_bath
 from .tolerances import DEFAULT, Tolerances
 
 MATRIX_FORMAT_MAGIC = "isibench-matrix"
@@ -100,27 +107,114 @@ def assemble(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray | Non
                                 layout=layout)
 
 
+# BLAS kernels compute a trailing partial block of GEMM rows differently from
+# whole blocks, so a draw's populations would depend on where its chunk ends.
+# Padding every chunk to whole blocks of this many rows keeps them the same.
+_GEMM_ROW_BLOCK = 8
+
+
+@dataclass(frozen=True)
+class DenseProjection:
+    """W = B^H V of a subspace R on the eigenbasis as a dense (dR, d) matrix."""
+
+    matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """w_n = sum_r |W_rn|^2 / dR = <n| Pi_R |n> / dR; nonnegative, summing to 1."""
+        return np.sum(np.abs(self.matrix) ** 2, axis=0) / self.dim
+
+    def populations(self, amplitudes: np.ndarray) -> np.ndarray:
+        """|<n|B a>|^2 = |(a^H W)_n|^2 for (dR, count) amplitudes a; shape (count, d)."""
+        rows = amplitudes.T.conj()
+        padded = np.pad(rows, ((0, -len(rows) % _GEMM_ROW_BLOCK), (0, 0)))
+        return np.abs((padded @ self.matrix)[:len(rows)]) ** 2
+
+
+@dataclass(frozen=True)
+class SparseProjection:
+    """W = B^H V of a subspace R by its nonzeros: column n of W holds
+    ``values[n, j]`` in row ``rows[n, j]``, shape (d, m) each, so a draw's
+    populations cost O(d m)."""
+
+    dim: int
+    rows: np.ndarray
+    values: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        """w_n = sum_r |W_rn|^2 / dR, as DenseProjection.weights."""
+        return np.sum(np.abs(self.values) ** 2, axis=1) / self.dim
+
+    def populations(self, amplitudes: np.ndarray) -> np.ndarray:
+        """|(a^H W)_n|^2 for (dR, count) amplitudes a; shape (count, d)."""
+        rows = amplitudes.T.conj()
+        overlap = rows[:, self.rows[:, 0]] * self.values[:, 0]
+        for j in range(1, self.rows.shape[1]):
+            overlap += rows[:, self.rows[:, j]] * self.values[:, j]
+        return np.abs(overlap) ** 2
+
+
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (ascending) and phase-fixed eigenvector columns."""
+    """Eigenvalues (ascending) and phase-fixed eigenvectors, in one of two forms.
+
+    The dense form holds the eigenvector columns as a (d, d) matrix in
+    ``eigenvectors``.  The block form serves models whose eigenvectors are
+    u (x) |l> with |l> a bath basis vector: ``blocks`` is the (dB, dS, dS)
+    stack whose column k of ``blocks[l]`` is the system factor u of the
+    eigenvector labelled l*dS + k, and ``order`` lists those labels in
+    ascending order of energy.  No d x d array is built for it.
+
+    The methods below are the only readers of the eigenvectors, one per use:
+    overlaps, eigenstate reductions, subspace projections, block-dephased
+    averages and reduced evolution.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None = None
+    blocks: np.ndarray | None = None
+    order: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         evals = np.array(self.eigenvalues, dtype=float, copy=True)
-        evecs = np.array(self.eigenvectors, dtype=complex, copy=True)
         d = evals.size
-        if evals.ndim != 1 or evecs.shape != (d, d):
-            raise ValidationError(
-                f"inconsistent shapes: eigenvalues {evals.shape}, eigenvectors {evecs.shape}"
-            )
+        if evals.ndim != 1:
+            raise ValidationError(f"eigenvalues must be a vector, got shape {evals.shape}")
         if np.any(np.diff(evals) < 0):
             raise ValidationError("eigenvalues must be sorted ascending")
-        evals.setflags(write=False)
-        evecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", evals)
-        object.__setattr__(self, "eigenvectors", evecs)
+        if (self.eigenvectors is None) == (self.blocks is None):
+            raise ValidationError("give either dense eigenvectors or eigenvector blocks")
+        if self.blocks is None:
+            arrays = {"eigenvectors": np.array(self.eigenvectors, dtype=complex, copy=True)}
+            if arrays["eigenvectors"].shape != (d, d):
+                raise ValidationError(f"inconsistent shapes: eigenvalues {evals.shape}, "
+                                      f"eigenvectors {arrays['eigenvectors'].shape}")
+        else:
+            arrays = {"blocks": np.array(self.blocks, dtype=complex, copy=True),
+                      "order": np.array(self.order, dtype=np.intp, copy=True)}
+            shape = arrays["blocks"].shape
+            if len(shape) != 3 or shape[1] != shape[2] or shape[0] * shape[1] != d:
+                raise ValidationError(f"inconsistent shapes: eigenvalues {evals.shape}, "
+                                      f"blocks {shape}")
+            if not np.array_equal(np.sort(arrays["order"]), np.arange(d)):
+                raise ValidationError("order must be a permutation of the block labels")
+        for name, value in (("eigenvalues", evals), *arrays.items()):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_blocks(cls, level_energies: np.ndarray, blocks: np.ndarray) -> "SpectralData":
+        """Block form from the (dB, dS) energies and (dB, dS, dS) eigenvector
+        blocks of the bath levels; each block column is phase-fixed by the
+        rule of ``fix_phases``, which gives the phases of the dense path."""
+        energies = np.asarray(level_energies, dtype=float).ravel()
+        order = np.argsort(energies, kind="stable")
+        return cls(eigenvalues=energies[order], blocks=fix_phases(blocks), order=order)
 
     @property
     def dim(self) -> int:
@@ -139,18 +233,128 @@ class SpectralData:
             return float("inf")
         return float(np.diff(self.eigenvalues).min())
 
+    def _per_level(self, values: np.ndarray) -> np.ndarray:
+        """Values indexed like the eigenvalues, rearranged to (dB, dS) by block label."""
+        flat = np.empty(self.dim, dtype=values.dtype)
+        flat[self.order] = values
+        return flat.reshape(self.blocks.shape[:2])
+
+    def _require_layout(self, layout: SpaceLayout) -> None:
+        if layout.dim_total != self.dim or (
+                self.blocks is not None and layout.dim_system != self.blocks.shape[1]):
+            raise ValidationError(f"layout {layout.dim_system}x{layout.dim_bath} does not "
+                                  f"match the spectral data (d={self.dim})")
+
+    def coefficients(self, amplitudes: np.ndarray) -> np.ndarray:
+        """<n|x> for every eigenvector n of the composite vector x."""
+        if self.blocks is None:
+            return self.eigenvectors.conj().T @ amplitudes
+        levels, ds, _ = self.blocks.shape
+        per_level = np.einsum("lsk,sl->lk", self.blocks.conj(),
+                              amplitudes.reshape(ds, levels))
+        return per_level.ravel()[self.order]
+
+    def reductions(self, layout: SpaceLayout) -> np.ndarray:
+        """(d, dS, dS) bath-traced projectors Tr_B |n><n| of the eigenvectors."""
+        self._require_layout(layout)
+        if self.blocks is None:
+            return batched_partial_trace_bath(self.eigenvectors, layout)
+        pure = np.einsum("lsk,ltk->lkst", self.blocks, self.blocks.conj())
+        return pure.reshape(self.dim, layout.dim_system, layout.dim_system)[self.order]
+
+    def projection(self, layout: SpaceLayout, psi: np.ndarray | None = None,
+                   dim_prefix: int | None = None) -> DenseProjection | SparseProjection:
+        """W = B^H V for R the whole space (``psi=None``), or R = psi (x)
+        span of the first ``dim_prefix`` bath levels, W[b, n] = sum_i
+        conj(psi_i) <i, b|n>.
+
+        In the block form column (l, k) of W has dS nonzeros <s, l|n> = u_s
+        for the whole space, and one, conj(psi).u in row l, for psi (x) |l>
+        with l < dim_prefix.
+        """
+        self._require_layout(layout)
+        ds, db = layout.dim_system, layout.dim_bath
+        if self.blocks is None:
+            if psi is None:
+                return DenseProjection(self.eigenvectors)
+            blocks = self.eigenvectors.reshape(ds, db, self.dim)
+            return DenseProjection(np.einsum("i,ibn->bn", psi.conj(), blocks[:, :dim_prefix]))
+        levels = np.arange(db)[:, None, None]
+        if psi is None:
+            rows = np.broadcast_to(np.arange(ds) * db + levels, (db, ds, ds))
+            values = self.blocks.transpose(0, 2, 1)
+            return SparseProjection(self.dim, rows.reshape(self.dim, ds)[self.order],
+                                    values.reshape(self.dim, ds)[self.order])
+        kept = levels < dim_prefix
+        values = np.where(kept[:, :, 0], np.einsum("s,lsk->lk", psi.conj(), self.blocks), 0.0)
+        rows = np.broadcast_to(np.where(kept, levels, 0), (db, ds, 1))
+        return SparseProjection(dim_prefix, rows.reshape(self.dim, 1)[self.order],
+                                values.reshape(self.dim, 1)[self.order])
+
+    def dephased_reduction(self, values: np.ndarray, splits: np.ndarray,
+                           layout: SpaceLayout) -> np.ndarray:
+        """sum_g Tr_B |x_g><x_g| for x_g = sum_{n in g} values_n |n>, the groups
+        g being the runs of eigenvalue indices that ``splits`` cuts (as
+        np.split does): the reduced state of sum_n values_n |n> with the
+        coherences between groups removed.
+
+        In the block form only pairs of eigenvectors in the same group and on
+        the same bath level contribute.
+        """
+        self._require_layout(layout)
+        if self.blocks is None:
+            components = np.stack([self.eigenvectors[:, group] @ values[group]
+                                   for group in np.split(np.arange(self.dim), splits)],
+                                  axis=1)
+            return batched_partial_trace_bath(components, layout).sum(axis=0)
+        starts = np.zeros(self.dim, dtype=np.intp)
+        starts[splits] = 1
+        group = self._per_level(np.cumsum(starts))
+        same = group[:, :, None] == group[:, None, :]
+        weighted = self.blocks * self._per_level(values)[:, None, :]
+        return np.einsum("lsk,lkj,ltj->st", weighted, same, weighted.conj())
+
+    def evolved_reductions(self, values: np.ndarray, times: np.ndarray,
+                           layout: SpaceLayout) -> np.ndarray:
+        """(n_times, dS, dS) reductions Tr_B |x(t)><x(t)| of
+        x(t) = sum_n values_n exp(-i E_n t) |n>.
+
+        The dense form evolves the amplitudes and reduces V @ amplitudes.  In
+        the block form only eigenvectors on the same bath level l interfere,
+        at the Bohr frequencies w = E_lk' - E_lk for k < k':
+        rho(t) = sum_lk |c_lk|^2 u_lk u_lk^H + sum (exp(-i w t) M + h.c.) with
+        M = c_lk' conj(c_lk) u_lk' u_lk^H, one small product with an
+        (n_times, dB dS(dS-1)/2) phase table.
+        """
+        self._require_layout(layout)
+        if self.blocks is None:
+            weights = values[:, None] * np.exp(-1j * self.eigenvalues[:, None] * times[None, :])
+            return batched_partial_trace_bath(self.eigenvectors @ weights, layout)
+        ds = layout.dim_system
+        weighted = self.blocks * self._per_level(values)[:, None, :]
+        energies = self._per_level(self.eigenvalues)
+        lower, upper = np.triu_indices(ds, 1)
+        frequencies = (energies[:, upper] - energies[:, lower]).ravel()
+        moving = np.einsum("lsp,ltp->lpst", weighted[:, :, upper],
+                           weighted[:, :, lower].conj()).reshape(frequencies.size, ds * ds)
+        phases = np.exp(np.multiply.outer(times, frequencies) * -1j)
+        oscillating = (phases @ moving).reshape(times.size, ds, ds)
+        static = np.einsum("lsk,ltk->st", weighted, weighted.conj())
+        return static + oscillating + oscillating.conj().transpose(0, 2, 1)
+
 
 def fix_phases(eigenvectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real positive.
 
-    Ties on the magnitude pick the lowest index (argmax convention), making
-    the output deterministic and shared by the dense and analytic paths.
+    Takes a matrix or a stack of matrices (the columns of each).  Ties on the
+    magnitude pick the lowest index (argmax convention), making the output
+    deterministic and shared by the dense path and the block form.
     """
     vecs = np.array(eigenvectors, dtype=complex, copy=True)
-    anchor = np.argmax(np.abs(vecs), axis=0)
-    pivots = vecs[anchor, np.arange(vecs.shape[1])]
+    anchor = np.argmax(np.abs(vecs), axis=-2)
+    pivots = np.take_along_axis(vecs, anchor[..., None, :], axis=-2)
     phases = pivots / np.abs(pivots)
-    return vecs * phases.conj()[None, :]
+    return vecs * phases.conj()
 
 
 def eigendecompose(hamiltonian, tolerances: Tolerances = DEFAULT) -> SpectralData:

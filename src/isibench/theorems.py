@@ -24,8 +24,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .equilibrium import (EigenstateReductions, projection_weights, require_nondegenerate,
-                          weighted_purity, weighted_reduction)
+from .equilibrium import (EigenstateReductions, require_nondegenerate, weighted_purity,
+                          weighted_reduction)
 from .errors import ValidationError
 # trace_distance is kept importable from here: the benchmark's tracer test
 # looks it up under this module.
@@ -33,7 +33,7 @@ from .hilbert import (DensityMatrix, SpaceLayout, batched_partial_trace_bath,  #
                       batched_trace_distances, trace_distance)
 from .sampling import (MonteCarloEstimate, batched_monte_carlo, sample_amplitudes,
                        stream_generators)
-from .spectral import SpectralData
+from .spectral import DenseProjection, SparseProjection, SpectralData
 from .tolerances import DEFAULT, Tolerances
 
 # Concentration rate constant of the Levy-type tail bounds, 1/(18 pi^3).
@@ -97,13 +97,7 @@ def epsilon_prime(epsilon: float, dim_system: int, dim_restricted: int,
             + 2.0 / cube_root + (8.0 / p) * math.exp(-CONCENTRATION_RATE * cube_root))
 
 
-# BLAS kernels compute a trailing partial block of GEMM rows differently from
-# whole blocks, so a draw's populations would depend on where its chunk ends.
-# Padding every chunk to whole blocks of this many rows keeps them the same.
-_GEMM_ROW_BLOCK = 8
-
-
-def _theorem0(projection: np.ndarray, spectral: SpectralData,
+def _theorem0(projection: DenseProjection | SparseProjection, spectral: SpectralData,
               reductions: EigenstateReductions, epsilon: float | None, n_samples: int,
               seed: int, n_streams: int, tolerances: Tolerances
               ) -> tuple[float, float, float, MonteCarloEstimate]:
@@ -116,23 +110,21 @@ def _theorem0(projection: np.ndarray, spectral: SpectralData,
     ``epsilon``, the frequency of distances beyond the sharp bound plus
     epsilon.  The projection W = B^H V of R on the eigenbasis serves it all:
     it gives the weights (so delta and the average), and each chunk of drawn
-    amplitudes a its populations |<n|B a>|^2 = |(a^H W)_n|^2 in one GEMM and
-    its equilibrium states in one einsum.
+    amplitudes a its populations |<n|B a>|^2 = |(a^H W)_n|^2 (one GEMM for a
+    dense W, O(d) per draw for the sparse W of the block form) and its
+    equilibrium states in one einsum.
     """
     require_nondegenerate(spectral, tolerances)
-    weights = projection_weights(projection)
+    weights = projection.weights
     delta_value = weighted_purity(weights, reductions)
-    dim_r = projection.shape[0]
+    dim_r = projection.dim
     strong, weak = theorem0_rhs(reductions.layout.dim_system, dim_r, delta_value)
     threshold = None if epsilon is None else strong + epsilon
     reference = DensityMatrix(weighted_reduction(weights, reductions)).matrix
 
     def values(amplitudes: np.ndarray) -> np.ndarray:
-        rows = amplitudes.T.conj()
-        padded = np.pad(rows, ((0, -len(rows) % _GEMM_ROW_BLOCK), (0, 0)))
-        populations = np.abs((padded @ projection)[:len(rows)]) ** 2
-        distances = batched_trace_distances(weighted_reduction(populations, reductions),
-                                            reference)
+        distances = batched_trace_distances(
+            weighted_reduction(projection.populations(amplitudes), reductions), reference)
         return distances if threshold is None else (distances > threshold).astype(float)
 
     return delta_value, strong, weak, batched_monte_carlo(
@@ -462,7 +454,8 @@ def sufficient_condition_report(delta_value: float,
     return _report("SufficientISI", math.sqrt(delta_value), parameters, tolerances)
 
 
-def theorem0_mean_report(projection: np.ndarray, spectral: SpectralData,
+def theorem0_mean_report(projection: DenseProjection | SparseProjection,
+                         spectral: SpectralData,
                          reductions: EigenstateReductions, n_samples: int, seed: int,
                          n_streams: int = 1,
                          tolerances: Tolerances = DEFAULT) -> TheoremReport:
@@ -471,14 +464,15 @@ def theorem0_mean_report(projection: np.ndarray, spectral: SpectralData,
     delta_value, _, weak, estimate = _theorem0(
         projection, spectral, reductions, None, n_samples, seed, n_streams, tolerances)
     parameters = _float_params({
-        "dS": reductions.layout.dim_system, "dR": projection.shape[0],
+        "dS": reductions.layout.dim_system, "dR": projection.dim,
         "delta": delta_value, "n_samples": n_samples, "seed": seed, "n_streams": n_streams,
         "lhs_standard_error": estimate.standard_error, "weak_rhs": weak,
     })
     return _report("T0i", estimate.mean, parameters, tolerances)
 
 
-def theorem0_tail_report(projection: np.ndarray, spectral: SpectralData,
+def theorem0_tail_report(projection: DenseProjection | SparseProjection,
+                         spectral: SpectralData,
                          reductions: EigenstateReductions, epsilon: float,
                          n_samples: int, seed: int, n_streams: int = 1,
                          tolerances: Tolerances = DEFAULT) -> TheoremReport:
@@ -486,7 +480,7 @@ def theorem0_tail_report(projection: np.ndarray, spectral: SpectralData,
     delta_value, strong, _, estimate = _theorem0(
         projection, spectral, reductions, epsilon, n_samples, seed, n_streams, tolerances)
     parameters = _float_params({
-        "dS": reductions.layout.dim_system, "dR": projection.shape[0],
+        "dS": reductions.layout.dim_system, "dR": projection.dim,
         "delta": delta_value, "epsilon": epsilon,
         "distance_threshold": strong + epsilon, "c": CONCENTRATION_RATE,
         "n_samples": n_samples, "seed": seed, "n_streams": n_streams,

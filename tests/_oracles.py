@@ -69,7 +69,8 @@ def bath_averaged_equilibrium(psi, reductions, dim_bath):
 def subspace_averaged_equilibrium(projection, reductions):
     """sum_n w_n rho_n with w_n = sum_r |W_rn|^2 / dR: the equilibrium state
     averaged over Haar-uniform states of the subspace whose projection is W."""
-    weights = (np.abs(projection) ** 2).sum(axis=0) / projection.shape[0]
+    matrix = projection_matrix(projection, len(reductions))
+    weights = (np.abs(matrix) ** 2).sum(axis=0) / matrix.shape[0]
     return np.einsum("n,nij->ij", weights, reductions)
 
 
@@ -280,3 +281,32 @@ def part_norms(parts):
     return (norm(parts.system), norm(parts.bath), norm(hsb),
             norm(1j * (lifted_s @ hsb - hsb @ lifted_s)),
             norm(1j * (lifted_b @ hsb - hsb @ lifted_b)))
+
+
+def expand_blocks(spectral):
+    """The dense (d, d) eigenvector matrix of a block-form SpectralData.
+
+    Column r is u (x) |l> for the block label order[r] = l*dS + k, with u
+    column k of blocks[l]: entry s*dB + l holds u_s.  A dense SpectralData
+    is returned as it is.
+    """
+    if spectral.blocks is None:
+        return spectral.eigenvectors
+    dim_bath, dim_system, _ = spectral.blocks.shape
+    vectors = np.zeros((spectral.dim, spectral.dim), dtype=complex)
+    for rank, label in enumerate(spectral.order):
+        level, k = divmod(int(label), dim_system)
+        for s in range(dim_system):
+            vectors[s * dim_bath + level, rank] = spectral.blocks[level, s, k]
+    return vectors
+
+
+def projection_matrix(projection, dim):
+    """The dense (dR, dim) matrix W of a subspace projection in either form."""
+    if hasattr(projection, "matrix"):
+        return projection.matrix
+    matrix = np.zeros((projection.dim, dim), dtype=complex)
+    for n in range(dim):
+        for row, value in zip(projection.rows[n], projection.values[n]):
+            matrix[row, n] += value
+    return matrix

@@ -96,7 +96,7 @@ def test_criterion_2_analytic_matches_dense(capsys):
     baths = [4, 6, 8, 12, 16, 24, 32, 48, 64, 96,
              128, 128, 192, 256, 256, 320, 384, 448, 512, 512]
     rng = np.random.default_rng(77)
-    worst = 0.0
+    worst = worst_reduction = 0.0
     for db in baths:
         spec = sample_commuting_spec(db, 1.0, 1.0, 1.0, rng)
         analytic = analytic_eigensystem(spec)
@@ -106,9 +106,18 @@ def test_criterion_2_analytic_matches_dense(capsys):
         if gap > 1e-10 * dense.spectral_norm:
             failures.append(f"dB={db}: energy gap {gap:.2e} exceeds "
                             f"1e-10 * {dense.spectral_norm:.3g}")
+        # every other stage is compared in tests/test_block_form.py
+        reduction_gap = float(np.abs(
+            eigenstate_reductions(analytic, spec.layout).matrices
+            - eigenstate_reductions(dense, spec.layout).matrices).max())
+        worst_reduction = max(worst_reduction, reduction_gap)
+        if reduction_gap > 1e-12:
+            failures.append(f"dB={db}: block and dense eigenstate reductions differ "
+                            f"by {reduction_gap:.2e}")
 
-    _finish(capsys, 2, f"closed-form energies match the dense solver over 20 specs "
-            f"(worst relative gap {worst:.1e})", start, 120.0, failures)
+    _finish(capsys, 2, f"closed-form energies and block-form reductions match the "
+            f"dense solver over 20 specs (worst relative energy gap {worst:.1e}, "
+            f"worst reduction gap {worst_reduction:.1e})", start, 120.0, failures)
 
 
 def _equilibrated_fraction(spectral, layout, n_draws, seed):

@@ -1,0 +1,232 @@
+"""The block form of the commuting models against the dense path.
+
+Each model is built three times: in block form by ``analytic_eigensystem``;
+densely with the same eigenvectors, expanded from the blocks by the oracle,
+which is the dense path the commuting models took before the block form;
+and densely from the oracle's Hamiltonian through ``eigendecompose``.  Every
+stage output must agree with the first dense form within 1e-12 (the
+trajectory at long times only up to the rounding of its phases,
+max|E| t 2^-52), and with the second within 1e-12 too, except where an
+output is first order in the eigenvectors: there eigh's own error, a few
+2^-52 |H| / gap for an eigenvector whose nearest level is ``gap`` away,
+sets the bound.  Hand-built qudit blocks (dS > 2) must match their dense
+expansion the same way, degenerate levels included.  The block form builds
+no d x d array on the way (the tracemalloc test).
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from isibench import cli
+from isibench.dynamics import evolve_reduced, stratified_times
+from isibench.equilibrium import (delta, eigenstate_reductions, overlaps,
+                                  subspace_projection, time_averaged_state)
+from isibench.hilbert import PureState, SpaceLayout, tensor_product
+from isibench.models import (analytic_eigensystem, sample_commuting_spec,
+                             sample_cucchietti_spec)
+from isibench.sampling import sample_amplitudes, stream_generators
+from isibench.spectral import SpectralData, degenerate_level_pairs, eigendecompose
+from isibench.theorems import (necessary_condition_lhs, theorem0_mean_report,
+                               theorem0_tail_report)
+
+from _oracles import build_commuting_model, expand_blocks
+
+TOL = 1e-12
+PLUS = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0), space="system")
+CASES = [("commuting", 1), ("commuting", 2), ("commuting", 7), ("commuting", 64),
+         ("commuting", 1024), ("cucchietti", 1), ("cucchietti", 4), ("cucchietti", 10)]
+
+
+def _spec(kind, size, field_scale=1.0, seed=None):
+    rng = np.random.default_rng(900 + size if seed is None else seed)
+    if kind == "commuting":
+        return sample_commuting_spec(size, 1.0, 1.0, 1.0, rng)
+    return sample_cucchietti_spec(size, 1.0, 1.0, field_scale, rng)
+
+
+def _stages(spectral, layout, initial, psi, horizon):
+    """Every stage output that reads the eigenvectors, by name, for the
+    subspaces built on the system state ``psi``; the trajectory is also
+    sampled on 64 times of [0, horizon)."""
+    reductions = eigenstate_reductions(spectral, layout)
+    coeffs = overlaps(spectral, initial)
+    out = {"overlaps": coeffs.values, "reductions": reductions.matrices,
+           "purities": reductions.purities,
+           "rho_bar": time_averaged_state(coeffs, reductions, spectral).matrix}
+    if reductions.bloch is not None:
+        out["bloch"] = reductions.bloch
+    prefix = max(1, layout.dim_bath // 3)
+    for label, factor, k in (("full", None, None), ("product_bath", psi, None),
+                             (f"bath_prefix:{prefix}", psi, prefix)):
+        projection = subspace_projection(spectral, layout, factor, k)
+        draws = sample_amplitudes(projection.dim, 12, stream_generators(7, 1)[0])
+        out[f"{label} weights"] = projection.weights
+        out[f"{label} delta"] = delta(reductions, projection)
+        out[f"{label} populations"] = projection.populations(draws)
+    projection = subspace_projection(spectral, layout, psi)
+    out["T0i lhs"] = theorem0_mean_report(projection, spectral, reductions, 64, 11).lhs
+    out["T0ii lhs"] = theorem0_tail_report(projection, spectral, reductions, 0.02, 64,
+                                           13).lhs
+    # max|E| t <= 1e3 keeps the phases of both paths within 1e-13
+    short = np.linspace(0.0, 1e3 / spectral.spectral_norm, 41)
+    out["trajectory"] = evolve_reduced(coeffs, spectral, layout, short).states
+    long = stratified_times(horizon, 64, stream_generators(3, 1)[0])
+    out["trajectory at the horizon"] = evolve_reduced(coeffs, spectral, layout, long).states
+    out["phase rounding"] = spectral.spectral_norm * long.max() * 2.0**-52
+    return out
+
+
+@pytest.fixture(scope="module", params=CASES, ids=[f"{k}-{n}" for k, n in CASES])
+def built(request):
+    """(spec, block form and its stages, expanded, eigendecomposed) of one model."""
+    spec = _spec(*request.param)
+    rng = stream_generators(request.param[1], 1)[0]
+    phi = PureState(sample_amplitudes(spec.dim_bath, 1, rng)[:, 0], space="bath")
+    initial = tensor_product(PLUS, phi)
+    block = analytic_eigensystem(spec)
+    expanded = SpectralData(block.eigenvalues, expand_blocks(block))
+    solved = eigendecompose(build_commuting_model(spec).total)
+    # the run's horizon, from the closed-form level spacing for every form
+    horizon = 1e3 / block.min_level_spacing
+    return (spec, block, *(_stages(s, spec.layout, initial, PLUS, horizon)
+                           for s in (block, expanded, solved)), solved)
+
+
+def _gap(a, b):
+    return np.abs(np.asarray(a) - np.asarray(b))
+
+
+def test_block_form_holds_no_dense_matrix(built):
+    spec, block = built[:2]
+    assert block.eigenvectors is None
+    assert block.blocks.shape == (spec.dim_bath, 2, 2)
+
+
+def test_every_stage_matches_the_dense_path(built):
+    ours, theirs = built[2], built[3]
+    for name, value in ours.items():
+        bound = ours["phase rounding"] if name == "trajectory at the horizon" else TOL
+        assert _gap(value, theirs[name]).max() <= max(bound, TOL), name
+
+
+def test_every_stage_matches_eigendecompose(built):
+    spec, block, ours, _, theirs, solved = built
+    assert _gap(block.eigenvalues, solved.eigenvalues).max() <= TOL
+    # eigh rotates eigenvectors whose levels lie `gap` apart by up to a few
+    # 2^-52 |H| / gap; overlaps and populations feel that to first order
+    spacing = np.diff(block.eigenvalues)
+    gap = np.minimum(np.r_[np.inf, spacing], np.r_[spacing, np.inf])
+    rotation = 4.0 * 2.0**-52 * block.spectral_norm / gap
+    for name, value in ours.items():
+        bound = TOL
+        if name == "overlaps":
+            bound = TOL + rotation
+        elif name.endswith("populations"):
+            bound = TOL + 2.0 * rotation
+        elif name == "trajectory at the horizon":
+            bound = max(TOL, ours["phase rounding"])
+        assert np.all(_gap(value, theirs[name]) <= bound), name
+
+
+def test_degenerate_block_average_agrees():
+    # field_scale = 0 leaves every bath level degenerate with its bit
+    # complement, so the levels E = -/+ r_l/2 come in exactly equal pairs
+    spec = _spec("cucchietti", 6, field_scale=0.0, seed=5)
+    block = analytic_eigensystem(spec)
+    dense = eigendecompose(build_commuting_model(spec).total)
+    pairs = degenerate_level_pairs(block)
+    assert len(pairs) >= spec.dim_bath // 2
+    assert pairs == degenerate_level_pairs(dense)
+    phi = PureState(sample_amplitudes(spec.dim_bath, 1, stream_generators(5, 1)[0])[:, 0],
+                    space="bath")
+    initial = tensor_product(PLUS, phi)
+    averages = [time_averaged_state(overlaps(s, initial),
+                                    eigenstate_reductions(s, spec.layout), s,
+                                    allow_degenerate=True).matrix for s in (block, dense)]
+    assert _gap(*averages).max() <= TOL
+
+
+def _qudit_blocks(ds, db, seed, degenerate=False):
+    """Block form of a system qudit on a commuting bath: random unitary
+    blocks and level energies; ``degenerate`` repeats one energy inside
+    every level."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((db, ds, ds)) + 1j * rng.standard_normal((db, ds, ds))
+    unitaries = np.linalg.qr(raw)[0]
+    energies = rng.uniform(-1.0, 1.0, size=(db, ds))
+    if degenerate:
+        energies[:, 1] = energies[:, 0]
+    return SpectralData.from_blocks(energies, unitaries)
+
+
+@pytest.mark.parametrize("ds, db", [(3, 5), (4, 16)])
+def test_qudit_blocks_match_their_dense_expansion(ds, db):
+    block = _qudit_blocks(ds, db, 40 + ds)
+    expanded = SpectralData(block.eigenvalues, expand_blocks(block))
+    layout = SpaceLayout(ds, db)
+    rng = stream_generators(ds, 1)[0]
+    initial = PureState(sample_amplitudes(ds * db, 1, rng)[:, 0], space="composite")
+    psi = PureState(sample_amplitudes(ds, 1, rng)[:, 0], space="system")
+    horizon = 1e3 / block.min_level_spacing
+    ours, theirs = (_stages(s, layout, initial, psi, horizon) for s in (block, expanded))
+    for name, value in ours.items():
+        bound = ours["phase rounding"] if name == "trajectory at the horizon" else TOL
+        assert _gap(value, theirs[name]).max() <= max(bound, TOL), name
+
+
+def test_degenerate_levels_inside_a_block_keep_their_coherence():
+    # two equal energies on every bath level: the infinite-time average keeps
+    # the coherence of each pair, which the block form reads from the pairs
+    # that share a level
+    ds, db = 3, 6
+    block = _qudit_blocks(ds, db, 47, degenerate=True)
+    expanded = SpectralData(block.eigenvalues, expand_blocks(block))
+    layout = SpaceLayout(ds, db)
+    assert len(degenerate_level_pairs(block)) == db
+    initial = PureState(sample_amplitudes(ds * db, 1, stream_generators(9, 1)[0])[:, 0],
+                        space="composite")
+    averages = [time_averaged_state(overlaps(s, initial), eigenstate_reductions(s, layout),
+                                    s, allow_degenerate=True).matrix
+                for s in (block, expanded)]
+    assert _gap(*averages).max() <= TOL
+    populations = overlaps(block, initial).populations
+    plain = np.einsum("n,nij->ij", populations, eigenstate_reductions(block, layout).matrices)
+    assert _gap(averages[0], plain).max() > 1e-3
+    times = np.linspace(0.0, 50.0, 9)
+    paths = [evolve_reduced(overlaps(s, initial), s, layout, times).states
+             for s in (block, expanded)]
+    assert _gap(*paths).max() <= TOL
+
+
+@pytest.mark.parametrize("ds", [3, 4, 6])
+def test_pure_reductions_in_one_basis_reach_the_largest_necessary_lhs(ds):
+    # identity blocks: every eigenstate reduction is a basis projector, so the
+    # bath average dephases psi and the supremum 2(1 - 1/dS) sits at a basis state
+    db = 5
+    energies = np.arange(db * ds, dtype=float).reshape(db, ds) * 0.37
+    spectral = SpectralData.from_blocks(energies,
+                                        np.broadcast_to(np.eye(ds), (db, ds, ds)))
+    reductions = eigenstate_reductions(spectral, SpaceLayout(ds, db))
+    assert _gap(reductions.purities, 1.0).max() <= TOL
+    value = necessary_condition_lhs(reductions, n_starts=16, seed=3)
+    assert abs(value - 2.0 * (1.0 - 1.0 / ds)) <= TOL
+
+
+def test_cucchietti_pipeline_allocates_no_dense_matrix():
+    """d = 4096: one complex d x d array would be 268 MB; the stages stay under 128 MB."""
+    config = cli.ExperimentConfig(kind="cucchietti", n_spins=11,
+                                  theorems=("T0i", "T0ii", "Popescu"),
+                                  dynamics_enabled=True, n_times=500)
+    tracemalloc.start()
+    try:
+        pipe = cli.Pipeline(config).prepare()
+        _ = pipe.reports, pipe.rho_bar, pipe.dynamics
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pipe.spectral.dim == 4096
+    assert set(pipe.reports[0]) == {"T0i", "T0ii", "Popescu"}
+    assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MB"

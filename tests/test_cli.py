@@ -5,10 +5,12 @@ capsys; one smoke test goes through ``python -m isibench.cli`` to cover the
 module entry point.
 """
 
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -562,6 +564,27 @@ class TestInputHardening:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "dynamics.n_times to at most 2500000" in err
         assert not out_dir.exists()
+
+    def test_horizon_overflow_exits_2_naming_the_largest_ratio(self, tmp_path, capsys):
+        # 1e308 over a level spacing below 1 overflows the horizon; the error
+        # names the entry and the largest ratio whose phases stay finite.
+        out_dir = tmp_path / "out"
+        argv = ["dynamics", "--config", "sec5_violation", "--out", str(out_dir)]
+        assert cli.main(argv + ["--override", "dynamics.horizon_over_min_gap=1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dynamics.horizon_over_min_gap") \
+            and err.count("\n") == 1
+        assert not out_dir.exists()
+        largest = float(err.rsplit("at most ", 1)[1])
+        above = math.nextafter(largest, math.inf)
+        assert cli.main(argv + ["--override",
+                                f"dynamics.horizon_over_min_gap={above!r}"]) == 2
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv + ["--override",
+                                    f"dynamics.horizon_over_min_gap={largest!r}"]) == 0
+        assert "mean distance to equilibrium: nan" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("source", [["--seed", "-1"], ["--override", "model.seed=-7"]],
                              ids=["flag", "override"])

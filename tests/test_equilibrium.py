@@ -8,13 +8,13 @@ from isibench import (DegenerateSpectrumError, DensityMatrix, PureState,
                       delta, eigendecompose, eigenstate_reductions, overlaps,
                       sample_commuting_spec, subspace_projection, time_averaged_state,
                       trace_distance, write_reductions_csv)
-from isibench.equilibrium import projection_weights, weighted_reduction
+from isibench.equilibrium import weighted_reduction
 from isibench.models import analytic_eigensystem
-from isibench.spectral import SpectralData
+from isibench.spectral import DenseProjection, SpectralData
 
 from _oracles import (bath_averaged_equilibrium, kron_projection, maximally_mixed,
-                      ptrace_bath_loop, random_hermitian, random_state,
-                      subspace_averaged_equilibrium)
+                      projection_matrix, ptrace_bath_loop, random_hermitian,
+                      random_state, subspace_averaged_equilibrium)
 
 
 def _random_problem(ds, db, seed):
@@ -158,11 +158,13 @@ class TestSubspaceProjection:
         psi = np.array([1.0, 1.0]) / math.sqrt(2) if ds == 2 else random_state(ds, rng)
         prefix = 3 if subspace.startswith("bath_prefix") else None
         if subspace == "full":
-            projection = subspace_projection(spectral, layout)
+            projection = projection_matrix(subspace_projection(spectral, layout),
+                                           layout.dim_total)
             expected = kron_projection(spectral.eigenvectors)
         else:
-            projection = subspace_projection(spectral, layout,
-                                             PureState(psi, space="system"), prefix)
+            projection = projection_matrix(
+                subspace_projection(spectral, layout, PureState(psi, space="system"),
+                                    prefix), layout.dim_total)
             expected = kron_projection(spectral.eigenvectors, psi, prefix)
         assert projection.shape == expected.shape
         assert np.abs(projection - expected).max() <= 1e-14
@@ -183,7 +185,8 @@ class TestDelta:
         layout, spectral, reductions, _ = _random_problem(2, 6, 47)
         k = 2
         vector = spectral.eigenvectors[:, k]
-        value = delta(reductions, vector.conj()[None, :] @ spectral.eigenvectors)
+        value = delta(reductions,
+                      DenseProjection(vector.conj()[None, :] @ spectral.eigenvectors))
         assert value == pytest.approx(reductions.purities[k], abs=1e-12)
 
     def test_full_space_averages_purities(self):
@@ -223,7 +226,7 @@ class TestDelta:
     def test_weights_are_a_distribution(self):
         layout, spectral, _, rng = _random_problem(2, 8, 73)
         psi = PureState(random_state(2, rng), space="system")
-        w = projection_weights(subspace_projection(spectral, layout, psi, 3))
+        w = subspace_projection(spectral, layout, psi, 3).weights
         assert np.all(w >= -1e-15)
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
 

@@ -16,7 +16,7 @@ from isibench import (CONCENTRATION_RATE, THEOREM_IDS, PureState, SpaceLayout,
 from isibench import sampling
 from isibench.equilibrium import EigenstateReductions
 from isibench.models import analytic_eigensystem, sample_commuting_spec
-from isibench.spectral import SpectralData
+from isibench.spectral import DenseProjection, SpectralData
 
 from _oracles import (eigenstate_reductions_loop, kron_basis, mp_concentration_tail,
                       mp_epsilon_prime, mp_theorem0_strong, naive_distance_estimate,
@@ -138,7 +138,7 @@ class TestTheorem0Sampling:
     def test_single_state_subspace_has_zero_spread(self):
         layout, spectral, reductions, rng = _random_problem(2, 4, 3)
         column = spectral.eigenvectors @ random_state(8, rng)
-        projection = column.conj()[None, :] @ spectral.eigenvectors
+        projection = DenseProjection(column.conj()[None, :] @ spectral.eigenvectors)
         report = theorem0_mean_report(projection, spectral, reductions, n_samples=16,
                                       seed=5)
         assert report.lhs < 1e-12
