@@ -24,7 +24,6 @@ import argparse
 import configparser
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -774,36 +773,40 @@ _SWEEP_METRICS: dict[str, Callable[[Pipeline], float]] = {
 }
 
 
-def _point_metrics(payload: tuple[ExperimentConfig, int, float]) -> dict:
-    config, point_index, value = payload
-    parameter = config.sweep_parameter
-    cast = CONFIG_KEYS[f"model.{parameter}"].parse  # checked on values in _check_sweep
-    varied = replace(config, **{parameter: cast(value)})
-    samples: dict[str, list[float]] = {metric: [] for metric in varied.sweep_metrics}
-    for draw in range(varied.sweep_draws):
-        pipe = Pipeline(varied, _draw_seeds(point_index, draw))
-        for metric in varied.sweep_metrics:
-            samples[metric].append(float(_SWEEP_METRICS[metric](pipe)))
-    row: dict[str, float] = {"value": value, "n_draws": varied.sweep_draws}
-    for metric, values in samples.items():
-        data = np.asarray(values)
-        row[f"{metric}_mean"] = float(data.mean())
-        row[f"{metric}_se"] = (float(data.std(ddof=1) / math.sqrt(data.size))
-                               if data.size > 1 else 0.0)
-    return row
+def _draw_metrics(task: tuple[ExperimentConfig, int, int]) -> list[float]:
+    """The sweep metrics of one draw at one grid point."""
+    config, point, draw = task
+    pipe = Pipeline(config, _draw_seeds(point, draw))
+    return [float(_SWEEP_METRICS[metric](pipe)) for metric in config.sweep_metrics]
 
 
 def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
     if config.sweep_parameter is None:
         raise ConfigError("sweep needs a [sweep] section with parameter and values")
+    parameter, n_draws = config.sweep_parameter, config.sweep_draws
+    cast = CONFIG_KEYS[f"model.{parameter}"].parse  # checked on values in _check_sweep
     values = sorted(config.sweep_values)
-    payloads = [(config, index, value) for index, value in enumerate(values)]
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(payloads) == 1:
-        rows = [_point_metrics(payload) for payload in payloads]
+    # One task per draw, point-major, so that the pool balances unequal points.
+    varied = [replace(config, **{parameter: cast(value)}) for value in values]
+    tasks = [(varied[point], point, draw)
+             for point in range(len(values)) for draw in range(n_draws)]
+    jobs = min(max(1, args.jobs), len(tasks))
+    if jobs == 1:
+        samples = [_draw_metrics(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            rows = list(pool.map(_point_metrics, payloads))
+        from concurrent.futures import ProcessPoolExecutor  # only a sweep loads the pool
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            samples = list(pool.map(_draw_metrics, tasks))
+
+    rows = []
+    for point, value in enumerate(values):
+        row: dict[str, float] = {"value": value, "n_draws": n_draws}
+        draws = zip(*samples[point * n_draws:(point + 1) * n_draws])
+        for metric, data in zip(config.sweep_metrics, map(np.asarray, draws)):
+            row[f"{metric}_mean"] = float(data.mean())
+            row[f"{metric}_se"] = (float(data.std(ddof=1) / math.sqrt(data.size))
+                                   if data.size > 1 else 0.0)
+        rows.append(row)
 
     columns = ["parameter", "value", "n_draws"]
     for metric in config.sweep_metrics:
@@ -855,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=None,
                          help="override the config's root seed")
         sub.add_argument("--jobs", type=int, default=1,
-                         help="parallel processes for sweep points")
+                         help="parallel processes for sweep draws")
         sub.add_argument("--out", default=None,
                          help="output directory (default from config, else "
                               f"{DEFAULT_OUT_DIR})")

@@ -86,14 +86,14 @@ def check_density_stack(name: str, mats: np.ndarray, positive: bool = True) -> N
     """Refuse an (n, k, k) stack unless each matrix is Hermitian with unit trace
     and, if ``positive``, PSD; the errors name the failing object ``name``."""
     asym = float(np.abs(mats - mats.conj().transpose(0, 2, 1)).max())
-    if asym > HERMITICITY_TOL:
+    if not asym <= HERMITICITY_TOL:  # a NaN entry fails too
         raise ValidationError(f"{name} not Hermitian: max asymmetry {asym:.3e}")
     trace_err = float(np.abs(np.einsum("nii->n", mats) - 1.0).max())
-    if trace_err > TRACE_TOL:
+    if not trace_err <= TRACE_TOL:
         raise ValidationError(f"{name} trace deviates from 1 by {trace_err:.3e}")
     if positive:
         lowest = float(np.linalg.eigvalsh(mats).min())
-        if lowest < -EIGENVALUE_FLOOR:
+        if not lowest >= -EIGENVALUE_FLOOR:
             raise ValidationError(f"{name} not positive semidefinite: "
                                   f"lowest eigenvalue {lowest:.3e}")
 

@@ -145,31 +145,42 @@ def necessary_condition_lhs(reductions: EigenstateReductions,
     maximum of tr(O X) over ||O|| <= 1, no step can lower the objective; a
     start stops when it no longer strictly increases.  (The assumed
     nondegenerate spectrum is the caller's responsibility here.)
+
+    All starts step together.  Both sums are one product with the dS^2 x dS^2
+    Gram matrix K = (1/dB) sum_n vec(rho_n) vec(rho_n)^H, built once:
+    X = unvec(K vec(psi psi^H)) - I/dS, and sum_n tr(O rho_n) rho_n =
+    dB unvec(K vec(O)).  So a step costs two batched ``eigh`` calls on the
+    (active starts, dS, dS) stack whatever dB is, and a start leaves the
+    stack at its stopping step.
     """
     layout = reductions.layout
-    if layout.dim_system == 2:
+    ds = layout.dim_system
+    if ds == 2:
         gram = reductions.bloch.T @ reductions.bloch
         return float(np.linalg.eigvalsh(gram / reductions.dim)[-1])
     if n_starts < 1:
         raise ValidationError(f"n_starts must be >= 1, got {n_starts}")
-    mixed = np.eye(layout.dim_system) / layout.dim_system
+    rows = reductions.matrices.reshape(reductions.dim, ds * ds)
+    # transpose(K), so that a stack of row-major vec's maps as stack @ gram_t
+    gram_t = rows.conj().T @ rows / layout.dim_bath
+    mixed = np.eye(ds) / ds
     rng = stream_generators(seed, 1)[0]
-    best = 0.0
-    for psi in sample_amplitudes(layout.dim_system, n_starts, rng).T:
-        value = -math.inf
-        while True:
-            weights = np.einsum("i,nij,j->n", psi.conj(), reductions.matrices, psi).real
-            levels, vectors = np.linalg.eigh(
-                weighted_reduction(weights, reductions) / layout.dim_bath - mixed)
-            objective = float(np.abs(levels).sum())
-            if not objective > value:
-                break
-            value = objective
-            sign = (vectors * np.sign(levels)) @ vectors.conj().T
-            scores = np.einsum("ij,nji->n", sign, reductions.matrices).real
-            psi = np.linalg.eigh(weighted_reduction(scores, reductions))[1][:, -1]
-        best = max(best, value)
-    return best
+    psi = sample_amplitudes(ds, n_starts, rng).T
+    values = np.full(n_starts, -math.inf)
+    active = np.arange(n_starts)
+    while active.size:
+        projectors = psi[:, :, None] * psi[:, None, :].conj()
+        levels, vectors = np.linalg.eigh(
+            (projectors.reshape(-1, ds * ds) @ gram_t).reshape(-1, ds, ds) - mixed)
+        objective = np.abs(levels).sum(axis=1)
+        rising = objective > values[active]
+        active, psi = active[rising], psi[rising]
+        values[active] = objective[rising]
+        vectors, levels = vectors[rising], levels[rising]
+        sign = (vectors * np.sign(levels)[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
+        psi = np.linalg.eigh((sign.reshape(-1, ds * ds) @ gram_t).reshape(-1, ds, ds)
+                             )[1][:, :, -1]
+    return max(0.0, float(values.max()))
 
 
 def theorem2_lhs(reductions: EigenstateReductions) -> tuple[float, float]:

@@ -248,6 +248,14 @@ class TestModelInfo:
         assert result.returncode == 0
         assert "layout: dS=2 dB=8 d=16" in result.stdout
 
+    def test_import_does_not_load_the_process_pool(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, isibench.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
 
 def _assert_close(first, second, bound, what):
     first, second = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
@@ -403,12 +411,38 @@ class TestSweepCommand:
 
     def test_parallel_jobs_match_the_serial_result(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, RANDOM_SWEEP)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["sweep", "--config", cfg, "--out", str(out_a)]) == 0
-        assert cli.main(["sweep", "--config", cfg, "--jobs", "2",
-                         "--out", str(out_b)]) == 0
-        capsys.readouterr()
-        assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+        cases = [("2", []),
+                 ("3", ["sweep.draws=3"]),   # 6 draws do not split evenly over 3 workers
+                 ("8", []),                  # more workers than draws
+                 ("2", ["sweep.values=8"])]  # one point
+        for case, (jobs, overrides) in enumerate(cases):
+            flags = [arg for item in overrides for arg in ("--override", item)]
+            out_a, out_b = tmp_path / f"a{case}", tmp_path / f"b{case}"
+            assert cli.main(["sweep", "--config", cfg, "--out", str(out_a), *flags]) == 0
+            assert cli.main(["sweep", "--config", cfg, "--jobs", jobs,
+                             "--out", str(out_b), *flags]) == 0
+            capsys.readouterr()
+            assert (out_a / "sweep.csv").read_bytes() == \
+                   (out_b / "sweep.csv").read_bytes(), (jobs, overrides)
+
+    def test_a_draw_failing_in_a_worker_exits_as_the_serial_sweep(self, tmp_path,
+                                                                  capsys):
+        # field_scale = 0 leaves every level degenerate with its partner, so
+        # the dynamics of the draws at that point refuse the spectrum
+        cfg = _write_cfg(tmp_path, "[model]\nkind = cucchietti\nn_spins = 3\n"
+                                   "[sweep]\nparameter = field_scale\nvalues = 1, 0\n"
+                                   "draws = 3\n"
+                                   "metrics = min_level_spacing, equilibration_metric\n")
+        results = []
+        for jobs in ("1", "3"):
+            code = cli.main(["sweep", "--config", cfg, "--jobs", jobs,
+                             "--out", str(tmp_path / "out")])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        code, err = results[0]
+        assert code == 4
+        assert err.startswith("error: spectrum has ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_unsweepable_parameter_is_rejected(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 8\n"

@@ -108,6 +108,13 @@ class TestEvolveReduced:
         with pytest.raises(CapExceededError):
             evolve_reduced(coeffs, spectral, layout, np.zeros(2_000_000))
 
+    def test_times_that_overflow_the_phases_are_refused(self):
+        ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 19)
+        assert not math.isfinite(spectral.spectral_norm * 1e308)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValidationError, match="trajectory states"):
+            evolve_reduced(coeffs, spectral, layout, np.array([0.0, 1e308]))
+
 
 class TestStratifiedTimes:
     def test_one_point_per_stratum(self):

@@ -6,7 +6,7 @@ import pytest
 from isibench import (BlochVector, DensityMatrix, PureState, SpaceLayout,
                       ValidationError, batched_partial_trace_bath, bloch_vector, purity,
                       tensor_product, trace_distance)
-from isibench.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z
+from isibench.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, check_density_stack
 
 from _oracles import (density_from_bloch, maximally_mixed, partial_trace_system,
                       ptrace_bath_loop, ptrace_system_loop, random_density,
@@ -43,6 +43,15 @@ class TestStates:
     def test_density_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 1)])
+    def test_density_stack_with_a_nan_entry_is_refused(self, cell):
+        stack = np.stack([np.eye(2, dtype=complex) / 2] * 3)
+        stack[1][cell] = np.nan
+        with pytest.raises(ValidationError):
+            check_density_stack("stack", stack, positive=False)
+        with pytest.raises(ValidationError):
+            DensityMatrix(stack[1])
 
 
 class TestTensorProduct:

@@ -20,7 +20,8 @@ from isibench.spectral import DenseProjection, SpectralData
 
 from _oracles import (eigenstate_reductions_loop, kron_basis, mp_concentration_tail,
                       mp_epsilon_prime, mp_theorem0_strong, naive_distance_estimate,
-                      necessary_lhs_coordinate_ascent, ptrace_bath_loop,
+                      necessary_lhs_alternating, necessary_lhs_coordinate_ascent,
+                      ptrace_bath_loop,
                       random_hermitian, random_state)
 
 
@@ -219,6 +220,14 @@ class TestNecessaryCondition:
         oracle = necessary_lhs_coordinate_ascent(reductions.matrices, db, 8, seed)
         assert value >= oracle - 1e-12 * max(1.0, abs(oracle))
         assert abs(value - oracle) <= 1e-10
+
+    @pytest.mark.parametrize("n_starts", [1, 8, 64])
+    @pytest.mark.parametrize("ds, db, seed", [(3, 16, 71), (4, 8, 73), (6, 4, 79)])
+    def test_batched_search_matches_the_per_start_loop(self, ds, db, seed, n_starts):
+        layout, spectral, reductions, _ = _random_problem(ds, db, seed)
+        value = necessary_condition_lhs(reductions, n_starts=n_starts, seed=seed)
+        oracle = necessary_lhs_alternating(reductions.matrices, db, n_starts, seed)
+        assert abs(value - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
 
 class TestTheorem2:
