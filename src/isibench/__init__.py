@@ -18,13 +18,14 @@ from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
 from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, BlochVector, DensityMatrix,
                       PureState, SpaceLayout, batched_bloch_vectors,
                       batched_partial_trace_bath, bloch_vector, purity, tensor_product,
-                      trace_distance, trace_norm)
+                      trace_distance, trace_norm, weighted_sum)
 from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
                      build_cucchietti_bath, build_random_model, commuting_norms,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)
-from .sampling import (MonteCarloEstimate, batched_monte_carlo, sample_amplitudes,
-                       split_counts, stream_generators)
-from .spectral import (CompositeHamiltonian, DenseProjection, SparseProjection,
+from .sampling import (MonteCarloEstimate, batched_monte_carlo, dirichlet_weights,
+                       haar_amplitudes, induced_states, sample_amplitudes, split_counts,
+                       stream_generators)
+from .spectral import (CompositeHamiltonian, DenseProjection, GroupedProjection,
                        SpectralData, assemble,
                        check_nondegenerate_spectrum, degenerate_level_pairs,
                        eigendecompose, fix_phases, read_matrix, write_csv, write_matrix)
@@ -33,7 +34,8 @@ from .theorems import (CONCENTRATION_RATE, THEOREM_IDS, VERDICTS, TheoremReport,
                        max_possible_lhs, necessary_condition_lhs,
                        necessary_condition_report, popescu_report,
                        read_report, recompute_rhs, sufficient_condition_report,
-                       theorem0_mean_report, theorem0_rhs, theorem0_tail_report,
+                       Theorem0Estimate, theorem0_estimate, theorem0_mean_report,
+                       theorem0_rhs, theorem0_tail_report,
                        theorem2_lhs, theorem2_reports, write_report)
 from .tolerances import DEFAULT, Tolerances
 

@@ -46,11 +46,12 @@ from .hilbert import (DensityMatrix, PureState, SpaceLayout, bloch_vector, purit
 from .models import (CommutingModelSpec, analytic_eigensystem, build_random_model,
                      commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import sample_amplitudes, stream_generators
-from .spectral import (CompositeHamiltonian, DenseProjection, SparseProjection,
+from .spectral import (CompositeHamiltonian, DenseProjection, GroupedProjection,
                        SpectralData, check_nondegenerate_spectrum, eigendecompose,
                        read_matrix, write_csv)
-from .theorems import (THEOREM_IDS, THEOREMS, TheoremReport, necessary_condition_lhs,
-                       theorem2_lhs, theorem2_reports, write_report)
+from .theorems import (THEOREM_IDS, THEOREMS, Theorem0Estimate, TheoremReport,
+                       necessary_condition_lhs, theorem0_estimate, theorem2_lhs,
+                       theorem2_reports, write_report)
 from .tolerances import DEFAULT, Tolerances
 
 DEFAULT_SEED = 12345
@@ -59,7 +60,8 @@ DEFAULT_OUT_DIR = "isibench-out"
 MODEL_KINDS = ("commuting", "cucchietti", "random", "file")
 
 # Seed paths below the root seed, by stage.  Report k of THEOREM_IDS draws
-# from (2, k); the draws of a sweep use their own table (see _draw_seeds).
+# from (2, k), but T0ii shares the draws of T0i and so draws from T0i's path
+# (2, 1); the draws of a sweep use their own table (see _draw_seeds).
 RUN_SEEDS = {"model": (0,), "system": (1, 0), "bath": (1, 1), "bounds": (2,),
              "dynamics": (3,)}
 
@@ -94,8 +96,11 @@ def _parse_finite(text: str) -> float:
 
 
 def _parse_scale(text: str) -> float:
-    """A half-width s of the model's uniform draws on [-s, s]; 2s must be finite."""
+    """A half-width s of the model's uniform draws on [-s, s]: nonnegative
+    (not -0 either, which numpy's uniform refuses), with 2s finite."""
     value = _parse_finite(text)
+    if math.copysign(1.0, value) < 0.0:
+        raise ValueError("a half-width must be nonnegative")
     if not math.isfinite(2.0 * value):
         raise ValueError("the draws on [-s, s] overflow")
     return value
@@ -497,7 +502,7 @@ class Pipeline:
         return eigenstate_reductions(self.spectral, self.layout)
 
     @cached_property
-    def projection(self) -> DenseProjection | SparseProjection:
+    def projection(self) -> DenseProjection | GroupedProjection:
         """W = B^H V of the analysis subspace R on the eigenbasis, shape (dR, d)."""
         token, layout = self.config.subspace, self.layout
         if token == "full":
@@ -554,6 +559,15 @@ class Pipeline:
         times = stratified_times(horizon, self.config.n_times, rng)
         return (horizon, *equilibrate(self.coeffs, spectral, self.layout, times,
                                       self.rho_bar))
+
+    @cached_property
+    def theorem0(self) -> Theorem0Estimate:
+        """The draws that the T0i and T0ii reports share, from T0i's seed."""
+        config = self.config
+        return theorem0_estimate(self.projection, self.spectral, self.reductions,
+                                 config.epsilon, config.n_samples,
+                                 self.seed("bounds", THEOREM_IDS.index("T0i")),
+                                 config.n_streams, config.tolerances)
 
     @cached_property
     def theorem2(self) -> tuple[TheoremReport, TheoremReport]:

@@ -11,7 +11,9 @@ norms give the weights <n|Pi_R|n>/dR; the Haar average of the equilibrium
 state over R is then sum_n w_n rho_n (``weighted_reduction``).  The
 eigenvectors are read only through the methods of ``SpectralData``, so the
 same code serves its dense form and the block form of the commuting models,
-where W is stored by its nonzeros and no d x d array exists.
+where no d x d array exists.  There, and for the whole space in either
+form, R has a basis in which each eigenvector overlaps one basis vector at
+most, and W is kept as those groups (``spectral.GroupedProjection``).
 
 Everything here is exact linear algebra; time evolution lives in the
 dynamics module.
@@ -25,8 +27,8 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
 from .hilbert import (STATE_NORM_TOL, DensityMatrix, PureState, SpaceLayout,
-                      batched_bloch_vectors, check_density_stack)
-from .spectral import (DenseProjection, SparseProjection, SpectralData,
+                      batched_bloch_vectors, check_density_stack, weighted_sum)
+from .spectral import (DenseProjection, GroupedProjection, SpectralData,
                        degenerate_level_pairs, write_csv)
 from .tolerances import DEFAULT, Tolerances
 
@@ -175,15 +177,15 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
 
 def subspace_projection(spectral: SpectralData, layout: SpaceLayout,
                         psi: PureState | None = None, dim_bath: int | None = None
-                        ) -> DenseProjection | SparseProjection:
+                        ) -> DenseProjection | GroupedProjection:
     """W = B^H V, the (dR, d) overlaps of an orthonormal basis of the
     initial-state subspace R with the eigenvectors.
 
-    ``psi=None`` is the whole space, where W is the eigenvector matrix itself;
+    ``psi=None`` is the whole space, taken in the eigenbasis (W = I);
     otherwise R = psi (x) span of the first ``dim_bath`` bath levels (all by
     default), and W[b, n] = sum_i conj(psi_i) <i, b|n>.  The result has the
-    dimension dR, the weights w_n = <n|Pi_R|n>/dR and the populations of
-    drawn amplitudes; it is sparse for the block form.
+    dimension dR, the weights w_n = <n|Pi_R|n>/dR and the draw of the T0
+    estimate; it is grouped for the whole space and for the block form.
     """
     if spectral.dim != layout.dim_total:
         raise ValidationError(f"spectral dim {spectral.dim} != layout {layout.dim_total}")
@@ -208,11 +210,11 @@ def weighted_purity(weights: np.ndarray, reductions: EigenstateReductions) -> fl
 
 def weighted_reduction(weights: np.ndarray, reductions: EigenstateReductions) -> np.ndarray:
     """sum_n w_n rho_n for weights of shape (..., d); shape (..., dS, dS)."""
-    return np.einsum("...n,nij->...ij", weights, reductions.matrices)
+    return weighted_sum(weights, reductions.matrices)
 
 
 def delta(reductions: EigenstateReductions,
-          projection: DenseProjection | SparseProjection) -> float:
+          projection: DenseProjection | GroupedProjection) -> float:
     """Subspace-weighted mean purity of the eigenstate reductions.
 
     delta = sum_n w_n tr(rho_n^2) with w_n the normalized diagonal of the

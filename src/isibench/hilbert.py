@@ -232,6 +232,16 @@ def batched_trace_distances(states: np.ndarray, reference: np.ndarray) -> np.nda
     return np.abs(np.linalg.eigvalsh(difference)).sum(axis=1)
 
 
+def weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_n weights[..., n] stack[n] for real weights and a complex (n, k, k)
+    stack; shape (..., k, k).  It sums over the stack's float view: the sums
+    of a complex einsum, at a quarter of its multiplications."""
+    size, k, _ = stack.shape
+    flat = np.ascontiguousarray(stack).view(np.float64).reshape(size, 2 * k * k)
+    summed = np.einsum("...n,nm->...m", weights, flat)
+    return summed.view(complex).reshape(*summed.shape[:-1], k, k)
+
+
 def purity(rho) -> float:
     """tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
     m = _as_matrix(rho)

@@ -5,7 +5,7 @@
 eigenvectors are system vectors times bath basis vectors.  Its methods are
 the package's only readers of eigenvectors, so no other module depends on
 the form; the subspace projections they build are ``DenseProjection`` and
-``SparseProjection``.
+``GroupedProjection``, and each hands the T0 estimate its own draw.
 
 The equilibration statements this package evaluates assume a nondegenerate
 spectrum.  ``degenerate_level_pairs`` is the one place that decides it: two
@@ -22,13 +22,16 @@ lossless for doubles).  The CSV data files of a run share ``write_csv``.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, ValidationError
-from .hilbert import SpaceLayout, batched_partial_trace_bath
+from .hilbert import SpaceLayout, batched_partial_trace_bath, weighted_sum
+from .sampling import Draw, dirichlet_weights, haar_amplitudes
 from .tolerances import DEFAULT, Tolerances
 
 MATRIX_FORMAT_MAGIC = "isibench-matrix"
@@ -112,6 +115,11 @@ def assemble(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray | Non
 # Padding every chunk to whole blocks of this many rows keeps them the same.
 _GEMM_ROW_BLOCK = 8
 
+# A T0 sampler: the draw of the states of a subspace, the length of its
+# per-sample rows, and the map from a chunk of draws to their (count, dS, dS)
+# equilibrium states.
+Sampler = tuple[Draw, int, Callable[[np.ndarray], np.ndarray]]
+
 
 @dataclass(frozen=True)
 class DenseProjection:
@@ -134,29 +142,46 @@ class DenseProjection:
         padded = np.pad(rows, ((0, -len(rows) % _GEMM_ROW_BLOCK), (0, 0)))
         return np.abs((padded @ self.matrix)[:len(rows)]) ** 2
 
+    def sampler(self, matrices: np.ndarray) -> Sampler:
+        """Haar-uniform amplitudes a of R, whose equilibrium states are
+        sum_n |(a^H W)_n|^2 rho_n for the (d, dS, dS) eigenstate reductions."""
+        return (haar_amplitudes(self.dim), self.matrix.shape[1],
+                lambda amplitudes: weighted_sum(self.populations(amplitudes), matrices))
+
 
 @dataclass(frozen=True)
-class SparseProjection:
-    """W = B^H V of a subspace R by its nonzeros: column n of W holds
-    ``values[n, j]`` in row ``rows[n, j]``, shape (d, m) each, so a draw's
-    populations cost O(d m)."""
+class GroupedProjection:
+    """W = B^H V of a subspace R whose basis vectors b_r each overlap their
+    own group of eigenvectors: eigenvector ``members[r, j]`` has
+    |<b_r|n>|^2 = ``shares[r, j]`` and no overlap with the other b_r.
+    ``members=None`` is the whole space in the eigenbasis (W = I).
+
+    A state sum_r a_r b_r then has the populations |a_r|^2 shares[r, j], so
+    its equilibrium state is sum_r |a_r|^2 M_r with the (dR, dS, dS) stack
+    M_r = sum_j shares[r, j] rho_{members[r, j]} (the eigenstate reductions
+    themselves for the whole space), and for a Haar-uniform state the
+    |a_r|^2 are Dirichlet weights.  ``weights`` are the w_n = <n|Pi_R|n>/dR.
+    """
 
     dim: int
-    rows: np.ndarray
-    values: np.ndarray
+    weights: np.ndarray
+    members: np.ndarray | None = None
+    shares: np.ndarray | None = None
 
-    @property
-    def weights(self) -> np.ndarray:
-        """w_n = sum_r |W_rn|^2 / dR, as DenseProjection.weights."""
-        return np.sum(np.abs(self.values) ** 2, axis=1) / self.dim
+    def stack(self, matrices: np.ndarray) -> np.ndarray:
+        """The (dR, dS, dS) stack M of the (d, dS, dS) eigenstate reductions."""
+        if self.members is None:
+            return matrices
+        stack = self.shares[:, 0, None, None] * matrices[self.members[:, 0]]
+        for j in range(1, self.members.shape[1]):
+            stack += self.shares[:, j, None, None] * matrices[self.members[:, j]]
+        return stack
 
-    def populations(self, amplitudes: np.ndarray) -> np.ndarray:
-        """|(a^H W)_n|^2 for (dR, count) amplitudes a; shape (count, d)."""
-        rows = amplitudes.T.conj()
-        overlap = rows[:, self.rows[:, 0]] * self.values[:, 0]
-        for j in range(1, self.rows.shape[1]):
-            overlap += rows[:, self.rows[:, j]] * self.values[:, j]
-        return np.abs(overlap) ** 2
+    def sampler(self, matrices: np.ndarray) -> Sampler:
+        """Dirichlet weights w, whose equilibrium states are sum_r w_r M_r."""
+        stack = self.stack(matrices)
+        return (dirichlet_weights(self.dim), self.dim,
+                lambda weights: weighted_sum(weights, stack))
 
 
 @dataclass(frozen=True)
@@ -263,33 +288,29 @@ class SpectralData:
         return pure.reshape(self.dim, layout.dim_system, layout.dim_system)[self.order]
 
     def projection(self, layout: SpaceLayout, psi: np.ndarray | None = None,
-                   dim_prefix: int | None = None) -> DenseProjection | SparseProjection:
+                   dim_prefix: int | None = None) -> DenseProjection | GroupedProjection:
         """W = B^H V for R the whole space (``psi=None``), or R = psi (x)
         span of the first ``dim_prefix`` bath levels, W[b, n] = sum_i
         conj(psi_i) <i, b|n>.
 
-        In the block form column (l, k) of W has dS nonzeros <s, l|n> = u_s
-        for the whole space, and one, conj(psi).u in row l, for psi (x) |l>
-        with l < dim_prefix.
+        The whole space is grouped in the eigenbasis, each eigenvector its
+        own group.  A product subspace is dense in the dense form; in the
+        block form the eigenvector u (x) |l> overlaps only psi (x) |l>, by
+        conj(psi).u, so the groups are the bath levels l < dim_prefix.
         """
         self._require_layout(layout)
         ds, db = layout.dim_system, layout.dim_bath
+        if psi is None:
+            return GroupedProjection(self.dim, np.full(self.dim, 1.0 / self.dim))
         if self.blocks is None:
-            if psi is None:
-                return DenseProjection(self.eigenvectors)
             blocks = self.eigenvectors.reshape(ds, db, self.dim)
             return DenseProjection(np.einsum("i,ibn->bn", psi.conj(), blocks[:, :dim_prefix]))
-        levels = np.arange(db)[:, None, None]
-        if psi is None:
-            rows = np.broadcast_to(np.arange(ds) * db + levels, (db, ds, ds))
-            values = self.blocks.transpose(0, 2, 1)
-            return SparseProjection(self.dim, rows.reshape(self.dim, ds)[self.order],
-                                    values.reshape(self.dim, ds)[self.order])
-        kept = levels < dim_prefix
-        values = np.where(kept[:, :, 0], np.einsum("s,lsk->lk", psi.conj(), self.blocks), 0.0)
-        rows = np.broadcast_to(np.where(kept, levels, 0), (db, ds, 1))
-        return SparseProjection(dim_prefix, rows.reshape(self.dim, 1)[self.order],
-                                values.reshape(self.dim, 1)[self.order])
+        shares = np.abs(np.einsum("s,lsk->lk", psi.conj(), self.blocks)) ** 2
+        shares[dim_prefix:] = 0.0
+        rank = np.empty(self.dim, dtype=np.intp)
+        rank[self.order] = np.arange(self.dim)
+        return GroupedProjection(dim_prefix, shares.ravel()[self.order] / dim_prefix,
+                                 rank.reshape(db, ds)[:dim_prefix], shares[:dim_prefix])
 
     def dephased_reduction(self, values: np.ndarray, splits: np.ndarray,
                            layout: SpaceLayout) -> np.ndarray:
@@ -430,18 +451,37 @@ def write_matrix(path, matrix: np.ndarray, layout: SpaceLayout | None = None) ->
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Rows of a data file formatted by one template at a time.
+CSV_CHUNK_ROWS = 65536
+
+
+def _csv_field(text: str) -> str:
+    """A string cell as the csv module writes it (minimal quoting)."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """Write a data file: a ``# schema_version 1`` line, the header, the rows.
 
-    Strings are written as they are and numbers in %.17g (lossless for
-    doubles); the schema line lets downstream parsers detect column changes.
+    Strings are written as they are (quoted as the csv module quotes them)
+    and numbers in %.17g (lossless for doubles); the schema line lets
+    downstream parsers detect column changes.  Rows are read in chunks of
+    CSV_CHUNK_ROWS, each formatted by one %-template built from the cell
+    types of its first row.
     """
+    rows = iter(rows)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write("# schema_version 1\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([v if isinstance(v, str) else f"{v:.17g}" for v in row]
-                         for row in rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+            is_text = [isinstance(value, str) for value in chunk[0]]
+            if any(is_text):
+                chunk = [[_csv_field(v) if t else v for v, t in zip(row, is_text)]
+                         for row in chunk]
+            template = ",".join("%s" if t else "%.17g" for t in is_text) + "\n"
+            fh.write(template * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))
 
 
 def read_matrix(path) -> tuple[np.ndarray, SpaceLayout | None]:

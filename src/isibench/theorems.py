@@ -29,11 +29,11 @@ from .equilibrium import (EigenstateReductions, require_nondegenerate, weighted_
 from .errors import ValidationError
 # trace_distance is kept importable from here: the benchmark's tracer test
 # looks it up under this module.
-from .hilbert import (DensityMatrix, SpaceLayout, batched_partial_trace_bath,  # noqa: F401
-                      batched_trace_distances, trace_distance)
-from .sampling import (MonteCarloEstimate, batched_monte_carlo, sample_amplitudes,
-                       stream_generators)
-from .spectral import DenseProjection, SparseProjection, SpectralData
+from .hilbert import (DensityMatrix, SpaceLayout, batched_trace_distances,  # noqa: F401
+                      trace_distance)
+from .sampling import (MonteCarloEstimate, batched_monte_carlo, induced_states,
+                       sample_amplitudes, stream_generators)
+from .spectral import DenseProjection, GroupedProjection, SpectralData
 from .tolerances import DEFAULT, Tolerances
 
 # Concentration rate constant of the Levy-type tail bounds, 1/(18 pi^3).
@@ -97,38 +97,54 @@ def epsilon_prime(epsilon: float, dim_system: int, dim_restricted: int,
             + 2.0 / cube_root + (8.0 / p) * math.exp(-CONCENTRATION_RATE * cube_root))
 
 
-def _theorem0(projection: DenseProjection | SparseProjection, spectral: SpectralData,
-              reductions: EigenstateReductions, epsilon: float | None, n_samples: int,
-              seed: int, n_streams: int, tolerances: Tolerances
-              ) -> tuple[float, float, float, MonteCarloEstimate]:
-    """delta, the bounds of theorem0_rhs, and the Monte Carlo estimate of a report.
+@dataclass(frozen=True)
+class Theorem0Estimate:
+    """The one draw set that the T0i and T0ii reports share.
 
-    Initial states are drawn Haar-uniformly from the subspace R, and the
-    estimate is the mean trace distance of their infinite-time averages to
-    the exact subspace-averaged equilibrium state (a quadratic functional of
-    the state, so it has a closed form for every subspace) or, with an
-    ``epsilon``, the frequency of distances beyond the sharp bound plus
-    epsilon.  The projection W = B^H V of R on the eigenbasis serves it all:
-    it gives the weights (so delta and the average), and each chunk of drawn
-    amplitudes a its populations |<n|B a>|^2 = |(a^H W)_n|^2 (one GEMM for a
-    dense W, O(d) per draw for the sparse W of the block form) and its
-    equilibrium states in one einsum.
+    Initial states are drawn Haar-uniformly from the subspace R, and
+    ``estimate`` has two components per draw: the trace distance of its
+    infinite-time average to the exact subspace-averaged equilibrium state,
+    and whether that distance exceeds ``threshold``, the sharp bound
+    sqrt(dS delta / dR) plus ``epsilon``.
+    """
+
+    dim_system: int
+    dim_restricted: int
+    delta: float
+    weak: float
+    epsilon: float
+    threshold: float
+    estimate: MonteCarloEstimate
+
+
+def theorem0_estimate(projection: DenseProjection | GroupedProjection,
+                      spectral: SpectralData, reductions: EigenstateReductions,
+                      epsilon: float, n_samples: int, seed: int, n_streams: int = 1,
+                      tolerances: Tolerances = DEFAULT) -> Theorem0Estimate:
+    """delta, the bounds of theorem0_rhs, and the draws of the T0 reports.
+
+    The projection W = B^H V of R on the eigenbasis gives the weights (so
+    delta and the average) and the draw: Haar-uniform amplitudes a whose
+    populations |(a^H W)_n|^2 weight the eigenstate reductions (one GEMM per
+    chunk) for a dense W, or Dirichlet weights on a (dR, dS, dS) stack
+    built once for a grouped W.
     """
     require_nondegenerate(spectral, tolerances)
     weights = projection.weights
     delta_value = weighted_purity(weights, reductions)
     dim_r = projection.dim
     strong, weak = theorem0_rhs(reductions.layout.dim_system, dim_r, delta_value)
-    threshold = None if epsilon is None else strong + epsilon
+    threshold = strong + epsilon
     reference = DensityMatrix(weighted_reduction(weights, reductions)).matrix
+    draw, width, states_of = projection.sampler(reductions.matrices)
 
-    def values(amplitudes: np.ndarray) -> np.ndarray:
-        distances = batched_trace_distances(
-            weighted_reduction(projection.populations(amplitudes), reductions), reference)
-        return distances if threshold is None else (distances > threshold).astype(float)
+    def values(draws: np.ndarray) -> np.ndarray:
+        distances = batched_trace_distances(states_of(draws), reference)
+        return np.stack([distances, (distances > threshold).astype(float)], axis=1)
 
-    return delta_value, strong, weak, batched_monte_carlo(
-        values, dim_r, spectral.dim, n_samples, seed, n_streams)
+    estimate = batched_monte_carlo(values, draw, width, n_samples, seed, n_streams)
+    return Theorem0Estimate(reductions.layout.dim_system, dim_r, delta_value, weak,
+                            epsilon, threshold, estimate)
 
 
 def necessary_condition_lhs(reductions: EigenstateReductions,
@@ -235,7 +251,8 @@ def _necessary_max(p: dict) -> float:
 # most 1, for qubits).  Mean trace distances cap at 2.  The evaluators look
 # up the report builders by name when they run, so that a tracer that wraps
 # this module's functions sees the calls.  The order fixes each report's
-# seed (its index here) and must not change.
+# seed (its index here) and must not change; T0i and T0ii share the draws of
+# the pipeline's theorem0 stage, which takes T0i's seed.
 THEOREMS = {
     "SufficientISI": Theorem(
         lambda p: float(p["threshold"]), _one,
@@ -244,15 +261,11 @@ THEOREMS = {
     "T0i": Theorem(
         lambda p: theorem0_rhs(int(p["dS"]), int(p["dR"]), float(p["delta"]))[0],
         lambda p: 2.0,
-        lambda pipe, seed: theorem0_mean_report(
-            pipe.projection, pipe.spectral, pipe.reductions, pipe.config.n_samples, seed,
-            pipe.config.n_streams, pipe.config.tolerances),
+        lambda pipe, seed: theorem0_mean_report(pipe.theorem0, pipe.config.tolerances),
         nondegenerate=True),
     "T0ii": Theorem(
         lambda p: concentration_tail(int(p["dR"]), float(p["epsilon"])), _one,
-        lambda pipe, seed: theorem0_tail_report(
-            pipe.projection, pipe.spectral, pipe.reductions, pipe.config.epsilon,
-            pipe.config.n_samples, seed, pipe.config.n_streams, pipe.config.tolerances),
+        lambda pipe, seed: theorem0_tail_report(pipe.theorem0, pipe.config.tolerances),
         nondegenerate=True),
     "T1": Theorem(
         _necessary_rhs, _necessary_max,
@@ -465,39 +478,28 @@ def sufficient_condition_report(delta_value: float,
     return _report("SufficientISI", math.sqrt(delta_value), parameters, tolerances)
 
 
-def theorem0_mean_report(projection: DenseProjection | SparseProjection,
-                         spectral: SpectralData,
-                         reductions: EigenstateReductions, n_samples: int, seed: int,
-                         n_streams: int = 1,
+def _theorem0_parameters(t0: Theorem0Estimate, column: int) -> dict:
+    estimate = t0.estimate
+    return {"dS": t0.dim_system, "dR": t0.dim_restricted, "delta": t0.delta,
+            "n_samples": estimate.n_samples, "seed": estimate.seed,
+            "n_streams": estimate.n_streams,
+            "lhs_standard_error": estimate.standard_error[column]}
+
+
+def theorem0_mean_report(t0: Theorem0Estimate,
                          tolerances: Tolerances = DEFAULT) -> TheoremReport:
-    """Empirical mean equilibrium distance against sqrt(dS delta / dR), for the
-    subspace with projection W = ``projection`` (``subspace_projection``)."""
-    delta_value, _, weak, estimate = _theorem0(
-        projection, spectral, reductions, None, n_samples, seed, n_streams, tolerances)
-    parameters = _float_params({
-        "dS": reductions.layout.dim_system, "dR": projection.dim,
-        "delta": delta_value, "n_samples": n_samples, "seed": seed, "n_streams": n_streams,
-        "lhs_standard_error": estimate.standard_error, "weak_rhs": weak,
-    })
-    return _report("T0i", estimate.mean, parameters, tolerances)
+    """Empirical mean equilibrium distance against sqrt(dS delta / dR)."""
+    parameters = _float_params({**_theorem0_parameters(t0, 0), "weak_rhs": t0.weak})
+    return _report("T0i", t0.estimate.mean[0], parameters, tolerances)
 
 
-def theorem0_tail_report(projection: DenseProjection | SparseProjection,
-                         spectral: SpectralData,
-                         reductions: EigenstateReductions, epsilon: float,
-                         n_samples: int, seed: int, n_streams: int = 1,
+def theorem0_tail_report(t0: Theorem0Estimate,
                          tolerances: Tolerances = DEFAULT) -> TheoremReport:
     """Empirical exceedance frequency against 2 exp(-c dR epsilon^2)."""
-    delta_value, strong, _, estimate = _theorem0(
-        projection, spectral, reductions, epsilon, n_samples, seed, n_streams, tolerances)
     parameters = _float_params({
-        "dS": reductions.layout.dim_system, "dR": projection.dim,
-        "delta": delta_value, "epsilon": epsilon,
-        "distance_threshold": strong + epsilon, "c": CONCENTRATION_RATE,
-        "n_samples": n_samples, "seed": seed, "n_streams": n_streams,
-        "lhs_standard_error": estimate.standard_error,
-    })
-    return _report("T0ii", estimate.mean, parameters, tolerances)
+        **_theorem0_parameters(t0, 1), "epsilon": t0.epsilon,
+        "distance_threshold": t0.threshold, "c": CONCENTRATION_RATE})
+    return _report("T0ii", t0.estimate.mean[1], parameters, tolerances)
 
 
 def necessary_condition_report(reductions: EigenstateReductions, epsilon: float,
@@ -556,21 +558,22 @@ def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int, seed: in
                    tolerances: Tolerances = DEFAULT) -> TheoremReport:
     """Typicality of instantaneous reductions over the full composite space.
 
-    Samples the full composite space and compares the frequency of
-    reductions farther than sqrt(dS/dB) + epsilon from the maximally mixed
-    state in trace distance with 2 exp(-c dB epsilon^2).
+    Draws the reductions of Haar-uniform composite states from the induced
+    measure and compares the frequency of those farther than
+    sqrt(dS/dB) + epsilon from the maximally mixed state in trace distance
+    with 2 exp(-c dB epsilon^2).
     """
-    threshold = math.sqrt(layout.dim_system / layout.dim_bath) + epsilon
-    mixed = np.eye(layout.dim_system) / layout.dim_system
+    ds, db = layout.dim_system, layout.dim_bath
+    threshold = math.sqrt(ds / db) + epsilon
+    mixed = np.eye(ds) / ds
 
-    def values(columns: np.ndarray) -> np.ndarray:
-        reduced = batched_partial_trace_bath(columns, layout)
-        return (batched_trace_distances(reduced, mixed) > threshold).astype(float)
+    def values(states: np.ndarray) -> np.ndarray:
+        return (batched_trace_distances(states, mixed) > threshold).astype(float)
 
-    estimate = batched_monte_carlo(values, layout.dim_total, layout.dim_total, n_samples,
+    estimate = batched_monte_carlo(values, induced_states(ds, db), ds * ds, n_samples,
                                    seed, n_streams)
     parameters = _float_params({
-        "dS": layout.dim_system, "dB": layout.dim_bath, "epsilon": epsilon,
+        "dS": ds, "dB": db, "epsilon": epsilon,
         "distance_threshold": threshold, "c": CONCENTRATION_RATE,
         "n_samples": n_samples, "seed": seed, "n_streams": n_streams,
         "lhs_standard_error": estimate.standard_error,

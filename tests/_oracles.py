@@ -164,25 +164,80 @@ def eigenstate_reductions_loop(vectors, dim_system, dim_bath):
             for v in np.asarray(vectors).T]
 
 
-def naive_distance_estimate(state_of, reference, dim, n_samples, seed, n_streams,
-                            threshold=None):
-    """Mean and standard error of the trace distance of state_of(vec) to reference.
+def haar_vector(dim):
+    """One Haar-uniform unit vector of C^dim per call: 2*dim normals, normalised."""
+    def bind(rng):
+        def one():
+            normals = rng.standard_normal((dim, 2))
+            vec = normals[:, 0] + 1j * normals[:, 1]
+            return vec / np.linalg.norm(vec)
+        return one
+    return bind
 
-    vec runs over Haar-uniform unit vectors of C^dim, drawn one at a time from
-    Philox children of the seed, the first n_samples % n_streams streams
-    taking one sample more.  With a threshold each sample counts 1 when its
-    distance exceeds it and 0 otherwise.
+
+def dirichlet_vector(dim):
+    """The populations of one Haar-uniform unit vector of C^dim per call: dim
+    standard exponentials, normalised."""
+    def bind(rng):
+        def one():
+            exponentials = rng.standard_exponential(dim)
+            return exponentials / exponentials.sum()
+        return one
+    return bind
+
+
+def induced_state(dim_system, dim_bath):
+    """One reduced state of a Haar-uniform vector of C^dS (x) C^dB per call.
+
+    For dB >= dS it is L L^H / tr(L L^H) for the Bartlett factor L: the
+    first child of the stream draws the diagonal, |L_ii|^2 ~ Gamma(dB - i),
+    the second the complex normals below it, row by row.  For dB < dS the
+    stream draws a dS x dB complex Gaussian G and the state is G G^H / tr.
+    """
+    def bind(rng):
+        if dim_bath < dim_system:
+            def direct():
+                normals = rng.standard_normal((dim_system, dim_bath, 2))
+                gauss = normals[..., 0] + 1j * normals[..., 1]
+                gram = gauss @ gauss.conj().T
+                return gram / np.trace(gram).real
+            return direct
+
+        diagonal, lower = rng.spawn(2)
+
+        def bartlett():
+            gammas = diagonal.standard_gamma(dim_bath - np.arange(dim_system, dtype=float))
+            normals = lower.standard_normal((dim_system * (dim_system - 1) // 2, 2))
+            factor = np.zeros((dim_system, dim_system), dtype=complex)
+            k = 0
+            for i in range(dim_system):
+                factor[i, i] = np.sqrt(gammas[i])
+                for j in range(i):
+                    factor[i, j] = complex(normals[k, 0] * np.sqrt(0.5),
+                                           normals[k, 1] * np.sqrt(0.5))
+                    k += 1
+            gram = factor @ factor.conj().T
+            return gram / np.trace(gram).real
+        return bartlett
+    return bind
+
+
+def naive_distance_estimate(state_of, reference, draw, n_samples, seed, n_streams,
+                            threshold=None):
+    """Mean and standard error of the trace distance of state_of(sample) to reference.
+
+    The samples come one at a time from ``draw`` (haar_vector, dirichlet_vector
+    or induced_state) bound to Philox children of the seed, the first
+    n_samples % n_streams streams taking one sample more.  With a threshold
+    each sample counts 1 when its distance exceeds it and 0 otherwise.
     """
     children = np.random.SeedSequence(seed).spawn(n_streams)
     base, extra = divmod(n_samples, n_streams)
     values = []
     for index, child in enumerate(children):
-        rng = np.random.Generator(np.random.Philox(child))
+        one = draw(np.random.Generator(np.random.Philox(child)))
         for _ in range(base + (1 if index < extra else 0)):
-            normals = rng.standard_normal((dim, 2))
-            vec = normals[:, 0] + 1j * normals[:, 1]
-            vec = vec / np.linalg.norm(vec)
-            distance = float(np.abs(np.linalg.eigvalsh(state_of(vec) - reference)).sum())
+            distance = float(np.abs(np.linalg.eigvalsh(state_of(one()) - reference)).sum())
             values.append(distance if threshold is None else float(distance > threshold))
     total = 0.0
     for value in values:
@@ -335,11 +390,14 @@ def expand_blocks(spectral):
 
 
 def projection_matrix(projection, dim):
-    """The dense (dR, dim) matrix W of a subspace projection in either form."""
+    """The dense (dR, dim) matrix W of a subspace projection in either form;
+    a grouped projection keeps only the magnitudes |W_rn|."""
     if hasattr(projection, "matrix"):
         return projection.matrix
-    matrix = np.zeros((projection.dim, dim), dtype=complex)
-    for n in range(dim):
-        for row, value in zip(projection.rows[n], projection.values[n]):
-            matrix[row, n] += value
+    if projection.members is None:
+        return np.eye(dim)
+    matrix = np.zeros((projection.dim, dim))
+    for r in range(projection.dim):
+        for member, share in zip(projection.members[r], projection.shares[r]):
+            matrix[r, member] = np.sqrt(share)
     return matrix

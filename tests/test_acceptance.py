@@ -18,14 +18,16 @@ from isibench.equilibrium import (EigenstateReductions, delta, eigenstate_reduct
 from isibench.hilbert import (PureState, SpaceLayout, batched_partial_trace_bath,
                               tensor_product, trace_distance)
 from isibench.models import analytic_eigensystem, build_random_model, sample_commuting_spec
-from isibench.sampling import batched_monte_carlo, sample_amplitudes, stream_generators
+from isibench.sampling import (batched_monte_carlo, haar_amplitudes, sample_amplitudes,
+                               stream_generators)
 from isibench.spectral import eigendecompose
 from isibench.theorems import (CONCENTRATION_RATE, concentration_tail,
                                epsilon_prime, max_possible_lhs,
                                necessary_condition_lhs, necessary_condition_report,
                                popescu_report,
-                               sufficient_condition_report, theorem0_mean_report,
-                               theorem0_rhs, theorem0_tail_report, theorem2_lhs,
+                               sufficient_condition_report, theorem0_estimate,
+                               theorem0_mean_report, theorem0_rhs, theorem0_tail_report,
+                               theorem2_lhs,
                                theorem2_reports)
 
 from _oracles import (bath_averaged_equilibrium, build_commuting_model,
@@ -179,8 +181,8 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
 
     closed = bath_averaged_equilibrium(PLUS.amplitudes, matrices, 16)
     plus = PLUS.amplitudes[:, None]
-    over_bath = batched_monte_carlo(lambda bath: rho_bar(plus, bath), 16, 32,
-                                    10_000, seed=42, n_streams=2)
+    over_bath = batched_monte_carlo(lambda bath: rho_bar(plus, bath), haar_amplitudes(16),
+                                    32, 10_000, seed=42, n_streams=2)
     gap = np.abs(over_bath.mean - closed)
     if not np.all(gap <= 3.0 * over_bath.standard_error + 1e-15):
         failures.append(f"bath average misses the closed form by "
@@ -193,7 +195,7 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
         return rho_bar(system / np.linalg.norm(system, axis=0),
                        bath / np.linalg.norm(bath, axis=0))
 
-    over_joint = batched_monte_carlo(joint_product, 18, 32, 10_000,
+    over_joint = batched_monte_carlo(joint_product, haar_amplitudes(18), 32, 10_000,
                                      seed=43, n_streams=2)
     gap = np.abs(over_joint.mean - np.eye(2) / 2.0)
     if not np.all(gap <= 3.0 * over_joint.standard_error + 1e-15):
@@ -311,10 +313,10 @@ def test_criterion_6_concentration_bound_honesty(capsys):
     small = subspace_projection(spectral, spec.layout, PLUS)
     delta_small = delta(reductions, small)
     reports.append(sufficient_condition_report(delta_small))
-    reports.append(theorem0_mean_report(small, spectral, reductions, 400, 62))
-    for eps in (0.05, 0.5):
-        reports.append(theorem0_tail_report(small, spectral, reductions, eps,
-                                            400, 63))
+    shared = theorem0_estimate(small, spectral, reductions, 0.05, 400, 62)
+    reports.extend([theorem0_mean_report(shared), theorem0_tail_report(shared)])
+    reports.append(theorem0_tail_report(
+        theorem0_estimate(small, spectral, reductions, 0.5, 400, 63)))
     reports.append(necessary_condition_report(reductions, 0.05, 16, 1.0,
                                               "T1prime", 8, 64))
     reports.extend(theorem2_reports(reductions, 0.05, 16, 1.0))
@@ -324,15 +326,15 @@ def test_criterion_6_concentration_bound_honesty(capsys):
     wide_spectral = analytic_eigensystem(wide_spec)
     wide_reductions = eigenstate_reductions(wide_spectral, wide_spec.layout)
     wide = subspace_projection(wide_spectral, wide_spec.layout)
-    reports.append(theorem0_tail_report(wide, wide_spectral, wide_reductions, 1.5,
-                                        10_000, 67))
+    reports.append(theorem0_tail_report(
+        theorem0_estimate(wide, wide_spectral, wide_reductions, 1.5, 10_000, 67)))
 
     deep_spec = sample_commuting_spec(256, 1.0, 1.0, 1.0, np.random.default_rng(68))
     deep_spectral = analytic_eigensystem(deep_spec)
     deep_reductions = eigenstate_reductions(deep_spectral, deep_spec.layout)
     deep = subspace_projection(deep_spectral, deep_spec.layout, PLUS)
-    reports.append(theorem0_tail_report(deep, deep_spectral, deep_reductions,
-                                        1.5, 10_000, 69))
+    reports.append(theorem0_tail_report(
+        theorem0_estimate(deep, deep_spectral, deep_reductions, 1.5, 10_000, 69)))
 
     reports.append(popescu_report(SpaceLayout(2, 4096), 0.5, 10_000, 70))
 

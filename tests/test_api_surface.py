@@ -22,10 +22,20 @@ KEEPERS = {
     "trace_distance": "the benchmark's tracer test looks it up under theorems",
 }
 
+# Public definitions that were replaced, each with its replacement; none of
+# them may be defined or exported again.
+GONE = {
+    "SparseProjection": "GroupedProjection: Dirichlet weights on a stack built once",
+}
+
+
+def _trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+
 
 def _unreferenced() -> set[str]:
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    trees = _trees()
     aliases = {alias.asname: alias.name for tree in trees for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
     references: dict[str, set[int]] = {}
@@ -57,3 +67,10 @@ def test_every_public_definition_has_a_caller_in_the_package():
 def test_every_keeper_still_lacks_a_caller():
     stale = sorted(KEEPERS.keys() - _unreferenced())
     assert not stale, f"keepers that the package now calls: {stale}"
+
+
+def test_replaced_definitions_stay_gone():
+    defined = {node.name for tree in _trees() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    back = sorted(name for name in GONE if name in defined or hasattr(isibench, name))
+    assert not back, f"replaced definitions are back: {back}"

@@ -24,15 +24,16 @@ from isibench import cli
 from isibench.dynamics import evolve_reduced, stratified_times
 from isibench.equilibrium import (delta, eigenstate_reductions, overlaps,
                                   subspace_projection, time_averaged_state)
-from isibench.hilbert import PureState, SpaceLayout, tensor_product
+from isibench.hilbert import (PureState, SpaceLayout, batched_trace_distances,
+                              tensor_product)
 from isibench.models import (analytic_eigensystem, sample_commuting_spec,
                              sample_cucchietti_spec)
-from isibench.sampling import sample_amplitudes, stream_generators
+from isibench.sampling import batched_monte_carlo, sample_amplitudes, stream_generators
 from isibench.spectral import SpectralData, degenerate_level_pairs, eigendecompose
-from isibench.theorems import (necessary_condition_lhs, theorem0_mean_report,
-                               theorem0_tail_report)
+from isibench.theorems import (necessary_condition_lhs, theorem0_estimate,
+                               theorem0_mean_report, theorem0_tail_report)
 
-from _oracles import build_commuting_model, expand_blocks
+from _oracles import build_commuting_model, expand_blocks, kron_projection
 
 TOL = 1e-12
 PLUS = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0), space="system")
@@ -45,6 +46,16 @@ def _spec(kind, size, field_scale=1.0, seed=None):
     if kind == "commuting":
         return sample_commuting_spec(size, 1.0, 1.0, 1.0, rng)
     return sample_cucchietti_spec(size, 1.0, 1.0, field_scale, rng)
+
+
+def _equilibrium_states(projection, reductions, amplitudes):
+    """Equilibrium states of the (dR, count) amplitude columns a, the
+    coordinates of states of R in the basis of the projection: sum_r |a_r|^2
+    M_r for a grouped projection, sum_n |(a^H W)_n|^2 rho_n for a dense one."""
+    _, _, states_of = projection.sampler(reductions.matrices)
+    if hasattr(projection, "matrix"):
+        return states_of(amplitudes)
+    return states_of(np.abs(amplitudes.T) ** 2)
 
 
 def _stages(spectral, layout, initial, psi, horizon):
@@ -65,11 +76,15 @@ def _stages(spectral, layout, initial, psi, horizon):
         draws = sample_amplitudes(projection.dim, 12, stream_generators(7, 1)[0])
         out[f"{label} weights"] = projection.weights
         out[f"{label} delta"] = delta(reductions, projection)
-        out[f"{label} populations"] = projection.populations(draws)
-    projection = subspace_projection(spectral, layout, psi)
-    out["T0i lhs"] = theorem0_mean_report(projection, spectral, reductions, 64, 11).lhs
-    out["T0ii lhs"] = theorem0_tail_report(projection, spectral, reductions, 0.02, 64,
-                                           13).lhs
+        out[f"{label} equilibrium states"] = _equilibrium_states(projection,
+                                                                 reductions, draws)
+    # every form draws the whole space's Dirichlet populations of the
+    # eigenbasis; the product subspaces draw them in the block form only,
+    # so there the draws agree in law (test_dirichlet_draws_match_haar_draws_in_law)
+    shared = theorem0_estimate(subspace_projection(spectral, layout), spectral,
+                               reductions, 0.02, 64, 11)
+    out["T0i lhs"] = theorem0_mean_report(shared).lhs
+    out["T0ii lhs"] = theorem0_tail_report(shared).lhs
     # max|E| t <= 1e3 keeps the phases of both paths within 1e-13
     short = np.linspace(0.0, 1e3 / spectral.spectral_norm, 41)
     out["trajectory"] = evolve_reduced(coeffs, spectral, layout, short).states
@@ -124,11 +139,67 @@ def test_every_stage_matches_eigendecompose(built):
         bound = TOL
         if name == "overlaps":
             bound = TOL + rotation
-        elif name.endswith("populations"):
-            bound = TOL + 2.0 * rotation
+        elif name.endswith("equilibrium states"):
+            # populations summing to one, each moved by at most 2 rotation
+            bound = TOL + 2.0 * rotation.max()
         elif name == "trajectory at the horizon":
             bound = max(TOL, ours["phase rounding"])
         assert np.all(_gap(value, theirs[name]) <= bound), name
+
+
+def test_stack_reproduces_the_dense_populations(built):
+    """sum_r |a_r|^2 M_r = sum_n |(x^H W)_n|^2 rho_n for fixed amplitudes a:
+    x = B a with B the kron basis of a product subspace, where W = B^H V, and
+    with B = V for the whole space, where the oracle takes W = V and x = V a."""
+    spec, block = built[:2]
+    layout = spec.layout
+    vectors = expand_blocks(block)
+    reductions = eigenstate_reductions(block, layout)
+    prefix = max(1, layout.dim_bath // 3)
+    for state, k in ((None, None), (PLUS, None), (PLUS, prefix)):
+        projection = subspace_projection(block, layout, state, k)
+        amplitudes = sample_amplitudes(projection.dim, 12, stream_generators(17, 1)[0])
+        if state is None:
+            columns, matrix = vectors @ amplitudes, vectors
+        else:
+            columns, matrix = amplitudes, kron_projection(vectors, state.amplitudes, k)
+        populations = np.abs(columns.conj().T @ matrix) ** 2
+        expected = np.einsum("cn,nij->cij", populations, reductions.matrices)
+        states = _equilibrium_states(projection, reductions, amplitudes)
+        assert _gap(states, expected).max() <= TOL, (state, k)
+
+
+@pytest.mark.parametrize("kind, size, prefix", [("commuting", 64, None),
+                                                ("commuting", 64, 21),
+                                                ("cucchietti", 5, None)])
+def test_dirichlet_draws_match_haar_draws_in_law(kind, size, prefix):
+    """The T0 distances of a product subspace from the Dirichlet weights of
+    the block form and from the Haar amplitudes of its dense expansion: the
+    mean, and the frequency beyond the block form's mean, within 3 SE."""
+    spec = _spec(kind, size)
+    block = analytic_eigensystem(spec)
+    expanded = SpectralData(block.eigenvalues, expand_blocks(block))
+    estimates, threshold = [], None
+    for spectral, seed in ((block, 21), (expanded, 22)):
+        reductions = eigenstate_reductions(spectral, spec.layout)
+        projection = subspace_projection(spectral, spec.layout, PLUS, prefix)
+        assert hasattr(projection, "matrix") == (spectral is expanded)
+        draw, width, states_of = projection.sampler(reductions.matrices)
+        reference = np.einsum("n,nij->ij", projection.weights, reductions.matrices)
+        if threshold is None:
+            threshold = batched_monte_carlo(
+                lambda draws: batched_trace_distances(states_of(draws), reference),
+                draw, width, 4000, seed=20).mean
+
+        def values(draws):
+            distances = batched_trace_distances(states_of(draws), reference)
+            return np.stack([distances, distances > threshold], axis=1)
+
+        estimates.append(batched_monte_carlo(values, draw, width, 20_000, seed))
+    dirichlet, haar = estimates
+    assert 0.2 < dirichlet.mean[1] < 0.8
+    spread = np.hypot(dirichlet.standard_error, haar.standard_error)
+    assert np.all(np.abs(dirichlet.mean - haar.mean) <= 3.0 * spread)
 
 
 def test_degenerate_block_average_agrees():

@@ -256,6 +256,16 @@ class TestModelInfo:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_import_does_not_load_numpy_random(self):
+        # numpy loads numpy.random on first access; a start-up that touches
+        # it at module level pays for the module on every command
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, isibench.cli; print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
 
 def _assert_close(first, second, bound, what):
     first, second = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
@@ -629,6 +639,63 @@ class TestInputHardening:
         err = capsys.readouterr().err
         assert err.startswith("error: model.seed must be >= 0") and err.count("\n") == 1
         assert not out_dir.exists()
+
+
+    @pytest.mark.parametrize("command", ["run", "model-info"])
+    @pytest.mark.parametrize("entry", ["model.energy_scale=-1", "model.energy_scale=-0",
+                                       "model.coupling_scale=-2.5"])
+    def test_negative_scale_exits_2_before_any_write(self, tmp_path, capsys, command,
+                                                     entry):
+        # numpy's uniform(-s, s) refuses s < 0, and s = -0 too
+        out_dir = tmp_path / "out"
+        assert cli.main([command, "--config", "sec5_violation", "--override", entry,
+                         "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad value for {entry.partition('=')[0]}: ")
+        assert "nonnegative" in err and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_negative_scale_in_a_sweep_exits_2(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "[model]\nkind = cucchietti\nn_spins = 3\n"
+                                   "[sweep]\nparameter = field_scale\nvalues = 1, -0.5\n"
+                                   "draws = 2\n")
+        for jobs in ("1", "2"):
+            assert cli.main(["sweep", "--config", cfg, "--jobs", jobs,
+                             "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: sweep.values: bad value for model.field_scale")
+            assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+# Override values that each config entry must survive: a refusal is one
+# error line with the exit code of its error type, never a traceback.
+_FUZZ_VALUES = ("-1", "-0", "0", "nan", "inf", "1e308", "", "x", "2.5")
+
+
+class TestOverrideFuzz:
+    @pytest.mark.parametrize("config", cli.bundled_config_names())
+    def test_every_entry_and_value_exits_cleanly(self, config, capsys):
+        failures = []
+        for key in cli.CONFIG_KEYS:
+            for value in _FUZZ_VALUES:
+                # a small bath keeps each model-info call short; a fuzzed
+                # dim_bath comes later and wins
+                argv = ["model-info", "--config", config, "--override", "model.dim_bath=4",
+                        "--override", f"{key}={value}"]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = cli.main(argv)
+                out, err = capsys.readouterr()
+                lines = err.splitlines()
+                if code == 0:
+                    clean = not err and out.startswith("model: ")
+                else:
+                    clean = (code in dict(cli._EXIT_CODES).values() and len(lines) == 1
+                             and lines[0].startswith("error: "))
+                if not clean:
+                    failures.append((key, value, code, err))
+        assert not failures
 
 
 class TestDegenerateSpectrumSkip:

@@ -5,7 +5,8 @@ import pytest
 
 from isibench import (DegenerateSpectrumError, DensityMatrix, PureState,
                       SpaceLayout, ValidationError, assemble, batched_monte_carlo,
-                      delta, eigendecompose, eigenstate_reductions, overlaps,
+                      delta, eigendecompose, eigenstate_reductions, haar_amplitudes,
+                      overlaps,
                       sample_commuting_spec, subspace_projection, time_averaged_state,
                       trace_distance, write_reductions_csv)
 from isibench.equilibrium import weighted_reduction
@@ -158,9 +159,11 @@ class TestSubspaceProjection:
         psi = np.array([1.0, 1.0]) / math.sqrt(2) if ds == 2 else random_state(ds, rng)
         prefix = 3 if subspace.startswith("bath_prefix") else None
         if subspace == "full":
+            # grouped in the eigenbasis B = V, where W = V^H V, kept as |W|
             projection = projection_matrix(subspace_projection(spectral, layout),
                                            layout.dim_total)
-            expected = kron_projection(spectral.eigenvectors)
+            vectors = spectral.eigenvectors
+            expected = np.abs(vectors.conj().T @ vectors)
         else:
             projection = projection_matrix(
                 subspace_projection(spectral, layout, PureState(psi, space="system"),
@@ -268,8 +271,9 @@ class TestBathAveragedEquilibrium:
         layout, spectral, reductions, rng = _random_problem(2, 8, 97)
         psi = PureState(random_state(2, rng), space="system")
 
-        est = batched_monte_carlo(_product_equilibria(psi, spectral, reductions), dim=8,
-                                  width=16, n_samples=4000, seed=101, n_streams=2)
+        est = batched_monte_carlo(_product_equilibria(psi, spectral, reductions),
+                                  draw=haar_amplitudes(8), width=16, n_samples=4000,
+                                  seed=101, n_streams=2)
         closed = bath_averaged_equilibrium(psi.amplitudes, reductions.matrices, 8)
         gap = np.abs(est.mean - closed)
         assert np.all(gap <= 3.0 * est.standard_error + 1e-12)
@@ -299,8 +303,8 @@ class TestBathAveragedEquilibrium:
         for size in sizes:
             errors = [
                 trace_distance(
-                    batched_monte_carlo(functional, dim=8, width=16, n_samples=size,
-                                        seed=1000 * size + rep).mean,
+                    batched_monte_carlo(functional, draw=haar_amplitudes(8), width=16,
+                                        n_samples=size, seed=1000 * size + rep).mean,
                     closed)
                 for rep in range(6)
             ]

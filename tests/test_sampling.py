@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from isibench import (SpaceLayout, ValidationError, batched_monte_carlo,
-                      batched_partial_trace_bath, sample_amplitudes, split_counts,
-                      stream_generators)
+                      batched_partial_trace_bath, dirichlet_weights, haar_amplitudes,
+                      induced_states, sample_amplitudes, split_counts, stream_generators)
+from isibench.hilbert import batched_trace_distances
 
 from _oracles import ks_uniform_statistic
 
@@ -44,7 +45,8 @@ def _constant(value):
 
 class TestMonteCarlo:
     def test_constant_functional(self):
-        est = batched_monte_carlo(_constant(1.0), dim=1, width=1, n_samples=100, seed=1)
+        est = batched_monte_carlo(_constant(1.0), draw=haar_amplitudes(1), width=1,
+                                  n_samples=100, seed=1)
         assert est.mean == 1.0
         assert est.standard_error == 0.0
         assert est.n_samples == 100
@@ -55,36 +57,40 @@ class TestMonteCarlo:
         def reductions(amplitudes):
             return batched_partial_trace_bath(amplitudes, layout)
 
-        est = batched_monte_carlo(reductions, dim=16, width=16, n_samples=2000, seed=8)
+        est = batched_monte_carlo(reductions, draw=haar_amplitudes(16), width=16,
+                                  n_samples=2000, seed=8)
         deviation = np.abs(est.mean - np.eye(2) / 2)
         assert (deviation <= 3 * est.standard_error + 1e-12).all()
 
     def test_amplitude_second_moment(self):
-        est = batched_monte_carlo(_population(0), dim=8, width=8, n_samples=4000, seed=9)
+        est = batched_monte_carlo(_population(0), draw=haar_amplitudes(8), width=8,
+                                  n_samples=4000, seed=9)
         assert abs(est.mean - 1.0 / 8.0) < 3 * est.standard_error
 
     def test_requires_two_samples(self):
         with pytest.raises(ValidationError):
-            batched_monte_carlo(_constant(1.0), dim=1, width=1, n_samples=1, seed=0)
+            batched_monte_carlo(_constant(1.0), draw=haar_amplitudes(1), width=1,
+                                n_samples=1, seed=0)
 
     def test_non_finite_value_aborts_with_diagnostic(self):
         with pytest.raises(ValidationError, match="stream"):
-            batched_monte_carlo(_constant(math.nan), dim=1, width=1, n_samples=10, seed=0)
+            batched_monte_carlo(_constant(math.nan), draw=haar_amplitudes(1), width=1,
+                                n_samples=10, seed=0)
 
     def test_reproducible_across_runs(self):
         def run():
-            return batched_monte_carlo(_population(1), dim=4, width=4, n_samples=500,
-                                       seed=77, n_streams=4)
+            return batched_monte_carlo(_population(1), draw=haar_amplitudes(4), width=4,
+                                       n_samples=500, seed=77, n_streams=4)
 
         first, second = run(), run()
         assert first.mean == second.mean
         assert first.standard_error == second.standard_error
 
     def test_stream_count_changes_partition_not_statistics(self):
-        one = batched_monte_carlo(_population(0), dim=4, width=4, n_samples=3000,
-                                  seed=10, n_streams=1)
-        four = batched_monte_carlo(_population(0), dim=4, width=4, n_samples=3000,
-                                   seed=10, n_streams=4)
+        one = batched_monte_carlo(_population(0), draw=haar_amplitudes(4), width=4,
+                                  n_samples=3000, seed=10, n_streams=1)
+        four = batched_monte_carlo(_population(0), draw=haar_amplitudes(4), width=4,
+                                   n_samples=3000, seed=10, n_streams=4)
         assert abs(one.mean - 0.25) < 3 * one.standard_error
         assert abs(four.mean - 0.25) < 3 * four.standard_error
 
@@ -101,3 +107,55 @@ class TestAccumulation:
         b = stream_generators(123, 3)
         for ga, gb in zip(a, b):
             assert ga.standard_normal() == gb.standard_normal()
+
+
+def _agree_within_3_se(first, second):
+    """Each component of two independent estimates within 3 combined SE."""
+    spread = np.hypot(first.standard_error, second.standard_error)
+    return np.abs(np.asarray(first.mean) - second.mean) <= 3.0 * spread
+
+
+class TestLaws:
+    def test_dirichlet_weights_are_haar_populations(self):
+        def moments(populations):
+            return np.stack([populations[:, 0], populations[:, 0] ** 2,
+                             populations[:, 0] * populations[:, 1]], axis=1)
+
+        weights = batched_monte_carlo(moments, dirichlet_weights(5), 5, 20_000, seed=3)
+        haar = batched_monte_carlo(lambda a: moments(np.abs(a.T) ** 2), haar_amplitudes(5),
+                                   5, 20_000, seed=4)
+        # E w = 1/n, E w^2 = 2/(n(n+1)), E w_1 w_2 = 1/(n(n+1))
+        assert np.all(_agree_within_3_se(weights, haar))
+        exact = [1 / 5, 2 / 30, 1 / 30]
+        assert np.all(np.abs(weights.mean - exact) <= 3.0 * weights.standard_error)
+
+    @pytest.mark.parametrize("ds, db", [(2, 8), (3, 5), (4, 16), (4, 2)])
+    def test_induced_states_are_haar_reductions(self, ds, db):
+        # Bartlett factors for dB >= dS, a direct Gaussian G for dB < dS,
+        # against the partial traces of Haar-uniform composite vectors
+        layout = SpaceLayout(ds, db)
+        mixed = np.eye(ds) / ds
+        threshold = 0.8 * math.sqrt(ds / db)
+
+        def statistics(states):
+            distances = batched_trace_distances(states, mixed)
+            purities = np.einsum("nij,nji->n", states, states).real
+            return np.stack([distances, purities, distances > threshold], axis=1)
+
+        induced = batched_monte_carlo(statistics, induced_states(ds, db), ds * ds,
+                                      20_000, seed=5)
+        direct = batched_monte_carlo(
+            lambda amplitudes: statistics(batched_partial_trace_bath(amplitudes, layout)),
+            haar_amplitudes(ds * db), ds * db, 20_000, seed=6)
+        assert 0.05 < induced.mean[2] < 0.95
+        assert np.all(_agree_within_3_se(induced, direct))
+        # E tr rho^2 = (dS + dB) / (dS dB + 1) for the induced measure
+        exact_purity = (ds + db) / (ds * db + 1)
+        assert abs(induced.mean[1] - exact_purity) <= 3.0 * induced.standard_error[1]
+
+    @pytest.mark.parametrize("ds, db", [(2, 8), (4, 2)])
+    def test_chunked_induced_draws_are_the_one_sample_draws(self, ds, db):
+        whole = induced_states(ds, db)(stream_generators(7, 1)[0])(40)
+        one = induced_states(ds, db)(stream_generators(7, 1)[0])
+        singles = np.concatenate([one(1) for _ in range(40)])
+        assert np.array_equal(whole, singles)

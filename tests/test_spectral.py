@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -7,6 +9,7 @@ import pytest
 from isibench import (CapExceededError, ConfigError, SpaceLayout, ValidationError,
                       assemble, check_nondegenerate_spectrum, degenerate_level_pairs,
                       eigendecompose, read_matrix, write_matrix)
+from isibench import spectral
 from isibench.hilbert import SIGMA_X, SIGMA_Z
 from isibench.spectral import SpectralData
 from isibench.tolerances import DEFAULT
@@ -176,3 +179,36 @@ class TestMatrixFiles:
         path.write_text("something-else 9\n")
         with pytest.raises(ConfigError):
             read_matrix(path)
+
+
+def _csv_module_file(header, rows):
+    """The data file as the csv module writes it, one f-string per number."""
+    buffer = io.StringIO()
+    buffer.write("# schema_version 1\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else f"{v:.17g}" for v in row]
+                     for row in rows)
+    return buffer.getvalue()
+
+
+class TestCsvFiles:
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 65536])
+    def test_templates_write_what_the_csv_module_writes(self, tmp_path, monkeypatch,
+                                                        chunk_rows):
+        monkeypatch.setattr(spectral, "CSV_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(5)
+        values = np.concatenate([rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6),
+                                 [0.1, -0.0, math.nan, math.inf, -math.inf, 2.0**53 + 1]])
+        names = ["dim_bath", "a,b", 'say "x"', "two\nlines", "", " padded "]
+        rows = [(names[k % len(names)], k, np.int64(k) * 3, value, float(value))
+                for k, value in enumerate(values)]
+        header = ["name", "n", "m", "numpy", "float"]
+        path = tmp_path / "data.csv"
+        spectral.write_csv(path, header, iter(rows))
+        assert path.read_bytes() == _csv_module_file(header, rows).encode("utf-8")
+
+    def test_no_rows_leaves_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        spectral.write_csv(path, ["t", "purity"], [])
+        assert path.read_text(encoding="utf-8") == "# schema_version 1\nt,purity\n"

@@ -10,7 +10,8 @@ from isibench import (CONCENTRATION_RATE, THEOREM_IDS, PureState, SpaceLayout,
                       epsilon_prime, max_possible_lhs, necessary_condition_lhs,
                       necessary_condition_report, popescu_report,
                       read_report, recompute_rhs, subspace_projection,
-                      sufficient_condition_report, theorem0_mean_report, theorem0_rhs,
+                      sufficient_condition_report, theorem0_estimate,
+                      theorem0_mean_report, theorem0_rhs,
                       theorem0_tail_report, theorem2_lhs, theorem2_reports,
                       write_report)
 from isibench import sampling
@@ -18,7 +19,8 @@ from isibench.equilibrium import EigenstateReductions
 from isibench.models import analytic_eigensystem, sample_commuting_spec
 from isibench.spectral import DenseProjection, SpectralData
 
-from _oracles import (eigenstate_reductions_loop, kron_basis, mp_concentration_tail,
+from _oracles import (dirichlet_vector, eigenstate_reductions_loop, haar_vector,
+                      induced_state, kron_basis, mp_concentration_tail,
                       mp_epsilon_prime, mp_theorem0_strong, naive_distance_estimate,
                       necessary_lhs_alternating, necessary_lhs_coordinate_ascent,
                       ptrace_bath_loop,
@@ -140,16 +142,16 @@ class TestTheorem0Sampling:
         layout, spectral, reductions, rng = _random_problem(2, 4, 3)
         column = spectral.eigenvectors @ random_state(8, rng)
         projection = DenseProjection(column.conj()[None, :] @ spectral.eigenvectors)
-        report = theorem0_mean_report(projection, spectral, reductions, n_samples=16,
-                                      seed=5)
+        report = theorem0_mean_report(theorem0_estimate(projection, spectral, reductions,
+                                                        0.05, n_samples=16, seed=5))
         assert report.lhs < 1e-12
 
     def test_commuting_subspace_mean_respects_bound(self):
         spec, spectral, reductions, rng = _commuting_problem(64, 7)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
         projection = subspace_projection(spectral, spec.layout, psi)
-        report = theorem0_mean_report(projection, spectral, reductions, n_samples=400,
-                                      seed=11, n_streams=2)
+        report = theorem0_mean_report(theorem0_estimate(
+            projection, spectral, reductions, 0.05, n_samples=400, seed=11, n_streams=2))
         strong, _ = theorem0_rhs(2, 64, 1.0)
         assert report.lhs <= strong + 3.0 * report.parameters["lhs_standard_error"]
 
@@ -159,21 +161,23 @@ class TestTheorem0Sampling:
         from isibench import delta as delta_fn
         delta_value = delta_fn(reductions, projection)
         strong, _ = theorem0_rhs(2, 32, delta_value)
-        report = theorem0_mean_report(projection, spectral, reductions, n_samples=400,
-                                      seed=17)
+        report = theorem0_mean_report(theorem0_estimate(
+            projection, spectral, reductions, 0.05, n_samples=400, seed=17))
         assert report.lhs <= strong + 3.0 * report.parameters["lhs_standard_error"]
 
     def test_tail_frequency_zero_beyond_range(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 19)
-        report = theorem0_tail_report(subspace_projection(spectral, layout), spectral,
-                                      reductions, epsilon=2.0, n_samples=64, seed=23)
+        report = theorem0_tail_report(theorem0_estimate(
+            subspace_projection(spectral, layout), spectral, reductions, epsilon=2.0,
+            n_samples=64, seed=23))
         assert report.lhs == 0.0
         assert report.rhs == pytest.approx(concentration_tail(16, 2.0))
 
     def test_tail_respects_nonvacuous_bound(self):
         layout, spectral, reductions, _ = _random_problem(2, 128, 29)
-        report = theorem0_tail_report(subspace_projection(spectral, layout), spectral,
-                                      reductions, epsilon=1.5, n_samples=200, seed=31)
+        report = theorem0_tail_report(theorem0_estimate(
+            subspace_projection(spectral, layout), spectral, reductions, epsilon=1.5,
+            n_samples=200, seed=31))
         assert report.rhs < 1.0
         assert report.lhs <= report.rhs
 
@@ -306,11 +310,9 @@ def _batched_problem(ds, db, subspace):
 
 def _batched_estimates(layout, spectral, reductions, projection, n_streams):
     """(lhs, standard error) of the T0i, T0ii and Popescu reports."""
-    reports = (
-        theorem0_mean_report(projection, spectral, reductions, 60, 3, n_streams),
-        theorem0_tail_report(projection, spectral, reductions, _EPSILON, 60, 5,
-                             n_streams),
-        popescu_report(layout, _EPSILON, 60, 7, n_streams))
+    shared = theorem0_estimate(projection, spectral, reductions, _EPSILON, 60, 3, n_streams)
+    reports = (theorem0_mean_report(shared), theorem0_tail_report(shared),
+               popescu_report(layout, _EPSILON, 60, 7, n_streams))
     return [(r.lhs, r.parameters["lhs_standard_error"]) for r in reports]
 
 
@@ -329,20 +331,27 @@ class TestBatchedEstimates:
         average = sum(w * rho for w, rho in zip(weights, rhos))
         delta_value = sum(w * np.trace(rho @ rho).real for w, rho in zip(weights, rhos))
 
-        def equilibrium(vec):
-            column = columns @ vec
-            return sum(abs(np.vdot(v, column)) ** 2 * rho for v, rho in zip(vectors, rhos))
+        if subspace == "full":
+            # the whole space draws the Dirichlet populations of the eigenbasis
+            draw = dirichlet_vector(dim_r)
 
-        def reduced(vec):
-            return ptrace_bath_loop(np.outer(vec, vec.conj()), ds, db)
+            def equilibrium(populations):
+                return sum(p * rho for p, rho in zip(populations, rhos))
+        else:
+            draw = haar_vector(dim_r)
+
+            def equilibrium(vec):
+                column = columns @ vec
+                return sum(abs(np.vdot(v, column)) ** 2 * rho
+                           for v, rho in zip(vectors, rhos))
 
         t0_threshold = math.sqrt(ds * delta_value / dim_r) + _EPSILON
         expected = [
-            naive_distance_estimate(equilibrium, average, dim_r, 60, 3, n_streams),
-            naive_distance_estimate(equilibrium, average, dim_r, 60, 5, n_streams,
+            naive_distance_estimate(equilibrium, average, draw, 60, 3, n_streams),
+            naive_distance_estimate(equilibrium, average, draw, 60, 3, n_streams,
                                     t0_threshold),
-            naive_distance_estimate(reduced, np.eye(ds) / ds, ds * db, 60, 7, n_streams,
-                                    math.sqrt(ds / db) + _EPSILON)]
+            naive_distance_estimate(lambda rho: rho, np.eye(ds) / ds, induced_state(ds, db),
+                                    60, 7, n_streams, math.sqrt(ds / db) + _EPSILON)]
         for (mean, se), (ref_mean, ref_se) in zip(estimates, expected):
             assert mean == pytest.approx(ref_mean, rel=1e-12, abs=0.0)
             assert se == pytest.approx(ref_se, rel=1e-12, abs=0.0)
@@ -463,8 +472,9 @@ class TestReports:
 
     def test_mean_report_parameters_reproduce_rhs(self):
         layout, spectral, reductions, _ = _random_problem(2, 16, 103)
-        report = theorem0_mean_report(subspace_projection(spectral, layout), spectral,
-                                      reductions, n_samples=100, seed=7)
+        report = theorem0_mean_report(theorem0_estimate(
+            subspace_projection(spectral, layout), spectral, reductions, 0.05,
+            n_samples=100, seed=7))
         assert report.theorem_id == "T0i"
         assert recompute_rhs("T0i", report.parameters) == pytest.approx(report.rhs,
                                                                         rel=1e-12)
@@ -473,8 +483,9 @@ class TestReports:
 
     def test_tail_report_is_vacuous_at_small_dimension(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 107)
-        report = theorem0_tail_report(subspace_projection(spectral, layout), spectral,
-                                      reductions, epsilon=0.1, n_samples=64, seed=9)
+        report = theorem0_tail_report(theorem0_estimate(
+            subspace_projection(spectral, layout), spectral, reductions, epsilon=0.1,
+            n_samples=64, seed=9))
         assert report.verdict == "vacuous"
         assert report.rhs > 1.0
 
