@@ -23,7 +23,7 @@ from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
                      build_cucchietti_bath, build_random_model, commuting_norms,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import (MonteCarloEstimate, batched_monte_carlo, dirichlet_weights,
-                       haar_amplitudes, induced_states, sample_amplitudes, split_counts,
+                       haar_amplitudes, induced_states, sample_amplitudes,
                        stream_generators)
 from .spectral import (CompositeHamiltonian, DenseProjection, GroupedProjection,
                        SpectralData, assemble,

@@ -61,9 +61,11 @@ MODEL_KINDS = ("commuting", "cucchietti", "random", "file")
 
 # Seed paths below the root seed, by stage.  Report k of THEOREM_IDS draws
 # from (2, k), but T0ii shares the draws of T0i and so draws from T0i's path
-# (2, 1); the draws of a sweep use their own table (see _draw_seeds).
+# (2, 1), and T1 and T1prime share the necessary-condition search, which
+# takes T1's path (2, 3); the draws of a sweep use their own table (see
+# _draw_seeds).
 RUN_SEEDS = {"model": (0,), "system": (1, 0), "bath": (1, 1), "bounds": (2,),
-             "dynamics": (3,)}
+             "search": (2, 3), "dynamics": (3,)}
 
 
 def _draw_seeds(point: int, draw: int) -> dict[str, tuple[int, ...]]:
@@ -176,7 +178,7 @@ class ExperimentConfig:
     dim_bath: int = _key("model.dim_bath", int, 16, 1, ("commuting", "random"))
     n_spins: int | None = _key("model.n_spins", int, None, 1, ("cucchietti",))
     level_splitting: float = _key("model.level_splitting", _parse_finite, 1.0, kinds=_SPIN)
-    coupling_scale: float = _key("model.coupling_scale", _parse_scale, 1.0, kinds=_SPIN)
+    coupling_scale: float = _key("model.coupling_scale", _parse_scale, 1.0, 0.0, _SPIN)
     energy_scale: float = _key("model.energy_scale", _parse_scale, 1.0, kinds=("commuting",))
     field_scale: float = _key("model.field_scale", _parse_scale, 1.0, kinds=("cucchietti",))
     interaction_strength: float = _key("model.interaction_strength", _parse_finite, 1.0,
@@ -191,7 +193,6 @@ class ExperimentConfig:
     epsilon: float = _key("analysis.epsilon", _parse_finite, 0.05, 0)
     p: float = _key("analysis.p", _parse_finite, 1.0)
     n_samples: int = _key("analysis.n_samples", int, 400, 2)
-    n_streams: int = _key("analysis.n_streams", int, 1, 1)
     n_starts: int = _key("analysis.n_starts", int, 512, 1)
     allow_degenerate: bool = _key("analysis.allow_degenerate", _parse_bool, False)
     dynamics_enabled: bool = _key("dynamics.enabled", _parse_bool, False)
@@ -339,9 +340,6 @@ def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
         raise ConfigError("analysis.epsilon must be positive with T0ii or Popescu")
     if not 0.0 <= config.p <= 1.0:
         raise ConfigError(f"analysis.p = {config.p} must lie in [0, 1]")
-    if config.n_streams > config.n_samples:
-        raise ConfigError(f"analysis.n_streams = {config.n_streams} exceeds "
-                          f"analysis.n_samples = {config.n_samples}")
     if config.sweep_parameter is not None:
         _check_sweep(config)
     return config
@@ -567,7 +565,13 @@ class Pipeline:
         return theorem0_estimate(self.projection, self.spectral, self.reductions,
                                  config.epsilon, config.n_samples,
                                  self.seed("bounds", THEOREM_IDS.index("T0i")),
-                                 config.n_streams, config.tolerances)
+                                 config.tolerances)
+
+    @cached_property
+    def necessary_lhs(self) -> float:
+        """The necessary-condition supremum that T1, T1prime and the sweep share."""
+        return necessary_condition_lhs(self.reductions, n_starts=self.config.n_starts,
+                                       seed=self.seed("search"))
 
     @cached_property
     def theorem2(self) -> tuple[TheoremReport, TheoremReport]:
@@ -780,8 +784,7 @@ _SWEEP_METRICS: dict[str, Callable[[Pipeline], float]] = {
     "delta": lambda pipe: pipe.delta,
     "mean_squared_polarization": lambda pipe: pipe.reductions.mean_squared_polarization,
     "lhs_i": lambda pipe: theorem2_lhs(pipe.reductions)[0],
-    "necessary_lhs": lambda pipe: necessary_condition_lhs(
-        pipe.reductions, n_starts=pipe.config.n_starts, seed=pipe.seed("search")),
+    "necessary_lhs": lambda pipe: pipe.necessary_lhs,
     "equilibration_metric": lambda pipe: pipe.dynamics[2],
     "min_level_spacing": lambda pipe: pipe.spectral.min_level_spacing,
 }
@@ -795,6 +798,8 @@ def _draw_metrics(task: tuple[ExperimentConfig, int, int]) -> list[float]:
 
 
 def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if config.sweep_parameter is None:
         raise ConfigError("sweep needs a [sweep] section with parameter and values")
     parameter, n_draws = config.sweep_parameter, config.sweep_draws
@@ -804,7 +809,7 @@ def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
     varied = [replace(config, **{parameter: cast(value)}) for value in values]
     tasks = [(varied[point], point, draw)
              for point in range(len(values)) for draw in range(n_draws)]
-    jobs = min(max(1, args.jobs), len(tasks))
+    jobs = min(args.jobs, len(tasks))
     if jobs == 1:
         samples = [_draw_metrics(task) for task in tasks]
     else:
@@ -871,8 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
                               f"({', '.join(bundled_config_names())})")
         sub.add_argument("--seed", type=int, default=None,
                          help="override the config's root seed")
-        sub.add_argument("--jobs", type=int, default=1,
-                         help="parallel processes for sweep draws")
+        if command == "sweep":
+            sub.add_argument("--jobs", type=int, default=1,
+                             help="parallel worker processes for the draws (>= 1)")
         sub.add_argument("--out", default=None,
                          help="output directory (default from config, else "
                               f"{DEFAULT_OUT_DIR})")

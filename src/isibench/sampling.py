@@ -15,14 +15,13 @@ Each draw costs only what the estimated value depends on:
   7111 (2001)).  For dB >= dS the Bartlett factor of G G^H is drawn, O(dS^2)
   variates per draw whatever dB is; for dB < dS, G itself.
 
-A draw binds to a stream's generator and hands out chunks of samples,
-consuming each kind of variate in sample order, so that the chunking never
-changes the draws.  Monte Carlo estimates are batched: the functional maps a
-whole chunk of draws to their values at once.  They are deterministic for a
-given (seed, n_streams): each stream is a Philox child of the seed, each
-stream's values are summed once, and the stream sums are added in stream
-order.  Identical inputs give bit-identical estimates on the same machine
-and numpy/BLAS build with the same BLAS thread count.
+A draw binds to a generator and hands out chunks of samples, consuming each
+kind of variate in sample order, so that the chunking never changes the
+draws.  Monte Carlo estimates are batched: the functional maps a whole chunk
+of draws to their values at once.  An estimate draws from one Philox child
+of its seed and sums its values once, so identical inputs give bit-identical
+estimates on the same machine and numpy/BLAS build with the same BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ def sample_amplitudes(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return amps.T
 
 
-# A draw binds to a stream's generator and returns the function that hands
-# out the next ``count`` samples of its law.  (The generator type is named,
-# not looked up: numpy loads numpy.random on first access, and importing the
+# A draw binds to a generator and returns the function that hands out the
+# next ``count`` samples of its law.  (The generator type is named, not
+# looked up: numpy loads numpy.random on first access, and importing the
 # package does not.)
 Draw = Callable[["np.random.Generator"], Callable[[int], np.ndarray]]
 
@@ -78,8 +77,8 @@ def induced_states(dim_system: int, dim_bath: int) -> Draw:
     For dB >= dS, G G^H is drawn as L L^H with its Bartlett factor L, lower
     triangular: |L_ii|^2 ~ Gamma(dB - i) and L_ij ~ CN(0, 1) below the
     diagonal.  The gamma and the normal variates come from two fixed
-    children of the stream's generator, so each kind is consumed in sample
-    order.  For dB < dS the generator draws G itself.
+    children of the generator, so each kind is consumed in sample order.
+    For dB < dS the generator draws G itself.
     """
     ds, db = dim_system, dim_bath
     rows, cols = np.tril_indices(ds, -1)
@@ -123,7 +122,6 @@ class MonteCarloEstimate:
     standard_error: Any
     n_samples: int
     seed: int
-    n_streams: int = 1
 
     def __post_init__(self) -> None:
         if self.n_samples < 2:
@@ -133,16 +131,6 @@ class MonteCarloEstimate:
             raise ValidationError("standard errors must be finite and nonnegative")
 
 
-def split_counts(n_samples: int, n_streams: int) -> list[int]:
-    """Deterministic near-even split of the sample budget across streams."""
-    if n_streams < 1:
-        raise ValidationError(f"n_streams must be positive, got {n_streams}")
-    if n_samples < n_streams:
-        raise ValidationError(f"cannot split {n_samples} samples over {n_streams} streams")
-    base, extra = divmod(n_samples, n_streams)
-    return [base + (1 if i < extra else 0) for i in range(n_streams)]
-
-
 def stream_generators(seed: int, n_streams: int) -> list[np.random.Generator]:
     """Philox children of the seed; stream i is reproducible in isolation."""
     children = np.random.SeedSequence(seed).spawn(n_streams)
@@ -150,39 +138,35 @@ def stream_generators(seed: int, n_streams: int) -> list[np.random.Generator]:
 
 
 def batched_monte_carlo(values_of: Callable[[np.ndarray], np.ndarray], draw: Draw,
-                        width: int, n_samples: int, seed: int,
-                        n_streams: int = 1) -> MonteCarloEstimate:
+                        width: int, n_samples: int, seed: int) -> MonteCarloEstimate:
     """Mean and standard error of a value of the samples of ``draw``.
 
     ``values_of`` maps a chunk of samples to the (count, ...) values of its
     samples, a float or a fixed-shape array per sample.  ``width`` is the
     length of the longest per-sample row the draw or ``values_of`` builds; a
     chunk holds at most MONTE_CARLO_ELEMENT_CAP // width samples.  The draws
-    are those of one-sample chunks, in the same order.  Each value component
-    is summed pairwise over a stream's samples, as a scalar value is.
+    are those of one-sample chunks, in the same order, from the first Philox
+    child of the seed.  Each value component is summed pairwise over the
+    samples, as a scalar value is.
 
     Raises
     ------
     ValidationError : for fewer than 2 samples, or a non-finite value (with
-        the offending stream and sample index in the message).
+        the offending sample index in the message).
     """
     if n_samples < 2:
         raise ValidationError(f"need at least 2 samples, got {n_samples}")
     chunk = max(1, MONTE_CARLO_ELEMENT_CAP // width)
-    counts = split_counts(n_samples, n_streams)
-    total = total_sq = 0.0
-    for index, (rng, count) in enumerate(zip(stream_generators(seed, n_streams), counts)):
-        samples = draw(rng)
-        values = np.concatenate([values_of(samples(min(chunk, count - start)))
-                                 for start in range(0, count, chunk)])
-        finite = np.isfinite(values).reshape(count, -1).all(axis=1)
-        if not finite.all():
-            raise ValidationError(f"non-finite value at stream {index}, "
-                                  f"sample {int(np.argmin(finite))}")
-        # the sample axis last and contiguous, so that numpy sums it pairwise
-        by_component = np.ascontiguousarray(np.moveaxis(values, 0, -1))
-        total = total + by_component.sum(axis=-1)
-        total_sq = total_sq + (np.abs(by_component) ** 2).sum(axis=-1)
+    samples = draw(stream_generators(seed, 1)[0])
+    values = np.concatenate([values_of(samples(min(chunk, n_samples - start)))
+                             for start in range(0, n_samples, chunk)])
+    finite = np.isfinite(values).reshape(n_samples, -1).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"non-finite value at sample {int(np.argmin(finite))}")
+    # the sample axis last and contiguous, so that numpy sums it pairwise
+    by_component = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+    total = by_component.sum(axis=-1)
+    total_sq = (np.abs(by_component) ** 2).sum(axis=-1)
 
     mean = total / n_samples
     # complex variance E|X|^2 - |EX|^2, elementwise
@@ -192,4 +176,4 @@ def batched_monte_carlo(values_of: Callable[[np.ndarray], np.ndarray], draw: Dra
         mean = complex(mean) if np.iscomplexobj(mean) else float(mean)
         se = float(se)
     return MonteCarloEstimate(mean=mean, standard_error=se, n_samples=n_samples,
-                              seed=seed, n_streams=n_streams)
+                              seed=seed)

@@ -119,7 +119,7 @@ class Theorem0Estimate:
 
 def theorem0_estimate(projection: DenseProjection | GroupedProjection,
                       spectral: SpectralData, reductions: EigenstateReductions,
-                      epsilon: float, n_samples: int, seed: int, n_streams: int = 1,
+                      epsilon: float, n_samples: int, seed: int,
                       tolerances: Tolerances = DEFAULT) -> Theorem0Estimate:
     """delta, the bounds of theorem0_rhs, and the draws of the T0 reports.
 
@@ -142,7 +142,7 @@ def theorem0_estimate(projection: DenseProjection | GroupedProjection,
         distances = batched_trace_distances(states_of(draws), reference)
         return np.stack([distances, (distances > threshold).astype(float)], axis=1)
 
-    estimate = batched_monte_carlo(values, draw, width, n_samples, seed, n_streams)
+    estimate = batched_monte_carlo(values, draw, width, n_samples, seed)
     return Theorem0Estimate(reductions.layout.dim_system, dim_r, delta_value, weak,
                             epsilon, threshold, estimate)
 
@@ -237,6 +237,15 @@ class Theorem:
     nondegenerate: bool = False
 
 
+def _necessary_report(pipe: Any, theorem_id: str, dim_restricted: int,
+                      p: float) -> "TheoremReport":
+    """The T1 or T1prime report on the pipeline's one necessary-condition search."""
+    config = pipe.config
+    return necessary_condition_report(
+        pipe.necessary_lhs, pipe.layout.dim_system, config.epsilon, dim_restricted, p,
+        theorem_id, config.n_starts, pipe.seed("search"), config.tolerances)
+
+
 def _one(p: dict) -> float:
     return 1.0
 
@@ -252,7 +261,8 @@ def _necessary_max(p: dict) -> float:
 # up the report builders by name when they run, so that a tracer that wraps
 # this module's functions sees the calls.  The order fixes each report's
 # seed (its index here) and must not change; T0i and T0ii share the draws of
-# the pipeline's theorem0 stage, which takes T0i's seed.
+# the pipeline's theorem0 stage, which takes T0i's seed, and T1 and T1prime
+# share its necessary-condition search, which takes T1's.
 THEOREMS = {
     "SufficientISI": Theorem(
         lambda p: float(p["threshold"]), _one,
@@ -269,15 +279,11 @@ THEOREMS = {
         nondegenerate=True),
     "T1": Theorem(
         _necessary_rhs, _necessary_max,
-        lambda pipe, seed: necessary_condition_report(
-            pipe.reductions, pipe.config.epsilon,
-            pipe.config.dim_restricted or pipe.layout.dim_bath, pipe.config.p, "T1",
-            pipe.config.n_starts, seed, pipe.config.tolerances)),
+        lambda pipe, seed: _necessary_report(
+            pipe, "T1", pipe.config.dim_restricted or pipe.layout.dim_bath, pipe.config.p)),
     "T1prime": Theorem(
         _necessary_rhs, _necessary_max,
-        lambda pipe, seed: necessary_condition_report(
-            pipe.reductions, pipe.config.epsilon, pipe.layout.dim_bath, 1.0, "T1prime",
-            pipe.config.n_starts, seed, pipe.config.tolerances)),
+        lambda pipe, seed: _necessary_report(pipe, "T1prime", pipe.layout.dim_bath, 1.0)),
     # The T2 bounds are the large-bath limits sqrt(3) epsilon and 3 epsilon.
     "T2i": Theorem(lambda p: math.sqrt(3.0) * float(p["epsilon"]), _one,
                    lambda pipe, seed: pipe.theorem2[0]),
@@ -287,7 +293,7 @@ THEOREMS = {
         lambda p: concentration_tail(int(p["dB"]), float(p["epsilon"])), _one,
         lambda pipe, seed: popescu_report(pipe.layout, pipe.config.epsilon,
                                           pipe.config.n_samples, seed,
-                                          pipe.config.n_streams, pipe.config.tolerances)),
+                                          pipe.config.tolerances)),
 }
 THEOREM_IDS = tuple(THEOREMS)
 
@@ -482,7 +488,6 @@ def _theorem0_parameters(t0: Theorem0Estimate, column: int) -> dict:
     estimate = t0.estimate
     return {"dS": t0.dim_system, "dR": t0.dim_restricted, "delta": t0.delta,
             "n_samples": estimate.n_samples, "seed": estimate.seed,
-            "n_streams": estimate.n_streams,
             "lhs_standard_error": estimate.standard_error[column]}
 
 
@@ -502,27 +507,28 @@ def theorem0_tail_report(t0: Theorem0Estimate,
     return _report("T0ii", t0.estimate.mean[1], parameters, tolerances)
 
 
-def necessary_condition_report(reductions: EigenstateReductions, epsilon: float,
+def necessary_condition_report(lhs: float, dim_system: int, epsilon: float,
                                dim_restricted: int, p: float,
                                theorem_id: str = "T1prime", n_starts: int = 512,
                                seed: int = 0,
                                tolerances: Tolerances = DEFAULT) -> TheoremReport:
-    """Necessary-condition supremum against the accuracy constant.
+    """The necessary-condition supremum ``lhs`` against the accuracy constant.
 
-    ``T1`` evaluates the restricted-bath form (dR and p as configured);
-    ``T1prime`` the full-bath form, where dR is the bath dimension and p = 1.
-    A violated verdict means independence at the stated accuracy is
-    impossible; at workstation dimensions the bound is usually vacuous.
+    ``lhs`` is the value of ``necessary_condition_lhs`` for a dS =
+    ``dim_system`` model; for dS > 2 the report records the ``n_starts`` and
+    ``seed`` of that search, so that T1 and T1prime can share one.  ``T1``
+    evaluates the restricted-bath form (dR and p as configured); ``T1prime``
+    the full-bath form, where dR is the bath dimension and p = 1.  A violated
+    verdict means independence at the stated accuracy is impossible; at
+    workstation dimensions the bound is usually vacuous.
     """
     if theorem_id not in ("T1", "T1prime"):
         raise ValidationError(f"theorem_id must be T1 or T1prime, got {theorem_id!r}")
-    ds = reductions.layout.dim_system
-    lhs = necessary_condition_lhs(reductions, n_starts=n_starts, seed=seed)
     parameters = _float_params({
-        "epsilon": epsilon, "dS": ds, "dR": dim_restricted, "p": p,
+        "epsilon": epsilon, "dS": dim_system, "dR": dim_restricted, "p": p,
         "c": CONCENTRATION_RATE,
     })
-    if ds > 2:
+    if dim_system > 2:
         parameters.update(_float_params({"n_starts": n_starts, "seed": seed}))
         parameters["lhs_is_lower_bound"] = True
     return _report(theorem_id, lhs, parameters, tolerances)
@@ -554,7 +560,6 @@ def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
 
 
 def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int, seed: int,
-                   n_streams: int = 1,
                    tolerances: Tolerances = DEFAULT) -> TheoremReport:
     """Typicality of instantaneous reductions over the full composite space.
 
@@ -570,12 +575,11 @@ def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int, seed: in
     def values(states: np.ndarray) -> np.ndarray:
         return (batched_trace_distances(states, mixed) > threshold).astype(float)
 
-    estimate = batched_monte_carlo(values, induced_states(ds, db), ds * ds, n_samples,
-                                   seed, n_streams)
+    estimate = batched_monte_carlo(values, induced_states(ds, db), ds * ds, n_samples, seed)
     parameters = _float_params({
         "dS": ds, "dB": db, "epsilon": epsilon,
         "distance_threshold": threshold, "c": CONCENTRATION_RATE,
-        "n_samples": n_samples, "seed": seed, "n_streams": n_streams,
+        "n_samples": n_samples, "seed": seed,
         "lhs_standard_error": estimate.standard_error,
     })
     return _report("Popescu", estimate.mean, parameters, tolerances)

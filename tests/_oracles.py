@@ -222,23 +222,20 @@ def induced_state(dim_system, dim_bath):
     return bind
 
 
-def naive_distance_estimate(state_of, reference, draw, n_samples, seed, n_streams,
-                            threshold=None):
+def naive_distance_estimate(state_of, reference, draw, n_samples, seed, threshold=None):
     """Mean and standard error of the trace distance of state_of(sample) to reference.
 
     The samples come one at a time from ``draw`` (haar_vector, dirichlet_vector
-    or induced_state) bound to Philox children of the seed, the first
-    n_samples % n_streams streams taking one sample more.  With a threshold
-    each sample counts 1 when its distance exceeds it and 0 otherwise.
+    or induced_state) bound to the first Philox child of the seed.  With a
+    threshold each sample counts 1 when its distance exceeds it and 0
+    otherwise.
     """
-    children = np.random.SeedSequence(seed).spawn(n_streams)
-    base, extra = divmod(n_samples, n_streams)
+    [child] = np.random.SeedSequence(seed).spawn(1)
+    one = draw(np.random.Generator(np.random.Philox(child)))
     values = []
-    for index, child in enumerate(children):
-        one = draw(np.random.Generator(np.random.Philox(child)))
-        for _ in range(base + (1 if index < extra else 0)):
-            distance = float(np.abs(np.linalg.eigvalsh(state_of(one()) - reference)).sum())
-            values.append(distance if threshold is None else float(distance > threshold))
+    for _ in range(n_samples):
+        distance = float(np.abs(np.linalg.eigvalsh(state_of(one()) - reference)).sum())
+        values.append(distance if threshold is None else float(distance > threshold))
     total = 0.0
     for value in values:
         total += value

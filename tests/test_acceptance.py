@@ -182,7 +182,7 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
     closed = bath_averaged_equilibrium(PLUS.amplitudes, matrices, 16)
     plus = PLUS.amplitudes[:, None]
     over_bath = batched_monte_carlo(lambda bath: rho_bar(plus, bath), haar_amplitudes(16),
-                                    32, 10_000, seed=42, n_streams=2)
+                                    32, 10_000, seed=42)
     gap = np.abs(over_bath.mean - closed)
     if not np.all(gap <= 3.0 * over_bath.standard_error + 1e-15):
         failures.append(f"bath average misses the closed form by "
@@ -196,7 +196,7 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
                        bath / np.linalg.norm(bath, axis=0))
 
     over_joint = batched_monte_carlo(joint_product, haar_amplitudes(18), 32, 10_000,
-                                     seed=43, n_streams=2)
+                                     seed=43)
     gap = np.abs(over_joint.mean - np.eye(2) / 2.0)
     if not np.all(gap <= 3.0 * over_joint.standard_error + 1e-15):
         failures.append(f"joint average misses I/2 by "
@@ -317,8 +317,8 @@ def test_criterion_6_concentration_bound_honesty(capsys):
     reports.extend([theorem0_mean_report(shared), theorem0_tail_report(shared)])
     reports.append(theorem0_tail_report(
         theorem0_estimate(small, spectral, reductions, 0.5, 400, 63)))
-    reports.append(necessary_condition_report(reductions, 0.05, 16, 1.0,
-                                              "T1prime", 8, 64))
+    reports.append(necessary_condition_report(necessary_condition_lhs(reductions), 2,
+                                              0.05, 16, 1.0, "T1prime", 8, 64))
     reports.extend(theorem2_reports(reductions, 0.05, 16, 1.0))
     reports.append(popescu_report(spec.layout, 0.05, 400, 65))
 

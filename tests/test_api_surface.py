@@ -12,6 +12,7 @@ import ast
 from pathlib import Path
 
 import isibench
+from isibench import cli
 
 PACKAGE = Path(isibench.__file__).parent
 
@@ -26,6 +27,12 @@ KEEPERS = {
 # them may be defined or exported again.
 GONE = {
     "SparseProjection": "GroupedProjection: Dirichlet weights on a stack built once",
+    "split_counts": "batched_monte_carlo: every estimate draws from one stream of its seed",
+}
+
+# Config entries that were removed, each with its reason; none may come back.
+GONE_KEYS = {
+    "analysis.n_streams": "one stream per estimate; more streams only reseeded, serially",
 }
 
 
@@ -74,3 +81,8 @@ def test_replaced_definitions_stay_gone():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     back = sorted(name for name in GONE if name in defined or hasattr(isibench, name))
     assert not back, f"replaced definitions are back: {back}"
+
+
+def test_removed_config_keys_stay_gone():
+    back = sorted(GONE_KEYS.keys() & cli.CONFIG_KEYS.keys())
+    assert not back, f"removed config keys are back: {back}"

@@ -131,14 +131,14 @@ class TestConfigErrors:
                          "--out", str(tmp_path / "out")]) == 2
         assert "contradicts" in capsys.readouterr().err
 
-    def test_more_streams_than_samples_exits_2_before_any_write(self, tmp_path, capsys):
+    def test_stream_count_is_an_unknown_key(self, tmp_path, capsys):
+        # every estimate draws from one stream of its seed
         cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 8\n"
                                    "[analysis]\ntheorems = SufficientISI, T0i\n"
-                                   "n_samples = 3\nn_streams = 5\n")
+                                   "n_samples = 4\nn_streams = 2\n")
         out_dir = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out_dir)]) == 2
-        err = capsys.readouterr().err
-        assert "analysis.n_streams" in err and "analysis.n_samples" in err
+        assert capsys.readouterr().err == "error: unknown key analysis.n_streams\n"
         assert not out_dir.exists()
 
     def test_unknown_initial_state_name(self, tmp_path, capsys):
@@ -328,6 +328,22 @@ class TestBoundsCommand:
         assert report.verdict == "violated"
         assert report.lhs == pytest.approx(1.0, abs=1e-10)
 
+    def test_t1_and_t1prime_share_one_search(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli.main(["bounds", "--config", "random_contrast", "--seed", "5",
+                         "--out", str(out_dir),
+                         "--override", "model.dim_system=3",
+                         "--override", "model.dim_bath=32",
+                         "--override", "initial_state.system=random",
+                         "--override", "analysis.theorems=T1,T1prime",
+                         "--override", "analysis.n_starts=16"]) == 0
+        capsys.readouterr()
+        t1, t1prime = (read_report(out_dir / f"report_{tid}.json")
+                       for tid in ("T1", "T1prime"))
+        assert t1.parameters["lhs_is_lower_bound"] and t1prime.lhs == t1.lhs
+        assert t1prime.parameters["seed"] == t1.parameters["seed"]
+        assert t1prime.parameters["n_starts"] == t1.parameters["n_starts"] == 16
+
     def test_conclusion_without_t2ii(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 8\n"
                                    "[analysis]\ntheorems = SufficientISI\n")
@@ -453,6 +469,25 @@ class TestSweepCommand:
         assert code == 4
         assert err.startswith("error: spectrum has ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exits_2_before_any_draw(self, tmp_path, capsys, jobs):
+        cfg = _write_cfg(tmp_path, RANDOM_SWEEP)
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--jobs", jobs,
+                         "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not (out_dir / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "model-info", "bounds"])
+    def test_jobs_is_an_option_of_sweep_alone(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as refused:
+            cli.main([command, "--config", "sec5_violation", "--jobs", "2",
+                      "--out", str(out_dir)])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unsweepable_parameter_is_rejected(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 8\n"
@@ -654,6 +689,27 @@ class TestInputHardening:
         assert err.startswith(f"error: bad value for {entry.partition('=')[0]}: ")
         assert "nonnegative" in err and err.count("\n") == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "model-info"])
+    @pytest.mark.parametrize("kind", ["commuting", "cucchietti"])
+    def test_zero_coupling_scale_exits_2_naming_the_key(self, tmp_path, capsys, command,
+                                                        kind):
+        size = "dim_bath = 8" if kind == "commuting" else "n_spins = 3"
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = {kind}\n{size}\n"
+                                   "coupling_scale = 0\n")
+        out_dir = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "error: model.coupling_scale must be positive\n"
+        assert not out_dir.exists()
+
+    def test_zero_coupling_scale_in_a_sweep_exits_2(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 8\n"
+                                   "[sweep]\nparameter = coupling_scale\nvalues = 1, 0\n"
+                                   "draws = 2\n")
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "error: sweep.values: model.coupling_scale must be positive\n"
+        assert not (tmp_path / "out").exists()
 
     def test_negative_scale_in_a_sweep_exits_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[model]\nkind = cucchietti\nn_spins = 3\n"

@@ -273,7 +273,7 @@ class TestBathAveragedEquilibrium:
 
         est = batched_monte_carlo(_product_equilibria(psi, spectral, reductions),
                                   draw=haar_amplitudes(8), width=16, n_samples=4000,
-                                  seed=101, n_streams=2)
+                                  seed=101)
         closed = bath_averaged_equilibrium(psi.amplitudes, reductions.matrices, 8)
         gap = np.abs(est.mean - closed)
         assert np.all(gap <= 3.0 * est.standard_error + 1e-12)

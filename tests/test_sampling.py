@@ -5,7 +5,7 @@ import pytest
 
 from isibench import (SpaceLayout, ValidationError, batched_monte_carlo,
                       batched_partial_trace_bath, dirichlet_weights, haar_amplitudes,
-                      induced_states, sample_amplitudes, split_counts, stream_generators)
+                      induced_states, sample_amplitudes, stream_generators)
 from isibench.hilbert import batched_trace_distances
 
 from _oracles import ks_uniform_statistic
@@ -73,35 +73,21 @@ class TestMonteCarlo:
                                 n_samples=1, seed=0)
 
     def test_non_finite_value_aborts_with_diagnostic(self):
-        with pytest.raises(ValidationError, match="stream"):
+        with pytest.raises(ValidationError, match="sample 0"):
             batched_monte_carlo(_constant(math.nan), draw=haar_amplitudes(1), width=1,
                                 n_samples=10, seed=0)
 
     def test_reproducible_across_runs(self):
         def run():
             return batched_monte_carlo(_population(1), draw=haar_amplitudes(4), width=4,
-                                       n_samples=500, seed=77, n_streams=4)
+                                       n_samples=500, seed=77)
 
         first, second = run(), run()
         assert first.mean == second.mean
         assert first.standard_error == second.standard_error
 
-    def test_stream_count_changes_partition_not_statistics(self):
-        one = batched_monte_carlo(_population(0), draw=haar_amplitudes(4), width=4,
-                                  n_samples=3000, seed=10, n_streams=1)
-        four = batched_monte_carlo(_population(0), draw=haar_amplitudes(4), width=4,
-                                   n_samples=3000, seed=10, n_streams=4)
-        assert abs(one.mean - 0.25) < 3 * one.standard_error
-        assert abs(four.mean - 0.25) < 3 * four.standard_error
-
 
 class TestAccumulation:
-    def test_split_counts_partitions_total(self):
-        for n, k in ((10, 3), (7, 7), (100, 8), (5, 1)):
-            counts = split_counts(n, k)
-            assert sum(counts) == n
-            assert max(counts) - min(counts) <= 1
-
     def test_stream_generators_are_deterministic(self):
         a = stream_generators(123, 3)
         b = stream_generators(123, 3)

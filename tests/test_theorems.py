@@ -151,7 +151,7 @@ class TestTheorem0Sampling:
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
         projection = subspace_projection(spectral, spec.layout, psi)
         report = theorem0_mean_report(theorem0_estimate(
-            projection, spectral, reductions, 0.05, n_samples=400, seed=11, n_streams=2))
+            projection, spectral, reductions, 0.05, n_samples=400, seed=11))
         strong, _ = theorem0_rhs(2, 64, 1.0)
         assert report.lhs <= strong + 3.0 * report.parameters["lhs_standard_error"]
 
@@ -308,20 +308,19 @@ def _batched_problem(ds, db, subspace):
                                                                   prefix)
 
 
-def _batched_estimates(layout, spectral, reductions, projection, n_streams):
+def _batched_estimates(layout, spectral, reductions, projection):
     """(lhs, standard error) of the T0i, T0ii and Popescu reports."""
-    shared = theorem0_estimate(projection, spectral, reductions, _EPSILON, 60, 3, n_streams)
+    shared = theorem0_estimate(projection, spectral, reductions, _EPSILON, 60, 3)
     reports = (theorem0_mean_report(shared), theorem0_tail_report(shared),
-               popescu_report(layout, _EPSILON, 60, 7, n_streams))
+               popescu_report(layout, _EPSILON, 60, 7))
     return [(r.lhs, r.parameters["lhs_standard_error"]) for r in reports]
 
 
 class TestBatchedEstimates:
-    @pytest.mark.parametrize("n_streams", [1, 3])
     @pytest.mark.parametrize("ds, db, subspace", _BATCHED_CASES)
-    def test_reports_match_the_per_sample_oracle(self, ds, db, subspace, n_streams):
+    def test_reports_match_the_per_sample_oracle(self, ds, db, subspace):
         problem, columns = _batched_problem(ds, db, subspace)
-        estimates = _batched_estimates(*problem, n_streams)
+        estimates = _batched_estimates(*problem)
 
         spectral = problem[1]
         vectors = spectral.eigenvectors.T
@@ -347,11 +346,10 @@ class TestBatchedEstimates:
 
         t0_threshold = math.sqrt(ds * delta_value / dim_r) + _EPSILON
         expected = [
-            naive_distance_estimate(equilibrium, average, draw, 60, 3, n_streams),
-            naive_distance_estimate(equilibrium, average, draw, 60, 3, n_streams,
-                                    t0_threshold),
+            naive_distance_estimate(equilibrium, average, draw, 60, 3),
+            naive_distance_estimate(equilibrium, average, draw, 60, 3, t0_threshold),
             naive_distance_estimate(lambda rho: rho, np.eye(ds) / ds, induced_state(ds, db),
-                                    60, 7, n_streams, math.sqrt(ds / db) + _EPSILON)]
+                                    60, 7, math.sqrt(ds / db) + _EPSILON)]
         for (mean, se), (ref_mean, ref_se) in zip(estimates, expected):
             assert mean == pytest.approx(ref_mean, rel=1e-12, abs=0.0)
             assert se == pytest.approx(ref_se, rel=1e-12, abs=0.0)
@@ -363,9 +361,9 @@ class TestBatchedEstimates:
     def test_chunking_leaves_the_estimates_bit_identical(self, monkeypatch, ds, db,
                                                          subspace):
         problem, _ = _batched_problem(ds, db, subspace)
-        whole = _batched_estimates(*problem, n_streams=3)
+        whole = _batched_estimates(*problem)
         monkeypatch.setattr(sampling, "MONTE_CARLO_ELEMENT_CAP", 1)
-        assert _batched_estimates(*problem, n_streams=3) == whole
+        assert _batched_estimates(*problem) == whole
 
 
 class TestVerdictPolicy:
@@ -454,21 +452,38 @@ class TestReports:
 
     def test_necessary_report_with_zero_measure_is_vacuous(self):
         spec, spectral, reductions, _ = _commuting_problem(8, 97)
-        report = necessary_condition_report(reductions, epsilon=0.05,
-                                            dim_restricted=8, p=0.0,
+        report = necessary_condition_report(necessary_condition_lhs(reductions), 2,
+                                            epsilon=0.05, dim_restricted=8, p=0.0,
                                             theorem_id="T1")
         assert report.rhs == math.inf
         assert report.verdict == "vacuous"
 
     def test_necessary_report_round_trips_infinity(self, tmp_path):
         spec, spectral, reductions, _ = _commuting_problem(8, 101)
-        report = necessary_condition_report(reductions, epsilon=0.05,
-                                            dim_restricted=8, p=0.0,
+        report = necessary_condition_report(necessary_condition_lhs(reductions), 2,
+                                            epsilon=0.05, dim_restricted=8, p=0.0,
                                             theorem_id="T1")
         path = tmp_path / "report_T1.json"
         write_report(path, report)
         back = read_report(path)
         assert back == report
+
+    def test_report_recording_a_stream_count_still_loads(self, tmp_path):
+        # reports written while estimates could split over streams record
+        # "n_streams"; the audit reads it as one more parameter
+        layout, spectral, reductions, _ = _random_problem(2, 8, 107)
+        report = theorem0_mean_report(theorem0_estimate(
+            subspace_projection(spectral, layout), spectral, reductions, 0.05,
+            n_samples=20, seed=7))
+        assert "n_streams" not in report.parameters
+        payload = json.loads(report.to_json())
+        payload["parameters"]["n_streams"] = 1
+        path = tmp_path / "report_T0i.json"
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        back = read_report(path)
+        assert back.parameters == {**report.parameters, "n_streams": 1}
+        assert (back.lhs, back.rhs, back.verdict) == (report.lhs, report.rhs,
+                                                      report.verdict)
 
     def test_mean_report_parameters_reproduce_rhs(self):
         layout, spectral, reductions, _ = _random_problem(2, 16, 103)
