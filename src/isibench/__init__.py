@@ -37,7 +37,6 @@ from .theorems import (CONCENTRATION_RATE, THEOREM_IDS, VERDICTS, TheoremReport,
                        Theorem0Estimate, theorem0_estimate, theorem0_mean_report,
                        theorem0_rhs, theorem0_tail_report,
                        theorem2_lhs, theorem2_reports, write_report)
-from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"
 

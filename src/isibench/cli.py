@@ -11,11 +11,15 @@ Subcommands run the pipeline stages standalone or end to end:
     run          everything above plus summary.txt
 
 Configs are flat INI-style text with one level of sections; unknown sections
-or keys are errors.  Every run derives all randomness from a single root
-seed, so identical configs give byte-identical data files (the only
-timestamp lives in the summary header) on the same machine, with the same
-numpy/BLAS build and the same BLAS thread count.  Another thread count moves
-the numbers in their last digits (see the README).
+or keys are errors.  The numerical thresholds of the checks and verdicts are
+fixed constants of the modules that apply them; the one ``[tolerances]`` key,
+``decompose_dim_cap``, is a resource limit on dense diagonalisation.
+
+Every run derives all randomness from a single root seed, so identical
+configs give byte-identical data files (the only timestamp lives in the
+summary header) on the same machine, with the same numpy/BLAS build and the
+same BLAS thread count.  Another thread count moves the numbers in their last
+digits (see the README).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -46,13 +51,12 @@ from .hilbert import (DensityMatrix, PureState, SpaceLayout, bloch_vector, purit
 from .models import (CommutingModelSpec, analytic_eigensystem, build_random_model,
                      commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import sample_amplitudes, stream_generators
-from .spectral import (CompositeHamiltonian, DenseProjection, GroupedProjection,
-                       SpectralData, check_nondegenerate_spectrum, eigendecompose,
-                       read_matrix, write_csv)
+from .spectral import (DECOMPOSE_DIM_CAP, CompositeHamiltonian, DenseProjection,
+                       GroupedProjection, SpectralData, check_nondegenerate_spectrum,
+                       eigendecompose, read_matrix, read_text, write_csv)
 from .theorems import (THEOREM_IDS, THEOREMS, Theorem0Estimate, TheoremReport,
                        necessary_condition_lhs, theorem0_estimate, theorem2_lhs,
                        theorem2_reports, write_report)
-from .tolerances import DEFAULT, Tolerances
 
 DEFAULT_SEED = 12345
 DEFAULT_OUT_DIR = "isibench-out"
@@ -134,7 +138,7 @@ def _parse_subspace(text: str) -> str:
     subspace = text.strip()
     prefix, sep, arg = subspace.partition(":")
     if subspace not in ("full", "product_bath") and (
-            prefix != "bath_prefix" or not sep or not arg.isdigit() or int(arg) < 1):
+            prefix != "bath_prefix" or not sep or not arg.isdecimal() or int(arg) < 1):
         raise ConfigError(f"bad analysis.subspace {subspace!r} "
                           "(use full, product_bath, or bath_prefix:<dim>)")
     return subspace
@@ -168,8 +172,8 @@ _SPIN = ("commuting", "cucchietti")
 class ExperimentConfig:
     """Fully typed experiment description; picklable for sweep workers.
 
-    Together with _TOLERANCE_KEYS its fields are the config table: each one
-    reads the entry its ConfigKey names and defaults to the field default.
+    Its fields are the config table: each one reads the entry its ConfigKey
+    names and defaults to the field default.
     """
 
     kind: str = _key("model.kind", str.strip)
@@ -205,17 +209,10 @@ class ExperimentConfig:
     sweep_metrics: tuple[str, ...] = _key("sweep.metrics", _parse_name_list,
                                           ("mean_squared_polarization",))
     out_dir: str = _key("output.dir", str.strip, DEFAULT_OUT_DIR)
-    tolerances: Tolerances = DEFAULT
+    decompose_dim_cap: int = _key("tolerances.decompose_dim_cap", int, DECOMPOSE_DIM_CAP, 1)
 
 
-# The [tolerances] entries: one per field of Tolerances, a cap or a threshold.
-_TOLERANCE_KEYS = {
-    f.name: ConfigKey(f"tolerances.{f.name}", int, 1) if isinstance(f.default, int)
-    else ConfigKey(f"tolerances.{f.name}", _parse_finite, 0.0)
-    for f in fields(Tolerances)}
-CONFIG_KEYS = {key.name: key for key in [
-    *(f.metadata["key"] for f in fields(ExperimentConfig) if f.metadata),
-    *_TOLERANCE_KEYS.values()]}
+CONFIG_KEYS = {f.metadata["key"].name: f.metadata["key"] for f in fields(ExperimentConfig)}
 
 
 def bundled_config_names() -> tuple[str, ...]:
@@ -227,12 +224,12 @@ def bundled_config_names() -> tuple[str, ...]:
 def _load_raw_config(spec: str) -> tuple[str, str]:
     """Resolve --config to (display name, file text): a path or a bundled name."""
     path = Path(spec)
-    if path.is_file():
-        return str(path), path.read_text(encoding="utf-8")
+    if os.path.isfile(path):  # False, not an error, for a name the OS refuses
+        return str(path), read_text(path)
     name = spec[:-4] if spec.endswith(".cfg") else spec
-    candidate = resources.files("isibench").joinpath("configs", f"{name}.cfg")
-    if candidate.is_file():
-        return name, candidate.read_text(encoding="utf-8")
+    if name in bundled_config_names():
+        bundled = resources.files("isibench").joinpath("configs", f"{name}.cfg")
+        return name, bundled.read_text(encoding="utf-8")
     raise ConfigError(
         f"config {spec!r} is neither a file nor a bundled config "
         f"(bundled: {', '.join(bundled_config_names())})"
@@ -240,8 +237,10 @@ def _load_raw_config(spec: str) -> tuple[str, str]:
 
 
 def _parse_sections(text: str, source: str) -> dict[str, dict[str, str]]:
+    # No section header can name the empty section, so a [DEFAULT] section is
+    # an ordinary one (and unknown) instead of defaults merged into the others.
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",),
-                                       inline_comment_prefixes=("#",))
+                                       inline_comment_prefixes=("#",), default_section="")
     try:
         parser.read_string(text, source=source)
     except configparser.Error as err:
@@ -327,11 +326,8 @@ def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
         if kind not in CONFIG_KEYS[f"model.{key}"].kinds:
             raise ConfigError(f"key model.{key} is not valid for model kind {kind!r}")
 
-    values = {f.name: _read(raw, f.metadata["key"], f.default)
-              for f in fields(ExperimentConfig) if f.metadata}
-    tolerances = replace(DEFAULT, **{name: _read(raw, key, getattr(DEFAULT, name))
-                                     for name, key in _TOLERANCE_KEYS.items()})
-    config = ExperimentConfig(**values, tolerances=tolerances)
+    config = ExperimentConfig(**{f.name: _read(raw, f.metadata["key"], f.default)
+                                 for f in fields(ExperimentConfig)})
     if kind == "cucchietti" and config.n_spins is None:
         raise ConfigError("model kind cucchietti needs model.n_spins")
     if kind == "file" and config.matrix_path is None:
@@ -365,7 +361,7 @@ def _factor_state(name: str, dim: int, space: str, seed: int) -> PureState:
         return PureState(sample_amplitudes(dim, 1, rng)[:, 0], space=space)
     if name.startswith("basis:"):
         index_text = name.partition(":")[2]
-        if not index_text.isdigit() or int(index_text) >= dim:
+        if not index_text.isdecimal() or int(index_text) >= dim:
             raise ConfigError(f"basis state {name!r} out of range for dimension {dim}")
         vec = np.zeros(dim, dtype=complex)
         vec[int(index_text)] = 1.0
@@ -407,7 +403,7 @@ class Pipeline:
         2^(n_spins + 1), compared by bit length so that a huge n_spins is
         never formed.
         """
-        config, cap = self.config, self.config.tolerances.decompose_dim_cap
+        config, cap = self.config, self.config.decompose_dim_cap
         if config.kind == "file":
             return
         if config.kind == "cucchietti":
@@ -422,7 +418,7 @@ class Pipeline:
 
     @cached_property
     def model(self) -> ModelBundle:
-        config, tol = self.config, self.config.tolerances
+        config = self.config
         self._check_dimension()
         rng = stream_generators(self.seed("model"), 1)[0]
         if config.kind in ("commuting", "cucchietti"):
@@ -449,11 +445,11 @@ class Pipeline:
 
         if config.kind == "random":
             ds = config.dim_system if config.dim_system is not None else 2
-            ham = build_random_model(ds, config.dim_bath, config.interaction_strength,
-                                     rng, tol)
+            ham = build_random_model(ds, config.dim_bath, config.interaction_strength, rng)
             source = (f"random Gaussian model (dS={ds}, dB={config.dim_bath}, "
                       f"interaction strength {config.interaction_strength:g})")
-            return ModelBundle(ham.layout, eigendecompose(ham, tol), ham, source)
+            return ModelBundle(ham.layout, eigendecompose(ham, config.decompose_dim_cap),
+                               ham, source)
 
         matrix, layout = read_matrix(config.matrix_path)
         if layout is None and config.dim_system is not None:
@@ -466,7 +462,10 @@ class Pipeline:
                 and layout.dim_system != config.dim_system:
             raise ConfigError(f"model.dim_system {config.dim_system} contradicts the "
                               f"file's layout tag dS={layout.dim_system}")
-        spectral = eigendecompose(matrix, tol)
+        try:
+            spectral = eigendecompose(matrix, config.decompose_dim_cap)
+        except ValidationError as err:  # the file's matrix fails a check
+            raise ConfigError(f"{config.matrix_path}: {err}") from None
         return ModelBundle(layout, spectral, None,
                            f"matrix file {config.matrix_path} (d={spectral.dim})")
 
@@ -518,7 +517,7 @@ class Pipeline:
     @cached_property
     def spectrum_check(self) -> tuple[bool, float]:
         """(nondegenerate, smallest level spacing)."""
-        return check_nondegenerate_spectrum(self.spectral, self.config.tolerances)
+        return check_nondegenerate_spectrum(self.spectral)
 
     @property
     def notes(self) -> list[str]:
@@ -530,7 +529,6 @@ class Pipeline:
     @cached_property
     def rho_bar(self) -> DensityMatrix:
         return time_averaged_state(self.coeffs, self.reductions, self.spectral,
-                                   self.config.tolerances,
                                    allow_degenerate=self.config.allow_degenerate)
 
     @cached_property
@@ -538,7 +536,7 @@ class Pipeline:
         """(horizon, trajectory, mean trace distance to the time average)."""
         spectral = self.spectral
         # The horizon divides by the level spacing: allow_degenerate cannot apply.
-        require_nondegenerate(spectral, self.config.tolerances)
+        require_nondegenerate(spectral)
         ratio, spacing = self.config.horizon_over_min_gap, spectral.min_level_spacing
         horizon = ratio / spacing
         # 2 max|E_n| bounds every Bohr frequency, so the phases stay finite
@@ -564,8 +562,7 @@ class Pipeline:
         config = self.config
         return theorem0_estimate(self.projection, self.spectral, self.reductions,
                                  config.epsilon, config.n_samples,
-                                 self.seed("bounds", THEOREM_IDS.index("T0i")),
-                                 config.tolerances)
+                                 self.seed("bounds", THEOREM_IDS.index("T0i")))
 
     @cached_property
     def necessary_lhs(self) -> float:
@@ -575,8 +572,7 @@ class Pipeline:
 
     @cached_property
     def theorem2(self) -> tuple[TheoremReport, TheoremReport]:
-        return theorem2_reports(self.reductions, self.config.epsilon,
-                                self.layout.dim_bath, tolerances=self.config.tolerances)
+        return theorem2_reports(self.reductions, self.config.epsilon, self.layout.dim_bath)
 
     @cached_property
     def reports(self) -> tuple[dict[str, TheoremReport], list[str]]:

@@ -30,7 +30,6 @@ from .hilbert import (STATE_NORM_TOL, DensityMatrix, PureState, SpaceLayout,
                       batched_bloch_vectors, check_density_stack, weighted_sum)
 from .spectral import (DenseProjection, GroupedProjection, SpectralData,
                        degenerate_level_pairs, write_csv)
-from .tolerances import DEFAULT, Tolerances
 
 COMPLETENESS_TOL = 1e-10  # max |(1/d) sum_n rho_n - I/dS|
 
@@ -130,7 +129,7 @@ def eigenstate_reductions(spectral: SpectralData,
                                 layout=layout)
 
 
-def require_nondegenerate(spectral: SpectralData, tolerances: Tolerances = DEFAULT,
+def require_nondegenerate(spectral: SpectralData,
                           allow_degenerate: bool = False) -> list[tuple[int, int]]:
     """Gate for formulas that assume a nondegenerate spectrum.
 
@@ -139,7 +138,7 @@ def require_nondegenerate(spectral: SpectralData, tolerances: Tolerances = DEFAU
     ``allow_degenerate`` asks to proceed (the caller then marks its output as
     computed under a violated hypothesis).
     """
-    pairs = degenerate_level_pairs(spectral, tolerances)
+    pairs = degenerate_level_pairs(spectral)
     if pairs and not allow_degenerate:
         shown = ", ".join(f"({a}, {b})" for a, b in pairs[:8])
         more = "" if len(pairs) <= 8 else f" and {len(pairs) - 8} more"
@@ -153,8 +152,8 @@ def require_nondegenerate(spectral: SpectralData, tolerances: Tolerances = DEFAU
 
 
 def time_averaged_state(coefficients: OverlapCoefficients, reductions: EigenstateReductions,
-                        spectral: SpectralData, tolerances: Tolerances = DEFAULT,
-                        allow_degenerate: bool = False) -> DensityMatrix:
+                        spectral: SpectralData, allow_degenerate: bool = False
+                        ) -> DensityMatrix:
     """Infinite-time average of the reduced state, sum_n |c_n|^2 rho_n.
 
     The formula needs a nondegenerate spectrum; degenerate inputs are refused
@@ -166,7 +165,7 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
     """
     if coefficients.dim != spectral.dim or reductions.dim != spectral.dim:
         raise ValidationError("coefficients, reductions, and spectral data disagree on d")
-    pairs = require_nondegenerate(spectral, tolerances, allow_degenerate)
+    pairs = require_nondegenerate(spectral, allow_degenerate)
     if not pairs:
         return DensityMatrix(weighted_reduction(coefficients.populations, reductions),
                              space="system")

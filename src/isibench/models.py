@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ValidationError
 from .hilbert import SpaceLayout
 from .spectral import CompositeHamiltonian, SpectralData, assemble
-from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass(frozen=True)
@@ -188,8 +187,7 @@ def gaussian_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def build_random_model(dim_system: int, dim_bath: int, interaction_strength: float,
-                       rng: np.random.Generator,
-                       tolerances: Tolerances = DEFAULT) -> CompositeHamiltonian:
+                       rng: np.random.Generator) -> CompositeHamiltonian:
     """Generic contrast model: independent Gaussian Hermitian parts.
 
     Every part has entry variance 1/(dim_system*dim_bath), so the interaction
@@ -203,4 +201,4 @@ def build_random_model(dim_system: int, dim_bath: int, interaction_strength: flo
     hs = gaussian_hermitian(dim_system, rng) * np.sqrt(dim_system / dim_total)
     hb = gaussian_hermitian(dim_bath, rng) * np.sqrt(dim_bath / dim_total)
     hsb = interaction_strength * gaussian_hermitian(dim_total, rng)
-    return assemble(hs, hb, hsb, layout, tolerances)
+    return assemble(hs, hb, hsb, layout)

@@ -10,8 +10,13 @@ the form; the subspace projections they build are ``DenseProjection`` and
 The equilibration statements this package evaluates assume a nondegenerate
 spectrum.  ``degenerate_level_pairs`` is the one place that decides it: two
 consecutive levels are degenerate when their spacing is at most
-``spectrum_degeneracy`` times the spectral norm of H.  The verdict, the
+``SPECTRUM_DEGENERACY`` times the spectral norm of H.  The verdict, the
 refusals and the block average of a degenerate spectrum all read it.
+
+The thresholds of the checks are fixed module constants beside them;
+relative ones are scaled by the spectral norm of the operator they test.
+Only the dense decomposition cap is a parameter of ``eigendecompose``, since
+it states how large a matrix the machine may diagonalise.
 
 Hamiltonians can be round-tripped through a small text format (one header
 line with a magic tag, one with dimensions and the system/bath split, then
@@ -32,7 +37,12 @@ import numpy as np
 from .errors import CapExceededError, ConfigError, ValidationError
 from .hilbert import SpaceLayout, batched_partial_trace_bath, weighted_sum
 from .sampling import Draw, dirichlet_weights, haar_amplitudes
-from .tolerances import DEFAULT, Tolerances
+
+HAMILTONIAN_ASYMMETRY = 1e-10  # max |H - H^dagger| accepted on assembly
+UNITARITY = 1e-10              # max |V^dagger V - I| for eigenvector matrices
+RESIDUAL = 1e-9                # eigenpair residual, relative to norm(H)
+SPECTRUM_DEGENERACY = 1e-10    # min level spacing, relative to norm(H)
+DECOMPOSE_DIM_CAP = 8192       # dense eigensolver refusal point
 
 MATRIX_FORMAT_MAGIC = "isibench-matrix"
 MATRIX_FORMAT_VERSION = 1
@@ -68,33 +78,32 @@ class CompositeHamiltonian:
             raise ValidationError(f"total does not match assembled parts, drift {drift:.3e}")
 
 
-def _require_hermitian(name: str, mat: np.ndarray, tol: float) -> np.ndarray:
+def _require_hermitian(name: str, mat: np.ndarray) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     asym = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
-    if not asym <= tol:  # a NaN entry fails too
-        raise ValidationError(f"{name} not Hermitian: max asymmetry {asym:.3e} > {tol:.1e}")
+    if not asym <= HAMILTONIAN_ASYMMETRY:  # a NaN entry fails too
+        raise ValidationError(f"{name} not Hermitian: max asymmetry {asym:.3e} > "
+                              f"{HAMILTONIAN_ASYMMETRY:.1e}")
     return arr
 
 
 def assemble(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray | None,
-             layout: SpaceLayout | None = None,
-             tolerances: Tolerances = DEFAULT) -> CompositeHamiltonian:
+             layout: SpaceLayout | None = None) -> CompositeHamiltonian:
     """Build the dense composite Hamiltonian from its parts.
 
     ``interaction=None`` means no coupling.  The layout is inferred from the
     part dimensions when not given.
     """
-    hs = _require_hermitian("system part", system, tolerances.hamiltonian_asymmetry)
-    hb = _require_hermitian("bath part", bath, tolerances.hamiltonian_asymmetry)
+    hs = _require_hermitian("system part", system)
+    hb = _require_hermitian("bath part", bath)
     if layout is None:
         layout = SpaceLayout(hs.shape[0], hb.shape[0])
     if interaction is None:
         hsb = np.zeros((layout.dim_total, layout.dim_total), dtype=complex)
     else:
-        hsb = _require_hermitian("interaction part", interaction,
-                                 tolerances.hamiltonian_asymmetry)
+        hsb = _require_hermitian("interaction part", interaction)
     if hs.shape[0] != layout.dim_system or hb.shape[0] != layout.dim_bath:
         raise ValidationError(
             f"part dims ({hs.shape[0]}, {hb.shape[0]}) do not match layout "
@@ -378,56 +387,52 @@ def fix_phases(eigenvectors: np.ndarray) -> np.ndarray:
     return vecs * phases.conj()
 
 
-def eigendecompose(hamiltonian, tolerances: Tolerances = DEFAULT) -> SpectralData:
+def eigendecompose(hamiltonian, dim_cap: int = DECOMPOSE_DIM_CAP) -> SpectralData:
     """Dense Hermitian eigendecomposition with deterministic phases.
 
-    Accepts a CompositeHamiltonian or a plain Hermitian array.  Verifies the
-    residual ``max |H v_n - E_n v_n|`` against ``tolerances.residual * norm(H)``
-    and the unitarity of the eigenvector matrix, so downstream consumers can
-    rely on SpectralData invariants without rechecking.
+    Accepts a CompositeHamiltonian or a plain Hermitian array, and refuses a
+    dimension above ``dim_cap``.  Verifies the residual
+    ``max |H v_n - E_n v_n|`` against ``RESIDUAL * norm(H)`` and the unitarity
+    of the eigenvector matrix, so downstream consumers can rely on
+    SpectralData invariants without rechecking.
     """
     mat = hamiltonian.total if isinstance(hamiltonian, CompositeHamiltonian) else hamiltonian
-    mat = _require_hermitian("hamiltonian", mat, tolerances.hamiltonian_asymmetry)
+    mat = _require_hermitian("hamiltonian", mat)
     d = mat.shape[0]
-    if d > tolerances.decompose_dim_cap:
-        raise CapExceededError(
-            f"dimension {d} exceeds the dense decomposition cap "
-            f"{tolerances.decompose_dim_cap}"
-        )
+    if d > dim_cap:
+        raise CapExceededError(f"dimension {d} exceeds the dense decomposition cap {dim_cap}")
     evals, evecs = np.linalg.eigh(mat)
+    span = float(evals[-1]) - float(evals[0])  # Python floats: no overflow warning
+    if not np.isfinite(span):
+        raise ValidationError(f"the energy range E_max - E_min = {span} is not finite")
     evecs = fix_phases(evecs)
 
     hnorm = max(float(np.abs(evals).max()), 1e-300)
     residual = float(np.abs(mat @ evecs - evecs * evals[None, :]).max())
-    if residual > tolerances.residual * hnorm:
-        raise ValidationError(
-            f"eigenpair residual {residual:.3e} exceeds {tolerances.residual:.1e}*|H|"
-        )
+    if residual > RESIDUAL * hnorm:
+        raise ValidationError(f"eigenpair residual {residual:.3e} exceeds {RESIDUAL:.1e}*|H|")
     unit_err = float(np.abs(evecs.conj().T @ evecs - np.eye(d)).max())
-    if unit_err > tolerances.unitarity:
+    if unit_err > UNITARITY:
         raise ValidationError(f"eigenvector matrix not unitary: {unit_err:.3e}")
 
     return SpectralData(eigenvalues=evals, eigenvectors=evecs)
 
 
-def degenerate_level_pairs(spectral: SpectralData,
-                           tolerances: Tolerances = DEFAULT) -> list[tuple[int, int]]:
+def degenerate_level_pairs(spectral: SpectralData) -> list[tuple[int, int]]:
     """Index pairs (n, n+1) of consecutive levels no farther apart than
-    tolerances.spectrum_degeneracy*|H|; the spectrum is nondegenerate iff
-    there are none."""
-    threshold = tolerances.spectrum_degeneracy * spectral.spectral_norm
+    SPECTRUM_DEGENERACY*|H|; the spectrum is nondegenerate iff there are none."""
+    threshold = SPECTRUM_DEGENERACY * spectral.spectral_norm
     diffs = np.diff(spectral.eigenvalues)
     return [(int(i), int(i) + 1) for i in np.nonzero(diffs <= threshold)[0]]
 
 
-def check_nondegenerate_spectrum(spectral: SpectralData,
-                                 tolerances: Tolerances = DEFAULT) -> tuple[bool, float]:
+def check_nondegenerate_spectrum(spectral: SpectralData) -> tuple[bool, float]:
     """True iff no level pair is degenerate (see degenerate_level_pairs).
 
     Returns the margin (the smallest level spacing) alongside, so reports can
     show how close a passing instance sits to the threshold.
     """
-    return not degenerate_level_pairs(spectral, tolerances), spectral.min_level_spacing
+    return not degenerate_level_pairs(spectral), spectral.min_level_spacing
 
 
 def write_matrix(path, matrix: np.ndarray, layout: SpaceLayout | None = None) -> None:
@@ -484,9 +489,21 @@ def write_csv(path, header: list[str], rows) -> None:
             fh.write(template * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; one that cannot be read is a ConfigError
+    naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {err.start})") from None
+    except (OSError, ValueError) as err:  # ValueError: a NUL in the path
+        raise ConfigError(f"{path}: cannot read: {getattr(err, 'strerror', None) or err}"
+                          ) from None
+
+
 def read_matrix(path) -> tuple[np.ndarray, SpaceLayout | None]:
     """Read a matrix written by write_matrix; returns (matrix, layout-or-None)."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty matrix file")
@@ -506,9 +523,13 @@ def read_matrix(path) -> tuple[np.ndarray, SpaceLayout | None]:
         raise ConfigError(f"{path}: line 2: non-integer dimension: {exc}") from None
     if rows < 1 or cols < 1:
         raise ConfigError(f"{path}: invalid dimensions {rows}x{cols}")
+    if (ds, db) != (0, 0) and (ds < 2 or db < 1 or ds * db != rows or rows != cols):
+        raise ConfigError(f"{path}: line 2: layout {ds}x{db} does not fit a {rows}x{cols} "
+                          "matrix (need dS >= 2, dB >= 1 and dS*dB rows and columns, "
+                          "or 0 0 for no layout)")
     if len(lines) != 2 + rows:
         raise ConfigError(f"{path}: expected {rows} data lines, found {len(lines) - 2}")
-    data = np.empty((rows, cols), dtype=complex)
+    data = []
     for i, line in enumerate(lines[2:]):
         values = line.split()
         if len(values) != 2 * cols:
@@ -521,12 +542,5 @@ def read_matrix(path) -> tuple[np.ndarray, SpaceLayout | None]:
             raise ConfigError(f"{path}: line {i + 3}: bad number: {exc}") from None
         if not np.isfinite(floats).all():
             raise ConfigError(f"{path}: line {i + 3}: non-finite number")
-        data[i] = floats[0::2] + 1j * floats[1::2]
-    if ds == 0 and db == 0:
-        return data, None
-    layout = SpaceLayout(ds, db)
-    if layout.dim_total != rows or rows != cols:
-        raise ConfigError(
-            f"{path}: layout {ds}x{db} inconsistent with matrix shape {rows}x{cols}"
-        )
-    return data, layout
+        data.append(floats[0::2] + 1j * floats[1::2])
+    return np.array(data), None if ds == 0 else SpaceLayout(ds, db)

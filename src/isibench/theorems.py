@@ -34,10 +34,12 @@ from .hilbert import (DensityMatrix, SpaceLayout, batched_trace_distances,  # no
 from .sampling import (MonteCarloEstimate, batched_monte_carlo, induced_states,
                        sample_amplitudes, stream_generators)
 from .spectral import DenseProjection, GroupedProjection, SpectralData
-from .tolerances import DEFAULT, Tolerances
 
 # Concentration rate constant of the Levy-type tail bounds, 1/(18 pi^3).
 CONCENTRATION_RATE = 1.0 / (18.0 * math.pi**3)
+
+SUFFICIENT_ISI_THRESHOLD = 0.1  # smallness cutoff for sqrt(delta)
+VERDICT_BOUNDARY = 1e-9         # |lhs - rhs| window reported as indeterminate
 
 VERDICTS = ("satisfied", "violated", "vacuous", "indeterminate")
 
@@ -119,8 +121,7 @@ class Theorem0Estimate:
 
 def theorem0_estimate(projection: DenseProjection | GroupedProjection,
                       spectral: SpectralData, reductions: EigenstateReductions,
-                      epsilon: float, n_samples: int, seed: int,
-                      tolerances: Tolerances = DEFAULT) -> Theorem0Estimate:
+                      epsilon: float, n_samples: int, seed: int) -> Theorem0Estimate:
     """delta, the bounds of theorem0_rhs, and the draws of the T0 reports.
 
     The projection W = B^H V of R on the eigenbasis gives the weights (so
@@ -129,7 +130,7 @@ def theorem0_estimate(projection: DenseProjection | GroupedProjection,
     chunk) for a dense W, or Dirichlet weights on a (dR, dS, dS) stack
     built once for a grouped W.
     """
-    require_nondegenerate(spectral, tolerances)
+    require_nondegenerate(spectral)
     weights = projection.weights
     delta_value = weighted_purity(weights, reductions)
     dim_r = projection.dim
@@ -243,7 +244,7 @@ def _necessary_report(pipe: Any, theorem_id: str, dim_restricted: int,
     config = pipe.config
     return necessary_condition_report(
         pipe.necessary_lhs, pipe.layout.dim_system, config.epsilon, dim_restricted, p,
-        theorem_id, config.n_starts, pipe.seed("search"), config.tolerances)
+        theorem_id, config.n_starts, pipe.seed("search"))
 
 
 def _one(p: dict) -> float:
@@ -266,16 +267,15 @@ def _necessary_max(p: dict) -> float:
 THEOREMS = {
     "SufficientISI": Theorem(
         lambda p: float(p["threshold"]), _one,
-        lambda pipe, seed: sufficient_condition_report(pipe.delta,
-                                                       pipe.config.tolerances)),
+        lambda pipe, seed: sufficient_condition_report(pipe.delta)),
     "T0i": Theorem(
         lambda p: theorem0_rhs(int(p["dS"]), int(p["dR"]), float(p["delta"]))[0],
         lambda p: 2.0,
-        lambda pipe, seed: theorem0_mean_report(pipe.theorem0, pipe.config.tolerances),
+        lambda pipe, seed: theorem0_mean_report(pipe.theorem0),
         nondegenerate=True),
     "T0ii": Theorem(
         lambda p: concentration_tail(int(p["dR"]), float(p["epsilon"])), _one,
-        lambda pipe, seed: theorem0_tail_report(pipe.theorem0, pipe.config.tolerances),
+        lambda pipe, seed: theorem0_tail_report(pipe.theorem0),
         nondegenerate=True),
     "T1": Theorem(
         _necessary_rhs, _necessary_max,
@@ -292,8 +292,7 @@ THEOREMS = {
     "Popescu": Theorem(
         lambda p: concentration_tail(int(p["dB"]), float(p["epsilon"])), _one,
         lambda pipe, seed: popescu_report(pipe.layout, pipe.config.epsilon,
-                                          pipe.config.n_samples, seed,
-                                          pipe.config.tolerances)),
+                                          pipe.config.n_samples, seed)),
 }
 THEOREM_IDS = tuple(THEOREMS)
 
@@ -326,11 +325,12 @@ def assign_verdict(theorem_id: str, lhs: float, rhs: float,
 
     Vacuity is checked first (a bound at or beyond the metric's range decides
     nothing); comparisons inside the numerical boundary, or inside two
-    standard errors for Monte Carlo left-hand sides, are indeterminate.
+    standard errors for Monte Carlo left-hand sides, are indeterminate.  The
+    boundary is VERDICT_BOUNDARY, or the one a report recorded.
     """
     if rhs >= max_possible_lhs(theorem_id, parameters):
         return "vacuous"
-    boundary = float(parameters.get("verdict_boundary", DEFAULT.verdict_boundary))
+    boundary = float(parameters.get("verdict_boundary", VERDICT_BOUNDARY))
     se = parameters.get("lhs_standard_error")
     slack = boundary if se is None else max(boundary, 2.0 * float(se))
     if abs(lhs - rhs) <= slack:
@@ -455,33 +455,25 @@ def _float_params(mapping: dict) -> dict:
     return out
 
 
-def _report(theorem_id: str, lhs: float, parameters: dict,
-            tolerances: Tolerances) -> TheoremReport:
-    """The report, its bound from the registry entry, and its verdict; a
-    non-default verdict boundary is recorded."""
-    if tolerances.verdict_boundary != DEFAULT.verdict_boundary:
-        parameters["verdict_boundary"] = tolerances.verdict_boundary
+def _report(theorem_id: str, lhs: float, parameters: dict) -> TheoremReport:
+    """The report, its bound from the registry entry, and its verdict."""
     lhs, rhs = float(lhs), recompute_rhs(theorem_id, parameters)
     verdict = assign_verdict(theorem_id, lhs, rhs, parameters)
     return TheoremReport(theorem_id, lhs, rhs, verdict, parameters)
 
 
-def sufficient_condition_report(delta_value: float,
-                                tolerances: Tolerances = DEFAULT) -> TheoremReport:
+def sufficient_condition_report(delta_value: float) -> TheoremReport:
     """Report on the smallness condition sqrt(delta) << 1.
 
     The condition is sufficient for subspace independence, so the verdict
-    says whether the condition itself holds against the configured smallness
-    threshold ``tolerances.sufficient_isi_threshold``: satisfied guarantees
-    independence, violated only withholds the guarantee.
+    says whether the condition itself holds against the smallness threshold
+    SUFFICIENT_ISI_THRESHOLD: satisfied guarantees independence, violated
+    only withholds the guarantee.
     """
     if not 0.0 < delta_value <= 1.0 + 1e-9:
         raise ValidationError(f"delta must lie in (0, 1], got {delta_value}")
-    threshold = tolerances.sufficient_isi_threshold
-    if threshold <= 0:
-        raise ValidationError(f"threshold must be positive, got {threshold}")
-    parameters = _float_params({"delta": delta_value, "threshold": threshold})
-    return _report("SufficientISI", math.sqrt(delta_value), parameters, tolerances)
+    parameters = _float_params({"delta": delta_value, "threshold": SUFFICIENT_ISI_THRESHOLD})
+    return _report("SufficientISI", math.sqrt(delta_value), parameters)
 
 
 def _theorem0_parameters(t0: Theorem0Estimate, column: int) -> dict:
@@ -491,27 +483,24 @@ def _theorem0_parameters(t0: Theorem0Estimate, column: int) -> dict:
             "lhs_standard_error": estimate.standard_error[column]}
 
 
-def theorem0_mean_report(t0: Theorem0Estimate,
-                         tolerances: Tolerances = DEFAULT) -> TheoremReport:
+def theorem0_mean_report(t0: Theorem0Estimate) -> TheoremReport:
     """Empirical mean equilibrium distance against sqrt(dS delta / dR)."""
     parameters = _float_params({**_theorem0_parameters(t0, 0), "weak_rhs": t0.weak})
-    return _report("T0i", t0.estimate.mean[0], parameters, tolerances)
+    return _report("T0i", t0.estimate.mean[0], parameters)
 
 
-def theorem0_tail_report(t0: Theorem0Estimate,
-                         tolerances: Tolerances = DEFAULT) -> TheoremReport:
+def theorem0_tail_report(t0: Theorem0Estimate) -> TheoremReport:
     """Empirical exceedance frequency against 2 exp(-c dR epsilon^2)."""
     parameters = _float_params({
         **_theorem0_parameters(t0, 1), "epsilon": t0.epsilon,
         "distance_threshold": t0.threshold, "c": CONCENTRATION_RATE})
-    return _report("T0ii", t0.estimate.mean[1], parameters, tolerances)
+    return _report("T0ii", t0.estimate.mean[1], parameters)
 
 
 def necessary_condition_report(lhs: float, dim_system: int, epsilon: float,
                                dim_restricted: int, p: float,
                                theorem_id: str = "T1prime", n_starts: int = 512,
-                               seed: int = 0,
-                               tolerances: Tolerances = DEFAULT) -> TheoremReport:
+                               seed: int = 0) -> TheoremReport:
     """The necessary-condition supremum ``lhs`` against the accuracy constant.
 
     ``lhs`` is the value of ``necessary_condition_lhs`` for a dS =
@@ -531,12 +520,11 @@ def necessary_condition_report(lhs: float, dim_system: int, epsilon: float,
     if dim_system > 2:
         parameters.update(_float_params({"n_starts": n_starts, "seed": seed}))
         parameters["lhs_is_lower_bound"] = True
-    return _report(theorem_id, lhs, parameters, tolerances)
+    return _report(theorem_id, lhs, parameters)
 
 
 def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
-                     dim_restricted: int, p: float = 1.0,
-                     tolerances: Tolerances = DEFAULT
+                     dim_restricted: int, p: float = 1.0
                      ) -> tuple[TheoremReport, TheoremReport]:
     """Qubit necessary conditions: pairwise alignment and mean squared polarization.
 
@@ -555,12 +543,11 @@ def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
         "c": CONCENTRATION_RATE,
         "epsilon_prime": epsilon_prime(epsilon, 2, dim_restricted, p),
     })
-    return (_report("T2i", lhs_i, dict(base), tolerances),
-            _report("T2ii", lhs_ii, base, tolerances))
+    return _report("T2i", lhs_i, dict(base)), _report("T2ii", lhs_ii, base)
 
 
-def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int, seed: int,
-                   tolerances: Tolerances = DEFAULT) -> TheoremReport:
+def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int,
+                   seed: int) -> TheoremReport:
     """Typicality of instantaneous reductions over the full composite space.
 
     Draws the reductions of Haar-uniform composite states from the induced
@@ -582,4 +569,4 @@ def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int, seed: in
         "n_samples": n_samples, "seed": seed,
         "lhs_standard_error": estimate.standard_error,
     })
-    return _report("Popescu", estimate.mean, parameters, tolerances)
+    return _report("Popescu", estimate.mean, parameters)

@@ -28,11 +28,18 @@ KEEPERS = {
 GONE = {
     "SparseProjection": "GroupedProjection: Dirichlet weights on a stack built once",
     "split_counts": "batched_monte_carlo: every estimate draws from one stream of its seed",
+    "Tolerances": "module constants beside their checks; ExperimentConfig.decompose_dim_cap",
 }
 
 # Config entries that were removed, each with its reason; none may come back.
 GONE_KEYS = {
     "analysis.n_streams": "one stream per estimate; more streams only reseeded, serially",
+    "tolerances.hamiltonian_asymmetry": "fixed as spectral.HAMILTONIAN_ASYMMETRY",
+    "tolerances.unitarity": "fixed as spectral.UNITARITY",
+    "tolerances.residual": "fixed as spectral.RESIDUAL",
+    "tolerances.spectrum_degeneracy": "fixed as spectral.SPECTRUM_DEGENERACY",
+    "tolerances.sufficient_isi_threshold": "fixed as theorems.SUFFICIENT_ISI_THRESHOLD",
+    "tolerances.verdict_boundary": "fixed as theorems.VERDICT_BOUNDARY",
 }
 
 

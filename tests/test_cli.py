@@ -11,7 +11,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from isibench import cli
 from isibench.hilbert import SpaceLayout
 from isibench.spectral import write_matrix
 from isibench.theorems import read_report
-from isibench.tolerances import Tolerances
 
 
 def _write_cfg(tmp_path, text, name="experiment.cfg"):
@@ -541,7 +540,7 @@ class TestInputHardening:
     def test_tolerances_section_is_exactly_the_tolerances_fields(self):
         keys = {name.partition(".")[2] for name in cli.CONFIG_KEYS
                 if name.startswith("tolerances.")}
-        assert keys == {f.name for f in fields(Tolerances)}
+        assert keys == {"decompose_dim_cap"}
 
     @pytest.mark.parametrize("command", ["spectrum", "run"])
     @pytest.mark.parametrize("cells", [{(0, 0): "nan"}, {(0, 1): "inf", (1, 0): "inf"},
@@ -723,6 +722,90 @@ class TestInputHardening:
             assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override", ["initial_state.system=basis:\u00b2",
+                                          "initial_state.bath=basis:\u00b3",
+                                          "analysis.subspace=bath_prefix:\u00b2"])
+    def test_non_ascii_digits_in_an_index_exit_2(self, tmp_path, capsys, override):
+        # '\u00b2' (superscript two) passes str.isdigit but not int()
+        out_dir = tmp_path / "out"
+        assert cli.main(["equilibrium", "--config", "sec5_violation",
+                         "--override", "model.dim_bath=4", "--override", override,
+                         "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert override.partition(":")[2] in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("target", ["missing", "directory", "not_utf8"])
+    def test_unreadable_matrix_file_exits_2_naming_it(self, tmp_path, capsys, target):
+        matrix_path = tmp_path / target
+        if target == "directory":
+            matrix_path.mkdir()
+        elif target == "not_utf8":
+            matrix_path.write_bytes(b"isibench-matrix 1\n1 1 0 0\n\xff 0\n")
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {matrix_path}: ") and err.count("\n") == 1
+
+    def test_config_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("[model]\nkind = commuting\n# na\u00efve\n".encode("latin-1"))
+        assert cli.main(["spectrum", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8 text")
+
+    @pytest.mark.parametrize("tag", ["4 4 1 4", "4 4 2 0", "4 4 -2 -2", "4 4 0 2",
+                                     "4 4 2 4", "4 5 2 2"])
+    def test_layout_tag_out_of_range_exits_2_naming_line_2(self, tmp_path, capsys, tag):
+        matrix_path = tmp_path / "tagged.mat"
+        write_matrix(matrix_path, np.diag([1.0, 2.0, 3.0, 5.0]))
+        lines = matrix_path.read_text(encoding="utf-8").splitlines()
+        lines[1] = tag
+        matrix_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {matrix_path}: line 2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "run"])
+    def test_matrix_whose_energy_range_overflows_exits_2(self, tmp_path, capsys, command):
+        matrix_path = tmp_path / "huge.mat"
+        write_matrix(matrix_path, np.diag([1e308, 0.0, -1e308, 1.0]), SpaceLayout(2, 2))
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--config", cfg, "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {matrix_path}: the energy range "
+                                           "E_max - E_min = inf is not finite\n")
+        assert not out_dir.exists()
+
+    def test_default_section_is_an_unknown_section(self, tmp_path, capsys):
+        # configparser would merge [DEFAULT] into every section: seed = 3
+        # would silently become model.seed
+        cfg = _write_cfg(tmp_path, "[DEFAULT]\nseed = 3\n"
+                                   "[model]\nkind = commuting\ndim_bath = 4\n")
+        assert cli.main(["model-info", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: unknown config section [DEFAULT]\n"
+
+
+def _exits_cleanly(argv: list[str], capsys, out_prefix: str):
+    """None if ``main(argv)``, with warnings turned into errors, exits 0
+    printing ``out_prefix`` first and nothing on stderr, or exits with the
+    code of its error type printing one ``error:`` line; else (code, stderr)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    if code == 0:
+        clean = not err and out.startswith(out_prefix)
+    else:
+        clean = (code in dict(cli._EXIT_CODES).values() and len(lines) == 1
+                 and lines[0].startswith("error: "))
+    return None if clean else (code, err)
+
 
 # Override values that each config entry must survive: a refusal is one
 # error line with the exit code of its error type, never a traceback.
@@ -739,18 +822,102 @@ class TestOverrideFuzz:
                 # dim_bath comes later and wins
                 argv = ["model-info", "--config", config, "--override", "model.dim_bath=4",
                         "--override", f"{key}={value}"]
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    code = cli.main(argv)
-                out, err = capsys.readouterr()
-                lines = err.splitlines()
-                if code == 0:
-                    clean = not err and out.startswith("model: ")
-                else:
-                    clean = (code in dict(cli._EXIT_CODES).values() and len(lines) == 1
-                             and lines[0].startswith("error: "))
-                if not clean:
-                    failures.append((key, value, code, err))
+                failure = _exits_cleanly(argv, capsys, "model: ")
+                if failure:
+                    failures.append((key, value, *failure))
+        assert not failures
+
+
+def _config_mutations(data: bytes, rng: np.random.Generator) -> list[tuple[str, bytes]]:
+    """Named variants of a config file: fixed ones, then seeded truncations,
+    repeated lines and replaced bytes."""
+    lines = data.splitlines(keepends=True)
+    cases = [("empty", b""), ("blank", b" \n\n"), ("default_section", b"[DEFAULT]\n" + data),
+             ("default_seed", b"[DEFAULT]\nseed = 3\n" + data),
+             ("section_twice", data + b"[model]\n"), ("no_header", data.partition(b"]")[2]),
+             ("not_utf8", b"\xff\xfe" + data), ("nul_byte", data.replace(b"\n", b"\x00\n", 1))]
+    for _ in range(8):
+        cut = int(rng.integers(len(data)))
+        cases.append((f"cut_at_{cut}", data[:cut]))
+        line = int(rng.integers(len(lines)))
+        cases.append((f"line_{line}_twice", b"".join(lines[:line + 1] + lines[line:])))
+        pos, byte = int(rng.integers(len(data))), bytes([rng.choice(list(b"\n[]=#: \t\xc3"))])
+        cases.append((f"byte_{pos}_{byte!r}", data[:pos] + byte + data[pos + 1:]))
+    return cases
+
+
+class TestConfigTextFuzz:
+    @pytest.mark.parametrize("config", cli.bundled_config_names())
+    def test_every_mutated_config_exits_cleanly(self, tmp_path, capsys, config):
+        text = (resources.files("isibench") / "configs" / f"{config}.cfg").read_bytes()
+        text = text.replace(b"dim_bath = 256", b"dim_bath = 4")  # keeps each call short
+        rng = np.random.default_rng(list(config.encode()))
+        failures = []
+        for name, data in _config_mutations(text, rng):
+            path = tmp_path / f"{name}.cfg"
+            path.write_bytes(data)
+            failure = _exits_cleanly(["model-info", "--config", str(path)], capsys, "model: ")
+            if failure:
+                failures.append((name, *failure))
+        assert not failures
+
+
+def _matrix_mutations(lines: list[str], rng: np.random.Generator) -> list[tuple[str, bytes]]:
+    """Named variants of a written 4x4 matrix file, one text line per entry of
+    ``lines``: its header, tag, row count and tokens, huge and non-finite
+    entries, then seeded truncations and replaced bytes."""
+    def text(*edits: tuple[int, str | None]) -> bytes:
+        out = list(lines)
+        for index, line in edits:
+            out[index] = line
+        return "".join(line + "\n" for line in out if line is not None).encode()
+
+    row = lines[2].split()
+    cases = [("empty", b""), ("blank", b"\n \n"), ("not_utf8", b"\xff" + text()),
+             ("header_only", text()[:len(lines[0]) + 1])]
+    cases += [(f"header_{h!r}", text((0, h))) for h in (
+        "isibench-matrix", "isibench-matrix 2", "isibench-matrix x", "isibench-matrix \u0661",
+        "isibench-matrix 1 1", "matrix 1")]
+    cases += [(f"tag_{t!r}", text((1, t))) for t in (
+        "4 4 2", "4 4 2 2 2", "4 4 a b", "4 4 2 2.0", "0 0 0 0", "-4 -4 2 2", "4 4 0 0",
+        "4 4 4 1", "4 4 1 4", "4 4 2 0", "4 4 -2 -2", "3 3 2 2", "4 5 2 2", "5 5 2 2",
+        "4 4 99999999999999999999 1", "1 100000000000000 0 0")]
+    cases += [("row_dropped", text((5, None))),
+              ("row_twice", text((5, lines[5] + "\n" + lines[5])))]
+    for index, token in enumerate(("", "x", "nan", "-inf", "1e999", "0x1p3", "1e308",
+                                   "-1e308", "1e-320", "1_0", "1e308 1e308")):
+        tokens = list(row)
+        tokens[index % len(row)] = token
+        cases.append((f"token_{index}_{token!r}", text((2, " ".join(tokens)))))
+    last = lines[5].split()
+    cases.append(("range_overflows", text((2, " ".join(["1e308", "0"] + row[2:])),
+                                           (5, " ".join(last[:6] + ["-1e308", "0"])))))
+    data = text()
+    for _ in range(12):
+        cut = int(rng.integers(len(data)))
+        cases.append((f"cut_at_{cut}", data[:cut]))
+        pos, byte = int(rng.integers(len(data))), bytes([rng.choice(list(b"\n -.e019x"))])
+        cases.append((f"byte_{pos}_{byte!r}", data[:pos] + byte + data[pos + 1:]))
+    return cases
+
+
+class TestMatrixFileFuzz:
+    def test_every_mutated_matrix_file_exits_cleanly(self, tmp_path, capsys):
+        rng = np.random.default_rng(2024)
+        raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        matrix_path = tmp_path / "model.mat"
+        write_matrix(matrix_path, (raw + raw.conj().T) / 2, SpaceLayout(2, 2))
+        lines = matrix_path.read_text(encoding="utf-8").splitlines()
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n"
+                                   "[analysis]\ntheorems = SufficientISI, T0i, T0ii, T1prime, "
+                                   "T2i, T2ii, Popescu\nn_samples = 8\n")
+        failures = []
+        for name, data in _matrix_mutations(lines, rng):
+            matrix_path.write_bytes(data)
+            failure = _exits_cleanly(["run", "--config", cfg, "--out", str(tmp_path / "out")],
+                                     capsys, "# generated: ")
+            if failure:
+                failures.append((name, *failure))
         assert not failures
 
 

@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from isibench import (CapExceededError, ConfigError, SpaceLayout, ValidationErro
 from isibench import spectral
 from isibench.hilbert import SIGMA_X, SIGMA_Z
 from isibench.spectral import SpectralData
-from isibench.tolerances import DEFAULT
 
 from _oracles import random_hermitian, reconstruct
 
@@ -111,9 +109,8 @@ class TestEigendecompose:
         assert np.abs(before - after).max() < 1e-10
 
     def test_dimension_cap(self):
-        tight = replace(DEFAULT, decompose_dim_cap=4)
         with pytest.raises(CapExceededError):
-            eigendecompose(np.eye(8), tight)
+            eigendecompose(np.eye(8), 4)
 
 
 class TestDegeneracyChecks:
@@ -138,16 +135,15 @@ class TestDegeneracyChecks:
         assert check_nondegenerate_spectrum(self._data([3.0])) == (True, math.inf)
 
     def test_threshold_is_relative_to_the_spectral_norm(self):
-        # threshold = 0.1 * max|E_n|: a spacing of 5% of the norm is degenerate
-        # at any overall scale, one of 20% is not.
-        loose = replace(DEFAULT, spectrum_degeneracy=0.1)
+        # threshold = 1e-10 * max|E_n|: a spacing of 5e-11 of the norm is
+        # degenerate at any overall scale, one of 2e-10 is not.
         for scale in (1e-6, 1.0, 1e6):
-            assert degenerate_level_pairs(self._data(scale * np.array([0.0, 0.05, 1.0])),
-                                          loose) == [(0, 1)]
+            assert degenerate_level_pairs(
+                self._data(scale * np.array([0.0, 5e-11, 1.0]))) == [(0, 1)]
             ok, spacing = check_nondegenerate_spectrum(
-                self._data(scale * np.array([-1.0, -0.8, 1.0])), loose)
+                self._data(scale * np.array([-1.0, -1.0 + 2e-10, 1.0])))
             assert ok
-            assert spacing == pytest.approx(0.2 * scale)
+            assert spacing == pytest.approx(2e-10 * scale)
 
 
 class TestMatrixFiles:

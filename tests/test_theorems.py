@@ -391,6 +391,16 @@ class TestVerdictPolicy:
         assert assign_verdict("SufficientISI", 0.1 + 5e-10, 0.1, {}) == "indeterminate"
         assert assign_verdict("SufficientISI", 0.1 + 5e-9, 0.1, {}) == "violated"
 
+    def test_a_recorded_boundary_still_decides_a_loaded_report(self):
+        # reports written while the boundary was a config key record it
+        text = json.dumps({"schema_version": 1, "theorem_id": "SufficientISI", "lhs": 1.0,
+                           "rhs": 0.9, "verdict": "indeterminate",
+                           "parameters": {"delta": 1.0, "threshold": 0.9,
+                                          "verdict_boundary": 0.5}})
+        report = TheoremReport.from_json(text)
+        assert report.verdict == "indeterminate"
+        assert assign_verdict("SufficientISI", 1.0, 0.9, {}) == "violated"
+
     def test_recompute_rhs_covers_every_theorem(self):
         cases = {
             "SufficientISI": ({"threshold": 0.1}, 0.1),
