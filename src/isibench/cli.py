@@ -347,7 +347,7 @@ def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
 class ModelBundle:
     layout: SpaceLayout | None
     spectral: SpectralData
-    parts: CommutingModelSpec | CompositeHamiltonian | None  # what model-info reads
+    spec: CommutingModelSpec | None  # the commuting kinds' parts, for model-info
     source: str
 
 
@@ -420,8 +420,8 @@ class Pipeline:
     def model(self) -> ModelBundle:
         config = self.config
         self._check_dimension()
-        rng = stream_generators(self.seed("model"), 1)[0]
         if config.kind in ("commuting", "cucchietti"):
+            rng = stream_generators(self.seed("model"), 1)[0]
             if config.kind == "commuting":
                 spec = sample_commuting_spec(config.dim_bath, config.level_splitting,
                                              config.coupling_scale, config.energy_scale,
@@ -444,12 +444,14 @@ class Pipeline:
             return ModelBundle(spec.layout, spectral, spec, source)
 
         if config.kind == "random":
-            ds = config.dim_system if config.dim_system is not None else 2
-            ham = build_random_model(ds, config.dim_bath, config.interaction_strength, rng)
-            source = (f"random Gaussian model (dS={ds}, dB={config.dim_bath}, "
+            # Only the total reaches eigh; the parts are released here and
+            # model-info draws them again (random_parts).
+            total = self.random_parts().total
+            layout = SpaceLayout(config.dim_system or 2, config.dim_bath)
+            source = (f"random Gaussian model (dS={layout.dim_system}, dB={config.dim_bath}, "
                       f"interaction strength {config.interaction_strength:g})")
-            return ModelBundle(ham.layout, eigendecompose(ham, config.decompose_dim_cap),
-                               ham, source)
+            return ModelBundle(layout, eigendecompose(total, config.decompose_dim_cap),
+                               None, source)
 
         matrix, layout = read_matrix(config.matrix_path)
         if layout is None and config.dim_system is not None:
@@ -468,6 +470,14 @@ class Pipeline:
             raise ConfigError(f"{config.matrix_path}: {err}") from None
         return ModelBundle(layout, spectral, None,
                            f"matrix file {config.matrix_path} (d={spectral.dim})")
+
+    def random_parts(self) -> CompositeHamiltonian:
+        """The parts of a random model, drawn from the ``model`` seed; every call
+        draws them again, so that no stage keeps them alive."""
+        config = self.config
+        rng = stream_generators(self.seed("model"), 1)[0]
+        return build_random_model(config.dim_system or 2, config.dim_bath,
+                                  config.interaction_strength, rng)
 
     @property
     def spectral(self) -> SpectralData:
@@ -657,9 +667,30 @@ def _dynamics_lines(pipe: Pipeline) -> list[str]:
     ]
 
 
+def _check_out_dir(config: ExperimentConfig) -> None:
+    """Refuse an output directory that cannot be made, before any stage runs.
+
+    Nothing is created here: the nearest existing path on the way up must be
+    a writable directory, and ``_out_dir`` makes the rest after the stages.
+    """
+    path = Path(config.out_dir)
+    try:
+        existing = next((p for p in (path, *path.parents) if p.exists()), path)
+        usable = existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)
+    except (OSError, ValueError) as err:  # ValueError: a NUL in the path
+        raise ConfigError(f"output directory {config.out_dir!r}: "
+                          f"{getattr(err, 'strerror', None) or err}") from None
+    if not usable:
+        raise ConfigError(f"output directory {config.out_dir!r} cannot be made: "
+                          f"{str(existing)!r} is not a writable directory")
+
+
 def _out_dir(config: ExperimentConfig) -> Path:
     path = Path(config.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"output directory {config.out_dir!r}: {err.strerror}") from None
     return path
 
 
@@ -685,9 +716,12 @@ def _cmd_model_info(config: ExperimentConfig, args, name: str) -> list[str]:
     if model.layout is not None:
         lines.append(f"layout: dS={model.layout.dim_system} "
                      f"dB={model.layout.dim_bath} d={model.layout.dim_total}")
-    if model.parts is not None:
-        norms = (commuting_norms(model.parts) if isinstance(model.parts, CommutingModelSpec)
-                 else _dense_norms(model.parts))
+    norms = None
+    if model.spec is not None:
+        norms = commuting_norms(model.spec)
+    elif config.kind == "random":
+        norms = _dense_norms(pipe.random_parts())
+    if norms is not None:
         lines.append("part norms: system={:.6g} bath={:.6g} interaction={:.6g}"
                      .format(*norms[:3]))
         lines.append("commutator norms: [HSx1, HSB]={:.6g} [1xHB, HSB]={:.6g}"
@@ -891,6 +925,8 @@ def main(argv=None) -> int:
         raw = _parse_sections(text, name)
         _apply_overrides(raw, args.override)
         config = _extract_config(raw, args)
+        if args.command != "model-info":  # the one command that writes no file
+            _check_out_dir(config)
         lines = _COMMANDS[args.command][0](config, args, name)
     except IsibenchError as err:
         print(f"error: {' '.join(str(err).split())}", file=sys.stderr)

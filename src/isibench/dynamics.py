@@ -2,8 +2,8 @@
 
 Evolution is computed in the energy eigenbasis and no propagator is ever
 formed.  For dense eigenvectors the composite amplitudes at time t are
-c_n exp(-i E_n t), so the reduced states at many times are one product with
-the eigenvector matrix and a batched partial trace.  For the block form of
+c_n exp(-i E_n t), so the reduced states at a block of times are one
+product with the eigenvector matrix and a batched partial trace.  For the block form of
 the commuting models only eigenvectors on the same bath level interfere, so
 the reduced state is its time average plus one oscillating term per Bohr
 frequency of a level (``SpectralData.evolved_reductions``).

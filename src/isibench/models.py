@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hilbert import SpaceLayout
-from .spectral import CompositeHamiltonian, SpectralData, assemble
+from .spectral import CompositeHamiltonian, SpectralData, assemble, dense_blocks
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,25 @@ def sample_cucchietti_spec(n_spins: int, level_splitting: float, coupling_scale:
 
 
 def gaussian_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian matrix with entry variance 1/dim (spectral radius about 2)."""
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (raw + raw.conj().T) / (2.0 * np.sqrt(dim))
+    """Hermitian matrix with entry variance 1/dim (spectral radius about 2).
+
+    H = (X + X^H) / (2 sqrt(dim)) for X = A + iB with A, then B, drawn
+    i.i.d. standard normal in row-major order.  The one d x d array is filled
+    in blocks of DENSE_BLOCK rows; each entry is computed as in that
+    expression, so it has the same bits.
+    """
+    mat = np.empty((dim, dim), dtype=complex)
+    for part in (mat.real, mat.imag):
+        for rows in dense_blocks(dim):
+            part[rows] = rng.standard_normal(part[rows].shape)
+    for rows in dense_blocks(dim):  # the block row and the block column below it
+        upper = mat[rows, rows.start:] + mat[rows.start:, rows].conj().T
+        below = slice(rows.stop, None)
+        lower = mat[below, rows] + mat[rows, below].conj().T
+        mat[rows, rows.start:] = upper
+        mat[below, rows] = lower
+    mat /= 2.0 * np.sqrt(dim)
+    return mat
 
 
 def build_random_model(dim_system: int, dim_bath: int, interaction_strength: float,
@@ -200,5 +216,6 @@ def build_random_model(dim_system: int, dim_bath: int, interaction_strength: flo
     dim_total = layout.dim_total
     hs = gaussian_hermitian(dim_system, rng) * np.sqrt(dim_system / dim_total)
     hb = gaussian_hermitian(dim_bath, rng) * np.sqrt(dim_bath / dim_total)
-    hsb = interaction_strength * gaussian_hermitian(dim_total, rng)
+    hsb = gaussian_hermitian(dim_total, rng)
+    np.multiply(interaction_strength, hsb, out=hsb)
     return assemble(hs, hb, hsb, layout)

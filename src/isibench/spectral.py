@@ -18,6 +18,11 @@ relative ones are scaled by the spectral norm of the operator they test.
 Only the dense decomposition cap is a parameter of ``eigendecompose``, since
 it states how large a matrix the machine may diagonalise.
 
+The dense path holds each d x d array once.  The assembly, the checks on a
+d x d array and the dense evolution work through it in blocks of
+``DENSE_BLOCK`` rows, columns or times, so that their temporaries are
+(DENSE_BLOCK, d) slabs; a blocked maximum is NaN when any block's is.
+
 Hamiltonians can be round-tripped through a small text format (one header
 line with a magic tag, one with dimensions and the system/bath split, then
 one row per line as interleaved real/imag pairs printed with %.17g, which is
@@ -43,9 +48,40 @@ UNITARITY = 1e-10              # max |V^dagger V - I| for eigenvector matrices
 RESIDUAL = 1e-9                # eigenpair residual, relative to norm(H)
 SPECTRUM_DEGENERACY = 1e-10    # min level spacing, relative to norm(H)
 DECOMPOSE_DIM_CAP = 8192       # dense eigensolver refusal point
+DENSE_BLOCK = 256              # rows, columns or times per block of the dense path
 
 MATRIX_FORMAT_MAGIC = "isibench-matrix"
 MATRIX_FORMAT_VERSION = 1
+
+
+def dense_blocks(n: int) -> list[slice]:
+    """[0, n) cut into consecutive slices of DENSE_BLOCK indices (the last shorter)."""
+    return [slice(start, start + DENSE_BLOCK) for start in range(0, n, DENSE_BLOCK)]
+
+
+def _blocked_max(block_max: Callable[[slice], float], n: int) -> float:
+    """The maximum of ``block_max`` over ``dense_blocks(n)``: NaN if any block's
+    is NaN (np.max propagates it, Python's max would drop it), 0 for n = 0."""
+    return float(np.max([block_max(rows) for rows in dense_blocks(n)], initial=0.0))
+
+
+def _lifted_rows(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray,
+                rows: slice) -> np.ndarray:
+    """Rows ``rows`` of kron(HS, 1) + kron(1, HB) + HSB.
+
+    Each entry is the same product as in np.kron and the terms are added in
+    that order, so the rows hold the bits of the full expression.
+    """
+    system, bath = np.asarray(system), np.asarray(bath)
+    ds, db = len(system), len(bath)
+    sys_index, bath_index = np.divmod(np.arange(ds * db)[rows], db)
+    count = sys_index.size
+    ones_s = (sys_index[:, None] == np.arange(ds)).astype(float)  # rows of eye(ds)
+    ones_b = (bath_index[:, None] == np.arange(db)).astype(float)  # rows of eye(db)
+    block = (system[sys_index][:, :, None] * ones_b[:, None, :]).reshape(count, -1)
+    block += (ones_s[:, :, None] * bath[bath_index][:, None, :]).reshape(count, -1)
+    block += np.asarray(interaction)[rows]
+    return block
 
 
 @dataclass(frozen=True)
@@ -68,13 +104,12 @@ class CompositeHamiltonian:
             arr = np.asarray(mat)
             if arr.shape != (dim, dim):
                 raise ValidationError(f"{name} part must be {dim}x{dim}, got {arr.shape}")
-        rebuilt = (
-            np.kron(self.system, np.eye(self.layout.dim_bath))
-            + np.kron(np.eye(self.layout.dim_system), self.bath)
-            + self.interaction
-        )
-        drift = float(np.abs(rebuilt - self.total).max())
-        if drift > 1e-12 * max(1.0, float(np.abs(self.total).max())):
+        total = np.asarray(self.total)
+        drift = _blocked_max(lambda rows: np.abs(
+            _lifted_rows(self.system, self.bath, self.interaction, rows) - total[rows]
+        ).max(), len(total))
+        scale = max(1.0, _blocked_max(lambda rows: np.abs(total[rows]).max(), len(total)))
+        if not drift <= 1e-12 * scale:  # a NaN entry fails too
             raise ValidationError(f"total does not match assembled parts, drift {drift:.3e}")
 
 
@@ -82,7 +117,8 @@ def _require_hermitian(name: str, mat: np.ndarray) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
-    asym = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
+    asym = _blocked_max(lambda rows: np.abs(arr[rows] - arr[:, rows].conj().T).max(),
+                       len(arr))
     if not asym <= HAMILTONIAN_ASYMMETRY:  # a NaN entry fails too
         raise ValidationError(f"{name} not Hermitian: max asymmetry {asym:.3e} > "
                               f"{HAMILTONIAN_ASYMMETRY:.1e}")
@@ -113,8 +149,9 @@ def assemble(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray | Non
         raise ValidationError(
             f"interaction dim {hsb.shape[0]} does not match composite {layout.dim_total}"
         )
-    total = (np.kron(hs, np.eye(layout.dim_bath)) + np.kron(np.eye(layout.dim_system), hb)
-             + hsb)
+    total = np.empty((layout.dim_total, layout.dim_total), dtype=complex)
+    for rows in dense_blocks(layout.dim_total):
+        total[rows] = _lifted_rows(hs, hb, hsb, rows)
     return CompositeHamiltonian(system=hs, bath=hb, interaction=hsb, total=total,
                                 layout=layout)
 
@@ -292,7 +329,8 @@ class SpectralData:
         """(d, dS, dS) bath-traced projectors Tr_B |n><n| of the eigenvectors."""
         self._require_layout(layout)
         if self.blocks is None:
-            return batched_partial_trace_bath(self.eigenvectors, layout)
+            return _reductions_by_block(self.dim, layout,
+                                        lambda cols: self.eigenvectors[:, cols])
         pure = np.einsum("lsk,ltk->lkst", self.blocks, self.blocks.conj())
         return pure.reshape(self.dim, layout.dim_system, layout.dim_system)[self.order]
 
@@ -349,8 +387,10 @@ class SpectralData:
         """(n_times, dS, dS) reductions Tr_B |x(t)><x(t)| of
         x(t) = sum_n values_n exp(-i E_n t) |n>.
 
-        The dense form evolves the amplitudes and reduces V @ amplitudes.  In
-        the block form only eigenvectors on the same bath level l interfere,
+        The dense form evolves the amplitudes and reduces V @ amplitudes,
+        DENSE_BLOCK times at a time, so that its temporaries are (d,
+        DENSE_BLOCK) arrays whatever the number of times.  In the block form
+        only eigenvectors on the same bath level l interfere,
         at the Bohr frequencies w = E_lk' - E_lk for k < k':
         rho(t) = sum_lk |c_lk|^2 u_lk u_lk^H + sum (exp(-i w t) M + h.c.) with
         M = c_lk' conj(c_lk) u_lk' u_lk^H, one small product with an
@@ -358,8 +398,8 @@ class SpectralData:
         """
         self._require_layout(layout)
         if self.blocks is None:
-            weights = values[:, None] * np.exp(-1j * self.eigenvalues[:, None] * times[None, :])
-            return batched_partial_trace_bath(self.eigenvectors @ weights, layout)
+            return _reductions_by_block(times.size, layout, lambda span: self.eigenvectors @ (
+                values[:, None] * np.exp(-1j * self.eigenvalues[:, None] * times[None, span])))
         ds = layout.dim_system
         weighted = self.blocks * self._per_level(values)[:, None, :]
         energies = self._per_level(self.eigenvalues)
@@ -373,6 +413,21 @@ class SpectralData:
         return static + oscillating + oscillating.conj().transpose(0, 2, 1)
 
 
+def _reductions_by_block(count: int, layout: SpaceLayout,
+                         columns: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """(count, dS, dS) reductions of composite columns, ``columns(block)`` for
+    each block of ``dense_blocks(count)``.
+
+    The result is laid out in memory as one batched_partial_trace_bath call
+    of all the columns lays it out, so that later sums over it keep their bits.
+    """
+    ds = layout.dim_system
+    out = np.empty((ds, ds, count), dtype=complex).transpose(2, 0, 1)
+    for block in dense_blocks(count):
+        out[block] = batched_partial_trace_bath(columns(block), layout)
+    return out
+
+
 def fix_phases(eigenvectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real positive.
 
@@ -380,21 +435,40 @@ def fix_phases(eigenvectors: np.ndarray) -> np.ndarray:
     magnitude pick the lowest index (argmax convention), making the output
     deterministic and shared by the dense path and the block form.
     """
-    vecs = np.array(eigenvectors, dtype=complex, copy=True)
-    anchor = np.argmax(np.abs(vecs), axis=-2)
-    pivots = np.take_along_axis(vecs, anchor[..., None, :], axis=-2)
-    phases = pivots / np.abs(pivots)
-    return vecs * phases.conj()
+    return _fix_phases_in_place(np.array(eigenvectors, dtype=complex, copy=True))
+
+
+def _fix_phases_in_place(vecs: np.ndarray) -> np.ndarray:
+    """``fix_phases`` on a complex array it may overwrite, DENSE_BLOCK columns at a time."""
+    for cols in dense_blocks(vecs.shape[-1]):
+        block = vecs[..., cols]
+        anchor = np.argmax(np.abs(block), axis=-2)
+        pivots = np.take_along_axis(block, anchor[..., None, :], axis=-2)
+        block *= (pivots / np.abs(pivots)).conj()
+    return vecs
+
+
+def _unitarity_error(vecs: np.ndarray, rows: slice) -> float:
+    """max |(V^H V - I)[rows]|."""
+    gram = vecs[:, rows].conj().T @ vecs
+    gram[np.arange(len(gram)), np.arange(len(vecs))[rows]] -= 1.0
+    return np.abs(gram).max()
 
 
 def eigendecompose(hamiltonian, dim_cap: int = DECOMPOSE_DIM_CAP) -> SpectralData:
     """Dense Hermitian eigendecomposition with deterministic phases.
 
-    Accepts a CompositeHamiltonian or a plain Hermitian array, and refuses a
-    dimension above ``dim_cap``.  Verifies the residual
-    ``max |H v_n - E_n v_n|`` against ``RESIDUAL * norm(H)`` and the unitarity
-    of the eigenvector matrix, so downstream consumers can rely on
-    SpectralData invariants without rechecking.
+    Accepts a CompositeHamiltonian (only its ``total`` is read) or a plain
+    Hermitian array, and refuses a dimension above ``dim_cap``.  Verifies
+    the residual ``max |H v_n - E_n v_n|`` against ``RESIDUAL * norm(H)`` and
+    the unitarity of the eigenvector matrix, so downstream consumers can rely
+    on SpectralData invariants without rechecking; a NaN fails either check.
+
+    Besides H, the call holds the eigensolver's own buffers while
+    ``numpy.linalg.eigh`` runs (about four d x d arrays, the eigenvectors
+    among them), then the eigenvector matrix, which the phase fixing
+    overwrites and the checks read in blocks of DENSE_BLOCK columns or rows,
+    and at the end SpectralData's copy of it.
     """
     mat = hamiltonian.total if isinstance(hamiltonian, CompositeHamiltonian) else hamiltonian
     mat = _require_hermitian("hamiltonian", mat)
@@ -405,14 +479,15 @@ def eigendecompose(hamiltonian, dim_cap: int = DECOMPOSE_DIM_CAP) -> SpectralDat
     span = float(evals[-1]) - float(evals[0])  # Python floats: no overflow warning
     if not np.isfinite(span):
         raise ValidationError(f"the energy range E_max - E_min = {span} is not finite")
-    evecs = fix_phases(evecs)
+    evecs = _fix_phases_in_place(evecs)
 
     hnorm = max(float(np.abs(evals).max()), 1e-300)
-    residual = float(np.abs(mat @ evecs - evecs * evals[None, :]).max())
-    if residual > RESIDUAL * hnorm:
+    residual = _blocked_max(lambda cols: np.abs(
+        mat @ evecs[:, cols] - evecs[:, cols] * evals[cols]).max(), d)
+    if not residual <= RESIDUAL * hnorm:
         raise ValidationError(f"eigenpair residual {residual:.3e} exceeds {RESIDUAL:.1e}*|H|")
-    unit_err = float(np.abs(evecs.conj().T @ evecs - np.eye(d)).max())
-    if unit_err > UNITARITY:
+    unit_err = _blocked_max(lambda rows: _unitarity_error(evecs, rows), d)
+    if not unit_err <= UNITARITY:
         raise ValidationError(f"eigenvector matrix not unitary: {unit_err:.3e}")
 
     return SpectralData(eigenvalues=evals, eigenvectors=evecs)

@@ -11,7 +11,8 @@ output is first order in the eigenvectors: there eigh's own error, a few
 2^-52 |H| / gap for an eigenvector whose nearest level is ``gap`` away,
 sets the bound.  Hand-built qudit blocks (dS > 2) must match their dense
 expansion the same way, degenerate levels included.  The block form builds
-no d x d array on the way (the tracemalloc test).
+no d x d array on the way, and the dense path holds each one once (the
+tracemalloc tests).
 """
 
 import math
@@ -301,3 +302,31 @@ def test_cucchietti_pipeline_allocates_no_dense_matrix():
     assert pipe.spectral.dim == 4096
     assert set(pipe.reports[0]) == {"T0i", "T0ii", "Popescu"}
     assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
+def test_dense_pipeline_holds_each_dense_array_once(monkeypatch):
+    """d = 1024, one complex d x d array being 16 MiB: when eigh starts only H
+    is alive, and the stages stay under 6 such arrays (numpy's traced
+    allocations; LAPACK's workspace is not among them)."""
+    array = 1024**2 * 16
+    eigh, at_eigh = np.linalg.eigh, []
+
+    def spy(mat):
+        at_eigh.append(tracemalloc.get_traced_memory()[0])
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    config = cli.ExperimentConfig(kind="random", dim_system=2, dim_bath=512,
+                                  dynamics_enabled=True, n_times=2000)
+    tracemalloc.start()
+    try:
+        pipe = cli.Pipeline(config).prepare()
+        _ = pipe.reports, pipe.rho_bar, pipe.dynamics
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pipe.spectral.dim == 1024
+    assert set(pipe.reports[0]) == {"SufficientISI", "T2i", "T2ii"}
+    assert len(at_eigh) == 1 and at_eigh[0] < 1.25 * array, \
+        f"{at_eigh[0] / array:.2f} arrays alive when eigh starts"
+    assert peak < 6 * array, f"peak {peak / 2**20:.0f} MiB"

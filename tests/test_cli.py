@@ -18,6 +18,8 @@ import pytest
 
 from isibench import cli
 from isibench.hilbert import SpaceLayout
+from isibench.models import build_random_model
+from isibench.sampling import stream_generators
 from isibench.spectral import write_matrix
 from isibench.theorems import read_report
 
@@ -172,6 +174,36 @@ class TestErrorExitCodes:
         assert "degenerate" in err
         assert "analysis.allow_degenerate = true" in err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("spectrum", []), ("run", []),
+        ("sweep", ["--override", "sweep.parameter=dim_bath", "--override", "sweep.values=4"]),
+    ], ids=["spectrum", "run", "sweep"])
+    def test_output_directory_under_a_file_exits_2_before_any_stage(
+            self, tmp_path, capsys, monkeypatch, command, extra):
+        def no_stage(spec):
+            pytest.fail("a stage ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "analytic_eigensystem", no_stage)
+        blocker = tmp_path / "plain.txt"
+        blocker.write_text("kept\n")
+        out = blocker / "sub"
+        assert cli.main([command, "--config", "sec5_violation", "--override",
+                         "model.dim_bath=4", "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: output directory ")
+        assert str(blocker) in err
+        assert blocker.read_text() == "kept\n"
+
+    def test_a_failing_stage_leaves_no_output_directory(self, tmp_path, capsys):
+        matrix_path = tmp_path / "degenerate.mat"
+        write_matrix(matrix_path, np.diag([1.0, 1.0, 2.0, 3.0]), SpaceLayout(2, 2))
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
+        for command in ("equilibrium", "run"):
+            assert cli.main([command, "--config", cfg,
+                             "--out", str(tmp_path / "new" / "out")]) == 4
+            assert capsys.readouterr().err.startswith("error: spectrum has 1 degenerate")
+            assert not (tmp_path / "new").exists()
+
     def test_degenerate_spectrum_exits_4_from_dynamics(self, tmp_path, capsys):
         # The horizon is horizon_over_min_gap / min_level_spacing, so not even
         # analysis.allow_degenerate lets the evolution run.
@@ -238,6 +270,21 @@ class TestModelInfo:
         out = capsys.readouterr().out
         assert "ensemble: independent Gaussian Hermitian parts" in out
         assert "commutator norms:" in out
+
+    def test_random_model_norms_are_those_of_the_model_stream(self, tmp_path, capsys):
+        """The pipeline releases the parts of a random model after eigh; model-info
+        draws them again from the ``model`` seed and prints their norms."""
+        cfg = _write_cfg(tmp_path, "[model]\nkind = random\nseed = 21\ndim_system = 3\n"
+                                   "dim_bath = 5\ninteraction_strength = 0.7\n")
+        assert cli.main(["model-info", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        shown = [float(value) for line in lines
+                 if line.startswith(("part norms:", "commutator norms:"))
+                 for value in re.findall(r"=(\S+)", line)]
+        rng = stream_generators(cli.derived_seed(21, *cli.RUN_SEEDS["model"]), 1)[0]
+        norms = cli._dense_norms(build_random_model(3, 5, 0.7, rng))
+        assert shown == [float(f"{norm:.6g}") for norm in norms]
+        assert len(set(shown)) == 5
 
     def test_module_entry_point(self):
         result = subprocess.run(

@@ -175,6 +175,26 @@ class TestRandomModel:
         norm = np.abs(np.linalg.eigvalsh(mat)).max()
         assert 1.5 < norm < 2.5
 
+    @pytest.mark.parametrize("dim", [64, 300])
+    def test_in_place_draw_has_the_bits_of_the_one_shot_expression(self, dim):
+        """300 ends in a partial block of rows."""
+        rng = np.random.default_rng(61)
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        one_shot = (raw + raw.conj().T) / (2.0 * np.sqrt(dim))
+        mat = gaussian_hermitian(dim, np.random.default_rng(61))
+        assert mat.tobytes() == one_shot.tobytes()
+
+    def test_parts_have_the_bits_of_the_one_shot_expressions(self):
+        rng = np.random.default_rng(67)
+        ds, db, strength = 3, 100, 0.7
+        dim = ds * db
+        expected = [gaussian_hermitian(ds, rng) * np.sqrt(ds / dim),
+                    gaussian_hermitian(db, rng) * np.sqrt(db / dim),
+                    strength * gaussian_hermitian(dim, rng)]
+        ham = build_random_model(ds, db, strength, np.random.default_rng(67))
+        for part, value in zip((ham.system, ham.bath, ham.interaction), expected):
+            assert part.tobytes() == value.tobytes()
+
     def test_interaction_scales_linearly(self):
         builds = [build_random_model(2, 8, s, np.random.default_rng(31)) for s in (0.0, 1.0, 2.0)]
         assert np.abs(builds[0].interaction).max() == 0.0

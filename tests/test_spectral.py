@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -46,6 +47,81 @@ class TestAssemble:
     def test_nan_entry_fails_the_hermiticity_check(self):
         with pytest.raises(ValidationError, match="not Hermitian"):
             assemble(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), None)
+
+
+# A dimension that is not a multiple of the block width, and an index pair
+# inside its last block: every blocked check must see a fault placed there.
+BLOCKED_DIM = 3 * 100
+LAST = (BLOCKED_DIM - 1, BLOCKED_DIM - 3)
+assert BLOCKED_DIM % spectral.DENSE_BLOCK and min(LAST) >= spectral.DENSE_BLOCK
+
+
+def _blocked_parts():
+    rng = np.random.default_rng(53)
+    return (random_hermitian(3, rng), random_hermitian(100, rng),
+            random_hermitian(BLOCKED_DIM, rng), SpaceLayout(3, 100))
+
+
+class TestBlockedChecks:
+    def test_assembly_has_the_bits_of_the_kron_sum(self):
+        hs, hb, hsb, layout = _blocked_parts()
+        total = np.kron(hs, np.eye(100)) + np.kron(np.eye(3), hb) + hsb
+        assert assemble(hs, hb, hsb, layout).total.tobytes() == total.tobytes()
+
+    @pytest.mark.parametrize("fault", [math.nan, 1e-6])
+    def test_hermiticity_check_sees_the_last_block(self, fault):
+        mat = _blocked_parts()[2]
+        mat[LAST] += fault
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            eigendecompose(mat)
+
+    @pytest.mark.parametrize("fault", [math.nan, 1e-6])
+    def test_drift_check_sees_the_last_block(self, fault):
+        ham = assemble(*_blocked_parts())
+        total = ham.total.copy()
+        total[LAST] += fault
+        with pytest.raises(ValidationError, match="does not match assembled parts"):
+            dataclasses.replace(ham, total=total)
+
+    @pytest.mark.parametrize("check, fault, message", [
+        ("residual", math.nan, "eigenpair residual"),
+        ("residual", 1e-3, "eigenpair residual"),
+        ("unitarity", 1e-6, "not unitary"),
+    ])
+    def test_eigenpair_checks_see_the_last_block(self, monkeypatch, check, fault, message):
+        """eigh's eigenvector LAST[0] is corrupted: an entry moved (or NaN)
+        breaks the residual; the column scaled by 1 + fault leaves it an
+        eigenvector but breaks unitarity."""
+        eigh = np.linalg.eigh
+
+        def corrupted(mat):
+            evals, evecs = eigh(mat)
+            if check == "residual":
+                evecs[0, LAST[0]] += fault
+            else:
+                evecs[:, LAST[0]] *= 1.0 + fault
+            return evals, evecs
+
+        mat = _blocked_parts()[2]
+        eigendecompose(mat)
+        monkeypatch.setattr(np.linalg, "eigh", corrupted)
+        with pytest.raises(ValidationError, match=message), np.errstate(invalid="ignore"):
+            eigendecompose(mat)  # a NaN column's phase is NaN / NaN
+
+    def test_dense_readers_match_their_one_shot_forms(self):
+        layout = _blocked_parts()[3]
+        data = eigendecompose(_blocked_parts()[2])
+        vecs = data.eigenvectors
+        rng = np.random.default_rng(59)
+        amplitudes = rng.standard_normal(BLOCKED_DIM) + 1j * rng.standard_normal(BLOCKED_DIM)
+        assert np.array_equal(data.reductions(layout),
+                              spectral.batched_partial_trace_bath(vecs, layout))
+        times = np.linspace(0.0, 50.0, 2 * spectral.DENSE_BLOCK + 7)
+        one_shot = spectral.batched_partial_trace_bath(
+            vecs @ (amplitudes[:, None] * np.exp(-1j * data.eigenvalues[:, None] * times)),
+            layout)
+        evolved = data.evolved_reductions(amplitudes, times, layout)
+        assert np.abs(evolved - one_shot).max() < 1e-12 * np.abs(one_shot).max()
 
 
 class TestEigendecompose:
