@@ -23,8 +23,7 @@ from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
                      build_cucchietti_bath, build_random_model, commuting_norms,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import (MonteCarloEstimate, batched_monte_carlo, dirichlet_weights,
-                       haar_amplitudes, induced_states, sample_amplitudes,
-                       stream_generators)
+                       generator, haar_amplitudes, induced_states, sample_amplitudes)
 from .spectral import (CompositeHamiltonian, DenseProjection, GroupedProjection,
                        SpectralData, assemble,
                        check_nondegenerate_spectrum, degenerate_level_pairs,

@@ -50,7 +50,7 @@ from .hilbert import (DensityMatrix, PureState, SpaceLayout, bloch_vector, purit
                       tensor_product)
 from .models import (CommutingModelSpec, analytic_eigensystem, build_random_model,
                      commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
-from .sampling import sample_amplitudes, stream_generators
+from .sampling import generator, sample_amplitudes
 from .spectral import (DECOMPOSE_DIM_CAP, CompositeHamiltonian, DenseProjection,
                        GroupedProjection, SpectralData, check_nondegenerate_spectrum,
                        eigendecompose, read_matrix, read_text, write_csv)
@@ -357,7 +357,7 @@ _QUBIT_STATES = {"up": (1.0, 0.0), "down": (0.0, 1.0), "plus": (_S, _S), "minus"
 
 def _factor_state(name: str, dim: int, space: str, seed: int) -> PureState:
     if name == "random":
-        rng = stream_generators(seed, 1)[0]
+        rng = generator(seed)
         return PureState(sample_amplitudes(dim, 1, rng)[:, 0], space=space)
     if name.startswith("basis:"):
         index_text = name.partition(":")[2]
@@ -421,7 +421,7 @@ class Pipeline:
         config = self.config
         self._check_dimension()
         if config.kind in ("commuting", "cucchietti"):
-            rng = stream_generators(self.seed("model"), 1)[0]
+            rng = generator(self.seed("model"))
             if config.kind == "commuting":
                 spec = sample_commuting_spec(config.dim_bath, config.level_splitting,
                                              config.coupling_scale, config.energy_scale,
@@ -475,7 +475,7 @@ class Pipeline:
         """The parts of a random model, drawn from the ``model`` seed; every call
         draws them again, so that no stage keeps them alive."""
         config = self.config
-        rng = stream_generators(self.seed("model"), 1)[0]
+        rng = generator(self.seed("model"))
         return build_random_model(config.dim_system or 2, config.dim_bath,
                                   config.interaction_strength, rng)
 
@@ -560,8 +560,8 @@ class Pipeline:
                               f"phases of the evolution (smallest level spacing "
                               f"{spacing:.6g}, max |E| {spectral.spectral_norm:.6g}); "
                               f"set it to at most {largest!r}")
-        require_evolution_fits(spectral.dim, self.config.n_times)
-        rng = stream_generators(self.seed("dynamics"), 1)[0]
+        require_evolution_fits(self.layout.dim_system, self.config.n_times)
+        rng = generator(self.seed("dynamics"))
         times = stratified_times(horizon, self.config.n_times, rng)
         return (horizon, *equilibrate(self.coeffs, spectral, self.layout, times,
                                       self.rho_bar))

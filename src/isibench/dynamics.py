@@ -6,7 +6,9 @@ c_n exp(-i E_n t), so the reduced states at a block of times are one
 product with the eigenvector matrix and a batched partial trace.  For the block form of
 the commuting models only eigenvectors on the same bath level interfere, so
 the reduced state is its time average plus one oscillating term per Bohr
-frequency of a level (``SpectralData.evolved_reductions``).
+frequency of a level (``SpectralData.evolved_reductions``).  Both forms work
+through the times in blocks, so only the (n_times, dS, dS) trajectory grows
+with the grid; ``EVOLUTION_ELEMENT_CAP`` bounds its entries.
 The equilibration metric is the mean trace distance of the reduced states
 on a stratified time grid to the infinite-time average.
 """
@@ -23,7 +25,7 @@ from .hilbert import (DensityMatrix, SpaceLayout, batched_bloch_vectors,
                       batched_trace_distances, check_density_stack)
 from .spectral import SpectralData, write_csv
 
-EVOLUTION_ELEMENT_CAP = 20_000_000
+EVOLUTION_ELEMENT_CAP = 20_000_000  # entries n_times * dS^2 of a trajectory
 
 
 @dataclass(frozen=True)
@@ -63,14 +65,16 @@ class Trajectory:
         return batched_bloch_vectors(self.states)
 
 
-def require_evolution_fits(dim: int, n_times: int) -> None:
-    """Refuse an evolution buffer of dim * n_times elements above the cap; a
-    caller that draws the time grid checks before the draw."""
-    if dim * n_times > EVOLUTION_ELEMENT_CAP:
+def require_evolution_fits(dim_system: int, n_times: int) -> None:
+    """Refuse a trajectory of n_times * dS^2 entries above the cap; a caller
+    that draws the time grid checks before the draw.  The evolution itself
+    works through the times in blocks, so the trajectory is what grows."""
+    entries = dim_system * dim_system
+    if entries * n_times > EVOLUTION_ELEMENT_CAP:
         raise CapExceededError(
-            f"evolution buffer d * n_times = {dim} * {n_times} exceeds "
+            f"trajectory n_times * dS^2 = {n_times} * {entries} exceeds "
             f"{EVOLUTION_ELEMENT_CAP}; set dynamics.n_times to at most "
-            f"{EVOLUTION_ELEMENT_CAP // dim}"
+            f"{EVOLUTION_ELEMENT_CAP // entries}"
         )
 
 
@@ -83,7 +87,7 @@ def evolve_reduced(coefficients: OverlapCoefficients, spectral: SpectralData,
     d = spectral.dim
     if coefficients.dim != d or layout.dim_total != d:
         raise ValidationError("coefficients, spectral data, and layout disagree on d")
-    require_evolution_fits(d, times.size)
+    require_evolution_fits(layout.dim_system, times.size)
     states = spectral.evolved_reductions(coefficients.values, times, layout)
     return Trajectory(times=times, states=states, layout=layout)
 

@@ -131,10 +131,10 @@ class MonteCarloEstimate:
             raise ValidationError("standard errors must be finite and nonnegative")
 
 
-def stream_generators(seed: int, n_streams: int) -> list[np.random.Generator]:
-    """Philox children of the seed; stream i is reproducible in isolation."""
-    children = np.random.SeedSequence(seed).spawn(n_streams)
-    return [np.random.Generator(np.random.Philox(child)) for child in children]
+def generator(seed: int) -> np.random.Generator:
+    """The one stream of a seed: a Philox generator on the seed's first child."""
+    [child] = np.random.SeedSequence(seed).spawn(1)
+    return np.random.Generator(np.random.Philox(child))
 
 
 def batched_monte_carlo(values_of: Callable[[np.ndarray], np.ndarray], draw: Draw,
@@ -157,7 +157,7 @@ def batched_monte_carlo(values_of: Callable[[np.ndarray], np.ndarray], draw: Dra
     if n_samples < 2:
         raise ValidationError(f"need at least 2 samples, got {n_samples}")
     chunk = max(1, MONTE_CARLO_ELEMENT_CAP // width)
-    samples = draw(stream_generators(seed, 1)[0])
+    samples = draw(generator(seed))
     values = np.concatenate([values_of(samples(min(chunk, n_samples - start)))
                              for start in range(0, n_samples, chunk)])
     finite = np.isfinite(values).reshape(n_samples, -1).all(axis=1)

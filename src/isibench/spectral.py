@@ -21,7 +21,9 @@ it states how large a matrix the machine may diagonalise.
 The dense path holds each d x d array once.  The assembly, the checks on a
 d x d array and the dense evolution work through it in blocks of
 ``DENSE_BLOCK`` rows, columns or times, so that their temporaries are
-(DENSE_BLOCK, d) slabs; a blocked maximum is NaN when any block's is.
+(DENSE_BLOCK, d) slabs; a blocked maximum is NaN when any block's is.  The
+block-form evolution works through the times the same way, so that it holds
+one (DENSE_BLOCK, F) table of phases at the F Bohr frequencies.
 
 Hamiltonians can be round-tripped through a small text format (one header
 line with a magic tag, one with dimensions and the system/bath split, then
@@ -48,7 +50,7 @@ UNITARITY = 1e-10              # max |V^dagger V - I| for eigenvector matrices
 RESIDUAL = 1e-9                # eigenpair residual, relative to norm(H)
 SPECTRUM_DEGENERACY = 1e-10    # min level spacing, relative to norm(H)
 DECOMPOSE_DIM_CAP = 8192       # dense eigensolver refusal point
-DENSE_BLOCK = 256              # rows, columns or times per block of the dense path
+DENSE_BLOCK = 256              # rows, columns or times per block
 
 MATRIX_FORMAT_MAGIC = "isibench-matrix"
 MATRIX_FORMAT_VERSION = 1
@@ -387,14 +389,18 @@ class SpectralData:
         """(n_times, dS, dS) reductions Tr_B |x(t)><x(t)| of
         x(t) = sum_n values_n exp(-i E_n t) |n>.
 
-        The dense form evolves the amplitudes and reduces V @ amplitudes,
-        DENSE_BLOCK times at a time, so that its temporaries are (d,
-        DENSE_BLOCK) arrays whatever the number of times.  In the block form
-        only eigenvectors on the same bath level l interfere,
-        at the Bohr frequencies w = E_lk' - E_lk for k < k':
-        rho(t) = sum_lk |c_lk|^2 u_lk u_lk^H + sum (exp(-i w t) M + h.c.) with
-        M = c_lk' conj(c_lk) u_lk' u_lk^H, one small product with an
-        (n_times, dB dS(dS-1)/2) phase table.
+        Both forms work through the times DENSE_BLOCK at a time, so that their
+        temporaries do not grow with the number of times.  The dense form
+        evolves the amplitudes and reduces V @ amplitudes, (d, DENSE_BLOCK)
+        arrays.  In the block form only eigenvectors on the same bath level l
+        interfere, at the F = dB dS(dS-1)/2 Bohr frequencies w = E_lk' - E_lk
+        for k < k': rho(t) = sum_lk |c_lk|^2 u_lk u_lk^H + sum (exp(-i w t) M
+        + h.c.) with M = c_lk' conj(c_lk) u_lk' u_lk^H.  Each block of times
+        fills one (DENSE_BLOCK, F) table of phases, allocated once, and
+        contracts it with the (dS^2, F) table of the M by einsum (F the
+        contiguous axis of both), which calls no BLAS: a row's sum then
+        depends on neither the block nor the BLAS thread count, and no BLAS
+        threads spin while the next block's phases are computed.
         """
         self._require_layout(layout)
         if self.blocks is None:
@@ -405,12 +411,19 @@ class SpectralData:
         energies = self._per_level(self.eigenvalues)
         lower, upper = np.triu_indices(ds, 1)
         frequencies = (energies[:, upper] - energies[:, lower]).ravel()
-        moving = np.einsum("lsp,ltp->lpst", weighted[:, :, upper],
-                           weighted[:, :, lower].conj()).reshape(frequencies.size, ds * ds)
-        phases = np.exp(np.multiply.outer(times, frequencies) * -1j)
-        oscillating = (phases @ moving).reshape(times.size, ds, ds)
+        moving = np.einsum("lsp,ltp->stlp", weighted[:, :, upper],
+                           weighted[:, :, lower].conj()).reshape(ds * ds, frequencies.size)
         static = np.einsum("lsk,ltk->st", weighted, weighted.conj())
-        return static + oscillating + oscillating.conj().transpose(0, 2, 1)
+        out = np.empty((times.size, ds, ds), dtype=complex)
+        table = np.empty((min(times.size, DENSE_BLOCK), frequencies.size), dtype=complex)
+        for span in dense_blocks(times.size):
+            phases = table[:len(times[span])]
+            np.multiply.outer(times[span], frequencies, out=phases)
+            phases *= -1j
+            np.exp(phases, out=phases)
+            oscillating = np.einsum("tf,kf->tk", phases, moving).reshape(-1, ds, ds)
+            out[span] = static + oscillating + oscillating.conj().transpose(0, 2, 1)
+        return out
 
 
 def _reductions_by_block(count: int, layout: SpaceLayout,

@@ -31,8 +31,8 @@ from .errors import ValidationError
 # looks it up under this module.
 from .hilbert import (DensityMatrix, SpaceLayout, batched_trace_distances,  # noqa: F401
                       trace_distance)
-from .sampling import (MonteCarloEstimate, batched_monte_carlo, induced_states,
-                       sample_amplitudes, stream_generators)
+from .sampling import (MonteCarloEstimate, batched_monte_carlo, generator,
+                       induced_states, sample_amplitudes)
 from .spectral import DenseProjection, GroupedProjection, SpectralData
 
 # Concentration rate constant of the Levy-type tail bounds, 1/(18 pi^3).
@@ -181,7 +181,7 @@ def necessary_condition_lhs(reductions: EigenstateReductions,
     # transpose(K), so that a stack of row-major vec's maps as stack @ gram_t
     gram_t = rows.conj().T @ rows / layout.dim_bath
     mixed = np.eye(ds) / ds
-    rng = stream_generators(seed, 1)[0]
+    rng = generator(seed)
     psi = sample_amplitudes(ds, n_starts, rng).T
     values = np.full(n_starts, -math.inf)
     active = np.arange(n_starts)

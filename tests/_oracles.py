@@ -222,6 +222,13 @@ def induced_state(dim_system, dim_bath):
     return bind
 
 
+def stream_generators(seed, n_streams):
+    """Philox generators on the first n_streams children of the seed; stream i
+    is reproducible in isolation, and stream 0 is the one a seed draws from."""
+    children = np.random.SeedSequence(seed).spawn(n_streams)
+    return [np.random.Generator(np.random.Philox(child)) for child in children]
+
+
 def naive_distance_estimate(state_of, reference, draw, n_samples, seed, threshold=None):
     """Mean and standard error of the trace distance of state_of(sample) to reference.
 
@@ -230,8 +237,7 @@ def naive_distance_estimate(state_of, reference, draw, n_samples, seed, threshol
     threshold each sample counts 1 when its distance exceeds it and 0
     otherwise.
     """
-    [child] = np.random.SeedSequence(seed).spawn(1)
-    one = draw(np.random.Generator(np.random.Philox(child)))
+    one = draw(stream_generators(seed, 1)[0])
     values = []
     for _ in range(n_samples):
         distance = float(np.abs(np.linalg.eigvalsh(state_of(one()) - reference)).sum())
@@ -384,6 +390,33 @@ def expand_blocks(spectral):
         for s in range(dim_system):
             vectors[s * dim_bath + level, rank] = spectral.blocks[level, s, k]
     return vectors
+
+
+def block_evolution_one_shot(spectral, values, times):
+    """(n_times, dS, dS) reductions of sum_n values_n exp(-i E_n t) |n> for a
+    block-form SpectralData, from one (n_times, F) table of the phases
+    exp(-i w t) at the Bohr frequencies w = E_lk' - E_lk (k < k') of each
+    bath level, times the (F, dS^2) table of the M = c_lk' conj(c_lk)
+    u_lk' u_lk^H, plus the time average sum_lk |c_lk|^2 u_lk u_lk^H.
+    """
+    dim_bath, dim_system, _ = spectral.blocks.shape
+    by_label = np.empty(spectral.dim, dtype=complex)
+    by_label[spectral.order] = values
+    energy_by_label = np.empty(spectral.dim)
+    energy_by_label[spectral.order] = spectral.eigenvalues
+    static = np.zeros((dim_system, dim_system), dtype=complex)
+    frequencies, moving = [], []
+    for level in range(dim_bath):
+        labels = level * dim_system + np.arange(dim_system)
+        weighted = spectral.blocks[level] * by_label[labels]
+        static += weighted @ weighted.conj().T
+        for k in range(dim_system):
+            for k2 in range(k + 1, dim_system):
+                frequencies.append(energy_by_label[labels[k2]] - energy_by_label[labels[k]])
+                moving.append(np.outer(weighted[:, k2], weighted[:, k].conj()).ravel())
+    phases = np.exp(np.multiply.outer(times, np.array(frequencies)) * -1j)
+    oscillating = (phases @ np.array(moving)).reshape(len(times), dim_system, dim_system)
+    return static + oscillating + oscillating.conj().transpose(0, 2, 1)
 
 
 def projection_matrix(projection, dim):

@@ -18,8 +18,7 @@ from isibench.equilibrium import (EigenstateReductions, delta, eigenstate_reduct
 from isibench.hilbert import (PureState, SpaceLayout, batched_partial_trace_bath,
                               tensor_product, trace_distance)
 from isibench.models import analytic_eigensystem, build_random_model, sample_commuting_spec
-from isibench.sampling import (batched_monte_carlo, haar_amplitudes, sample_amplitudes,
-                               stream_generators)
+from isibench.sampling import batched_monte_carlo, haar_amplitudes, sample_amplitudes
 from isibench.spectral import eigendecompose
 from isibench.theorems import (CONCENTRATION_RATE, concentration_tail,
                                epsilon_prime, max_possible_lhs,
@@ -33,7 +32,8 @@ from isibench.theorems import (CONCENTRATION_RATE, concentration_tail,
 from _oracles import (bath_averaged_equilibrium, build_commuting_model,
                       finite_time_average, mp_concentration_tail, mp_epsilon_prime,
                       mp_theorem0_strong, partial_trace_system, ptrace_bath_loop,
-                      ptrace_system_loop, random_density_factor, random_state)
+                      ptrace_system_loop, random_density_factor, random_state,
+                      stream_generators)
 
 PLUS = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0), space="system")
 

@@ -29,6 +29,7 @@ GONE = {
     "SparseProjection": "GroupedProjection: Dirichlet weights on a stack built once",
     "split_counts": "batched_monte_carlo: every estimate draws from one stream of its seed",
     "Tolerances": "module constants beside their checks; ExperimentConfig.decompose_dim_cap",
+    "stream_generators": "generator: every draw takes the one stream of its seed",
 }
 
 # Config entries that were removed, each with its reason; none may come back.

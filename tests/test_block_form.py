@@ -11,8 +11,9 @@ output is first order in the eigenvectors: there eigh's own error, a few
 2^-52 |H| / gap for an eigenvector whose nearest level is ``gap`` away,
 sets the bound.  Hand-built qudit blocks (dS > 2) must match their dense
 expansion the same way, degenerate levels included.  The block form builds
-no d x d array on the way, and the dense path holds each one once (the
-tracemalloc tests).
+no d x d array on the way, its evolution holds one block of phases at a
+time, and the dense path holds each d x d array once (the tracemalloc
+tests).
 """
 
 import math
@@ -29,12 +30,13 @@ from isibench.hilbert import (PureState, SpaceLayout, batched_trace_distances,
                               tensor_product)
 from isibench.models import (analytic_eigensystem, sample_commuting_spec,
                              sample_cucchietti_spec)
-from isibench.sampling import batched_monte_carlo, sample_amplitudes, stream_generators
+from isibench.sampling import batched_monte_carlo, generator, sample_amplitudes
 from isibench.spectral import SpectralData, degenerate_level_pairs, eigendecompose
 from isibench.theorems import (necessary_condition_lhs, theorem0_estimate,
                                theorem0_mean_report, theorem0_tail_report)
 
-from _oracles import build_commuting_model, expand_blocks, kron_projection
+from _oracles import (block_evolution_one_shot, build_commuting_model, expand_blocks,
+                      kron_projection)
 
 TOL = 1e-12
 PLUS = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0), space="system")
@@ -74,7 +76,7 @@ def _stages(spectral, layout, initial, psi, horizon):
     for label, factor, k in (("full", None, None), ("product_bath", psi, None),
                              (f"bath_prefix:{prefix}", psi, prefix)):
         projection = subspace_projection(spectral, layout, factor, k)
-        draws = sample_amplitudes(projection.dim, 12, stream_generators(7, 1)[0])
+        draws = sample_amplitudes(projection.dim, 12, generator(7))
         out[f"{label} weights"] = projection.weights
         out[f"{label} delta"] = delta(reductions, projection)
         out[f"{label} equilibrium states"] = _equilibrium_states(projection,
@@ -89,7 +91,7 @@ def _stages(spectral, layout, initial, psi, horizon):
     # max|E| t <= 1e3 keeps the phases of both paths within 1e-13
     short = np.linspace(0.0, 1e3 / spectral.spectral_norm, 41)
     out["trajectory"] = evolve_reduced(coeffs, spectral, layout, short).states
-    long = stratified_times(horizon, 64, stream_generators(3, 1)[0])
+    long = stratified_times(horizon, 64, generator(3))
     out["trajectory at the horizon"] = evolve_reduced(coeffs, spectral, layout, long).states
     out["phase rounding"] = spectral.spectral_norm * long.max() * 2.0**-52
     return out
@@ -99,7 +101,7 @@ def _stages(spectral, layout, initial, psi, horizon):
 def built(request):
     """(spec, block form and its stages, expanded, eigendecomposed) of one model."""
     spec = _spec(*request.param)
-    rng = stream_generators(request.param[1], 1)[0]
+    rng = generator(request.param[1])
     phi = PureState(sample_amplitudes(spec.dim_bath, 1, rng)[:, 0], space="bath")
     initial = tensor_product(PLUS, phi)
     block = analytic_eigensystem(spec)
@@ -159,7 +161,7 @@ def test_stack_reproduces_the_dense_populations(built):
     prefix = max(1, layout.dim_bath // 3)
     for state, k in ((None, None), (PLUS, None), (PLUS, prefix)):
         projection = subspace_projection(block, layout, state, k)
-        amplitudes = sample_amplitudes(projection.dim, 12, stream_generators(17, 1)[0])
+        amplitudes = sample_amplitudes(projection.dim, 12, generator(17))
         if state is None:
             columns, matrix = vectors @ amplitudes, vectors
         else:
@@ -212,7 +214,7 @@ def test_degenerate_block_average_agrees():
     pairs = degenerate_level_pairs(block)
     assert len(pairs) >= spec.dim_bath // 2
     assert pairs == degenerate_level_pairs(dense)
-    phi = PureState(sample_amplitudes(spec.dim_bath, 1, stream_generators(5, 1)[0])[:, 0],
+    phi = PureState(sample_amplitudes(spec.dim_bath, 1, generator(5))[:, 0],
                     space="bath")
     initial = tensor_product(PLUS, phi)
     averages = [time_averaged_state(overlaps(s, initial),
@@ -239,7 +241,7 @@ def test_qudit_blocks_match_their_dense_expansion(ds, db):
     block = _qudit_blocks(ds, db, 40 + ds)
     expanded = SpectralData(block.eigenvalues, expand_blocks(block))
     layout = SpaceLayout(ds, db)
-    rng = stream_generators(ds, 1)[0]
+    rng = generator(ds)
     initial = PureState(sample_amplitudes(ds * db, 1, rng)[:, 0], space="composite")
     psi = PureState(sample_amplitudes(ds, 1, rng)[:, 0], space="system")
     horizon = 1e3 / block.min_level_spacing
@@ -258,7 +260,7 @@ def test_degenerate_levels_inside_a_block_keep_their_coherence():
     expanded = SpectralData(block.eigenvalues, expand_blocks(block))
     layout = SpaceLayout(ds, db)
     assert len(degenerate_level_pairs(block)) == db
-    initial = PureState(sample_amplitudes(ds * db, 1, stream_generators(9, 1)[0])[:, 0],
+    initial = PureState(sample_amplitudes(ds * db, 1, generator(9))[:, 0],
                         space="composite")
     averages = [time_averaged_state(overlaps(s, initial), eigenstate_reductions(s, layout),
                                     s, allow_degenerate=True).matrix
@@ -330,3 +332,37 @@ def test_dense_pipeline_holds_each_dense_array_once(monkeypatch):
     assert len(at_eigh) == 1 and at_eigh[0] < 1.25 * array, \
         f"{at_eigh[0] / array:.2f} arrays alive when eigh starts"
     assert peak < 6 * array, f"peak {peak / 2**20:.0f} MiB"
+
+
+@pytest.mark.parametrize("n_times", [1, 255, 256, 257, 700])
+@pytest.mark.parametrize("ds", [2, 3])
+def test_blocked_evolution_matches_the_one_shot_phase_table(ds, n_times):
+    # the times are worked through 256 at a time; each block's rows must be
+    # those of one table of every phase, to the rounding of the contraction
+    spectral = _qudit_blocks(ds, 40, 60 + ds)
+    layout = SpaceLayout(ds, 40)
+    rng = np.random.default_rng(n_times)
+    values = sample_amplitudes(spectral.dim, 1, rng)[:, 0]
+    times = np.sort(rng.uniform(0.0, 1e3, size=n_times))
+    ours = spectral.evolved_reductions(values, times, layout)
+    oracle = block_evolution_one_shot(spectral, values, times)
+    assert ours.shape == (n_times, ds, ds) and ours.flags.c_contiguous
+    assert np.abs(ours - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
+def test_block_evolution_holds_one_block_of_phases():
+    """dB = 4096 and 2000 times: the whole (2000, 4096) phase table would be
+    125 MiB; one block of 256 times is 16 MiB."""
+    ds, db = 2, 4096
+    spectral = _qudit_blocks(ds, db, 71)
+    layout = SpaceLayout(ds, db)
+    values = sample_amplitudes(spectral.dim, 1, generator(73))[:, 0]
+    times = stratified_times(1e3, 2000, generator(79))
+    tracemalloc.start()
+    try:
+        states = spectral.evolved_reductions(values, times, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (2000, ds, ds)
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.0f} MiB"

@@ -19,7 +19,7 @@ import pytest
 from isibench import cli
 from isibench.hilbert import SpaceLayout
 from isibench.models import build_random_model
-from isibench.sampling import stream_generators
+from isibench.sampling import generator
 from isibench.spectral import write_matrix
 from isibench.theorems import read_report
 
@@ -281,7 +281,7 @@ class TestModelInfo:
         shown = [float(value) for line in lines
                  if line.startswith(("part norms:", "commutator norms:"))
                  for value in re.findall(r"=(\S+)", line)]
-        rng = stream_generators(cli.derived_seed(21, *cli.RUN_SEEDS["model"]), 1)[0]
+        rng = generator(cli.derived_seed(21, *cli.RUN_SEEDS["model"]))
         norms = cli._dense_norms(build_random_model(3, 5, 0.7, rng))
         assert shown == [float(f"{norm:.6g}") for norm in norms]
         assert len(set(shown)) == 5
@@ -320,6 +320,20 @@ def _assert_close(first, second, bound, what):
 
 
 class TestReproducibilityScope:
+    def test_block_form_trajectory_keeps_its_bytes_across_blas_threads(self, tmp_path):
+        # the block-form evolution contracts its phase table without BLAS
+        written = []
+        for threads in (1, 2):
+            out_dir = tmp_path / f"threads{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "isibench.cli", "dynamics", "--config",
+                 "sec5_violation", "--out", str(out_dir)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads)),
+                capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            written.append((out_dir / "trajectory.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_blas_thread_count_moves_only_last_digits(self, tmp_path):
         # The README states these bounds; trajectory.csv gets the loose one.
         # Every bundled config is covered.
@@ -667,14 +681,26 @@ class TestInputHardening:
 
     @pytest.mark.parametrize("command", ["dynamics", "run"])
     def test_evolution_cap_exits_3_naming_n_times(self, tmp_path, capsys, command):
+        # the cap bounds the n_times * dS^2 entries of the trajectory
         out_dir = tmp_path / "out"
         assert cli.main([command, "--config", "sec5_violation",
-                         "--override", "dynamics.n_times=40000",
+                         "--override", "dynamics.n_times=5000001",
                          "--out", str(out_dir)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "dynamics.n_times to at most 39062" in err
+        assert "dynamics.n_times to at most 5000000" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("config", ["sec5_violation", "random_contrast"])
+    def test_evolution_cap_does_not_depend_on_d(self, tmp_path, capsys, config):
+        # both forms evolve 256 times at a time: d * n_times = 512 * 40000
+        # measures no buffer, and the 40000 x 2 x 2 trajectory fits
+        out_dir = tmp_path / "out"
+        assert cli.main(["dynamics", "--config", config,
+                         "--override", "dynamics.n_times=40000",
+                         "--out", str(out_dir)]) == 0
+        lines = (out_dir / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 2 + 40000
 
     def test_evolution_cap_is_checked_before_the_time_grid_is_drawn(self, tmp_path,
                                                                     capsys):
@@ -687,7 +713,7 @@ class TestInputHardening:
                          "--out", str(out_dir)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "dynamics.n_times to at most 2500000" in err
+        assert "dynamics.n_times to at most 5000000" in err
         assert not out_dir.exists()
 
     def test_horizon_overflow_exits_2_naming_the_largest_ratio(self, tmp_path, capsys):

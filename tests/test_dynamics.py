@@ -104,9 +104,9 @@ class TestEvolveReduced:
         assert purities[1:].max() > purities.min() + 0.05
 
     def test_element_cap(self):
-        ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 8, 17)
+        ham, layout, spectral, state, coeffs, _ = _evolution_problem(3, 4, 17)
         with pytest.raises(CapExceededError):
-            evolve_reduced(coeffs, spectral, layout, np.zeros(2_000_000))
+            evolve_reduced(coeffs, spectral, layout, np.zeros(EVOLUTION_ELEMENT_CAP // 9 + 1))
 
     def test_times_that_overflow_the_phases_are_refused(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 19)
@@ -225,10 +225,11 @@ class TestFiniteTimeAverage:
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 67)
         with pytest.raises(CapExceededError, match="n_times") as caught:
             evolve_reduced(coeffs, spectral, layout,
-                           np.zeros(EVOLUTION_ELEMENT_CAP // 8 + 1))
+                           np.zeros(EVOLUTION_ELEMENT_CAP // 4 + 1))
         largest = int(re.search(r"dynamics\.n_times to at most (\d+)",
                                 str(caught.value)).group(1))
-        assert 8 * largest <= EVOLUTION_ELEMENT_CAP < 8 * (largest + 1)
+        # the trajectory holds n_times * dS^2 = 4 n_times entries, whatever d is
+        assert 4 * largest <= EVOLUTION_ELEMENT_CAP < 4 * (largest + 1)
 
     def test_evolution_needs_a_time_vector(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 2, 71)
