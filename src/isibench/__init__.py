@@ -16,9 +16,8 @@ from .equilibrium import (EigenstateReductions, OverlapCoefficients, delta,
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
 from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, BlochVector, DensityMatrix,
-                      PureState, SpaceLayout, batched_bloch_vectors,
-                      batched_partial_trace_bath, bloch_vector, purity, tensor_product,
-                      trace_distance, trace_norm, weighted_sum)
+                      PureState, SpaceLayout, batched_bloch_vectors, bloch_vector,
+                      purity, tensor_product, trace_distance, trace_norm, weighted_sum)
 from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
                      build_cucchietti_bath, build_random_model, commuting_norms,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)

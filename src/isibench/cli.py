@@ -502,7 +502,7 @@ class Pipeline:
 
     @cached_property
     def coeffs(self) -> OverlapCoefficients:
-        return overlaps(self.spectral, tensor_product(self.psi, self.phi))
+        return overlaps(self.spectral, tensor_product(self.psi, self.phi), self.layout)
 
     @cached_property
     def reductions(self) -> EigenstateReductions:

@@ -1,16 +1,11 @@
 """Reduced-state time evolution and its distance to equilibrium.
 
-Evolution is computed in the energy eigenbasis and no propagator is ever
-formed.  For dense eigenvectors the composite amplitudes at time t are
-c_n exp(-i E_n t), so the reduced states at a block of times are one
-product with the eigenvector matrix and a batched partial trace.  For the block form of
-the commuting models only eigenvectors on the same bath level interfere, so
-the reduced state is its time average plus one oscillating term per Bohr
-frequency of a level (``SpectralData.evolved_reductions``).  Both forms work
-through the times in blocks, so only the (n_times, dS, dS) trajectory grows
-with the grid; ``EVOLUTION_ELEMENT_CAP`` bounds its entries.
-The equilibration metric is the mean trace distance of the reduced states
-on a stratified time grid to the infinite-time average.
+Evolution is computed in the energy eigenbasis, and no propagator is ever
+formed (``SpectralData.evolved_reductions``).  The times are worked through
+in blocks, so only the (n_times, dS, dS) trajectory grows with the grid;
+``Trajectory`` keeps it without a copy, and ``EVOLUTION_ELEMENT_CAP`` bounds
+its entries.  The equilibration metric is the mean trace distance of the
+reduced states on a stratified time grid to the infinite-time average.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         times = np.array(self.times, dtype=float, copy=True)
-        states = np.array(self.states, dtype=complex, copy=True)
+        states = np.asarray(self.states, dtype=complex)  # kept, not copied
         if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
             raise ValidationError(f"times must be a finite vector, got shape {times.shape}")
         ds = self.layout.dim_system

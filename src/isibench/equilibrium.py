@@ -10,10 +10,10 @@ its projection W on the eigenbasis (``subspace_projection``), whose column
 norms give the weights <n|Pi_R|n>/dR; the Haar average of the equilibrium
 state over R is then sum_n w_n rho_n (``weighted_reduction``).  The
 eigenvectors are read only through the methods of ``SpectralData``, so the
-same code serves its dense form and the block form of the commuting models,
-where no d x d array exists.  There, and for the whole space in either
-form, R has a basis in which each eigenvector overlaps one basis vector at
-most, and W is kept as those groups (``spectral.GroupedProjection``).
+same code serves every sector form.  For sectors of one bath level (the
+commuting models), and for the whole space in any form, R has a basis in
+which each eigenvector overlaps one basis vector at most, and W is kept as
+those groups (``spectral.GroupedProjection``).
 
 Everything here is exact linear algebra; time evolution lives in the
 dynamics module.
@@ -108,13 +108,14 @@ class EigenstateReductions:
         return float(np.mean(np.sum(self.bloch**2, axis=1)))
 
 
-def overlaps(spectral: SpectralData, initial: PureState) -> OverlapCoefficients:
+def overlaps(spectral: SpectralData, initial: PureState,
+             layout: SpaceLayout) -> OverlapCoefficients:
     """Expansion coefficients of the initial state in the eigenbasis."""
     if initial.space != "composite":
         raise ValidationError(f"initial state must be composite, got {initial.space!r}")
     if initial.dim != spectral.dim:
         raise ValidationError(f"state dim {initial.dim} != spectral dim {spectral.dim}")
-    return OverlapCoefficients(spectral.coefficients(initial.amplitudes))
+    return OverlapCoefficients(spectral.coefficients(initial.amplitudes, layout))
 
 
 def eigenstate_reductions(spectral: SpectralData,
@@ -184,7 +185,7 @@ def subspace_projection(spectral: SpectralData, layout: SpaceLayout,
     otherwise R = psi (x) span of the first ``dim_bath`` bath levels (all by
     default), and W[b, n] = sum_i conj(psi_i) <i, b|n>.  The result has the
     dimension dR, the weights w_n = <n|Pi_R|n>/dR and the draw of the T0
-    estimate; it is grouped for the whole space and for the block form.
+    estimate; it is grouped for the whole space and for sectors of g = 1.
     """
     if spectral.dim != layout.dim_total:
         raise ValidationError(f"spectral dim {spectral.dim} != layout {layout.dim_total}")

@@ -4,7 +4,8 @@ Layout convention shared by the whole package: the composite space is
 ``S (x) B`` with the system index slow, so a composite basis label splits as
 ``idx = i_system * dim_bath + i_bath``.  Tracing out the bath is then a
 contiguous block trace, and ``vec.reshape(dim_system, dim_bath)`` puts the
-system index on the rows.
+system index on the rows.  The package traces out the bath only from the
+eigenvectors, so that trace lives with them, in ``spectral.SpectralData``.
 
 Distances use the unhalved trace norm ``sum |eig|`` of the Hermitian
 difference, so two orthogonal pure states are at distance 2, and for qubits
@@ -163,32 +164,6 @@ def tensor_product(psi: PureState, phi: PureState) -> PureState:
             f"tensor_product takes (system, bath) states, got ({psi.space}, {phi.space})"
         )
     return PureState(np.kron(psi.amplitudes, phi.amplitudes), space="composite")
-
-
-def batched_partial_trace_bath(columns: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    """System reductions of many composite column vectors at once.
-
-    The package's one bath partial trace of composite vectors: the dense
-    eigenvectors' reductions, evolution and degenerate-block averages, and
-    the Popescu draws, call it.  The block form of ``SpectralData`` needs
-    none, its eigenvectors being products with bath basis vectors.
-
-    Parameters
-    ----------
-    columns : (d, n) complex array, one composite vector per column.
-
-    Returns
-    -------
-    (n, dim_system, dim_system) array of unnormalized reductions
-    (unit trace when the columns are unit vectors).  No DensityMatrix
-    wrapping; this is the hot-loop kernel.
-    """
-    cols = np.asarray(columns, dtype=complex)
-    if cols.ndim != 2 or cols.shape[0] != layout.dim_total:
-        raise ValidationError(f"expected a ({layout.dim_total}, n) array for layout "
-                              f"{layout.dim_system}x{layout.dim_bath}, got {cols.shape}")
-    blocks = cols.reshape(layout.dim_system, layout.dim_bath, cols.shape[1])
-    return np.einsum("ibn,jbn->nij", blocks, blocks.conj())
 
 
 def trace_norm(mat) -> float:

@@ -5,11 +5,11 @@ are all diagonal in one common bath basis and commute with the bath
 self-Hamiltonian.  Its eigenvectors factorize into (spin eigenvector of a
 2x2 block) (x) (bath basis vector), which makes the eigensystem available in
 closed form and every eigenstate reduction pure.  ``analytic_eigensystem``
-returns it in the block form of ``SpectralData`` (the per-level blocks and
-the energy order), so no d x d array is built.  That structure is exactly
-what breaks initial-state independence of the spin, so this family is the
-positive control of the test bench; Gaussian random Hamiltonians are the
-negative control.
+returns it as ``SpectralData`` with one 2x2 sector per bath level (g = 1),
+so no d x d array is built.  That structure is exactly what breaks
+initial-state independence of the spin, so this family is the positive
+control of the test bench; Gaussian random Hamiltonians are the negative
+control.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def commuting_norms(spec: CommutingModelSpec) -> tuple[float, float, float, floa
 
 
 def analytic_eigensystem(spec: CommutingModelSpec) -> SpectralData:
-    """Closed-form eigensystem of the commuting model, in block form.
+    """Closed-form eigensystem of the commuting model, one sector per bath level.
 
     Per bath level l the spin block is E_l + (1/2)[(w + v_lz) sigma_z
     + v_lx sigma_x + v_ly sigma_y]; its eigenvectors tensored with the l-th
@@ -114,7 +114,7 @@ def analytic_eigensystem(spec: CommutingModelSpec) -> SpectralData:
     blocks[:, 0, 1] = vx - 1j * vy
     blocks[:, 1, 0] = vx + 1j * vy
     _, spin_vecs = np.linalg.eigh(blocks)  # ascending, so column 0 is the lower branch
-    return SpectralData.from_blocks(energies, spin_vecs)
+    return SpectralData.from_sectors(energies, spin_vecs)
 
 
 def bit_signs(n_spins: int) -> np.ndarray:

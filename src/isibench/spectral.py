@@ -1,11 +1,14 @@
 """Composite Hamiltonian assembly, eigendecomposition, and the degeneracy test.
 
-``SpectralData`` holds a spectrum and its eigenvectors, densely (from
-``eigendecompose``) or in the block form of the commuting models, whose
+``SpectralData`` holds a spectrum and its eigenvectors in one form, by
+sector: H is block-diagonal over S (x) (a sector of g bath levels), and the
+stack holds the eigenvectors of each block.  ``eigendecompose`` gives one
+sector (g = dB); the commuting models give dB sectors of g = 1, whose
 eigenvectors are system vectors times bath basis vectors.  Its methods are
-the package's only readers of eigenvectors, so no other module depends on
-the form; the subspace projections they build are ``DenseProjection`` and
-``GroupedProjection``, and each hands the T0 estimate its own draw.
+the package's only readers of eigenvectors, each with one formula whose
+kernel the sizes choose; the subspace projections they build are
+``DenseProjection`` and ``GroupedProjection``, and each hands the T0
+estimate its own draw.
 
 The equilibration statements this package evaluates assume a nondegenerate
 spectrum.  ``degenerate_level_pairs`` is the one place that decides it: two
@@ -19,11 +22,12 @@ Only the dense decomposition cap is a parameter of ``eigendecompose``, since
 it states how large a matrix the machine may diagonalise.
 
 The dense path holds each d x d array once.  The assembly, the checks on a
-d x d array and the dense evolution work through it in blocks of
-``DENSE_BLOCK`` rows, columns or times, so that their temporaries are
-(DENSE_BLOCK, d) slabs; a blocked maximum is NaN when any block's is.  The
-block-form evolution works through the times the same way, so that it holds
-one (DENSE_BLOCK, F) table of phases at the F Bohr frequencies.
+d x d array, the reductions and the evolution work through it in blocks of
+``DENSE_BLOCK`` rows, columns, labels or times, so that their temporaries
+are (DENSE_BLOCK, d) slabs; a blocked maximum is NaN when any block's is.
+The evolution of small sectors works through the times the same way, so
+that it holds one (DENSE_BLOCK, F) table of phases at the F Bohr
+frequencies.
 
 Hamiltonians can be round-tripped through a small text format (one header
 line with a magic tag, one with dimensions and the system/bath split, then
@@ -42,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, ValidationError
-from .hilbert import SpaceLayout, batched_partial_trace_bath, weighted_sum
+from .hilbert import SpaceLayout, weighted_sum
 from .sampling import Draw, dirichlet_weights, haar_amplitudes
 
 HAMILTONIAN_ASYMMETRY = 1e-10  # max |H - H^dagger| accepted on assembly
@@ -234,23 +238,21 @@ class GroupedProjection:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (ascending) and phase-fixed eigenvectors, in one of two forms.
+    """Eigenvalues (ascending) and phase-fixed eigenvectors, held by sector.
 
-    The dense form holds the eigenvector columns as a (d, d) matrix in
-    ``eigenvectors``.  The block form serves models whose eigenvectors are
-    u (x) |l> with |l> a bath basis vector: ``blocks`` is the (dB, dS, dS)
-    stack whose column k of ``blocks[l]`` is the system factor u of the
-    eigenvector labelled l*dS + k, and ``order`` lists those labels in
-    ascending order of energy.  No d x d array is built for it.
-
-    The methods below are the only readers of the eigenvectors, one per use:
-    overlaps, eigenstate reductions, subspace projections, block-dephased
-    averages and reduced evolution.
+    Sector c is S (x) the bath levels c*g, ..., c*g + g - 1, and ``sectors``
+    is the (n_sec, m, m) stack (m = dS*g) of the eigenvectors of H's blocks:
+    row s*g + j of ``sectors[c]`` is the amplitude on |s> (x) |c*g + j>, so
+    column k is the (dS, g) matrix A of the eigenvector labelled c*m + k.
+    ``order`` lists the labels in ascending order of energy (None: 0, ...,
+    d - 1).  ``eigendecompose`` gives one sector (g = dB), the commuting
+    models dB sectors of g = 1.  The methods below are the only readers of
+    the eigenvectors, one per use, each one formula on the (n_sec, dS, g, m)
+    view of the stack; where two kernels compute it, the sizes choose.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-    blocks: np.ndarray | None = None
+    sectors: np.ndarray
     order: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -260,34 +262,26 @@ class SpectralData:
             raise ValidationError(f"eigenvalues must be a vector, got shape {evals.shape}")
         if np.any(np.diff(evals) < 0):
             raise ValidationError("eigenvalues must be sorted ascending")
-        if (self.eigenvectors is None) == (self.blocks is None):
-            raise ValidationError("give either dense eigenvectors or eigenvector blocks")
-        if self.blocks is None:
-            arrays = {"eigenvectors": np.array(self.eigenvectors, dtype=complex, copy=True)}
-            if arrays["eigenvectors"].shape != (d, d):
-                raise ValidationError(f"inconsistent shapes: eigenvalues {evals.shape}, "
-                                      f"eigenvectors {arrays['eigenvectors'].shape}")
-        else:
-            arrays = {"blocks": np.array(self.blocks, dtype=complex, copy=True),
-                      "order": np.array(self.order, dtype=np.intp, copy=True)}
-            shape = arrays["blocks"].shape
-            if len(shape) != 3 or shape[1] != shape[2] or shape[0] * shape[1] != d:
-                raise ValidationError(f"inconsistent shapes: eigenvalues {evals.shape}, "
-                                      f"blocks {shape}")
-            if not np.array_equal(np.sort(arrays["order"]), np.arange(d)):
-                raise ValidationError("order must be a permutation of the block labels")
-        for name, value in (("eigenvalues", evals), *arrays.items()):
+        sectors = np.asarray(self.sectors, dtype=complex)  # kept, not copied
+        shape = sectors.shape
+        if len(shape) != 3 or shape[1] != shape[2] or shape[0] * shape[1] != d:
+            raise ValidationError(f"inconsistent shapes: eigenvalues {evals.shape}, "
+                                  f"sectors {shape}")
+        order = np.arange(d) if self.order is None else np.array(self.order, dtype=np.intp)
+        if not np.array_equal(np.sort(order), np.arange(d)):
+            raise ValidationError("order must be a permutation of the eigenvector labels")
+        for name, value in (("eigenvalues", evals), ("sectors", sectors), ("order", order)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_blocks(cls, level_energies: np.ndarray, blocks: np.ndarray) -> "SpectralData":
-        """Block form from the (dB, dS) energies and (dB, dS, dS) eigenvector
-        blocks of the bath levels; each block column is phase-fixed by the
+    def from_sectors(cls, level_energies: np.ndarray, sectors: np.ndarray) -> "SpectralData":
+        """Sector form from the (n_sec, m) energies and (n_sec, m, m)
+        eigenvectors of the sector blocks; each column is phase-fixed by the
         rule of ``fix_phases``, which gives the phases of the dense path."""
         energies = np.asarray(level_energies, dtype=float).ravel()
         order = np.argsort(energies, kind="stable")
-        return cls(eigenvalues=energies[order], blocks=fix_phases(blocks), order=order)
+        return cls(eigenvalues=energies[order], sectors=fix_phases(sectors), order=order)
 
     @property
     def dim(self) -> int:
@@ -306,114 +300,125 @@ class SpectralData:
             return float("inf")
         return float(np.diff(self.eigenvalues).min())
 
-    def _per_level(self, values: np.ndarray) -> np.ndarray:
-        """Values indexed like the eigenvalues, rearranged to (dB, dS) by block label."""
+    def _by_sector(self, values: np.ndarray) -> np.ndarray:
+        """Values indexed like the eigenvalues, rearranged to (n_sec, m) by label."""
         flat = np.empty(self.dim, dtype=values.dtype)
         flat[self.order] = values
-        return flat.reshape(self.blocks.shape[:2])
+        return flat.reshape(self.sectors.shape[:2])
 
-    def _require_layout(self, layout: SpaceLayout) -> None:
-        if layout.dim_total != self.dim or (
-                self.blocks is not None and layout.dim_system != self.blocks.shape[1]):
+    def _view(self, layout: SpaceLayout) -> np.ndarray:
+        """The (n_sec, dS, g, m) view: [c, :, :, k] is A of eigenvector c*m + k."""
+        n_sec, m, _ = self.sectors.shape
+        if layout.dim_total != self.dim or m % layout.dim_system:
             raise ValidationError(f"layout {layout.dim_system}x{layout.dim_bath} does not "
                                   f"match the spectral data (d={self.dim})")
+        return self.sectors.reshape(n_sec, layout.dim_system, m // layout.dim_system, m)
 
-    def coefficients(self, amplitudes: np.ndarray) -> np.ndarray:
-        """<n|x> for every eigenvector n of the composite vector x."""
-        if self.blocks is None:
-            return self.eigenvectors.conj().T @ amplitudes
-        levels, ds, _ = self.blocks.shape
-        per_level = np.einsum("lsk,sl->lk", self.blocks.conj(),
-                              amplitudes.reshape(ds, levels))
-        return per_level.ravel()[self.order]
+    def coefficients(self, amplitudes: np.ndarray, layout: SpaceLayout) -> np.ndarray:
+        """<n|x> for every eigenvector n of the composite vector x: one BLAS
+        product for one sector, one einsum for more (they round differently)."""
+        sectors = self._view(layout)
+        n_sec, ds, g, _ = sectors.shape
+        if n_sec == 1:
+            per_label = self.sectors[0].conj().T @ amplitudes
+        else:
+            per_label = np.einsum("csgk,scg->ck", sectors.conj(),
+                                  amplitudes.reshape(ds, n_sec, g)).ravel()
+        return per_label[self.order]
 
     def reductions(self, layout: SpaceLayout) -> np.ndarray:
-        """(d, dS, dS) bath-traced projectors Tr_B |n><n| of the eigenvectors."""
-        self._require_layout(layout)
-        if self.blocks is None:
-            return _reductions_by_block(self.dim, layout,
-                                        lambda cols: self.eigenvectors[:, cols])
-        pure = np.einsum("lsk,ltk->lkst", self.blocks, self.blocks.conj())
-        return pure.reshape(self.dim, layout.dim_system, layout.dim_system)[self.order]
+        """C-contiguous (d, dS, dS) bath traces Tr_B |n><n| = A A^H of the
+        eigenvectors, DENSE_BLOCK labels of every sector at a time."""
+        sectors = self._view(layout)
+        n_sec, ds, _, m = sectors.shape
+        out = np.empty((n_sec, m, ds, ds), dtype=complex)
+        for cols in dense_blocks(m):
+            block = sectors[..., cols]
+            out[:, cols] = np.einsum("csgk,ctgk->ckst", block, block.conj())
+        return out.reshape(self.dim, ds, ds)[self.order]
 
     def projection(self, layout: SpaceLayout, psi: np.ndarray | None = None,
                    dim_prefix: int | None = None) -> DenseProjection | GroupedProjection:
         """W = B^H V for R the whole space (``psi=None``), or R = psi (x)
-        span of the first ``dim_prefix`` bath levels, W[b, n] = sum_i
-        conj(psi_i) <i, b|n>.
+        span of the first ``dim_prefix`` bath levels (None: all of them),
+        W[b, n] = sum_i conj(psi_i) <i, b|n>.
 
-        The whole space is grouped in the eigenbasis, each eigenvector its
-        own group.  A product subspace is dense in the dense form; in the
-        block form the eigenvector u (x) |l> overlaps only psi (x) |l>, by
-        conj(psi).u, so the groups are the bath levels l < dim_prefix.
+        The whole space is grouped in the eigenbasis.  With g = 1 sector l
+        overlaps only psi (x) |l>, so a product subspace is grouped by bath
+        level; otherwise W is dense, each sector filling its own g rows.
         """
-        self._require_layout(layout)
-        ds, db = layout.dim_system, layout.dim_bath
+        sectors = self._view(layout)
+        n_sec, ds, g, m = sectors.shape
         if psi is None:
             return GroupedProjection(self.dim, np.full(self.dim, 1.0 / self.dim))
-        if self.blocks is None:
-            blocks = self.eigenvectors.reshape(ds, db, self.dim)
-            return DenseProjection(np.einsum("i,ibn->bn", psi.conj(), blocks[:, :dim_prefix]))
-        shares = np.abs(np.einsum("s,lsk->lk", psi.conj(), self.blocks)) ** 2
-        shares[dim_prefix:] = 0.0
+        k = layout.dim_bath if dim_prefix is None else dim_prefix
         rank = np.empty(self.dim, dtype=np.intp)
         rank[self.order] = np.arange(self.dim)
-        return GroupedProjection(dim_prefix, shares.ravel()[self.order] / dim_prefix,
-                                 rank.reshape(db, ds)[:dim_prefix], shares[:dim_prefix])
+        if g == 1:
+            shares = np.abs(np.einsum("s,csk->ck", psi.conj(), sectors[:, :, 0])) ** 2
+            shares[k:] = 0.0
+            return GroupedProjection(k, shares.ravel()[self.order] / k,
+                                     rank.reshape(n_sec, m)[:k], shares[:k])
+        matrix = np.zeros((k, self.dim), dtype=complex)
+        for c in range(-(-k // g)):  # the sectors that hold the first k bath levels
+            rows = slice(c * g, min(c * g + g, k))
+            matrix[rows, rank[c * m:c * m + m]] = np.einsum(
+                "s,sjn->jn", psi.conj(), sectors[c, :, :rows.stop - rows.start])
+        return DenseProjection(matrix)
 
     def dephased_reduction(self, values: np.ndarray, splits: np.ndarray,
                            layout: SpaceLayout) -> np.ndarray:
-        """sum_g Tr_B |x_g><x_g| for x_g = sum_{n in g} values_n |n>, the groups
-        g being the runs of eigenvalue indices that ``splits`` cuts (as
+        """sum_G Tr_B |x_G><x_G| for x_G = sum_{n in G} values_n |n>, the groups
+        G being the runs of eigenvalue indices that ``splits`` cuts (as
         np.split does): the reduced state of sum_n values_n |n> with the
-        coherences between groups removed.
-
-        In the block form only pairs of eigenvectors in the same group and on
-        the same bath level contribute.
+        coherences between groups removed.  Tr_B removes those between
+        sectors too, so the A values_n are summed into one C per (sector,
+        group), and the result is sum C C^H.
         """
-        self._require_layout(layout)
-        if self.blocks is None:
-            components = np.stack([self.eigenvectors[:, group] @ values[group]
-                                   for group in np.split(np.arange(self.dim), splits)],
-                                  axis=1)
-            return batched_partial_trace_bath(components, layout).sum(axis=0)
-        starts = np.zeros(self.dim, dtype=np.intp)
-        starts[splits] = 1
-        group = self._per_level(np.cumsum(starts))
-        same = group[:, :, None] == group[:, None, :]
-        weighted = self.blocks * self._per_level(values)[:, None, :]
-        return np.einsum("lsk,lkj,ltj->st", weighted, same, weighted.conj())
+        sectors = self._view(layout)
+        n_sec, ds, g, m = sectors.shape
+        groups = np.searchsorted(splits, np.arange(self.dim), side="right")
+        keys = self._by_sector(groups) + self.dim * np.arange(n_sec)[:, None]
+        unique, key_of = np.unique(keys.ravel(), return_inverse=True)
+        columns = np.einsum("csgk,ck->cksg", sectors, self._by_sector(values))
+        summed = np.zeros((unique.size, ds, g), dtype=complex)
+        np.add.at(summed, key_of, columns.reshape(self.dim, ds, g))
+        return np.einsum("ksg,ktg->st", summed, summed.conj())
 
     def evolved_reductions(self, values: np.ndarray, times: np.ndarray,
                            layout: SpaceLayout) -> np.ndarray:
         """(n_times, dS, dS) reductions Tr_B |x(t)><x(t)| of
         x(t) = sum_n values_n exp(-i E_n t) |n>.
 
-        Both forms work through the times DENSE_BLOCK at a time, so that their
-        temporaries do not grow with the number of times.  The dense form
-        evolves the amplitudes and reduces V @ amplitudes, (d, DENSE_BLOCK)
-        arrays.  In the block form only eigenvectors on the same bath level l
-        interfere, at the F = dB dS(dS-1)/2 Bohr frequencies w = E_lk' - E_lk
-        for k < k': rho(t) = sum_lk |c_lk|^2 u_lk u_lk^H + sum (exp(-i w t) M
-        + h.c.) with M = c_lk' conj(c_lk) u_lk' u_lk^H.  Each block of times
-        fills one (DENSE_BLOCK, F) table of phases, allocated once, and
-        contracts it with the (dS^2, F) table of the M by einsum (F the
-        contiguous axis of both), which calls no BLAS: a row's sum then
-        depends on neither the block nor the BLAS thread count, and no BLAS
-        threads spin while the next block's phases are computed.
+        The times are worked through DENSE_BLOCK at a time, so temporaries
+        do not grow with their number; only eigenvectors of one sector
+        interfere.  Sectors of m > 3 reduce sectors @ amplitudes, (d,
+        DENSE_BLOCK) arrays.  With m <= 3 (so g = 1) the m(m-1)/2 Bohr
+        frequencies w = E_k' - E_k, k < k', cost no more exponentials than m
+        amplitudes: rho(t) = sum_k |c_k|^2 A_k A_k^H + sum (exp(-i w t) M +
+        h.c.), M = c_k' conj(c_k) A_k' A_k^H.  A block of times fills one
+        (DENSE_BLOCK, F) phase table, allocated once, and contracts it with
+        the (dS^2, F) table of the M by einsum, which calls no BLAS: a row's
+        sum depends on neither the block nor the BLAS thread count.
         """
-        self._require_layout(layout)
-        if self.blocks is None:
-            return _reductions_by_block(times.size, layout, lambda span: self.eigenvectors @ (
-                values[:, None] * np.exp(-1j * self.eigenvalues[:, None] * times[None, span])))
-        ds = layout.dim_system
-        weighted = self.blocks * self._per_level(values)[:, None, :]
-        energies = self._per_level(self.eigenvalues)
-        lower, upper = np.triu_indices(ds, 1)
+        sectors = self._view(layout)
+        n_sec, ds, g, m = sectors.shape
+        values, energies = self._by_sector(values), self._by_sector(self.eigenvalues)
+        if m > 3:
+            # the layout of one einsum over all the times: the same bits in sums
+            out = np.empty((ds, ds, times.size), dtype=complex).transpose(2, 0, 1)
+            for span in dense_blocks(times.size):
+                phases = np.exp(-1j * energies[:, :, None] * times[span])
+                amplitudes = values[:, :, None] * phases
+                evolved = (self.sectors @ amplitudes).reshape(n_sec, ds, g, -1)
+                out[span] = np.einsum("csgt,cugt->tsu", evolved, evolved.conj())
+            return out
+        weighted = sectors[:, :, 0] * values[:, None, :]
+        lower, upper = np.triu_indices(m, 1)
         frequencies = (energies[:, upper] - energies[:, lower]).ravel()
-        moving = np.einsum("lsp,ltp->stlp", weighted[:, :, upper],
+        moving = np.einsum("csp,ctp->stcp", weighted[:, :, upper],
                            weighted[:, :, lower].conj()).reshape(ds * ds, frequencies.size)
-        static = np.einsum("lsk,ltk->st", weighted, weighted.conj())
+        static = np.einsum("csk,ctk->st", weighted, weighted.conj())
         out = np.empty((times.size, ds, ds), dtype=complex)
         table = np.empty((min(times.size, DENSE_BLOCK), frequencies.size), dtype=complex)
         for span in dense_blocks(times.size):
@@ -426,27 +431,12 @@ class SpectralData:
         return out
 
 
-def _reductions_by_block(count: int, layout: SpaceLayout,
-                         columns: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """(count, dS, dS) reductions of composite columns, ``columns(block)`` for
-    each block of ``dense_blocks(count)``.
-
-    The result is laid out in memory as one batched_partial_trace_bath call
-    of all the columns lays it out, so that later sums over it keep their bits.
-    """
-    ds = layout.dim_system
-    out = np.empty((ds, ds, count), dtype=complex).transpose(2, 0, 1)
-    for block in dense_blocks(count):
-        out[block] = batched_partial_trace_bath(columns(block), layout)
-    return out
-
-
 def fix_phases(eigenvectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real positive.
 
     Takes a matrix or a stack of matrices (the columns of each).  Ties on the
     magnitude pick the lowest index (argmax convention), making the output
-    deterministic and shared by the dense path and the block form.
+    deterministic and shared by every sector form.
     """
     return _fix_phases_in_place(np.array(eigenvectors, dtype=complex, copy=True))
 
@@ -481,7 +471,7 @@ def eigendecompose(hamiltonian, dim_cap: int = DECOMPOSE_DIM_CAP) -> SpectralDat
     ``numpy.linalg.eigh`` runs (about four d x d arrays, the eigenvectors
     among them), then the eigenvector matrix, which the phase fixing
     overwrites and the checks read in blocks of DENSE_BLOCK columns or rows,
-    and at the end SpectralData's copy of it.
+    and which the result keeps as its one sector.
     """
     mat = hamiltonian.total if isinstance(hamiltonian, CompositeHamiltonian) else hamiltonian
     mat = _require_hermitian("hamiltonian", mat)
@@ -503,7 +493,7 @@ def eigendecompose(hamiltonian, dim_cap: int = DECOMPOSE_DIM_CAP) -> SpectralDat
     if not unit_err <= UNITARITY:
         raise ValidationError(f"eigenvector matrix not unitary: {unit_err:.3e}")
 
-    return SpectralData(eigenvalues=evals, eigenvectors=evecs)
+    return SpectralData(eigenvalues=evals, sectors=evecs[None])
 
 
 def degenerate_level_pairs(spectral: SpectralData) -> list[tuple[int, int]]:

@@ -374,32 +374,41 @@ def part_norms(parts):
             norm(1j * (lifted_b @ hsb - hsb @ lifted_b)))
 
 
-def expand_blocks(spectral):
-    """The dense (d, d) eigenvector matrix of a block-form SpectralData.
+def expand_sectors(spectral, layout):
+    """The dense (d, d) eigenvector matrix of a SpectralData in any sector form.
 
-    Column r is u (x) |l> for the block label order[r] = l*dS + k, with u
-    column k of blocks[l]: entry s*dB + l holds u_s.  A dense SpectralData
-    is returned as it is.
+    Column r is the eigenvector labelled order[r] = c*m + k, column k of
+    sectors[c] (m = dS*g): row s*g + j of that column is the amplitude on
+    |s> (x) |c*g + j>, entry s*dB + c*g + j of the composite vector.
     """
-    if spectral.blocks is None:
-        return spectral.eigenvectors
-    dim_bath, dim_system, _ = spectral.blocks.shape
+    dim_system, dim_bath = layout.dim_system, layout.dim_bath
+    n_sec, m, _ = spectral.sectors.shape
+    g = m // dim_system
     vectors = np.zeros((spectral.dim, spectral.dim), dtype=complex)
     for rank, label in enumerate(spectral.order):
-        level, k = divmod(int(label), dim_system)
+        c, k = divmod(int(label), m)
         for s in range(dim_system):
-            vectors[s * dim_bath + level, rank] = spectral.blocks[level, s, k]
+            for j in range(g):
+                vectors[s * dim_bath + c * g + j, rank] = spectral.sectors[c, s * g + j, k]
     return vectors
+
+
+def batched_partial_trace_bath(columns, layout):
+    """(n, dS, dS) bath traces |x><x| of the (d, n) composite columns x, by one
+    einsum over the (dS, dB, n) blocks."""
+    blocks = np.asarray(columns, dtype=complex).reshape(layout.dim_system, layout.dim_bath, -1)
+    return np.einsum("ibn,jbn->nij", blocks, blocks.conj())
 
 
 def block_evolution_one_shot(spectral, values, times):
     """(n_times, dS, dS) reductions of sum_n values_n exp(-i E_n t) |n> for a
-    block-form SpectralData, from one (n_times, F) table of the phases
-    exp(-i w t) at the Bohr frequencies w = E_lk' - E_lk (k < k') of each
-    bath level, times the (F, dS^2) table of the M = c_lk' conj(c_lk)
-    u_lk' u_lk^H, plus the time average sum_lk |c_lk|^2 u_lk u_lk^H.
+    SpectralData of one-level sectors (g = 1), from one (n_times, F) table
+    of the phases exp(-i w t) at the Bohr frequencies w = E_lk' - E_lk
+    (k < k') of each bath level, times the (F, dS^2) table of the
+    M = c_lk' conj(c_lk) u_lk' u_lk^H, plus the time average
+    sum_lk |c_lk|^2 u_lk u_lk^H.
     """
-    dim_bath, dim_system, _ = spectral.blocks.shape
+    dim_bath, dim_system, _ = spectral.sectors.shape
     by_label = np.empty(spectral.dim, dtype=complex)
     by_label[spectral.order] = values
     energy_by_label = np.empty(spectral.dim)
@@ -408,7 +417,7 @@ def block_evolution_one_shot(spectral, values, times):
     frequencies, moving = [], []
     for level in range(dim_bath):
         labels = level * dim_system + np.arange(dim_system)
-        weighted = spectral.blocks[level] * by_label[labels]
+        weighted = spectral.sectors[level] * by_label[labels]
         static += weighted @ weighted.conj().T
         for k in range(dim_system):
             for k2 in range(k + 1, dim_system):

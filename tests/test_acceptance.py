@@ -15,8 +15,7 @@ from isibench import cli
 from isibench.dynamics import equilibrate, stratified_times
 from isibench.equilibrium import (EigenstateReductions, delta, eigenstate_reductions,
                                   overlaps, subspace_projection, time_averaged_state)
-from isibench.hilbert import (PureState, SpaceLayout, batched_partial_trace_bath,
-                              tensor_product, trace_distance)
+from isibench.hilbert import PureState, SpaceLayout, tensor_product, trace_distance
 from isibench.models import analytic_eigensystem, build_random_model, sample_commuting_spec
 from isibench.sampling import batched_monte_carlo, haar_amplitudes, sample_amplitudes
 from isibench.spectral import eigendecompose
@@ -29,7 +28,8 @@ from isibench.theorems import (CONCENTRATION_RATE, concentration_tail,
                                theorem2_lhs,
                                theorem2_reports)
 
-from _oracles import (bath_averaged_equilibrium, build_commuting_model,
+from _oracles import (batched_partial_trace_bath, bath_averaged_equilibrium,
+                      build_commuting_model, expand_sectors,
                       finite_time_average, mp_concentration_tail, mp_epsilon_prime,
                       mp_theorem0_strong, partial_trace_system, ptrace_bath_loop,
                       ptrace_system_loop, random_density_factor, random_state,
@@ -130,7 +130,7 @@ def _equilibrated_fraction(spectral, layout, n_draws, seed):
     hits = 0
     for _ in range(n_draws):
         phi = PureState(sample_amplitudes(layout.dim_bath, 1, draw_rng)[:, 0], space="bath")
-        coeffs = overlaps(spectral, tensor_product(PLUS, phi))
+        coeffs = overlaps(spectral, tensor_product(PLUS, phi), layout)
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
         times = stratified_times(horizon, 2000, time_rng)
         metric = equilibrate(coeffs, spectral, layout, times, equilibrium)[1]
@@ -170,7 +170,7 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
     ham = build_random_model(2, 16, 1.0, np.random.default_rng(41))
     spectral = eigendecompose(ham)
     reductions = eigenstate_reductions(spectral, layout)
-    eigenvectors = spectral.eigenvectors
+    eigenvectors = expand_sectors(spectral, layout)
     matrices = reductions.matrices
 
     def rho_bar(system, bath):
@@ -372,11 +372,11 @@ def test_criterion_7_average_and_trace_oracles(capsys):
         spectral = eigendecompose(build_random_model(2, 8, 1.0, rng))
         reductions = eigenstate_reductions(spectral, layout)
         initial = PureState(sample_amplitudes(16, 1, rng)[:, 0], space="composite")
-        coeffs = overlaps(spectral, initial)
+        coeffs = overlaps(spectral, initial, layout)
         exact = time_averaged_state(coeffs, reductions, spectral)
         horizon = 1.0e4 / spectral.min_level_spacing
         windowed = finite_time_average(coeffs.values, spectral.eigenvalues,
-                                       spectral.eigenvectors, 2, 8, horizon)
+                                       expand_sectors(spectral, layout), 2, 8, horizon)
         worst_distance = max(worst_distance, trace_distance(exact.matrix, windowed))
     if worst_distance > 5e-3:
         failures.append(f"finite-horizon average drifts {worst_distance:.2e} "

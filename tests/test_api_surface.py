@@ -23,13 +23,15 @@ KEEPERS = {
     "trace_distance": "the benchmark's tracer test looks it up under theorems",
 }
 
-# Public definitions that were replaced, each with its replacement; none of
-# them may be defined or exported again.
+# Definitions that were replaced, each with its replacement; none of them may
+# be defined (as a function, class or method) or exported again.
 GONE = {
     "SparseProjection": "GroupedProjection: Dirichlet weights on a stack built once",
     "split_counts": "batched_monte_carlo: every estimate draws from one stream of its seed",
     "Tolerances": "module constants beside their checks; ExperimentConfig.decompose_dim_cap",
     "stream_generators": "generator: every draw takes the one stream of its seed",
+    "from_blocks": "SpectralData.from_sectors: one sector form for every model",
+    "batched_partial_trace_bath": "SpectralData's readers trace out the bath themselves",
 }
 
 # Config entries that were removed, each with its reason; none may come back.
@@ -85,8 +87,8 @@ def test_every_keeper_still_lacks_a_caller():
 
 
 def test_replaced_definitions_stay_gone():
-    defined = {node.name for tree in _trees() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined = {node.name for tree in _trees() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}  # methods too
     back = sorted(name for name in GONE if name in defined or hasattr(isibench, name))
     assert not back, f"replaced definitions are back: {back}"
 

@@ -13,8 +13,8 @@ from isibench.dynamics import EVOLUTION_ELEMENT_CAP
 from isibench.hilbert import SIGMA_Z
 from isibench.models import analytic_eigensystem, sample_commuting_spec
 
-from _oracles import (expm_propagate, finite_time_average, ptrace_bath_loop,
-                      random_hermitian, random_state, reduced_state_loop)
+from _oracles import (expand_sectors, expm_propagate, finite_time_average,
+                      ptrace_bath_loop, random_hermitian, random_state, reduced_state_loop)
 
 
 def _evolution_problem(ds, db, seed):
@@ -23,7 +23,7 @@ def _evolution_problem(ds, db, seed):
     ham = random_hermitian(layout.dim_total, rng)
     spectral = eigendecompose(ham)
     state = PureState(random_state(layout.dim_total, rng), space="composite")
-    coeffs = overlaps(spectral, state)
+    coeffs = overlaps(spectral, state, layout)
     return ham, layout, spectral, state, coeffs, rng
 
 
@@ -38,8 +38,9 @@ def _equilibration_metric(coeffs, spectral, layout, horizon, n_times, rng=None):
 
 def _window_average(coeffs, spectral, layout, horizon):
     """The oracle's closed-form average of the reduced state over [0, horizon]."""
-    return finite_time_average(coeffs.values, spectral.eigenvalues, spectral.eigenvectors,
-                               layout.dim_system, layout.dim_bath, horizon)
+    return finite_time_average(coeffs.values, spectral.eigenvalues,
+                               expand_sectors(spectral, layout), layout.dim_system,
+                               layout.dim_bath, horizon)
 
 
 class TestEvolveReduced:
@@ -56,7 +57,7 @@ class TestEvolveReduced:
         trajectory = evolve_reduced(coeffs, spectral, layout, times)
         for k, t in enumerate(times):
             expected = reduced_state_loop(coeffs.values, spectral.eigenvalues,
-                                          spectral.eigenvectors, 2, 4, t)
+                                          expand_sectors(spectral, layout), 2, 4, t)
             assert np.abs(trajectory.states[k] - expected).max() < 1e-12
 
     def test_matches_expm_oracle(self):
@@ -82,7 +83,7 @@ class TestEvolveReduced:
         spectral = eigendecompose(ham)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
         phi = PureState(np.array([1.0]), space="bath")
-        coeffs = overlaps(spectral, tensor_product(psi, phi))
+        coeffs = overlaps(spectral, tensor_product(psi, phi), ham.layout)
         times = np.linspace(0.0, 10.0, 40)
         bloch = evolve_reduced(coeffs, spectral, ham.layout, times).bloch()
         assert np.abs(bloch[:, 2]).max() < 1e-12
@@ -95,7 +96,7 @@ class TestEvolveReduced:
         spectral = analytic_eigensystem(spec)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
         phi = PureState(random_state(16, rng), space="bath")
-        coeffs = overlaps(spectral, tensor_product(psi, phi))
+        coeffs = overlaps(spectral, tensor_product(psi, phi), spec.layout)
         times = np.linspace(0.0, 200.0, 400)
         trajectory = evolve_reduced(coeffs, spectral, spec.layout, times)
         purities = trajectory.purities()
@@ -138,8 +139,8 @@ class TestStratifiedTimes:
 class TestEquilibrationMetric:
     def test_zero_for_an_energy_eigenstate(self):
         ham, layout, spectral, _, _, rng = _evolution_problem(2, 4, 23)
-        coeffs = overlaps(spectral, PureState(spectral.eigenvectors[:, 2],
-                                              space="composite"))
+        coeffs = overlaps(spectral, PureState(expand_sectors(spectral, layout)[:, 2],
+                                              space="composite"), layout)
         value = _equilibration_metric(coeffs, spectral, layout, horizon=25.0,
                                       n_times=64, rng=rng)
         assert value < 1e-12
@@ -171,15 +172,15 @@ class TestFiniteTimeAverage:
         times = np.linspace(0.0, 30.0, 16)
         trajectory = evolve_reduced(coeffs, spectral, layout, times)
         rho = np.mean([reduced_state_loop(coeffs.values, spectral.eigenvalues,
-                                          spectral.eigenvectors, 2, 4, t)
+                                          expand_sectors(spectral, layout), 2, 4, t)
                        for t in times], axis=0)
         assert np.abs(rho - trajectory.states.mean(axis=0)).max() < 1e-14
 
     def test_eigenstate_average_is_stationary(self):
         ham, layout, spectral, _, _, _ = _evolution_problem(2, 4, 41)
         k = 3
-        coeffs = overlaps(spectral, PureState(spectral.eigenvectors[:, k],
-                                              space="composite"))
+        coeffs = overlaps(spectral, PureState(expand_sectors(spectral, layout)[:, k],
+                                              space="composite"), layout)
         reductions = eigenstate_reductions(spectral, layout)
         rho = _window_average(coeffs, spectral, layout, horizon=7.7)
         assert np.abs(rho - reductions.matrices[k]).max() < 1e-12

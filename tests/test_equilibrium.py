@@ -13,8 +13,8 @@ from isibench.equilibrium import weighted_reduction
 from isibench.models import analytic_eigensystem
 from isibench.spectral import DenseProjection, SpectralData
 
-from _oracles import (bath_averaged_equilibrium, kron_projection, maximally_mixed,
-                      projection_matrix, ptrace_bath_loop, random_hermitian,
+from _oracles import (bath_averaged_equilibrium, expand_sectors, kron_projection,
+                      maximally_mixed, projection_matrix, ptrace_bath_loop, random_hermitian,
                       random_state, subspace_averaged_equilibrium)
 
 
@@ -31,7 +31,8 @@ def _product_equilibria(psi, spectral, reductions):
     (count, dS, dS) equilibrium states of psi (x) phi."""
     def values(phis):
         columns = np.kron(psi.amplitudes[:, None], phis)
-        populations = np.abs(spectral.eigenvectors.conj().T @ columns) ** 2
+        vectors = expand_sectors(spectral, reductions.layout)
+        populations = np.abs(vectors.conj().T @ columns) ** 2
         return weighted_reduction(populations.T, reductions)
     return values
 
@@ -39,22 +40,23 @@ def _product_equilibria(psi, spectral, reductions):
 class TestOverlaps:
     def test_single_eigenvector(self):
         layout, spectral, _, _ = _random_problem(2, 4, 3)
-        state = PureState(spectral.eigenvectors[:, 3], space="composite")
-        pops = overlaps(spectral, state).populations
+        state = PureState(expand_sectors(spectral, layout)[:, 3], space="composite")
+        pops = overlaps(spectral, state, layout).populations
         assert pops[3] == pytest.approx(1.0, abs=1e-12)
         assert pops.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_superposition_of_two(self):
         layout, spectral, _, _ = _random_problem(2, 4, 5)
-        vec = (spectral.eigenvectors[:, 1] + spectral.eigenvectors[:, 2]) / math.sqrt(2)
-        pops = overlaps(spectral, PureState(vec, space="composite")).populations
+        vectors = expand_sectors(spectral, layout)
+        vec = (vectors[:, 1] + vectors[:, 2]) / math.sqrt(2)
+        pops = overlaps(spectral, PureState(vec, space="composite"), layout).populations
         assert pops[1] == pytest.approx(0.5, abs=1e-12)
         assert pops[2] == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_factor_space_state(self):
         layout, spectral, _, _ = _random_problem(2, 2, 7)
         with pytest.raises(ValidationError):
-            overlaps(spectral, PureState(np.array([1.0, 0.0]), space="system"))
+            overlaps(spectral, PureState(np.array([1.0, 0.0]), space="system"), layout)
 
 
 class TestEigenstateReductions:
@@ -65,13 +67,13 @@ class TestEigenstateReductions:
         reductions = eigenstate_reductions(eigendecompose(ham), ham.layout)
         system = eigendecompose(hs)
         for n in range(2):
-            v = system.eigenvectors[:, n]
+            v = expand_sectors(system, SpaceLayout(2, 1))[:, n]
             assert np.abs(reductions.matrices[n] - np.outer(v, v.conj())).max() < 1e-12
 
     def test_matches_loop_oracle(self):
         layout, spectral, reductions, _ = _random_problem(3, 4, 13)
         for n in range(layout.dim_total):
-            v = spectral.eigenvectors[:, n]
+            v = expand_sectors(spectral, layout)[:, n]
             expected = ptrace_bath_loop(np.outer(v, v.conj()), 3, 4)
             assert np.abs(reductions.matrices[n] - expected).max() < 1e-12
 
@@ -99,8 +101,8 @@ class TestTimeAveragedState:
     def test_eigenvector_input_returns_its_reduction(self):
         layout, spectral, reductions, _ = _random_problem(2, 6, 29)
         k = 5
-        coeffs = overlaps(spectral, PureState(spectral.eigenvectors[:, k],
-                                              space="composite"))
+        coeffs = overlaps(spectral, PureState(expand_sectors(spectral, layout)[:, k],
+                                              space="composite"), layout)
         rho = time_averaged_state(coeffs, reductions, spectral)
         assert trace_distance(rho, DensityMatrix(reductions.matrices[k],
                                                  space="system")) < 1e-12
@@ -108,18 +110,18 @@ class TestTimeAveragedState:
     def test_uniform_coefficients_give_maximally_mixed(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 31)
         d = layout.dim_total
-        vec = spectral.eigenvectors.sum(axis=1) / math.sqrt(d)
-        coeffs = overlaps(spectral, PureState(vec, space="composite"))
+        vec = expand_sectors(spectral, layout).sum(axis=1) / math.sqrt(d)
+        coeffs = overlaps(spectral, PureState(vec, space="composite"), layout)
         rho = time_averaged_state(coeffs, reductions, spectral)
         assert trace_distance(rho, maximally_mixed(2)) < 1e-10
 
     def test_degenerate_spectrum_is_refused_with_level_pairs(self):
         layout = SpaceLayout(2, 2)
         spectral = SpectralData(np.array([1.0, 1.0, 2.0, 3.0]),
-                                np.eye(4, dtype=complex))
+                                np.eye(4, dtype=complex)[None])
         reductions = eigenstate_reductions(spectral, layout)
         state = PureState(random_state(4, np.random.default_rng(37)), space="composite")
-        coeffs = overlaps(spectral, state)
+        coeffs = overlaps(spectral, state, layout)
         with pytest.raises(DegenerateSpectrumError, match=r"\(0, 1\)"):
             time_averaged_state(coeffs, reductions, spectral)
 
@@ -130,10 +132,10 @@ class TestTimeAveragedState:
         # so the block result is the diagonal of the populations
         layout = SpaceLayout(2, 2)
         spectral = SpectralData(np.array([1.0, 1.0, 2.0, 3.0]),
-                                np.eye(4, dtype=complex))
+                                np.eye(4, dtype=complex)[None])
         reductions = eigenstate_reductions(spectral, layout)
         amps = random_state(4, np.random.default_rng(41))
-        coeffs = overlaps(spectral, PureState(amps, space="composite"))
+        coeffs = overlaps(spectral, PureState(amps, space="composite"), layout)
         rho = time_averaged_state(coeffs, reductions, spectral, allow_degenerate=True)
         pops = np.abs(amps) ** 2
         expected = np.diag([pops[0] + pops[1], pops[2] + pops[3]])
@@ -142,7 +144,7 @@ class TestTimeAveragedState:
     def test_allow_degenerate_is_inert_on_clean_spectra(self):
         layout, spectral, reductions, rng = _random_problem(2, 4, 43)
         state = PureState(random_state(8, rng), space="composite")
-        coeffs = overlaps(spectral, state)
+        coeffs = overlaps(spectral, state, layout)
         plain = time_averaged_state(coeffs, reductions, spectral)
         tolerant = time_averaged_state(coeffs, reductions, spectral,
                                        allow_degenerate=True)
@@ -162,13 +164,13 @@ class TestSubspaceProjection:
             # grouped in the eigenbasis B = V, where W = V^H V, kept as |W|
             projection = projection_matrix(subspace_projection(spectral, layout),
                                            layout.dim_total)
-            vectors = spectral.eigenvectors
+            vectors = expand_sectors(spectral, layout)
             expected = np.abs(vectors.conj().T @ vectors)
         else:
             projection = projection_matrix(
                 subspace_projection(spectral, layout, PureState(psi, space="system"),
                                     prefix), layout.dim_total)
-            expected = kron_projection(spectral.eigenvectors, psi, prefix)
+            expected = kron_projection(expand_sectors(spectral, layout), psi, prefix)
         assert projection.shape == expected.shape
         assert np.abs(projection - expected).max() <= 1e-14
 
@@ -187,9 +189,8 @@ class TestDelta:
     def test_single_state_subspace_gives_that_purity(self):
         layout, spectral, reductions, _ = _random_problem(2, 6, 47)
         k = 2
-        vector = spectral.eigenvectors[:, k]
-        value = delta(reductions,
-                      DenseProjection(vector.conj()[None, :] @ spectral.eigenvectors))
+        vectors = expand_sectors(spectral, layout)
+        value = delta(reductions, DenseProjection(vectors[:, k].conj()[None, :] @ vectors))
         assert value == pytest.approx(reductions.purities[k], abs=1e-12)
 
     def test_full_space_averages_purities(self):
@@ -201,7 +202,7 @@ class TestDelta:
         # hand-built reductions that are all I/2: delta hits its floor 1/dS
         layout = SpaceLayout(2, 2)
         spectral = SpectralData(np.array([0.0, 1.0, 2.0, 4.0]),
-                                np.eye(4, dtype=complex))
+                                np.eye(4, dtype=complex)[None])
         from isibench.equilibrium import EigenstateReductions
         mats = np.broadcast_to(np.eye(2, dtype=complex) / 2, (4, 2, 2)).copy()
         reductions = EigenstateReductions(matrices=mats,
@@ -245,7 +246,7 @@ class TestBathAveragedEquilibrium:
         system = eigendecompose(hs)
         expected = np.zeros((2, 2), dtype=complex)
         for n in range(2):
-            v = system.eigenvectors[:, n]
+            v = expand_sectors(system, SpaceLayout(2, 1))[:, n]
             expected += abs(v.conj() @ psi.amplitudes) ** 2 * np.outer(v, v.conj())
         assert np.abs(rho - expected).max() < 1e-12
 
@@ -289,7 +290,7 @@ class TestBathAveragedEquilibrium:
         lifted = np.stack([np.kron(psi.amplitudes, unitary[:, l]) for l in range(6)])
         quad = np.einsum("i,nij,j->n", psi.amplitudes.conj(), reductions.matrices,
                          psi.amplitudes).real
-        per_level = np.abs(lifted.conj() @ spectral.eigenvectors) ** 2
+        per_level = np.abs(lifted.conj() @ expand_sectors(spectral, layout)) ** 2
         assert np.abs(per_level.sum(axis=0) - quad).max() < 1e-12
 
     def test_monte_carlo_error_decays_as_root_n(self):

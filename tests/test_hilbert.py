@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from isibench import (BlochVector, DensityMatrix, PureState, SpaceLayout,
-                      ValidationError, batched_partial_trace_bath, bloch_vector, purity,
-                      tensor_product, trace_distance)
+from isibench import (BlochVector, DensityMatrix, PureState, SpaceLayout, SpectralData,
+                      ValidationError, bloch_vector, purity, tensor_product, trace_distance)
 from isibench.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, check_density_stack
 
-from _oracles import (density_from_bloch, maximally_mixed, partial_trace_system,
-                      ptrace_bath_loop, ptrace_system_loop, random_density,
-                      random_density_factor, random_hermitian, random_state)
+from _oracles import (batched_partial_trace_bath, density_from_bloch, maximally_mixed,
+                      partial_trace_system, ptrace_bath_loop, ptrace_system_loop,
+                      random_density, random_density_factor, random_hermitian,
+                      random_state)
 
 
 class TestLayout:
@@ -136,8 +136,10 @@ class TestPartialTraces:
             DensityMatrix(partial_trace_system(factor @ factor.conj().T, 2, 6), space="bath")
 
     def test_rejects_columns_of_another_dimension(self):
+        # the package traces out the bath only from eigenvectors
+        spectral = SpectralData(np.arange(6.0), np.eye(6, dtype=complex)[None])
         with pytest.raises(ValidationError, match="2x4"):
-            batched_partial_trace_bath(np.ones((6, 3)), SpaceLayout(2, 4))
+            spectral.reductions(SpaceLayout(2, 4))
 
 
 class TestTraceDistance:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from isibench import (CommutingModelSpec, ValidationError, analytic_eigensystem,
-                      batched_partial_trace_bath, bit_signs, build_cucchietti_bath,
-                      build_random_model, check_nondegenerate_spectrum, commuting_norms,
-                      eigendecompose, gaussian_hermitian, purity, sample_commuting_spec,
+                      bit_signs, build_cucchietti_bath, build_random_model,
+                      check_nondegenerate_spectrum, commuting_norms, eigendecompose,
+                      gaussian_hermitian, purity, sample_commuting_spec,
                       sample_cucchietti_spec)
 from isibench.hilbert import SIGMA_X, SIGMA_Z
 
-from _oracles import build_commuting_model, expand_blocks, part_norms
+from _oracles import (batched_partial_trace_bath, build_commuting_model, expand_sectors,
+                      part_norms)
 
 
 def _spec(level_splitting, couplings, bath_energies):
@@ -87,7 +88,7 @@ class TestAnalyticEigensystem:
     def test_nearly_decoupled_limit(self):
         spec = _spec(1.0, [[1e-12, 0.0, 0.0]], [0.0])
         data = analytic_eigensystem(spec)
-        vectors = expand_blocks(data)
+        vectors = expand_sectors(data, spec.layout)
         assert np.allclose(data.eigenvalues, [-0.5, 0.5], atol=1e-12)
         assert abs(abs(vectors[1, 0]) - 1.0) < 1e-10
         assert abs(abs(vectors[0, 1]) - 1.0) < 1e-10
@@ -106,10 +107,11 @@ class TestAnalyticEigensystem:
             dense = eigendecompose(build_commuting_model(spec).total)
             norm = dense.spectral_norm
             assert np.abs(analytic.eigenvalues - dense.eigenvalues).max() < 1e-10 * norm
-            vectors = expand_blocks(analytic)
+            vectors = expand_sectors(analytic, spec.layout)
+            dense_vectors = expand_sectors(dense, spec.layout)
             for n in range(analytic.dim):
                 va = vectors[:, n]
-                vd = dense.eigenvectors[:, n]
+                vd = dense_vectors[:, n]
                 projector_gap = np.abs(np.outer(va, va.conj()) - np.outer(vd, vd.conj()))
                 assert projector_gap.max() < 1e-8
 
@@ -117,7 +119,7 @@ class TestAnalyticEigensystem:
         rng = np.random.default_rng(13)
         spec = sample_commuting_spec(16, 1.0, 1.0, 1.0, rng)
         data = analytic_eigensystem(spec)
-        vectors = expand_blocks(data)
+        vectors = expand_sectors(data, spec.layout)
         for n in range(data.dim):
             column = vectors[:, n].reshape(2, spec.dim_bath)
             populated = np.nonzero(np.abs(column).max(axis=0) > 1e-14)[0]
@@ -127,7 +129,8 @@ class TestAnalyticEigensystem:
         rng = np.random.default_rng(17)
         spec = sample_commuting_spec(16, 1.0, 1.0, 1.0, rng)
         data = analytic_eigensystem(spec)
-        for reduced in batched_partial_trace_bath(expand_blocks(data), spec.layout):
+        vectors = expand_sectors(data, spec.layout)
+        for reduced in batched_partial_trace_bath(vectors, spec.layout):
             assert purity(reduced) == pytest.approx(1.0, abs=1e-10)
 
     def test_min_level_spacing_field(self):
@@ -209,7 +212,8 @@ class TestRandomModel:
         part_sums = np.add.outer(np.linalg.eigvalsh(ham.system),
                                  np.linalg.eigvalsh(ham.bath)).ravel()
         assert np.allclose(np.sort(part_sums), data.eigenvalues, atol=1e-12)
-        for reduced in batched_partial_trace_bath(data.eigenvectors, ham.layout):
+        for reduced in batched_partial_trace_bath(expand_sectors(data, ham.layout),
+                                                  ham.layout):
             assert purity(reduced) == pytest.approx(1.0, abs=1e-10)
 
     def test_generic_draws_are_nondegenerate(self):

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from isibench import (SpaceLayout, ValidationError, batched_monte_carlo,
-                      batched_partial_trace_bath, dirichlet_weights, generator,
-                      haar_amplitudes, induced_states, sample_amplitudes)
+from isibench import (SpaceLayout, ValidationError, batched_monte_carlo, dirichlet_weights,
+                      generator, haar_amplitudes, induced_states, sample_amplitudes)
 from isibench.hilbert import batched_trace_distances
 
-from _oracles import ks_uniform_statistic, stream_generators
+from _oracles import batched_partial_trace_bath, ks_uniform_statistic, stream_generators
 
 
 class TestUniformSampling:

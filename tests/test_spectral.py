@@ -13,7 +13,8 @@ from isibench import spectral
 from isibench.hilbert import SIGMA_X, SIGMA_Z
 from isibench.spectral import SpectralData
 
-from _oracles import random_hermitian, reconstruct
+from _oracles import (batched_partial_trace_bath, expand_sectors, random_hermitian,
+                      reconstruct)
 
 
 class TestAssemble:
@@ -111,13 +112,13 @@ class TestBlockedChecks:
     def test_dense_readers_match_their_one_shot_forms(self):
         layout = _blocked_parts()[3]
         data = eigendecompose(_blocked_parts()[2])
-        vecs = data.eigenvectors
+        vecs = expand_sectors(data, layout)
         rng = np.random.default_rng(59)
         amplitudes = rng.standard_normal(BLOCKED_DIM) + 1j * rng.standard_normal(BLOCKED_DIM)
         assert np.array_equal(data.reductions(layout),
-                              spectral.batched_partial_trace_bath(vecs, layout))
+                              batched_partial_trace_bath(vecs, layout))
         times = np.linspace(0.0, 50.0, 2 * spectral.DENSE_BLOCK + 7)
-        one_shot = spectral.batched_partial_trace_bath(
+        one_shot = batched_partial_trace_bath(
             vecs @ (amplitudes[:, None] * np.exp(-1j * data.eigenvalues[:, None] * times)),
             layout)
         evolved = data.evolved_reductions(amplitudes, times, layout)
@@ -128,33 +129,33 @@ class TestEigendecompose:
     def test_sorts_diagonal_input(self):
         data = eigendecompose(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(data.eigenvalues, [1.0, 2.0, 3.0])
-        permutation = np.abs(data.eigenvectors)
+        permutation = np.abs(data.sectors[0])
         assert np.allclose(permutation, np.eye(3)[:, [1, 2, 0]])
 
     def test_sigma_x(self):
         data = eigendecompose(SIGMA_X)
         assert np.allclose(data.eigenvalues, [-1.0, 1.0])
         s = 1.0 / math.sqrt(2.0)
-        assert np.allclose(np.abs(data.eigenvectors), [[s, s], [s, s]])
+        assert np.allclose(np.abs(data.sectors[0]), [[s, s], [s, s]])
         # phase convention: the dominant component of each column is positive
-        assert data.eigenvectors[0, 0].real > 0
-        assert data.eigenvectors[0, 1].real > 0
+        assert data.sectors[0][0, 0].real > 0
+        assert data.sectors[0][0, 1].real > 0
 
     def test_residual_and_unitarity(self):
         rng = np.random.default_rng(31)
         h = random_hermitian(32, rng)
         data = eigendecompose(h)
         norm = np.abs(data.eigenvalues).max()
-        residual = h @ data.eigenvectors - data.eigenvectors * data.eigenvalues
+        residual = h @ data.sectors[0] - data.sectors[0] * data.eigenvalues
         assert np.abs(residual).max() < 1e-9 * norm
-        gram = data.eigenvectors.conj().T @ data.eigenvectors
+        gram = data.sectors[0].conj().T @ data.sectors[0]
         assert np.abs(gram - np.eye(32)).max() < 1e-10
 
     def test_phase_convention_is_deterministic(self):
         rng = np.random.default_rng(37)
         h = random_hermitian(8, rng)
-        first = eigendecompose(h).eigenvectors
-        second = eigendecompose(h.copy()).eigenvectors
+        first = eigendecompose(h).sectors[0]
+        second = eigendecompose(h.copy()).sectors[0]
         assert np.array_equal(first, second)
         for column in first.T:
             dominant = column[np.abs(column).argmax()]
@@ -166,7 +167,7 @@ class TestEigendecompose:
         h = random_hermitian(16, rng)
         data = eigendecompose(h)
         norm = np.abs(data.eigenvalues).max()
-        rebuilt = reconstruct(data.eigenvalues, data.eigenvectors)
+        rebuilt = reconstruct(data.eigenvalues, data.sectors[0])
         assert np.abs(rebuilt - h).max() < 1e-9 * norm
 
     def test_bath_basis_change_leaves_eigenvalues(self):
@@ -192,7 +193,7 @@ class TestEigendecompose:
 class TestDegeneracyChecks:
     def _data(self, eigenvalues):
         return SpectralData(np.asarray(eigenvalues, dtype=float),
-                            np.eye(len(eigenvalues), dtype=complex))
+                            np.eye(len(eigenvalues), dtype=complex)[None])
 
     def test_spaced_spectrum_passes(self):
         ok, spacing = check_nondegenerate_spectrum(self._data([0.0, 1.0, 2.0]))

@@ -19,8 +19,8 @@ from isibench.equilibrium import EigenstateReductions
 from isibench.models import analytic_eigensystem, sample_commuting_spec
 from isibench.spectral import DenseProjection, SpectralData
 
-from _oracles import (dirichlet_vector, eigenstate_reductions_loop, haar_vector,
-                      induced_state, kron_basis, mp_concentration_tail,
+from _oracles import (dirichlet_vector, eigenstate_reductions_loop, expand_sectors,
+                      haar_vector, induced_state, kron_basis, mp_concentration_tail,
                       mp_epsilon_prime, mp_theorem0_strong, naive_distance_estimate,
                       necessary_lhs_alternating, necessary_lhs_coordinate_ascent,
                       ptrace_bath_loop,
@@ -46,7 +46,7 @@ def _aligned_reductions():
     largest eigenvalue exactly 1."""
     layout = SpaceLayout(2, 2)
     spectral = SpectralData(np.array([0.0, 1.0, 2.0, 4.0]),
-                            np.eye(4, dtype=complex))
+                            np.eye(4, dtype=complex)[None])
     return spectral, eigenstate_reductions(spectral, layout)
 
 
@@ -140,8 +140,9 @@ class TestClosedFormBounds:
 class TestTheorem0Sampling:
     def test_single_state_subspace_has_zero_spread(self):
         layout, spectral, reductions, rng = _random_problem(2, 4, 3)
-        column = spectral.eigenvectors @ random_state(8, rng)
-        projection = DenseProjection(column.conj()[None, :] @ spectral.eigenvectors)
+        vectors = expand_sectors(spectral, layout)
+        column = vectors @ random_state(8, rng)
+        projection = DenseProjection(column.conj()[None, :] @ vectors)
         report = theorem0_mean_report(theorem0_estimate(projection, spectral, reductions,
                                                         0.05, n_samples=16, seed=5))
         assert report.lhs < 1e-12
@@ -211,7 +212,7 @@ class TestNecessaryCondition:
         # computational-basis eigenvectors: the bath average dephases psi, and
         # sup_psi ||diag(|psi|^2) - I/3||_1 = 4/3, attained at a basis state
         layout = SpaceLayout(3, 2)
-        spectral = SpectralData(np.arange(6.0), np.eye(6, dtype=complex))
+        spectral = SpectralData(np.arange(6.0), np.eye(6, dtype=complex)[None])
         reductions = eigenstate_reductions(spectral, layout)
         value = necessary_condition_lhs(reductions, n_starts=16, seed=3)
         assert value <= 4.0 / 3.0 + 1e-9
@@ -323,8 +324,8 @@ class TestBatchedEstimates:
         estimates = _batched_estimates(*problem)
 
         spectral = problem[1]
-        vectors = spectral.eigenvectors.T
-        rhos = eigenstate_reductions_loop(spectral.eigenvectors, ds, db)
+        vectors = expand_sectors(spectral, SpaceLayout(ds, db)).T
+        rhos = eigenstate_reductions_loop(vectors.T, ds, db)
         dim_r = columns.shape[1]
         weights = [np.linalg.norm(columns.conj().T @ v) ** 2 / dim_r for v in vectors]
         average = sum(w * rho for w, rho in zip(weights, rhos))
