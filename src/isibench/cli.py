@@ -12,8 +12,8 @@ Subcommands run the pipeline stages standalone or end to end:
 
 Configs are flat INI-style text with one level of sections; unknown sections
 or keys are errors.  The numerical thresholds of the checks and verdicts are
-fixed constants of the modules that apply them; the one ``[tolerances]`` key,
-``decompose_dim_cap``, is a resource limit on dense diagonalisation.
+fixed constants of the modules that apply them, and so are the caps that
+refuse a model by the arrays it would hold (``spectral.require_fits``).
 
 Every run derives all randomness from a single root seed, so identical
 configs give byte-identical data files (the only timestamp lives in the
@@ -51,9 +51,9 @@ from .hilbert import (DensityMatrix, PureState, SpaceLayout, bloch_vector, purit
 from .models import (CommutingModelSpec, analytic_eigensystem, build_random_model,
                      commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import generator, sample_amplitudes
-from .spectral import (DECOMPOSE_DIM_CAP, CompositeHamiltonian, DenseProjection,
+from .spectral import (STACK_ELEMENT_CAP, CompositeHamiltonian, DenseProjection,
                        GroupedProjection, SpectralData, check_nondegenerate_spectrum,
-                       eigendecompose, read_matrix, read_text, write_csv)
+                       eigendecompose, read_matrix, read_text, require_fits, write_csv)
 from .theorems import (THEOREM_IDS, THEOREMS, Theorem0Estimate, TheoremReport,
                        necessary_condition_lhs, theorem0_estimate, theorem2_lhs,
                        theorem2_reports, write_report)
@@ -209,7 +209,6 @@ class ExperimentConfig:
     sweep_metrics: tuple[str, ...] = _key("sweep.metrics", _parse_name_list,
                                           ("mean_squared_polarization",))
     out_dir: str = _key("output.dir", str.strip, DEFAULT_OUT_DIR)
-    decompose_dim_cap: int = _key("tolerances.decompose_dim_cap", int, DECOMPOSE_DIM_CAP, 1)
 
 
 CONFIG_KEYS = {f.metadata["key"].name: f.metadata["key"] for f in fields(ExperimentConfig)}
@@ -397,24 +396,18 @@ class Pipeline:
         return self
 
     def _check_dimension(self) -> None:
-        """Refuse a composite dimension above the cap before anything is drawn.
-
-        Every kind but a matrix file fixes d in its config: 2 dB, dS dB, or
-        2^(n_spins + 1), compared by bit length so that a huge n_spins is
-        never formed.
-        """
-        config, cap = self.config, self.config.decompose_dim_cap
-        if config.kind == "file":
-            return
-        if config.kind == "cucchietti":
-            exponent = config.n_spins + 1
-            too_large, shown = exponent >= cap.bit_length(), f"2^{exponent}"
-        else:
-            dim_total = (config.dim_system or 2) * config.dim_bath
-            too_large, shown = dim_total > cap, str(dim_total)
-        if too_large:
-            raise CapExceededError(f"composite dimension {shown} exceeds the cap {cap} "
-                                   "(tolerances.decompose_dim_cap)")
+        """``require_fits`` on the sectors the config fixes, before any draw: dB
+        of m = 2 (dB = 2^n_spins, by bit length first so that a huge n_spins is
+        never formed), or one of m = dS dB; a matrix file is checked as read."""
+        config, ds = self.config, self.config.dim_system or 2
+        if config.kind == "cucchietti" and config.n_spins >= STACK_ELEMENT_CAP.bit_length():
+            raise CapExceededError(f"composite dimension 2^{config.n_spins + 1}: its "
+                                   f"reductions exceed the cap {STACK_ELEMENT_CAP} entries")
+        dim_bath = config.dim_bath if config.n_spins is None else 2**config.n_spins
+        if config.kind in _SPIN:
+            require_fits(dim_bath, 2, 2)
+        elif config.kind == "random":
+            require_fits(1, ds * dim_bath, ds)
 
     @cached_property
     def model(self) -> ModelBundle:
@@ -450,8 +443,7 @@ class Pipeline:
             layout = SpaceLayout(config.dim_system or 2, config.dim_bath)
             source = (f"random Gaussian model (dS={layout.dim_system}, dB={config.dim_bath}, "
                       f"interaction strength {config.interaction_strength:g})")
-            return ModelBundle(layout, eigendecompose(total, config.decompose_dim_cap),
-                               None, source)
+            return ModelBundle(layout, eigendecompose(total), None, source)
 
         matrix, layout = read_matrix(config.matrix_path)
         if layout is None and config.dim_system is not None:
@@ -460,12 +452,13 @@ class Pipeline:
                 raise ConfigError(f"matrix dimension {dim} is not divisible by "
                                   f"dim_system {config.dim_system}")
             layout = SpaceLayout(config.dim_system, dim // config.dim_system)
+            require_fits(1, dim, config.dim_system)  # the file was checked at dS = 1
         elif layout is not None and config.dim_system is not None \
                 and layout.dim_system != config.dim_system:
             raise ConfigError(f"model.dim_system {config.dim_system} contradicts the "
                               f"file's layout tag dS={layout.dim_system}")
         try:
-            spectral = eigendecompose(matrix, config.decompose_dim_cap)
+            spectral = eigendecompose(matrix)
         except ValidationError as err:  # the file's matrix fails a check
             raise ConfigError(f"{config.matrix_path}: {err}") from None
         return ModelBundle(layout, spectral, None,

@@ -3,9 +3,10 @@
 Evolution is computed in the energy eigenbasis, and no propagator is ever
 formed (``SpectralData.evolved_reductions``).  The times are worked through
 in blocks, so only the (n_times, dS, dS) trajectory grows with the grid;
-``Trajectory`` keeps it without a copy, and ``EVOLUTION_ELEMENT_CAP`` bounds
-its entries.  The equilibration metric is the mean trace distance of the
-reduced states on a stratified time grid to the infinite-time average.
+``Trajectory`` keeps it without a copy, and ``spectral.STACK_ELEMENT_CAP``,
+the cap of every (count, dS, dS) stack a run holds, bounds its entries.  The
+equilibration metric is the mean trace distance of the reduced states on a
+stratified time grid to the infinite-time average.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from .equilibrium import OverlapCoefficients
 from .errors import CapExceededError, ValidationError
 from .hilbert import (DensityMatrix, SpaceLayout, batched_bloch_vectors,
                       batched_trace_distances, check_density_stack)
-from .spectral import SpectralData, write_csv
-
-EVOLUTION_ELEMENT_CAP = 20_000_000  # entries n_times * dS^2 of a trajectory
+from .spectral import STACK_ELEMENT_CAP, SpectralData, write_csv
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,9 @@ class Trajectory:
                 f"expected ({times.size}, {ds}, {ds}) states, got {states.shape}"
             )
         check_density_stack("trajectory states", states, positive=False)
-        times.setflags(write=False)
-        states.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
+        for name, value in (("times", times), ("states", states)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_times(self) -> int:
@@ -65,12 +63,10 @@ def require_evolution_fits(dim_system: int, n_times: int) -> None:
     that draws the time grid checks before the draw.  The evolution itself
     works through the times in blocks, so the trajectory is what grows."""
     entries = dim_system * dim_system
-    if entries * n_times > EVOLUTION_ELEMENT_CAP:
-        raise CapExceededError(
-            f"trajectory n_times * dS^2 = {n_times} * {entries} exceeds "
-            f"{EVOLUTION_ELEMENT_CAP}; set dynamics.n_times to at most "
-            f"{EVOLUTION_ELEMENT_CAP // entries}"
-        )
+    if entries * n_times > STACK_ELEMENT_CAP:
+        raise CapExceededError(f"trajectory n_times * dS^2 = {n_times} * {entries} exceeds "
+                               f"{STACK_ELEMENT_CAP}; set dynamics.n_times to at most "
+                               f"{STACK_ELEMENT_CAP // entries}")
 
 
 def evolve_reduced(coefficients: OverlapCoefficients, spectral: SpectralData,
@@ -79,9 +75,8 @@ def evolve_reduced(coefficients: OverlapCoefficients, spectral: SpectralData,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError(f"times must be a nonempty vector, got shape {times.shape}")
-    d = spectral.dim
-    if coefficients.dim != d or layout.dim_total != d:
-        raise ValidationError("coefficients, spectral data, and layout disagree on d")
+    if coefficients.dim != spectral.dim:  # the layout is checked by the spectral data
+        raise ValidationError("coefficients and spectral data disagree on d")
     require_evolution_fits(layout.dim_system, times.size)
     states = spectral.evolved_reductions(coefficients.values, times, layout)
     return Trajectory(times=times, states=states, layout=layout)

@@ -121,8 +121,6 @@ def overlaps(spectral: SpectralData, initial: PureState,
 def eigenstate_reductions(spectral: SpectralData,
                           layout: SpaceLayout) -> EigenstateReductions:
     """Bath-traced projectors of every eigenvector, batched."""
-    if spectral.dim != layout.dim_total:
-        raise ValidationError(f"spectral dim {spectral.dim} != layout {layout.dim_total}")
     mats = spectral.reductions(layout)
     purities = np.einsum("nij,nji->n", mats, mats).real
     bloch = batched_bloch_vectors(mats) if layout.dim_system == 2 else None
@@ -187,8 +185,6 @@ def subspace_projection(spectral: SpectralData, layout: SpaceLayout,
     dimension dR, the weights w_n = <n|Pi_R|n>/dR and the draw of the T0
     estimate; it is grouped for the whole space and for sectors of g = 1.
     """
-    if spectral.dim != layout.dim_total:
-        raise ValidationError(f"spectral dim {spectral.dim} != layout {layout.dim_total}")
     if psi is None:
         return spectral.projection(layout)
     if psi.space != "system" or psi.dim != layout.dim_system:

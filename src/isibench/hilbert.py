@@ -15,6 +15,7 @@ the distance equals the Euclidean distance of the Bloch vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +34,18 @@ HERMITICITY_TOL = 1e-12     # max |M - M^dagger| for density matrices
 TRACE_TOL = 1e-12           # |tr(rho) - 1|
 EIGENVALUE_FLOOR = 1e-10    # allowed negative slack on density eigenvalues
 BLOCH_EXCESS_TOL = 1e-10    # allowed excess of |p| over 1
+
+DENSE_BLOCK = 256  # rows, columns, times or matrices per block of a blocked pass
+
+
+def dense_blocks(n: int, size: int = DENSE_BLOCK) -> list[slice]:
+    """[0, n) cut into consecutive slices of ``size`` indices (the last shorter)."""
+    return [slice(start, start + size) for start in range(0, n, size)]
+
+
+def blocked_max(block_max: Callable[[slice], float], n: int) -> float:
+    """Max of ``block_max`` over ``dense_blocks(n)``, 0 for n = 0; np.max keeps a NaN."""
+    return float(np.max([block_max(rows) for rows in dense_blocks(n)], initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -84,16 +97,17 @@ class PureState:
 
 
 def check_density_stack(name: str, mats: np.ndarray, positive: bool = True) -> None:
-    """Refuse an (n, k, k) stack unless each matrix is Hermitian with unit trace
-    and, if ``positive``, PSD; the errors name the failing object ``name``."""
-    asym = float(np.abs(mats - mats.conj().transpose(0, 2, 1)).max())
+    """Refuse an (n, k, k) stack ``name`` unless each matrix is Hermitian with
+    unit trace and, if ``positive``, PSD.  The checks read DENSE_BLOCK matrices
+    at a time (``blocked_max``), so their temporaries do not grow with n."""
+    asym = blocked_max(lambda b: np.abs(mats[b] - mats[b].conj().swapaxes(1, 2)).max(), len(mats))
     if not asym <= HERMITICITY_TOL:  # a NaN entry fails too
         raise ValidationError(f"{name} not Hermitian: max asymmetry {asym:.3e}")
-    trace_err = float(np.abs(np.einsum("nii->n", mats) - 1.0).max())
+    trace_err = blocked_max(lambda b: np.abs(np.einsum("nii->n", mats[b]) - 1).max(), len(mats))
     if not trace_err <= TRACE_TOL:
         raise ValidationError(f"{name} trace deviates from 1 by {trace_err:.3e}")
-    if positive:
-        lowest = float(np.linalg.eigvalsh(mats).min())
+    if positive:  # min(lowest, 0): exact wherever the check fails
+        lowest = -blocked_max(lambda b: -np.linalg.eigvalsh(mats[b]).min(), len(mats))
         if not lowest >= -EIGENVALUE_FLOOR:
             raise ValidationError(f"{name} not positive semidefinite: "
                                   f"lowest eigenvalue {lowest:.3e}")

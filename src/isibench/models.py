@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import SpaceLayout
-from .spectral import CompositeHamiltonian, SpectralData, assemble, dense_blocks
+from .hilbert import SpaceLayout, dense_blocks
+from .spectral import CompositeHamiltonian, SpectralData, assemble
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,9 @@ class CommutingModelSpec:
         if np.abs(coup[:, :2]).max() == 0.0:
             raise ValidationError("at least one transverse coupling (x or y column) "
                                   "must be nonzero")
-        coup.setflags(write=False)
-        energies.setflags(write=False)
-        object.__setattr__(self, "couplings", coup)
-        object.__setattr__(self, "bath_energies", energies)
+        for name, value in (("couplings", coup), ("bath_energies", energies)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim_bath(self) -> int:

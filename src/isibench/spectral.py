@@ -18,16 +18,17 @@ refusals and the block average of a degenerate spectrum all read it.
 
 The thresholds of the checks are fixed module constants beside them;
 relative ones are scaled by the spectral norm of the operator they test.
-Only the dense decomposition cap is a parameter of ``eigendecompose``, since
-it states how large a matrix the machine may diagonalise.
+``require_fits`` refuses a model by the arrays it would hold: sectors above
+``DECOMPOSE_DIM_CAP`` (one is what the dense eigensolver takes), or d
+reductions above ``STACK_ELEMENT_CAP``, the entries of a (count, dS, dS) stack.
 
 The dense path holds each d x d array once.  The assembly, the checks on a
 d x d array, the reductions and the evolution work through it in blocks of
 ``DENSE_BLOCK`` rows, columns, labels or times, so that their temporaries
 are (DENSE_BLOCK, d) slabs; a blocked maximum is NaN when any block's is.
 The evolution of small sectors works through the times the same way, so
-that it holds one (DENSE_BLOCK, F) table of phases at the F Bohr
-frequencies.
+that it holds one table of phases at the F Bohr frequencies, of at most
+DENSE_BLOCK times and STACK_ELEMENT_CAP entries.
 
 Hamiltonians can be round-tripped through a small text format (one header
 line with a magic tag, one with dimensions and the system/bath split, then
@@ -46,29 +47,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, ValidationError
-from .hilbert import SpaceLayout, weighted_sum
+from .hilbert import DENSE_BLOCK, SpaceLayout, blocked_max, dense_blocks, weighted_sum
 from .sampling import Draw, dirichlet_weights, haar_amplitudes
 
 HAMILTONIAN_ASYMMETRY = 1e-10  # max |H - H^dagger| accepted on assembly
 UNITARITY = 1e-10              # max |V^dagger V - I| for eigenvector matrices
 RESIDUAL = 1e-9                # eigenpair residual, relative to norm(H)
 SPECTRUM_DEGENERACY = 1e-10    # min level spacing, relative to norm(H)
-DECOMPOSE_DIM_CAP = 8192       # dense eigensolver refusal point
-DENSE_BLOCK = 256              # rows, columns or times per block
+DECOMPOSE_DIM_CAP = 8192       # sector dimension m, the dense eigensolver's d
+STACK_ELEMENT_CAP = 20_000_000 # entries count * dS^2 of a (count, dS, dS) stack
 
 MATRIX_FORMAT_MAGIC = "isibench-matrix"
 MATRIX_FORMAT_VERSION = 1
-
-
-def dense_blocks(n: int) -> list[slice]:
-    """[0, n) cut into consecutive slices of DENSE_BLOCK indices (the last shorter)."""
-    return [slice(start, start + DENSE_BLOCK) for start in range(0, n, DENSE_BLOCK)]
-
-
-def _blocked_max(block_max: Callable[[slice], float], n: int) -> float:
-    """The maximum of ``block_max`` over ``dense_blocks(n)``: NaN if any block's
-    is NaN (np.max propagates it, Python's max would drop it), 0 for n = 0."""
-    return float(np.max([block_max(rows) for rows in dense_blocks(n)], initial=0.0))
 
 
 def _lifted_rows(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray,
@@ -111,10 +101,10 @@ class CompositeHamiltonian:
             if arr.shape != (dim, dim):
                 raise ValidationError(f"{name} part must be {dim}x{dim}, got {arr.shape}")
         total = np.asarray(self.total)
-        drift = _blocked_max(lambda rows: np.abs(
+        drift = blocked_max(lambda rows: np.abs(
             _lifted_rows(self.system, self.bath, self.interaction, rows) - total[rows]
         ).max(), len(total))
-        scale = max(1.0, _blocked_max(lambda rows: np.abs(total[rows]).max(), len(total)))
+        scale = max(1.0, blocked_max(lambda rows: np.abs(total[rows]).max(), len(total)))
         if not drift <= 1e-12 * scale:  # a NaN entry fails too
             raise ValidationError(f"total does not match assembled parts, drift {drift:.3e}")
 
@@ -123,7 +113,7 @@ def _require_hermitian(name: str, mat: np.ndarray) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
-    asym = _blocked_max(lambda rows: np.abs(arr[rows] - arr[:, rows].conj().T).max(),
+    asym = blocked_max(lambda rows: np.abs(arr[rows] - arr[:, rows].conj().T).max(),
                        len(arr))
     if not asym <= HAMILTONIAN_ASYMMETRY:  # a NaN entry fails too
         raise ValidationError(f"{name} not Hermitian: max asymmetry {asym:.3e} > "
@@ -345,16 +335,17 @@ class SpectralData:
 
         The whole space is grouped in the eigenbasis.  With g = 1 sector l
         overlaps only psi (x) |l>, so a product subspace is grouped by bath
-        level; otherwise W is dense, each sector filling its own g rows.
+        level; otherwise W is dense, each sector's einsum writing its g rows
+        and m columns in place, by label (the dense path's order, or permuted).
         """
         sectors = self._view(layout)
         n_sec, ds, g, m = sectors.shape
         if psi is None:
             return GroupedProjection(self.dim, np.full(self.dim, 1.0 / self.dim))
         k = layout.dim_bath if dim_prefix is None else dim_prefix
-        rank = np.empty(self.dim, dtype=np.intp)
-        rank[self.order] = np.arange(self.dim)
         if g == 1:
+            rank = np.empty(self.dim, dtype=np.intp)
+            rank[self.order] = np.arange(self.dim)
             shares = np.abs(np.einsum("s,csk->ck", psi.conj(), sectors[:, :, 0])) ** 2
             shares[k:] = 0.0
             return GroupedProjection(k, shares.ravel()[self.order] / k,
@@ -362,9 +353,10 @@ class SpectralData:
         matrix = np.zeros((k, self.dim), dtype=complex)
         for c in range(-(-k // g)):  # the sectors that hold the first k bath levels
             rows = slice(c * g, min(c * g + g, k))
-            matrix[rows, rank[c * m:c * m + m]] = np.einsum(
-                "s,sjn->jn", psi.conj(), sectors[c, :, :rows.stop - rows.start])
-        return DenseProjection(matrix)
+            np.einsum("s,sjn->jn", psi.conj(), sectors[c, :, :rows.stop - rows.start],
+                      out=matrix[rows, c * m:c * m + m])
+        in_order = np.array_equal(self.order, np.arange(self.dim))
+        return DenseProjection(matrix if in_order else matrix[:, self.order])
 
     def dephased_reduction(self, values: np.ndarray, splits: np.ndarray,
                            layout: SpaceLayout) -> np.ndarray:
@@ -377,12 +369,12 @@ class SpectralData:
         """
         sectors = self._view(layout)
         n_sec, ds, g, m = sectors.shape
-        groups = np.searchsorted(splits, np.arange(self.dim), side="right")
-        keys = self._by_sector(groups) + self.dim * np.arange(n_sec)[:, None]
-        unique, key_of = np.unique(keys.ravel(), return_inverse=True)
-        columns = np.einsum("csgk,ck->cksg", sectors, self._by_sector(values))
-        summed = np.zeros((unique.size, ds, g), dtype=complex)
-        np.add.at(summed, key_of, columns.reshape(self.dim, ds, g))
+        keys = self._by_sector(np.searchsorted(splits, np.arange(self.dim), side="right"))
+        keys += self.dim * np.arange(n_sec)[:, None]
+        key_of = np.unique(keys.ravel(), return_inverse=True)[1]
+        summed = np.zeros((key_of.max() + 1, ds, g), dtype=complex)  # one row per key
+        np.add.at(summed, key_of, np.einsum(  # the (d, dS, g) columns live only here
+            "csgk,ck->cksg", sectors, self._by_sector(values)).reshape(-1, ds, g))
         return np.einsum("ksg,ktg->st", summed, summed.conj())
 
     def evolved_reductions(self, values: np.ndarray, times: np.ndarray,
@@ -397,9 +389,9 @@ class SpectralData:
         frequencies w = E_k' - E_k, k < k', cost no more exponentials than m
         amplitudes: rho(t) = sum_k |c_k|^2 A_k A_k^H + sum (exp(-i w t) M +
         h.c.), M = c_k' conj(c_k) A_k' A_k^H.  A block of times fills one
-        (DENSE_BLOCK, F) phase table, allocated once, and contracts it with
-        the (dS^2, F) table of the M by einsum, which calls no BLAS: a row's
-        sum depends on neither the block nor the BLAS thread count.
+        (rows, F) phase table, allocated once (rows F <= STACK_ELEMENT_CAP),
+        and contracts it with the (dS^2, F) table of the M by einsum, which
+        calls no BLAS: a row's sum depends on neither rows nor the threads.
         """
         sectors = self._view(layout)
         n_sec, ds, g, m = sectors.shape
@@ -420,8 +412,9 @@ class SpectralData:
                            weighted[:, :, lower].conj()).reshape(ds * ds, frequencies.size)
         static = np.einsum("csk,ctk->st", weighted, weighted.conj())
         out = np.empty((times.size, ds, ds), dtype=complex)
-        table = np.empty((min(times.size, DENSE_BLOCK), frequencies.size), dtype=complex)
-        for span in dense_blocks(times.size):
+        rows = max(1, min(times.size, DENSE_BLOCK, STACK_ELEMENT_CAP // frequencies.size))
+        table = np.empty((rows, frequencies.size), dtype=complex)
+        for span in dense_blocks(times.size, rows):
             phases = table[:len(times[span])]
             np.multiply.outer(times[span], frequencies, out=phases)
             phases *= -1j
@@ -458,14 +451,28 @@ def _unitarity_error(vecs: np.ndarray, rows: slice) -> float:
     return np.abs(gram).max()
 
 
-def eigendecompose(hamiltonian, dim_cap: int = DECOMPOSE_DIM_CAP) -> SpectralData:
+def require_fits(n_sec: int, m: int, dim_system: int) -> None:
+    """Refuse, before it is built, a model of n_sec sectors of dimension m above
+    DECOMPOSE_DIM_CAP, or whose d = n_sec m reductions hold more than
+    STACK_ELEMENT_CAP entries d dS^2 (dS = 1: a matrix of no known layout)."""
+    d, entries = n_sec * m, n_sec * m * dim_system * dim_system
+    if m > DECOMPOSE_DIM_CAP:
+        raise CapExceededError(f"sector dimension {m} exceeds the eigensolver cap {DECOMPOSE_DIM_CAP}")
+    if entries > STACK_ELEMENT_CAP:
+        raise CapExceededError(f"composite dimension {d}: its eigenstate reductions hold "
+                               f"d * dS^2 = {entries} entries, above the cap "
+                               f"{STACK_ELEMENT_CAP}")
+
+
+def eigendecompose(hamiltonian) -> SpectralData:
     """Dense Hermitian eigendecomposition with deterministic phases.
 
     Accepts a CompositeHamiltonian (only its ``total`` is read) or a plain
-    Hermitian array, and refuses a dimension above ``dim_cap``.  Verifies
-    the residual ``max |H v_n - E_n v_n|`` against ``RESIDUAL * norm(H)`` and
-    the unitarity of the eigenvector matrix, so downstream consumers can rely
-    on SpectralData invariants without rechecking; a NaN fails either check.
+    Hermitian array, refused by its shape, before any copy, above
+    ``DECOMPOSE_DIM_CAP``.  Verifies the residual ``max |H v_n - E_n v_n|``
+    against ``RESIDUAL * norm(H)`` and the unitarity of the eigenvector matrix,
+    so downstream consumers can rely on SpectralData invariants without
+    rechecking; a NaN fails either check.
 
     Besides H, the call holds the eigensolver's own buffers while
     ``numpy.linalg.eigh`` runs (about four d x d arrays, the eigenvectors
@@ -474,10 +481,9 @@ def eigendecompose(hamiltonian, dim_cap: int = DECOMPOSE_DIM_CAP) -> SpectralDat
     and which the result keeps as its one sector.
     """
     mat = hamiltonian.total if isinstance(hamiltonian, CompositeHamiltonian) else hamiltonian
+    require_fits(1, max(np.shape(mat), default=0), 1)
     mat = _require_hermitian("hamiltonian", mat)
     d = mat.shape[0]
-    if d > dim_cap:
-        raise CapExceededError(f"dimension {d} exceeds the dense decomposition cap {dim_cap}")
     evals, evecs = np.linalg.eigh(mat)
     span = float(evals[-1]) - float(evals[0])  # Python floats: no overflow warning
     if not np.isfinite(span):
@@ -485,11 +491,11 @@ def eigendecompose(hamiltonian, dim_cap: int = DECOMPOSE_DIM_CAP) -> SpectralDat
     evecs = _fix_phases_in_place(evecs)
 
     hnorm = max(float(np.abs(evals).max()), 1e-300)
-    residual = _blocked_max(lambda cols: np.abs(
+    residual = blocked_max(lambda cols: np.abs(
         mat @ evecs[:, cols] - evecs[:, cols] * evals[cols]).max(), d)
     if not residual <= RESIDUAL * hnorm:
         raise ValidationError(f"eigenpair residual {residual:.3e} exceeds {RESIDUAL:.1e}*|H|")
-    unit_err = _blocked_max(lambda rows: _unitarity_error(evecs, rows), d)
+    unit_err = blocked_max(lambda rows: _unitarity_error(evecs, rows), d)
     if not unit_err <= UNITARITY:
         raise ValidationError(f"eigenvector matrix not unitary: {unit_err:.3e}")
 
@@ -590,21 +596,17 @@ def read_matrix(path) -> tuple[np.ndarray, SpaceLayout | None]:
         raise ConfigError(f"{path}: line 1: expected '{MATRIX_FORMAT_MAGIC} <version>'")
     if int(head[1]) != MATRIX_FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported format version {head[1]}")
-    if len(lines) < 2:
-        raise ConfigError(f"{path}: missing dimension line")
-    dims = lines[1].split()
-    if len(dims) != 4:
-        raise ConfigError(f"{path}: line 2: expected 'rows cols dS dB'")
-    try:
-        rows, cols, ds, db = (int(x) for x in dims)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: line 2: non-integer dimension: {exc}") from None
+    try:  # a missing line, a wrong count or a non-integer
+        rows, cols, ds, db = (int(x) for x in lines[1].split())
+    except (IndexError, ValueError):
+        raise ConfigError(f"{path}: line 2: expected integers 'rows cols dS dB'") from None
     if rows < 1 or cols < 1:
         raise ConfigError(f"{path}: invalid dimensions {rows}x{cols}")
     if (ds, db) != (0, 0) and (ds < 2 or db < 1 or ds * db != rows or rows != cols):
         raise ConfigError(f"{path}: line 2: layout {ds}x{db} does not fit a {rows}x{cols} "
                           "matrix (need dS >= 2, dB >= 1 and dS*dB rows and columns, "
                           "or 0 0 for no layout)")
+    require_fits(1, rows, ds or 1)  # before any row is parsed
     if len(lines) != 2 + rows:
         raise ConfigError(f"{path}: expected {rows} data lines, found {len(lines) - 2}")
     data = []

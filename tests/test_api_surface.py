@@ -9,12 +9,14 @@ body.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import isibench
 from isibench import cli
 
 PACKAGE = Path(isibench.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Public definitions that nothing in the package calls, each with its reason.
 KEEPERS = {
@@ -28,7 +30,7 @@ KEEPERS = {
 GONE = {
     "SparseProjection": "GroupedProjection: Dirichlet weights on a stack built once",
     "split_counts": "batched_monte_carlo: every estimate draws from one stream of its seed",
-    "Tolerances": "module constants beside their checks; ExperimentConfig.decompose_dim_cap",
+    "Tolerances": "module constants beside their checks",
     "stream_generators": "generator: every draw takes the one stream of its seed",
     "from_blocks": "SpectralData.from_sectors: one sector form for every model",
     "batched_partial_trace_bath": "SpectralData's readers trace out the bath themselves",
@@ -43,6 +45,8 @@ GONE_KEYS = {
     "tolerances.spectrum_degeneracy": "fixed as spectral.SPECTRUM_DEGENERACY",
     "tolerances.sufficient_isi_threshold": "fixed as theorems.SUFFICIENT_ISI_THRESHOLD",
     "tolerances.verdict_boundary": "fixed as theorems.VERDICT_BOUNDARY",
+    "tolerances.decompose_dim_cap": "spectral.DECOMPOSE_DIM_CAP and STACK_ELEMENT_CAP, "
+                                    "read from the sector shape of the config",
 }
 
 
@@ -96,3 +100,19 @@ def test_replaced_definitions_stay_gone():
 def test_removed_config_keys_stay_gone():
     back = sorted(GONE_KEYS.keys() & cli.CONFIG_KEYS.keys())
     assert not back, f"removed config keys are back: {back}"
+
+
+def test_readme_documents_each_config_key_under_its_section():
+    # a ### `[section]` heading per config section, naming each of its keys
+    # before the next heading, so that no key comes or goes without its docs
+    parts = re.split(r"^#{2,3} (.*)$", README.read_text(encoding="utf-8"), flags=re.M)
+    documented = {match.group(1): text for heading, text in zip(parts[1::2], parts[2::2])
+                  if (match := re.fullmatch(r"`\[(\w+)\]`", heading))}
+    sections: dict[str, list[str]] = {}
+    for name in cli.CONFIG_KEYS:
+        section, _, key = name.partition(".")
+        sections.setdefault(section, []).append(key)
+    assert set(documented) == set(sections)
+    missing = [f"{section}.{key}" for section, keys in sections.items() for key in keys
+               if f"`{key}`" not in documented[section]]
+    assert not missing, f"config keys not named under their README heading: {missing}"

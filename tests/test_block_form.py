@@ -381,6 +381,27 @@ def test_block_evolution_holds_one_block_of_phases():
     assert peak < 48 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
+def test_phase_table_is_bounded_by_the_stack_cap(monkeypatch):
+    """dB = 10,000 Bohr frequencies and 600 times: with the stack cap lowered
+    to 3 dB entries the phase table holds 3 times (470 KiB, not the 39 MiB of
+    256), and every row keeps the bits of the 256-row table."""
+    ds, db = 2, 10_000
+    spectral = _qudit_blocks(ds, db, 83)
+    layout = SpaceLayout(ds, db)
+    values = sample_amplitudes(spectral.dim, 1, generator(89))[:, 0]
+    times = stratified_times(1e3, 600, generator(97))
+    full = spectral.evolved_reductions(values, times, layout)
+    monkeypatch.setattr("isibench.spectral.STACK_ELEMENT_CAP", 3 * db)
+    tracemalloc.start()
+    try:
+        capped = spectral.evolved_reductions(values, times, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(capped, full)
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def _two_level_sectors(ds, seed):
     """g = 2: a dS-level system on dB = 8 bath levels in n_sec = 4 sectors of
     two levels, with random unitary sector blocks.  Two energies repeat: one
@@ -450,6 +471,25 @@ def test_eigendecompose_keeps_the_eigenvectors_it_checks():
         tracemalloc.stop()
     assert not spectral.sectors.flags.writeable
     assert peak <= 1.6 * array, f"peak {peak / array:.2f} arrays above H"
+
+
+def test_dense_product_projection_is_written_in_place():
+    """dS = 3, dB = 128: each sector's einsum writes its own rows of W, so the
+    call holds W once (the one sector of the dense path) and W keeps the bits
+    of one einsum over the eigenvector matrix."""
+    layout = SpaceLayout(3, 128)
+    spectral = eigendecompose(gaussian_hermitian(layout.dim_total, generator(5)))
+    psi = sample_amplitudes(3, 1, generator(7))[:, 0]
+    tracemalloc.start()
+    try:
+        matrix = spectral.projection(layout, psi).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_einsum = np.einsum("s,sjn->jn", psi.conj(),
+                           spectral.sectors[0].reshape(3, 128, layout.dim_total))
+    assert np.array_equal(matrix, one_einsum)
+    assert peak <= 1.25 * matrix.nbytes, f"peak {peak / matrix.nbytes:.2f} W"
 
 
 def test_dynamics_stage_keeps_the_evolved_trajectory():

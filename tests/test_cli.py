@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from isibench import cli
+from isibench import cli, spectral
 from isibench.hilbert import SpaceLayout
 from isibench.models import build_random_model
 from isibench.sampling import generator
@@ -107,8 +107,10 @@ class TestConfigErrors:
     def test_unknown_tolerance_field(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 4\n"
                                    "[tolerances]\nnope = 1\n")
-        assert cli.main(["spectrum", "--config", cfg]) == 2
-        assert "nope" in capsys.readouterr().err
+        out_dir = tmp_path / "out"
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "error: unknown config section [tolerances]\n"
+        assert not out_dir.exists()
 
     def test_file_kind_requires_a_path(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[model]\nkind = file\n")
@@ -152,17 +154,47 @@ class TestConfigErrors:
 
 class TestErrorExitCodes:
     def test_dimension_cap_exits_3(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 8192\n")
-        assert cli.main(["spectrum", "--config", cfg,
-                         "--out", str(tmp_path / "out")]) == 3
+        # one sector of m = d = 8194, above the dense eigensolver cap
+        cfg = _write_cfg(tmp_path, "[model]\nkind = random\ndim_bath = 4097\n")
+        out_dir = tmp_path / "out"
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(out_dir)]) == 3
         err = capsys.readouterr().err
-        assert "16384" in err and "8192" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "8194" in err and "8192" in err
+        assert not out_dir.exists()
 
-    def test_lowered_cap_from_the_tolerances_section(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 4\n"
-                                   "[tolerances]\ndecompose_dim_cap = 4\n")
+    @pytest.mark.parametrize("command, model", [
+        ("spectrum", "kind = commuting\ndim_bath = 8192"),
+        ("model-info", "kind = cucchietti\nn_spins = 13"),
+    ], ids=["commuting", "cucchietti"])
+    def test_closed_form_models_run_past_the_eigensolver_cap(self, tmp_path, capsys,
+                                                             command, model):
+        # d = 16384: dB sectors of two levels, and no eigensolver call
+        cfg = _write_cfg(tmp_path, f"[model]\n{model}\n")
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "dimension: 16384" in capsys.readouterr().out
+
+    def test_matrix_file_above_the_cap_exits_3_by_its_dimension_line(self, tmp_path,
+                                                                     capsys):
+        matrix_path = tmp_path / "huge.mat"
+        matrix_path.write_text("isibench-matrix 1\n8193 8193 0 0\n", encoding="utf-8")
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
+        out_dir = tmp_path / "out"
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "8193" in err and "8192" in err
+        assert not out_dir.exists()
+
+    def test_tagged_matrix_file_whose_reductions_exceed_the_cap_exits_3(
+            self, tmp_path, capsys, monkeypatch):
+        # d = 8 and dS = 4: the reductions hold 8 * 16 = 128 entries
+        monkeypatch.setattr(spectral, "STACK_ELEMENT_CAP", 127)
+        matrix_path = tmp_path / "tagged.mat"
+        write_matrix(matrix_path, np.diag(np.arange(8.0)), SpaceLayout(4, 2))
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
         assert cli.main(["spectrum", "--config", cfg,
                          "--out", str(tmp_path / "out")]) == 3
+        assert "d * dS^2 = 128 entries, above the cap 127" in capsys.readouterr().err
 
     def test_degenerate_spectrum_exits_4_from_equilibrium(self, tmp_path, capsys):
         matrix_path = tmp_path / "degenerate.mat"
@@ -567,6 +599,7 @@ class TestInputHardening:
         assert err.startswith("error: ")
         assert "isibench-matrix <version>" in err
 
+    # the [tolerances] section is gone: its entries name the unknown section
     @pytest.mark.parametrize("entry, field, section", [
         ("hermiticity = 1e-30", "hermiticity", "tolerances"),
         ("decompose_dim_cap = -1", "decompose_dim_cap", "tolerances"),
@@ -595,13 +628,8 @@ class TestInputHardening:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert f"{section}.{field}" in err
+        assert ("[tolerances]" if section == "tolerances" else f"{section}.{field}") in err
         assert not (tmp_path / "out").exists()
-
-    def test_tolerances_section_is_exactly_the_tolerances_fields(self):
-        keys = {name.partition(".")[2] for name in cli.CONFIG_KEYS
-                if name.startswith("tolerances.")}
-        assert keys == {"decompose_dim_cap"}
 
     @pytest.mark.parametrize("command", ["spectrum", "run"])
     @pytest.mark.parametrize("cells", [{(0, 0): "nan"}, {(0, 1): "inf", (1, 0): "inf"},
@@ -639,13 +667,23 @@ class TestInputHardening:
         assert result.stderr.startswith("error: spectrum has ")
         assert result.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("config, overrides", [
-        ("cucchietti", ["model.n_spins=64"]),
-        ("sec5_violation", ["model.dim_bath=10000000000000"]),
-        ("random_contrast", ["model.dim_bath=1000000000"]),
-    ], ids=["cucchietti", "commuting", "random"])
-    def test_oversized_model_exits_3_before_anything_is_drawn(self, tmp_path, capsys,
-                                                             config, overrides):
+    # The reductions of a qubit model hold 4 d entries, at most 20,000,000:
+    # dB <= 2,500,000, n_spins <= 21.  A random model is one sector of m = d.
+    @pytest.mark.parametrize("config, overrides, named", [
+        ("cucchietti", ["model.n_spins=64"], "2^65"),
+        ("cucchietti", ["model.n_spins=22"], "8388608"),
+        ("sec5_violation", ["model.dim_bath=10000000000000"], "20000000000000"),
+        ("sec5_violation", ["model.dim_bath=2500001"], "5000002"),
+        ("random_contrast", ["model.dim_bath=1000000000"], "2000000000"),
+        ("random_contrast", ["model.dim_system=50", "model.dim_bath=163"], "8150"),
+    ], ids=["cucchietti", "cucchietti_22", "commuting", "commuting_2500001", "random",
+            "random_reductions"])
+    def test_oversized_model_exits_3_before_anything_is_drawn(
+            self, tmp_path, capsys, monkeypatch, config, overrides, named):
+        def no_draw(seed):
+            pytest.fail("a generator was made before the cap was checked")
+
+        monkeypatch.setattr(cli, "generator", no_draw)
         if config == "cucchietti":
             config = _write_cfg(tmp_path, "[model]\nkind = cucchietti\nn_spins = 4\n")
         out_dir = tmp_path / "out"
@@ -654,9 +692,15 @@ class TestInputHardening:
             argv += ["--override", item]
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: composite dimension ") and err.count("\n") == 1
-        assert "tolerances.decompose_dim_cap" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err and ("20000000" in err or "8192" in err)
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("kind, size", [("commuting", {"dim_bath": 2_500_000}),
+                                            ("cucchietti", {"n_spins": 21})])
+    def test_largest_closed_form_models_pass_the_check(self, kind, size):
+        # d * dS^2 = 20,000,000 and 16,777,216 entries: at the cap and below it
+        cli.Pipeline(cli.ExperimentConfig(kind=kind, **size))._check_dimension()
 
     @pytest.mark.parametrize("command", ["run", "equilibrium"])
     def test_degenerate_spectrum_exits_4_before_any_file(self, tmp_path, capsys, command):

@@ -9,9 +9,9 @@ from isibench import (CapExceededError, PureState, SpaceLayout, Trajectory,
                       eigenstate_reductions, equilibrate, evolve_reduced, overlaps,
                       stratified_times, time_averaged_state, trace_distance,
                       tensor_product, write_trajectory_csv)
-from isibench.dynamics import EVOLUTION_ELEMENT_CAP
 from isibench.hilbert import SIGMA_Z
 from isibench.models import analytic_eigensystem, sample_commuting_spec
+from isibench.spectral import STACK_ELEMENT_CAP
 
 from _oracles import (expand_sectors, expm_propagate, finite_time_average,
                       ptrace_bath_loop, random_hermitian, random_state, reduced_state_loop)
@@ -107,7 +107,7 @@ class TestEvolveReduced:
     def test_element_cap(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(3, 4, 17)
         with pytest.raises(CapExceededError):
-            evolve_reduced(coeffs, spectral, layout, np.zeros(EVOLUTION_ELEMENT_CAP // 9 + 1))
+            evolve_reduced(coeffs, spectral, layout, np.zeros(STACK_ELEMENT_CAP // 9 + 1))
 
     def test_times_that_overflow_the_phases_are_refused(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 19)
@@ -226,11 +226,11 @@ class TestFiniteTimeAverage:
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 67)
         with pytest.raises(CapExceededError, match="n_times") as caught:
             evolve_reduced(coeffs, spectral, layout,
-                           np.zeros(EVOLUTION_ELEMENT_CAP // 4 + 1))
+                           np.zeros(STACK_ELEMENT_CAP // 4 + 1))
         largest = int(re.search(r"dynamics\.n_times to at most (\d+)",
                                 str(caught.value)).group(1))
         # the trajectory holds n_times * dS^2 = 4 n_times entries, whatever d is
-        assert 4 * largest <= EVOLUTION_ELEMENT_CAP < 4 * (largest + 1)
+        assert 4 * largest <= STACK_ELEMENT_CAP < 4 * (largest + 1)
 
     def test_evolution_needs_a_time_vector(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 2, 71)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,25 @@ class TestStates:
             check_density_stack("stack", stack, positive=False)
         with pytest.raises(ValidationError):
             DensityMatrix(stack[1])
+
+    def test_density_stack_check_holds_one_block_of_temporaries(self):
+        """(2^18, 2, 2) states, 16 MiB: the checks work through the stack in
+        blocks, so their temporaries stay below a quarter of it."""
+        stack = np.zeros((2**18, 2, 2), dtype=complex)
+        stack[:, 0, 0] = stack[:, 1, 1] = 0.5
+        tracemalloc.start()
+        try:
+            check_density_stack("stack", stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * stack.nbytes, f"peak {peak / stack.nbytes:.2f} stacks"
+
+    def test_a_nan_in_a_late_block_is_refused(self):
+        stack = np.stack([np.eye(2, dtype=complex) / 2] * 10000)
+        stack[9000, 0, 1] = np.nan
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            check_density_stack("stack", stack)
 
 
 class TestTensorProduct:

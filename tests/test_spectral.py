@@ -185,9 +185,15 @@ class TestEigendecompose:
         after = eigendecompose(rotated).eigenvalues
         assert np.abs(before - after).max() < 1e-10
 
-    def test_dimension_cap(self):
-        with pytest.raises(CapExceededError):
-            eigendecompose(np.eye(8), 4)
+    def test_dimension_cap(self, monkeypatch):
+        # the shape is refused before the input is copied or checked
+        def no_check(name, mat):
+            pytest.fail("the input was checked before its shape")
+
+        monkeypatch.setattr(spectral, "DECOMPOSE_DIM_CAP", 4)
+        monkeypatch.setattr(spectral, "_require_hermitian", no_check)
+        with pytest.raises(CapExceededError, match="dimension 8 exceeds .* cap 4"):
+            eigendecompose(np.eye(8))
 
 
 class TestDegeneracyChecks:
