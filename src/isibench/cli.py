@@ -538,9 +538,10 @@ class Pipeline:
     def dynamics(self) -> tuple[float, Trajectory, float]:
         """(horizon, trajectory, mean trace distance to the time average)."""
         spectral = self.spectral
-        # The horizon divides by the level spacing: allow_degenerate cannot apply.
+        # A degenerate spectrum is refused whatever allow_degenerate says.  The
+        # horizon divides by the smallest Bohr frequency a reduced state sees.
         require_nondegenerate(spectral)
-        ratio, spacing = self.config.horizon_over_min_gap, spectral.min_level_spacing
+        ratio, spacing = self.config.horizon_over_min_gap, spectral.min_sector_spacing
         horizon = ratio / spacing
         # 2 max|E_n| bounds every Bohr frequency, so the phases stay finite
         # when the horizon times it does.
@@ -550,7 +551,7 @@ class Pipeline:
             while not math.isfinite(largest / spacing * rate):
                 largest = math.nextafter(largest, 0.0)
             raise ConfigError(f"dynamics.horizon_over_min_gap = {ratio:g} overflows the "
-                              f"phases of the evolution (smallest level spacing "
+                              f"phases of the evolution (smallest within-sector spacing "
                               f"{spacing:.6g}, max |E| {spectral.spectral_norm:.6g}); "
                               f"set it to at most {largest!r}")
         require_evolution_fits(self.layout.dim_system, self.config.n_times)

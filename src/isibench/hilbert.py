@@ -213,12 +213,18 @@ def batched_trace_distances(states: np.ndarray, reference: np.ndarray) -> np.nda
     """Trace distances of an (n, k, k) stack of unit-trace states to one reference.
 
     Qubit distances are the Euclidean distances of the Bloch vectors, so no
-    eigensolver runs; larger systems take one batched ``eigvalsh``.
+    eigensolver runs; larger systems take a batched ``eigvalsh``.  The stack
+    is read DENSE_BLOCK matrices at a time, so temporaries do not grow with n.
     """
-    difference = np.asarray(states, dtype=complex) - _as_matrix(reference)
-    if difference.shape[1:] == (2, 2):
-        return np.linalg.norm(batched_bloch_vectors(difference), axis=1)
-    return np.abs(np.linalg.eigvalsh(difference)).sum(axis=1)
+    states, reference = np.asarray(states, dtype=complex), _as_matrix(reference)
+    distances = np.empty(len(states))
+    for block in dense_blocks(len(states)):
+        difference = states[block] - reference
+        if difference.shape[1:] == (2, 2):
+            distances[block] = np.linalg.norm(batched_bloch_vectors(difference), axis=1)
+        else:
+            distances[block] = np.abs(np.linalg.eigvalsh(difference)).sum(axis=1)
+    return distances
 
 
 def weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:

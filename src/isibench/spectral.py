@@ -14,7 +14,10 @@ The equilibration statements this package evaluates assume a nondegenerate
 spectrum.  ``degenerate_level_pairs`` is the one place that decides it: two
 consecutive levels are degenerate when their spacing is at most
 ``SPECTRUM_DEGENERACY`` times the spectral norm of H.  The verdict, the
-refusals and the block average of a degenerate spectrum all read it.
+refusals and the block average of a degenerate spectrum all read it.  The
+dynamics takes its timescale from ``min_sector_spacing`` instead, the
+smallest gap between levels of one sector: Tr_B removes the coherences
+between sectors, so a reduced state sees no other Bohr frequency.
 
 The thresholds of the checks are fixed module constants beside them;
 relative ones are scaled by the spectral norm of the operator they test.
@@ -28,7 +31,7 @@ d x d array, the reductions and the evolution work through it in blocks of
 are (DENSE_BLOCK, d) slabs; a blocked maximum is NaN when any block's is.
 The evolution of small sectors works through the times the same way, so
 that it holds one table of phases at the F Bohr frequencies, of at most
-DENSE_BLOCK times and STACK_ELEMENT_CAP entries.
+DENSE_BLOCK times and DENSE_BLOCK^2 entries (one time when F is larger).
 
 Hamiltonians can be round-tripped through a small text format (one header
 line with a magic tag, one with dimensions and the system/bath split, then
@@ -290,6 +293,17 @@ class SpectralData:
             return float("inf")
         return float(np.diff(self.eigenvalues).min())
 
+    @property
+    def min_sector_spacing(self) -> float:
+        """The smallest consecutive difference of the sorted levels of any one
+        sector (inf for sectors of one level): the smallest Bohr frequency a
+        reduced state can see, since Tr_B removes the coherences between
+        sectors.  For one sector it is ``min_level_spacing``."""
+        if self.sectors.shape[1] < 2:
+            return float("inf")
+        levels = np.sort(self._by_sector(self.eigenvalues), axis=1)
+        return float(np.diff(levels, axis=1).min())
+
     def _by_sector(self, values: np.ndarray) -> np.ndarray:
         """Values indexed like the eigenvalues, rearranged to (n_sec, m) by label."""
         flat = np.empty(self.dim, dtype=values.dtype)
@@ -389,9 +403,10 @@ class SpectralData:
         frequencies w = E_k' - E_k, k < k', cost no more exponentials than m
         amplitudes: rho(t) = sum_k |c_k|^2 A_k A_k^H + sum (exp(-i w t) M +
         h.c.), M = c_k' conj(c_k) A_k' A_k^H.  A block of times fills one
-        (rows, F) phase table, allocated once (rows F <= STACK_ELEMENT_CAP),
-        and contracts it with the (dS^2, F) table of the M by einsum, which
-        calls no BLAS: a row's sum depends on neither rows nor the threads.
+        (rows, F) phase table, allocated once (rows F <= DENSE_BLOCK^2, or
+        one row), and contracts it with the (dS^2, F) table of the M by
+        einsum, which calls no BLAS: a row's sum depends on neither rows nor
+        the threads.
         """
         sectors = self._view(layout)
         n_sec, ds, g, m = sectors.shape
@@ -412,7 +427,7 @@ class SpectralData:
                            weighted[:, :, lower].conj()).reshape(ds * ds, frequencies.size)
         static = np.einsum("csk,ctk->st", weighted, weighted.conj())
         out = np.empty((times.size, ds, ds), dtype=complex)
-        rows = max(1, min(times.size, DENSE_BLOCK, STACK_ELEMENT_CAP // frequencies.size))
+        rows = max(1, min(times.size, DENSE_BLOCK, DENSE_BLOCK**2 // frequencies.size))
         table = np.empty((rows, frequencies.size), dtype=complex)
         for span in dense_blocks(times.size, rows):
             phases = table[:len(times[span])]
@@ -445,9 +460,10 @@ def _fix_phases_in_place(vecs: np.ndarray) -> np.ndarray:
 
 
 def _unitarity_error(vecs: np.ndarray, rows: slice) -> float:
-    """max |(V^H V - I)[rows]|."""
-    gram = vecs[:, rows].conj().T @ vecs
-    gram[np.arange(len(gram)), np.arange(len(vecs))[rows]] -= 1.0
+    """max |(V^H V - I)[rows, rows.start:]|: V^H V is Hermitian, so the blocks
+    of rows cover its maximum with the columns on and right of the diagonal."""
+    gram = vecs[:, rows].conj().T @ vecs[:, rows.start:]
+    gram[np.arange(len(gram)), np.arange(len(gram))] -= 1.0
     return np.abs(gram).max()
 
 

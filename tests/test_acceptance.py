@@ -124,7 +124,7 @@ def test_criterion_2_analytic_matches_dense(capsys):
 
 def _equilibrated_fraction(spectral, layout, n_draws, seed):
     reductions = eigenstate_reductions(spectral, layout)
-    horizon = 1.0e3 / spectral.min_level_spacing
+    horizon = 1.0e3 / spectral.min_sector_spacing  # the horizon rule of `run`
     bound = 2.0 * layout.dim_system / math.sqrt(layout.dim_bath)
     draw_rng, time_rng = stream_generators(seed, 2)
     hits = 0

@@ -381,25 +381,25 @@ def test_block_evolution_holds_one_block_of_phases():
     assert peak < 48 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
-def test_phase_table_is_bounded_by_the_stack_cap(monkeypatch):
-    """dB = 10,000 Bohr frequencies and 600 times: with the stack cap lowered
-    to 3 dB entries the phase table holds 3 times (470 KiB, not the 39 MiB of
-    256), and every row keeps the bits of the 256-row table."""
+def test_phase_table_holds_at_most_a_square_block_of_entries():
+    """dB = 10,000 Bohr frequencies and 600 times: the phase table holds
+    256^2 // 10,000 = 6 times (960 KiB, not the 39 MiB of 256), and every
+    row keeps the bits it has when evolved alone."""
     ds, db = 2, 10_000
     spectral = _qudit_blocks(ds, db, 83)
     layout = SpaceLayout(ds, db)
     values = sample_amplitudes(spectral.dim, 1, generator(89))[:, 0]
     times = stratified_times(1e3, 600, generator(97))
-    full = spectral.evolved_reductions(values, times, layout)
-    monkeypatch.setattr("isibench.spectral.STACK_ELEMENT_CAP", 3 * db)
     tracemalloc.start()
     try:
-        capped = spectral.evolved_reductions(values, times, layout)
+        states = spectral.evolved_reductions(values, times, layout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(capped, full)
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    for row in (0, 5, 6, 599):
+        alone = spectral.evolved_reductions(values, times[row:row + 1], layout)
+        assert np.array_equal(alone[0], states[row])
 
 
 def _two_level_sectors(ds, seed):
@@ -495,7 +495,8 @@ def test_dense_product_projection_is_written_in_place():
 def test_dynamics_stage_keeps_the_evolved_trajectory():
     """The commuting model of sec5_violation at dB = 16 with 500,000 times:
     the trajectory is 30.5 MiB, and the stage holds it once inside the
-    Trajectory (no copy), besides the checks' and distances' temporaries."""
+    Trajectory (no copy), besides the 3.8 MiB of distances and one block of
+    the checks' and distances' temporaries."""
     config = cli.ExperimentConfig(kind="commuting", dim_bath=16, dynamics_enabled=True,
                                   n_times=500_000)
     pipe = cli.Pipeline(config)
@@ -507,4 +508,4 @@ def test_dynamics_stage_keeps_the_evolved_trajectory():
     finally:
         tracemalloc.stop()
     assert not trajectory.states.flags.writeable
-    assert peak <= 115 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -491,6 +491,39 @@ class TestRunCommand:
         assert "equilibration bound 2 dS / sqrt(dR): 1" in text
         assert "conclusion: system ISI cannot hold" in text
 
+    @staticmethod
+    def _run_and_pipeline(argv, capsys):
+        """stdout of ``main(argv)`` and a fresh Pipeline of the same config."""
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        args = cli.build_parser().parse_args(argv)
+        name, text = cli._load_raw_config(args.config)
+        raw = cli._parse_sections(text, name)
+        cli._apply_overrides(raw, args.override)
+        return out, cli.Pipeline(cli._extract_config(raw, args))
+
+    def test_block_form_horizon_divides_by_the_smallest_within_level_gap(self, tmp_path,
+                                                                          capsys):
+        # Tr_B removes the coherences between bath levels, so the horizon
+        # reads the smallest gap inside a level (0.251 here), not the
+        # smallest spacing of the whole spectrum (1.3e-5), and the phases
+        # E t round by far less than a radian
+        out, pipe = self._run_and_pipeline(
+            ["run", "--config", "sec5_violation", "--out", str(tmp_path / "out")], capsys)
+        spectral = pipe.spectral
+        assert spectral.min_sector_spacing > 1000 * spectral.min_level_spacing
+        horizon = pipe.config.horizon_over_min_gap / spectral.min_sector_spacing
+        assert f"dynamics: horizon={horizon:.6g} n_times=2000" in out.splitlines()
+        assert spectral.spectral_norm * horizon * 2.0**-52 < 1e-9
+
+    def test_dense_horizon_divides_by_the_smallest_level_spacing(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "[model]\nkind = random\nseed = 3\ndim_bath = 8\n"
+                                   "[dynamics]\nenabled = true\n")
+        out, pipe = self._run_and_pipeline(
+            ["run", "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+        horizon = pipe.config.horizon_over_min_gap / pipe.spectral.min_level_spacing
+        assert f"dynamics: horizon={horizon:.6g} n_times=2000" in out.splitlines()
+
     def test_seed_flag_changes_the_draws(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 8\n")
         out_a, out_b = tmp_path / "a", tmp_path / "b"

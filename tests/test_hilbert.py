@@ -6,7 +6,8 @@ import pytest
 
 from isibench import (BlochVector, DensityMatrix, PureState, SpaceLayout, SpectralData,
                       ValidationError, bloch_vector, purity, tensor_product, trace_distance)
-from isibench.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, check_density_stack
+from isibench.hilbert import (SIGMA_X, SIGMA_Y, SIGMA_Z, batched_trace_distances,
+                              check_density_stack)
 
 from _oracles import (batched_partial_trace_bath, density_from_bloch, maximally_mixed,
                       partial_trace_system, ptrace_bath_loop, ptrace_system_loop,
@@ -199,6 +200,27 @@ class TestTraceDistance:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             trace_distance(np.eye(2) / 2, np.eye(3) / 3)
+
+    @pytest.mark.parametrize("k, count", [(2, 2**18), (3, 2**17)])
+    def test_batched_distances_hold_one_block_of_temporaries(self, k, count):
+        """A 16-18 MiB stack of Hermitian matrices: the distances are taken a
+        block of matrices at a time, so the temporaries beside the count
+        distances stay below a quarter of the stack, and each distance keeps
+        the bits it has alone."""
+        rng = np.random.default_rng(k)
+        raw = rng.standard_normal((count, k, k)) + 1j * rng.standard_normal((count, k, k))
+        stack = np.eye(k) / k + 0.1 * (raw + raw.conj().swapaxes(1, 2))
+        del raw
+        reference = random_density(k, rng)
+        tracemalloc.start()
+        try:
+            distances = batched_trace_distances(stack, reference)
+            peak = tracemalloc.get_traced_memory()[1] - distances.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * stack.nbytes, f"peak {peak / stack.nbytes:.2f} stacks"
+        for n in (0, 255, 256, count - 1):
+            assert batched_trace_distances(stack[n:n + 1], reference)[0] == distances[n]
 
 
 class TestPurity:

@@ -10,7 +10,7 @@ from isibench import (CapExceededError, ConfigError, SpaceLayout, ValidationErro
                       assemble, check_nondegenerate_spectrum, degenerate_level_pairs,
                       eigendecompose, read_matrix, write_matrix)
 from isibench import spectral
-from isibench.hilbert import SIGMA_X, SIGMA_Z
+from isibench.hilbert import SIGMA_X, SIGMA_Z, blocked_max
 from isibench.spectral import SpectralData
 
 from _oracles import (batched_partial_trace_bath, expand_sectors, random_hermitian,
@@ -108,6 +108,23 @@ class TestBlockedChecks:
         monkeypatch.setattr(np.linalg, "eigh", corrupted)
         with pytest.raises(ValidationError, match=message), np.errstate(invalid="ignore"):
             eigendecompose(mat)  # a NaN column's phase is NaN / NaN
+
+    def test_unitarity_check_reads_the_gram_from_its_diagonal(self):
+        """Each block of rows of V^H V is formed from its diagonal rightward.
+        The Gram is Hermitian, so a coherence planted in the lower triangle is
+        seen at its mirror; a NaN in the last column, which every block
+        reads, fails the check."""
+        rng = np.random.default_rng(61)
+        shape = (BLOCKED_DIM, BLOCKED_DIM)
+        vecs = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+        vecs[:, LAST[0]] += 1e-6 * vecs[:, 0]  # (V^H V)[LAST[0], 0] = 1e-6
+
+        def error(vecs):
+            return blocked_max(lambda rows: spectral._unitarity_error(vecs, rows), BLOCKED_DIM)
+
+        assert error(vecs) == pytest.approx(1e-6, rel=1e-6)
+        vecs[:, -1] = math.nan
+        assert math.isnan(error(vecs))
 
     def test_dense_readers_match_their_one_shot_forms(self):
         layout = _blocked_parts()[3]
@@ -216,6 +233,20 @@ class TestDegeneracyChecks:
         assert self._data([0.0, 1.0, 2.5, 4.0]).min_level_spacing == pytest.approx(1.0)
         assert self._data([3.0]).min_level_spacing == math.inf
         assert check_nondegenerate_spectrum(self._data([3.0])) == (True, math.inf)
+
+    def test_min_sector_spacing_of_one_sector_is_the_level_spacing(self):
+        data = eigendecompose(random_hermitian(64, np.random.default_rng(67)))
+        assert data.min_sector_spacing == data.min_level_spacing
+        assert self._data([3.0]).min_sector_spacing == math.inf
+
+    def test_min_sector_spacing_ignores_collisions_across_sectors(self):
+        # three sectors of two levels, listed out of order in sector 1; levels
+        # of sectors 1 and 2 lie 1e-9 apart, the closest pair inside one
+        # sector is sector 0's, 0.75 apart
+        energies = np.array([[0.0, 0.75], [2.0, 0.5], [0.5 + 1e-9, 3.0]])
+        data = SpectralData.from_sectors(energies, np.stack([np.eye(2, dtype=complex)] * 3))
+        assert data.min_level_spacing == pytest.approx(1e-9, rel=1e-6)
+        assert data.min_sector_spacing == 0.75
 
     def test_threshold_is_relative_to_the_spectral_norm(self):
         # threshold = 1e-10 * max|E_n|: a spacing of 5e-11 of the norm is
