@@ -24,9 +24,8 @@ from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
 from .sampling import (MonteCarloEstimate, batched_monte_carlo, dirichlet_weights,
                        generator, haar_amplitudes, induced_states, sample_amplitudes)
 from .spectral import (CompositeHamiltonian, DenseProjection, GroupedProjection,
-                       SpectralData, assemble,
-                       check_nondegenerate_spectrum, degenerate_level_pairs,
-                       eigendecompose, fix_phases, read_matrix, write_csv, write_matrix)
+                       SpectralData, assemble, degenerate_level_pairs, eigendecompose,
+                       fix_phases, read_matrix, write_csv, write_matrix)
 from .theorems import (CONCENTRATION_RATE, THEOREM_IDS, VERDICTS, TheoremReport,
                        assign_verdict, concentration_tail, epsilon_prime,
                        max_possible_lhs, necessary_condition_lhs,

@@ -52,7 +52,7 @@ from .models import (CommutingModelSpec, analytic_eigensystem, build_random_mode
                      commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import generator, sample_amplitudes
 from .spectral import (STACK_ELEMENT_CAP, CompositeHamiltonian, DenseProjection,
-                       GroupedProjection, SpectralData, check_nondegenerate_spectrum,
+                       GroupedProjection, SpectralData, degenerate_level_pairs,
                        eigendecompose, read_matrix, read_text, require_fits, write_csv)
 from .theorems import (THEOREM_IDS, THEOREMS, Theorem0Estimate, TheoremReport,
                        necessary_condition_lhs, theorem0_estimate, theorem2_lhs,
@@ -519,8 +519,8 @@ class Pipeline:
 
     @cached_property
     def spectrum_check(self) -> tuple[bool, float]:
-        """(nondegenerate, smallest level spacing)."""
-        return check_nondegenerate_spectrum(self.spectral)
+        """(nondegenerate, smallest within-sector spacing)."""
+        return not degenerate_level_pairs(self.spectral), self.spectral.min_sector_spacing
 
     @property
     def notes(self) -> list[str]:
@@ -691,16 +691,31 @@ def _out_dir(config: ExperimentConfig) -> Path:
 # ------------------------------------------------------------- subcommands --
 
 def _dense_norms(ham: CompositeHamiltonian) -> tuple[float, ...]:
-    """The norms of ``models.commuting_norms``, from the dense parts."""
+    """The norms of ``models.commuting_norms``, from the dense parts.
+
+    HS (x) 1 and 1 (x) HB act on the (dS, dB, dS, dB) view of HSB through the
+    factor they hold, as matrix products on reshapes of it, and each
+    commutator i[A, HSB] is formed in place: no lifted part is built.
+    """
     def norm(mat):
         return float(np.abs(np.linalg.eigvalsh(mat)).max())
 
-    lifted_s = np.kron(ham.system, np.eye(ham.layout.dim_bath))
-    lifted_b = np.kron(np.eye(ham.layout.dim_system), ham.bath)
-    comm_s = lifted_s @ ham.interaction - ham.interaction @ lifted_s
-    comm_b = lifted_b @ ham.interaction - ham.interaction @ lifted_b
-    return (norm(ham.system), norm(ham.bath), norm(ham.interaction),
-            norm(1j * comm_s), norm(1j * comm_b))
+    ds, db, d = ham.layout.dim_system, ham.layout.dim_bath, ham.layout.dim_total
+    hs, hb, hsb = ham.system, ham.bath, ham.interaction
+
+    def commutator_norm(left: np.ndarray, right: np.ndarray) -> float:
+        comm = left.reshape(d, d)
+        comm -= right.reshape(d, d)
+        comm *= 1j
+        return norm(comm)
+
+    return (norm(hs), norm(hb), norm(hsb),
+            # sum_s' HS[s, s'] HSB[s' b, t c] and sum_t' HSB[s b, t' c] HS[t', t]
+            commutator_norm(hs @ hsb.reshape(ds, db * d),
+                            np.matmul(hs.T, hsb.reshape(d, ds, db))),
+            # sum_b' HB[b, b'] HSB[s b', t c] and sum_c' HSB[s b, t c'] HB[c', c]
+            commutator_norm(np.matmul(hb, hsb.reshape(ds, db, d)),
+                            hsb.reshape(d * ds, db) @ hb))
 
 
 def _cmd_model_info(config: ExperimentConfig, args, name: str) -> list[str]:
@@ -810,7 +825,7 @@ _SWEEP_METRICS: dict[str, Callable[[Pipeline], float]] = {
     "lhs_i": lambda pipe: theorem2_lhs(pipe.reductions)[0],
     "necessary_lhs": lambda pipe: pipe.necessary_lhs,
     "equilibration_metric": lambda pipe: pipe.dynamics[2],
-    "min_level_spacing": lambda pipe: pipe.spectral.min_level_spacing,
+    "min_level_spacing": lambda pipe: pipe.spectral.min_sector_spacing,
 }
 
 

@@ -144,9 +144,7 @@ def require_nondegenerate(spectral: SpectralData,
         raise DegenerateSpectrumError(
             f"spectrum has {len(pairs)} degenerate level pair(s): {shown}{more}; "
             "set analysis.allow_degenerate = true to average over degenerate blocks "
-            "(the dynamics needs a nondegenerate spectrum either way)",
-            colliding=pairs,
-        )
+            "(the dynamics needs a nondegenerate spectrum either way)")
     return pairs
 
 
@@ -158,7 +156,7 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
     The formula needs a nondegenerate spectrum; degenerate inputs are refused
     with the colliding levels named.  With ``allow_degenerate=True`` the
     average is computed block-exactly instead (project the initial state onto
-    each block of levels joined by degenerate pairs, reduce, and sum), which
+    each run of degenerate levels inside a sector, reduce, and sum), which
     is the correct infinite-time average when the degeneracy is exact;
     callers should mark such output as obtained under a violated hypothesis.
     """
@@ -168,9 +166,8 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
     if not pairs:
         return DensityMatrix(weighted_reduction(coefficients.populations, reductions),
                              space="system")
-    splits = np.setdiff1d(np.arange(1, spectral.dim), [b for _, b in pairs])
-    return DensityMatrix(spectral.dephased_reduction(coefficients.values, splits,
-                                                     reductions.layout), space="system")
+    return DensityMatrix(spectral.dephased_reduction(coefficients.values, reductions.layout),
+                         space="system")
 
 
 def subspace_projection(spectral: SpectralData, layout: SpaceLayout,

@@ -14,14 +14,7 @@ class CapExceededError(IsibenchError):
 
 
 class DegenerateSpectrumError(IsibenchError):
-    """The spectrum violates the nondegeneracy hypothesis.
-
-    ``colliding`` holds index pairs of the offending levels when known.
-    """
-
-    def __init__(self, message: str, colliding=()):
-        super().__init__(message)
-        self.colliding = tuple(colliding)
+    """The spectrum violates the nondegeneracy hypothesis."""
 
 
 class ConfigError(IsibenchError):

@@ -11,13 +11,15 @@ kernel the sizes choose; the subspace projections they build are
 estimate its own draw.
 
 The equilibration statements this package evaluates assume a nondegenerate
-spectrum.  ``degenerate_level_pairs`` is the one place that decides it: two
-consecutive levels are degenerate when their spacing is at most
-``SPECTRUM_DEGENERACY`` times the spectral norm of H.  The verdict, the
-refusals and the block average of a degenerate spectrum all read it.  The
-dynamics takes its timescale from ``min_sector_spacing`` instead, the
-smallest gap between levels of one sector: Tr_B removes the coherences
-between sectors, so a reduced state sees no other Bohr frequency.
+spectrum, and Tr_B removes the coherences between sectors, so a reduced
+state sees only the spacings inside a sector.  One rule reads them: two
+levels adjacent inside a sector are degenerate when their gap is at most
+``SPECTRUM_DEGENERACY`` times the spectral norm of H, and levels of
+different sectors may coincide.  ``degenerate_level_pairs`` (the verdict
+and the refusals), the groups of ``dephased_reduction`` (the average of a
+degenerate spectrum) and ``min_sector_spacing`` (the margin and the
+dynamics' timescale) all read the gaps, and the rule, of
+``SpectralData._sector_levels``.
 
 The thresholds of the checks are fixed module constants beside them;
 relative ones are scaled by the spectral norm of the operator they test.
@@ -56,7 +58,7 @@ from .sampling import Draw, dirichlet_weights, haar_amplitudes
 HAMILTONIAN_ASYMMETRY = 1e-10  # max |H - H^dagger| accepted on assembly
 UNITARITY = 1e-10              # max |V^dagger V - I| for eigenvector matrices
 RESIDUAL = 1e-9                # eigenpair residual, relative to norm(H)
-SPECTRUM_DEGENERACY = 1e-10    # min level spacing, relative to norm(H)
+SPECTRUM_DEGENERACY = 1e-10    # min gap inside a sector, relative to norm(H)
 DECOMPOSE_DIM_CAP = 8192       # sector dimension m, the dense eigensolver's d
 STACK_ELEMENT_CAP = 20_000_000 # entries count * dS^2 of a (count, dS, dS) stack
 
@@ -287,22 +289,21 @@ class SpectralData:
         return norm if norm > 0.0 else 1.0
 
     @property
-    def min_level_spacing(self) -> float:
-        """The smallest consecutive eigenvalue difference (inf for one level)."""
-        if self.dim < 2:
-            return float("inf")
-        return float(np.diff(self.eigenvalues).min())
-
-    @property
     def min_sector_spacing(self) -> float:
-        """The smallest consecutive difference of the sorted levels of any one
-        sector (inf for sectors of one level): the smallest Bohr frequency a
-        reduced state can see, since Tr_B removes the coherences between
-        sectors.  For one sector it is ``min_level_spacing``."""
-        if self.sectors.shape[1] < 2:
-            return float("inf")
-        levels = np.sort(self._by_sector(self.eigenvalues), axis=1)
-        return float(np.diff(levels, axis=1).min())
+        """The smallest gap between consecutive levels of any one sector (inf
+        for sectors of one level): the smallest Bohr frequency a reduced state
+        can see, since Tr_B removes the coherences between sectors."""
+        gaps = self._sector_levels()[1]
+        return float(gaps.min()) if gaps.size else float("inf")
+
+    def _sector_levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (n_sec, m) indices of each sector's levels (into ``eigenvalues``)
+        in ascending order of energy, the (n_sec, m - 1) gaps between
+        consecutive ones, the only spacings a reduced state sees, and which
+        of those gaps are degenerate: at most SPECTRUM_DEGENERACY*|H|."""
+        index = np.sort(self._by_sector(np.arange(self.dim)), axis=1)
+        gaps = np.diff(self.eigenvalues[index], axis=1)
+        return index, gaps, gaps <= SPECTRUM_DEGENERACY * self.spectral_norm
 
     def _by_sector(self, values: np.ndarray) -> np.ndarray:
         """Values indexed like the eigenvalues, rearranged to (n_sec, m) by label."""
@@ -372,23 +373,21 @@ class SpectralData:
         in_order = np.array_equal(self.order, np.arange(self.dim))
         return DenseProjection(matrix if in_order else matrix[:, self.order])
 
-    def dephased_reduction(self, values: np.ndarray, splits: np.ndarray,
-                           layout: SpaceLayout) -> np.ndarray:
+    def dephased_reduction(self, values: np.ndarray, layout: SpaceLayout) -> np.ndarray:
         """sum_G Tr_B |x_G><x_G| for x_G = sum_{n in G} values_n |n>, the groups
-        G being the runs of eigenvalue indices that ``splits`` cuts (as
-        np.split does): the reduced state of sum_n values_n |n> with the
-        coherences between groups removed.  Tr_B removes those between
-        sectors too, so the A values_n are summed into one C per (sector,
-        group), and the result is sum C C^H.
+        G being the runs of degenerate levels inside a sector: the reduced
+        state of sum_n values_n |n> with the coherences between groups
+        removed.  Tr_B removes those between sectors too, so the A values_n
+        of a run are summed into one C, and the result is sum C C^H.
         """
         sectors = self._view(layout)
         n_sec, ds, g, m = sectors.shape
-        keys = self._by_sector(np.searchsorted(splits, np.arange(self.dim), side="right"))
-        keys += self.dim * np.arange(n_sec)[:, None]
-        key_of = np.unique(keys.ravel(), return_inverse=True)[1]
-        summed = np.zeros((key_of.max() + 1, ds, g), dtype=complex)  # one row per key
-        np.add.at(summed, key_of, np.einsum(  # the (d, dS, g) columns live only here
-            "csgk,ck->cksg", sectors, self._by_sector(values)).reshape(-1, ds, g))
+        index, _, degenerate = self._sector_levels()
+        starts = np.flatnonzero(np.pad(~degenerate, ((0, 0), (1, 0)), constant_values=True))
+        labels = self.order[index].ravel()  # each sector's, in ascending order of energy
+        columns = np.einsum("csgk,ck->cksg", sectors,
+                            self._by_sector(values)).reshape(-1, ds, g)[labels]
+        summed = np.add.reduceat(columns, starts)  # one row per run
         return np.einsum("ksg,ktg->st", summed, summed.conj())
 
     def evolved_reductions(self, values: np.ndarray, times: np.ndarray,
@@ -519,20 +518,14 @@ def eigendecompose(hamiltonian) -> SpectralData:
 
 
 def degenerate_level_pairs(spectral: SpectralData) -> list[tuple[int, int]]:
-    """Index pairs (n, n+1) of consecutive levels no farther apart than
-    SPECTRUM_DEGENERACY*|H|; the spectrum is nondegenerate iff there are none."""
-    threshold = SPECTRUM_DEGENERACY * spectral.spectral_norm
-    diffs = np.diff(spectral.eigenvalues)
-    return [(int(i), int(i) + 1) for i in np.nonzero(diffs <= threshold)[0]]
-
-
-def check_nondegenerate_spectrum(spectral: SpectralData) -> tuple[bool, float]:
-    """True iff no level pair is degenerate (see degenerate_level_pairs).
-
-    Returns the margin (the smallest level spacing) alongside, so reports can
-    show how close a passing instance sits to the threshold.
-    """
-    return not degenerate_level_pairs(spectral), spectral.min_level_spacing
+    """Index pairs (i, j), i < j, of levels adjacent inside one sector and no
+    farther apart than SPECTRUM_DEGENERACY*|H|; the spectrum is nondegenerate
+    iff there are none.  Levels of different sectors never interfere in a
+    reduced state, so they may coincide."""
+    index, _, degenerate = spectral._sector_levels()
+    first, second = index[:, :-1][degenerate], index[:, 1:][degenerate]
+    ranked = np.argsort(first)  # no level is the first of two pairs
+    return list(zip(first[ranked].tolist(), second[ranked].tolist()))
 
 
 def write_matrix(path, matrix: np.ndarray, layout: SpaceLayout | None = None) -> None:

@@ -374,7 +374,7 @@ def test_criterion_7_average_and_trace_oracles(capsys):
         initial = PureState(sample_amplitudes(16, 1, rng)[:, 0], space="composite")
         coeffs = overlaps(spectral, initial, layout)
         exact = time_averaged_state(coeffs, reductions, spectral)
-        horizon = 1.0e4 / spectral.min_level_spacing
+        horizon = 1.0e4 / np.diff(spectral.eigenvalues).min()
         windowed = finite_time_average(coeffs.values, spectral.eigenvalues,
                                        expand_sectors(spectral, layout), 2, 8, horizon)
         worst_distance = max(worst_distance, trace_distance(exact.matrix, windowed))

@@ -34,6 +34,10 @@ GONE = {
     "stream_generators": "generator: every draw takes the one stream of its seed",
     "from_blocks": "SpectralData.from_sectors: one sector form for every model",
     "batched_partial_trace_bath": "SpectralData's readers trace out the bath themselves",
+    "check_nondegenerate_spectrum": "degenerate_level_pairs and min_sector_spacing, read "
+                                    "directly by the pipeline",
+    "min_level_spacing": "min_sector_spacing: only the gaps inside a sector reach a "
+                         "reduced state",
 }
 
 # Config entries that were removed, each with its reason; none may come back.

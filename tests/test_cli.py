@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -237,7 +238,7 @@ class TestErrorExitCodes:
             assert not (tmp_path / "new").exists()
 
     def test_degenerate_spectrum_exits_4_from_dynamics(self, tmp_path, capsys):
-        # The horizon is horizon_over_min_gap / min_level_spacing, so not even
+        # The horizon is horizon_over_min_gap / min_sector_spacing, so not even
         # analysis.allow_degenerate lets the evolution run.
         matrix_path = tmp_path / "degenerate.mat"
         write_matrix(matrix_path, np.diag([1.0, 1.0, 2.0, 3.0]), SpaceLayout(2, 2))
@@ -266,6 +267,16 @@ class TestSpectrumCommand:
         assert lines[0] == "# schema_version 1"
         assert lines[1] == "n,energy"
         assert len(lines) == 2 + 4
+
+    def test_levels_meeting_across_bath_levels_are_nondegenerate(self, tmp_path, capsys):
+        # two levels of this d = 1024 draw lie 1.1e-10 apart, within 1e-10 |H|
+        # (2.2e-10), on different bath levels; the smallest gap inside one is 0.34
+        assert cli.main(["spectrum", "--config", "sec5_violation",
+                         "--override", "model.dim_bath=512", "--seed", "872939156",
+                         "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "min level spacing: 0.335505" in lines
+        assert "nondegenerate spectrum: true" in lines
 
     def test_equal_spacing_is_nondegenerate(self, tmp_path, capsys):
         matrix_path = tmp_path / "ladder.mat"
@@ -317,6 +328,18 @@ class TestModelInfo:
         norms = cli._dense_norms(build_random_model(3, 5, 0.7, rng))
         assert shown == [float(f"{norm:.6g}") for norm in norms]
         assert len(set(shown)) == 5
+
+    def test_random_model_norms_hold_no_lifted_part(self):
+        # HS (x) 1 and 1 (x) HB act through their factors: above the parts, at
+        # most 3 d x d arrays at once (the commutator, a product, eigvalsh's copy)
+        ham = build_random_model(2, 64, 1.0, generator(3))
+        tracemalloc.start()
+        try:
+            cli._dense_norms(ham)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * ham.total.nbytes
 
     def test_module_entry_point(self):
         result = subprocess.run(
@@ -436,6 +459,18 @@ class TestBoundsCommand:
         assert t1prime.parameters["seed"] == t1.parameters["seed"]
         assert t1prime.parameters["n_starts"] == t1.parameters["n_starts"] == 16
 
+    def test_t0_runs_where_levels_of_different_bath_levels_meet(self, tmp_path, capsys):
+        # this draw of 2^16 bath levels has two pairs of levels within
+        # 1e-10 |H| of each other, each pair on two bath levels, which no
+        # reduced state sees
+        cfg = _write_cfg(tmp_path, "[model]\nkind = cucchietti\nn_spins = 16\n"
+                                   "seed = 12345\n[analysis]\ntheorems = T0i, T0ii\n")
+        out_dir = tmp_path / "out"
+        assert cli.main(["bounds", "--config", cfg, "--out", str(out_dir)]) == 0
+        assert "note:" not in capsys.readouterr().out
+        assert sorted(p.name for p in out_dir.iterdir()) == ["report_T0i.json",
+                                                             "report_T0ii.json"]
+
     def test_conclusion_without_t2ii(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 8\n"
                                    "[analysis]\ntheorems = SufficientISI\n")
@@ -511,7 +546,7 @@ class TestRunCommand:
         out, pipe = self._run_and_pipeline(
             ["run", "--config", "sec5_violation", "--out", str(tmp_path / "out")], capsys)
         spectral = pipe.spectral
-        assert spectral.min_sector_spacing > 1000 * spectral.min_level_spacing
+        assert spectral.min_sector_spacing > 1000 * np.diff(spectral.eigenvalues).min()
         horizon = pipe.config.horizon_over_min_gap / spectral.min_sector_spacing
         assert f"dynamics: horizon={horizon:.6g} n_times=2000" in out.splitlines()
         assert spectral.spectral_norm * horizon * 2.0**-52 < 1e-9
@@ -521,7 +556,8 @@ class TestRunCommand:
                                    "[dynamics]\nenabled = true\n")
         out, pipe = self._run_and_pipeline(
             ["run", "--config", cfg, "--out", str(tmp_path / "out")], capsys)
-        horizon = pipe.config.horizon_over_min_gap / pipe.spectral.min_level_spacing
+        spacing = np.diff(pipe.spectral.eigenvalues).min()
+        horizon = pipe.config.horizon_over_min_gap / spacing
         assert f"dynamics: horizon={horizon:.6g} n_times=2000" in out.splitlines()
 
     def test_seed_flag_changes_the_draws(self, tmp_path, capsys):
@@ -578,10 +614,11 @@ class TestSweepCommand:
 
     def test_a_draw_failing_in_a_worker_exits_as_the_serial_sweep(self, tmp_path,
                                                                   capsys):
-        # field_scale = 0 leaves every level degenerate with its partner, so
-        # the dynamics of the draws at that point refuse the spectrum
+        # field_scale = 1e12 puts the two levels of every bath level within
+        # 1e-10 |H| of each other, so the dynamics of the draws at that point
+        # refuse the spectrum
         cfg = _write_cfg(tmp_path, "[model]\nkind = cucchietti\nn_spins = 3\n"
-                                   "[sweep]\nparameter = field_scale\nvalues = 1, 0\n"
+                                   "[sweep]\nparameter = field_scale\nvalues = 1, 1e12\n"
                                    "draws = 3\n"
                                    "metrics = min_level_spacing, equilibration_metric\n")
         results = []
@@ -689,16 +726,17 @@ class TestInputHardening:
     def test_huge_level_splitting_gives_one_error_line_without_warnings(
             self, tmp_path, level_splitting):
         # r_l = sqrt((w + v_z)^2 + v_x^2 + v_y^2) must not overflow: the
-        # energies stay finite, and the lower branch collapses to one level
+        # energies stay finite, and each branch collapses to one energy,
+        # shared across the bath levels, so no two levels of one bath level
+        # meet and the run ends with no error and no warning
         result = subprocess.run(
             [sys.executable, "-m", "isibench.cli", "run", "--config", "sec5_violation",
              "--override", "model.dim_bath=4",
              "--override", f"model.level_splitting={level_splitting}",
              "--out", str(tmp_path / "out")],
             capture_output=True, text=True)
-        assert result.returncode == 4
-        assert result.stderr.startswith("error: spectrum has ")
-        assert result.stderr.count("\n") == 1
+        assert result.returncode == 0
+        assert result.stderr == ""
 
     # The reductions of a qubit model hold 4 d entries, at most 20,000,000:
     # dB <= 2,500,000, n_spins <= 21.  A random model is one sector of m = d.
@@ -735,12 +773,14 @@ class TestInputHardening:
         # d * dS^2 = 20,000,000 and 16,777,216 entries: at the cap and below it
         cli.Pipeline(cli.ExperimentConfig(kind=kind, **size))._check_dimension()
 
+    # energy_scale = 1e12 puts the two levels of each of the 4 bath levels
+    # within 1e-10 |H| of each other: 4 degenerate pairs
     @pytest.mark.parametrize("command", ["run", "equilibrium"])
     def test_degenerate_spectrum_exits_4_before_any_file(self, tmp_path, capsys, command):
         out_dir = tmp_path / "out"
         assert cli.main([command, "--config", "sec5_violation",
                          "--override", "model.dim_bath=4",
-                         "--override", "model.level_splitting=1e200",
+                         "--override", "model.energy_scale=1e12",
                          "--out", str(out_dir)]) == 4
         assert capsys.readouterr().err.startswith("error: spectrum has ")
         assert not out_dir.exists() or not any(out_dir.iterdir())
@@ -749,7 +789,7 @@ class TestInputHardening:
         out_dir = tmp_path / "out"
         assert cli.main(["bounds", "--config", "sec5_violation",
                          "--override", "model.dim_bath=4",
-                         "--override", "model.level_splitting=1e200",
+                         "--override", "model.energy_scale=1e12",
                          "--override", "analysis.theorems=SufficientISI,T2ii",
                          "--out", str(out_dir)]) == 0
         assert "note: spectrum is degenerate" in capsys.readouterr().out

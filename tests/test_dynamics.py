@@ -148,7 +148,7 @@ class TestEquilibrationMetric:
     def test_positive_and_small_for_generic_state(self):
         ham, layout, spectral, state, coeffs, rng = _evolution_problem(2, 16, 29)
         value = _equilibration_metric(coeffs, spectral, layout,
-                                      horizon=2000.0 / spectral.min_level_spacing,
+                                      horizon=2000.0 / np.diff(spectral.eigenvalues).min(),
                                       n_times=400, rng=rng)
         assert 0.0 < value < 0.5
 
@@ -199,7 +199,7 @@ class TestFiniteTimeAverage:
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 2, 47)
         reductions = eigenstate_reductions(spectral, layout)
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
-        horizon = 1e4 / spectral.min_level_spacing
+        horizon = 1e4 / np.diff(spectral.eigenvalues).min()
         rho = _window_average(coeffs, spectral, layout, horizon=horizon)
         assert trace_distance(rho, equilibrium) < 5e-3
 
@@ -207,7 +207,7 @@ class TestFiniteTimeAverage:
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 53)
         reductions = eigenstate_reductions(spectral, layout)
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
-        horizons = np.array([1e2, 1e3, 1e4, 1e5]) / spectral.min_level_spacing
+        horizons = np.array([1e2, 1e3, 1e4, 1e5]) / np.diff(spectral.eigenvalues).min()
         residuals = [trace_distance(_window_average(coeffs, spectral, layout, horizon=h),
                                     equilibrium)
                      for h in horizons]

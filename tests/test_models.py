@@ -5,7 +5,7 @@ import pytest
 
 from isibench import (CommutingModelSpec, ValidationError, analytic_eigensystem,
                       bit_signs, build_cucchietti_bath, build_random_model,
-                      check_nondegenerate_spectrum, commuting_norms, eigendecompose,
+                      commuting_norms, degenerate_level_pairs, eigendecompose,
                       gaussian_hermitian, purity, sample_commuting_spec,
                       sample_cucchietti_spec)
 from isibench.hilbert import SIGMA_X, SIGMA_Z
@@ -134,10 +134,14 @@ class TestAnalyticEigensystem:
             assert purity(reduced) == pytest.approx(1.0, abs=1e-10)
 
     def test_min_level_spacing_field(self):
+        # the printed spacing is the smallest gap inside a bath level, r_l
         rng = np.random.default_rng(19)
         spec = sample_commuting_spec(8, 1.0, 1.0, 1.0, rng)
         data = analytic_eigensystem(spec)
-        assert data.min_level_spacing == pytest.approx(np.diff(data.eigenvalues).min())
+        w = spec.level_splitting
+        vx, vy, vz = spec.couplings.T
+        radius = np.sqrt((w + vz) ** 2 + vx**2 + vy**2)
+        assert data.min_sector_spacing == pytest.approx(radius.min())
 
 
 class TestCucchiettiBath:
@@ -219,8 +223,7 @@ class TestRandomModel:
     def test_generic_draws_are_nondegenerate(self):
         for seed in (41, 43, 47):
             ham = build_random_model(2, 16, 1.0, np.random.default_rng(seed))
-            ok, _ = check_nondegenerate_spectrum(eigendecompose(ham))
-            assert ok
+            assert degenerate_level_pairs(eigendecompose(ham)) == []
 
     def test_interaction_norm_stays_order_one_as_bath_grows(self):
         norms = []

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from isibench import (CapExceededError, ConfigError, SpaceLayout, ValidationError,
-                      assemble, check_nondegenerate_spectrum, degenerate_level_pairs,
-                      eigendecompose, read_matrix, write_matrix)
+                      assemble, degenerate_level_pairs, eigendecompose, read_matrix,
+                      write_matrix)
 from isibench import spectral
 from isibench.hilbert import SIGMA_X, SIGMA_Z, blocked_max
 from isibench.spectral import SpectralData
@@ -218,35 +218,53 @@ class TestDegeneracyChecks:
         return SpectralData(np.asarray(eigenvalues, dtype=float),
                             np.eye(len(eigenvalues), dtype=complex)[None])
 
+    @staticmethod
+    def _sectors(energies):
+        """Sectors of two levels with the given (n_sec, 2) energies."""
+        return SpectralData.from_sectors(np.array(energies),
+                                         np.stack([np.eye(2, dtype=complex)] * len(energies)))
+
     def test_spaced_spectrum_passes(self):
-        ok, spacing = check_nondegenerate_spectrum(self._data([0.0, 1.0, 2.0]))
-        assert ok
-        assert spacing == pytest.approx(1.0)
+        data = self._data([0.0, 1.0, 2.0])
+        assert degenerate_level_pairs(data) == []
+        assert data.min_sector_spacing == pytest.approx(1.0)
 
     def test_collision_fails(self):
-        ok, spacing = check_nondegenerate_spectrum(self._data([0.0, 0.0, 1.0]))
-        assert not ok
-        assert spacing == 0.0
-        assert degenerate_level_pairs(self._data([0.0, 0.0, 1.0])) == [(0, 1)]
+        data = self._data([0.0, 0.0, 1.0])
+        assert data.min_sector_spacing == 0.0
+        assert degenerate_level_pairs(data) == [(0, 1)]
 
     def test_min_level_spacing_is_derived_from_the_eigenvalues(self):
-        assert self._data([0.0, 1.0, 2.5, 4.0]).min_level_spacing == pytest.approx(1.0)
-        assert self._data([3.0]).min_level_spacing == math.inf
-        assert check_nondegenerate_spectrum(self._data([3.0])) == (True, math.inf)
+        # the spacing the commands print as "min level spacing"
+        assert self._data([0.0, 1.0, 2.5, 4.0]).min_sector_spacing == pytest.approx(1.0)
+        assert self._data([3.0]).min_sector_spacing == math.inf
+        assert degenerate_level_pairs(self._data([3.0])) == []
 
     def test_min_sector_spacing_of_one_sector_is_the_level_spacing(self):
         data = eigendecompose(random_hermitian(64, np.random.default_rng(67)))
-        assert data.min_sector_spacing == data.min_level_spacing
+        assert data.min_sector_spacing == np.diff(data.eigenvalues).min()
         assert self._data([3.0]).min_sector_spacing == math.inf
 
     def test_min_sector_spacing_ignores_collisions_across_sectors(self):
         # three sectors of two levels, listed out of order in sector 1; levels
         # of sectors 1 and 2 lie 1e-9 apart, the closest pair inside one
         # sector is sector 0's, 0.75 apart
-        energies = np.array([[0.0, 0.75], [2.0, 0.5], [0.5 + 1e-9, 3.0]])
-        data = SpectralData.from_sectors(energies, np.stack([np.eye(2, dtype=complex)] * 3))
-        assert data.min_level_spacing == pytest.approx(1e-9, rel=1e-6)
+        data = self._sectors([[0.0, 0.75], [2.0, 0.5], [0.5 + 1e-9, 3.0]])
+        assert np.diff(data.eigenvalues).min() == pytest.approx(1e-9, rel=1e-6)
         assert data.min_sector_spacing == 0.75
+
+    def test_a_collision_across_sectors_is_no_pair(self):
+        # levels of different sectors never interfere in a reduced state
+        data = self._sectors([[0.0, 0.75], [2.0, 0.5], [0.5, 3.0]])
+        assert degenerate_level_pairs(data) == []
+
+    def test_a_collision_inside_a_sector_is_the_one_pair(self):
+        # sector 1 repeats 2.0 to within 1e-12 (threshold 3e-10), and a level of
+        # sector 2 lies between the two: the pair is named by its indices 2 and 4
+        data = self._sectors([[0.0, 0.75], [2.0 + 1e-12, 2.0], [2.0 + 5e-13, 3.0]])
+        assert data.eigenvalues[[2, 4]].tolist() == [2.0, 2.0 + 1e-12]
+        assert degenerate_level_pairs(data) == [(2, 4)]
+        assert data.min_sector_spacing == pytest.approx(1e-12, rel=1e-3)
 
     def test_threshold_is_relative_to_the_spectral_norm(self):
         # threshold = 1e-10 * max|E_n|: a spacing of 5e-11 of the norm is
@@ -254,10 +272,9 @@ class TestDegeneracyChecks:
         for scale in (1e-6, 1.0, 1e6):
             assert degenerate_level_pairs(
                 self._data(scale * np.array([0.0, 5e-11, 1.0]))) == [(0, 1)]
-            ok, spacing = check_nondegenerate_spectrum(
-                self._data(scale * np.array([-1.0, -1.0 + 2e-10, 1.0])))
-            assert ok
-            assert spacing == pytest.approx(2e-10 * scale)
+            data = self._data(scale * np.array([-1.0, -1.0 + 2e-10, 1.0]))
+            assert degenerate_level_pairs(data) == []
+            assert data.min_sector_spacing == pytest.approx(2e-10 * scale)
 
 
 class TestMatrixFiles:
