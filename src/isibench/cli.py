@@ -52,8 +52,8 @@ from .models import (CommutingModelSpec, analytic_eigensystem, build_random_mode
                      commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import generator, sample_amplitudes
 from .spectral import (STACK_ELEMENT_CAP, CompositeHamiltonian, DenseProjection,
-                       GroupedProjection, SpectralData, degenerate_level_pairs,
-                       eigendecompose, read_matrix, read_text, require_fits, write_csv)
+                       GroupedProjection, SpectralData, eigendecompose, read_matrix,
+                       read_text, require_fits, write_csv)
 from .theorems import (THEOREM_IDS, THEOREMS, Theorem0Estimate, TheoremReport,
                        necessary_condition_lhs, theorem0_estimate, theorem2_lhs,
                        theorem2_reports, write_report)
@@ -439,7 +439,7 @@ class Pipeline:
         if config.kind == "random":
             # Only the total reaches eigh; the parts are released here and
             # model-info draws them again (random_parts).
-            total = self.random_parts().total
+            total = self.random_parts().total()
             layout = SpaceLayout(config.dim_system or 2, config.dim_bath)
             source = (f"random Gaussian model (dS={layout.dim_system}, dB={config.dim_bath}, "
                       f"interaction strength {config.interaction_strength:g})")
@@ -520,7 +520,7 @@ class Pipeline:
     @cached_property
     def spectrum_check(self) -> tuple[bool, float]:
         """(nondegenerate, smallest within-sector spacing)."""
-        return not degenerate_level_pairs(self.spectral), self.spectral.min_sector_spacing
+        return not self.spectral.degenerate.any(), self.spectral.min_sector_spacing
 
     @property
     def notes(self) -> list[str]:

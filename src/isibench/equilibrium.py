@@ -5,15 +5,20 @@ is diagonal in the eigenbasis: rho_bar = sum_n |c_n|^2 rho_n, where rho_n is
 the bath-traced projector of eigenvector n and c_n the overlap of the initial
 state with it.  This module computes those objects exactly from spectral
 data, and the weighted-purity functional delta that controls the sufficient
-independence condition.  An initial-state subspace R enters only through
-its projection W on the eigenbasis (``subspace_projection``), whose column
-norms give the weights <n|Pi_R|n>/dR; the Haar average of the equilibrium
-state over R is then sum_n w_n rho_n (``weighted_reduction``).  The
-eigenvectors are read only through the methods of ``SpectralData``, so the
-same code serves every sector form.  For sectors of one bath level (the
-commuting models), and for the whole space in any form, R has a basis in
-which each eigenvector overlaps one basis vector at most, and W is kept as
-those groups (``spectral.GroupedProjection``).
+independence condition.  ``EigenstateReductions`` holds the rho_n and
+derives their purities (and, for a qubit, their polarizations) once, so
+delta and the polarization bounds read values that cannot disagree with the
+matrices.  An initial-state subspace R enters only through its projection W
+on the eigenbasis (``subspace_projection``), whose column norms give the
+weights <n|Pi_R|n>/dR; the Haar average of the equilibrium state over R is
+then sum_n w_n rho_n (``weighted_reduction``).  The eigenvectors are read
+only through the methods of ``SpectralData``, so the same code serves every
+sector form.  For sectors of one bath level (the commuting models), and for
+the whole space in any form, R has a basis in which each eigenvector
+overlaps one basis vector at most, and W is kept as those groups
+(``spectral.GroupedProjection``).  Whether the spectrum is degenerate, and
+so which average ``time_averaged_state`` takes, is read from the mask
+``SpectralData.degenerate``.
 
 Everything here is exact linear algebra; time evolution lives in the
 dynamics module.
@@ -63,16 +68,14 @@ class OverlapCoefficients:
 class EigenstateReductions:
     """System reductions of all composite eigenvectors, with derived summaries.
 
-    ``matrices[n]`` is the bath-traced projector of eigenvector n;
-    ``purities[n] = tr(matrices[n]^2)``; ``bloch`` holds the polarization
-    vectors when the system is a qubit (None otherwise).  Completeness of the
-    eigenbasis forces (1/d) sum_n matrices[n] = I/dS, which is verified on
-    construction.
+    ``matrices[n]`` is the bath-traced projector of eigenvector n.  Derived
+    on construction: ``purities[n] = tr(matrices[n]^2)`` and ``bloch``, the
+    polarization vectors when the system is a qubit (None otherwise).
+    Completeness of the eigenbasis forces (1/d) sum_n matrices[n] = I/dS,
+    which is verified on construction.
     """
 
     matrices: np.ndarray
-    purities: np.ndarray
-    bloch: np.ndarray | None
     layout: SpaceLayout
 
     def __post_init__(self) -> None:
@@ -88,13 +91,8 @@ class EigenstateReductions:
                 f"eigenbasis completeness violated: |(1/d) sum rho_n - I/dS| = "
                 f"{completeness:.3e}"
             )
-        pur = np.asarray(self.purities, dtype=float)
-        if pur.shape != (d,):
-            raise ValidationError(f"purities must have shape ({d},), got {pur.shape}")
-        if self.bloch is not None:
-            b = np.asarray(self.bloch, dtype=float)
-            if b.shape != (d, 3):
-                raise ValidationError(f"bloch must have shape ({d}, 3), got {b.shape}")
+        object.__setattr__(self, "purities", np.einsum("nij,nji->n", mats, mats).real)
+        object.__setattr__(self, "bloch", batched_bloch_vectors(mats) if ds == 2 else None)
 
     @property
     def dim(self) -> int:
@@ -121,31 +119,25 @@ def overlaps(spectral: SpectralData, initial: PureState,
 def eigenstate_reductions(spectral: SpectralData,
                           layout: SpaceLayout) -> EigenstateReductions:
     """Bath-traced projectors of every eigenvector, batched."""
-    mats = spectral.reductions(layout)
-    purities = np.einsum("nij,nji->n", mats, mats).real
-    bloch = batched_bloch_vectors(mats) if layout.dim_system == 2 else None
-    return EigenstateReductions(matrices=mats, purities=purities, bloch=bloch,
-                                layout=layout)
+    return EigenstateReductions(spectral.reductions(layout), layout)
 
 
-def require_nondegenerate(spectral: SpectralData,
-                          allow_degenerate: bool = False) -> list[tuple[int, int]]:
+def require_nondegenerate(spectral: SpectralData, allow_degenerate: bool = False) -> None:
     """Gate for formulas that assume a nondegenerate spectrum.
 
-    Returns the degenerate level pairs, empty when the hypothesis holds.  When
-    there are some it raises DegenerateSpectrumError naming them, unless
+    When the mask ``spectral.degenerate`` marks a gap it raises
+    DegenerateSpectrumError with their count and the first 8 pairs, unless
     ``allow_degenerate`` asks to proceed (the caller then marks its output as
     computed under a violated hypothesis).
     """
-    pairs = degenerate_level_pairs(spectral)
-    if pairs and not allow_degenerate:
-        shown = ", ".join(f"({a}, {b})" for a, b in pairs[:8])
-        more = "" if len(pairs) <= 8 else f" and {len(pairs) - 8} more"
+    count = int(np.count_nonzero(spectral.degenerate))
+    if count and not allow_degenerate:
+        shown = ", ".join(f"({a}, {b})" for a, b in degenerate_level_pairs(spectral, 8))
+        more = "" if count <= 8 else f" and {count - 8} more"
         raise DegenerateSpectrumError(
-            f"spectrum has {len(pairs)} degenerate level pair(s): {shown}{more}; "
+            f"spectrum has {count} degenerate level pair(s): {shown}{more}; "
             "set analysis.allow_degenerate = true to average over degenerate blocks "
             "(the dynamics needs a nondegenerate spectrum either way)")
-    return pairs
 
 
 def time_averaged_state(coefficients: OverlapCoefficients, reductions: EigenstateReductions,
@@ -162,8 +154,8 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
     """
     if coefficients.dim != spectral.dim or reductions.dim != spectral.dim:
         raise ValidationError("coefficients, reductions, and spectral data disagree on d")
-    pairs = require_nondegenerate(spectral, allow_degenerate)
-    if not pairs:
+    require_nondegenerate(spectral, allow_degenerate)
+    if not spectral.degenerate.any():
         return DensityMatrix(weighted_reduction(coefficients.populations, reductions),
                              space="system")
     return DensityMatrix(spectral.dephased_reduction(coefficients.values, reductions.layout),

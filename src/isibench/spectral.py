@@ -1,5 +1,11 @@
 """Composite Hamiltonian assembly, eigendecomposition, and the degeneracy test.
 
+Each type here holds its inputs once and derives the rest from them:
+``CompositeHamiltonian`` holds the three parts and builds H with
+``total()``, and ``SpectralData`` holds the energies by label and derives
+their order, the ascending eigenvalues and the level table below once, on
+construction.
+
 ``SpectralData`` holds a spectrum and its eigenvectors in one form, by
 sector: H is block-diagonal over S (x) (a sector of g bath levels), and the
 stack holds the eigenvectors of each block.  ``eigendecompose`` gives one
@@ -18,8 +24,10 @@ levels adjacent inside a sector are degenerate when their gap is at most
 different sectors may coincide.  ``degenerate_level_pairs`` (the verdict
 and the refusals), the groups of ``dephased_reduction`` (the average of a
 degenerate spectrum) and ``min_sector_spacing`` (the margin and the
-dynamics' timescale) all read the gaps, and the rule, of
-``SpectralData._sector_levels``.
+dynamics' timescale) all read the one level table of a ``SpectralData``:
+each sector's ``levels`` in ascending order of energy, their ``gaps`` and
+the ``degenerate`` mask of the rule.  The gates read the mask; a list of
+pairs is built only to be named.
 
 The thresholds of the checks are fixed module constants beside them;
 relative ones are scaled by the spectral norm of the operator they test.
@@ -87,12 +95,11 @@ def _lifted_rows(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray,
 
 @dataclass(frozen=True)
 class CompositeHamiltonian:
-    """The three Hermitian parts and their dense total, H = HS(x)I + I(x)HB + HSB."""
+    """The three Hermitian parts of H = HS(x)I + I(x)HB + HSB; ``total()`` builds H."""
 
     system: np.ndarray
     bath: np.ndarray
     interaction: np.ndarray
-    total: np.ndarray
     layout: SpaceLayout
 
     def __post_init__(self) -> None:
@@ -100,18 +107,18 @@ class CompositeHamiltonian:
             ("system", self.system, self.layout.dim_system),
             ("bath", self.bath, self.layout.dim_bath),
             ("interaction", self.interaction, self.layout.dim_total),
-            ("total", self.total, self.layout.dim_total),
         ):
             arr = np.asarray(mat)
             if arr.shape != (dim, dim):
                 raise ValidationError(f"{name} part must be {dim}x{dim}, got {arr.shape}")
-        total = np.asarray(self.total)
-        drift = blocked_max(lambda rows: np.abs(
-            _lifted_rows(self.system, self.bath, self.interaction, rows) - total[rows]
-        ).max(), len(total))
-        scale = max(1.0, blocked_max(lambda rows: np.abs(total[rows]).max(), len(total)))
-        if not drift <= 1e-12 * scale:  # a NaN entry fails too
-            raise ValidationError(f"total does not match assembled parts, drift {drift:.3e}")
+
+    def total(self) -> np.ndarray:
+        """The dense d x d H, assembled DENSE_BLOCK rows at a time on every call."""
+        d = self.layout.dim_total
+        total = np.empty((d, d), dtype=complex)
+        for rows in dense_blocks(d):
+            total[rows] = _lifted_rows(self.system, self.bath, self.interaction, rows)
+        return total
 
 
 def _require_hermitian(name: str, mat: np.ndarray) -> np.ndarray:
@@ -128,7 +135,7 @@ def _require_hermitian(name: str, mat: np.ndarray) -> np.ndarray:
 
 def assemble(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray | None,
              layout: SpaceLayout | None = None) -> CompositeHamiltonian:
-    """Build the dense composite Hamiltonian from its parts.
+    """The composite Hamiltonian of checked Hermitian parts.
 
     ``interaction=None`` means no coupling.  The layout is inferred from the
     part dimensions when not given.
@@ -150,11 +157,7 @@ def assemble(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray | Non
         raise ValidationError(
             f"interaction dim {hsb.shape[0]} does not match composite {layout.dim_total}"
         )
-    total = np.empty((layout.dim_total, layout.dim_total), dtype=complex)
-    for rows in dense_blocks(layout.dim_total):
-        total[rows] = _lifted_rows(hs, hb, hsb, rows)
-    return CompositeHamiltonian(system=hs, bath=hb, interaction=hsb, total=total,
-                                layout=layout)
+    return CompositeHamiltonian(system=hs, bath=hb, interaction=hsb, layout=layout)
 
 
 # BLAS kernels compute a trailing partial block of GEMM rows differently from
@@ -233,39 +236,40 @@ class GroupedProjection:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (ascending) and phase-fixed eigenvectors, held by sector.
+    """Energies and phase-fixed eigenvectors, held by sector.
 
     Sector c is S (x) the bath levels c*g, ..., c*g + g - 1, and ``sectors``
     is the (n_sec, m, m) stack (m = dS*g) of the eigenvectors of H's blocks:
     row s*g + j of ``sectors[c]`` is the amplitude on |s> (x) |c*g + j>, so
-    column k is the (dS, g) matrix A of the eigenvector labelled c*m + k.
-    ``order`` lists the labels in ascending order of energy (None: 0, ...,
-    d - 1).  ``eigendecompose`` gives one sector (g = dB), the commuting
-    models dB sectors of g = 1.  The methods below are the only readers of
-    the eigenvectors, one per use, each one formula on the (n_sec, dS, g, m)
+    column k is the (dS, g) matrix A of the eigenvector labelled c*m + k,
+    whose energy is ``energies[c*m + k]`` (given in any shape, kept flat).
+    ``eigendecompose`` gives one sector (g = dB), the commuting models dB
+    sectors of g = 1.  The methods below are the only readers of the
+    eigenvectors, one per use, each one formula on the (n_sec, dS, g, m)
     view of the stack; where two kernels compute it, the sizes choose.
+
+    Derived once, on construction: ``order``, the labels in ascending order
+    of energy (a stable argsort), ``eigenvalues``, the energies in that
+    order, and the level table of ``_sector_levels``: ``levels``, ``gaps``
+    and the mask ``degenerate``.
     """
 
-    eigenvalues: np.ndarray
+    energies: np.ndarray
     sectors: np.ndarray
-    order: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        evals = np.array(self.eigenvalues, dtype=float, copy=True)
-        d = evals.size
-        if evals.ndim != 1:
-            raise ValidationError(f"eigenvalues must be a vector, got shape {evals.shape}")
-        if np.any(np.diff(evals) < 0):
-            raise ValidationError("eigenvalues must be sorted ascending")
+        energies = np.array(self.energies, dtype=float).ravel()
         sectors = np.asarray(self.sectors, dtype=complex)  # kept, not copied
         shape = sectors.shape
-        if len(shape) != 3 or shape[1] != shape[2] or shape[0] * shape[1] != d:
-            raise ValidationError(f"inconsistent shapes: eigenvalues {evals.shape}, "
+        if len(shape) != 3 or shape[1] != shape[2] or shape[0] * shape[1] != energies.size:
+            raise ValidationError(f"inconsistent shapes: energies {np.shape(self.energies)}, "
                                   f"sectors {shape}")
-        order = np.arange(d) if self.order is None else np.array(self.order, dtype=np.intp)
-        if not np.array_equal(np.sort(order), np.arange(d)):
-            raise ValidationError("order must be a permutation of the eigenvector labels")
-        for name, value in (("eigenvalues", evals), ("sectors", sectors), ("order", order)):
+        order = np.argsort(energies, kind="stable")
+        for name, value in (("energies", energies), ("sectors", sectors), ("order", order),
+                            ("eigenvalues", energies[order])):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        for name, value in zip(("levels", "gaps", "degenerate"), self._sector_levels()):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -274,9 +278,7 @@ class SpectralData:
         """Sector form from the (n_sec, m) energies and (n_sec, m, m)
         eigenvectors of the sector blocks; each column is phase-fixed by the
         rule of ``fix_phases``, which gives the phases of the dense path."""
-        energies = np.asarray(level_energies, dtype=float).ravel()
-        order = np.argsort(energies, kind="stable")
-        return cls(eigenvalues=energies[order], sectors=fix_phases(sectors), order=order)
+        return cls(level_energies, fix_phases(sectors))
 
     @property
     def dim(self) -> int:
@@ -293,8 +295,7 @@ class SpectralData:
         """The smallest gap between consecutive levels of any one sector (inf
         for sectors of one level): the smallest Bohr frequency a reduced state
         can see, since Tr_B removes the coherences between sectors."""
-        gaps = self._sector_levels()[1]
-        return float(gaps.min()) if gaps.size else float("inf")
+        return float(self.gaps.min()) if self.gaps.size else float("inf")
 
     def _sector_levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (n_sec, m) indices of each sector's levels (into ``eigenvalues``)
@@ -359,12 +360,10 @@ class SpectralData:
             return GroupedProjection(self.dim, np.full(self.dim, 1.0 / self.dim))
         k = layout.dim_bath if dim_prefix is None else dim_prefix
         if g == 1:
-            rank = np.empty(self.dim, dtype=np.intp)
-            rank[self.order] = np.arange(self.dim)
             shares = np.abs(np.einsum("s,csk->ck", psi.conj(), sectors[:, :, 0])) ** 2
             shares[k:] = 0.0
             return GroupedProjection(k, shares.ravel()[self.order] / k,
-                                     rank.reshape(n_sec, m)[:k], shares[:k])
+                                     self._by_sector(np.arange(self.dim))[:k], shares[:k])
         matrix = np.zeros((k, self.dim), dtype=complex)
         for c in range(-(-k // g)):  # the sectors that hold the first k bath levels
             rows = slice(c * g, min(c * g + g, k))
@@ -382,9 +381,9 @@ class SpectralData:
         """
         sectors = self._view(layout)
         n_sec, ds, g, m = sectors.shape
-        index, _, degenerate = self._sector_levels()
-        starts = np.flatnonzero(np.pad(~degenerate, ((0, 0), (1, 0)), constant_values=True))
-        labels = self.order[index].ravel()  # each sector's, in ascending order of energy
+        starts = np.flatnonzero(np.pad(~self.degenerate, ((0, 0), (1, 0)),
+                                       constant_values=True))
+        labels = self.order[self.levels].ravel()  # each sector's, in ascending order of energy
         columns = np.einsum("csgk,ck->cksg", sectors,
                             self._by_sector(values)).reshape(-1, ds, g)[labels]
         summed = np.add.reduceat(columns, starts)  # one row per run
@@ -409,7 +408,7 @@ class SpectralData:
         """
         sectors = self._view(layout)
         n_sec, ds, g, m = sectors.shape
-        values, energies = self._by_sector(values), self._by_sector(self.eigenvalues)
+        values, energies = self._by_sector(values), self.energies.reshape(n_sec, m)
         if m > 3:
             # the layout of one einsum over all the times: the same bits in sums
             out = np.empty((ds, ds, times.size), dtype=complex).transpose(2, 0, 1)
@@ -482,12 +481,12 @@ def require_fits(n_sec: int, m: int, dim_system: int) -> None:
 def eigendecompose(hamiltonian) -> SpectralData:
     """Dense Hermitian eigendecomposition with deterministic phases.
 
-    Accepts a CompositeHamiltonian (only its ``total`` is read) or a plain
-    Hermitian array, refused by its shape, before any copy, above
-    ``DECOMPOSE_DIM_CAP``.  Verifies the residual ``max |H v_n - E_n v_n|``
-    against ``RESIDUAL * norm(H)`` and the unitarity of the eigenvector matrix,
-    so downstream consumers can rely on SpectralData invariants without
-    rechecking; a NaN fails either check.
+    Accepts a CompositeHamiltonian, whose ``total()`` it builds, or a plain
+    Hermitian array; H is refused by its shape above ``DECOMPOSE_DIM_CAP``
+    before it is checked or copied.  Verifies the residual
+    ``max |H v_n - E_n v_n|`` against ``RESIDUAL * norm(H)`` and the
+    unitarity of the eigenvector matrix, so downstream consumers can rely on
+    SpectralData invariants without rechecking; a NaN fails either check.
 
     Besides H, the call holds the eigensolver's own buffers while
     ``numpy.linalg.eigh`` runs (about four d x d arrays, the eigenvectors
@@ -495,7 +494,7 @@ def eigendecompose(hamiltonian) -> SpectralData:
     overwrites and the checks read in blocks of DENSE_BLOCK columns or rows,
     and which the result keeps as its one sector.
     """
-    mat = hamiltonian.total if isinstance(hamiltonian, CompositeHamiltonian) else hamiltonian
+    mat = hamiltonian.total() if isinstance(hamiltonian, CompositeHamiltonian) else hamiltonian
     require_fits(1, max(np.shape(mat), default=0), 1)
     mat = _require_hermitian("hamiltonian", mat)
     d = mat.shape[0]
@@ -514,17 +513,19 @@ def eigendecompose(hamiltonian) -> SpectralData:
     if not unit_err <= UNITARITY:
         raise ValidationError(f"eigenvector matrix not unitary: {unit_err:.3e}")
 
-    return SpectralData(eigenvalues=evals, sectors=evecs[None])
+    return SpectralData(evals, evecs[None])
 
 
-def degenerate_level_pairs(spectral: SpectralData) -> list[tuple[int, int]]:
+def degenerate_level_pairs(spectral: SpectralData,
+                           limit: int | None = None) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, of levels adjacent inside one sector and no
-    farther apart than SPECTRUM_DEGENERACY*|H|; the spectrum is nondegenerate
-    iff there are none.  Levels of different sectors never interfere in a
-    reduced state, so they may coincide."""
-    index, _, degenerate = spectral._sector_levels()
-    first, second = index[:, :-1][degenerate], index[:, 1:][degenerate]
-    ranked = np.argsort(first)  # no level is the first of two pairs
+    farther apart than SPECTRUM_DEGENERACY*|H|, in ascending order of i (the
+    first ``limit`` of them); the spectrum is nondegenerate iff there are
+    none.  Levels of different sectors never interfere in a reduced state,
+    so they may coincide."""
+    levels, degenerate = spectral.levels, spectral.degenerate
+    first, second = levels[:, :-1][degenerate], levels[:, 1:][degenerate]
+    ranked = np.argsort(first)[:limit]  # no level is the first of two pairs
     return list(zip(first[ranked].tolist(), second[ranked].tolist()))
 
 

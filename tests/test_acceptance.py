@@ -244,9 +244,7 @@ def test_criterion_5_polarization_inequalities(capsys):
                                   np.array([[[0, 1], [1, 0]],
                                             [[0, -1j], [1j, 0]],
                                             [[1, 0], [0, -1]]])))
-        reductions = EigenstateReductions(
-            matrices=mats, purities=0.5 * (1.0 + (paired**2).sum(axis=1)),
-            bloch=paired, layout=SpaceLayout(2, m))
+        reductions = EigenstateReductions(matrices=mats, layout=SpaceLayout(2, m))
         d = 2 * m
         gram = paired.T @ paired
         lhs_i, lhs_ii = theorem2_lhs(reductions)

@@ -9,11 +9,14 @@ body.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import isibench
 from isibench import cli
+from isibench.equilibrium import EigenstateReductions
+from isibench.spectral import CompositeHamiltonian, SpectralData
 
 PACKAGE = Path(isibench.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -51,6 +54,17 @@ GONE_KEYS = {
     "tolerances.verdict_boundary": "fixed as theorems.VERDICT_BOUNDARY",
     "tolerances.decompose_dim_cap": "spectral.DECOMPOSE_DIM_CAP and STACK_ELEMENT_CAP, "
                                     "read from the sector shape of the config",
+}
+
+# Values derived from a type's own fields, each with the field it was stored
+# as and the reason; none may come back as a constructor field, where a
+# stored copy could disagree with its source.
+DERIVED = {
+    (CompositeHamiltonian, "total"): "total(): assembled from the parts on each call",
+    (SpectralData, "order"): "the stable argsort of the energies",
+    (SpectralData, "eigenvalues"): "the energies in ascending order",
+    (EigenstateReductions, "purities"): "tr(rho_n^2) of the matrices",
+    (EigenstateReductions, "bloch"): "the polarizations of qubit matrices",
 }
 
 
@@ -99,6 +113,12 @@ def test_replaced_definitions_stay_gone():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}  # methods too
     back = sorted(name for name in GONE if name in defined or hasattr(isibench, name))
     assert not back, f"replaced definitions are back: {back}"
+
+
+def test_derived_values_are_no_fields():
+    back = sorted(f"{kind.__name__}.{name}" for kind, name in DERIVED
+                  if name in {field.name for field in dataclasses.fields(kind)})
+    assert not back, f"derived values stored as fields again: {back}"
 
 
 def test_removed_config_keys_stay_gone():

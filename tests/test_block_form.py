@@ -313,6 +313,42 @@ def test_cucchietti_pipeline_allocates_no_dense_matrix():
     assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
+def test_a_run_computes_the_level_table_once(tmp_path, monkeypatch, capsys):
+    """d = 2^17: the gate, the verdict, the margin, the T0 reports and the
+    dynamics all read the table that the spectral data derived once."""
+    levels, calls = SpectralData._sector_levels, []
+
+    def counted(self):
+        calls.append(self.dim)
+        return levels(self)
+
+    monkeypatch.setattr(SpectralData, "_sector_levels", counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\nkind = cucchietti\nn_spins = 16\n[analysis]\ntheorems = "
+                   "SufficientISI, T0i, T0ii, T1prime, T2i, T2ii, Popescu\nn_samples = 64\n"
+                   "[dynamics]\nenabled = true\nn_times = 16\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "nondegenerate spectrum: true" in capsys.readouterr().out
+    assert calls == [2**17]
+
+
+def test_dephased_average_holds_no_list_of_pairs():
+    """d = 2^17 with every bath level's two levels paired (65,536 pairs): the
+    dephased average reads the mask; a list of the pairs alone holds 8 MiB."""
+    config = cli.ExperimentConfig(kind="cucchietti", n_spins=16, field_scale=1e12,
+                                  allow_degenerate=True)
+    pipe = cli.Pipeline(config)
+    _ = pipe.coeffs, pipe.reductions
+    assert len(degenerate_level_pairs(pipe.spectral)) == 2**16
+    tracemalloc.start()
+    try:
+        _ = pipe.rho_bar
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_dense_pipeline_holds_each_dense_array_once(monkeypatch):
     """d = 1024, one complex d x d array being 16 MiB: when eigh starts only H
     is alive, and the stages stay under 6 such arrays (numpy's traced

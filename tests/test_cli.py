@@ -339,7 +339,7 @@ class TestModelInfo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * ham.total.nbytes
+        assert peak <= 3 * ham.interaction.nbytes
 
     def test_module_entry_point(self):
         result = subprocess.run(

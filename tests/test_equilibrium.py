@@ -205,9 +205,7 @@ class TestDelta:
                                 np.eye(4, dtype=complex)[None])
         from isibench.equilibrium import EigenstateReductions
         mats = np.broadcast_to(np.eye(2, dtype=complex) / 2, (4, 2, 2)).copy()
-        reductions = EigenstateReductions(matrices=mats,
-                                          purities=np.full(4, 0.5),
-                                          bloch=np.zeros((4, 3)), layout=layout)
+        reductions = EigenstateReductions(matrices=mats, layout=layout)
         projection = subspace_projection(spectral, layout)
         assert delta(reductions, projection) == pytest.approx(0.5, abs=1e-15)
 

@@ -54,8 +54,7 @@ def _mixed_reductions():
     """d=4 reductions that are all I/2."""
     layout = SpaceLayout(2, 2)
     mats = np.broadcast_to(np.eye(2, dtype=complex) / 2, (4, 2, 2)).copy()
-    return EigenstateReductions(matrices=mats, purities=np.full(4, 0.5),
-                                bloch=np.zeros((4, 3)), layout=layout)
+    return EigenstateReductions(matrices=mats, layout=layout)
 
 
 def _axis_pair_reductions():
@@ -67,8 +66,7 @@ def _axis_pair_reductions():
                        np.array([[0, -1j], [1j, 0]]),
                        np.array([[1, 0], [0, -1]], dtype=complex)])
     mats = 0.5 * (np.eye(2)[None] + np.einsum("na,aij->nij", bloch, paulis))
-    return EigenstateReductions(matrices=mats, purities=np.ones(6),
-                                bloch=bloch, layout=layout)
+    return EigenstateReductions(matrices=mats, layout=layout)
 
 
 class TestClosedFormBounds:
@@ -204,8 +202,7 @@ class TestNecessaryCondition:
     def test_search_path_on_flat_qutrit_reductions(self):
         layout = SpaceLayout(3, 2)
         mats = np.broadcast_to(np.eye(3, dtype=complex) / 3, (6, 3, 3)).copy()
-        reductions = EigenstateReductions(matrices=mats, purities=np.full(6, 1.0 / 3),
-                                          bloch=None, layout=layout)
+        reductions = EigenstateReductions(matrices=mats, layout=layout)
         assert necessary_condition_lhs(reductions, n_starts=4, seed=1) < 1e-12
 
     def test_search_path_finds_dephasing_supremum(self):
