@@ -273,6 +273,19 @@ def _read(raw: dict[str, dict[str, str]], key: ConfigKey, default: Any):
     return value
 
 
+# Entries defined for qubit systems only, by the config key that lists them.
+_QUBIT_ONLY = {"analysis.theorems": ("T2i", "T2ii"),
+               "sweep.metrics": ("mean_squared_polarization", "lhs_i")}
+
+
+def _require_qubit(key: str, listed: tuple[str, ...], dim_system: float) -> None:
+    """Refuse the qubit-only entries that ``key`` lists for a model with dS != 2."""
+    named = [name for name in listed if name in _QUBIT_ONLY[key]]
+    if named and dim_system != 2:
+        raise ConfigError(f"{key} lists {', '.join(named)}, defined for qubit systems "
+                          f"only; the model has dS = {dim_system:g}")
+
+
 def _check_sweep(config: ExperimentConfig) -> None:
     parameter, values = config.sweep_parameter, config.sweep_values
     # The numeric model keys of the kind but the seed; a matrix file has none.
@@ -298,6 +311,8 @@ def _check_sweep(config: ExperimentConfig) -> None:
             _read({"model": {parameter: f"{value:.17g}"}}, key, None)
         except ConfigError as err:
             raise ConfigError(f"sweep.values: {err}") from None
+    _require_qubit("sweep.metrics", config.sweep_metrics,
+                   max(values) if parameter == "dim_system" else config.dim_system or 2)
 
 
 def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
@@ -517,14 +532,9 @@ class Pipeline:
     def delta(self) -> float:
         return subspace_delta(self.reductions, self.projection)
 
-    @cached_property
-    def spectrum_check(self) -> tuple[bool, float]:
-        """(nondegenerate, smallest within-sector spacing)."""
-        return not self.spectral.degenerate.any(), self.spectral.min_sector_spacing
-
     @property
     def notes(self) -> list[str]:
-        if self.spectrum_check[0]:
+        if not self.spectral.degenerate.any():
             return []
         return ["note: spectrum is degenerate; the nondegeneracy hypothesis "
                 "of the equilibrium formulas is violated"]
@@ -582,12 +592,13 @@ class Pipeline:
     def reports(self) -> tuple[dict[str, TheoremReport], list[str]]:
         """The configured theorem reports, and notes on the ones skipped."""
         config = self.config
+        _require_qubit("analysis.theorems", config.theorems, self.layout.dim_system)
         reports: dict[str, TheoremReport] = {}
         notes: list[str] = []
         for tid in config.theorems:
             theorem = THEOREMS[tid]
             if theorem.nondegenerate and config.allow_degenerate \
-                    and not self.spectrum_check[0]:
+                    and self.spectral.degenerate.any():
                 notes.append(f"note: {tid} skipped (degenerate spectrum)")
                 continue
             seed = self.seed("bounds", THEOREM_IDS.index(tid))
@@ -598,12 +609,12 @@ class Pipeline:
 # ------------------------------------------------------------------ lines --
 
 def _spectrum_lines(pipe: Pipeline) -> list[str]:
-    spectrum_ok, spacing = pipe.spectrum_check
+    spectral = pipe.spectral
     return [
-        f"dimension: {pipe.spectral.dim}",
-        f"spectral norm: {pipe.spectral.spectral_norm:.6g}",
-        f"min level spacing: {spacing:.6g}",
-        f"nondegenerate spectrum: {str(spectrum_ok).lower()}",
+        f"dimension: {spectral.dim}",
+        f"spectral norm: {spectral.spectral_norm:.6g}",
+        f"min level spacing: {spectral.min_sector_spacing:.6g}",
+        f"nondegenerate spectrum: {str(not spectral.degenerate.any()).lower()}",
     ]
 
 

@@ -3,10 +3,11 @@
 Evolution is computed in the energy eigenbasis, and no propagator is ever
 formed (``SpectralData.evolved_reductions``).  The times are worked through
 in blocks, so only the (n_times, dS, dS) trajectory grows with the grid;
-``Trajectory`` keeps it without a copy, and ``spectral.STACK_ELEMENT_CAP``,
-the cap of every (count, dS, dS) stack a run holds, bounds its entries.  The
-equilibration metric is the mean trace distance of the reduced states on a
-stratified time grid to the infinite-time average.
+``Trajectory`` keeps it without a copy and reads dS from its shape, and
+``spectral.STACK_ELEMENT_CAP``, the cap of every (count, dS, dS) stack a run
+holds, bounds its entries.  The equilibration metric is the mean trace
+distance of the reduced states on a stratified time grid to the
+infinite-time average.
 """
 
 from __future__ import annotations
@@ -24,21 +25,20 @@ from .spectral import STACK_ELEMENT_CAP, SpectralData, write_csv
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Reduced states sampled along a time grid."""
+    """Reduced (n_times, dS, dS) states sampled along a time grid."""
 
     times: np.ndarray
     states: np.ndarray
-    layout: SpaceLayout
 
     def __post_init__(self) -> None:
         times = np.array(self.times, dtype=float, copy=True)
         states = np.asarray(self.states, dtype=complex)  # kept, not copied
         if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
             raise ValidationError(f"times must be a finite vector, got shape {times.shape}")
-        ds = self.layout.dim_system
-        if states.shape != (times.size, ds, ds):
+        ds = states.shape[-1] if states.ndim else 0
+        if states.shape != (times.size, ds, ds) or ds < 2:
             raise ValidationError(
-                f"expected ({times.size}, {ds}, {ds}) states, got {states.shape}"
+                f"expected ({times.size}, dS, dS) states with dS >= 2, got {states.shape}"
             )
         check_density_stack("trajectory states", states, positive=False)
         for name, value in (("times", times), ("states", states)):
@@ -53,7 +53,7 @@ class Trajectory:
         return np.einsum("tij,tji->t", self.states, self.states).real
 
     def bloch(self) -> np.ndarray:
-        if self.layout.dim_system != 2:
+        if self.states.shape[-1] != 2:
             raise ValidationError("Bloch trajectory is defined for qubit systems")
         return batched_bloch_vectors(self.states)
 
@@ -79,7 +79,7 @@ def evolve_reduced(coefficients: OverlapCoefficients, spectral: SpectralData,
         raise ValidationError("coefficients and spectral data disagree on d")
     require_evolution_fits(layout.dim_system, times.size)
     states = spectral.evolved_reductions(coefficients.values, times, layout)
-    return Trajectory(times=times, states=states, layout=layout)
+    return Trajectory(times=times, states=states)
 
 
 def stratified_times(horizon: float, n_times: int,
@@ -109,7 +109,7 @@ def equilibrate(coefficients: OverlapCoefficients, spectral: SpectralData,
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     """One row per time: t, purity, and Bloch components for qubit systems."""
-    qubit = trajectory.layout.dim_system == 2
+    qubit = trajectory.states.shape[-1] == 2
     header = ["t", "purity"] + (["p_x", "p_y", "p_z"] if qubit else [])
     bloch = trajectory.bloch().T if qubit else ()
     write_csv(path, header, zip(trajectory.times, trajectory.purities(), *bloch))

@@ -5,18 +5,18 @@ is diagonal in the eigenbasis: rho_bar = sum_n |c_n|^2 rho_n, where rho_n is
 the bath-traced projector of eigenvector n and c_n the overlap of the initial
 state with it.  This module computes those objects exactly from spectral
 data, and the weighted-purity functional delta that controls the sufficient
-independence condition.  ``EigenstateReductions`` holds the rho_n and
-derives their purities (and, for a qubit, their polarizations) once, so
-delta and the polarization bounds read values that cannot disagree with the
-matrices.  An initial-state subspace R enters only through its projection W
-on the eigenbasis (``subspace_projection``), whose column norms give the
-weights <n|Pi_R|n>/dR; the Haar average of the equilibrium state over R is
-then sum_n w_n rho_n (``weighted_reduction``).  The eigenvectors are read
-only through the methods of ``SpectralData``, so the same code serves every
-sector form.  For sectors of one bath level (the commuting models), and for
-the whole space in any form, R has a basis in which each eigenvector
-overlaps one basis vector at most, and W is kept as those groups
-(``spectral.GroupedProjection``).  Whether the spectrum is degenerate, and
+independence condition.  ``EigenstateReductions`` holds only the rho_n and
+derives from them their layout, their purities and, for a qubit, their
+polarizations once, so delta and the polarization bounds read values that
+cannot disagree with the matrices.  An initial-state subspace R enters only
+through its projection W on the eigenbasis (``subspace_projection``), whose
+column norms give the weights <n|Pi_R|n>/dR; the Haar average of the
+equilibrium state over R is then sum_n w_n rho_n (``weighted_reduction``).
+The eigenvectors are read only through the methods of ``SpectralData``, so
+the same code serves every sector form.  For sectors of one bath level (the
+commuting models), and for the whole space in any form, R has a basis in
+which each eigenvector overlaps one basis vector at most, and W is kept as
+those groups (``spectral.GroupedProjection``).  Whether the spectrum is degenerate, and
 so which average ``time_averaged_state`` takes, is read from the mask
 ``SpectralData.degenerate``.
 
@@ -69,21 +69,23 @@ class EigenstateReductions:
     """System reductions of all composite eigenvectors, with derived summaries.
 
     ``matrices[n]`` is the bath-traced projector of eigenvector n.  Derived
-    on construction: ``purities[n] = tr(matrices[n]^2)`` and ``bloch``, the
+    on construction: ``layout``, dS = k and dB = n / k from the (n, k, k)
+    stack, ``purities[n] = tr(matrices[n]^2)`` and ``bloch``, the
     polarization vectors when the system is a qubit (None otherwise).
     Completeness of the eigenbasis forces (1/d) sum_n matrices[n] = I/dS,
     which is verified on construction.
     """
 
     matrices: np.ndarray
-    layout: SpaceLayout
 
     def __post_init__(self) -> None:
         mats = np.asarray(self.matrices, dtype=complex)
-        d = self.layout.dim_total
-        ds = self.layout.dim_system
-        if mats.shape != (d, ds, ds):
-            raise ValidationError(f"expected ({d}, {ds}, {ds}) reductions, got {mats.shape}")
+        if mats.ndim != 3 or not 0 < mats.shape[1] == mats.shape[2] \
+                or len(mats) % mats.shape[1]:
+            raise ValidationError(f"expected (n, k, k) reductions with k dividing n, "
+                                  f"got {mats.shape}")
+        ds = mats.shape[1]
+        object.__setattr__(self, "layout", SpaceLayout(ds, len(mats) // ds))
         check_density_stack("eigenstate reductions", mats)
         completeness = float(np.abs(mats.mean(axis=0) - np.eye(ds) / ds).max())
         if completeness > COMPLETENESS_TOL:
@@ -119,7 +121,7 @@ def overlaps(spectral: SpectralData, initial: PureState,
 def eigenstate_reductions(spectral: SpectralData,
                           layout: SpaceLayout) -> EigenstateReductions:
     """Bath-traced projectors of every eigenvector, batched."""
-    return EigenstateReductions(spectral.reductions(layout), layout)
+    return EigenstateReductions(spectral.reductions(layout))
 
 
 def require_nondegenerate(spectral: SpectralData, allow_degenerate: bool = False) -> None:

@@ -1,10 +1,10 @@
 """Composite Hamiltonian assembly, eigendecomposition, and the degeneracy test.
 
 Each type here holds its inputs once and derives the rest from them:
-``CompositeHamiltonian`` holds the three parts and builds H with
-``total()``, and ``SpectralData`` holds the energies by label and derives
-their order, the ascending eigenvalues and the level table below once, on
-construction.
+``CompositeHamiltonian`` holds the three parts, reads the layout from
+their dimensions and builds H with ``total()``, and ``SpectralData`` holds
+the energies by label and derives their order, the ascending eigenvalues
+and the level table below once, on construction.
 
 ``SpectralData`` holds a spectrum and its eigenvectors in one form, by
 sector: H is block-diagonal over S (x) (a sector of g bath levels), and the
@@ -95,22 +95,21 @@ def _lifted_rows(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray,
 
 @dataclass(frozen=True)
 class CompositeHamiltonian:
-    """The three Hermitian parts of H = HS(x)I + I(x)HB + HSB; ``total()`` builds H."""
+    """The three Hermitian parts of H = HS(x)I + I(x)HB + HSB; ``total()`` builds H.
+
+    ``layout`` is derived on construction from the dimensions of HS and HB.
+    """
 
     system: np.ndarray
     bath: np.ndarray
     interaction: np.ndarray
-    layout: SpaceLayout
 
     def __post_init__(self) -> None:
-        for name, mat, dim in (
-            ("system", self.system, self.layout.dim_system),
-            ("bath", self.bath, self.layout.dim_bath),
-            ("interaction", self.interaction, self.layout.dim_total),
-        ):
-            arr = np.asarray(mat)
-            if arr.shape != (dim, dim):
-                raise ValidationError(f"{name} part must be {dim}x{dim}, got {arr.shape}")
+        layout = SpaceLayout(len(self.system), len(self.bath))
+        d, shape = layout.dim_total, np.shape(self.interaction)
+        if shape != (d, d):
+            raise ValidationError(f"interaction part must be {d}x{d}, got {shape}")
+        object.__setattr__(self, "layout", layout)
 
     def total(self) -> np.ndarray:
         """The dense d x d H, assembled DENSE_BLOCK rows at a time on every call."""
@@ -133,31 +132,21 @@ def _require_hermitian(name: str, mat: np.ndarray) -> np.ndarray:
     return arr
 
 
-def assemble(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray | None,
-             layout: SpaceLayout | None = None) -> CompositeHamiltonian:
+def assemble(system: np.ndarray, bath: np.ndarray,
+             interaction: np.ndarray | None) -> CompositeHamiltonian:
     """The composite Hamiltonian of checked Hermitian parts.
 
-    ``interaction=None`` means no coupling.  The layout is inferred from the
-    part dimensions when not given.
+    ``interaction=None`` means no coupling.  The layout is read from the
+    part dimensions.
     """
     hs = _require_hermitian("system part", system)
     hb = _require_hermitian("bath part", bath)
-    if layout is None:
-        layout = SpaceLayout(hs.shape[0], hb.shape[0])
     if interaction is None:
-        hsb = np.zeros((layout.dim_total, layout.dim_total), dtype=complex)
+        d = len(hs) * len(hb)
+        hsb = np.zeros((d, d), dtype=complex)
     else:
         hsb = _require_hermitian("interaction part", interaction)
-    if hs.shape[0] != layout.dim_system or hb.shape[0] != layout.dim_bath:
-        raise ValidationError(
-            f"part dims ({hs.shape[0]}, {hb.shape[0]}) do not match layout "
-            f"{layout.dim_system}x{layout.dim_bath}"
-        )
-    if hsb.shape[0] != layout.dim_total:
-        raise ValidationError(
-            f"interaction dim {hsb.shape[0]} does not match composite {layout.dim_total}"
-        )
-    return CompositeHamiltonian(system=hs, bath=hb, interaction=hsb, layout=layout)
+    return CompositeHamiltonian(system=hs, bath=hb, interaction=hsb)
 
 
 # BLAS kernels compute a trailing partial block of GEMM rows differently from

@@ -1,10 +1,13 @@
 """Bound evaluation and verdicts for the independence theorems.
 
 Each evaluator computes one inequality: an exact or Monte Carlo left-hand
-side, the closed-form right-hand side, and a verdict.  The right-hand side is
-computed in one place, the theorem's ``THEOREMS`` entry, from the parameters
-the report records, so a serialized report can be audited without rerunning
-the experiment.
+side, the closed-form right-hand side, and a verdict.  A ``TheoremReport``
+holds only the theorem, the left-hand side and the parameters it records;
+the right-hand side (the theorem's ``THEOREMS`` entry, the one place each
+bound is computed) and the verdict are derived from them on construction.
+So a serialized report can be audited without rerunning the experiment:
+``read_report`` refuses a file whose recorded bound or verdict is not the
+derived one.
 
 Verdict semantics: ``satisfied``/``violated`` compare the two sides;
 ``vacuous`` flags a bound that exceeds the largest value its left-hand side
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -42,6 +45,7 @@ SUFFICIENT_ISI_THRESHOLD = 0.1  # smallness cutoff for sqrt(delta)
 VERDICT_BOUNDARY = 1e-9         # |lhs - rhs| window reported as indeterminate
 
 VERDICTS = ("satisfied", "violated", "vacuous", "indeterminate")
+REPORT_SCHEMA_VERSION = 1       # "schema_version" of a report's JSON
 
 _SCALAR_TYPES = (bool, int, float, str)
 
@@ -107,16 +111,20 @@ class Theorem0Estimate:
     ``estimate`` has two components per draw: the trace distance of its
     infinite-time average to the exact subspace-averaged equilibrium state,
     and whether that distance exceeds ``threshold``, the sharp bound
-    sqrt(dS delta / dR) plus ``epsilon``.
+    sqrt(dS delta / dR) plus ``epsilon``.  Derived on construction from
+    ``theorem0_rhs``: ``threshold`` and ``weak``, the bound sqrt(dS / dR).
     """
 
     dim_system: int
     dim_restricted: int
     delta: float
-    weak: float
     epsilon: float
-    threshold: float
     estimate: MonteCarloEstimate
+
+    def __post_init__(self) -> None:
+        strong, weak = theorem0_rhs(self.dim_system, self.dim_restricted, self.delta)
+        object.__setattr__(self, "weak", weak)
+        object.__setattr__(self, "threshold", strong + self.epsilon)
 
 
 def theorem0_estimate(projection: DenseProjection | GroupedProjection,
@@ -133,9 +141,8 @@ def theorem0_estimate(projection: DenseProjection | GroupedProjection,
     require_nondegenerate(spectral)
     weights = projection.weights
     delta_value = weighted_purity(weights, reductions)
-    dim_r = projection.dim
-    strong, weak = theorem0_rhs(reductions.layout.dim_system, dim_r, delta_value)
-    threshold = strong + epsilon
+    dim_r, ds = projection.dim, reductions.layout.dim_system
+    threshold = theorem0_rhs(ds, dim_r, delta_value)[0] + epsilon
     reference = DensityMatrix(weighted_reduction(weights, reductions)).matrix
     draw, width, states_of = projection.sampler(reductions.matrices)
 
@@ -144,8 +151,7 @@ def theorem0_estimate(projection: DenseProjection | GroupedProjection,
         return np.stack([distances, (distances > threshold).astype(float)], axis=1)
 
     estimate = batched_monte_carlo(values, draw, width, n_samples, seed)
-    return Theorem0Estimate(reductions.layout.dim_system, dim_r, delta_value, weak,
-                            epsilon, threshold, estimate)
+    return Theorem0Estimate(ds, dim_r, delta_value, epsilon, estimate)
 
 
 def necessary_condition_lhs(reductions: EigenstateReductions,
@@ -342,54 +348,38 @@ def assign_verdict(theorem_id: str, lhs: float, rhs: float,
 class TheoremReport:
     """One evaluated inequality with everything needed to audit it.
 
-    Construction enforces self-consistency: the stored right-hand side must
-    be recomputable from the recorded parameters, and the verdict must match
-    the shared policy applied to the stored sides.
+    It holds the theorem, the left-hand side and the recorded parameters,
+    and derives on construction the right-hand side (``recompute_rhs``) and
+    the verdict (``assign_verdict``), so neither can disagree with them.
+    ``from_json`` audits a stored report: its recorded rhs and verdict must
+    be the derived ones.
     """
 
     theorem_id: str
     lhs: float
-    rhs: float
-    verdict: str
-    parameters: dict = field(default_factory=dict)
-    schema_version: int = 1
+    parameters: dict
 
     def __post_init__(self) -> None:
         if self.theorem_id not in THEOREM_IDS:
             raise ValidationError(f"unknown theorem id {self.theorem_id!r}")
-        if self.verdict not in VERDICTS:
-            raise ValidationError(f"unknown verdict {self.verdict!r}")
-        if self.schema_version != 1:
-            raise ValidationError(f"unsupported schema version {self.schema_version}")
         if not isinstance(self.lhs, (int, float)) or not math.isfinite(self.lhs):
             raise ValidationError(f"lhs must be finite, got {self.lhs!r}")
-        if not isinstance(self.rhs, (int, float)) or math.isnan(self.rhs):
-            raise ValidationError(f"rhs must be a number, got {self.rhs!r}")
         for key, value in self.parameters.items():
             if not isinstance(key, str):
                 raise ValidationError(f"parameter keys must be strings, got {key!r}")
             if not isinstance(value, _SCALAR_TYPES):
                 raise ValidationError(f"parameter {key!r} is not a scalar: {value!r}")
-        recomputed = recompute_rhs(self.theorem_id, self.parameters)
-        if math.isinf(self.rhs) or math.isinf(recomputed):
-            consistent = self.rhs == recomputed
-        else:
-            consistent = abs(self.rhs - recomputed) <= 1e-12 * max(1.0, abs(self.rhs))
-        if not consistent:
-            raise ValidationError(
-                f"rhs {self.rhs!r} not reproducible from parameters "
-                f"(recomputed {recomputed!r})"
-            )
-        expected = assign_verdict(self.theorem_id, self.lhs, self.rhs, self.parameters)
-        if self.verdict != expected:
-            raise ValidationError(
-                f"verdict {self.verdict!r} contradicts the policy ({expected!r}) "
-                f"for lhs={self.lhs!r}, rhs={self.rhs!r}"
-            )
+        rhs = recompute_rhs(self.theorem_id, self.parameters)
+        if math.isnan(rhs):
+            raise ValidationError(f"rhs must be a number, got {rhs!r}")
+        object.__setattr__(self, "lhs", float(self.lhs))
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "verdict",
+                           assign_verdict(self.theorem_id, self.lhs, rhs, self.parameters))
 
     def to_json(self) -> str:
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "theorem_id": self.theorem_id,
             "lhs": self.lhs,
             "rhs": _encode_scalar(self.rhs),
@@ -400,6 +390,8 @@ class TheoremReport:
 
     @classmethod
     def from_json(cls, text: str) -> "TheoremReport":
+        """The recorded report, refused unless its rhs reproduces (1e-12
+        relative; inf only as inf) and its verdict is the derived one."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as err:
@@ -407,17 +399,27 @@ class TheoremReport:
         if not isinstance(payload, dict):
             raise ValidationError("report JSON must be an object")
         try:
-            return cls(
-                theorem_id=payload["theorem_id"],
-                lhs=float(payload["lhs"]),
-                rhs=_decode_scalar(payload["rhs"]),
-                verdict=payload["verdict"],
-                parameters={k: _decode_scalar(v)
-                            for k, v in payload["parameters"].items()},
-                schema_version=int(payload["schema_version"]),
-            )
+            version = int(payload["schema_version"])
+            if version != REPORT_SCHEMA_VERSION:
+                raise ValidationError(f"unsupported schema version {version}")
+            rhs, verdict = _decode_scalar(payload["rhs"]), payload["verdict"]
+            report = cls(payload["theorem_id"], float(payload["lhs"]),
+                         {k: _decode_scalar(v) for k, v in payload["parameters"].items()})
         except KeyError as missing:
             raise ValidationError(f"report JSON lacks field {missing.args[0]!r}") from None
+        if verdict not in VERDICTS:
+            raise ValidationError(f"unknown verdict {verdict!r}")
+        if not isinstance(rhs, (int, float)) or math.isnan(rhs):
+            raise ValidationError(f"rhs must be a number, got {rhs!r}")
+        if not math.isclose(rhs, report.rhs, rel_tol=1e-12, abs_tol=1e-12):
+            raise ValidationError(f"rhs {rhs!r} not reproducible from parameters "
+                                  f"(recomputed {report.rhs!r})")
+        if verdict != report.verdict:
+            raise ValidationError(
+                f"verdict {verdict!r} contradicts the policy ({report.verdict!r}) "
+                f"for lhs={report.lhs!r}, rhs={rhs!r}"
+            )
+        return report
 
 
 def _encode_scalar(value):
@@ -455,13 +457,6 @@ def _float_params(mapping: dict) -> dict:
     return out
 
 
-def _report(theorem_id: str, lhs: float, parameters: dict) -> TheoremReport:
-    """The report, its bound from the registry entry, and its verdict."""
-    lhs, rhs = float(lhs), recompute_rhs(theorem_id, parameters)
-    verdict = assign_verdict(theorem_id, lhs, rhs, parameters)
-    return TheoremReport(theorem_id, lhs, rhs, verdict, parameters)
-
-
 def sufficient_condition_report(delta_value: float) -> TheoremReport:
     """Report on the smallness condition sqrt(delta) << 1.
 
@@ -473,7 +468,7 @@ def sufficient_condition_report(delta_value: float) -> TheoremReport:
     if not 0.0 < delta_value <= 1.0 + 1e-9:
         raise ValidationError(f"delta must lie in (0, 1], got {delta_value}")
     parameters = _float_params({"delta": delta_value, "threshold": SUFFICIENT_ISI_THRESHOLD})
-    return _report("SufficientISI", math.sqrt(delta_value), parameters)
+    return TheoremReport("SufficientISI", math.sqrt(delta_value), parameters)
 
 
 def _theorem0_parameters(t0: Theorem0Estimate, column: int) -> dict:
@@ -486,7 +481,7 @@ def _theorem0_parameters(t0: Theorem0Estimate, column: int) -> dict:
 def theorem0_mean_report(t0: Theorem0Estimate) -> TheoremReport:
     """Empirical mean equilibrium distance against sqrt(dS delta / dR)."""
     parameters = _float_params({**_theorem0_parameters(t0, 0), "weak_rhs": t0.weak})
-    return _report("T0i", t0.estimate.mean[0], parameters)
+    return TheoremReport("T0i", t0.estimate.mean[0], parameters)
 
 
 def theorem0_tail_report(t0: Theorem0Estimate) -> TheoremReport:
@@ -494,7 +489,7 @@ def theorem0_tail_report(t0: Theorem0Estimate) -> TheoremReport:
     parameters = _float_params({
         **_theorem0_parameters(t0, 1), "epsilon": t0.epsilon,
         "distance_threshold": t0.threshold, "c": CONCENTRATION_RATE})
-    return _report("T0ii", t0.estimate.mean[1], parameters)
+    return TheoremReport("T0ii", t0.estimate.mean[1], parameters)
 
 
 def necessary_condition_report(lhs: float, dim_system: int, epsilon: float,
@@ -520,12 +515,11 @@ def necessary_condition_report(lhs: float, dim_system: int, epsilon: float,
     if dim_system > 2:
         parameters.update(_float_params({"n_starts": n_starts, "seed": seed}))
         parameters["lhs_is_lower_bound"] = True
-    return _report(theorem_id, lhs, parameters)
+    return TheoremReport(theorem_id, lhs, parameters)
 
 
 def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
-                     dim_restricted: int, p: float = 1.0
-                     ) -> tuple[TheoremReport, TheoremReport]:
+                     dim_restricted: int) -> tuple[TheoremReport, TheoremReport]:
     """Qubit necessary conditions: pairwise alignment and mean squared polarization.
 
     The bounds are sqrt(3) epsilon and 3 epsilon, the large-bath limit in
@@ -533,17 +527,17 @@ def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
     is the reading under which a mean squared polarization of 1 forbids
     independence at accuracy better than about 1/3.  The finite-size
     constant, which T1 and T1prime compare against, is recorded as
-    ``epsilon_prime``.
+    ``epsilon_prime``, at the measure p = 1 of the whole restricted family.
     """
     if epsilon < 0:
         raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
     lhs_i, lhs_ii = theorem2_lhs(reductions)
     base = _float_params({
-        "epsilon": epsilon, "dS": 2, "dR": dim_restricted, "p": p,
+        "epsilon": epsilon, "dS": 2, "dR": dim_restricted, "p": 1.0,
         "c": CONCENTRATION_RATE,
-        "epsilon_prime": epsilon_prime(epsilon, 2, dim_restricted, p),
+        "epsilon_prime": epsilon_prime(epsilon, 2, dim_restricted, 1.0),
     })
-    return _report("T2i", lhs_i, dict(base)), _report("T2ii", lhs_ii, base)
+    return TheoremReport("T2i", lhs_i, dict(base)), TheoremReport("T2ii", lhs_ii, base)
 
 
 def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int,
@@ -569,4 +563,4 @@ def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int,
         "n_samples": n_samples, "seed": seed,
         "lhs_standard_error": estimate.standard_error,
     })
-    return _report("Popescu", estimate.mean, parameters)
+    return TheoremReport("Popescu", estimate.mean, parameters)

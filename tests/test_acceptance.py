@@ -244,7 +244,7 @@ def test_criterion_5_polarization_inequalities(capsys):
                                   np.array([[[0, 1], [1, 0]],
                                             [[0, -1j], [1j, 0]],
                                             [[1, 0], [0, -1]]])))
-        reductions = EigenstateReductions(matrices=mats, layout=SpaceLayout(2, m))
+        reductions = EigenstateReductions(matrices=mats)
         d = 2 * m
         gram = paired.T @ paired
         lhs_i, lhs_ii = theorem2_lhs(reductions)
@@ -317,7 +317,7 @@ def test_criterion_6_concentration_bound_honesty(capsys):
         theorem0_estimate(small, spectral, reductions, 0.5, 400, 63)))
     reports.append(necessary_condition_report(necessary_condition_lhs(reductions), 2,
                                               0.05, 16, 1.0, "T1prime", 8, 64))
-    reports.extend(theorem2_reports(reductions, 0.05, 16, 1.0))
+    reports.extend(theorem2_reports(reductions, 0.05, 16))
     reports.append(popescu_report(spec.layout, 0.05, 400, 65))
 
     wide_spec = sample_commuting_spec(128, 1.0, 1.0, 1.0, np.random.default_rng(66))

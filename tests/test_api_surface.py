@@ -15,8 +15,10 @@ from pathlib import Path
 
 import isibench
 from isibench import cli
+from isibench.dynamics import Trajectory
 from isibench.equilibrium import EigenstateReductions
 from isibench.spectral import CompositeHamiltonian, SpectralData
+from isibench.theorems import Theorem0Estimate, TheoremReport
 
 PACKAGE = Path(isibench.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -65,6 +67,14 @@ DERIVED = {
     (SpectralData, "eigenvalues"): "the energies in ascending order",
     (EigenstateReductions, "purities"): "tr(rho_n^2) of the matrices",
     (EigenstateReductions, "bloch"): "the polarizations of qubit matrices",
+    (EigenstateReductions, "layout"): "dS = k and dB = n / k of the (n, k, k) stack",
+    (CompositeHamiltonian, "layout"): "the dimensions of the system and bath parts",
+    (Trajectory, "layout"): "dS is the size of the (n_times, dS, dS) states",
+    (TheoremReport, "rhs"): "recompute_rhs of the recorded parameters",
+    (TheoremReport, "verdict"): "assign_verdict of the two sides",
+    (TheoremReport, "schema_version"): "the module constant REPORT_SCHEMA_VERSION",
+    (Theorem0Estimate, "weak"): "theorem0_rhs of dS, dR and delta",
+    (Theorem0Estimate, "threshold"): "theorem0_rhs of dS, dR and delta, plus epsilon",
 }
 
 

@@ -22,7 +22,7 @@ from isibench.hilbert import SpaceLayout
 from isibench.models import build_random_model
 from isibench.sampling import generator
 from isibench.spectral import write_matrix
-from isibench.theorems import read_report
+from isibench.theorems import THEOREM_IDS, read_report
 
 
 def _write_cfg(tmp_path, text, name="experiment.cfg"):
@@ -481,7 +481,75 @@ class TestBoundsCommand:
         assert "SufficientISI:" in out
 
 
+class TestQubitOnlyEntries:
+    # The T2 reports and the polarization metrics are defined for dS = 2.
+    QUTRIT = ["--config", "random_contrast", "--override", "model.dim_bath=16",
+              "--override", "model.dim_system=3",
+              "--override", "initial_state.system=random"]
+
+    @pytest.mark.parametrize("command", ["bounds", "run"])
+    def test_t2_reports_of_a_qutrit_exit_2_before_any_output(self, tmp_path, capsys,
+                                                             command):
+        out_dir = tmp_path / "out"
+        assert cli.main([command, *self.QUTRIT, "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: analysis.theorems lists T2i, T2ii, defined for "
+                                "qubit systems only; the model has dS = 3\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["bounds", "run"])
+    def test_t2_report_of_a_tagged_qutrit_file_exits_2(self, tmp_path, capsys, command):
+        # dS comes from the file's layout tag
+        matrix_path = tmp_path / "tagged.mat"
+        write_matrix(matrix_path, np.diag(np.arange(6.0) ** 2), SpaceLayout(3, 2))
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n"
+                                   "[initial_state]\nsystem = random\n"
+                                   "[analysis]\ntheorems = SufficientISI, T2ii\n")
+        out_dir = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == ("error: analysis.theorems lists T2ii, defined "
+                                           "for qubit systems only; the model has dS = 3\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("overrides, listed, dim", [
+        ([], "mean_squared_polarization", 3),  # the default metric
+        (["--override", "sweep.metrics=delta, lhs_i"], "lhs_i", 3),
+        (["--override", "model.dim_system=2", "--override", "sweep.parameter=dim_system",
+          "--override", "sweep.values=2, 4"], "mean_squared_polarization", 4),
+    ])
+    def test_polarization_metrics_of_a_qutrit_exit_2_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, overrides, listed, dim):
+        monkeypatch.setattr(cli, "_draw_metrics", lambda task: pytest.fail("a draw ran"))
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", *self.QUTRIT, "--out", str(out_dir),
+                         "--override", "sweep.parameter=dim_bath",
+                         "--override", "sweep.values=8, 16", *overrides]) == 2
+        assert capsys.readouterr().err == (f"error: sweep.metrics lists {listed}, defined "
+                                           f"for qubit systems only; the model has "
+                                           f"dS = {dim}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "equilibrium", "dynamics"])
+    def test_the_other_commands_run_on_a_qutrit(self, tmp_path, capsys, command):
+        assert cli.main([command, *self.QUTRIT, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestRunCommand:
+    def test_every_report_file_reads_back_to_its_bytes(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", "sec5_violation", "--out", str(out_dir),
+                         "--override", "model.dim_bath=16",
+                         "--override", "analysis.n_samples=20",
+                         "--override", f"analysis.theorems={','.join(THEOREM_IDS)}",
+                         "--override", "dynamics.n_times=50"]) == 0
+        capsys.readouterr()
+        paths = sorted(out_dir.glob("report_*.json"))
+        assert [p.name for p in paths] == sorted(f"report_{t}.json" for t in THEOREM_IDS)
+        for path in paths:
+            assert read_report(path).to_json() == path.read_text(encoding="utf-8"), path
+
     def test_reruns_are_reproducible(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, COMMUTING_SMALL)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

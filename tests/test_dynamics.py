@@ -259,3 +259,14 @@ class TestTrajectoryCsv:
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(path, trajectory)
         assert path.read_text().splitlines()[1] == "t,purity"
+        with pytest.raises(ValidationError, match="qubit"):
+            trajectory.bloch()
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (3, 2, 3), (3, 1, 1), (3, 4)])
+    def test_states_must_be_one_square_matrix_per_time(self, shape):
+        # dS is read from the states, so only their own shape can refuse them
+        states = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValidationError, match="states"):
+            Trajectory(np.arange(3.0), states)

@@ -9,7 +9,7 @@ from isibench import (DegenerateSpectrumError, DensityMatrix, PureState,
                       overlaps,
                       sample_commuting_spec, subspace_projection, time_averaged_state,
                       trace_distance, write_reductions_csv)
-from isibench.equilibrium import weighted_reduction
+from isibench.equilibrium import EigenstateReductions, weighted_reduction
 from isibench.models import analytic_eigensystem
 from isibench.spectral import DenseProjection, SpectralData
 
@@ -95,6 +95,17 @@ class TestEigenstateReductions:
         layout, spectral, reductions, _ = _random_problem(3, 2, 23)
         with pytest.raises(ValidationError):
             reductions.mean_squared_polarization
+
+    def test_layout_is_read_from_the_stack(self):
+        layout, spectral, reductions, _ = _random_problem(3, 4, 29)
+        assert reductions.layout == layout
+
+    @pytest.mark.parametrize("shape", [(6, 2, 3), (5, 2, 2), (4, 2), (4, 0, 0), (0, 2, 2)])
+    def test_stack_of_another_form_is_refused(self, shape):
+        # (n, k, k) with k dividing n and n >= k >= 2: dS = k, dB = n / k
+        mats = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValidationError):
+            EigenstateReductions(mats)
 
 
 class TestTimeAveragedState:
@@ -203,9 +214,8 @@ class TestDelta:
         layout = SpaceLayout(2, 2)
         spectral = SpectralData(np.array([0.0, 1.0, 2.0, 4.0]),
                                 np.eye(4, dtype=complex)[None])
-        from isibench.equilibrium import EigenstateReductions
         mats = np.broadcast_to(np.eye(2, dtype=complex) / 2, (4, 2, 2)).copy()
-        reductions = EigenstateReductions(matrices=mats, layout=layout)
+        reductions = EigenstateReductions(matrices=mats)
         projection = subspace_projection(spectral, layout)
         assert delta(reductions, projection) == pytest.approx(0.5, abs=1e-15)
 

@@ -66,7 +66,9 @@ class TestBlockedChecks:
     def test_assembly_has_the_bits_of_the_kron_sum(self):
         hs, hb, hsb, layout = _blocked_parts()
         total = np.kron(hs, np.eye(100)) + np.kron(np.eye(3), hb) + hsb
-        assert assemble(hs, hb, hsb, layout).total().tobytes() == total.tobytes()
+        ham = assemble(hs, hb, hsb)
+        assert ham.layout == layout
+        assert ham.total().tobytes() == total.tobytes()
 
     @pytest.mark.parametrize("fault", [math.nan, 1e-6])
     def test_hermiticity_check_sees_the_last_block(self, fault):
@@ -180,11 +182,10 @@ class TestEigendecompose:
 
     def test_bath_basis_change_leaves_eigenvalues(self):
         rng = np.random.default_rng(43)
-        layout = SpaceLayout(2, 4)
         hs = random_hermitian(2, rng)
         hb = random_hermitian(4, rng)
         hsb = random_hermitian(8, rng)
-        ham = assemble(hs, hb, hsb, layout)
+        ham = assemble(hs, hb, hsb)
         raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         unitary, _ = np.linalg.qr(raw)
         lifted = np.kron(np.eye(2), unitary)

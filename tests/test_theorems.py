@@ -52,21 +52,19 @@ def _aligned_reductions():
 
 def _mixed_reductions():
     """d=4 reductions that are all I/2."""
-    layout = SpaceLayout(2, 2)
     mats = np.broadcast_to(np.eye(2, dtype=complex) / 2, (4, 2, 2)).copy()
-    return EigenstateReductions(matrices=mats, layout=layout)
+    return EigenstateReductions(matrices=mats)
 
 
 def _axis_pair_reductions():
     """d=6 unit polarizations along +/- x, +/- y, +/- z: G = 2 I."""
-    layout = SpaceLayout(2, 3)
     bloch = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0],
                       [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0]])
     paulis = np.stack([np.array([[0, 1], [1, 0]], dtype=complex),
                        np.array([[0, -1j], [1j, 0]]),
                        np.array([[1, 0], [0, -1]], dtype=complex)])
     mats = 0.5 * (np.eye(2)[None] + np.einsum("na,aij->nij", bloch, paulis))
-    return EigenstateReductions(matrices=mats, layout=layout)
+    return EigenstateReductions(matrices=mats)
 
 
 class TestClosedFormBounds:
@@ -200,9 +198,9 @@ class TestNecessaryCondition:
             float(np.linalg.eigvalsh(gram)[-1]), abs=1e-14)
 
     def test_search_path_on_flat_qutrit_reductions(self):
-        layout = SpaceLayout(3, 2)
         mats = np.broadcast_to(np.eye(3, dtype=complex) / 3, (6, 3, 3)).copy()
-        reductions = EigenstateReductions(matrices=mats, layout=layout)
+        reductions = EigenstateReductions(matrices=mats)
+        assert reductions.layout == SpaceLayout(3, 2)
         assert necessary_condition_lhs(reductions, n_starts=4, seed=1) < 1e-12
 
     def test_search_path_finds_dephasing_supremum(self):
@@ -555,13 +553,27 @@ class TestReports:
         with pytest.raises(ValidationError, match="contradicts the policy"):
             TheoremReport.from_json(json.dumps(payload))
 
+    def test_unsupported_schema_version_is_rejected(self):
+        spec, spectral, reductions, _ = _commuting_problem(16, 131)
+        _, report = theorem2_reports(reductions, epsilon=0.05, dim_restricted=16)
+        payload = json.loads(report.to_json())
+        payload["schema_version"] = 2
+        with pytest.raises(ValidationError, match="unsupported schema version 2"):
+            TheoremReport.from_json(json.dumps(payload))
+
+    def test_bound_and_verdict_are_derived_on_construction(self):
+        report = TheoremReport("T2ii", 1.0, {"epsilon": 0.05})
+        assert (report.rhs, report.verdict) == (3.0 * 0.05, "violated")
+        assert TheoremReport("T1", 0.5, {"epsilon": 0.05, "dS": 2, "dR": 8,
+                                         "p": 0.0}).rhs == math.inf
+
     def test_missing_parameter_is_named(self):
         with pytest.raises(ValidationError, match="'epsilon'"):
-            TheoremReport("T0ii", 0.0, 0.5, "satisfied", {"dR": 64})
+            TheoremReport("T0ii", 0.0, {"dR": 64})
 
     def test_unknown_theorem_id_rejected(self):
         with pytest.raises(ValidationError):
-            TheoremReport("T3", 0.0, 0.5, "satisfied", {})
+            TheoremReport("T3", 0.0, {})
 
     def test_theorem_id_registry(self):
         assert THEOREM_IDS == ("SufficientISI", "T0i", "T0ii", "T1", "T1prime",
