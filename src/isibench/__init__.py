@@ -15,9 +15,9 @@ from .equilibrium import (EigenstateReductions, OverlapCoefficients, delta,
                           subspace_projection, time_averaged_state, write_reductions_csv)
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
-from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, BlochVector, DensityMatrix,
-                      PureState, SpaceLayout, batched_bloch_vectors, bloch_vector,
-                      purity, tensor_product, trace_distance, trace_norm, weighted_sum)
+from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState,
+                      SpaceLayout, batched_bloch_vectors, purities, tensor_product,
+                      trace_distance, trace_norm, weighted_sum)
 from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
                      build_cucchietti_bath, build_random_model, commuting_norms,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)

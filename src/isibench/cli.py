@@ -46,8 +46,8 @@ from .equilibrium import (EigenstateReductions, OverlapCoefficients,
 from .equilibrium import delta as subspace_delta
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
-from .hilbert import (DensityMatrix, PureState, SpaceLayout, bloch_vector, purity,
-                      tensor_product)
+from .hilbert import (DensityMatrix, PureState, SpaceLayout, batched_bloch_vectors,
+                      purities, tensor_product)
 from .models import (CommutingModelSpec, analytic_eigensystem, build_random_model,
                      commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import generator, sample_amplitudes
@@ -410,6 +410,15 @@ class Pipeline:
         _ = self.coeffs, self.delta
         return self
 
+    def check_theorems(self) -> "Pipeline":
+        """Refuse qubit-only reports on a config-fixed dS != 2 after the size cap,
+        before any draw; ``reports`` refuses a matrix file's dS once read."""
+        if self.config.kind != "file":
+            self._check_dimension()
+            _require_qubit("analysis.theorems", self.config.theorems,
+                           self.config.dim_system or 2)
+        return self
+
     def _check_dimension(self) -> None:
         """``require_fits`` on the sectors the config fixes, before any draw: dB
         of m = 2 (dB = 2^n_spins, by bit length first so that a huge n_spins is
@@ -648,17 +657,16 @@ def _conclusion_line(config: ExperimentConfig, reports: dict[str, TheoremReport]
 
 
 def _equilibrium_lines(pipe: Pipeline) -> list[str]:
-    rho_bar = pipe.rho_bar
+    rho_bar = pipe.rho_bar.matrix[None]
     lines = [
         f"subspace: {pipe.config.subspace} (dR={pipe.projection.dim})",
         f"delta: {pipe.delta:.12g}",
         f"sqrt(delta): {math.sqrt(pipe.delta):.12g}",
-        f"time-averaged state purity: {purity(rho_bar):.6g}",
+        f"time-averaged state purity: {purities(rho_bar)[0]:.6g}",
     ]
     if pipe.layout.dim_system == 2:
-        p = bloch_vector(rho_bar)
-        lines.append(f"time-averaged state polarization: "
-                     f"({p.px:.6g}, {p.py:.6g}, {p.pz:.6g})")
+        px, py, pz = batched_bloch_vectors(rho_bar)[0]
+        lines.append(f"time-averaged state polarization: ({px:.6g}, {py:.6g}, {pz:.6g})")
     return lines
 
 
@@ -772,7 +780,7 @@ def _cmd_equilibrium(config: ExperimentConfig, args, name: str) -> list[str]:
 
 
 def _cmd_bounds(config: ExperimentConfig, args, name: str) -> list[str]:
-    pipe = Pipeline(config).prepare()
+    pipe = Pipeline(config).check_theorems().prepare()
     reports, notes = pipe.reports
     out = _out_dir(config)
     lines = _report_lines(reports)
@@ -797,7 +805,7 @@ def _cmd_dynamics(config: ExperimentConfig, args, name: str) -> list[str]:
 
 def _cmd_run(config: ExperimentConfig, args, name: str) -> list[str]:
     """Every stage first, then every file, so that no error follows a write."""
-    pipe = Pipeline(config).prepare()
+    pipe = Pipeline(config).check_theorems().prepare()
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     lines = [
         f"# generated: {stamp}",
@@ -832,7 +840,7 @@ def _cmd_run(config: ExperimentConfig, args, name: str) -> list[str]:
 # Metric of one sweep draw, each from the stages it needs.
 _SWEEP_METRICS: dict[str, Callable[[Pipeline], float]] = {
     "delta": lambda pipe: pipe.delta,
-    "mean_squared_polarization": lambda pipe: pipe.reductions.mean_squared_polarization,
+    "mean_squared_polarization": lambda pipe: theorem2_lhs(pipe.reductions)[1],
     "lhs_i": lambda pipe: theorem2_lhs(pipe.reductions)[0],
     "necessary_lhs": lambda pipe: pipe.necessary_lhs,
     "equilibration_metric": lambda pipe: pipe.dynamics[2],

@@ -5,9 +5,10 @@ formed (``SpectralData.evolved_reductions``).  The times are worked through
 in blocks, so only the (n_times, dS, dS) trajectory grows with the grid;
 ``Trajectory`` keeps it without a copy and reads dS from its shape, and
 ``spectral.STACK_ELEMENT_CAP``, the cap of every (count, dS, dS) stack a run
-holds, bounds its entries.  The equilibration metric is the mean trace
-distance of the reduced states on a stratified time grid to the
-infinite-time average.
+holds, bounds its entries.  The trajectory's purities and Bloch vectors
+come from hilbert's stack formulas, as the reductions' do.  The
+equilibration metric is the mean trace distance of the reduced states on a
+stratified time grid to the infinite-time average.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .equilibrium import OverlapCoefficients
 from .errors import CapExceededError, ValidationError
 from .hilbert import (DensityMatrix, SpaceLayout, batched_bloch_vectors,
-                      batched_trace_distances, check_density_stack)
+                      batched_trace_distances, check_density_stack, purities)
 from .spectral import STACK_ELEMENT_CAP, SpectralData, write_csv
 
 
@@ -48,9 +49,6 @@ class Trajectory:
     @property
     def n_times(self) -> int:
         return self.times.size
-
-    def purities(self) -> np.ndarray:
-        return np.einsum("tij,tji->t", self.states, self.states).real
 
     def bloch(self) -> np.ndarray:
         if self.states.shape[-1] != 2:
@@ -112,4 +110,4 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     qubit = trajectory.states.shape[-1] == 2
     header = ["t", "purity"] + (["p_x", "p_y", "p_z"] if qubit else [])
     bloch = trajectory.bloch().T if qubit else ()
-    write_csv(path, header, zip(trajectory.times, trajectory.purities(), *bloch))
+    write_csv(path, header, zip(trajectory.times, purities(trajectory.states), *bloch))

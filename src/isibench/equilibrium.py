@@ -7,8 +7,9 @@ state with it.  This module computes those objects exactly from spectral
 data, and the weighted-purity functional delta that controls the sufficient
 independence condition.  ``EigenstateReductions`` holds only the rho_n and
 derives from them their layout, their purities and, for a qubit, their
-polarizations once, so delta and the polarization bounds read values that
-cannot disagree with the matrices.  An initial-state subspace R enters only
+polarizations once, by hilbert's formulas, so delta and the polarization
+statistics of ``theorems`` read values that cannot disagree with the
+matrices.  An initial-state subspace R enters only
 through its projection W on the eigenbasis (``subspace_projection``), whose
 column norms give the weights <n|Pi_R|n>/dR; the Haar average of the
 equilibrium state over R is then sum_n w_n rho_n (``weighted_reduction``).
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
 from .hilbert import (STATE_NORM_TOL, DensityMatrix, PureState, SpaceLayout,
-                      batched_bloch_vectors, check_density_stack, weighted_sum)
+                      batched_bloch_vectors, check_density_stack, purities, weighted_sum)
 from .spectral import (DenseProjection, GroupedProjection, SpectralData,
                        degenerate_level_pairs, write_csv)
 
@@ -93,19 +94,12 @@ class EigenstateReductions:
                 f"eigenbasis completeness violated: |(1/d) sum rho_n - I/dS| = "
                 f"{completeness:.3e}"
             )
-        object.__setattr__(self, "purities", np.einsum("nij,nji->n", mats, mats).real)
+        object.__setattr__(self, "purities", purities(mats))
         object.__setattr__(self, "bloch", batched_bloch_vectors(mats) if ds == 2 else None)
 
     @property
     def dim(self) -> int:
         return self.matrices.shape[0]
-
-    @property
-    def mean_squared_polarization(self) -> float:
-        """(1/d) sum_n |p_n|^2, the tractable necessary-condition quantity (qubits)."""
-        if self.bloch is None:
-            raise ValidationError("mean squared polarization is defined for qubit systems")
-        return float(np.mean(np.sum(self.bloch**2, axis=1)))
 
 
 def overlaps(spectral: SpectralData, initial: PureState,

@@ -10,6 +10,9 @@ eigenvectors, so that trace lives with them, in ``spectral.SpectralData``.
 Distances use the unhalved trace norm ``sum |eig|`` of the Hermitian
 difference, so two orthogonal pure states are at distance 2, and for qubits
 the distance equals the Euclidean distance of the Bloch vectors.
+
+The state statistics ``purities`` (tr rho^2) and ``batched_bloch_vectors``
+are the one formula of each, on stacks; a single state is a stack of one.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ STATE_NORM_TOL = 1e-12      # |norm(psi) - 1|, also sum |c_n|^2 - 1
 HERMITICITY_TOL = 1e-12     # max |M - M^dagger| for density matrices
 TRACE_TOL = 1e-12           # |tr(rho) - 1|
 EIGENVALUE_FLOOR = 1e-10    # allowed negative slack on density eigenvalues
-BLOCH_EXCESS_TOL = 1e-10    # allowed excess of |p| over 1
 
 DENSE_BLOCK = 256  # rows, columns, times or matrices per block of a blocked pass
 
@@ -140,23 +142,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Polarization vector of a qubit state, rho = (1 + p.sigma)/2."""
-
-    px: float
-    py: float
-    pz: float
-
-    def __post_init__(self) -> None:
-        comps = (self.px, self.py, self.pz)
-        if not all(np.isfinite(comps)):
-            raise ValidationError(f"Bloch components must be finite, got {comps}")
-        norm = float(np.sqrt(self.px**2 + self.py**2 + self.pz**2))
-        if norm > 1.0 + BLOCH_EXCESS_TOL:
-            raise ValidationError(f"Bloch vector length {norm:.15g} exceeds 1")
-
-
 def _as_matrix(arg) -> np.ndarray:
     """Accept a DensityMatrix or a plain square array."""
     if isinstance(arg, DensityMatrix):
@@ -237,15 +222,10 @@ def weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return summed.view(complex).reshape(*summed.shape[:-1], k, k)
 
 
-def purity(rho) -> float:
-    """tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
-    m = _as_matrix(rho)
-    return float(np.vdot(m, m).real)
-
-
-def bloch_vector(rho) -> BlochVector:
-    """Polarization vector of a 2x2 density matrix, p_a = tr(rho sigma_a)."""
-    return BlochVector(*map(float, batched_bloch_vectors(_as_matrix(rho)[None])[0]))
+def purities(mats: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of each matrix of an (n, k, k) stack: 1 for a pure state, 1/k
+    for the maximally mixed state."""
+    return np.einsum("nij,nji->n", mats, mats).real
 
 
 def batched_bloch_vectors(mats: np.ndarray) -> np.ndarray:

@@ -179,8 +179,7 @@ def necessary_condition_lhs(reductions: EigenstateReductions,
     layout = reductions.layout
     ds = layout.dim_system
     if ds == 2:
-        gram = reductions.bloch.T @ reductions.bloch
-        return float(np.linalg.eigvalsh(gram / reductions.dim)[-1])
+        return float(np.linalg.eigvalsh(_polarization_gram(reductions) / reductions.dim)[-1])
     if n_starts < 1:
         raise ValidationError(f"n_starts must be >= 1, got {n_starts}")
     rows = reductions.matrices.reshape(reductions.dim, ds * ds)
@@ -206,17 +205,22 @@ def necessary_condition_lhs(reductions: EigenstateReductions,
     return max(0.0, float(values.max()))
 
 
+def _polarization_gram(reductions: EigenstateReductions) -> np.ndarray:
+    """G = sum_n p_n p_n^T over the eigenstate polarizations of a qubit."""
+    if reductions.bloch is None:
+        raise ValidationError("polarization statistics are defined for qubit systems")
+    return reductions.bloch.T @ reductions.bloch
+
+
 def theorem2_lhs(reductions: EigenstateReductions) -> tuple[float, float]:
     """Qubit polarization statistics (sqrt(tr G^2)/d, tr G / d).
 
-    G = sum_n p_n p_n^T over the eigenstate polarizations; the first entry is
-    the root-mean pairwise alignment [(1/d^2) sum_{nm} (p_n, p_m)^2]^{1/2},
-    the second the mean squared polarization (1/d) sum_n |p_n|^2.
+    G is the polarization Gram matrix; the first entry is the root-mean
+    pairwise alignment [(1/d^2) sum_{nm} (p_n, p_m)^2]^{1/2}, the second the
+    mean squared polarization (1/d) sum_n |p_n|^2 (also the sweep metric).
     """
-    if reductions.bloch is None:
-        raise ValidationError("polarization statistics are defined for qubit systems")
     d = reductions.dim
-    gram = reductions.bloch.T @ reductions.bloch
+    gram = _polarization_gram(reductions)
     lhs_i = math.sqrt(float(np.einsum("ab,ba->", gram, gram))) / d
     lhs_ii = float(np.trace(gram)) / d
     return lhs_i, lhs_ii
@@ -351,6 +355,8 @@ class TheoremReport:
     It holds the theorem, the left-hand side and the recorded parameters,
     and derives on construction the right-hand side (``recompute_rhs``) and
     the verdict (``assign_verdict``), so neither can disagree with them.
+    Numpy integer and float parameters become int and float; a parameter
+    that is no scalar, or that the bound or the verdict cannot read, is refused.
     ``from_json`` audits a stored report: its recorded rhs and verdict must
     be the derived ones.
     """
@@ -362,20 +368,30 @@ class TheoremReport:
     def __post_init__(self) -> None:
         if self.theorem_id not in THEOREM_IDS:
             raise ValidationError(f"unknown theorem id {self.theorem_id!r}")
-        if not isinstance(self.lhs, (int, float)) or not math.isfinite(self.lhs):
+        if isinstance(self.lhs, bool) or not isinstance(self.lhs, (int, float)) \
+                or not math.isfinite(self.lhs):
             raise ValidationError(f"lhs must be finite, got {self.lhs!r}")
+        parameters = {}
         for key, value in self.parameters.items():
             if not isinstance(key, str):
                 raise ValidationError(f"parameter keys must be strings, got {key!r}")
-            if not isinstance(value, _SCALAR_TYPES):
+            if isinstance(value, (np.integer, np.floating)):
+                value = int(value) if isinstance(value, np.integer) else float(value)
+            elif not isinstance(value, _SCALAR_TYPES):
                 raise ValidationError(f"parameter {key!r} is not a scalar: {value!r}")
-        rhs = recompute_rhs(self.theorem_id, self.parameters)
+            parameters[key] = value
+        object.__setattr__(self, "lhs", float(self.lhs))
+        object.__setattr__(self, "parameters", parameters)
+        try:
+            rhs = recompute_rhs(self.theorem_id, parameters)
+            verdict = assign_verdict(self.theorem_id, self.lhs, rhs, parameters)
+        except (ArithmeticError, TypeError, ValueError) as err:
+            raise ValidationError(f"report for {self.theorem_id} has a malformed "
+                                  f"parameter: {err}") from None
         if math.isnan(rhs):
             raise ValidationError(f"rhs must be a number, got {rhs!r}")
-        object.__setattr__(self, "lhs", float(self.lhs))
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "verdict",
-                           assign_verdict(self.theorem_id, self.lhs, rhs, self.parameters))
+        object.__setattr__(self, "verdict", verdict)
 
     def to_json(self) -> str:
         payload = {
@@ -399,12 +415,14 @@ class TheoremReport:
         if not isinstance(payload, dict):
             raise ValidationError("report JSON must be an object")
         try:
-            version = int(payload["schema_version"])
-            if version != REPORT_SCHEMA_VERSION:
-                raise ValidationError(f"unsupported schema version {version}")
+            version, parameters = payload["schema_version"], payload["parameters"]
+            if type(version) is not int or version != REPORT_SCHEMA_VERSION:
+                raise ValidationError(f"unsupported schema version {version!r}")
+            if not isinstance(parameters, dict):
+                raise ValidationError(f"parameters must be a mapping, got {parameters!r}")
             rhs, verdict = _decode_scalar(payload["rhs"]), payload["verdict"]
-            report = cls(payload["theorem_id"], float(payload["lhs"]),
-                         {k: _decode_scalar(v) for k, v in payload["parameters"].items()})
+            report = cls(payload["theorem_id"], payload["lhs"],
+                         {k: _decode_scalar(v) for k, v in parameters.items()})
         except KeyError as missing:
             raise ValidationError(f"report JSON lacks field {missing.args[0]!r}") from None
         if verdict not in VERDICTS:
@@ -444,19 +462,6 @@ def read_report(path) -> TheoremReport:
     return TheoremReport.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def _float_params(mapping: dict) -> dict:
-    """Coerce numpy scalars to plain Python so reports serialize cleanly."""
-    out = {}
-    for key, value in mapping.items():
-        if isinstance(value, (bool, str)):
-            out[key] = value
-        elif isinstance(value, (int, np.integer)):
-            out[key] = int(value)
-        else:
-            out[key] = float(value)
-    return out
-
-
 def sufficient_condition_report(delta_value: float) -> TheoremReport:
     """Report on the smallness condition sqrt(delta) << 1.
 
@@ -467,8 +472,8 @@ def sufficient_condition_report(delta_value: float) -> TheoremReport:
     """
     if not 0.0 < delta_value <= 1.0 + 1e-9:
         raise ValidationError(f"delta must lie in (0, 1], got {delta_value}")
-    parameters = _float_params({"delta": delta_value, "threshold": SUFFICIENT_ISI_THRESHOLD})
-    return TheoremReport("SufficientISI", math.sqrt(delta_value), parameters)
+    return TheoremReport("SufficientISI", math.sqrt(delta_value),
+                         {"delta": delta_value, "threshold": SUFFICIENT_ISI_THRESHOLD})
 
 
 def _theorem0_parameters(t0: Theorem0Estimate, column: int) -> dict:
@@ -480,16 +485,15 @@ def _theorem0_parameters(t0: Theorem0Estimate, column: int) -> dict:
 
 def theorem0_mean_report(t0: Theorem0Estimate) -> TheoremReport:
     """Empirical mean equilibrium distance against sqrt(dS delta / dR)."""
-    parameters = _float_params({**_theorem0_parameters(t0, 0), "weak_rhs": t0.weak})
-    return TheoremReport("T0i", t0.estimate.mean[0], parameters)
+    return TheoremReport("T0i", t0.estimate.mean[0],
+                         {**_theorem0_parameters(t0, 0), "weak_rhs": t0.weak})
 
 
 def theorem0_tail_report(t0: Theorem0Estimate) -> TheoremReport:
     """Empirical exceedance frequency against 2 exp(-c dR epsilon^2)."""
-    parameters = _float_params({
+    return TheoremReport("T0ii", t0.estimate.mean[1], {
         **_theorem0_parameters(t0, 1), "epsilon": t0.epsilon,
         "distance_threshold": t0.threshold, "c": CONCENTRATION_RATE})
-    return TheoremReport("T0ii", t0.estimate.mean[1], parameters)
 
 
 def necessary_condition_report(lhs: float, dim_system: int, epsilon: float,
@@ -508,13 +512,12 @@ def necessary_condition_report(lhs: float, dim_system: int, epsilon: float,
     """
     if theorem_id not in ("T1", "T1prime"):
         raise ValidationError(f"theorem_id must be T1 or T1prime, got {theorem_id!r}")
-    parameters = _float_params({
+    parameters = {
         "epsilon": epsilon, "dS": dim_system, "dR": dim_restricted, "p": p,
         "c": CONCENTRATION_RATE,
-    })
+    }
     if dim_system > 2:
-        parameters.update(_float_params({"n_starts": n_starts, "seed": seed}))
-        parameters["lhs_is_lower_bound"] = True
+        parameters.update(n_starts=n_starts, seed=seed, lhs_is_lower_bound=True)
     return TheoremReport(theorem_id, lhs, parameters)
 
 
@@ -532,12 +535,12 @@ def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
     if epsilon < 0:
         raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
     lhs_i, lhs_ii = theorem2_lhs(reductions)
-    base = _float_params({
+    base = {
         "epsilon": epsilon, "dS": 2, "dR": dim_restricted, "p": 1.0,
         "c": CONCENTRATION_RATE,
         "epsilon_prime": epsilon_prime(epsilon, 2, dim_restricted, 1.0),
-    })
-    return TheoremReport("T2i", lhs_i, dict(base)), TheoremReport("T2ii", lhs_ii, base)
+    }
+    return TheoremReport("T2i", lhs_i, base), TheoremReport("T2ii", lhs_ii, base)
 
 
 def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int,
@@ -557,10 +560,9 @@ def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int,
         return (batched_trace_distances(states, mixed) > threshold).astype(float)
 
     estimate = batched_monte_carlo(values, induced_states(ds, db), ds * ds, n_samples, seed)
-    parameters = _float_params({
+    return TheoremReport("Popescu", estimate.mean, {
         "dS": ds, "dB": db, "epsilon": epsilon,
         "distance_threshold": threshold, "c": CONCENTRATION_RATE,
         "n_samples": n_samples, "seed": seed,
         "lhs_standard_error": estimate.standard_error,
     })
-    return TheoremReport("Popescu", estimate.mean, parameters)

@@ -49,8 +49,8 @@ def maximally_mixed(dim):
 
 
 def density_from_bloch(p):
-    """(1 + p.sigma)/2 for anything with components p.px, p.py, p.pz."""
-    x, y, z = p.px, p.py, p.pz
+    """(1 + p.sigma)/2 for a 3-vector p = (p_x, p_y, p_z)."""
+    x, y, z = p
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
 
 

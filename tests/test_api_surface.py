@@ -43,6 +43,11 @@ GONE = {
                                     "directly by the pipeline",
     "min_level_spacing": "min_sector_spacing: only the gaps inside a sector reach a "
                          "reduced state",
+    "purity": "purities: one tr(rho^2) formula, on a stack",
+    "bloch_vector": "batched_bloch_vectors: one polarization formula, on a stack",
+    "BlochVector": "DensityMatrix: its positivity check bounds |p| by 1",
+    "mean_squared_polarization": "theorem2_lhs(reductions)[1], the T2ii left-hand side",
+    "_float_params": "TheoremReport normalizes its own parameters",
 }
 
 # Config entries that were removed, each with its reason; none may come back.
@@ -150,3 +155,12 @@ def test_readme_documents_each_config_key_under_its_section():
     missing = [f"{section}.{key}" for section, keys in sections.items() for key in keys
                if f"`{key}`" not in documented[section]]
     assert not missing, f"config keys not named under their README heading: {missing}"
+
+
+def test_readme_pipeline_by_hand_prints_what_the_readme_shows(capsys):
+    match = re.search(r"The same pipeline by hand:\n\n```python\n(.*?)```\n\nprints\n\n"
+                      r"```\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    assert match, "README lacks the hand-run example and its printed output"
+    code, printed = match.groups()
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out == printed

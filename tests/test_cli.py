@@ -489,7 +489,12 @@ class TestQubitOnlyEntries:
 
     @pytest.mark.parametrize("command", ["bounds", "run"])
     def test_t2_reports_of_a_qutrit_exit_2_before_any_output(self, tmp_path, capsys,
-                                                             command):
+                                                             monkeypatch, command):
+        # the config fixes dS = 3, so the model is neither drawn nor diagonalized
+        monkeypatch.setattr(cli, "build_random_model",
+                            lambda *args: pytest.fail("the model was drawn"))
+        monkeypatch.setattr(cli, "eigendecompose",
+                            lambda *args: pytest.fail("the model was diagonalized"))
         out_dir = tmp_path / "out"
         assert cli.main([command, *self.QUTRIT, "--out", str(out_dir)]) == 2
         captured = capsys.readouterr()
@@ -663,6 +668,14 @@ class TestSweepCommand:
         assert msp_small > 2.0 * msp_large
         delta_small, delta_large = (float(row[5]) for row in rows)
         assert delta_small > delta_large
+
+    @pytest.mark.parametrize("kind", ["commuting", "random"])
+    def test_mean_squared_polarization_is_the_t2ii_lhs(self, kind):
+        # one formula: the sweep metric has the bits of the T2ii report's lhs
+        pipe = cli.Pipeline(cli.ExperimentConfig(kind=kind, dim_bath=16))
+        metric = cli._SWEEP_METRICS["mean_squared_polarization"](pipe)
+        assert metric == pipe.theorem2[1].lhs
+        assert 0.0 < metric <= 1.0 + 1e-12
 
     def test_parallel_jobs_match_the_serial_result(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, RANDOM_SWEEP)

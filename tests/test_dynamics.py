@@ -6,7 +6,7 @@ import pytest
 
 from isibench import (CapExceededError, PureState, SpaceLayout, Trajectory,
                       ValidationError, assemble, eigendecompose,
-                      eigenstate_reductions, equilibrate, evolve_reduced, overlaps,
+                      eigenstate_reductions, equilibrate, evolve_reduced, overlaps, purities,
                       stratified_times, time_averaged_state, trace_distance,
                       tensor_product, write_trajectory_csv)
 from isibench.hilbert import SIGMA_Z
@@ -99,10 +99,10 @@ class TestEvolveReduced:
         coeffs = overlaps(spectral, tensor_product(psi, phi), spec.layout)
         times = np.linspace(0.0, 200.0, 400)
         trajectory = evolve_reduced(coeffs, spectral, spec.layout, times)
-        purities = trajectory.purities()
-        assert purities[0] == pytest.approx(1.0, abs=1e-10)
-        assert purities.min() < 0.9
-        assert purities[1:].max() > purities.min() + 0.05
+        values = purities(trajectory.states)
+        assert values[0] == pytest.approx(1.0, abs=1e-10)
+        assert values.min() < 0.9
+        assert values[1:].max() > values.min() + 0.05
 
     def test_element_cap(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(3, 4, 17)
@@ -251,7 +251,7 @@ class TestTrajectoryCsv:
         assert len(lines) == 2 + 3
         row = lines[3].split(",")
         assert float(row[0]) == 0.5
-        assert float(row[1]) == pytest.approx(trajectory.purities()[1])
+        assert float(row[1]) == pytest.approx(purities(trajectory.states)[1])
 
     def test_qutrit_drops_bloch_columns(self, tmp_path):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(3, 2, 79)

@@ -12,6 +12,7 @@ from isibench import (DegenerateSpectrumError, DensityMatrix, PureState,
 from isibench.equilibrium import EigenstateReductions, weighted_reduction
 from isibench.models import analytic_eigensystem
 from isibench.spectral import DenseProjection, SpectralData
+from isibench.theorems import theorem2_lhs
 
 from _oracles import (bath_averaged_equilibrium, expand_sectors, kron_projection,
                       maximally_mixed, projection_matrix, ptrace_bath_loop, random_hermitian,
@@ -89,12 +90,12 @@ class TestEigenstateReductions:
         assert np.abs(reductions.purities - 1.0).max() < 1e-10
         radii = np.linalg.norm(reductions.bloch, axis=1)
         assert np.abs(radii - 1.0).max() < 1e-10
-        assert reductions.mean_squared_polarization == pytest.approx(1.0, abs=1e-10)
+        assert theorem2_lhs(reductions)[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_mean_squared_polarization_needs_qubit(self):
         layout, spectral, reductions, _ = _random_problem(3, 2, 23)
         with pytest.raises(ValidationError):
-            reductions.mean_squared_polarization
+            theorem2_lhs(reductions)
 
     def test_layout_is_read_from_the_stack(self):
         layout, spectral, reductions, _ = _random_problem(3, 4, 29)

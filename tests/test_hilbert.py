@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isibench import (BlochVector, DensityMatrix, PureState, SpaceLayout, SpectralData,
-                      ValidationError, bloch_vector, purity, tensor_product, trace_distance)
+from isibench import (DensityMatrix, PureState, SpaceLayout, SpectralData, ValidationError,
+                      batched_bloch_vectors, purities, tensor_product, trace_distance)
 from isibench.hilbert import (SIGMA_X, SIGMA_Y, SIGMA_Z, batched_trace_distances,
                               check_density_stack)
 
@@ -174,8 +174,8 @@ class TestTraceDistance:
         assert trace_distance(rho, rho) == 0.0
 
     def test_bloch_axes_give_sqrt_two(self):
-        x = density_from_bloch(BlochVector(1.0, 0.0, 0.0))
-        y = density_from_bloch(BlochVector(0.0, 1.0, 0.0))
+        x = density_from_bloch((1.0, 0.0, 0.0))
+        y = density_from_bloch((0.0, 1.0, 0.0))
         assert trace_distance(x, y) == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_symmetry_and_triangle(self):
@@ -193,8 +193,7 @@ class TestTraceDistance:
             p1 *= rng.uniform(0, 1) / np.linalg.norm(p1)
             p2 = rng.uniform(-1, 1, 3)
             p2 *= rng.uniform(0, 1) / np.linalg.norm(p2)
-            dist = trace_distance(density_from_bloch(BlochVector(*p1)),
-                                  density_from_bloch(BlochVector(*p2)))
+            dist = trace_distance(density_from_bloch(p1), density_from_bloch(p2))
             assert dist == pytest.approx(np.linalg.norm(p1 - p2), abs=1e-10)
 
     def test_dimension_mismatch_rejected(self):
@@ -226,43 +225,59 @@ class TestTraceDistance:
 class TestPurity:
     def test_pure_state(self):
         psi = random_state(4, np.random.default_rng(7))
-        assert purity(np.outer(psi, psi.conj())) == pytest.approx(1.0)
+        assert purities(np.outer(psi, psi.conj())[None])[0] == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
         for dim in (2, 3, 5):
-            assert purity(maximally_mixed(dim)) == pytest.approx(1.0 / dim)
+            assert purities(maximally_mixed(dim)[None])[0] == pytest.approx(1.0 / dim)
 
     def test_qubit_polarization_formula(self):
-        rho = density_from_bloch(BlochVector(0.6, 0.0, 0.0))
-        assert purity(rho) == pytest.approx(0.68)
+        rho = density_from_bloch((0.6, 0.0, 0.0))
+        assert purities(rho[None])[0] == pytest.approx(0.68)
+
+    def test_stack_gives_each_matrix_its_own_bits(self):
+        rng = np.random.default_rng(59)
+        stack = np.stack([random_density(3, rng) for _ in range(5)])
+        values = purities(stack)
+        assert values.shape == (5,)
+        for n, rho in enumerate(stack):
+            assert purities(rho[None])[0] == values[n]
+            assert values[n] == pytest.approx(np.trace(rho @ rho).real, abs=1e-14)
+
+
+def _bloch(rho):
+    return batched_bloch_vectors(np.asarray(rho)[None])[0]
 
 
 class TestBloch:
     def test_maximally_mixed_is_origin(self):
-        p = bloch_vector(maximally_mixed(2))
-        assert (p.px, p.py, p.pz) == (0.0, 0.0, 0.0)
+        assert tuple(_bloch(maximally_mixed(2))) == (0.0, 0.0, 0.0)
 
     def test_z_convention(self):
-        p = bloch_vector(DensityMatrix(np.diag([1.0, 0.0])))
-        assert (p.px, p.py, p.pz) == pytest.approx((0.0, 0.0, 1.0))
+        assert tuple(_bloch(DensityMatrix(np.diag([1.0, 0.0])).matrix)) == \
+            pytest.approx((0.0, 0.0, 1.0))
 
     def test_round_trip_fixed_vector(self):
-        p = BlochVector(0.3, -0.4, 0.5)
-        q = bloch_vector(density_from_bloch(p))
-        assert (q.px, q.py, q.pz) == pytest.approx((0.3, -0.4, 0.5), abs=1e-14)
+        q = _bloch(density_from_bloch((0.3, -0.4, 0.5)))
+        assert tuple(q) == pytest.approx((0.3, -0.4, 0.5), abs=1e-14)
 
     def test_round_trip_random_states(self):
         rng = np.random.default_rng(53)
         for _ in range(30):
             rho = DensityMatrix(random_density(2, rng))
-            back = density_from_bloch(bloch_vector(rho))
+            back = density_from_bloch(_bloch(rho.matrix))
             assert np.abs(back - rho.matrix).max() < 1e-12
 
     def test_rejects_vector_outside_sphere(self):
-        with pytest.raises(ValidationError):
-            density_from_bloch(BlochVector(1.0, 1.0, 0.0))
+        # |p| <= 1 is the positivity of (1 + p.sigma)/2
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            DensityMatrix(density_from_bloch((1.0, 1.0, 0.0)))
 
     def test_pauli_expectations(self):
-        rho = density_from_bloch(BlochVector(0.2, 0.3, -0.1))
+        rho = density_from_bloch((0.2, 0.3, -0.1))
         for component, sigma in ((0.2, SIGMA_X), (0.3, SIGMA_Y), (-0.1, SIGMA_Z)):
             assert np.trace(rho @ sigma).real == pytest.approx(component)
+
+    def test_stack_shape_is_checked(self):
+        with pytest.raises(ValidationError, match=r"\(n, 2, 2\)"):
+            batched_bloch_vectors(maximally_mixed(3)[None])

@@ -6,7 +6,7 @@ import pytest
 from isibench import (CommutingModelSpec, ValidationError, analytic_eigensystem,
                       bit_signs, build_cucchietti_bath, build_random_model,
                       commuting_norms, degenerate_level_pairs, eigendecompose,
-                      gaussian_hermitian, purity, sample_commuting_spec,
+                      gaussian_hermitian, purities, sample_commuting_spec,
                       sample_cucchietti_spec)
 from isibench.hilbert import SIGMA_X, SIGMA_Z
 
@@ -131,7 +131,7 @@ class TestAnalyticEigensystem:
         data = analytic_eigensystem(spec)
         vectors = expand_sectors(data, spec.layout)
         for reduced in batched_partial_trace_bath(vectors, spec.layout):
-            assert purity(reduced) == pytest.approx(1.0, abs=1e-10)
+            assert purities(reduced[None])[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_min_level_spacing_field(self):
         # the printed spacing is the smallest gap inside a bath level, r_l
@@ -218,7 +218,7 @@ class TestRandomModel:
         assert np.allclose(np.sort(part_sums), data.eigenvalues, atol=1e-12)
         for reduced in batched_partial_trace_bath(expand_sectors(data, ham.layout),
                                                   ham.layout):
-            assert purity(reduced) == pytest.approx(1.0, abs=1e-10)
+            assert purities(reduced[None])[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_generic_draws_are_nondegenerate(self):
         for seed in (41, 43, 47):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -560,6 +561,43 @@ class TestReports:
         payload["schema_version"] = 2
         with pytest.raises(ValidationError, match="unsupported schema version 2"):
             TheoremReport.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("schema_version", "x", "unsupported schema version 'x'"),
+        ("schema_version", None, "unsupported schema version None"),
+        ("schema_version", True, "unsupported schema version True"),
+        ("lhs", "abc", "lhs must be finite, got 'abc'"),
+        ("lhs", None, "lhs must be finite, got None"),
+        ("parameters", [], "parameters must be a mapping"),
+        ("parameters", None, "parameters must be a mapping"),
+        ("dS", "abc", "malformed parameter"),
+        ("dR", "inf", "malformed parameter"),
+    ])
+    def test_malformed_field_is_a_validation_error(self, field, value, message):
+        report = necessary_condition_report(0.5, 2, epsilon=0.05, dim_restricted=16,
+                                            p=1.0, theorem_id="T1")
+        payload = json.loads(report.to_json())
+        if field in payload:
+            payload[field] = value
+        else:
+            payload["parameters"][field] = value
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            TheoremReport.from_json(json.dumps(payload))
+
+    def test_numpy_parameters_become_plain_scalars(self):
+        parameters = {"epsilon": np.float64(0.05), "dS": np.int64(2), "dR": np.int32(8),
+                      "p": 1.0, "lhs_is_lower_bound": True, "note": "x"}
+        report = TheoremReport("T1", np.float64(0.5), parameters)
+        assert report.parameters == {"epsilon": 0.05, "dS": 2, "dR": 8, "p": 1.0,
+                                     "lhs_is_lower_bound": True, "note": "x"}
+        assert [type(value) for value in report.parameters.values()] == \
+            [float, int, int, float, bool, str]
+        assert report.to_json() == TheoremReport(
+            "T1", 0.5, {"epsilon": 0.05, "dS": 2, "dR": 8, "p": 1.0,
+                        "lhs_is_lower_bound": True, "note": "x"}).to_json()
+        for bad in (np.bool_(True), np.array([1.0]), None):
+            with pytest.raises(ValidationError, match="not a scalar"):
+                TheoremReport("T1", 0.5, {**parameters, "extra": bad})
 
     def test_bound_and_verdict_are_derived_on_construction(self):
         report = TheoremReport("T2ii", 1.0, {"epsilon": 0.05})
