@@ -8,11 +8,10 @@ states, concentration bounds with vacuity-aware verdicts, and Monte Carlo
 checks of the same quantities over uniformly sampled initial states.
 """
 
-from .dynamics import (Trajectory, equilibrate, evolve_reduced, stratified_times,
-                       write_trajectory_csv)
-from .equilibrium import (EigenstateReductions, OverlapCoefficients, delta,
-                          eigenstate_reductions, overlaps, require_nondegenerate,
-                          subspace_projection, time_averaged_state, write_reductions_csv)
+from .dynamics import Trajectory, evolve_reduced, stratified_times, write_trajectory_csv
+from .equilibrium import (EigenstateReductions, OverlapCoefficients, delta, overlaps,
+                          require_nondegenerate, subspace_projection, time_averaged_state,
+                          write_reductions_csv)
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
 from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState,
@@ -24,11 +23,11 @@ from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
 from .sampling import (MonteCarloEstimate, batched_monte_carlo, dirichlet_weights,
                        generator, haar_amplitudes, induced_states, sample_amplitudes)
 from .spectral import (CompositeHamiltonian, DenseProjection, GroupedProjection,
-                       SpectralData, assemble, degenerate_level_pairs, eigendecompose,
-                       fix_phases, read_matrix, write_csv, write_matrix)
+                       SpectralData, degenerate_level_pairs, eigendecompose, read_matrix,
+                       write_csv, write_matrix)
 from .theorems import (CONCENTRATION_RATE, THEOREM_IDS, VERDICTS, TheoremReport,
                        assign_verdict, concentration_tail, epsilon_prime,
-                       max_possible_lhs, necessary_condition_lhs,
+                       necessary_condition_lhs,
                        necessary_condition_report, popescu_report,
                        read_report, recompute_rhs, sufficient_condition_report,
                        Theorem0Estimate, theorem0_estimate, theorem0_mean_report,

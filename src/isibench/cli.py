@@ -38,16 +38,16 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dynamics import (Trajectory, equilibrate, require_evolution_fits, stratified_times,
+from .dynamics import (Trajectory, evolve_reduced, require_evolution_fits, stratified_times,
                        write_trajectory_csv)
-from .equilibrium import (EigenstateReductions, OverlapCoefficients,
-                          eigenstate_reductions, overlaps, require_nondegenerate,
-                          subspace_projection, time_averaged_state, write_reductions_csv)
+from .equilibrium import (EigenstateReductions, OverlapCoefficients, overlaps,
+                          require_nondegenerate, subspace_projection, time_averaged_state,
+                          write_reductions_csv)
 from .equilibrium import delta as subspace_delta
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
 from .hilbert import (DensityMatrix, PureState, SpaceLayout, batched_bloch_vectors,
-                      purities, tensor_product)
+                      batched_trace_distances, purities, tensor_product)
 from .models import (CommutingModelSpec, analytic_eigensystem, build_random_model,
                      commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import generator, sample_amplitudes
@@ -55,8 +55,9 @@ from .spectral import (STACK_ELEMENT_CAP, CompositeHamiltonian, DenseProjection,
                        GroupedProjection, SpectralData, eigendecompose, read_matrix,
                        read_text, require_fits, write_csv)
 from .theorems import (THEOREM_IDS, THEOREMS, Theorem0Estimate, TheoremReport,
-                       necessary_condition_lhs, theorem0_estimate, theorem2_lhs,
-                       theorem2_reports, write_report)
+                       necessary_condition_lhs, necessary_condition_report, popescu_report,
+                       sufficient_condition_report, theorem0_estimate, theorem0_mean_report,
+                       theorem0_tail_report, theorem2_lhs, theorem2_reports, write_report)
 
 DEFAULT_SEED = 12345
 DEFAULT_OUT_DIR = "isibench-out"
@@ -395,6 +396,9 @@ class Pipeline:
     Every command builds one pipeline, and every sweep draw builds its own
     with its own seed table.  Stages call the layer functions through this
     module's imports, so a tracer that wraps those names sees every call.
+    ``reports`` builds each configured report by its entry in ``_REPORTS``,
+    from the stages that entry names; ``theorems.THEOREMS`` holds only the
+    bounds.
     """
 
     def __init__(self, config: ExperimentConfig,
@@ -523,7 +527,7 @@ class Pipeline:
 
     @cached_property
     def reductions(self) -> EigenstateReductions:
-        return eigenstate_reductions(self.spectral, self.layout)
+        return EigenstateReductions(self.spectral.reductions(self.layout))
 
     @cached_property
     def projection(self) -> DenseProjection | GroupedProjection:
@@ -576,8 +580,9 @@ class Pipeline:
         require_evolution_fits(self.layout.dim_system, self.config.n_times)
         rng = generator(self.seed("dynamics"))
         times = stratified_times(horizon, self.config.n_times, rng)
-        return (horizon, *equilibrate(self.coeffs, spectral, self.layout, times,
-                                      self.rho_bar))
+        trajectory = evolve_reduced(self.coeffs, spectral, self.layout, times)
+        return horizon, trajectory, float(batched_trace_distances(
+            trajectory.states, self.rho_bar.matrix).mean())
 
     @cached_property
     def theorem0(self) -> Theorem0Estimate:
@@ -605,13 +610,11 @@ class Pipeline:
         reports: dict[str, TheoremReport] = {}
         notes: list[str] = []
         for tid in config.theorems:
-            theorem = THEOREMS[tid]
-            if theorem.nondegenerate and config.allow_degenerate \
+            if THEOREMS[tid].nondegenerate and config.allow_degenerate \
                     and self.spectral.degenerate.any():
                 notes.append(f"note: {tid} skipped (degenerate spectrum)")
                 continue
-            seed = self.seed("bounds", THEOREM_IDS.index(tid))
-            reports[tid] = theorem.evaluate(self, seed)
+            reports[tid] = _REPORTS[tid](self)
         return reports, notes
 
 
@@ -836,6 +839,27 @@ def _cmd_run(config: ExperimentConfig, args, name: str) -> list[str]:
 
 
 # ------------------------------------------------------------------ sweep --
+
+# Report of each theorem id, each from the stages it is built from: T0i and
+# T0ii share the draws of the theorem0 stage, and T1 and T1prime the
+# necessary-condition search (see RUN_SEEDS).
+_REPORTS: dict[str, Callable[[Pipeline], TheoremReport]] = {
+    "SufficientISI": lambda pipe: sufficient_condition_report(pipe.delta),
+    "T0i": lambda pipe: theorem0_mean_report(pipe.theorem0),
+    "T0ii": lambda pipe: theorem0_tail_report(pipe.theorem0),
+    "T1": lambda pipe: necessary_condition_report(
+        pipe.necessary_lhs, pipe.layout.dim_system, pipe.config.epsilon,
+        pipe.config.dim_restricted or pipe.layout.dim_bath, pipe.config.p, "T1",
+        pipe.config.n_starts, pipe.seed("search")),
+    "T1prime": lambda pipe: necessary_condition_report(
+        pipe.necessary_lhs, pipe.layout.dim_system, pipe.config.epsilon,
+        pipe.layout.dim_bath, 1.0, "T1prime", pipe.config.n_starts, pipe.seed("search")),
+    "T2i": lambda pipe: pipe.theorem2[0],
+    "T2ii": lambda pipe: pipe.theorem2[1],
+    "Popescu": lambda pipe: popescu_report(
+        pipe.layout, pipe.config.epsilon, pipe.config.n_samples,
+        pipe.seed("bounds", THEOREM_IDS.index("Popescu"))),
+}
 
 # Metric of one sweep draw, each from the stages it needs.
 _SWEEP_METRICS: dict[str, Callable[[Pipeline], float]] = {

@@ -7,8 +7,9 @@ in blocks, so only the (n_times, dS, dS) trajectory grows with the grid;
 ``spectral.STACK_ELEMENT_CAP``, the cap of every (count, dS, dS) stack a run
 holds, bounds its entries.  The trajectory's purities and Bloch vectors
 come from hilbert's stack formulas, as the reductions' do.  The
-equilibration metric is the mean trace distance of the reduced states on a
-stratified time grid to the infinite-time average.
+equilibration metric, the mean trace distance of the reduced states on a
+stratified time grid to the infinite-time average, is
+``hilbert.batched_trace_distances`` of the trajectory's states, averaged.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 
 from .equilibrium import OverlapCoefficients
 from .errors import CapExceededError, ValidationError
-from .hilbert import (DensityMatrix, SpaceLayout, batched_bloch_vectors,
-                      batched_trace_distances, check_density_stack, purities)
+from .hilbert import SpaceLayout, batched_bloch_vectors, check_density_stack, purities
 from .spectral import STACK_ELEMENT_CAP, SpectralData, write_csv
 
 
@@ -94,15 +94,6 @@ def stratified_times(horizon: float, n_times: int,
         raise ValidationError(f"n_times must be >= 1, got {n_times}")
     offsets = rng.uniform(size=n_times) if rng is not None else np.full(n_times, 0.5)
     return (np.arange(n_times) + offsets) * (horizon / n_times)
-
-
-def equilibrate(coefficients: OverlapCoefficients, spectral: SpectralData,
-                layout: SpaceLayout, times: np.ndarray,
-                equilibrium: DensityMatrix) -> tuple[Trajectory, float]:
-    """Reduced trajectory along ``times`` and its mean trace distance to ``equilibrium``."""
-    trajectory = evolve_reduced(coefficients, spectral, layout, times)
-    return trajectory, float(batched_trace_distances(trajectory.states,
-                                                     equilibrium.matrix).mean())
 
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:

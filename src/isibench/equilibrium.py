@@ -5,19 +5,20 @@ is diagonal in the eigenbasis: rho_bar = sum_n |c_n|^2 rho_n, where rho_n is
 the bath-traced projector of eigenvector n and c_n the overlap of the initial
 state with it.  This module computes those objects exactly from spectral
 data, and the weighted-purity functional delta that controls the sufficient
-independence condition.  ``EigenstateReductions`` holds only the rho_n and
-derives from them their layout, their purities and, for a qubit, their
-polarizations once, by hilbert's formulas, so delta and the polarization
-statistics of ``theorems`` read values that cannot disagree with the
-matrices.  An initial-state subspace R enters only
-through its projection W on the eigenbasis (``subspace_projection``), whose
-column norms give the weights <n|Pi_R|n>/dR; the Haar average of the
-equilibrium state over R is then sum_n w_n rho_n (``weighted_reduction``).
-The eigenvectors are read only through the methods of ``SpectralData``, so
-the same code serves every sector form.  For sectors of one bath level (the
-commuting models), and for the whole space in any form, R has a basis in
-which each eigenvector overlaps one basis vector at most, and W is kept as
-those groups (``spectral.GroupedProjection``).  Whether the spectrum is degenerate, and
+independence condition.  ``EigenstateReductions`` holds only the rho_n (built
+as ``EigenstateReductions(spectral.reductions(layout))``) and derives from
+them their layout, their purities and, for a qubit, their polarizations
+once, by hilbert's formulas, so delta and the polarization statistics of
+``theorems`` read values that cannot disagree with the matrices.  An
+initial-state subspace R enters only through its projection W on the
+eigenbasis (``subspace_projection``), whose column norms give the weights
+<n|Pi_R|n>/dR; the Haar average of the equilibrium state over R is then
+sum_n w_n rho_n (``hilbert.weighted_sum``).  The eigenvectors are read only
+through the methods of ``SpectralData``, so the same code serves every
+sector form.  For sectors of one bath level (the commuting models), and for
+the whole space in any form, R has a basis in which each eigenvector
+overlaps one basis vector at most, and W is kept as those groups
+(``spectral.GroupedProjection``).  Whether the spectrum is degenerate, and
 so which average ``time_averaged_state`` takes, is read from the mask
 ``SpectralData.degenerate``.
 
@@ -112,12 +113,6 @@ def overlaps(spectral: SpectralData, initial: PureState,
     return OverlapCoefficients(spectral.coefficients(initial.amplitudes, layout))
 
 
-def eigenstate_reductions(spectral: SpectralData,
-                          layout: SpaceLayout) -> EigenstateReductions:
-    """Bath-traced projectors of every eigenvector, batched."""
-    return EigenstateReductions(spectral.reductions(layout))
-
-
 def require_nondegenerate(spectral: SpectralData, allow_degenerate: bool = False) -> None:
     """Gate for formulas that assume a nondegenerate spectrum.
 
@@ -152,7 +147,7 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
         raise ValidationError("coefficients, reductions, and spectral data disagree on d")
     require_nondegenerate(spectral, allow_degenerate)
     if not spectral.degenerate.any():
-        return DensityMatrix(weighted_reduction(coefficients.populations, reductions),
+        return DensityMatrix(weighted_sum(coefficients.populations, reductions.matrices),
                              space="system")
     return DensityMatrix(spectral.dephased_reduction(coefficients.values, reductions.layout),
                          space="system")
@@ -180,30 +175,20 @@ def subspace_projection(spectral: SpectralData, layout: SpaceLayout,
     return spectral.projection(layout, psi.amplitudes, k)
 
 
-def weighted_purity(weights: np.ndarray, reductions: EigenstateReductions) -> float:
-    """sum_n w_n tr(rho_n^2), checked to lie in [1/dS, 1]."""
-    value = float(weights @ reductions.purities)
-    lower = 1.0 / reductions.layout.dim_system
-    if not lower - 1e-9 <= value <= 1.0 + 1e-9:
-        raise ValidationError(f"delta = {value:.15g} outside [{lower:.6g}, 1]")
-    return value
-
-
-def weighted_reduction(weights: np.ndarray, reductions: EigenstateReductions) -> np.ndarray:
-    """sum_n w_n rho_n for weights of shape (..., d); shape (..., dS, dS)."""
-    return weighted_sum(weights, reductions.matrices)
-
-
 def delta(reductions: EigenstateReductions,
           projection: DenseProjection | GroupedProjection) -> float:
     """Subspace-weighted mean purity of the eigenstate reductions.
 
     delta = sum_n w_n tr(rho_n^2) with w_n the normalized diagonal of the
-    subspace projector, read from the projection W; bounded between 1/dS and
-    1.  Small sqrt(delta) is the sufficient condition for equilibrium states
-    to be initial-state independent within the subspace.
+    subspace projector, read from the projection W; a value outside [1/dS,
+    1] is refused.  Small sqrt(delta) is the sufficient condition for
+    equilibrium states to be initial-state independent within the subspace.
     """
-    return weighted_purity(projection.weights, reductions)
+    value = float(projection.weights @ reductions.purities)
+    lower = 1.0 / reductions.layout.dim_system
+    if not lower - 1e-9 <= value <= 1.0 + 1e-9:
+        raise ValidationError(f"delta = {value:.15g} outside [{lower:.6g}, 1]")
+    return value
 
 
 def write_reductions_csv(path, spectral: SpectralData,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hilbert import SpaceLayout, dense_blocks
-from .spectral import CompositeHamiltonian, SpectralData, assemble
+from .spectral import CompositeHamiltonian, SpectralData
 
 
 @dataclass(frozen=True)
@@ -217,4 +217,4 @@ def build_random_model(dim_system: int, dim_bath: int, interaction_strength: flo
     hb = gaussian_hermitian(dim_bath, rng) * np.sqrt(dim_bath / dim_total)
     hsb = gaussian_hermitian(dim_total, rng)
     np.multiply(interaction_strength, hsb, out=hsb)
-    return assemble(hs, hb, hsb)
+    return CompositeHamiltonian(hs, hb, hsb)

@@ -1,10 +1,13 @@
 """Composite Hamiltonian assembly, eigendecomposition, and the degeneracy test.
 
 Each type here holds its inputs once and derives the rest from them:
-``CompositeHamiltonian`` holds the three parts, reads the layout from
-their dimensions and builds H with ``total()``, and ``SpectralData`` holds
-the energies by label and derives their order, the ascending eigenvalues
-and the level table below once, on construction.
+``CompositeHamiltonian`` holds the three parts, checked Hermitian on
+construction, reads the layout from their dimensions and builds H with
+``total()``, and ``SpectralData`` holds the energies by label and derives
+their order, the ascending eigenvalues and the level table below once, on
+construction.  Eigenvector phases follow one rule, ``_fix_phases_in_place``,
+applied to the eigensolver's output and to a copy of the sectors given to
+``SpectralData.from_sectors``.
 
 ``SpectralData`` holds a spectrum and its eigenvectors in one form, by
 sector: H is block-diagonal over S (x) (a sector of g bath levels), and the
@@ -97,7 +100,9 @@ def _lifted_rows(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray,
 class CompositeHamiltonian:
     """The three Hermitian parts of H = HS(x)I + I(x)HB + HSB; ``total()`` builds H.
 
-    ``layout`` is derived on construction from the dimensions of HS and HB.
+    On construction each part is checked Hermitian (system, bath, then
+    interaction) and kept as a complex array, and ``layout`` is derived from
+    the dimensions of HS and HB.
     """
 
     system: np.ndarray
@@ -105,6 +110,9 @@ class CompositeHamiltonian:
     interaction: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("system", "bath", "interaction"):
+            object.__setattr__(self, name, _require_hermitian(f"{name} part",
+                                                              getattr(self, name)))
         layout = SpaceLayout(len(self.system), len(self.bath))
         d, shape = layout.dim_total, np.shape(self.interaction)
         if shape != (d, d):
@@ -130,23 +138,6 @@ def _require_hermitian(name: str, mat: np.ndarray) -> np.ndarray:
         raise ValidationError(f"{name} not Hermitian: max asymmetry {asym:.3e} > "
                               f"{HAMILTONIAN_ASYMMETRY:.1e}")
     return arr
-
-
-def assemble(system: np.ndarray, bath: np.ndarray,
-             interaction: np.ndarray | None) -> CompositeHamiltonian:
-    """The composite Hamiltonian of checked Hermitian parts.
-
-    ``interaction=None`` means no coupling.  The layout is read from the
-    part dimensions.
-    """
-    hs = _require_hermitian("system part", system)
-    hb = _require_hermitian("bath part", bath)
-    if interaction is None:
-        d = len(hs) * len(hb)
-        hsb = np.zeros((d, d), dtype=complex)
-    else:
-        hsb = _require_hermitian("interaction part", interaction)
-    return CompositeHamiltonian(system=hs, bath=hb, interaction=hsb)
 
 
 # BLAS kernels compute a trailing partial block of GEMM rows differently from
@@ -265,9 +256,10 @@ class SpectralData:
     @classmethod
     def from_sectors(cls, level_energies: np.ndarray, sectors: np.ndarray) -> "SpectralData":
         """Sector form from the (n_sec, m) energies and (n_sec, m, m)
-        eigenvectors of the sector blocks; each column is phase-fixed by the
-        rule of ``fix_phases``, which gives the phases of the dense path."""
-        return cls(level_energies, fix_phases(sectors))
+        eigenvectors of the sector blocks; each column of a copy is
+        phase-fixed by the rule of the dense path (``_fix_phases_in_place``)."""
+        return cls(level_energies,
+                   _fix_phases_in_place(np.array(sectors, dtype=complex, copy=True)))
 
     @property
     def dim(self) -> int:
@@ -426,18 +418,14 @@ class SpectralData:
         return out
 
 
-def fix_phases(eigenvectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive.
-
-    Takes a matrix or a stack of matrices (the columns of each).  Ties on the
-    magnitude pick the lowest index (argmax convention), making the output
-    deterministic and shared by every sector form.
-    """
-    return _fix_phases_in_place(np.array(eigenvectors, dtype=complex, copy=True))
-
-
 def _fix_phases_in_place(vecs: np.ndarray) -> np.ndarray:
-    """``fix_phases`` on a complex array it may overwrite, DENSE_BLOCK columns at a time."""
+    """Rotate each column of the complex matrix, or stack of matrices, ``vecs``
+    in place, DENSE_BLOCK columns at a time, so that its largest-magnitude
+    component is real positive; returns ``vecs``.
+
+    Ties on the magnitude pick the lowest index (argmax convention), making
+    the output deterministic and shared by every sector form.
+    """
     for cols in dense_blocks(vecs.shape[-1]):
         block = vecs[..., cols]
         anchor = np.argmax(np.abs(block), axis=-2)

@@ -1,13 +1,17 @@
 """Bound evaluation and verdicts for the independence theorems.
 
-Each evaluator computes one inequality: an exact or Monte Carlo left-hand
-side, the closed-form right-hand side, and a verdict.  A ``TheoremReport``
-holds only the theorem, the left-hand side and the parameters it records;
-the right-hand side (the theorem's ``THEOREMS`` entry, the one place each
-bound is computed) and the verdict are derived from them on construction.
-So a serialized report can be audited without rerunning the experiment:
-``read_report`` refuses a file whose recorded bound or verdict is not the
-derived one.
+Each report builder computes one inequality from values it is given: an
+exact or Monte Carlo left-hand side, the closed-form right-hand side, and a
+verdict.  The registry ``THEOREMS`` holds only the bounds: per theorem, its
+right-hand side (the one place each bound is computed), the range of its
+left-hand side and whether it needs a nondegenerate spectrum; which
+pipeline stages feed each builder is the CLI's table (``cli._REPORTS``).  A
+``TheoremReport`` holds only the theorem, the left-hand side and the
+parameters it records; the right-hand side and the verdict are derived from
+them on construction, and a parameter that a bound or the verdict reads as a
+number must be an int or a float.  So a serialized report can be audited
+without rerunning the experiment: ``read_report`` refuses a file whose
+recorded bound or verdict is not the derived one.
 
 Verdict semantics: ``satisfied``/``violated`` compare the two sides;
 ``vacuous`` flags a bound that exceeds the largest value its left-hand side
@@ -23,17 +27,16 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
-from .equilibrium import (EigenstateReductions, require_nondegenerate, weighted_purity,
-                          weighted_reduction)
+from .equilibrium import EigenstateReductions, delta, require_nondegenerate
 from .errors import ValidationError
 # trace_distance is kept importable from here: the benchmark's tracer test
 # looks it up under this module.
 from .hilbert import (DensityMatrix, SpaceLayout, batched_trace_distances,  # noqa: F401
-                      trace_distance)
+                      trace_distance, weighted_sum)
 from .sampling import (MonteCarloEstimate, batched_monte_carlo, generator,
                        induced_states, sample_amplitudes)
 from .spectral import DenseProjection, GroupedProjection, SpectralData
@@ -48,6 +51,9 @@ VERDICTS = ("satisfied", "violated", "vacuous", "indeterminate")
 REPORT_SCHEMA_VERSION = 1       # "schema_version" of a report's JSON
 
 _SCALAR_TYPES = (bool, int, float, str)
+# The parameters that a bound or the verdict reads as numbers (int or float).
+_NUMBERS = frozenset({"dS", "dR", "dB", "delta", "epsilon", "p", "threshold",
+                      "verdict_boundary", "lhs_standard_error"})
 
 
 def concentration_tail(dim_restricted: int, epsilon: float) -> float:
@@ -139,11 +145,10 @@ def theorem0_estimate(projection: DenseProjection | GroupedProjection,
     built once for a grouped W.
     """
     require_nondegenerate(spectral)
-    weights = projection.weights
-    delta_value = weighted_purity(weights, reductions)
+    delta_value = delta(reductions, projection)
     dim_r, ds = projection.dim, reductions.layout.dim_system
     threshold = theorem0_rhs(ds, dim_r, delta_value)[0] + epsilon
-    reference = DensityMatrix(weighted_reduction(weights, reductions)).matrix
+    reference = DensityMatrix(weighted_sum(projection.weights, reductions.matrices)).matrix
     draw, width, states_of = projection.sampler(reductions.matrices)
 
     def values(draws: np.ndarray) -> np.ndarray:
@@ -237,24 +242,13 @@ class Theorem:
     ``rhs`` computes the bound from a report's parameters, for the report
     builders and for audits alike, and ``max_lhs`` is the largest value the
     left-hand side can take (bounds at or above it are vacuous).
-    ``evaluate(pipe, seed)`` builds the report from the stages of a
-    ``cli.Pipeline``.  ``nondegenerate`` marks the reports whose formulas need
-    a nondegenerate spectrum.
+    ``nondegenerate`` marks the reports whose formulas need a nondegenerate
+    spectrum.
     """
 
     rhs: Callable[[dict], float]
     max_lhs: Callable[[dict], float]
-    evaluate: Callable[[Any, int], "TheoremReport"]
     nondegenerate: bool = False
-
-
-def _necessary_report(pipe: Any, theorem_id: str, dim_restricted: int,
-                      p: float) -> "TheoremReport":
-    """The T1 or T1prime report on the pipeline's one necessary-condition search."""
-    config = pipe.config
-    return necessary_condition_report(
-        pipe.necessary_lhs, pipe.layout.dim_system, config.epsilon, dim_restricted, p,
-        theorem_id, config.n_starts, pipe.seed("search"))
 
 
 def _one(p: dict) -> float:
@@ -268,41 +262,20 @@ def _necessary_max(p: dict) -> float:
 # Probabilities and qubit polarization statistics cap at 1.  The
 # necessary-condition supremum compares a density matrix against the
 # maximally mixed state, so it caps at 2(1 - 1/dS) (a Bloch-vector norm, at
-# most 1, for qubits).  Mean trace distances cap at 2.  The evaluators look
-# up the report builders by name when they run, so that a tracer that wraps
-# this module's functions sees the calls.  The order fixes each report's
-# seed (its index here) and must not change; T0i and T0ii share the draws of
-# the pipeline's theorem0 stage, which takes T0i's seed, and T1 and T1prime
-# share its necessary-condition search, which takes T1's.
+# most 1, for qubits).  Mean trace distances cap at 2.  The order fixes each
+# report's seed (its index here, see cli.RUN_SEEDS) and must not change.
 THEOREMS = {
-    "SufficientISI": Theorem(
-        lambda p: float(p["threshold"]), _one,
-        lambda pipe, seed: sufficient_condition_report(pipe.delta)),
-    "T0i": Theorem(
-        lambda p: theorem0_rhs(int(p["dS"]), int(p["dR"]), float(p["delta"]))[0],
-        lambda p: 2.0,
-        lambda pipe, seed: theorem0_mean_report(pipe.theorem0),
-        nondegenerate=True),
-    "T0ii": Theorem(
-        lambda p: concentration_tail(int(p["dR"]), float(p["epsilon"])), _one,
-        lambda pipe, seed: theorem0_tail_report(pipe.theorem0),
-        nondegenerate=True),
-    "T1": Theorem(
-        _necessary_rhs, _necessary_max,
-        lambda pipe, seed: _necessary_report(
-            pipe, "T1", pipe.config.dim_restricted or pipe.layout.dim_bath, pipe.config.p)),
-    "T1prime": Theorem(
-        _necessary_rhs, _necessary_max,
-        lambda pipe, seed: _necessary_report(pipe, "T1prime", pipe.layout.dim_bath, 1.0)),
+    "SufficientISI": Theorem(lambda p: float(p["threshold"]), _one),
+    "T0i": Theorem(lambda p: theorem0_rhs(int(p["dS"]), int(p["dR"]), float(p["delta"]))[0],
+                   lambda p: 2.0, nondegenerate=True),
+    "T0ii": Theorem(lambda p: concentration_tail(int(p["dR"]), float(p["epsilon"])), _one,
+                    nondegenerate=True),
+    "T1": Theorem(_necessary_rhs, _necessary_max),
+    "T1prime": Theorem(_necessary_rhs, _necessary_max),
     # The T2 bounds are the large-bath limits sqrt(3) epsilon and 3 epsilon.
-    "T2i": Theorem(lambda p: math.sqrt(3.0) * float(p["epsilon"]), _one,
-                   lambda pipe, seed: pipe.theorem2[0]),
-    "T2ii": Theorem(lambda p: 3.0 * float(p["epsilon"]), _one,
-                    lambda pipe, seed: pipe.theorem2[1]),
-    "Popescu": Theorem(
-        lambda p: concentration_tail(int(p["dB"]), float(p["epsilon"])), _one,
-        lambda pipe, seed: popescu_report(pipe.layout, pipe.config.epsilon,
-                                          pipe.config.n_samples, seed)),
+    "T2i": Theorem(lambda p: math.sqrt(3.0) * float(p["epsilon"]), _one),
+    "T2ii": Theorem(lambda p: 3.0 * float(p["epsilon"]), _one),
+    "Popescu": Theorem(lambda p: concentration_tail(int(p["dB"]), float(p["epsilon"])), _one),
 }
 THEOREM_IDS = tuple(THEOREMS)
 
@@ -311,11 +284,6 @@ def _theorem(theorem_id: str) -> Theorem:
     if theorem_id not in THEOREMS:
         raise ValidationError(f"unknown theorem id {theorem_id!r}")
     return THEOREMS[theorem_id]
-
-
-def max_possible_lhs(theorem_id: str, parameters: dict) -> float:
-    """Largest value the report's left-hand side can take, for vacuity checks."""
-    return _theorem(theorem_id).max_lhs(parameters)
 
 
 def recompute_rhs(theorem_id: str, parameters: dict) -> float:
@@ -333,16 +301,18 @@ def assign_verdict(theorem_id: str, lhs: float, rhs: float,
                    parameters: dict) -> str:
     """Verdict policy shared by all report builders.
 
-    Vacuity is checked first (a bound at or beyond the metric's range decides
-    nothing); comparisons inside the numerical boundary, or inside two
-    standard errors for Monte Carlo left-hand sides, are indeterminate.  The
-    boundary is VERDICT_BOUNDARY, or the one a report recorded.
+    Vacuity is decided first (a bound at or beyond the metric's range decides
+    nothing), but only after the boundary and the standard error are read,
+    so that a malformed one is refused either way; comparisons inside the
+    numerical boundary, or inside two standard errors for Monte Carlo
+    left-hand sides, are indeterminate.  The boundary is VERDICT_BOUNDARY,
+    or the one a report recorded.
     """
-    if rhs >= max_possible_lhs(theorem_id, parameters):
-        return "vacuous"
     boundary = float(parameters.get("verdict_boundary", VERDICT_BOUNDARY))
     se = parameters.get("lhs_standard_error")
     slack = boundary if se is None else max(boundary, 2.0 * float(se))
+    if rhs >= _theorem(theorem_id).max_lhs(parameters):
+        return "vacuous"
     if abs(lhs - rhs) <= slack:
         return "indeterminate"
     return "satisfied" if lhs <= rhs else "violated"
@@ -356,7 +326,8 @@ class TheoremReport:
     and derives on construction the right-hand side (``recompute_rhs``) and
     the verdict (``assign_verdict``), so neither can disagree with them.
     Numpy integer and float parameters become int and float; a parameter
-    that is no scalar, or that the bound or the verdict cannot read, is refused.
+    that is no scalar, that the bound or the verdict cannot read, or that one
+    of them reads as a number but is a str or a bool, is refused.
     ``from_json`` audits a stored report: its recorded rhs and verdict must
     be the derived ones.
     """
@@ -379,6 +350,9 @@ class TheoremReport:
                 value = int(value) if isinstance(value, np.integer) else float(value)
             elif not isinstance(value, _SCALAR_TYPES):
                 raise ValidationError(f"parameter {key!r} is not a scalar: {value!r}")
+            elif key in _NUMBERS and isinstance(value, (bool, str)):
+                raise ValidationError(f"report for {self.theorem_id} has a malformed "
+                                      f"parameter: {key!r} must be a number, got {value!r}")
             parameters[key] = value
         object.__setattr__(self, "lhs", float(self.lhs))
         object.__setattr__(self, "parameters", parameters)
@@ -532,14 +506,12 @@ def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
     constant, which T1 and T1prime compare against, is recorded as
     ``epsilon_prime``, at the measure p = 1 of the whole restricted family.
     """
-    if epsilon < 0:
-        raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
-    lhs_i, lhs_ii = theorem2_lhs(reductions)
     base = {
         "epsilon": epsilon, "dS": 2, "dR": dim_restricted, "p": 1.0,
         "c": CONCENTRATION_RATE,
         "epsilon_prime": epsilon_prime(epsilon, 2, dim_restricted, 1.0),
     }
+    lhs_i, lhs_ii = theorem2_lhs(reductions)
     return TheoremReport("T2i", lhs_i, base), TheoremReport("T2ii", lhs_ii, base)
 
 

@@ -12,15 +12,16 @@ import numpy as np
 from mpmath import mp, mpf
 
 from isibench import cli
-from isibench.dynamics import equilibrate, stratified_times
-from isibench.equilibrium import (EigenstateReductions, delta, eigenstate_reductions,
-                                  overlaps, subspace_projection, time_averaged_state)
-from isibench.hilbert import PureState, SpaceLayout, tensor_product, trace_distance
+from isibench.dynamics import evolve_reduced, stratified_times
+from isibench.equilibrium import (EigenstateReductions, delta, overlaps,
+                                  subspace_projection, time_averaged_state)
+from isibench.hilbert import (PureState, SpaceLayout, batched_trace_distances,
+                              tensor_product, trace_distance)
 from isibench.models import analytic_eigensystem, build_random_model, sample_commuting_spec
 from isibench.sampling import batched_monte_carlo, haar_amplitudes, sample_amplitudes
 from isibench.spectral import eigendecompose
 from isibench.theorems import (CONCENTRATION_RATE, concentration_tail,
-                               epsilon_prime, max_possible_lhs,
+                               THEOREMS, epsilon_prime,
                                necessary_condition_lhs, necessary_condition_report,
                                popescu_report,
                                sufficient_condition_report, theorem0_estimate,
@@ -62,7 +63,7 @@ def test_criterion_1_commuting_model_violation(tmp_path, capsys):
     rng = np.random.default_rng(20260819)
     spec = sample_commuting_spec(256, 1.0, 1.0, 1.0, rng)
     spectral = analytic_eigensystem(spec)
-    reductions = eigenstate_reductions(spectral, spec.layout)
+    reductions = EigenstateReductions(spectral.reductions(spec.layout))
 
     radii = np.linalg.norm(reductions.bloch, axis=1)
     if not np.allclose(radii, 1.0, atol=1e-10, rtol=0.0):
@@ -110,8 +111,8 @@ def test_criterion_2_analytic_matches_dense(capsys):
                             f"1e-10 * {dense.spectral_norm:.3g}")
         # every other stage is compared in tests/test_block_form.py
         reduction_gap = float(np.abs(
-            eigenstate_reductions(analytic, spec.layout).matrices
-            - eigenstate_reductions(dense, spec.layout).matrices).max())
+            EigenstateReductions(analytic.reductions(spec.layout)).matrices
+            - EigenstateReductions(dense.reductions(spec.layout)).matrices).max())
         worst_reduction = max(worst_reduction, reduction_gap)
         if reduction_gap > 1e-12:
             failures.append(f"dB={db}: block and dense eigenstate reductions differ "
@@ -123,7 +124,7 @@ def test_criterion_2_analytic_matches_dense(capsys):
 
 
 def _equilibrated_fraction(spectral, layout, n_draws, seed):
-    reductions = eigenstate_reductions(spectral, layout)
+    reductions = EigenstateReductions(spectral.reductions(layout))
     horizon = 1.0e3 / spectral.min_sector_spacing  # the horizon rule of `run`
     bound = 2.0 * layout.dim_system / math.sqrt(layout.dim_bath)
     draw_rng, time_rng = stream_generators(seed, 2)
@@ -133,7 +134,8 @@ def _equilibrated_fraction(spectral, layout, n_draws, seed):
         coeffs = overlaps(spectral, tensor_product(PLUS, phi), layout)
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
         times = stratified_times(horizon, 2000, time_rng)
-        metric = equilibrate(coeffs, spectral, layout, times, equilibrium)[1]
+        states = evolve_reduced(coeffs, spectral, layout, times).states
+        metric = float(batched_trace_distances(states, equilibrium.matrix).mean())
         hits += metric <= bound
     return hits / n_draws
 
@@ -169,7 +171,7 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
     layout = SpaceLayout(2, 16)
     ham = build_random_model(2, 16, 1.0, np.random.default_rng(41))
     spectral = eigendecompose(ham)
-    reductions = eigenstate_reductions(spectral, layout)
+    reductions = EigenstateReductions(spectral.reductions(layout))
     eigenvectors = expand_sectors(spectral, layout)
     matrices = reductions.matrices
 
@@ -307,7 +309,7 @@ def test_criterion_6_concentration_bound_honesty(capsys):
     reports = []
     spec = sample_commuting_spec(16, 1.0, 1.0, 1.0, np.random.default_rng(61))
     spectral = analytic_eigensystem(spec)
-    reductions = eigenstate_reductions(spectral, spec.layout)
+    reductions = EigenstateReductions(spectral.reductions(spec.layout))
     small = subspace_projection(spectral, spec.layout, PLUS)
     delta_small = delta(reductions, small)
     reports.append(sufficient_condition_report(delta_small))
@@ -322,14 +324,14 @@ def test_criterion_6_concentration_bound_honesty(capsys):
 
     wide_spec = sample_commuting_spec(128, 1.0, 1.0, 1.0, np.random.default_rng(66))
     wide_spectral = analytic_eigensystem(wide_spec)
-    wide_reductions = eigenstate_reductions(wide_spectral, wide_spec.layout)
+    wide_reductions = EigenstateReductions(wide_spectral.reductions(wide_spec.layout))
     wide = subspace_projection(wide_spectral, wide_spec.layout)
     reports.append(theorem0_tail_report(
         theorem0_estimate(wide, wide_spectral, wide_reductions, 1.5, 10_000, 67)))
 
     deep_spec = sample_commuting_spec(256, 1.0, 1.0, 1.0, np.random.default_rng(68))
     deep_spectral = analytic_eigensystem(deep_spec)
-    deep_reductions = eigenstate_reductions(deep_spectral, deep_spec.layout)
+    deep_reductions = EigenstateReductions(deep_spectral.reductions(deep_spec.layout))
     deep = subspace_projection(deep_spectral, deep_spec.layout, PLUS)
     reports.append(theorem0_tail_report(
         theorem0_estimate(deep, deep_spectral, deep_reductions, 1.5, 10_000, 69)))
@@ -340,8 +342,7 @@ def test_criterion_6_concentration_bound_honesty(capsys):
     n_nonvacuous_tails = 0
     for report in reports:
         flagged = report.verdict == "vacuous"
-        out_of_range = report.rhs >= max_possible_lhs(report.theorem_id,
-                                                      report.parameters)
+        out_of_range = report.rhs >= THEOREMS[report.theorem_id].max_lhs(report.parameters)
         if flagged != out_of_range:
             failures.append(f"{report.theorem_id}: vacuous flag {flagged} but "
                             f"rhs {report.rhs:.3g} vs range cap")
@@ -368,7 +369,7 @@ def test_criterion_7_average_and_trace_oracles(capsys):
     for k in range(10):
         rng = np.random.default_rng(700 + k)
         spectral = eigendecompose(build_random_model(2, 8, 1.0, rng))
-        reductions = eigenstate_reductions(spectral, layout)
+        reductions = EigenstateReductions(spectral.reductions(layout))
         initial = PureState(sample_amplitudes(16, 1, rng)[:, 0], space="composite")
         coeffs = overlaps(spectral, initial, layout)
         exact = time_averaged_state(coeffs, reductions, spectral)
@@ -417,7 +418,7 @@ def test_criterion_8_polarization_decays_with_bath_size(capsys):
         for k in range(20):
             rng = np.random.default_rng(800 + k)
             spectral = eigendecompose(build_random_model(2, db, 1.0, rng))
-            reductions = eigenstate_reductions(spectral, SpaceLayout(2, db))
+            reductions = EigenstateReductions(spectral.reductions(SpaceLayout(2, db)))
             values.append(theorem2_lhs(reductions)[1])
         means.append(float(np.mean(values)))
     for smaller, larger, db in zip(means, means[1:], sizes[1:]):

@@ -18,7 +18,7 @@ from isibench import cli
 from isibench.dynamics import Trajectory
 from isibench.equilibrium import EigenstateReductions
 from isibench.spectral import CompositeHamiltonian, SpectralData
-from isibench.theorems import Theorem0Estimate, TheoremReport
+from isibench.theorems import THEOREM_IDS, Theorem, Theorem0Estimate, TheoremReport
 
 PACKAGE = Path(isibench.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,6 +48,15 @@ GONE = {
     "BlochVector": "DensityMatrix: its positivity check bounds |p| by 1",
     "mean_squared_polarization": "theorem2_lhs(reductions)[1], the T2ii left-hand side",
     "_float_params": "TheoremReport normalizes its own parameters",
+    "eigenstate_reductions": "EigenstateReductions(spectral.reductions(layout))",
+    "weighted_reduction": "weighted_sum(weights, reductions.matrices)",
+    "weighted_purity": "delta: its body and its [1/dS, 1] check",
+    "equilibrate": "evolve_reduced, then batched_trace_distances(...).mean()",
+    "max_possible_lhs": "THEOREMS[theorem_id].max_lhs, read by assign_verdict",
+    "assemble": "CompositeHamiltonian: checks its three parts Hermitian on construction",
+    "fix_phases": "_fix_phases_in_place: from_sectors fixes a copy, eigendecompose eigh's "
+                  "output",
+    "_necessary_report": "cli._REPORTS: each report from the pipeline stages it names",
 }
 
 # Config entries that were removed, each with its reason; none may come back.
@@ -128,6 +137,12 @@ def test_replaced_definitions_stay_gone():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}  # methods too
     back = sorted(name for name in GONE if name in defined or hasattr(isibench, name))
     assert not back, f"replaced definitions are back: {back}"
+
+
+def test_the_registry_holds_the_bounds_and_the_pipeline_the_builders():
+    assert [field.name for field in dataclasses.fields(Theorem)] == [
+        "rhs", "max_lhs", "nondegenerate"]
+    assert cli._REPORTS.keys() == set(THEOREM_IDS)
 
 
 def test_derived_values_are_no_fields():

@@ -25,7 +25,7 @@ import pytest
 
 from isibench import cli
 from isibench.dynamics import evolve_reduced, stratified_times
-from isibench.equilibrium import (delta, eigenstate_reductions, overlaps,
+from isibench.equilibrium import (EigenstateReductions, delta, overlaps,
                                   subspace_projection, time_averaged_state)
 from isibench.hilbert import (PureState, SpaceLayout, batched_trace_distances,
                               tensor_product)
@@ -66,7 +66,7 @@ def _stages(spectral, layout, initial, psi, horizon):
     """Every stage output that reads the eigenvectors, by name, for the
     subspaces built on the system state ``psi``; the trajectory is also
     sampled on 64 times of [0, horizon)."""
-    reductions = eigenstate_reductions(spectral, layout)
+    reductions = EigenstateReductions(spectral.reductions(layout))
     coeffs = overlaps(spectral, initial, layout)
     out = {"overlaps": coeffs.values, "reductions": reductions.matrices,
            "purities": reductions.purities,
@@ -162,7 +162,7 @@ def test_stack_reproduces_the_dense_populations(built):
     spec, block = built[:2]
     layout = spec.layout
     vectors = expand_sectors(block, layout)
-    reductions = eigenstate_reductions(block, layout)
+    reductions = EigenstateReductions(block.reductions(layout))
     prefix = max(1, layout.dim_bath // 3)
     for state, k in ((None, None), (PLUS, None), (PLUS, prefix)):
         projection = subspace_projection(block, layout, state, k)
@@ -189,7 +189,7 @@ def test_dirichlet_draws_match_haar_draws_in_law(kind, size, prefix):
     expanded = _dense(block, spec.layout)
     estimates, threshold = [], None
     for spectral, seed in ((block, 21), (expanded, 22)):
-        reductions = eigenstate_reductions(spectral, spec.layout)
+        reductions = EigenstateReductions(spectral.reductions(spec.layout))
         projection = subspace_projection(spectral, spec.layout, PLUS, prefix)
         assert hasattr(projection, "matrix") == (spectral is expanded)
         draw, width, states_of = projection.sampler(reductions.matrices)
@@ -224,7 +224,7 @@ def test_degenerate_block_average_agrees():
                     space="bath")
     initial = tensor_product(PLUS, phi)
     averages = [time_averaged_state(overlaps(s, initial, spec.layout),
-                                    eigenstate_reductions(s, spec.layout), s,
+                                    EigenstateReductions(s.reductions(spec.layout)), s,
                                     allow_degenerate=True).matrix for s in (block, dense)]
     assert _gap(*averages).max() <= TOL
 
@@ -269,12 +269,13 @@ def test_degenerate_levels_inside_a_block_keep_their_coherence():
     initial = PureState(sample_amplitudes(ds * db, 1, generator(9))[:, 0],
                         space="composite")
     averages = [time_averaged_state(overlaps(s, initial, layout),
-                                    eigenstate_reductions(s, layout), s,
+                                    EigenstateReductions(s.reductions(layout)), s,
                                     allow_degenerate=True).matrix
                 for s in (block, expanded)]
     assert _gap(*averages).max() <= TOL
     populations = overlaps(block, initial, layout).populations
-    plain = np.einsum("n,nij->ij", populations, eigenstate_reductions(block, layout).matrices)
+    plain = np.einsum("n,nij->ij", populations,
+                      EigenstateReductions(block.reductions(layout)).matrices)
     assert _gap(averages[0], plain).max() > 1e-3
     times = np.linspace(0.0, 50.0, 9)
     paths = [evolve_reduced(overlaps(s, initial, layout), s, layout, times).states
@@ -290,7 +291,7 @@ def test_pure_reductions_in_one_basis_reach_the_largest_necessary_lhs(ds):
     energies = np.arange(db * ds, dtype=float).reshape(db, ds) * 0.37
     spectral = SpectralData.from_sectors(energies,
                                          np.broadcast_to(np.eye(ds), (db, ds, ds)))
-    reductions = eigenstate_reductions(spectral, SpaceLayout(ds, db))
+    reductions = EigenstateReductions(spectral.reductions(SpaceLayout(ds, db)))
     assert _gap(reductions.purities, 1.0).max() <= TOL
     value = necessary_condition_lhs(reductions, n_starts=16, seed=3)
     assert abs(value - 2.0 * (1.0 - 1.0 / ds)) <= TOL

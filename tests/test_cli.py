@@ -5,6 +5,7 @@ capsys; one smoke test goes through ``python -m isibench.cli`` to cover the
 module entry point.
 """
 
+import json
 import math
 import os
 import re
@@ -18,11 +19,12 @@ import numpy as np
 import pytest
 
 from isibench import cli, spectral
+from isibench.errors import ValidationError
 from isibench.hilbert import SpaceLayout
 from isibench.models import build_random_model
 from isibench.sampling import generator
 from isibench.spectral import write_matrix
-from isibench.theorems import THEOREM_IDS, read_report
+from isibench.theorems import THEOREM_IDS, TheoremReport, read_report
 
 
 def _write_cfg(tmp_path, text, name="experiment.cfg"):
@@ -554,6 +556,32 @@ class TestRunCommand:
         assert [p.name for p in paths] == sorted(f"report_{t}.json" for t in THEOREM_IDS)
         for path in paths:
             assert read_report(path).to_json() == path.read_text(encoding="utf-8"), path
+
+    @pytest.fixture(scope="class")
+    def eight_reports(self, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("eight") / "out"
+        assert cli.main(["run", "--config", "sec5_violation", "--seed", "7",
+                         "--out", str(out_dir), "--override", "model.dim_bath=64",
+                         "--override", f"analysis.theorems={','.join(THEOREM_IDS)}"]) == 0
+        return out_dir
+
+    # values that a bound or the verdict reads as numbers, given as a str or
+    # a bool, on the reports of a run; T1's is vacuous, so the verdict decides
+    # without the noise parameters, yet must refuse them
+    @pytest.mark.parametrize("tid, key, value", [
+        ("T1", "verdict_boundary", "abc"), ("T1", "lhs_standard_error", "abc"),
+        ("T2ii", "dS", "2"), ("T0i", "dR", "64"), ("Popescu", "lhs_standard_error", "0.01"),
+        ("T2i", "p", True)])
+    def test_a_number_given_as_a_str_or_a_bool_is_refused(self, eight_reports, tid, key,
+                                                          value):
+        text = (eight_reports / f"report_{tid}.json").read_text(encoding="utf-8")
+        assert TheoremReport.from_json(text).to_json() == text
+        assert tid != "T1" or json.loads(text)["verdict"] == "vacuous"
+        payload = json.loads(text)
+        payload["parameters"][key] = value
+        message = f"malformed parameter: '{key}' must be a number, got {value!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            TheoremReport.from_json(json.dumps(payload))
 
     def test_reruns_are_reproducible(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, COMMUTING_SMALL)

@@ -4,12 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from isibench import (CapExceededError, PureState, SpaceLayout, Trajectory,
-                      ValidationError, assemble, eigendecompose,
-                      eigenstate_reductions, equilibrate, evolve_reduced, overlaps, purities,
-                      stratified_times, time_averaged_state, trace_distance,
-                      tensor_product, write_trajectory_csv)
-from isibench.hilbert import SIGMA_Z
+from isibench import (CapExceededError, CompositeHamiltonian, EigenstateReductions,
+                      PureState, SpaceLayout, Trajectory, ValidationError, eigendecompose,
+                      evolve_reduced, overlaps, purities, stratified_times,
+                      time_averaged_state, trace_distance, tensor_product,
+                      write_trajectory_csv)
+from isibench.hilbert import SIGMA_Z, batched_trace_distances
 from isibench.models import analytic_eigensystem, sample_commuting_spec
 from isibench.spectral import STACK_ELEMENT_CAP
 
@@ -30,10 +30,11 @@ def _evolution_problem(ds, db, seed):
 def _equilibration_metric(coeffs, spectral, layout, horizon, n_times, rng=None):
     """Mean trace distance to the infinite-time average on a stratified grid,
     computed as the dynamics stage does."""
-    equilibrium = time_averaged_state(coeffs, eigenstate_reductions(spectral, layout),
-                                      spectral)
+    reductions = EigenstateReductions(spectral.reductions(layout))
+    equilibrium = time_averaged_state(coeffs, reductions, spectral)
     times = stratified_times(horizon, n_times, rng)
-    return equilibrate(coeffs, spectral, layout, times, equilibrium)[1]
+    states = evolve_reduced(coeffs, spectral, layout, times).states
+    return float(batched_trace_distances(states, equilibrium.matrix).mean())
 
 
 def _window_average(coeffs, spectral, layout, horizon):
@@ -79,7 +80,7 @@ class TestEvolveReduced:
 
     def test_uncoupled_qubit_precesses_about_z(self):
         omega = 1.3
-        ham = assemble(0.5 * omega * SIGMA_Z, np.zeros((1, 1)), None)
+        ham = CompositeHamiltonian(0.5 * omega * SIGMA_Z, np.zeros((1, 1)), np.zeros((2, 2)))
         spectral = eigendecompose(ham)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
         phi = PureState(np.array([1.0]), space="bath")
@@ -154,7 +155,7 @@ class TestEquilibrationMetric:
 
     def test_matches_direct_computation(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 31)
-        reductions = eigenstate_reductions(spectral, layout)
+        reductions = EigenstateReductions(spectral.reductions(layout))
         horizon, n_times = 40.0, 32
         value = _equilibration_metric(coeffs, spectral, layout, horizon=horizon,
                                       n_times=n_times)
@@ -181,7 +182,7 @@ class TestFiniteTimeAverage:
         k = 3
         coeffs = overlaps(spectral, PureState(expand_sectors(spectral, layout)[:, k],
                                               space="composite"), layout)
-        reductions = eigenstate_reductions(spectral, layout)
+        reductions = EigenstateReductions(spectral.reductions(layout))
         rho = _window_average(coeffs, spectral, layout, horizon=7.7)
         assert np.abs(rho - reductions.matrices[k]).max() < 1e-12
 
@@ -197,7 +198,7 @@ class TestFiniteTimeAverage:
 
     def test_long_horizon_approaches_infinite_time_average(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 2, 47)
-        reductions = eigenstate_reductions(spectral, layout)
+        reductions = EigenstateReductions(spectral.reductions(layout))
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
         horizon = 1e4 / np.diff(spectral.eigenvalues).min()
         rho = _window_average(coeffs, spectral, layout, horizon=horizon)
@@ -205,7 +206,7 @@ class TestFiniteTimeAverage:
 
     def test_residual_decays_like_one_over_horizon(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 53)
-        reductions = eigenstate_reductions(spectral, layout)
+        reductions = EigenstateReductions(spectral.reductions(layout))
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
         horizons = np.array([1e2, 1e3, 1e4, 1e5]) / np.diff(spectral.eigenvalues).min()
         residuals = [trace_distance(_window_average(coeffs, spectral, layout, horizon=h),

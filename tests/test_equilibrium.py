@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from isibench import (DegenerateSpectrumError, DensityMatrix, PureState,
-                      SpaceLayout, ValidationError, assemble, batched_monte_carlo,
-                      delta, eigendecompose, eigenstate_reductions, haar_amplitudes,
+                      SpaceLayout, ValidationError, batched_monte_carlo,
+                      delta, eigendecompose, haar_amplitudes,
                       overlaps,
                       sample_commuting_spec, subspace_projection, time_averaged_state,
                       trace_distance, write_reductions_csv)
-from isibench.equilibrium import EigenstateReductions, weighted_reduction
+from isibench.equilibrium import EigenstateReductions
+from isibench.hilbert import weighted_sum
 from isibench.models import analytic_eigensystem
-from isibench.spectral import DenseProjection, SpectralData
+from isibench.spectral import CompositeHamiltonian, DenseProjection, SpectralData
 from isibench.theorems import theorem2_lhs
 
 from _oracles import (bath_averaged_equilibrium, expand_sectors, kron_projection,
@@ -24,7 +25,7 @@ def _random_problem(ds, db, seed):
     layout = SpaceLayout(ds, db)
     ham = random_hermitian(layout.dim_total, rng)
     spectral = eigendecompose(ham)
-    return layout, spectral, eigenstate_reductions(spectral, layout), rng
+    return layout, spectral, EigenstateReductions(spectral.reductions(layout)), rng
 
 
 def _product_equilibria(psi, spectral, reductions):
@@ -34,7 +35,7 @@ def _product_equilibria(psi, spectral, reductions):
         columns = np.kron(psi.amplitudes[:, None], phis)
         vectors = expand_sectors(spectral, reductions.layout)
         populations = np.abs(vectors.conj().T @ columns) ** 2
-        return weighted_reduction(populations.T, reductions)
+        return weighted_sum(populations.T, reductions.matrices)
     return values
 
 
@@ -64,8 +65,8 @@ class TestEigenstateReductions:
     def test_trivial_bath_gives_system_projectors(self):
         rng = np.random.default_rng(11)
         hs = random_hermitian(2, rng)
-        ham = assemble(hs, np.zeros((1, 1)), None)
-        reductions = eigenstate_reductions(eigendecompose(ham), ham.layout)
+        ham = CompositeHamiltonian(hs, np.zeros((1, 1)), np.zeros((2, 2)))
+        reductions = EigenstateReductions(eigendecompose(ham).reductions(ham.layout))
         system = eigendecompose(hs)
         for n in range(2):
             v = expand_sectors(system, SpaceLayout(2, 1))[:, n]
@@ -86,7 +87,7 @@ class TestEigenstateReductions:
     def test_commuting_model_reductions_are_pure_unit_bloch(self):
         rng = np.random.default_rng(19)
         spec = sample_commuting_spec(32, 1.0, 1.0, 1.0, rng)
-        reductions = eigenstate_reductions(analytic_eigensystem(spec), spec.layout)
+        reductions = EigenstateReductions(analytic_eigensystem(spec).reductions(spec.layout))
         assert np.abs(reductions.purities - 1.0).max() < 1e-10
         radii = np.linalg.norm(reductions.bloch, axis=1)
         assert np.abs(radii - 1.0).max() < 1e-10
@@ -131,7 +132,7 @@ class TestTimeAveragedState:
         layout = SpaceLayout(2, 2)
         spectral = SpectralData(np.array([1.0, 1.0, 2.0, 3.0]),
                                 np.eye(4, dtype=complex)[None])
-        reductions = eigenstate_reductions(spectral, layout)
+        reductions = EigenstateReductions(spectral.reductions(layout))
         state = PureState(random_state(4, np.random.default_rng(37)), space="composite")
         coeffs = overlaps(spectral, state, layout)
         with pytest.raises(DegenerateSpectrumError, match=r"\(0, 1\)"):
@@ -145,7 +146,7 @@ class TestTimeAveragedState:
         layout = SpaceLayout(2, 2)
         spectral = SpectralData(np.array([1.0, 1.0, 2.0, 3.0]),
                                 np.eye(4, dtype=complex)[None])
-        reductions = eigenstate_reductions(spectral, layout)
+        reductions = EigenstateReductions(spectral.reductions(layout))
         amps = random_state(4, np.random.default_rng(41))
         coeffs = overlaps(spectral, PureState(amps, space="composite"), layout)
         rho = time_averaged_state(coeffs, reductions, spectral, allow_degenerate=True)
@@ -224,7 +225,7 @@ class TestDelta:
         rng = np.random.default_rng(59)
         spec = sample_commuting_spec(16, 1.0, 1.0, 1.0, rng)
         spectral = analytic_eigensystem(spec)
-        reductions = eigenstate_reductions(spectral, spec.layout)
+        reductions = EigenstateReductions(spectral.reductions(spec.layout))
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
         projection = subspace_projection(spectral, spec.layout, psi)
         assert delta(reductions, projection) == pytest.approx(1.0, abs=1e-10)
@@ -248,8 +249,8 @@ class TestBathAveragedEquilibrium:
     def test_trivial_bath_dephases_the_system_state(self):
         rng = np.random.default_rng(79)
         hs = random_hermitian(2, rng)
-        ham = assemble(hs, np.zeros((1, 1)), None)
-        reductions = eigenstate_reductions(eigendecompose(ham), ham.layout)
+        ham = CompositeHamiltonian(hs, np.zeros((1, 1)), np.zeros((2, 2)))
+        reductions = EigenstateReductions(eigendecompose(ham).reductions(ham.layout))
         psi = PureState(random_state(2, rng), space="system")
         rho = bath_averaged_equilibrium(psi.amplitudes, reductions.matrices, 1)
         system = eigendecompose(hs)

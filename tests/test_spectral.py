@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from isibench import (CapExceededError, ConfigError, SpaceLayout, ValidationError,
-                      assemble, degenerate_level_pairs, eigendecompose, read_matrix,
+                      degenerate_level_pairs, eigendecompose, read_matrix,
                       write_matrix)
 from isibench import spectral
 from isibench.hilbert import SIGMA_X, SIGMA_Z, blocked_max
-from isibench.spectral import SpectralData
+from isibench.spectral import CompositeHamiltonian, SpectralData
 
 from _oracles import (batched_partial_trace_bath, expand_sectors, random_hermitian,
                       reconstruct)
@@ -18,11 +18,11 @@ from _oracles import (batched_partial_trace_bath, expand_sectors, random_hermiti
 
 class TestAssemble:
     def test_lone_system_term(self):
-        ham = assemble(0.5 * SIGMA_Z, np.zeros((1, 1)), None)
+        ham = CompositeHamiltonian(0.5 * SIGMA_Z, np.zeros((1, 1)), np.zeros((2, 2)))
         assert np.allclose(ham.total(), np.diag([0.5, -0.5]))
 
     def test_system_slow_layout(self):
-        ham = assemble(np.zeros((2, 2)), np.diag([0.0, 1.0]), None)
+        ham = CompositeHamiltonian(np.zeros((2, 2)), np.diag([0.0, 1.0]), np.zeros((4, 4)))
         assert np.allclose(ham.total(), np.diag([0.0, 1.0, 0.0, 1.0]))
 
     def test_matches_hand_assembled_two_level_bath(self):
@@ -34,7 +34,7 @@ class TestAssemble:
             for alpha, sigma in enumerate((SIGMA_X,
                                            np.array([[0, -1j], [1j, 0]]),
                                            SIGMA_Z)))
-        ham = assemble(0.5 * omega * SIGMA_Z, np.diag(bath_energies), interaction)
+        ham = CompositeHamiltonian(0.5 * omega * SIGMA_Z, np.diag(bath_energies), interaction)
         by_hand = (np.kron(0.5 * omega * SIGMA_Z, np.eye(2))
                    + np.kron(np.eye(2), np.diag(bath_energies))
                    + interaction)
@@ -42,11 +42,13 @@ class TestAssemble:
 
     def test_rejects_non_hermitian_part(self):
         with pytest.raises(ValidationError):
-            assemble(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), None)
+            CompositeHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)),
+                                 np.zeros((4, 4)))
 
     def test_nan_entry_fails_the_hermiticity_check(self):
         with pytest.raises(ValidationError, match="not Hermitian"):
-            assemble(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), None)
+            CompositeHamiltonian(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)),
+                                 np.zeros((4, 4)))
 
 
 # A dimension that is not a multiple of the block width, and an index pair
@@ -66,7 +68,7 @@ class TestBlockedChecks:
     def test_assembly_has_the_bits_of_the_kron_sum(self):
         hs, hb, hsb, layout = _blocked_parts()
         total = np.kron(hs, np.eye(100)) + np.kron(np.eye(3), hb) + hsb
-        ham = assemble(hs, hb, hsb)
+        ham = CompositeHamiltonian(hs, hb, hsb)
         assert ham.layout == layout
         assert ham.total().tobytes() == total.tobytes()
 
@@ -185,7 +187,7 @@ class TestEigendecompose:
         hs = random_hermitian(2, rng)
         hb = random_hermitian(4, rng)
         hsb = random_hermitian(8, rng)
-        ham = assemble(hs, hb, hsb)
+        ham = CompositeHamiltonian(hs, hb, hsb)
         raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         unitary, _ = np.linalg.qr(raw)
         lifted = np.kron(np.eye(2), unitary)

@@ -7,8 +7,8 @@ import pytest
 
 from isibench import (CONCENTRATION_RATE, THEOREM_IDS, PureState, SpaceLayout,
                       TheoremReport, ValidationError, assign_verdict,
-                      concentration_tail, eigendecompose, eigenstate_reductions,
-                      epsilon_prime, max_possible_lhs, necessary_condition_lhs,
+                      concentration_tail, eigendecompose,
+                      epsilon_prime, necessary_condition_lhs,
                       necessary_condition_report, popescu_report,
                       read_report, recompute_rhs, subspace_projection,
                       sufficient_condition_report, theorem0_estimate,
@@ -16,6 +16,7 @@ from isibench import (CONCENTRATION_RATE, THEOREM_IDS, PureState, SpaceLayout,
                       theorem0_tail_report, theorem2_lhs, theorem2_reports,
                       write_report)
 from isibench import sampling
+from isibench.theorems import THEOREMS
 from isibench.equilibrium import EigenstateReductions
 from isibench.models import analytic_eigensystem, sample_commuting_spec
 from isibench.spectral import DenseProjection, SpectralData
@@ -32,14 +33,14 @@ def _commuting_problem(db, seed):
     rng = np.random.default_rng(seed)
     spec = sample_commuting_spec(db, 1.0, 1.0, 1.0, rng)
     spectral = analytic_eigensystem(spec)
-    return spec, spectral, eigenstate_reductions(spectral, spec.layout), rng
+    return spec, spectral, EigenstateReductions(spectral.reductions(spec.layout)), rng
 
 
 def _random_problem(ds, db, seed):
     rng = np.random.default_rng(seed)
     layout = SpaceLayout(ds, db)
     spectral = eigendecompose(random_hermitian(layout.dim_total, rng))
-    return layout, spectral, eigenstate_reductions(spectral, layout), rng
+    return layout, spectral, EigenstateReductions(spectral.reductions(layout)), rng
 
 
 def _aligned_reductions():
@@ -48,7 +49,7 @@ def _aligned_reductions():
     layout = SpaceLayout(2, 2)
     spectral = SpectralData(np.array([0.0, 1.0, 2.0, 4.0]),
                             np.eye(4, dtype=complex)[None])
-    return spectral, eigenstate_reductions(spectral, layout)
+    return spectral, EigenstateReductions(spectral.reductions(layout))
 
 
 def _mixed_reductions():
@@ -209,7 +210,7 @@ class TestNecessaryCondition:
         # sup_psi ||diag(|psi|^2) - I/3||_1 = 4/3, attained at a basis state
         layout = SpaceLayout(3, 2)
         spectral = SpectralData(np.arange(6.0), np.eye(6, dtype=complex)[None])
-        reductions = eigenstate_reductions(spectral, layout)
+        reductions = EigenstateReductions(spectral.reductions(layout))
         value = necessary_condition_lhs(reductions, n_starts=16, seed=3)
         assert value <= 4.0 / 3.0 + 1e-9
         assert value >= 4.0 / 3.0 - 1e-3
@@ -364,19 +365,24 @@ class TestBatchedEstimates:
 
 
 class TestVerdictPolicy:
-    def test_max_possible_lhs_values(self):
-        assert max_possible_lhs("T0i", {}) == 2.0
-        assert max_possible_lhs("T0ii", {}) == 1.0
-        assert max_possible_lhs("T2i", {}) == 1.0
-        assert max_possible_lhs("SufficientISI", {}) == 1.0
-        assert max_possible_lhs("T1", {"dS": 2}) == 1.0
-        assert max_possible_lhs("T1prime", {"dS": 3}) == pytest.approx(4.0 / 3.0)
-        with pytest.raises(ValidationError):
-            max_possible_lhs("T9", {})
+    def test_max_lhs_values(self):
+        assert THEOREMS["T0i"].max_lhs({}) == 2.0
+        assert THEOREMS["T0ii"].max_lhs({}) == 1.0
+        assert THEOREMS["T2i"].max_lhs({}) == 1.0
+        assert THEOREMS["SufficientISI"].max_lhs({}) == 1.0
+        assert THEOREMS["T1"].max_lhs({"dS": 2}) == 1.0
+        assert THEOREMS["T1prime"].max_lhs({"dS": 3}) == pytest.approx(4.0 / 3.0)
+        with pytest.raises(ValidationError, match="unknown theorem id 'T9'"):
+            assign_verdict("T9", 0.0, 0.0, {})
 
     def test_vacuous_takes_precedence(self):
         verdict = assign_verdict("T2ii", 0.9, 1.0, {})
         assert verdict == "vacuous"
+
+    @pytest.mark.parametrize("key", ["verdict_boundary", "lhs_standard_error"])
+    def test_a_vacuous_bound_still_reads_the_noise_parameters(self, key):
+        with pytest.raises(ValueError):
+            assign_verdict("T2ii", 0.9, 1.0, {key: "abc"})
 
     def test_indeterminate_inside_sampling_noise(self):
         params = {"lhs_standard_error": 0.05}
