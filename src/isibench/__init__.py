@@ -8,6 +8,20 @@ states, concentration bounds with vacuity-aware verdicts, and Monte Carlo
 checks of the same quantities over uniformly sampled initial states.
 """
 
+import os as _os
+
+# How long an idle OpenBLAS worker thread busy-waits before it sleeps: 2**n
+# cycles.  OpenBLAS's default of 28 (about 0.1 s) burns a CPU through numpy's
+# import and after every BLAS call, while numpy runs single-threaded code.
+# With 20 (about 0.3 ms) eigh kept its wall time at d = 128 to 1536; with 8
+# or less it was 20-30 % slower at d <= 384, each call waking a sleeping thread.
+# OpenBLAS reads the variable once, when numpy loads it, so this runs before
+# the first import of numpy; if numpy was imported before isibench, it has no
+# effect.  A value already in the environment is kept.  It changes when idle
+# threads sleep, not how BLAS splits its sums, so it moves no number.
+_BLAS_THREAD_TIMEOUT = 20
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(_BLAS_THREAD_TIMEOUT))
+
 from .dynamics import Trajectory, evolve_reduced, stratified_times, write_trajectory_csv
 from .equilibrium import (EigenstateReductions, OverlapCoefficients, delta, overlaps,
                           require_nondegenerate, subspace_projection, time_averaged_state,

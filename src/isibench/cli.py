@@ -19,7 +19,9 @@ Every run derives all randomness from a single root seed, so identical
 configs give byte-identical data files (the only timestamp lives in the
 summary header) on the same machine, with the same numpy/BLAS build and the
 same BLAS thread count.  Another thread count moves the numbers in their last
-digits (see the README).
+digits (see the README).  ``OPENBLAS_THREAD_TIMEOUT``, which the package sets
+when it is unset, moves none: it only decides when idle OpenBLAS threads
+sleep, not how BLAS splits its sums.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ body.
 import ast
 import dataclasses
 import re
+import types
 from pathlib import Path
 
 import isibench
@@ -130,6 +131,15 @@ def test_every_public_definition_has_a_caller_in_the_package():
 def test_every_keeper_still_lacks_a_caller():
     stale = sorted(KEEPERS.keys() - _unreferenced())
     assert not stale, f"keepers that the package now calls: {stale}"
+
+
+def test_exports_no_module_but_its_own():
+    # __all__ is built from dir(), so a plain ``import os`` in __init__.py
+    # would export os; the package's submodules are bound there by import
+    foreign = sorted(name for name in isibench.__all__
+                     if isinstance(module := getattr(isibench, name), types.ModuleType)
+                     and module.__name__ != f"isibench.{name}")
+    assert not foreign, f"modules exported that are not the package's own: {foreign}"
 
 
 def test_replaced_definitions_stay_gone():

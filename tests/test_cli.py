@@ -18,6 +18,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import isibench
 from isibench import cli, spectral
 from isibench.errors import ValidationError
 from isibench.hilbert import SpaceLayout
@@ -419,6 +420,47 @@ class TestReproducibilityScope:
                 _assert_close(np.loadtxt(first / name, delimiter=",", skiprows=2),
                               np.loadtxt(second / name, delimiter=",", skiprows=2),
                               bound, f"{config} {name}")
+
+    def test_blas_thread_timeout_moves_no_byte(self, tmp_path):
+        # the timeout sets when idle BLAS threads sleep, not how sums are split
+        written = []
+        for timeout in (4, 28):
+            out_dir = tmp_path / f"timeout{timeout}"
+            result = subprocess.run(
+                [sys.executable, "-m", "isibench.cli", "run", "--config",
+                 "random_contrast", "--seed", "3", "--out", str(out_dir)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                         OPENBLAS_THREAD_TIMEOUT=str(timeout)),
+                capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            written.append({path.name: [line for line in path.read_bytes().splitlines()
+                                        if not line.startswith(b"# generated: ")]
+                            for path in out_dir.iterdir()})
+        assert "spectrum.csv" in written[0] and "trajectory.csv" in written[0]
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("preset", [None, "22"])
+    def test_blas_thread_timeout_is_set_before_numpy_loads(self, preset):
+        # OpenBLAS reads the variable once, when numpy loads it; a probe on the
+        # import system records it at the first lookup of numpy
+        probe = ("import os, sys\n"
+                 "seen = []\n"
+                 "class Probe:\n"
+                 "    def find_spec(self, name, path=None, target=None):\n"
+                 "        if name == 'numpy' and not seen:\n"
+                 "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+                 "sys.meta_path.insert(0, Probe())\n"
+                 "import isibench.cli\n"
+                 "print(seen)\n")
+        env = dict(os.environ)
+        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+        if preset is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = preset
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        expected = preset or str(isibench._BLAS_THREAD_TIMEOUT)
+        assert result.stdout.strip() == repr([expected])
 
 
 class TestBoundsCommand:
