@@ -21,7 +21,9 @@ summary header) on the same machine, with the same numpy/BLAS build and the
 same BLAS thread count.  Another thread count moves the numbers in their last
 digits (see the README).  ``OPENBLAS_THREAD_TIMEOUT``, which the package sets
 when it is unset, moves none: it only decides when idle OpenBLAS threads
-sleep, not how BLAS splits its sums.
+sleep, not how BLAS splits its sums.  Nor does the number of CPUs, over
+which the commuting and cucchietti dynamics deal their blocks of times:
+each block's rows are summed the same way on any thread.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from .models import (CommutingModelSpec, analytic_eigensystem, build_random_mode
                      commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import generator, sample_amplitudes
 from .spectral import (STACK_ELEMENT_CAP, CompositeHamiltonian, DenseProjection,
-                       GroupedProjection, SpectralData, eigendecompose, read_matrix,
-                       read_text, require_fits, write_csv)
+                       GroupedProjection, SpectralData, eigendecompose,
+                       evolve_on_one_thread, read_matrix, read_text, require_fits, write_csv)
 from .theorems import (THEOREM_IDS, THEOREMS, Theorem0Estimate, TheoremReport,
                        necessary_condition_lhs, necessary_condition_report, popescu_report,
                        sufficient_condition_report, theorem0_estimate, theorem0_mean_report,
@@ -898,7 +900,7 @@ def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
         samples = [_draw_metrics(task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a sweep loads the pool
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=evolve_on_one_thread) as pool:
             samples = list(pool.map(_draw_metrics, tasks))
 
     rows = []

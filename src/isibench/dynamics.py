@@ -2,7 +2,9 @@
 
 Evolution is computed in the energy eigenbasis, and no propagator is ever
 formed (``SpectralData.evolved_reductions``).  The times are worked through
-in blocks, so only the (n_times, dS, dS) trajectory grows with the grid;
+in blocks, which the commuting and cucchietti models deal to one thread per
+CPU with the same bits on any thread, and only the (n_times, dS, dS)
+trajectory grows with the grid;
 ``Trajectory`` keeps it without a copy and reads dS from its shape, and
 ``spectral.STACK_ELEMENT_CAP``, the cap of every (count, dS, dS) stack a run
 holds, bounds its entries.  The trajectory's purities and Bloch vectors

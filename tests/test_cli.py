@@ -379,18 +379,22 @@ def _assert_close(first, second, bound, what):
 
 class TestReproducibilityScope:
     def test_block_form_trajectory_keeps_its_bytes_across_blas_threads(self, tmp_path):
-        # the block-form evolution contracts its phase table without BLAS
+        # the block-form evolution contracts its phase table without BLAS, and
+        # deals its blocks to one thread per CPU: one CPU evolves on one thread
+        def one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
         written = []
-        for threads in (1, 2):
-            out_dir = tmp_path / f"threads{threads}"
+        for threads, cpus in ((1, None), (2, None), (2, one_cpu)):
+            out_dir = tmp_path / f"threads{threads}-{len(written)}"
             result = subprocess.run(
                 [sys.executable, "-m", "isibench.cli", "dynamics", "--config",
                  "sec5_violation", "--out", str(out_dir)],
                 env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads)),
-                capture_output=True, text=True)
+                capture_output=True, text=True, preexec_fn=cpus)
             assert result.returncode == 0, result.stderr
             written.append((out_dir / "trajectory.csv").read_bytes())
-        assert written[0] == written[1]
+        assert written[1:] == written[:1] * 2
 
     def test_blas_thread_count_moves_only_last_digits(self, tmp_path):
         # The README states these bounds; trajectory.csv gets the loose one.

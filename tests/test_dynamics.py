@@ -10,6 +10,7 @@ from isibench import (CapExceededError, CompositeHamiltonian, EigenstateReductio
                       time_averaged_state, trace_distance, tensor_product,
                       write_trajectory_csv)
 from isibench.hilbert import SIGMA_Z, batched_trace_distances
+from isibench import spectral as spectral_module
 from isibench.models import analytic_eigensystem, sample_commuting_spec
 from isibench.spectral import STACK_ELEMENT_CAP
 
@@ -104,6 +105,38 @@ class TestEvolveReduced:
         assert values[0] == pytest.approx(1.0, abs=1e-10)
         assert values.min() < 0.9
         assert values[1:].max() > values.min() + 0.05
+
+    @staticmethod
+    def _commuting_problem(dim_bath, n_times):
+        rng = np.random.default_rng(23)
+        spec = sample_commuting_spec(dim_bath, 1.0, 1.0, 1.0, rng)
+        spectral = analytic_eigensystem(spec)
+        psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
+        phi = PureState(random_state(dim_bath, rng), space="bath")
+        coeffs = overlaps(spectral, tensor_product(psi, phi), spec.layout)
+        return coeffs, spectral, spec.layout, stratified_times(50.0, n_times, rng)
+
+    # 300 times make blocks of 128, 128 and 44 rows at F = 512 Bohr
+    # frequencies; F = 70,000 puts one time in each block
+    @pytest.mark.parametrize("dim_bath, n_times", [(512, 300), (70_000, 7)])
+    def test_every_worker_count_gives_the_same_bytes(self, monkeypatch, dim_bath, n_times):
+        problem = self._commuting_problem(dim_bath, n_times)
+        states = []  # kept, so that no result reuses the memory of another
+        for workers in (1, 2, 3, n_times + 1):  # the last exceeds the blocks
+            monkeypatch.setattr(spectral_module, "_evolution_threads", workers)
+            states.append(evolve_reduced(*problem).states)
+        assert [s.tobytes() for s in states[1:]] == [states[0].tobytes()] * 3
+
+    def test_a_helper_threads_error_reaches_the_caller(self, monkeypatch):
+        # of two blocks of 128 times, only the helper's second one overflows,
+        # and the caller's errstate holds in the helper
+        coeffs, spectral, layout, times = self._commuting_problem(512, 256)
+        times[128:] = 1e308
+        monkeypatch.setattr(spectral_module, "_evolution_threads", 2)
+        trajectory = None
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            trajectory = evolve_reduced(coeffs, spectral, layout, times)
+        assert trajectory is None
 
     def test_element_cap(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(3, 4, 17)
