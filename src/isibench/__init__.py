@@ -23,9 +23,8 @@ _BLAS_THREAD_TIMEOUT = 20
 _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(_BLAS_THREAD_TIMEOUT))
 
 from .dynamics import Trajectory, evolve_reduced, stratified_times, write_trajectory_csv
-from .equilibrium import (EigenstateReductions, OverlapCoefficients, delta, overlaps,
-                          require_nondegenerate, subspace_projection, time_averaged_state,
-                          write_reductions_csv)
+from .equilibrium import (EigenstateReductions, delta, overlaps, require_nondegenerate,
+                          subspace_projection, time_averaged_state, write_reductions_csv)
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
 from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState,

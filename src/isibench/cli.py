@@ -44,9 +44,8 @@ import numpy as np
 
 from .dynamics import (Trajectory, evolve_reduced, require_evolution_fits, stratified_times,
                        write_trajectory_csv)
-from .equilibrium import (EigenstateReductions, OverlapCoefficients, overlaps,
-                          require_nondegenerate, subspace_projection, time_averaged_state,
-                          write_reductions_csv)
+from .equilibrium import (EigenstateReductions, overlaps, require_nondegenerate,
+                          subspace_projection, time_averaged_state, write_reductions_csv)
 from .equilibrium import delta as subspace_delta
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
@@ -68,13 +67,11 @@ DEFAULT_OUT_DIR = "isibench-out"
 
 MODEL_KINDS = ("commuting", "cucchietti", "random", "file")
 
-# Seed paths below the root seed, by stage.  Report k of THEOREM_IDS draws
-# from (2, k), but T0ii shares the draws of T0i and so draws from T0i's path
-# (2, 1), and T1 and T1prime share the necessary-condition search, which
-# takes T1's path (2, 3); the draws of a sweep use their own table (see
-# _draw_seeds).
-RUN_SEEDS = {"model": (0,), "system": (1, 0), "bath": (1, 1), "bounds": (2,),
-             "search": (2, 3), "dynamics": (3,)}
+# Seed paths below the root seed, by named stream: T0i and T0ii share the
+# theorem0 draws, and T1 and T1prime the necessary-condition search.  The
+# draws of a sweep use their own table (see _draw_seeds).
+RUN_SEEDS = {"model": (0,), "system": (1, 0), "bath": (1, 1), "theorem0": (2, 1),
+             "search": (2, 3), "popescu": (2, 7), "dynamics": (3,)}
 
 
 def _draw_seeds(point: int, draw: int) -> dict[str, tuple[int, ...]]:
@@ -310,6 +307,8 @@ def _check_sweep(config: ExperimentConfig) -> None:
         if metric not in _SWEEP_METRICS:
             raise ConfigError(f"unknown sweep metric {metric!r} "
                               f"(valid: {', '.join(_SWEEP_METRICS)})")
+    if len(set(config.sweep_metrics)) != len(config.sweep_metrics):
+        raise ConfigError("sweep.metrics lists a metric twice")
     key = CONFIG_KEYS[f"model.{parameter}"]
     for value in values:  # each must be valid for the model key it replaces
         try:
@@ -410,8 +409,8 @@ class Pipeline:
         self.config = config
         self.seeds = seeds
 
-    def seed(self, stage: str, *path: int) -> int:
-        return derived_seed(self.config.seed, *self.seeds[stage], *path)
+    def seed(self, stage: str) -> int:
+        return derived_seed(self.config.seed, *self.seeds[stage])
 
     def prepare(self) -> "Pipeline":
         """Resolve the stages whose errors must come before any file is written."""
@@ -526,7 +525,7 @@ class Pipeline:
                              self.seed("bath"))
 
     @cached_property
-    def coeffs(self) -> OverlapCoefficients:
+    def coeffs(self) -> np.ndarray:
         return overlaps(self.spectral, tensor_product(self.psi, self.phi), self.layout)
 
     @cached_property
@@ -590,11 +589,10 @@ class Pipeline:
 
     @cached_property
     def theorem0(self) -> Theorem0Estimate:
-        """The draws that the T0i and T0ii reports share, from T0i's seed."""
+        """The draws that the T0i and T0ii reports share."""
         config = self.config
         return theorem0_estimate(self.projection, self.spectral, self.reductions,
-                                 config.epsilon, config.n_samples,
-                                 self.seed("bounds", THEOREM_IDS.index("T0i")))
+                                 config.epsilon, config.n_samples, self.seed("theorem0"))
 
     @cached_property
     def necessary_lhs(self) -> float:
@@ -861,8 +859,7 @@ _REPORTS: dict[str, Callable[[Pipeline], TheoremReport]] = {
     "T2i": lambda pipe: pipe.theorem2[0],
     "T2ii": lambda pipe: pipe.theorem2[1],
     "Popescu": lambda pipe: popescu_report(
-        pipe.layout, pipe.config.epsilon, pipe.config.n_samples,
-        pipe.seed("bounds", THEOREM_IDS.index("Popescu"))),
+        pipe.layout, pipe.config.epsilon, pipe.config.n_samples, pipe.seed("popescu")),
 }
 
 # Metric of one sweep draw, each from the stages it needs.
@@ -903,29 +900,25 @@ def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
         with ProcessPoolExecutor(max_workers=jobs, initializer=evolve_on_one_thread) as pool:
             samples = list(pool.map(_draw_metrics, tasks))
 
-    rows = []
-    for point, value in enumerate(values):
-        row: dict[str, float] = {"value": value, "n_draws": n_draws}
-        draws = zip(*samples[point * n_draws:(point + 1) * n_draws])
-        for metric, data in zip(config.sweep_metrics, map(np.asarray, draws)):
-            row[f"{metric}_mean"] = float(data.mean())
-            row[f"{metric}_se"] = (float(data.std(ddof=1) / math.sqrt(data.size))
-                                   if data.size > 1 else 0.0)
-        rows.append(row)
+    # (points, metrics, draws), C-contiguous: each statistic reduces one row.
+    data = np.ascontiguousarray(
+        np.reshape(samples, (len(values), n_draws, -1)).transpose(0, 2, 1))
+    means = data.mean(axis=-1)
+    errors = (data.std(axis=-1, ddof=1) / math.sqrt(n_draws) if n_draws > 1
+              else np.zeros_like(means))
 
     columns = ["parameter", "value", "n_draws"]
     for metric in config.sweep_metrics:
         columns.extend([f"{metric}_mean", f"{metric}_se"])
     path = _out_dir(config) / "sweep.csv"
-    write_csv(path, columns, ([config.sweep_parameter] + [row[c] for c in columns[1:]]
-                              for row in rows))
+    stats = np.stack([means, errors], axis=-1).reshape(len(values), -1).tolist()
+    write_csv(path, columns, ([parameter, value, n_draws, *row]
+                              for value, row in zip(values, stats)))
 
-    lines = [f"sweep over {config.sweep_parameter} "
-             f"({len(values)} points, {config.sweep_draws} draws each)"]
-    for row in rows:
-        parts = [f"{config.sweep_parameter}={row['value']:g}"]
-        parts.extend(f"{metric}={row[f'{metric}_mean']:.6g}"
-                     for metric in config.sweep_metrics)
+    lines = [f"sweep over {parameter} ({len(values)} points, {n_draws} draws each)"]
+    for value, row in zip(values, means.tolist()):
+        parts = [f"{parameter}={value:g}"]
+        parts.extend(f"{metric}={mean:.6g}" for metric, mean in zip(config.sweep_metrics, row))
         lines.append("  " + " ".join(parts))
     lines.append(f"wrote {path}")
     return lines

@@ -1,7 +1,8 @@
 """Reduced-state time evolution and its distance to equilibrium.
 
-Evolution is computed in the energy eigenbasis, and no propagator is ever
-formed (``SpectralData.evolved_reductions``).  The times are worked through
+Evolution is computed in the energy eigenbasis from the (d,) overlaps c_n
+of ``equilibrium.overlaps``, and no propagator is ever formed
+(``SpectralData.evolved_reductions``).  The times are worked through
 in blocks, which the commuting and cucchietti models deal to one thread per
 CPU with the same bits on any thread, and only the (n_times, dS, dS)
 trajectory grows with the grid;
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import OverlapCoefficients
 from .errors import CapExceededError, ValidationError
 from .hilbert import SpaceLayout, batched_bloch_vectors, check_density_stack, purities
 from .spectral import STACK_ELEMENT_CAP, SpectralData, write_csv
@@ -69,16 +69,19 @@ def require_evolution_fits(dim_system: int, n_times: int) -> None:
                                f"{STACK_ELEMENT_CAP // entries}")
 
 
-def evolve_reduced(coefficients: OverlapCoefficients, spectral: SpectralData,
+def evolve_reduced(coefficients: np.ndarray, spectral: SpectralData,
                    layout: SpaceLayout, times: np.ndarray) -> Trajectory:
-    """Exact reduced evolution of the initial state along a time grid."""
+    """Exact reduced evolution of the initial state, given by its (d,)
+    overlaps c, along a time grid; the trajectory's trace check refuses a c
+    whose sum |c_n|^2 is not 1."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError(f"times must be a nonempty vector, got shape {times.shape}")
-    if coefficients.dim != spectral.dim:  # the layout is checked by the spectral data
-        raise ValidationError("coefficients and spectral data disagree on d")
+    if np.shape(coefficients) != (spectral.dim,):  # the layout is checked by the spectral data
+        raise ValidationError(f"coefficients of shape {np.shape(coefficients)} do not fit "
+                              f"d = {spectral.dim}")
     require_evolution_fits(layout.dim_system, times.size)
-    states = spectral.evolved_reductions(coefficients.values, times, layout)
+    states = spectral.evolved_reductions(coefficients, times, layout)
     return Trajectory(times=times, states=states)
 
 

@@ -3,7 +3,9 @@
 With a nondegenerate spectrum the infinite-time average of the reduced state
 is diagonal in the eigenbasis: rho_bar = sum_n |c_n|^2 rho_n, where rho_n is
 the bath-traced projector of eigenvector n and c_n the overlap of the initial
-state with it.  This module computes those objects exactly from spectral
+state with it, a plain read-only (d,) array (``overlaps``) whose unit norm
+the initial ``PureState``, the checked eigenbasis and the trace check of
+rho_bar keep.  This module computes those objects exactly from spectral
 data, and the weighted-purity functional delta that controls the sufficient
 independence condition.  ``EigenstateReductions`` holds only the rho_n (built
 as ``EigenstateReductions(spectral.reductions(layout))``) and derives from
@@ -33,37 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
-from .hilbert import (STATE_NORM_TOL, DensityMatrix, PureState, SpaceLayout,
-                      batched_bloch_vectors, check_density_stack, purities, weighted_sum)
+from .hilbert import (DensityMatrix, PureState, SpaceLayout, batched_bloch_vectors,
+                      check_density_stack, purities, weighted_sum)
 from .spectral import (DenseProjection, GroupedProjection, SpectralData,
                        degenerate_level_pairs, write_csv)
 
 COMPLETENESS_TOL = 1e-10  # max |(1/d) sum_n rho_n - I/dS|
-
-
-@dataclass(frozen=True)
-class OverlapCoefficients:
-    """Amplitudes c_n = <eigenvector_n | initial state>, unit sum of squares."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=complex, copy=True)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValidationError(f"coefficients must be a vector, got shape {vals.shape}")
-        total = float(np.sum(np.abs(vals) ** 2))
-        if abs(total - 1.0) > STATE_NORM_TOL:
-            raise ValidationError(f"sum |c_n|^2 = {total:.15g} deviates from 1")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
 
 
 @dataclass(frozen=True)
@@ -103,14 +80,15 @@ class EigenstateReductions:
         return self.matrices.shape[0]
 
 
-def overlaps(spectral: SpectralData, initial: PureState,
-             layout: SpaceLayout) -> OverlapCoefficients:
-    """Expansion coefficients of the initial state in the eigenbasis."""
+def overlaps(spectral: SpectralData, initial: PureState, layout: SpaceLayout) -> np.ndarray:
+    """The read-only (d,) overlaps c_n = <n|initial> with the eigenvectors."""
     if initial.space != "composite":
         raise ValidationError(f"initial state must be composite, got {initial.space!r}")
     if initial.dim != spectral.dim:
         raise ValidationError(f"state dim {initial.dim} != spectral dim {spectral.dim}")
-    return OverlapCoefficients(spectral.coefficients(initial.amplitudes, layout))
+    coefficients = spectral.coefficients(initial.amplitudes, layout)
+    coefficients.setflags(write=False)
+    return coefficients
 
 
 def require_nondegenerate(spectral: SpectralData, allow_degenerate: bool = False) -> None:
@@ -131,7 +109,7 @@ def require_nondegenerate(spectral: SpectralData, allow_degenerate: bool = False
             "(the dynamics needs a nondegenerate spectrum either way)")
 
 
-def time_averaged_state(coefficients: OverlapCoefficients, reductions: EigenstateReductions,
+def time_averaged_state(coefficients: np.ndarray, reductions: EigenstateReductions,
                         spectral: SpectralData, allow_degenerate: bool = False
                         ) -> DensityMatrix:
     """Infinite-time average of the reduced state, sum_n |c_n|^2 rho_n.
@@ -142,14 +120,16 @@ def time_averaged_state(coefficients: OverlapCoefficients, reductions: Eigenstat
     each run of degenerate levels inside a sector, reduce, and sum), which
     is the correct infinite-time average when the degeneracy is exact;
     callers should mark such output as obtained under a violated hypothesis.
+    Overlaps c whose sum |c_n|^2 is not 1 fail the trace check of the result.
     """
-    if coefficients.dim != spectral.dim or reductions.dim != spectral.dim:
-        raise ValidationError("coefficients, reductions, and spectral data disagree on d")
+    if np.shape(coefficients) != (spectral.dim,) or reductions.dim != spectral.dim:
+        raise ValidationError(f"coefficients of shape {np.shape(coefficients)} and "
+                              f"{reductions.dim} reductions do not fit d = {spectral.dim}")
     require_nondegenerate(spectral, allow_degenerate)
     if not spectral.degenerate.any():
-        return DensityMatrix(weighted_sum(coefficients.populations, reductions.matrices),
+        return DensityMatrix(weighted_sum(np.abs(coefficients) ** 2, reductions.matrices),
                              space="system")
-    return DensityMatrix(spectral.dephased_reduction(coefficients.values, reductions.layout),
+    return DensityMatrix(spectral.dephased_reduction(coefficients, reductions.layout),
                          space="system")
 
 

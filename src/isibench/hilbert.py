@@ -32,7 +32,7 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 VALID_SPACES = ("system", "bath", "composite")
 
 # Invariants of the value types, fixed rather than configurable.
-STATE_NORM_TOL = 1e-12      # |norm(psi) - 1|, also sum |c_n|^2 - 1
+STATE_NORM_TOL = 1e-12      # |norm(psi) - 1|
 HERMITICITY_TOL = 1e-12     # max |M - M^dagger| for density matrices
 TRACE_TOL = 1e-12           # |tr(rho) - 1|
 EIGENVALUE_FLOOR = 1e-10    # allowed negative slack on density eigenvalues

@@ -262,8 +262,7 @@ def _necessary_max(p: dict) -> float:
 # Probabilities and qubit polarization statistics cap at 1.  The
 # necessary-condition supremum compares a density matrix against the
 # maximally mixed state, so it caps at 2(1 - 1/dS) (a Bloch-vector norm, at
-# most 1, for qubits).  Mean trace distances cap at 2.  The order fixes each
-# report's seed (its index here, see cli.RUN_SEEDS) and must not change.
+# most 1, for qubits).  Mean trace distances cap at 2.
 THEOREMS = {
     "SufficientISI": Theorem(lambda p: float(p["threshold"]), _one),
     "T0i": Theorem(lambda p: theorem0_rhs(int(p["dS"]), int(p["dR"]), float(p["delta"]))[0],

@@ -374,7 +374,7 @@ def test_criterion_7_average_and_trace_oracles(capsys):
         coeffs = overlaps(spectral, initial, layout)
         exact = time_averaged_state(coeffs, reductions, spectral)
         horizon = 1.0e4 / np.diff(spectral.eigenvalues).min()
-        windowed = finite_time_average(coeffs.values, spectral.eigenvalues,
+        windowed = finite_time_average(coeffs, spectral.eigenvalues,
                                        expand_sectors(spectral, layout), 2, 8, horizon)
         worst_distance = max(worst_distance, trace_distance(exact.matrix, windowed))
     if worst_distance > 5e-3:

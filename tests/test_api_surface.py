@@ -58,6 +58,8 @@ GONE = {
     "fix_phases": "_fix_phases_in_place: from_sectors fixes a copy, eigendecompose eigh's "
                   "output",
     "_necessary_report": "cli._REPORTS: each report from the pipeline stages it names",
+    "OverlapCoefficients": "overlaps returns the read-only (d,) array; PureState, the "
+                           "eigenbasis and the trace checks keep its unit norm",
 }
 
 # Config entries that were removed, each with its reason; none may come back.
@@ -131,6 +133,26 @@ def test_every_public_definition_has_a_caller_in_the_package():
 def test_every_keeper_still_lacks_a_caller():
     stale = sorted(KEEPERS.keys() - _unreferenced())
     assert not stale, f"keepers that the package now calls: {stale}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # An import that only code outside the package reads carries "# noqa: F401".
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(text), text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__" \
+                    or "# noqa: F401" in "\n".join(lines[node.lineno - 1:node.end_lineno]):
+                continue
+            unused.extend(f"{path.name}: {bound}" for alias in node.names
+                          if (bound := alias.asname or alias.name.partition(".")[0])
+                          not in used)
+    assert not unused, f"imported names that their module never uses: {unused}"
 
 
 def test_exports_no_module_but_its_own():

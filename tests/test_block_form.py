@@ -68,7 +68,7 @@ def _stages(spectral, layout, initial, psi, horizon):
     sampled on 64 times of [0, horizon)."""
     reductions = EigenstateReductions(spectral.reductions(layout))
     coeffs = overlaps(spectral, initial, layout)
-    out = {"overlaps": coeffs.values, "reductions": reductions.matrices,
+    out = {"overlaps": coeffs, "reductions": reductions.matrices,
            "purities": reductions.purities,
            "rho_bar": time_averaged_state(coeffs, reductions, spectral).matrix}
     if reductions.bloch is not None:
@@ -273,7 +273,7 @@ def test_degenerate_levels_inside_a_block_keep_their_coherence():
                                     allow_degenerate=True).matrix
                 for s in (block, expanded)]
     assert _gap(*averages).max() <= TOL
-    populations = overlaps(block, initial, layout).populations
+    populations = np.abs(overlaps(block, initial, layout)) ** 2
     plain = np.einsum("n,nij->ij", populations,
                       EigenstateReductions(block.reductions(layout)).matrices)
     assert _gap(averages[0], plain).max() > 1e-3

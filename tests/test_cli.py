@@ -148,6 +148,18 @@ class TestConfigErrors:
         assert capsys.readouterr().err == "error: unknown key analysis.n_streams\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command, override, message", [
+        ("bounds", "analysis.theorems=T2i,T2i", "analysis.theorems lists a theorem twice"),
+        ("sweep", "sweep.values=8,8.0", "sweep.values lists a value twice"),
+        ("sweep", "sweep.metrics=delta,delta", "sweep.metrics lists a metric twice")])
+    def test_a_list_naming_an_entry_twice_exits_2(self, tmp_path, capsys, command,
+                                                  override, message):
+        out_dir = tmp_path / "out"
+        assert cli.main([command, "--config", _write_cfg(tmp_path, RANDOM_SWEEP),
+                         "--out", str(out_dir), "--override", override]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     def test_unknown_initial_state_name(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 4\n"
                                    "[initial_state]\nsystem = sideways\n")
@@ -587,6 +599,33 @@ class TestQubitOnlyEntries:
     def test_the_other_commands_run_on_a_qutrit(self, tmp_path, capsys, command):
         assert cli.main([command, *self.QUTRIT, "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestSeedStreams:
+    def test_every_stream_has_its_own_named_path(self):
+        assert cli.RUN_SEEDS == {"model": (0,), "system": (1, 0), "bath": (1, 1),
+                                 "theorem0": (2, 1), "search": (2, 3), "popescu": (2, 7),
+                                 "dynamics": (3,)}
+        assert cli._draw_seeds(0, 0) == {"model": (4, 0, 0, 0), "system": (4, 0, 0, 1),
+                                         "search": (4, 0, 0, 2), "bath": (4, 0, 0, 3),
+                                         "dynamics": (4, 0, 0, 4)}
+
+    def test_each_report_records_the_seed_of_its_stream(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli.main(["bounds", "--config", "random_contrast", "--seed", "5",
+                         "--out", str(out_dir),
+                         "--override", "model.dim_system=3",
+                         "--override", "model.dim_bath=16",
+                         "--override", "initial_state.system=random",
+                         "--override", "analysis.theorems=T0i,T0ii,T1,T1prime,Popescu",
+                         "--override", "analysis.n_samples=20",
+                         "--override", "analysis.n_starts=8"]) == 0
+        capsys.readouterr()
+        paths = {"T0i": (2, 1), "T0ii": (2, 1), "T1": (2, 3), "T1prime": (2, 3),
+                 "Popescu": (2, 7)}
+        for tid, path in paths.items():
+            report = read_report(out_dir / f"report_{tid}.json")
+            assert report.parameters["seed"] == cli.derived_seed(5, *path), tid
 
 
 class TestRunCommand:

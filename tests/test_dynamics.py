@@ -40,7 +40,7 @@ def _equilibration_metric(coeffs, spectral, layout, horizon, n_times, rng=None):
 
 def _window_average(coeffs, spectral, layout, horizon):
     """The oracle's closed-form average of the reduced state over [0, horizon]."""
-    return finite_time_average(coeffs.values, spectral.eigenvalues,
+    return finite_time_average(coeffs, spectral.eigenvalues,
                                expand_sectors(spectral, layout), layout.dim_system,
                                layout.dim_bath, horizon)
 
@@ -58,7 +58,7 @@ class TestEvolveReduced:
         times = np.array([0.3, 1.7, 4.1])
         trajectory = evolve_reduced(coeffs, spectral, layout, times)
         for k, t in enumerate(times):
-            expected = reduced_state_loop(coeffs.values, spectral.eigenvalues,
+            expected = reduced_state_loop(coeffs, spectral.eigenvalues,
                                           expand_sectors(spectral, layout), 2, 4, t)
             assert np.abs(trajectory.states[k] - expected).max() < 1e-12
 
@@ -151,6 +151,20 @@ class TestEvolveReduced:
             evolve_reduced(coeffs, spectral, layout, np.array([0.0, 1e308]))
 
 
+@pytest.mark.parametrize("stage", ["time_averaged_state", "evolve_reduced"])
+@pytest.mark.parametrize("bad", ["norm", "row", "short"])
+def test_overlaps_that_are_no_unit_vector_are_refused(stage, bad):
+    _, layout, spectral, _, coeffs, _ = _evolution_problem(2, 4, 41)
+    given = {"norm": 1.01 * coeffs, "row": coeffs[None],
+             "short": coeffs[1:] / np.linalg.norm(coeffs[1:])}[bad]
+    reductions = EigenstateReductions(spectral.reductions(layout))
+    with pytest.raises(ValidationError):
+        if stage == "time_averaged_state":
+            time_averaged_state(given, reductions, spectral)
+        else:
+            evolve_reduced(given, spectral, layout, np.array([0.0, 1.5]))
+
+
 class TestStratifiedTimes:
     def test_one_point_per_stratum(self):
         rng = np.random.default_rng(19)
@@ -205,7 +219,7 @@ class TestFiniteTimeAverage:
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 37)
         times = np.linspace(0.0, 30.0, 16)
         trajectory = evolve_reduced(coeffs, spectral, layout, times)
-        rho = np.mean([reduced_state_loop(coeffs.values, spectral.eigenvalues,
+        rho = np.mean([reduced_state_loop(coeffs, spectral.eigenvalues,
                                           expand_sectors(spectral, layout), 2, 4, t)
                        for t in times], axis=0)
         assert np.abs(rho - trajectory.states.mean(axis=0)).max() < 1e-14

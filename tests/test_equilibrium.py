@@ -43,7 +43,7 @@ class TestOverlaps:
     def test_single_eigenvector(self):
         layout, spectral, _, _ = _random_problem(2, 4, 3)
         state = PureState(expand_sectors(spectral, layout)[:, 3], space="composite")
-        pops = overlaps(spectral, state, layout).populations
+        pops = np.abs(overlaps(spectral, state, layout)) ** 2
         assert pops[3] == pytest.approx(1.0, abs=1e-12)
         assert pops.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -51,9 +51,17 @@ class TestOverlaps:
         layout, spectral, _, _ = _random_problem(2, 4, 5)
         vectors = expand_sectors(spectral, layout)
         vec = (vectors[:, 1] + vectors[:, 2]) / math.sqrt(2)
-        pops = overlaps(spectral, PureState(vec, space="composite"), layout).populations
+        pops = np.abs(overlaps(spectral, PureState(vec, space="composite"), layout)) ** 2
         assert pops[1] == pytest.approx(0.5, abs=1e-12)
         assert pops[2] == pytest.approx(0.5, abs=1e-12)
+
+    def test_returns_a_read_only_vector(self):
+        layout, spectral, _, rng = _random_problem(2, 4, 9)
+        state = PureState(random_state(8, rng), space="composite")
+        coeffs = overlaps(spectral, state, layout)
+        assert coeffs.shape == (8,) and not coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs[0] = 0.0
 
     def test_rejects_factor_space_state(self):
         layout, spectral, _, _ = _random_problem(2, 2, 7)
