@@ -10,6 +10,13 @@ Subcommands run the pipeline stages standalone or end to end:
     sweep        repeat a metric over a model-parameter grid
     run          everything above plus summary.txt
 
+The four stages that write files are one table, ``_STAGES``: each entry
+gives a stage's lines and its (file name, writer) pairs.  One runner serves
+them and ``run``, which is every stage (dynamics if enabled): it computes all
+the lines, the notes and, after ``bounds``, the conclusion before it makes
+the output directory and writes the files, one ``wrote`` line each (``run``
+names only ``summary.txt``, which holds what it prints).
+
 Configs are flat INI-style text with one level of sections; unknown sections
 or keys are errors.  The numerical thresholds of the checks and verdicts are
 fixed constants of the modules that apply them, and so are the caps that
@@ -42,8 +49,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dynamics import (Trajectory, evolve_reduced, require_evolution_fits, stratified_times,
-                       write_trajectory_csv)
+from .dynamics import Trajectory, evolve_reduced, stratified_times, write_trajectory_csv
 from .equilibrium import (EigenstateReductions, overlaps, require_nondegenerate,
                           subspace_projection, time_averaged_state, write_reductions_csv)
 from .equilibrium import delta as subspace_delta
@@ -55,8 +61,8 @@ from .models import (CommutingModelSpec, analytic_eigensystem, build_random_mode
                      commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import generator, sample_amplitudes
 from .spectral import (STACK_ELEMENT_CAP, CompositeHamiltonian, DenseProjection,
-                       GroupedProjection, SpectralData, eigendecompose,
-                       evolve_on_one_thread, read_matrix, read_text, require_fits, write_csv)
+                       GroupedProjection, SpectralData, eigendecompose, evolve_on_one_thread,
+                       read_matrix, read_text, require_count_fits, require_fits, write_csv)
 from .theorems import (THEOREM_IDS, THEOREMS, Theorem0Estimate, TheoremReport,
                        necessary_condition_lhs, necessary_condition_report, popescu_report,
                        sufficient_condition_report, theorem0_estimate, theorem0_mean_report,
@@ -396,9 +402,10 @@ def _factor_state(name: str, dim: int, space: str, seed: int) -> PureState:
 class Pipeline:
     """The stages of one experiment, each computed on first use and at most once.
 
-    Every command builds one pipeline, and every sweep draw builds its own
-    with its own seed table.  Stages call the layer functions through this
-    module's imports, so a tracer that wraps those names sees every call.
+    Every command builds one pipeline, which the entries of ``_STAGES``
+    read, and every sweep draw builds its own with its own seed table.
+    Stages and writers call the layer functions through this module's
+    imports, so a tracer that wraps those names sees every call.
     ``reports`` builds each configured report by its entry in ``_REPORTS``,
     from the stages that entry names; ``theorems.THEOREMS`` holds only the
     bounds.
@@ -417,14 +424,13 @@ class Pipeline:
         _ = self.coeffs, self.delta
         return self
 
-    def check_theorems(self) -> "Pipeline":
+    def check_theorems(self) -> None:
         """Refuse qubit-only reports on a config-fixed dS != 2 after the size cap,
         before any draw; ``reports`` refuses a matrix file's dS once read."""
         if self.config.kind != "file":
             self._check_dimension()
             _require_qubit("analysis.theorems", self.config.theorems,
                            self.config.dim_system or 2)
-        return self
 
     def _check_dimension(self) -> None:
         """``require_fits`` on the sectors the config fixes, before any draw: dB
@@ -474,7 +480,11 @@ class Pipeline:
             layout = SpaceLayout(config.dim_system or 2, config.dim_bath)
             source = (f"random Gaussian model (dS={layout.dim_system}, dB={config.dim_bath}, "
                       f"interaction strength {config.interaction_strength:g})")
-            return ModelBundle(layout, eigendecompose(total), None, source)
+            try:
+                spectral = eigendecompose(total)
+            except ValidationError as err:  # an energy range that overflows
+                raise ConfigError(f"{err} (set by model.interaction_strength)") from None
+            return ModelBundle(layout, spectral, None, source)
 
         matrix, layout = read_matrix(config.matrix_path)
         if layout is None and config.dim_system is not None:
@@ -580,7 +590,7 @@ class Pipeline:
                               f"phases of the evolution (smallest within-sector spacing "
                               f"{spacing:.6g}, max |E| {spectral.spectral_norm:.6g}); "
                               f"set it to at most {largest!r}")
-        require_evolution_fits(self.layout.dim_system, self.config.n_times)
+        require_count_fits("dynamics.n_times", self.config.n_times, self.layout.dim_system)
         rng = generator(self.seed("dynamics"))
         times = stratified_times(horizon, self.config.n_times, rng)
         trajectory = evolve_reduced(self.coeffs, spectral, self.layout, times)
@@ -632,21 +642,17 @@ def _spectrum_lines(pipe: Pipeline) -> list[str]:
     ]
 
 
-def _write_spectrum_csv(path: Path, spectral: SpectralData) -> None:
-    write_csv(path, ["n", "energy"], enumerate(spectral.eigenvalues))
-
-
-def _report_lines(reports: dict[str, TheoremReport]) -> list[str]:
+def _report_lines(pipe: Pipeline) -> list[str]:
+    reports, notes = pipe.reports
     lines = ["reports:"]
     for tid, report in reports.items():
         lines.append(f"  {tid}: lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
                      f"verdict={report.verdict}")
-    return lines
+    return lines + notes
 
 
-def _conclusion_line(config: ExperimentConfig, reports: dict[str, TheoremReport]
-                     ) -> str:
-    report = reports.get("T2ii")
+def _conclusion_line(pipe: Pipeline) -> str:
+    report = pipe.reports[0].get("T2ii")
     if report is None:
         return "conclusion: not evaluated (T2ii absent from analysis.theorems)"
     if report.verdict == "violated":
@@ -657,8 +663,7 @@ def _conclusion_line(config: ExperimentConfig, reports: dict[str, TheoremReport]
         return f"conclusion: system ISI cannot hold with accuracy better than {accuracy}"
     if report.verdict == "vacuous":
         return "conclusion: necessary-condition bound is vacuous at this scale"
-    return (f"conclusion: no obstruction to system ISI at accuracy "
-            f"{config.epsilon:g}")
+    return f"conclusion: no obstruction to system ISI at accuracy {pipe.config.epsilon:g}"
 
 
 def _equilibrium_lines(pipe: Pipeline) -> list[str]:
@@ -710,6 +715,65 @@ def _out_dir(config: ExperimentConfig) -> Path:
     except OSError as err:
         raise ConfigError(f"output directory {config.out_dir!r}: {err.strerror}") from None
     return path
+
+
+# ----------------------------------------------------------------- stages --
+
+# Each stage of a command: its lines, and the data files it writes as
+# (file name, writer) pairs, a writer taking the file's path.  The writers
+# reach the layer functions through this module's names when they run.
+_STAGES: dict[str, tuple[Callable[[Pipeline], list[str]],
+                         Callable[[Pipeline], list[tuple[str, Callable[[Path], Any]]]]]] = {
+    "spectrum": (_spectrum_lines, lambda pipe: [
+        ("spectrum.csv", lambda path: write_csv(path, ["n", "energy"],
+                                                enumerate(pipe.spectral.eigenvalues)))]),
+    "equilibrium": (_equilibrium_lines, lambda pipe: [
+        ("reductions.csv",
+         lambda path: write_reductions_csv(path, pipe.spectral, pipe.reductions))]),
+    "bounds": (_report_lines, lambda pipe: [
+        (f"report_{tid}.json", lambda path, report=report: write_report(path, report))
+        for tid, report in pipe.reports[0].items()]),
+    "dynamics": (_dynamics_lines, lambda pipe: [
+        ("trajectory.csv", lambda path: write_trajectory_csv(path, pipe.dynamics[1]))]),
+}
+
+
+def _run_stages(config: ExperimentConfig, args, name: str) -> list[str]:
+    """The command's stages, ``run`` being all of them (dynamics if enabled):
+    every line first, then every file, so that no error follows a write."""
+    run = args.command == "run"
+    stages = [stage for stage in _STAGES
+              if stage != "dynamics" or config.dynamics_enabled] if run else [args.command]
+    pipe = Pipeline(config)
+    if "bounds" in stages:
+        pipe.check_theorems()
+    if stages != ["spectrum"]:
+        pipe.prepare()
+    lines = []
+    if run:
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        lines = [
+            f"# generated: {stamp}",
+            f"config: {name}",
+            f"seed: {config.seed}",
+            f"model: {pipe.model.source}",
+            f"initial state: system={config.initial_system} bath={config.initial_bath}",
+        ]
+    for stage in stages:
+        lines.extend(_STAGES[stage][0](pipe))
+    lines.extend(pipe.notes)
+    if "bounds" in stages:
+        lines.append(_conclusion_line(pipe))
+    files = [item for stage in stages for item in _STAGES[stage][1](pipe)]
+    if run:  # the summary is what the command prints, and the one file it names
+        summary = "\n".join(lines) + "\n"
+        files.append(("summary.txt", lambda path: path.write_text(summary, encoding="utf-8")))
+
+    out = _out_dir(config)
+    for file_name, write in files:
+        write(out / file_name)
+    shown = files[-1:] if run else files
+    return lines + [f"wrote {out / file_name}" for file_name, _ in shown]
 
 
 # ------------------------------------------------------------- subcommands --
@@ -764,80 +828,6 @@ def _cmd_model_info(config: ExperimentConfig, args, name: str) -> list[str]:
                      "variance 1/dim per part")
     lines.extend(_spectrum_lines(pipe))
     return lines
-
-
-def _cmd_spectrum(config: ExperimentConfig, args, name: str) -> list[str]:
-    pipe = Pipeline(config)
-    lines = _spectrum_lines(pipe)
-    out = _out_dir(config)
-    _write_spectrum_csv(out / "spectrum.csv", pipe.spectral)
-    lines.append(f"wrote {out / 'spectrum.csv'}")
-    return lines
-
-
-def _cmd_equilibrium(config: ExperimentConfig, args, name: str) -> list[str]:
-    pipe = Pipeline(config).prepare()
-    lines = _equilibrium_lines(pipe) + pipe.notes
-    out = _out_dir(config)
-    write_reductions_csv(out / "reductions.csv", pipe.spectral, pipe.reductions)
-    lines.append(f"wrote {out / 'reductions.csv'}")
-    return lines
-
-
-def _cmd_bounds(config: ExperimentConfig, args, name: str) -> list[str]:
-    pipe = Pipeline(config).check_theorems().prepare()
-    reports, notes = pipe.reports
-    out = _out_dir(config)
-    lines = _report_lines(reports)
-    for tid, report in reports.items():
-        path = out / f"report_{tid}.json"
-        write_report(path, report)
-        lines.append(f"wrote {path}")
-    lines.extend(notes + pipe.notes)
-    lines.append(_conclusion_line(config, reports))
-    return lines
-
-
-def _cmd_dynamics(config: ExperimentConfig, args, name: str) -> list[str]:
-    pipe = Pipeline(config).prepare()
-    lines = _dynamics_lines(pipe)
-    out = _out_dir(config)
-    write_trajectory_csv(out / "trajectory.csv", pipe.dynamics[1])
-    lines.extend(pipe.notes)
-    lines.append(f"wrote {out / 'trajectory.csv'}")
-    return lines
-
-
-def _cmd_run(config: ExperimentConfig, args, name: str) -> list[str]:
-    """Every stage first, then every file, so that no error follows a write."""
-    pipe = Pipeline(config).check_theorems().prepare()
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    lines = [
-        f"# generated: {stamp}",
-        f"config: {name}",
-        f"seed: {config.seed}",
-        f"model: {pipe.model.source}",
-        f"initial state: system={config.initial_system} bath={config.initial_bath}",
-    ]
-    lines.extend(_spectrum_lines(pipe))
-    lines.extend(_equilibrium_lines(pipe))
-    reports, notes = pipe.reports
-    lines.extend(_report_lines(reports))
-    lines.extend(notes)
-    if config.dynamics_enabled:
-        lines.extend(_dynamics_lines(pipe))
-    lines.extend(pipe.notes)
-    lines.append(_conclusion_line(config, reports))
-
-    out = _out_dir(config)
-    _write_spectrum_csv(out / "spectrum.csv", pipe.spectral)
-    write_reductions_csv(out / "reductions.csv", pipe.spectral, pipe.reductions)
-    for tid, report in reports.items():
-        write_report(out / f"report_{tid}.json", report)
-    if config.dynamics_enabled:
-        write_trajectory_csv(out / "trajectory.csv", pipe.dynamics[1])
-    (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return lines + [f"wrote {out / 'summary.txt'}"]
 
 
 # ------------------------------------------------------------------ sweep --
@@ -927,12 +917,12 @@ def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
 # ------------------------------------------------------------------- main --
 
 _COMMANDS = {
-    "run": (_cmd_run, "full pipeline with summary"),
+    "run": (_run_stages, "full pipeline with summary"),
     "model-info": (_cmd_model_info, "print model dimensions, norms, and commutator checks"),
-    "spectrum": (_cmd_spectrum, "diagonalize and run the degeneracy check"),
-    "equilibrium": (_cmd_equilibrium, "eigenstate reductions and the time-averaged state"),
-    "bounds": (_cmd_bounds, "evaluate the configured theorem reports"),
-    "dynamics": (_cmd_dynamics, "reduced evolution and equilibration metric"),
+    "spectrum": (_run_stages, "diagonalize and run the degeneracy check"),
+    "equilibrium": (_run_stages, "eigenstate reductions and the time-averaged state"),
+    "bounds": (_run_stages, "evaluate the configured theorem reports"),
+    "dynamics": (_run_stages, "reduced evolution and equilibration metric"),
     "sweep": (_cmd_sweep, "metric over a model-parameter grid"),
 }
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
+from .errors import ValidationError
 from .hilbert import SpaceLayout, batched_bloch_vectors, check_density_stack, purities
-from .spectral import STACK_ELEMENT_CAP, SpectralData, write_csv
+from .spectral import SpectralData, require_count_fits, write_csv
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,6 @@ class Trajectory:
         return batched_bloch_vectors(self.states)
 
 
-def require_evolution_fits(dim_system: int, n_times: int) -> None:
-    """Refuse a trajectory of n_times * dS^2 entries above the cap; a caller
-    that draws the time grid checks before the draw.  The evolution itself
-    works through the times in blocks, so the trajectory is what grows."""
-    entries = dim_system * dim_system
-    if entries * n_times > STACK_ELEMENT_CAP:
-        raise CapExceededError(f"trajectory n_times * dS^2 = {n_times} * {entries} exceeds "
-                               f"{STACK_ELEMENT_CAP}; set dynamics.n_times to at most "
-                               f"{STACK_ELEMENT_CAP // entries}")
-
-
 def evolve_reduced(coefficients: np.ndarray, spectral: SpectralData,
                    layout: SpaceLayout, times: np.ndarray) -> Trajectory:
     """Exact reduced evolution of the initial state, given by its (d,)
@@ -80,7 +69,7 @@ def evolve_reduced(coefficients: np.ndarray, spectral: SpectralData,
     if np.shape(coefficients) != (spectral.dim,):  # the layout is checked by the spectral data
         raise ValidationError(f"coefficients of shape {np.shape(coefficients)} do not fit "
                               f"d = {spectral.dim}")
-    require_evolution_fits(layout.dim_system, times.size)
+    require_count_fits("dynamics.n_times", times.size, layout.dim_system)
     states = spectral.evolved_reductions(coefficients, times, layout)
     return Trajectory(times=times, states=states)
 

@@ -36,7 +36,8 @@ The thresholds of the checks are fixed module constants beside them;
 relative ones are scaled by the spectral norm of the operator they test.
 ``require_fits`` refuses a model by the arrays it would hold: sectors above
 ``DECOMPOSE_DIM_CAP`` (one is what the dense eigensolver takes), or d
-reductions above ``STACK_ELEMENT_CAP``, the entries of a (count, dS, dS) stack.
+reductions above ``STACK_ELEMENT_CAP``, the entries of a (count, dS, dS) stack;
+``require_count_fits`` holds the count of a config key to the same cap.
 
 The dense path holds each d x d array once.  The assembly, the checks on a
 d x d array, the reductions and the evolution work through it in blocks of
@@ -506,6 +507,17 @@ def require_fits(n_sec: int, m: int, dim_system: int) -> None:
         raise CapExceededError(f"composite dimension {d}: its eigenstate reductions hold "
                                f"d * dS^2 = {entries} entries, above the cap "
                                f"{STACK_ELEMENT_CAP}")
+
+
+def require_count_fits(key: str, count: int, dim_system: int) -> None:
+    """Refuse, before anything is drawn, the value ``count`` of the config key
+    ``key`` when count * dS^2 entries exceed STACK_ELEMENT_CAP: the times of a
+    trajectory, the Monte Carlo samples, the starts of the dS > 2 search."""
+    entries = dim_system * dim_system
+    if entries * count > STACK_ELEMENT_CAP:
+        raise CapExceededError(f"{key} * dS^2 = {count} * {entries} exceeds "
+                               f"{STACK_ELEMENT_CAP}; set {key} to at most "
+                               f"{STACK_ELEMENT_CAP // entries}")
 
 
 def eigendecompose(hamiltonian) -> SpectralData:

@@ -39,7 +39,7 @@ from .hilbert import (DensityMatrix, SpaceLayout, batched_trace_distances,  # no
                       trace_distance, weighted_sum)
 from .sampling import (MonteCarloEstimate, batched_monte_carlo, generator,
                        induced_states, sample_amplitudes)
-from .spectral import DenseProjection, GroupedProjection, SpectralData
+from .spectral import DenseProjection, GroupedProjection, SpectralData, require_count_fits
 
 # Concentration rate constant of the Levy-type tail bounds, 1/(18 pi^3).
 CONCENTRATION_RATE = 1.0 / (18.0 * math.pi**3)
@@ -147,6 +147,7 @@ def theorem0_estimate(projection: DenseProjection | GroupedProjection,
     require_nondegenerate(spectral)
     delta_value = delta(reductions, projection)
     dim_r, ds = projection.dim, reductions.layout.dim_system
+    require_count_fits("analysis.n_samples", n_samples, ds)
     threshold = theorem0_rhs(ds, dim_r, delta_value)[0] + epsilon
     reference = DensityMatrix(weighted_sum(projection.weights, reductions.matrices)).matrix
     draw, width, states_of = projection.sampler(reductions.matrices)
@@ -187,6 +188,7 @@ def necessary_condition_lhs(reductions: EigenstateReductions,
         return float(np.linalg.eigvalsh(_polarization_gram(reductions) / reductions.dim)[-1])
     if n_starts < 1:
         raise ValidationError(f"n_starts must be >= 1, got {n_starts}")
+    require_count_fits("analysis.n_starts", n_starts, ds)
     rows = reductions.matrices.reshape(reductions.dim, ds * ds)
     # transpose(K), so that a stack of row-major vec's maps as stack @ gram_t
     gram_t = rows.conj().T @ rows / layout.dim_bath
@@ -524,6 +526,7 @@ def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int,
     with 2 exp(-c dB epsilon^2).
     """
     ds, db = layout.dim_system, layout.dim_bath
+    require_count_fits("analysis.n_samples", n_samples, ds)
     threshold = math.sqrt(ds / db) + epsilon
     mixed = np.eye(ds) / ds
 

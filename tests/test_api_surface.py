@@ -204,6 +204,15 @@ def test_readme_documents_each_config_key_under_its_section():
     assert not missing, f"config keys not named under their README heading: {missing}"
 
 
+def test_readme_subcommand_table_is_the_command_table():
+    # the table under "## Command line" lists each subcommand once, in the
+    # order of cli._COMMANDS, so that no command comes or goes without its row
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n")[1]
+    section = section.split("\n## ")[0]
+    rows = re.findall(r"^\| `([\w-]+)` +\|", section, flags=re.M)
+    assert rows == list(cli._COMMANDS)
+
+
 def test_readme_pipeline_by_hand_prints_what_the_readme_shows(capsys):
     match = re.search(r"The same pipeline by hand:\n\n```python\n(.*?)```\n\nprints\n\n"
                       r"```\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)

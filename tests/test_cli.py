@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import isibench
-from isibench import cli, spectral
+from isibench import cli, spectral, theorems
 from isibench.errors import ValidationError
 from isibench.hilbert import SpaceLayout
 from isibench.models import build_random_model
@@ -246,8 +246,10 @@ class TestErrorExitCodes:
         matrix_path = tmp_path / "degenerate.mat"
         write_matrix(matrix_path, np.diag([1.0, 1.0, 2.0, 3.0]), SpaceLayout(2, 2))
         cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
-        for command in ("equilibrium", "run"):
-            assert cli.main([command, "--config", cfg,
+        t0 = ["--override", "analysis.theorems=SufficientISI,T0i"]
+        for command, extra in (("equilibrium", []), ("run", []), ("dynamics", []),
+                               ("bounds", t0)):
+            assert cli.main([command, "--config", cfg, *extra,
                              "--out", str(tmp_path / "new" / "out")]) == 4
             assert capsys.readouterr().err.startswith("error: spectrum has 1 degenerate")
             assert not (tmp_path / "new").exists()
@@ -268,6 +270,31 @@ class TestErrorExitCodes:
             assert "the dynamics needs a nondegenerate spectrum" in err
 
 
+class TestStageRunner:
+    # Every command of the stage table prints its lines, then one ``wrote``
+    # line per file it made; run names only its summary, which holds the rest.
+    @pytest.mark.parametrize("command", ["spectrum", "equilibrium", "bounds", "dynamics",
+                                         "run"])
+    def test_wrote_lines_name_exactly_the_files_made(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "out"
+        assert cli.main([command, "--config", _write_cfg(tmp_path, COMMUTING_SMALL),
+                         "--out", str(out_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        wrote = [line for line in lines if line.startswith("wrote ")]
+        assert lines[-len(wrote):] == wrote
+        made = sorted(path.name for path in out_dir.iterdir())
+        if command != "run":
+            assert sorted(wrote) == [f"wrote {out_dir / name}" for name in made]
+            return
+        assert wrote == [f"wrote {out_dir / 'summary.txt'}"]
+        assert made == ["reductions.csv", "report_SufficientISI.json", "report_T0i.json",
+                        "report_T2i.json", "report_T2ii.json", "spectrum.csv",
+                        "summary.txt", "trajectory.csv"]
+        summary = (out_dir / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert summary[0].startswith("# generated: ") and lines[0].startswith("# generated: ")
+        assert summary[1:] == lines[1:-1]
+
+
 class TestSpectrumCommand:
     def test_degenerate_file_is_reported_not_fatal(self, tmp_path, capsys):
         matrix_path = tmp_path / "degenerate.mat"
@@ -277,7 +304,9 @@ class TestSpectrumCommand:
         assert cli.main(["spectrum", "--config", cfg, "--out", str(out_dir)]) == 0
         out = capsys.readouterr().out
         assert "nondegenerate spectrum: false" in out
-        assert f"wrote {out_dir / 'spectrum.csv'}" in out
+        assert out.splitlines()[-2:] == [
+            "note: spectrum is degenerate; the nondegeneracy hypothesis of the "
+            "equilibrium formulas is violated", f"wrote {out_dir / 'spectrum.csv'}"]
         lines = (out_dir / "spectrum.csv").read_text().splitlines()
         assert lines[0] == "# schema_version 1"
         assert lines[1] == "n,energy"
@@ -986,7 +1015,12 @@ class TestInputHardening:
                          "--override", "model.energy_scale=1e12",
                          "--override", "analysis.theorems=SufficientISI,T2ii",
                          "--out", str(out_dir)]) == 0
-        assert "note: spectrum is degenerate" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        # the note and the conclusion come before the files, as in every command
+        assert lines[-4].startswith("note: spectrum is degenerate")
+        assert lines[-3].startswith("conclusion: ")
+        assert lines[-2:] == [f"wrote {out_dir / 'report_SufficientISI.json'}",
+                              f"wrote {out_dir / 'report_T2ii.json'}"]
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "report_SufficientISI.json", "report_T2ii.json"]
 
@@ -1025,6 +1059,73 @@ class TestInputHardening:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "dynamics.n_times to at most 5000000" in err
+        assert not out_dir.exists()
+
+    # The n_samples draws and the dS > 2 search's n_starts obey the same rule
+    # as n_times: count * dS^2 entries at most the cap, checked before any draw.
+    @pytest.mark.parametrize("theorem", ["T0i", "Popescu"])
+    def test_sample_count_above_the_cap_exits_3_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, theorem):
+        monkeypatch.setattr(spectral, "STACK_ELEMENT_CAP", 4000)  # d * dS^2 = 32 fits
+        argv = ["bounds", "--config", "sec5_violation", "--override", "model.dim_bath=4",
+                "--override", f"analysis.theorems={theorem}"]
+        assert cli.main(argv + ["--override", "analysis.n_samples=1000",
+                                "--out", str(tmp_path / "fits")]) == 0
+        capsys.readouterr()
+
+        def no_draw(*args):
+            pytest.fail("samples were drawn before the cap was checked")
+
+        monkeypatch.setattr(theorems, "batched_monte_carlo", no_draw)
+        out_dir = tmp_path / "out"
+        assert cli.main(argv + ["--override", "analysis.n_samples=1001",
+                                "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "analysis.n_samples to at most 1000" in err
+        assert not out_dir.exists()
+
+    def test_start_count_above_the_cap_exits_3_before_any_draw(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_draw(*args):
+            pytest.fail("starts were drawn before the cap was checked")
+
+        monkeypatch.setattr(theorems, "sample_amplitudes", no_draw)
+        out_dir = tmp_path / "out"
+        assert cli.main(["bounds", "--config", "random_contrast",
+                         "--override", "model.dim_system=3", "--override", "model.dim_bath=4",
+                         "--override", "initial_state.system=random",
+                         "--override", "analysis.theorems=T1",
+                         "--override", "analysis.n_starts=1000000000000",
+                         "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "analysis.n_starts to at most 2222222" in err  # 20,000,000 // 9
+        assert not out_dir.exists()
+
+    def test_a_qubit_draws_no_starts_whatever_n_starts_is(self, tmp_path, capsys):
+        # the qubit supremum is exact: n_starts is never drawn, so never capped
+        assert cli.main(["bounds", "--config", "sec5_violation",
+                         "--override", "model.dim_bath=4",
+                         "--override", "analysis.theorems=T1prime",
+                         "--override", "analysis.n_starts=1000000000000",
+                         "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command, extra", [
+        ("run", []), ("model-info", []),
+        ("sweep", ["--override", "sweep.parameter=dim_bath", "--override", "sweep.values=4",
+                   "--override", "sweep.draws=1", "--override", "sweep.metrics=delta"]),
+    ], ids=["run", "model-info", "sweep"])
+    def test_random_model_whose_energy_range_overflows_exits_2(self, tmp_path, capsys,
+                                                               command, extra):
+        out_dir = tmp_path / "out"
+        assert cli.main([command, "--config", "random_contrast",
+                         "--override", "model.dim_bath=4",
+                         "--override", "model.interaction_strength=1e308",
+                         "--out", str(out_dir), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the energy range") and err.count("\n") == 1
+        assert "model.interaction_strength" in err
         assert not out_dir.exists()
 
     def test_horizon_overflow_exits_2_naming_the_largest_ratio(self, tmp_path, capsys):
