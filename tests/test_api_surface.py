@@ -14,6 +14,8 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import isibench
 from isibench import cli
 from isibench.dynamics import Trajectory
@@ -23,6 +25,7 @@ from isibench.theorems import THEOREM_IDS, Theorem, Theorem0Estimate, TheoremRep
 
 PACKAGE = Path(isibench.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 # Public definitions that nothing in the package calls, each with its reason.
 KEEPERS = {
@@ -220,3 +223,19 @@ def test_readme_pipeline_by_hand_prints_what_the_readme_shows(capsys):
     code, printed = match.groups()
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out == printed
+
+
+def test_the_console_script_runs_the_module_entry():
+    # the isibench script of [project.scripts] and ``python -m isibench.cli``
+    # call one function, so that the two process paths cannot drift apart
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    target = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, function = target["isibench"].partition(":")
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    blocks = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(blocks) == 1
+    called = [node.func.id for node in ast.walk(blocks[0])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert (module, called) == ("isibench.cli", [function])
+    assert callable(getattr(cli, function))

@@ -5,6 +5,7 @@ capsys; one smoke test goes through ``python -m isibench.cli`` to cover the
 module entry point.
 """
 
+import gc
 import json
 import math
 import os
@@ -330,6 +331,56 @@ class TestSpectrumCommand:
                          "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "nondegenerate spectrum: true" in out
+
+
+class TestProcessEntry:
+    # python -m isibench.cli and the isibench script run process_main, which
+    # freezes the collector before main; main itself leaves the collector alone.
+    def test_the_collector_is_frozen_before_main_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.process_main()
+        assert exit_info.value.code == 7
+        assert calls == ["freeze", "main"]
+
+    def test_main_in_process_freezes_nothing(self, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        assert cli.main(["run", "--config", _write_cfg(tmp_path, COMMUTING_SMALL),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("command, extra", [
+        ("run", ["--override", "dynamics.enabled=true", "--override",
+                 "analysis.theorems=SufficientISI,T0i,T0ii,T1prime,T2i,T2ii,Popescu"]),
+        ("sweep", ["--jobs", "2", "--override", "sweep.parameter=dim_bath",
+                   "--override", "sweep.values=4, 8", "--override", "sweep.draws=2",
+                   "--override", "sweep.metrics=delta, necessary_lhs, equilibration_metric"]),
+    ], ids=["run", "sweep"])
+    def test_a_process_writes_the_bytes_of_main_in_process(self, tmp_path, capsys,
+                                                           command, extra):
+        argv = [command, "--config", "sec5_violation", "--override", "model.dim_bath=8",
+                *extra]
+        outputs = []
+        for label in ("main", "process"):
+            out_dir = tmp_path / label
+            if label == "main":
+                assert cli.main(argv + ["--out", str(out_dir)]) == 0
+                printed = capsys.readouterr().out
+            else:
+                result = subprocess.run(
+                    [sys.executable, "-m", "isibench.cli", *argv, "--out", str(out_dir)],
+                    capture_output=True, text=True)
+                assert result.returncode == 0 and result.stderr == "", result.stderr
+                printed = result.stdout
+            lines = [line for line in printed.replace(str(out_dir), "OUT").splitlines()
+                     if not line.startswith("# generated: ")]
+            files = {path.name: [line for line in path.read_bytes().splitlines()
+                                 if not line.startswith(b"# generated: ")]
+                     for path in out_dir.iterdir()}
+            outputs.append((lines, files))
+        assert outputs[0][1] and outputs[1] == outputs[0]
 
 
 class TestModelInfo:
@@ -1110,6 +1161,54 @@ class TestInputHardening:
                          "--override", "analysis.theorems=T1prime",
                          "--override", "analysis.n_starts=1000000000000",
                          "--out", str(tmp_path / "out")]) == 0
+
+    # A dS that the config fixes (every model kind but file) decides both
+    # counts before the model is drawn, as it decides the qubit-only reports.
+    @pytest.mark.parametrize("config, builder, theorem, key, largest", [
+        ("random_contrast", "build_random_model", "T0i", "n_samples", 5000000),
+        ("sec5_violation", "sample_commuting_spec", "Popescu", "n_samples", 5000000),
+        ("random_contrast", "build_random_model", "T1", "n_starts", 2222222),
+    ], ids=["T0i", "Popescu", "T1"])
+    def test_count_above_the_cap_exits_3_before_the_model_is_drawn(
+            self, tmp_path, capsys, monkeypatch, config, builder, theorem, key, largest):
+        monkeypatch.setattr(cli, builder, lambda *args: pytest.fail("the model was drawn"))
+        qutrit = ["model.dim_system=3", "initial_state.system=random"] if key == "n_starts" \
+            else []
+        overrides = ["model.dim_bath=1024", f"analysis.theorems={theorem}",
+                     f"analysis.{key}=1000000000000", *qutrit]
+        out_dir = tmp_path / "out"
+        assert cli.main(["bounds", "--config", config, "--out", str(out_dir),
+                         *[arg for item in overrides for arg in ("--override", item)]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: analysis.{key} * dS^2 = 1000000000000 * ")
+        assert captured.err.endswith(f"set analysis.{key} to at most {largest}\n")
+        assert not out_dir.exists()
+
+    # A matrix file's dS is known once the file is read, so its counts are
+    # refused where the draws start.
+    @pytest.mark.parametrize("theorem, dim_system, key, draw, largest", [
+        ("T0i", 2, "n_samples", "batched_monte_carlo", 1000),
+        ("Popescu", 2, "n_samples", "batched_monte_carlo", 1000),
+        ("T1", 3, "n_starts", "sample_amplitudes", 444),
+    ], ids=["T0i", "Popescu", "T1"])
+    def test_a_matrix_files_count_above_the_cap_exits_3_where_the_draws_start(
+            self, tmp_path, capsys, monkeypatch, theorem, dim_system, key, draw, largest):
+        monkeypatch.setattr(spectral, "STACK_ELEMENT_CAP", 4000)  # d * dS^2 <= 108 fits
+        matrix_path = tmp_path / "tagged.mat"
+        write_matrix(matrix_path, np.diag(np.arange(4.0 * dim_system)),
+                     SpaceLayout(dim_system, 4))
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n"
+                                   "[initial_state]\nsystem = random\n"
+                                   f"[analysis]\ntheorems = {theorem}\n{key} = 1000000\n")
+        monkeypatch.setattr(theorems, draw,
+                            lambda *args: pytest.fail("drawn before the cap was checked"))
+        out_dir = tmp_path / "out"
+        assert cli.main(["bounds", "--config", cfg, "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.endswith(f"set analysis.{key} to at most {largest}\n")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("command, extra", [
         ("run", []), ("model-info", []),

@@ -79,6 +79,29 @@ class TestBlockedChecks:
         with pytest.raises(ValidationError, match="not Hermitian"):
             eigendecompose(mat)
 
+    @pytest.mark.parametrize("entry", [LAST, LAST[::-1], (LAST[0], 0), (0, LAST[0])],
+                             ids=["below", "above", "below_far", "above_far"])
+    def test_hermiticity_check_reads_from_the_diagonal_rightward(self, monkeypatch, entry):
+        """Each block of rows of A - A^H is formed from its diagonal rightward.
+        |D_ji| = |D_ij| to the bit, so an asymmetry on either side of the
+        diagonal, in the diagonal block or far from it, is refused with the
+        value that the full matrix gives."""
+        seen = []
+        monkeypatch.setattr(spectral, "blocked_max",
+                            lambda block_max, n: seen.append(blocked_max(block_max, n))
+                            or seen[-1])
+        mat = _blocked_parts()[2]
+        mat[entry] += 1e-6 - 3e-7j
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            spectral._require_hermitian("hamiltonian", mat)
+        assert seen == [np.abs(mat - mat.conj().T).max()] and seen[0] > 1e-6
+
+    def test_hermiticity_check_refuses_a_nan_below_the_diagonal(self):
+        mat = _blocked_parts()[2]
+        mat[LAST[0], 0] = math.nan
+        with pytest.raises(ValidationError, match="max asymmetry nan"):
+            spectral._require_hermitian("hamiltonian", mat)
+
     @pytest.mark.parametrize("check, fault, message", [
         ("residual", math.nan, "eigenpair residual"),
         ("residual", 1e-3, "eigenpair residual"),
