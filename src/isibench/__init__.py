@@ -33,18 +33,16 @@ from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState
 from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
                      build_cucchietti_bath, build_random_model, commuting_norms,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)
-from .sampling import (MonteCarloEstimate, batched_monte_carlo, dirichlet_weights,
-                       generator, haar_amplitudes, induced_states, sample_amplitudes)
+from .sampling import (batched_monte_carlo, dirichlet_weights, generator,
+                       haar_amplitudes, induced_states, sample_amplitudes)
 from .spectral import (CompositeHamiltonian, DenseProjection, GroupedProjection,
                        SpectralData, degenerate_level_pairs, eigendecompose, read_matrix,
                        write_csv, write_matrix)
 from .theorems import (CONCENTRATION_RATE, THEOREM_IDS, VERDICTS, TheoremReport,
                        assign_verdict, concentration_tail, epsilon_prime,
-                       necessary_condition_lhs,
-                       necessary_condition_report, popescu_report,
-                       read_report, recompute_rhs, sufficient_condition_report,
-                       Theorem0Estimate, theorem0_estimate, theorem0_mean_report,
-                       theorem0_rhs, theorem0_tail_report,
+                       necessary_condition_lhs, necessary_condition_reports,
+                       popescu_report, read_report, recompute_rhs,
+                       sufficient_condition_report, theorem0_reports, theorem0_rhs,
                        theorem2_lhs, theorem2_reports, write_report)
 
 __version__ = "0.1.0"

@@ -68,10 +68,9 @@ from .sampling import generator, sample_amplitudes
 from .spectral import (STACK_ELEMENT_CAP, CompositeHamiltonian, DenseProjection,
                        GroupedProjection, SpectralData, eigendecompose, evolve_on_one_thread,
                        read_matrix, read_text, require_count_fits, require_fits, write_csv)
-from .theorems import (THEOREM_IDS, THEOREMS, Theorem0Estimate, TheoremReport,
-                       necessary_condition_lhs, necessary_condition_report, popescu_report,
-                       sufficient_condition_report, theorem0_estimate, theorem0_mean_report,
-                       theorem0_tail_report, theorem2_lhs, theorem2_reports, write_report)
+from .theorems import (THEOREM_IDS, THEOREMS, TheoremReport, necessary_condition_reports,
+                       popescu_report, sufficient_condition_report, theorem0_reports,
+                       theorem2_lhs, theorem2_reports, write_report)
 
 DEFAULT_SEED = 12345
 DEFAULT_OUT_DIR = "isibench-out"
@@ -611,17 +610,24 @@ class Pipeline:
             trajectory.states, self.rho_bar.matrix).mean())
 
     @cached_property
-    def theorem0(self) -> Theorem0Estimate:
-        """The draws that the T0i and T0ii reports share."""
+    def theorem0(self) -> tuple[TheoremReport, TheoremReport]:
+        """The T0i and T0ii reports, from one draw set."""
         config = self.config
-        return theorem0_estimate(self.projection, self.spectral, self.reductions,
-                                 config.epsilon, config.n_samples, self.seed("theorem0"))
+        return theorem0_reports(self.projection, self.spectral, self.reductions,
+                                config.epsilon, config.n_samples, self.seed("theorem0"))
 
     @cached_property
-    def necessary_lhs(self) -> float:
-        """The necessary-condition supremum that T1, T1prime and the sweep share."""
-        return necessary_condition_lhs(self.reductions, n_starts=self.config.n_starts,
-                                       seed=self.seed("search"))
+    def necessary(self) -> tuple[TheoremReport, TheoremReport]:
+        """The T1 and T1prime reports, from one search; the sweep reads its lhs.
+        T1's restricted family lies in the bath, so dR above dB is refused
+        before the search."""
+        config, dim_bath = self.config, self.layout.dim_bath
+        dim_restricted = config.dim_restricted or dim_bath
+        if dim_restricted > dim_bath:
+            raise ConfigError(f"analysis.dim_restricted = {dim_restricted} exceeds the "
+                              f"bath dimension dB = {dim_bath}")
+        return necessary_condition_reports(self.reductions, config.epsilon, dim_restricted,
+                                           config.p, config.n_starts, self.seed("search"))
 
     @cached_property
     def theorem2(self) -> tuple[TheoremReport, TheoremReport]:
@@ -845,20 +851,16 @@ def _cmd_model_info(config: ExperimentConfig, args, name: str) -> list[str]:
 
 # ------------------------------------------------------------------ sweep --
 
-# Report of each theorem id, each from the stages it is built from: T0i and
-# T0ii share the draws of the theorem0 stage, and T1 and T1prime the
-# necessary-condition search (see RUN_SEEDS).
+# Report of each theorem id, each from the stages it is built from.  A family
+# of two reports is one stage, whose pair each id indexes: T0i and T0ii share
+# the draws of the theorem0 stage, T1 and T1prime the search of the necessary
+# stage (see RUN_SEEDS), and T2i and T2ii the Gram matrix of the theorem2 stage.
 _REPORTS: dict[str, Callable[[Pipeline], TheoremReport]] = {
     "SufficientISI": lambda pipe: sufficient_condition_report(pipe.delta),
-    "T0i": lambda pipe: theorem0_mean_report(pipe.theorem0),
-    "T0ii": lambda pipe: theorem0_tail_report(pipe.theorem0),
-    "T1": lambda pipe: necessary_condition_report(
-        pipe.necessary_lhs, pipe.layout.dim_system, pipe.config.epsilon,
-        pipe.config.dim_restricted or pipe.layout.dim_bath, pipe.config.p, "T1",
-        pipe.config.n_starts, pipe.seed("search")),
-    "T1prime": lambda pipe: necessary_condition_report(
-        pipe.necessary_lhs, pipe.layout.dim_system, pipe.config.epsilon,
-        pipe.layout.dim_bath, 1.0, "T1prime", pipe.config.n_starts, pipe.seed("search")),
+    "T0i": lambda pipe: pipe.theorem0[0],
+    "T0ii": lambda pipe: pipe.theorem0[1],
+    "T1": lambda pipe: pipe.necessary[0],
+    "T1prime": lambda pipe: pipe.necessary[1],
     "T2i": lambda pipe: pipe.theorem2[0],
     "T2ii": lambda pipe: pipe.theorem2[1],
     "Popescu": lambda pipe: popescu_report(
@@ -870,7 +872,7 @@ _SWEEP_METRICS: dict[str, Callable[[Pipeline], float]] = {
     "delta": lambda pipe: pipe.delta,
     "mean_squared_polarization": lambda pipe: theorem2_lhs(pipe.reductions)[1],
     "lhs_i": lambda pipe: theorem2_lhs(pipe.reductions)[0],
-    "necessary_lhs": lambda pipe: pipe.necessary_lhs,
+    "necessary_lhs": lambda pipe: pipe.necessary[0].lhs,
     "equilibration_metric": lambda pipe: pipe.dynamics[2],
     "min_level_spacing": lambda pipe: pipe.spectral.min_sector_spacing,
 }

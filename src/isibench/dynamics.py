@@ -48,10 +48,6 @@ class Trajectory:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    @property
-    def n_times(self) -> int:
-        return self.times.size
-
     def bloch(self) -> np.ndarray:
         if self.states.shape[-1] != 2:
             raise ValidationError("Bloch trajectory is defined for qubit systems")

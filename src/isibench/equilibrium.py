@@ -127,10 +127,8 @@ def time_averaged_state(coefficients: np.ndarray, reductions: EigenstateReductio
                               f"{reductions.dim} reductions do not fit d = {spectral.dim}")
     require_nondegenerate(spectral, allow_degenerate)
     if not spectral.degenerate.any():
-        return DensityMatrix(weighted_sum(np.abs(coefficients) ** 2, reductions.matrices),
-                             space="system")
-    return DensityMatrix(spectral.dephased_reduction(coefficients, reductions.layout),
-                         space="system")
+        return DensityMatrix(weighted_sum(np.abs(coefficients) ** 2, reductions.matrices))
+    return DensityMatrix(spectral.dephased_reduction(coefficients, reductions.layout))
 
 
 def subspace_projection(spectral: SpectralData, layout: SpaceLayout,

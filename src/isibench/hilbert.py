@@ -117,7 +117,7 @@ def check_density_stack(name: str, mats: np.ndarray, positive: bool = True) -> N
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix with a space tag.
+    """Hermitian, unit-trace, positive-semidefinite matrix.
 
     Positivity is enforced up to a small negative slack
     (``EIGENVALUE_FLOOR``) to absorb round-off from partial traces
@@ -125,14 +125,11 @@ class DensityMatrix:
     """
 
     matrix: np.ndarray
-    space: str = "system"
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex, copy=True)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-        if self.space not in VALID_SPACES:
-            raise ValidationError(f"unknown space tag {self.space!r}")
         check_density_stack("density matrix", mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

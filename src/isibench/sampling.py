@@ -26,7 +26,6 @@ thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -111,26 +110,6 @@ def _normalised_gram(factors: np.ndarray) -> np.ndarray:
     return gram / norms[:, None, None]
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    """Sample mean with standard errors and full provenance.
-
-    ``mean``/``standard_error`` keep the shape of the functional's value.
-    """
-
-    mean: Any
-    standard_error: Any
-    n_samples: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 2:
-            raise ValidationError(f"need at least 2 samples, got {self.n_samples}")
-        se = np.asarray(self.standard_error)
-        if np.any(se < 0) or not np.all(np.isfinite(se)):
-            raise ValidationError("standard errors must be finite and nonnegative")
-
-
 def generator(seed: int) -> np.random.Generator:
     """The one stream of a seed: a Philox generator on the seed's first child."""
     [child] = np.random.SeedSequence(seed).spawn(1)
@@ -138,8 +117,8 @@ def generator(seed: int) -> np.random.Generator:
 
 
 def batched_monte_carlo(values_of: Callable[[np.ndarray], np.ndarray], draw: Draw,
-                        width: int, n_samples: int, seed: int) -> MonteCarloEstimate:
-    """Mean and standard error of a value of the samples of ``draw``.
+                        width: int, n_samples: int, seed: int) -> tuple[Any, Any]:
+    """(mean, standard error) of a value of the samples of ``draw``.
 
     ``values_of`` maps a chunk of samples to the (count, ...) values of its
     samples, a float or a fixed-shape array per sample.  ``width`` is the
@@ -147,12 +126,14 @@ def batched_monte_carlo(values_of: Callable[[np.ndarray], np.ndarray], draw: Dra
     chunk holds at most MONTE_CARLO_ELEMENT_CAP // width samples.  The draws
     are those of one-sample chunks, in the same order, from the first Philox
     child of the seed.  Each value component is summed pairwise over the
-    samples, as a scalar value is.
+    samples, as a scalar value is.  The mean and the standard error keep
+    the shape of one value: floats for a scalar value, arrays otherwise.
 
     Raises
     ------
-    ValidationError : for fewer than 2 samples, or a non-finite value (with
-        the offending sample index in the message).
+    ValidationError : for fewer than 2 samples, a non-finite value (with
+        the offending sample index in the message), or a standard error that
+        overflows.
     """
     if n_samples < 2:
         raise ValidationError(f"need at least 2 samples, got {n_samples}")
@@ -172,8 +153,9 @@ def batched_monte_carlo(values_of: Callable[[np.ndarray], np.ndarray], draw: Dra
     # complex variance E|X|^2 - |EX|^2, elementwise
     var = (total_sq - n_samples * np.abs(mean) ** 2) / (n_samples - 1)
     se = np.sqrt(np.maximum(var, 0.0) / n_samples)
+    if not np.all(np.isfinite(se)):
+        raise ValidationError("standard errors must be finite")
     if np.ndim(mean) == 0:
         mean = complex(mean) if np.iscomplexobj(mean) else float(mean)
         se = float(se)
-    return MonteCarloEstimate(mean=mean, standard_error=se, n_samples=n_samples,
-                              seed=seed)
+    return mean, se

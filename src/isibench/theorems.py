@@ -1,8 +1,12 @@
 """Bound evaluation and verdicts for the independence theorems.
 
-Each report builder computes one inequality from values it is given: an
-exact or Monte Carlo left-hand side, the closed-form right-hand side, and a
-verdict.  The registry ``THEOREMS`` holds only the bounds: per theorem, its
+Each report builder computes the inequalities of one bound family from the
+values it is given: an exact or Monte Carlo left-hand side, the
+closed-form right-hand side, and a verdict.  A family of two reports has one
+builder that returns both from one computation: ``theorem0_reports`` (T0i,
+T0ii) from one draw set, ``necessary_condition_reports`` (T1, T1prime) from
+one search and ``theorem2_reports`` (T2i, T2ii) from one Gram matrix.  The
+registry ``THEOREMS`` holds only the bounds: per theorem, its
 right-hand side (the one place each bound is computed), the range of its
 left-hand side and whether it needs a nondegenerate spectrum; which
 pipeline stages feed each builder is the CLI's table (``cli._REPORTS``).  A
@@ -37,8 +41,7 @@ from .errors import ValidationError
 # looks it up under this module.
 from .hilbert import (DensityMatrix, SpaceLayout, batched_trace_distances,  # noqa: F401
                       trace_distance, weighted_sum)
-from .sampling import (MonteCarloEstimate, batched_monte_carlo, generator,
-                       induced_states, sample_amplitudes)
+from .sampling import batched_monte_carlo, generator, induced_states, sample_amplitudes
 from .spectral import DenseProjection, GroupedProjection, SpectralData, require_count_fits
 
 # Concentration rate constant of the Levy-type tail bounds, 1/(18 pi^3).
@@ -57,11 +60,11 @@ _NUMBERS = frozenset({"dS", "dR", "dB", "delta", "epsilon", "p", "threshold",
 
 
 def concentration_tail(dim_restricted: int, epsilon: float) -> float:
-    """Tail probability bound 2 exp(-c dR epsilon^2)."""
+    """Tail probability bound 2 exp(-c dR epsilon^2); 2, so vacuous, at epsilon = 0."""
     if dim_restricted < 1:
         raise ValidationError(f"dR must be >= 1, got {dim_restricted}")
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if epsilon < 0:
+        raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
     return 2.0 * math.exp(-CONCENTRATION_RATE * dim_restricted * epsilon * epsilon)
 
 
@@ -107,57 +110,6 @@ def epsilon_prime(epsilon: float, dim_system: int, dim_restricted: int,
     cube_root = float(dim_restricted) ** (1.0 / 3.0)
     return (epsilon + 2.0 * math.sqrt(dim_system / dim_restricted)
             + 2.0 / cube_root + (8.0 / p) * math.exp(-CONCENTRATION_RATE * cube_root))
-
-
-@dataclass(frozen=True)
-class Theorem0Estimate:
-    """The one draw set that the T0i and T0ii reports share.
-
-    Initial states are drawn Haar-uniformly from the subspace R, and
-    ``estimate`` has two components per draw: the trace distance of its
-    infinite-time average to the exact subspace-averaged equilibrium state,
-    and whether that distance exceeds ``threshold``, the sharp bound
-    sqrt(dS delta / dR) plus ``epsilon``.  Derived on construction from
-    ``theorem0_rhs``: ``threshold`` and ``weak``, the bound sqrt(dS / dR).
-    """
-
-    dim_system: int
-    dim_restricted: int
-    delta: float
-    epsilon: float
-    estimate: MonteCarloEstimate
-
-    def __post_init__(self) -> None:
-        strong, weak = theorem0_rhs(self.dim_system, self.dim_restricted, self.delta)
-        object.__setattr__(self, "weak", weak)
-        object.__setattr__(self, "threshold", strong + self.epsilon)
-
-
-def theorem0_estimate(projection: DenseProjection | GroupedProjection,
-                      spectral: SpectralData, reductions: EigenstateReductions,
-                      epsilon: float, n_samples: int, seed: int) -> Theorem0Estimate:
-    """delta, the bounds of theorem0_rhs, and the draws of the T0 reports.
-
-    The projection W = B^H V of R on the eigenbasis gives the weights (so
-    delta and the average) and the draw: Haar-uniform amplitudes a whose
-    populations |(a^H W)_n|^2 weight the eigenstate reductions (one GEMM per
-    chunk) for a dense W, or Dirichlet weights on a (dR, dS, dS) stack
-    built once for a grouped W.
-    """
-    require_nondegenerate(spectral)
-    delta_value = delta(reductions, projection)
-    dim_r, ds = projection.dim, reductions.layout.dim_system
-    require_count_fits("analysis.n_samples", n_samples, ds)
-    threshold = theorem0_rhs(ds, dim_r, delta_value)[0] + epsilon
-    reference = DensityMatrix(weighted_sum(projection.weights, reductions.matrices)).matrix
-    draw, width, states_of = projection.sampler(reductions.matrices)
-
-    def values(draws: np.ndarray) -> np.ndarray:
-        distances = batched_trace_distances(states_of(draws), reference)
-        return np.stack([distances, (distances > threshold).astype(float)], axis=1)
-
-    estimate = batched_monte_carlo(values, draw, width, n_samples, seed)
-    return Theorem0Estimate(ds, dim_r, delta_value, epsilon, estimate)
 
 
 def necessary_condition_lhs(reductions: EigenstateReductions,
@@ -451,49 +403,67 @@ def sufficient_condition_report(delta_value: float) -> TheoremReport:
                          {"delta": delta_value, "threshold": SUFFICIENT_ISI_THRESHOLD})
 
 
-def _theorem0_parameters(t0: Theorem0Estimate, column: int) -> dict:
-    estimate = t0.estimate
-    return {"dS": t0.dim_system, "dR": t0.dim_restricted, "delta": t0.delta,
-            "n_samples": estimate.n_samples, "seed": estimate.seed,
-            "lhs_standard_error": estimate.standard_error[column]}
+def theorem0_reports(projection: DenseProjection | GroupedProjection,
+                     spectral: SpectralData, reductions: EigenstateReductions,
+                     epsilon: float, n_samples: int,
+                     seed: int) -> tuple[TheoremReport, TheoremReport]:
+    """T0i and T0ii, from one set of initial states drawn Haar-uniformly from R.
 
-
-def theorem0_mean_report(t0: Theorem0Estimate) -> TheoremReport:
-    """Empirical mean equilibrium distance against sqrt(dS delta / dR)."""
-    return TheoremReport("T0i", t0.estimate.mean[0],
-                         {**_theorem0_parameters(t0, 0), "weak_rhs": t0.weak})
-
-
-def theorem0_tail_report(t0: Theorem0Estimate) -> TheoremReport:
-    """Empirical exceedance frequency against 2 exp(-c dR epsilon^2)."""
-    return TheoremReport("T0ii", t0.estimate.mean[1], {
-        **_theorem0_parameters(t0, 1), "epsilon": t0.epsilon,
-        "distance_threshold": t0.threshold, "c": CONCENTRATION_RATE})
-
-
-def necessary_condition_report(lhs: float, dim_system: int, epsilon: float,
-                               dim_restricted: int, p: float,
-                               theorem_id: str = "T1prime", n_starts: int = 512,
-                               seed: int = 0) -> TheoremReport:
-    """The necessary-condition supremum ``lhs`` against the accuracy constant.
-
-    ``lhs`` is the value of ``necessary_condition_lhs`` for a dS =
-    ``dim_system`` model; for dS > 2 the report records the ``n_starts`` and
-    ``seed`` of that search, so that T1 and T1prime can share one.  ``T1``
-    evaluates the restricted-bath form (dR and p as configured); ``T1prime``
-    the full-bath form, where dR is the bath dimension and p = 1.  A violated
-    verdict means independence at the stated accuracy is impossible; at
-    workstation dimensions the bound is usually vacuous.
+    Each draw gives the trace distance of its infinite-time average to the
+    exact subspace-averaged equilibrium state.  T0i compares the mean
+    distance with sqrt(dS delta / dR) and records the weak bound
+    sqrt(dS / dR) (``theorem0_rhs``); T0ii compares the frequency of a
+    distance above that sharp bound plus ``epsilon`` with
+    2 exp(-c dR epsilon^2).  The projection W = B^H V of R on the eigenbasis
+    gives the weights (so delta and the average) and the draw: Haar-uniform
+    amplitudes a whose populations |(a^H W)_n|^2 weight the eigenstate
+    reductions (one GEMM per chunk) for a dense W, or Dirichlet weights on a
+    (dR, dS, dS) stack built once for a grouped W.
     """
-    if theorem_id not in ("T1", "T1prime"):
-        raise ValidationError(f"theorem_id must be T1 or T1prime, got {theorem_id!r}")
-    parameters = {
-        "epsilon": epsilon, "dS": dim_system, "dR": dim_restricted, "p": p,
-        "c": CONCENTRATION_RATE,
-    }
-    if dim_system > 2:
-        parameters.update(n_starts=n_starts, seed=seed, lhs_is_lower_bound=True)
-    return TheoremReport(theorem_id, lhs, parameters)
+    require_nondegenerate(spectral)
+    delta_value = delta(reductions, projection)
+    dim_r, ds = projection.dim, reductions.layout.dim_system
+    require_count_fits("analysis.n_samples", n_samples, ds)
+    strong, weak = theorem0_rhs(ds, dim_r, delta_value)
+    threshold = strong + epsilon
+    reference = DensityMatrix(weighted_sum(projection.weights, reductions.matrices)).matrix
+    draw, width, states_of = projection.sampler(reductions.matrices)
+
+    def values(draws: np.ndarray) -> np.ndarray:
+        distances = batched_trace_distances(states_of(draws), reference)
+        return np.stack([distances, (distances > threshold).astype(float)], axis=1)
+
+    mean, se = batched_monte_carlo(values, draw, width, n_samples, seed)
+    base = {"dS": ds, "dR": dim_r, "delta": delta_value, "n_samples": n_samples,
+            "seed": seed}
+    return (TheoremReport("T0i", mean[0], {**base, "lhs_standard_error": se[0],
+                                           "weak_rhs": weak}),
+            TheoremReport("T0ii", mean[1], {
+                **base, "lhs_standard_error": se[1], "epsilon": epsilon,
+                "distance_threshold": threshold, "c": CONCENTRATION_RATE}))
+
+
+def necessary_condition_reports(reductions: EigenstateReductions, epsilon: float,
+                                dim_restricted: int, p: float, n_starts: int = 512,
+                                seed: int = 0) -> tuple[TheoremReport, TheoremReport]:
+    """T1 and T1prime: the supremum of ``necessary_condition_lhs``, from one
+    search, against the accuracy constant.
+
+    ``T1`` evaluates the restricted-bath form, at the dimension
+    ``dim_restricted`` and the measure ``p`` of the restricted family;
+    ``T1prime`` the full-bath form, where dR is the bath dimension and p = 1.
+    dS and dB come from ``reductions.layout``.  For dS > 2 both reports record
+    the ``n_starts`` and ``seed`` of the search.  A violated verdict means
+    independence at the stated accuracy is impossible; at workstation
+    dimensions the bound is usually vacuous.
+    """
+    layout = reductions.layout
+    lhs = necessary_condition_lhs(reductions, n_starts=n_starts, seed=seed)
+    base = {"epsilon": epsilon, "dS": layout.dim_system, "c": CONCENTRATION_RATE}
+    if layout.dim_system > 2:
+        base.update(n_starts=n_starts, seed=seed, lhs_is_lower_bound=True)
+    return (TheoremReport("T1", lhs, {**base, "dR": dim_restricted, "p": p}),
+            TheoremReport("T1prime", lhs, {**base, "dR": layout.dim_bath, "p": 1.0}))
 
 
 def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
@@ -533,10 +503,10 @@ def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int,
     def values(states: np.ndarray) -> np.ndarray:
         return (batched_trace_distances(states, mixed) > threshold).astype(float)
 
-    estimate = batched_monte_carlo(values, induced_states(ds, db), ds * ds, n_samples, seed)
-    return TheoremReport("Popescu", estimate.mean, {
+    mean, se = batched_monte_carlo(values, induced_states(ds, db), ds * ds, n_samples, seed)
+    return TheoremReport("Popescu", mean, {
         "dS": ds, "dB": db, "epsilon": epsilon,
         "distance_threshold": threshold, "c": CONCENTRATION_RATE,
         "n_samples": n_samples, "seed": seed,
-        "lhs_standard_error": estimate.standard_error,
+        "lhs_standard_error": se,
     })

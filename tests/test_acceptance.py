@@ -22,10 +22,10 @@ from isibench.sampling import batched_monte_carlo, haar_amplitudes, sample_ampli
 from isibench.spectral import eigendecompose
 from isibench.theorems import (CONCENTRATION_RATE, concentration_tail,
                                THEOREMS, epsilon_prime,
-                               necessary_condition_lhs, necessary_condition_report,
+                               necessary_condition_lhs, necessary_condition_reports,
                                popescu_report,
-                               sufficient_condition_report, theorem0_estimate,
-                               theorem0_mean_report, theorem0_rhs, theorem0_tail_report,
+                               sufficient_condition_report, theorem0_reports,
+                               theorem0_rhs,
                                theorem2_lhs,
                                theorem2_reports)
 
@@ -183,12 +183,12 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
 
     closed = bath_averaged_equilibrium(PLUS.amplitudes, matrices, 16)
     plus = PLUS.amplitudes[:, None]
-    over_bath = batched_monte_carlo(lambda bath: rho_bar(plus, bath), haar_amplitudes(16),
-                                    32, 10_000, seed=42)
-    gap = np.abs(over_bath.mean - closed)
-    if not np.all(gap <= 3.0 * over_bath.standard_error + 1e-15):
+    mean, se = batched_monte_carlo(lambda bath: rho_bar(plus, bath), haar_amplitudes(16),
+                                   32, 10_000, seed=42)
+    gap = np.abs(mean - closed)
+    if not np.all(gap <= 3.0 * se + 1e-15):
         failures.append(f"bath average misses the closed form by "
-                        f"{(gap / (over_bath.standard_error + 1e-300)).max():.1f} SE")
+                        f"{(gap / (se + 1e-300)).max():.1f} SE")
 
     def joint_product(columns):
         # one draw of C^18 is the draws of C^2 and C^16 in turn; each factor
@@ -197,12 +197,11 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
         return rho_bar(system / np.linalg.norm(system, axis=0),
                        bath / np.linalg.norm(bath, axis=0))
 
-    over_joint = batched_monte_carlo(joint_product, haar_amplitudes(18), 32, 10_000,
-                                     seed=43)
-    gap = np.abs(over_joint.mean - np.eye(2) / 2.0)
-    if not np.all(gap <= 3.0 * over_joint.standard_error + 1e-15):
+    mean, se = batched_monte_carlo(joint_product, haar_amplitudes(18), 32, 10_000, seed=43)
+    gap = np.abs(mean - np.eye(2) / 2.0)
+    if not np.all(gap <= 3.0 * se + 1e-15):
         failures.append(f"joint average misses I/2 by "
-                        f"{(gap / (over_joint.standard_error + 1e-300)).max():.1f} SE")
+                        f"{(gap / (se + 1e-300)).max():.1f} SE")
 
     _finish(capsys, 4, "Monte Carlo averaged equilibrium states match the two "
             "closed forms within 3 SE elementwise (10^4 draws each)", start, 300.0,
@@ -313,12 +312,9 @@ def test_criterion_6_concentration_bound_honesty(capsys):
     small = subspace_projection(spectral, spec.layout, PLUS)
     delta_small = delta(reductions, small)
     reports.append(sufficient_condition_report(delta_small))
-    shared = theorem0_estimate(small, spectral, reductions, 0.05, 400, 62)
-    reports.extend([theorem0_mean_report(shared), theorem0_tail_report(shared)])
-    reports.append(theorem0_tail_report(
-        theorem0_estimate(small, spectral, reductions, 0.5, 400, 63)))
-    reports.append(necessary_condition_report(necessary_condition_lhs(reductions), 2,
-                                              0.05, 16, 1.0, "T1prime", 8, 64))
+    reports.extend(theorem0_reports(small, spectral, reductions, 0.05, 400, 62))
+    reports.append(theorem0_reports(small, spectral, reductions, 0.5, 400, 63)[1])
+    reports.append(necessary_condition_reports(reductions, 0.05, 16, 1.0, 8, 64)[1])
     reports.extend(theorem2_reports(reductions, 0.05, 16))
     reports.append(popescu_report(spec.layout, 0.05, 400, 65))
 
@@ -326,15 +322,13 @@ def test_criterion_6_concentration_bound_honesty(capsys):
     wide_spectral = analytic_eigensystem(wide_spec)
     wide_reductions = EigenstateReductions(wide_spectral.reductions(wide_spec.layout))
     wide = subspace_projection(wide_spectral, wide_spec.layout)
-    reports.append(theorem0_tail_report(
-        theorem0_estimate(wide, wide_spectral, wide_reductions, 1.5, 10_000, 67)))
+    reports.append(theorem0_reports(wide, wide_spectral, wide_reductions, 1.5, 10_000, 67)[1])
 
     deep_spec = sample_commuting_spec(256, 1.0, 1.0, 1.0, np.random.default_rng(68))
     deep_spectral = analytic_eigensystem(deep_spec)
     deep_reductions = EigenstateReductions(deep_spectral.reductions(deep_spec.layout))
     deep = subspace_projection(deep_spectral, deep_spec.layout, PLUS)
-    reports.append(theorem0_tail_report(
-        theorem0_estimate(deep, deep_spectral, deep_reductions, 1.5, 10_000, 69)))
+    reports.append(theorem0_reports(deep, deep_spectral, deep_reductions, 1.5, 10_000, 69)[1])
 
     reports.append(popescu_report(SpaceLayout(2, 4096), 0.5, 10_000, 70))
 

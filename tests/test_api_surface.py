@@ -21,7 +21,7 @@ from isibench import cli
 from isibench.dynamics import Trajectory
 from isibench.equilibrium import EigenstateReductions
 from isibench.spectral import CompositeHamiltonian, SpectralData
-from isibench.theorems import THEOREM_IDS, Theorem, Theorem0Estimate, TheoremReport
+from isibench.theorems import THEOREM_IDS, Theorem, TheoremReport
 
 PACKAGE = Path(isibench.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -63,6 +63,14 @@ GONE = {
     "_necessary_report": "cli._REPORTS: each report from the pipeline stages it names",
     "OverlapCoefficients": "overlaps returns the read-only (d,) array; PureState, the "
                            "eigenbasis and the trace checks keep its unit norm",
+    "Theorem0Estimate": "theorem0_reports: the T0 pair from one draw set, no value type",
+    "MonteCarloEstimate": "batched_monte_carlo returns (mean, standard_error)",
+    "theorem0_estimate": "theorem0_reports(projection, spectral, reductions, epsilon, "
+                         "n_samples, seed)",
+    "theorem0_mean_report": "theorem0_reports(...)[0], the T0i report",
+    "theorem0_tail_report": "theorem0_reports(...)[1], the T0ii report",
+    "necessary_condition_report": "necessary_condition_reports: T1 and T1prime from one "
+                                  "search",
 }
 
 # Config entries that were removed, each with its reason; none may come back.
@@ -93,8 +101,6 @@ DERIVED = {
     (TheoremReport, "rhs"): "recompute_rhs of the recorded parameters",
     (TheoremReport, "verdict"): "assign_verdict of the two sides",
     (TheoremReport, "schema_version"): "the module constant REPORT_SCHEMA_VERSION",
-    (Theorem0Estimate, "weak"): "theorem0_rhs of dS, dR and delta",
-    (Theorem0Estimate, "threshold"): "theorem0_rhs of dS, dR and delta, plus epsilon",
 }
 
 

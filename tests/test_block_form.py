@@ -33,8 +33,7 @@ from isibench.models import (analytic_eigensystem, gaussian_hermitian,
                              sample_commuting_spec, sample_cucchietti_spec)
 from isibench.sampling import batched_monte_carlo, generator, sample_amplitudes
 from isibench.spectral import SpectralData, degenerate_level_pairs, eigendecompose
-from isibench.theorems import (necessary_condition_lhs, theorem0_estimate,
-                               theorem0_mean_report, theorem0_tail_report)
+from isibench.theorems import necessary_condition_lhs, theorem0_reports
 
 from _oracles import (block_evolution_one_shot, build_commuting_model, expand_sectors,
                       kron_projection)
@@ -85,10 +84,10 @@ def _stages(spectral, layout, initial, psi, horizon):
     # every form draws the whole space's Dirichlet populations of the
     # eigenbasis; the product subspaces draw them in the block form only,
     # so there the draws agree in law (test_dirichlet_draws_match_haar_draws_in_law)
-    shared = theorem0_estimate(subspace_projection(spectral, layout), spectral,
-                               reductions, 0.02, 64, 11)
-    out["T0i lhs"] = theorem0_mean_report(shared).lhs
-    out["T0ii lhs"] = theorem0_tail_report(shared).lhs
+    mean_report, tail_report = theorem0_reports(subspace_projection(spectral, layout),
+                                                spectral, reductions, 0.02, 64, 11)
+    out["T0i lhs"] = mean_report.lhs
+    out["T0ii lhs"] = tail_report.lhs
     # max|E| t <= 1e3 keeps the phases of both paths within 1e-13
     short = np.linspace(0.0, 1e3 / spectral.spectral_norm, 41)
     out["trajectory"] = evolve_reduced(coeffs, spectral, layout, short).states
@@ -197,17 +196,17 @@ def test_dirichlet_draws_match_haar_draws_in_law(kind, size, prefix):
         if threshold is None:
             threshold = batched_monte_carlo(
                 lambda draws: batched_trace_distances(states_of(draws), reference),
-                draw, width, 4000, seed=20).mean
+                draw, width, 4000, seed=20)[0]
 
         def values(draws):
             distances = batched_trace_distances(states_of(draws), reference)
             return np.stack([distances, distances > threshold], axis=1)
 
         estimates.append(batched_monte_carlo(values, draw, width, 20_000, seed))
-    dirichlet, haar = estimates
-    assert 0.2 < dirichlet.mean[1] < 0.8
-    spread = np.hypot(dirichlet.standard_error, haar.standard_error)
-    assert np.all(np.abs(dirichlet.mean - haar.mean) <= 3.0 * spread)
+    (dirichlet_mean, dirichlet_se), (haar_mean, haar_se) = estimates
+    assert 0.2 < dirichlet_mean[1] < 0.8
+    spread = np.hypot(dirichlet_se, haar_se)
+    assert np.all(np.abs(dirichlet_mean - haar_mean) <= 3.0 * spread)
 
 
 def test_degenerate_block_average_agrees():

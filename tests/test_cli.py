@@ -611,6 +611,43 @@ class TestBoundsCommand:
         assert sorted(p.name for p in out_dir.iterdir()) == ["report_T0i.json",
                                                              "report_T0ii.json"]
 
+    def test_t0i_alone_runs_at_zero_epsilon(self, tmp_path, capsys):
+        # the T0 pair is built whole, so T0ii's bound must accept epsilon = 0
+        out_dir = tmp_path / "out"
+        assert cli.main(["bounds", "--config", "sec5_violation", "--out", str(out_dir),
+                         "--override", "model.dim_bath=16",
+                         "--override", "analysis.theorems=T0i",
+                         "--override", "analysis.epsilon=0"]) == 0
+        assert "T0i: lhs=" in capsys.readouterr().out
+        assert [p.name for p in out_dir.iterdir()] == ["report_T0i.json"]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("bounds", ["--override", "analysis.theorems=T1"]),
+        ("sweep", ["--override", "sweep.parameter=dim_bath", "--override", "sweep.values=8",
+                   "--override", "sweep.draws=2", "--override", "sweep.metrics=necessary_lhs"]),
+    ], ids=["bounds", "sweep"])
+    def test_restricted_dimension_above_the_bath_exits_2(self, tmp_path, capsys,
+                                                        command, extra):
+        # T1's restricted family is a subspace of the bath: dR <= dB
+        out_dir = tmp_path / "out"
+        assert cli.main([command, "--config", "sec5_violation", "--out", str(out_dir),
+                         "--override", "model.dim_bath=8",
+                         "--override", "analysis.dim_restricted=100000000000000000000000",
+                         *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: analysis.dim_restricted") and err.count("\n") == 1
+        assert "dB = 8" in err
+        assert not out_dir.exists()
+
+    def test_restricted_dimension_of_the_whole_bath_is_accepted(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli.main(["bounds", "--config", "sec5_violation", "--out", str(out_dir),
+                         "--override", "model.dim_bath=8",
+                         "--override", "analysis.dim_restricted=8",
+                         "--override", "analysis.theorems=T1"]) == 0
+        assert read_report(out_dir / "report_T1.json").parameters["dR"] == 8
+        capsys.readouterr()
+
     def test_conclusion_without_t2ii(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[model]\nkind = commuting\ndim_bath = 8\n"
                                    "[analysis]\ntheorems = SufficientISI\n")

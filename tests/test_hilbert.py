@@ -154,7 +154,7 @@ class TestPartialTraces:
         for _ in range(10):
             factor = random_density_factor(12, rng)
             DensityMatrix(batched_partial_trace_bath(factor, layout).sum(axis=0))
-            DensityMatrix(partial_trace_system(factor @ factor.conj().T, 2, 6), space="bath")
+            DensityMatrix(partial_trace_system(factor @ factor.conj().T, 2, 6))
 
     def test_rejects_columns_of_another_dimension(self):
         # the package traces out the bath only from eigenvectors

@@ -44,11 +44,10 @@ def _constant(value):
 
 class TestMonteCarlo:
     def test_constant_functional(self):
-        est = batched_monte_carlo(_constant(1.0), draw=haar_amplitudes(1), width=1,
-                                  n_samples=100, seed=1)
-        assert est.mean == 1.0
-        assert est.standard_error == 0.0
-        assert est.n_samples == 100
+        mean, se = batched_monte_carlo(_constant(1.0), draw=haar_amplitudes(1), width=1,
+                                       n_samples=100, seed=1)
+        assert mean == 1.0
+        assert se == 0.0
 
     def test_reduction_over_full_space_is_maximally_mixed(self):
         layout = SpaceLayout(2, 8)
@@ -56,15 +55,15 @@ class TestMonteCarlo:
         def reductions(amplitudes):
             return batched_partial_trace_bath(amplitudes, layout)
 
-        est = batched_monte_carlo(reductions, draw=haar_amplitudes(16), width=16,
-                                  n_samples=2000, seed=8)
-        deviation = np.abs(est.mean - np.eye(2) / 2)
-        assert (deviation <= 3 * est.standard_error + 1e-12).all()
+        mean, se = batched_monte_carlo(reductions, draw=haar_amplitudes(16), width=16,
+                                       n_samples=2000, seed=8)
+        deviation = np.abs(mean - np.eye(2) / 2)
+        assert (deviation <= 3 * se + 1e-12).all()
 
     def test_amplitude_second_moment(self):
-        est = batched_monte_carlo(_population(0), draw=haar_amplitudes(8), width=8,
-                                  n_samples=4000, seed=9)
-        assert abs(est.mean - 1.0 / 8.0) < 3 * est.standard_error
+        mean, se = batched_monte_carlo(_population(0), draw=haar_amplitudes(8), width=8,
+                                       n_samples=4000, seed=9)
+        assert abs(mean - 1.0 / 8.0) < 3 * se
 
     def test_requires_two_samples(self):
         with pytest.raises(ValidationError):
@@ -81,9 +80,9 @@ class TestMonteCarlo:
             return batched_monte_carlo(_population(1), draw=haar_amplitudes(4), width=4,
                                        n_samples=500, seed=77)
 
-        first, second = run(), run()
-        assert first.mean == second.mean
-        assert first.standard_error == second.standard_error
+        (first_mean, first_se), (second_mean, second_se) = run(), run()
+        assert first_mean == second_mean
+        assert first_se == second_se
 
 
 class TestAccumulation:
@@ -95,9 +94,10 @@ class TestAccumulation:
 
 
 def _agree_within_3_se(first, second):
-    """Each component of two independent estimates within 3 combined SE."""
-    spread = np.hypot(first.standard_error, second.standard_error)
-    return np.abs(np.asarray(first.mean) - second.mean) <= 3.0 * spread
+    """Each component of two independent (mean, SE) estimates within 3 combined SE."""
+    (first_mean, first_se), (second_mean, second_se) = first, second
+    spread = np.hypot(first_se, second_se)
+    return np.abs(np.asarray(first_mean) - second_mean) <= 3.0 * spread
 
 
 class TestLaws:
@@ -112,7 +112,8 @@ class TestLaws:
         # E w = 1/n, E w^2 = 2/(n(n+1)), E w_1 w_2 = 1/(n(n+1))
         assert np.all(_agree_within_3_se(weights, haar))
         exact = [1 / 5, 2 / 30, 1 / 30]
-        assert np.all(np.abs(weights.mean - exact) <= 3.0 * weights.standard_error)
+        weights_mean, weights_se = weights
+        assert np.all(np.abs(weights_mean - exact) <= 3.0 * weights_se)
 
     @pytest.mark.parametrize("ds, db", [(2, 8), (3, 5), (4, 16), (4, 2)])
     def test_induced_states_are_haar_reductions(self, ds, db):
@@ -132,11 +133,12 @@ class TestLaws:
         direct = batched_monte_carlo(
             lambda amplitudes: statistics(batched_partial_trace_bath(amplitudes, layout)),
             haar_amplitudes(ds * db), ds * db, 20_000, seed=6)
-        assert 0.05 < induced.mean[2] < 0.95
+        induced_mean, induced_se = induced
+        assert 0.05 < induced_mean[2] < 0.95
         assert np.all(_agree_within_3_se(induced, direct))
         # E tr rho^2 = (dS + dB) / (dS dB + 1) for the induced measure
         exact_purity = (ds + db) / (ds * db + 1)
-        assert abs(induced.mean[1] - exact_purity) <= 3.0 * induced.standard_error[1]
+        assert abs(induced_mean[1] - exact_purity) <= 3.0 * induced_se[1]
 
     @pytest.mark.parametrize("ds, db", [(2, 8), (4, 2)])
     def test_chunked_induced_draws_are_the_one_sample_draws(self, ds, db):

@@ -9,11 +9,10 @@ from isibench import (CONCENTRATION_RATE, THEOREM_IDS, PureState, SpaceLayout,
                       TheoremReport, ValidationError, assign_verdict,
                       concentration_tail, eigendecompose,
                       epsilon_prime, necessary_condition_lhs,
-                      necessary_condition_report, popescu_report,
+                      necessary_condition_reports, popescu_report,
                       read_report, recompute_rhs, subspace_projection,
-                      sufficient_condition_report, theorem0_estimate,
-                      theorem0_mean_report, theorem0_rhs,
-                      theorem0_tail_report, theorem2_lhs, theorem2_reports,
+                      sufficient_condition_report, theorem0_reports,
+                      theorem0_rhs, theorem2_lhs, theorem2_reports,
                       write_report)
 from isibench import sampling
 from isibench.theorems import THEOREMS
@@ -76,6 +75,12 @@ class TestClosedFormBounds:
     def test_concentration_tail_frozen_values(self):
         assert concentration_tail(256, 0.3) == pytest.approx(1.9191170615338322, rel=1e-14)
         assert concentration_tail(4096, 0.5) == pytest.approx(0.3193055561732363, rel=1e-14)
+
+    def test_concentration_tail_is_two_at_zero_epsilon_and_refuses_a_negative_one(self):
+        # the T0 pair builds T0ii even where only T0i is listed at epsilon = 0
+        assert concentration_tail(64, 0.0) == 2.0
+        with pytest.raises(ValidationError, match="epsilon must be >= 0"):
+            concentration_tail(64, -1e-3)
 
     def test_concentration_tail_against_high_precision(self):
         for dr, eps in ((16, 0.05), (256, 0.3), (4096, 0.5), (10**9, 0.01)):
@@ -141,16 +146,16 @@ class TestTheorem0Sampling:
         vectors = expand_sectors(spectral, layout)
         column = vectors @ random_state(8, rng)
         projection = DenseProjection(column.conj()[None, :] @ vectors)
-        report = theorem0_mean_report(theorem0_estimate(projection, spectral, reductions,
-                                                        0.05, n_samples=16, seed=5))
+        report = theorem0_reports(projection, spectral, reductions,
+                                  0.05, n_samples=16, seed=5)[0]
         assert report.lhs < 1e-12
 
     def test_commuting_subspace_mean_respects_bound(self):
         spec, spectral, reductions, rng = _commuting_problem(64, 7)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
         projection = subspace_projection(spectral, spec.layout, psi)
-        report = theorem0_mean_report(theorem0_estimate(
-            projection, spectral, reductions, 0.05, n_samples=400, seed=11))
+        report = theorem0_reports(
+            projection, spectral, reductions, 0.05, n_samples=400, seed=11)[0]
         strong, _ = theorem0_rhs(2, 64, 1.0)
         assert report.lhs <= strong + 3.0 * report.parameters["lhs_standard_error"]
 
@@ -160,23 +165,23 @@ class TestTheorem0Sampling:
         from isibench import delta as delta_fn
         delta_value = delta_fn(reductions, projection)
         strong, _ = theorem0_rhs(2, 32, delta_value)
-        report = theorem0_mean_report(theorem0_estimate(
-            projection, spectral, reductions, 0.05, n_samples=400, seed=17))
+        report = theorem0_reports(
+            projection, spectral, reductions, 0.05, n_samples=400, seed=17)[0]
         assert report.lhs <= strong + 3.0 * report.parameters["lhs_standard_error"]
 
     def test_tail_frequency_zero_beyond_range(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 19)
-        report = theorem0_tail_report(theorem0_estimate(
+        report = theorem0_reports(
             subspace_projection(spectral, layout), spectral, reductions, epsilon=2.0,
-            n_samples=64, seed=23))
+            n_samples=64, seed=23)[1]
         assert report.lhs == 0.0
         assert report.rhs == pytest.approx(concentration_tail(16, 2.0))
 
     def test_tail_respects_nonvacuous_bound(self):
         layout, spectral, reductions, _ = _random_problem(2, 128, 29)
-        report = theorem0_tail_report(theorem0_estimate(
+        report = theorem0_reports(
             subspace_projection(spectral, layout), spectral, reductions, epsilon=1.5,
-            n_samples=200, seed=31))
+            n_samples=200, seed=31)[1]
         assert report.rhs < 1.0
         assert report.lhs <= report.rhs
 
@@ -308,8 +313,7 @@ def _batched_problem(ds, db, subspace):
 
 def _batched_estimates(layout, spectral, reductions, projection):
     """(lhs, standard error) of the T0i, T0ii and Popescu reports."""
-    shared = theorem0_estimate(projection, spectral, reductions, _EPSILON, 60, 3)
-    reports = (theorem0_mean_report(shared), theorem0_tail_report(shared),
+    reports = (*theorem0_reports(projection, spectral, reductions, _EPSILON, 60, 3),
                popescu_report(layout, _EPSILON, 60, 7))
     return [(r.lhs, r.parameters["lhs_standard_error"]) for r in reports]
 
@@ -465,17 +469,15 @@ class TestReports:
 
     def test_necessary_report_with_zero_measure_is_vacuous(self):
         spec, spectral, reductions, _ = _commuting_problem(8, 97)
-        report = necessary_condition_report(necessary_condition_lhs(reductions), 2,
-                                            epsilon=0.05, dim_restricted=8, p=0.0,
-                                            theorem_id="T1")
+        report = necessary_condition_reports(reductions, epsilon=0.05, dim_restricted=8,
+                                             p=0.0)[0]
         assert report.rhs == math.inf
         assert report.verdict == "vacuous"
 
     def test_necessary_report_round_trips_infinity(self, tmp_path):
         spec, spectral, reductions, _ = _commuting_problem(8, 101)
-        report = necessary_condition_report(necessary_condition_lhs(reductions), 2,
-                                            epsilon=0.05, dim_restricted=8, p=0.0,
-                                            theorem_id="T1")
+        report = necessary_condition_reports(reductions, epsilon=0.05, dim_restricted=8,
+                                             p=0.0)[0]
         path = tmp_path / "report_T1.json"
         write_report(path, report)
         back = read_report(path)
@@ -485,9 +487,9 @@ class TestReports:
         # reports written while estimates could split over streams record
         # "n_streams"; the audit reads it as one more parameter
         layout, spectral, reductions, _ = _random_problem(2, 8, 107)
-        report = theorem0_mean_report(theorem0_estimate(
+        report = theorem0_reports(
             subspace_projection(spectral, layout), spectral, reductions, 0.05,
-            n_samples=20, seed=7))
+            n_samples=20, seed=7)[0]
         assert "n_streams" not in report.parameters
         payload = json.loads(report.to_json())
         payload["parameters"]["n_streams"] = 1
@@ -500,9 +502,9 @@ class TestReports:
 
     def test_mean_report_parameters_reproduce_rhs(self):
         layout, spectral, reductions, _ = _random_problem(2, 16, 103)
-        report = theorem0_mean_report(theorem0_estimate(
+        report = theorem0_reports(
             subspace_projection(spectral, layout), spectral, reductions, 0.05,
-            n_samples=100, seed=7))
+            n_samples=100, seed=7)[0]
         assert report.theorem_id == "T0i"
         assert recompute_rhs("T0i", report.parameters) == pytest.approx(report.rhs,
                                                                         rel=1e-12)
@@ -511,9 +513,9 @@ class TestReports:
 
     def test_tail_report_is_vacuous_at_small_dimension(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 107)
-        report = theorem0_tail_report(theorem0_estimate(
+        report = theorem0_reports(
             subspace_projection(spectral, layout), spectral, reductions, epsilon=0.1,
-            n_samples=64, seed=9))
+            n_samples=64, seed=9)[1]
         assert report.verdict == "vacuous"
         assert report.rhs > 1.0
 
@@ -580,8 +582,9 @@ class TestReports:
         ("dR", "inf", "malformed parameter"),
     ])
     def test_malformed_field_is_a_validation_error(self, field, value, message):
-        report = necessary_condition_report(0.5, 2, epsilon=0.05, dim_restricted=16,
-                                            p=1.0, theorem_id="T1")
+        _, _, reductions, _ = _commuting_problem(16, 137)
+        report = necessary_condition_reports(reductions, epsilon=0.05, dim_restricted=16,
+                                             p=1.0)[0]
         payload = json.loads(report.to_json())
         if field in payload:
             payload[field] = value
