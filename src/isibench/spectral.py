@@ -39,6 +39,12 @@ relative ones are scaled by the spectral norm of the operator they test.
 reductions above ``STACK_ELEMENT_CAP``, the entries of a (count, dS, dS) stack;
 ``require_count_fits`` holds the count of a config key to the same cap.
 
+The dense eigensolver, ``_eigh``, is LAPACK's MRRR driver zheevr, called
+through ctypes in the OpenBLAS that numpy's wheel ships, from
+``MRRR_MIN_DIM`` on, and ``numpy.linalg.eigh`` below it or on a numpy build
+without that library.  The copy of H that zheevr overwrites is its
+workspace, held in an anonymous mapping until it returns.
+
 The dense path holds each d x d array once.  The assembly, the checks on a
 d x d array, the reductions and the evolution work through it in blocks of
 ``DENSE_BLOCK`` rows, columns, labels or times, so that their temporaries
@@ -58,7 +64,10 @@ from __future__ import annotations
 
 import contextvars
 import csv
+import ctypes
+import functools
 import itertools
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -77,6 +86,13 @@ RESIDUAL = 1e-9                # eigenpair residual, relative to norm(H)
 SPECTRUM_DEGENERACY = 1e-10    # min gap inside a sector, relative to norm(H)
 DECOMPOSE_DIM_CAP = 8192       # sector dimension m, the dense eigensolver's d
 STACK_ELEMENT_CAP = 20_000_000 # entries count * dS^2 of a (count, dS, dS) stack
+
+# The dense eigensolver is LAPACK's MRRR driver zheevr from this dimension on;
+# below it numpy's divide and conquer (zheevd) is as fast on one BLAS thread
+# and closer to the bits of the eigenvalues.  zheevd against zheevr, one
+# thread of OpenBLAS 0.3.31: 3.25 against 3.44 ms at d = 160, 5.14 against
+# 5.06 ms at d = 192, 96 against 59 ms at d = 512.
+MRRR_MIN_DIM = 192
 
 MATRIX_FORMAT_MAGIC = "isibench-matrix"
 MATRIX_FORMAT_VERSION = 1
@@ -352,11 +368,12 @@ class SpectralData:
 
     def coefficients(self, amplitudes: np.ndarray, layout: SpaceLayout) -> np.ndarray:
         """<n|x> for every eigenvector n of the composite vector x: one BLAS
-        product for one sector, one einsum for more (they round differently)."""
+        product conj(x^H V) for one sector, which conjugates x rather than V,
+        one einsum for more (they round differently)."""
         sectors = self._view(layout)
         n_sec, ds, g, _ = sectors.shape
         if n_sec == 1:
-            per_label = self.sectors[0].conj().T @ amplitudes
+            per_label = np.conj(amplitudes.conj() @ self.sectors[0])
         else:
             per_label = np.einsum("csgk,scg->ck", sectors.conj(),
                                   amplitudes.reshape(ds, n_sec, g)).ravel()
@@ -525,6 +542,59 @@ def require_count_fits(key: str, count: int, dim_system: int) -> None:
                                f"{STACK_ELEMENT_CAP // entries}")
 
 
+@functools.cache
+def _zheevr():
+    """LAPACKE_zheevr of the OpenBLAS (64-bit integers) that numpy's wheel
+    ships and has loaded already, or None when this numpy has none."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            solver = ctypes.CDLL(str(path)).scipy_LAPACKE_zheevr64_
+        except (OSError, AttributeError):
+            continue
+        index, address, real = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+        solver.restype = index
+        solver.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, index,
+                           address, index, real, real, index, index, real,
+                           address, address, address, index, address]
+        return solver
+    return None
+
+
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues and the eigenvectors (columns) of the
+    Hermitian complex d x d ``mat``, read from its lower triangle as
+    ``numpy.linalg.eigh`` reads it, which computes them below MRRR_MIN_DIM
+    or when ``_zheevr`` finds no solver.
+
+    zheevr takes about half the time and workspace of numpy's zheevd.  It
+    overwrites its input, so it gets a copy of H: conj(H) in C order, which
+    LAPACK reads by columns as H itself, in an anonymous mapping that is
+    unmapped when it returns (solver workspace, like the buffers numpy's
+    eigh allocates in C).  The eigenvectors are the column-major array
+    LAPACK writes.  A nonzero status raises LinAlgError.
+    """
+    d = len(mat)
+    solver = _zheevr() if d >= MRRR_MIN_DIM else None
+    if solver is None:
+        return np.linalg.eigh(mat)
+    evals = np.empty(d)
+    evecs = np.empty((d, d), dtype=complex, order="F")
+    count, supports = np.empty(1, dtype=np.int64), np.empty(2 * d, dtype=np.int64)
+    with mmap.mmap(-1, d * d * 16) as buffer:
+        work = np.frombuffer(buffer, dtype=complex).reshape(d, d)
+        np.conjugate(mat, out=work)
+        # 102: column-major; V: with eigenvectors; A: all of them; U: the
+        # upper triangle of the buffer read by columns, which is H's lower one
+        info = solver(102, b"V", b"A", b"U", d, work.ctypes.data, d, 0.0, 0.0, 0, 0, 0.0,
+                      count.ctypes.data, evals.ctypes.data, evecs.ctypes.data, d,
+                      supports.ctypes.data)
+        del work  # the mapping closes only once no array views it
+    if info:
+        raise np.linalg.LinAlgError(f"zheevr failed with status {info}")
+    return evals, evecs
+
+
 def eigendecompose(hamiltonian) -> SpectralData:
     """Dense Hermitian eigendecomposition with deterministic phases.
 
@@ -535,17 +605,18 @@ def eigendecompose(hamiltonian) -> SpectralData:
     unitarity of the eigenvector matrix, so downstream consumers can rely on
     SpectralData invariants without rechecking; a NaN fails either check.
 
-    Besides H, the call holds the eigensolver's own buffers while
-    ``numpy.linalg.eigh`` runs (about four d x d arrays, the eigenvectors
-    among them), then the eigenvector matrix, which the phase fixing
-    overwrites and the checks read in blocks of DENSE_BLOCK columns or rows,
-    and which the result keeps as its one sector.
+    The solver is ``_eigh``: LAPACK's MRRR driver from d = MRRR_MIN_DIM,
+    numpy's eigh below it.  Besides H, the call holds the solver's buffers
+    while it runs (the eigenvector matrix and, for MRRR, one copy of H; numpy's
+    eigh holds about four d x d arrays), then the eigenvector matrix, which
+    the phase fixing overwrites and the checks read in blocks of DENSE_BLOCK
+    columns or rows, and which the result keeps as its one sector.
     """
     mat = hamiltonian.total() if isinstance(hamiltonian, CompositeHamiltonian) else hamiltonian
     require_fits(1, max(np.shape(mat), default=0), 1)
     mat = _require_hermitian("hamiltonian", mat)
     d = mat.shape[0]
-    evals, evecs = np.linalg.eigh(mat)
+    evals, evecs = _eigh(mat)
     span = float(evals[-1]) - float(evals[0])  # Python floats: no overflow warning
     if not np.isfinite(span):
         raise ValidationError(f"the energy range E_max - E_min = {span} is not finite")

@@ -443,6 +443,12 @@ def theorem0_reports(projection: DenseProjection | GroupedProjection,
                 "distance_threshold": threshold, "c": CONCENTRATION_RATE}))
 
 
+def _require_restricted_dimension(dim_restricted: int, dim_bath: int) -> None:
+    """A restricted family spans dR of the dB bath dimensions: 1 <= dR <= dB."""
+    if not 1 <= dim_restricted <= dim_bath:
+        raise ValidationError(f"dR must lie in [1, dB = {dim_bath}], got {dim_restricted}")
+
+
 def necessary_condition_reports(reductions: EigenstateReductions, epsilon: float,
                                 dim_restricted: int, p: float, n_starts: int = 512,
                                 seed: int = 0) -> tuple[TheoremReport, TheoremReport]:
@@ -455,9 +461,11 @@ def necessary_condition_reports(reductions: EigenstateReductions, epsilon: float
     dS and dB come from ``reductions.layout``.  For dS > 2 both reports record
     the ``n_starts`` and ``seed`` of the search.  A violated verdict means
     independence at the stated accuracy is impossible; at workstation
-    dimensions the bound is usually vacuous.
+    dimensions the bound is usually vacuous.  A dR outside [1, dB] is refused
+    before the search.
     """
     layout = reductions.layout
+    _require_restricted_dimension(dim_restricted, layout.dim_bath)
     lhs = necessary_condition_lhs(reductions, n_starts=n_starts, seed=seed)
     base = {"epsilon": epsilon, "dS": layout.dim_system, "c": CONCENTRATION_RATE}
     if layout.dim_system > 2:
@@ -476,7 +484,9 @@ def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
     independence at accuracy better than about 1/3.  The finite-size
     constant, which T1 and T1prime compare against, is recorded as
     ``epsilon_prime``, at the measure p = 1 of the whole restricted family.
+    A dR outside [1, dB] is refused.
     """
+    _require_restricted_dimension(dim_restricted, reductions.layout.dim_bath)
     base = {
         "epsilon": epsilon, "dS": 2, "dR": dim_restricted, "p": 1.0,
         "c": CONCENTRATION_RATE,

@@ -14,15 +14,21 @@ levels (g = 2) must match their dense expansion the same way, degenerate
 levels included.  The block form builds no d x d array on the way, its
 evolution holds one block of phases at a time, the dense path holds each
 d x d array once, and neither the spectral data nor the trajectory copies
-the arrays it is given (the tracemalloc tests).
+the arrays it is given (the tracemalloc tests); the eigensolver's own copy
+of H, which tracemalloc does not see, is bounded by the peak RSS of a
+fresh process.
 """
 
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isibench.spectral
 from isibench import cli
 from isibench.dynamics import evolve_reduced, stratified_times
 from isibench.equilibrium import (EigenstateReductions, delta, overlaps,
@@ -350,17 +356,17 @@ def test_dephased_average_holds_no_list_of_pairs():
 
 
 def test_dense_pipeline_holds_each_dense_array_once(monkeypatch):
-    """d = 1024, one complex d x d array being 16 MiB: when eigh starts only H
-    is alive, and the stages stay under 6 such arrays (numpy's traced
-    allocations; LAPACK's workspace is not among them)."""
+    """d = 1024, one complex d x d array being 16 MiB: when the eigensolver
+    starts only H is alive, and the stages stay under 6 such arrays (numpy's
+    traced allocations; LAPACK's workspace is not among them)."""
     array = 1024**2 * 16
-    eigh, at_eigh = np.linalg.eigh, []
+    eigh, at_eigh = isibench.spectral._eigh, []
 
     def spy(mat):
         at_eigh.append(tracemalloc.get_traced_memory()[0])
         return eigh(mat)
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(isibench.spectral, "_eigh", spy)
     config = cli.ExperimentConfig(kind="random", dim_system=2, dim_bath=512,
                                   dynamics_enabled=True, n_times=2000)
     tracemalloc.start()
@@ -507,6 +513,50 @@ def test_eigendecompose_keeps_the_eigenvectors_it_checks():
         tracemalloc.stop()
     assert not spectral.sectors.flags.writeable
     assert peak <= 1.6 * array, f"peak {peak / array:.2f} arrays above H"
+
+
+def test_eigendecompose_raises_the_peak_rss_by_two_and_a_half_arrays_at_most():
+    """d = 1024, in a fresh process: the solver's copy of H, which
+    tracemalloc does not see, and the eigenvector matrix raise the peak RSS
+    by at most 2.5 complex d x d arrays above H (numpy's eigh took about 4).
+    The peak is the process's own VmHWM: ru_maxrss keeps the peak of the
+    process that spawned it.  A d = 256 solve first maps the BLAS buffers."""
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    probe = ("from isibench.models import gaussian_hermitian\n"
+             "from isibench.sampling import generator\n"
+             "from isibench.spectral import eigendecompose\n"
+             "def peak():\n"
+             "    with open('/proc/self/status') as status:\n"
+             "        return next(int(line.split()[1]) * 1024 for line in status\n"
+             "                    if line.startswith('VmHWM:'))\n"
+             "eigendecompose(gaussian_hermitian(256, generator(1)))\n"
+             "mat = gaussian_hermitian(1024, generator(3))\n"
+             "before = peak()\n"
+             "eigendecompose(mat)\n"
+             "print((peak() - before) / mat.nbytes)\n")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    arrays = float(result.stdout)
+    assert arrays <= 2.5, f"peak RSS up {arrays:.2f} arrays"
+
+
+def test_one_sector_coefficients_conjugate_the_vector_not_the_eigenvectors():
+    """d = 1024: <n|x> for the one sector of the dense path holds no d x d
+    temporary, under a quarter of one (numpy's traced allocations)."""
+    array = 1024**2 * 16
+    layout = SpaceLayout(2, 512)
+    spectral = eigendecompose(gaussian_hermitian(layout.dim_total, generator(9)))
+    values = sample_amplitudes(layout.dim_total, 1, generator(11))[:, 0]
+    tracemalloc.start()
+    try:
+        coefficients = spectral.coefficients(values, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vectors = spectral.sectors[0]
+    assert np.abs(coefficients - (vectors.conj().T @ values)[spectral.order]).max() < 1e-14
+    assert peak < 0.25 * array, f"peak {peak / array:.3f} arrays"
 
 
 def test_dense_product_projection_is_written_in_place():

@@ -108,10 +108,10 @@ class TestBlockedChecks:
         ("unitarity", 1e-6, "not unitary"),
     ])
     def test_eigenpair_checks_see_the_last_block(self, monkeypatch, check, fault, message):
-        """eigh's eigenvector LAST[0] is corrupted: an entry moved (or NaN)
-        breaks the residual; the column scaled by 1 + fault leaves it an
-        eigenvector but breaks unitarity."""
-        eigh = np.linalg.eigh
+        """The eigensolver's eigenvector LAST[0] is corrupted: an entry moved
+        (or NaN) breaks the residual; the column scaled by 1 + fault leaves it
+        an eigenvector but breaks unitarity."""
+        eigh = spectral._eigh
 
         def corrupted(mat):
             evals, evecs = eigh(mat)
@@ -123,7 +123,7 @@ class TestBlockedChecks:
 
         mat = _blocked_parts()[2]
         eigendecompose(mat)
-        monkeypatch.setattr(np.linalg, "eigh", corrupted)
+        monkeypatch.setattr(spectral, "_eigh", corrupted)
         with pytest.raises(ValidationError, match=message), np.errstate(invalid="ignore"):
             eigendecompose(mat)  # a NaN column's phase is NaN / NaN
 
@@ -228,6 +228,53 @@ class TestEigendecompose:
         monkeypatch.setattr(spectral, "_require_hermitian", no_check)
         with pytest.raises(CapExceededError, match="dimension 8 exceeds .* cap 4"):
             eigendecompose(np.eye(8))
+
+
+class TestDenseSolver:
+    """``_eigh``: numpy's eigh below MRRR_MIN_DIM and where LAPACKE's zheevr
+    is missing, zheevr (column-major eigenvectors) from MRRR_MIN_DIM on."""
+
+    @staticmethod
+    def _hermitian(d):
+        return random_hermitian(d, np.random.default_rng(d))
+
+    @staticmethod
+    def _require_mrrr():
+        if spectral._zheevr() is None:
+            pytest.skip("this numpy build ships no LAPACKE zheevr")
+
+    @pytest.mark.parametrize("d, found", [(spectral.MRRR_MIN_DIM - 1, True),
+                                          (spectral.MRRR_MIN_DIM + 8, False)])
+    def test_numpy_eigh_below_the_crossover_or_without_the_solver(self, monkeypatch,
+                                                                  d, found):
+        if not found:
+            monkeypatch.setattr(spectral, "_zheevr", lambda: None)
+        mat = self._hermitian(d)
+        ours, numpys = spectral._eigh(mat), np.linalg.eigh(mat)
+        for mine, theirs in zip(ours, numpys):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+    def test_mrrr_eigenvalues_match_numpy_eigh(self):
+        self._require_mrrr()
+        mat = self._hermitian(spectral.MRRR_MIN_DIM + 8)
+        evals, evecs = spectral._eigh(mat)
+        reference = np.linalg.eigh(mat)[0]
+        assert evecs.flags.f_contiguous and not evecs.flags.c_contiguous
+        assert np.abs(evals - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert np.array_equal(eigendecompose(mat).eigenvalues, evals)
+
+    @pytest.mark.parametrize("solver, status", [("stub", 2), ("zheevr", -6)])
+    def test_a_nonzero_status_raises_linalg_error(self, monkeypatch, solver, status):
+        """A stub solver's status 2, or LAPACKE's -6 for a NaN in H, its
+        argument 6, which LAPACKE checks before zheevr runs."""
+        mat = self._hermitian(spectral.MRRR_MIN_DIM)
+        if solver == "stub":
+            monkeypatch.setattr(spectral, "_zheevr", lambda: lambda *args: status)
+        else:
+            self._require_mrrr()
+            mat[5, 3] = math.nan  # below the diagonal, the triangle it reads
+        with pytest.raises(np.linalg.LinAlgError, match=f"status {status}$"):
+            spectral._eigh(mat)
 
 
 class TestEnergiesOutOfOrder:

@@ -474,6 +474,17 @@ class TestReports:
         assert report.rhs == math.inf
         assert report.verdict == "vacuous"
 
+    @pytest.mark.parametrize("dim_restricted", [0, 9, 10**23])
+    def test_restricted_dimension_outside_the_bath_is_refused(self, dim_restricted):
+        """dR counts bath dimensions, 1 <= dR <= dB = 8: T1 with T1prime and
+        the T2 pair refuse any other, and record none."""
+        _, _, reductions, _ = _commuting_problem(8, 97)
+        message = re.escape(f"dR must lie in [1, dB = 8], got {dim_restricted}")
+        with pytest.raises(ValidationError, match=message):
+            necessary_condition_reports(reductions, 0.05, dim_restricted, 1.0)
+        with pytest.raises(ValidationError, match=message):
+            theorem2_reports(reductions, 0.05, dim_restricted)
+
     def test_necessary_report_round_trips_infinity(self, tmp_path):
         spec, spectral, reductions, _ = _commuting_problem(8, 101)
         report = necessary_condition_reports(reductions, epsilon=0.05, dim_restricted=8,
