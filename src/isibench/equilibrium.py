@@ -49,8 +49,9 @@ class EigenstateReductions:
 
     ``matrices[n]`` is the bath-traced projector of eigenvector n.  Derived
     on construction: ``layout``, dS = k and dB = n / k from the (n, k, k)
-    stack, ``purities[n] = tr(matrices[n]^2)`` and ``bloch``, the
-    polarization vectors when the system is a qubit (None otherwise).
+    stack, ``purities[n] = tr(matrices[n]^2)``, and for a qubit system (None
+    otherwise) ``bloch``, the (d, 3) polarization vectors, and
+    ``polarization_gram``, G = sum_n p_n p_n^T.
     Completeness of the eigenbasis forces (1/d) sum_n matrices[n] = I/dS,
     which is verified on construction.
     """
@@ -73,7 +74,15 @@ class EigenstateReductions:
                 f"{completeness:.3e}"
             )
         object.__setattr__(self, "purities", purities(mats))
-        object.__setattr__(self, "bloch", batched_bloch_vectors(mats) if ds == 2 else None)
+        bloch = gram = None
+        if ds == 2:
+            # the (d, 3) .real view of the complex einsum output: its Gram goes
+            # through numpy's strided product, whose bits the reports keep, and
+            # a copy lets the complex array go
+            strided = batched_bloch_vectors(mats)
+            bloch, gram = strided.copy(), strided.T @ strided
+        object.__setattr__(self, "bloch", bloch)
+        object.__setattr__(self, "polarization_gram", gram)
 
     @property
     def dim(self) -> int:

@@ -42,7 +42,7 @@ DENSE_BLOCK = 256  # rows, columns, times or matrices per block of a blocked pas
 
 def dense_blocks(n: int, size: int = DENSE_BLOCK) -> list[slice]:
     """[0, n) cut into consecutive slices of ``size`` indices (the last shorter)."""
-    return [slice(start, start + size) for start in range(0, n, size)]
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 def blocked_max(block_max: Callable[[slice], float], n: int) -> float:

@@ -42,13 +42,15 @@ reductions above ``STACK_ELEMENT_CAP``, the entries of a (count, dS, dS) stack;
 The dense eigensolver, ``_eigh``, is LAPACK's MRRR driver zheevr, called
 through ctypes in the OpenBLAS that numpy's wheel ships, from
 ``MRRR_MIN_DIM`` on, and ``numpy.linalg.eigh`` below it or on a numpy build
-without that library.  The copy of H that zheevr overwrites is its
-workspace, held in an anonymous mapping until it returns.
+without that library.  zheevr works on H's own buffer, which it hands back
+bit for bit, so the solve holds H and the eigenvectors and no copy of H.
 
 The dense path holds each d x d array once.  The assembly, the checks on a
 d x d array, the reductions and the evolution work through it in blocks of
 ``DENSE_BLOCK`` rows, columns, labels or times, so that their temporaries
-are (DENSE_BLOCK, d) slabs; a blocked maximum is NaN when any block's is.
+are (DENSE_BLOCK, d) slabs at most ((DENSE_BLOCK, dB) ones for the
+assembly, which writes each block in place); a blocked maximum is NaN when
+any block's is.
 The evolution of small sectors works through the times the same way, so
 that each of its worker threads holds one table of phases at the F Bohr
 frequencies, of at most DENSE_BLOCK times and DENSE_BLOCK^2 entries (one
@@ -67,7 +69,6 @@ import csv
 import ctypes
 import functools
 import itertools
-import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -137,25 +138,6 @@ def _on_threads(work: Callable[[int, int], None], tasks: int) -> None:
         raise errors[0]
 
 
-def _lifted_rows(system: np.ndarray, bath: np.ndarray, interaction: np.ndarray,
-                rows: slice) -> np.ndarray:
-    """Rows ``rows`` of kron(HS, 1) + kron(1, HB) + HSB.
-
-    Each entry is the same product as in np.kron and the terms are added in
-    that order, so the rows hold the bits of the full expression.
-    """
-    system, bath = np.asarray(system), np.asarray(bath)
-    ds, db = len(system), len(bath)
-    sys_index, bath_index = np.divmod(np.arange(ds * db)[rows], db)
-    count = sys_index.size
-    ones_s = (sys_index[:, None] == np.arange(ds)).astype(float)  # rows of eye(ds)
-    ones_b = (bath_index[:, None] == np.arange(db)).astype(float)  # rows of eye(db)
-    block = (system[sys_index][:, :, None] * ones_b[:, None, :]).reshape(count, -1)
-    block += (ones_s[:, :, None] * bath[bath_index][:, None, :]).reshape(count, -1)
-    block += np.asarray(interaction)[rows]
-    return block
-
-
 @dataclass(frozen=True)
 class CompositeHamiltonian:
     """The three Hermitian parts of H = HS(x)I + I(x)HB + HSB; ``total()`` builds H.
@@ -180,11 +162,25 @@ class CompositeHamiltonian:
         object.__setattr__(self, "layout", layout)
 
     def total(self) -> np.ndarray:
-        """The dense d x d H, assembled DENSE_BLOCK rows at a time on every call."""
-        d = self.layout.dim_total
+        """The dense d x d H, assembled DENSE_BLOCK rows at a time on every call.
+
+        Each block of rows is written in place: kron(HS, 1), then kron(1, HB)
+        added one system index at a time, then the rows of HSB.  Each entry
+        is the same product as in np.kron and the terms are added in that
+        order, so H holds the bits of the full expression, and the
+        temporaries are (DENSE_BLOCK, dB) slabs.
+        """
+        ds, db, d = len(self.system), len(self.bath), self.layout.dim_total
         total = np.empty((d, d), dtype=complex)
         for rows in dense_blocks(d):
-            total[rows] = _lifted_rows(self.system, self.bath, self.interaction, rows)
+            sys_index, bath_index = np.divmod(np.arange(rows.start, rows.stop), db)
+            block = total[rows].reshape(-1, ds, db)
+            ones_b = (bath_index[:, None] == np.arange(db)).astype(float)  # rows of eye(db)
+            np.multiply(self.system[sys_index][:, :, None], ones_b[:, None, :], out=block)
+            bath_rows = self.bath[bath_index]
+            for s in range(ds):  # column s of the rows of eye(dS)
+                block[:, s] += (sys_index == s).astype(float)[:, None] * bath_rows
+            total[rows] += self.interaction[rows]
         return total
 
 
@@ -561,6 +557,24 @@ def _zheevr():
     return None
 
 
+def _tiles_left_of_diagonal(rows: slice) -> list[tuple[slice, slice | np.ndarray]]:
+    """The DENSE_BLOCK-wide column blocks of rows ``rows`` of H up to its
+    diagonal, each with the index of its entries below the diagonal: all of
+    them but in the last, where a mask leaves out the diagonal and the
+    entries right of it."""
+    return [(cols, slice(None) if cols.stop <= rows.start
+             else np.tri(cols.stop - cols.start, k=-1, dtype=bool))
+            for cols in dense_blocks(rows.stop)]
+
+
+def _mirrored(mat: np.ndarray, rows: slice) -> bool:
+    """Whether the entries of rows ``rows`` below the diagonal are, bit for
+    bit, the conjugates of their mirrors above it."""
+    return all(np.array_equal(mat[rows, cols][below].view(np.uint64),
+                              np.conjugate(mat[cols, rows].T[below], order="C").view(np.uint64))
+               for cols, below in _tiles_left_of_diagonal(rows))
+
+
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ascending eigenvalues and the eigenvectors (columns) of the
     Hermitian complex d x d ``mat``, read from its lower triangle as
@@ -568,28 +582,45 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     or when ``_zheevr`` finds no solver.
 
     zheevr takes about half the time and workspace of numpy's zheevd.  It
-    overwrites its input, so it gets a copy of H: conj(H) in C order, which
-    LAPACK reads by columns as H itself, in an anonymous mapping that is
-    unmapped when it returns (solver workspace, like the buffers numpy's
-    eigh allocates in C).  The eigenvectors are the column-major array
+    works on H's own buffer, conjugated in place: conj(H) in C order, which
+    LAPACK reads by columns as H itself.  It overwrites the diagonal and the
+    lower triangle and leaves the strict upper one, so afterwards, also when
+    it fails, the upper triangle is conjugated back, the lower one rebuilt
+    from its mirror, the diagonal put back from a copy, and the blocks of
+    rows whose lower part was not the bitwise conjugate mirror (a tolerated
+    asymmetry, a -0.0, a NaN) from copies made before the solve: H comes
+    back bit for bit.  An input that is not a writeable C-ordered complex
+    array is copied first.  The eigenvectors are the column-major array
     LAPACK writes.  A nonzero status raises LinAlgError.
     """
     d = len(mat)
     solver = _zheevr() if d >= MRRR_MIN_DIM else None
     if solver is None:
         return np.linalg.eigh(mat)
+    if not (isinstance(mat, np.ndarray) and mat.dtype == complex
+            and mat.flags.c_contiguous and mat.flags.writeable):
+        mat = np.array(mat, dtype=complex)
+    diagonal = mat.diagonal().copy()
+    unmirrored = [(rows, mat[rows, :rows.stop].copy()) for rows in dense_blocks(d)
+                  if not _mirrored(mat, rows)]
     evals = np.empty(d)
     evecs = np.empty((d, d), dtype=complex, order="F")
     count, supports = np.empty(1, dtype=np.int64), np.empty(2 * d, dtype=np.int64)
-    with mmap.mmap(-1, d * d * 16) as buffer:
-        work = np.frombuffer(buffer, dtype=complex).reshape(d, d)
-        np.conjugate(mat, out=work)
+    np.conjugate(mat, out=mat)
+    try:
         # 102: column-major; V: with eigenvectors; A: all of them; U: the
         # upper triangle of the buffer read by columns, which is H's lower one
-        info = solver(102, b"V", b"A", b"U", d, work.ctypes.data, d, 0.0, 0.0, 0, 0, 0.0,
+        info = solver(102, b"V", b"A", b"U", d, mat.ctypes.data, d, 0.0, 0.0, 0, 0, 0.0,
                       count.ctypes.data, evals.ctypes.data, evecs.ctypes.data, d,
                       supports.ctypes.data)
-        del work  # the mapping closes only once no array views it
+    finally:
+        np.conjugate(mat, out=mat)  # the strict upper triangle is H's again
+        for rows in dense_blocks(d):
+            for cols, below in _tiles_left_of_diagonal(rows):
+                mat[rows, cols][below] = np.conjugate(mat[cols, rows].T[below])
+        np.fill_diagonal(mat, diagonal)
+        for rows, block in unmirrored:
+            mat[rows, :rows.stop] = block
     if info:
         raise np.linalg.LinAlgError(f"zheevr failed with status {info}")
     return evals, evecs
@@ -606,8 +637,10 @@ def eigendecompose(hamiltonian) -> SpectralData:
     SpectralData invariants without rechecking; a NaN fails either check.
 
     The solver is ``_eigh``: LAPACK's MRRR driver from d = MRRR_MIN_DIM,
-    numpy's eigh below it.  Besides H, the call holds the solver's buffers
-    while it runs (the eigenvector matrix and, for MRRR, one copy of H; numpy's
+    numpy's eigh below it.  The MRRR driver writes into a writeable C-ordered
+    complex H while it runs and hands it back bit for bit, so the checks read
+    H as it was given; any other H is copied for it.  Besides H, the call
+    holds the solver's buffers while it runs (the eigenvector matrix; numpy's
     eigh holds about four d x d arrays), then the eigenvector matrix, which
     the phase fixing overwrites and the checks read in blocks of DENSE_BLOCK
     columns or rows, and which the result keeps as its one sector.

@@ -166,9 +166,9 @@ def necessary_condition_lhs(reductions: EigenstateReductions,
 
 def _polarization_gram(reductions: EigenstateReductions) -> np.ndarray:
     """G = sum_n p_n p_n^T over the eigenstate polarizations of a qubit."""
-    if reductions.bloch is None:
+    if reductions.polarization_gram is None:
         raise ValidationError("polarization statistics are defined for qubit systems")
-    return reductions.bloch.T @ reductions.bloch
+    return reductions.polarization_gram
 
 
 def theorem2_lhs(reductions: EigenstateReductions) -> tuple[float, float]:

@@ -95,6 +95,7 @@ DERIVED = {
     (SpectralData, "eigenvalues"): "the energies in ascending order",
     (EigenstateReductions, "purities"): "tr(rho_n^2) of the matrices",
     (EigenstateReductions, "bloch"): "the polarizations of qubit matrices",
+    (EigenstateReductions, "polarization_gram"): "bloch^T bloch of the strided polarizations",
     (EigenstateReductions, "layout"): "dS = k and dB = n / k of the (n, k, k) stack",
     (CompositeHamiltonian, "layout"): "the dimensions of the system and bath parts",
     (Trajectory, "layout"): "dS is the size of the (n_times, dS, dS) states",

@@ -10,7 +10,7 @@ from isibench import (DegenerateSpectrumError, DensityMatrix, PureState,
                       sample_commuting_spec, subspace_projection, time_averaged_state,
                       trace_distance, write_reductions_csv)
 from isibench.equilibrium import EigenstateReductions
-from isibench.hilbert import weighted_sum
+from isibench.hilbert import batched_bloch_vectors, weighted_sum
 from isibench.models import analytic_eigensystem
 from isibench.spectral import CompositeHamiltonian, DenseProjection, SpectralData
 from isibench.theorems import theorem2_lhs
@@ -100,6 +100,19 @@ class TestEigenstateReductions:
         radii = np.linalg.norm(reductions.bloch, axis=1)
         assert np.abs(radii - 1.0).max() < 1e-10
         assert theorem2_lhs(reductions)[1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_qubit_polarizations_own_their_data_and_keep_the_strided_gram(self):
+        """bloch is a real copy, so the complex einsum output behind the .real
+        view is freed; the Gram is numpy's product of that strided view, whose
+        bits the T1, T1prime and T2 reports keep."""
+        layout, spectral, reductions, _ = _random_problem(2, 64, 31)
+        strided = batched_bloch_vectors(reductions.matrices)
+        bloch = reductions.bloch
+        assert bloch.dtype == float and bloch.flags.owndata and bloch.flags.c_contiguous
+        assert not strided.flags.owndata
+        assert np.array_equal(bloch, strided)
+        assert reductions.polarization_gram.tobytes() == (strided.T @ strided).tobytes()
+        assert _random_problem(3, 4, 31)[2].polarization_gram is None
 
     def test_mean_squared_polarization_needs_qubit(self):
         layout, spectral, reductions, _ = _random_problem(3, 2, 23)

@@ -10,6 +10,7 @@ from isibench import (CapExceededError, ConfigError, SpaceLayout, ValidationErro
                       write_matrix)
 from isibench import spectral
 from isibench.hilbert import SIGMA_X, SIGMA_Z, blocked_max
+from isibench.models import build_random_model
 from isibench.spectral import CompositeHamiltonian, SpectralData
 
 from _oracles import (batched_partial_trace_bath, expand_sectors, random_hermitian,
@@ -71,6 +72,14 @@ class TestBlockedChecks:
         ham = CompositeHamiltonian(hs, hb, hsb)
         assert ham.layout == layout
         assert ham.total().tobytes() == total.tobytes()
+
+    @pytest.mark.parametrize("ds, db, strength", [(2, 768, 1.0), (3, 100, 0.0), (2, 300, 1.0)])
+    def test_random_model_assembly_has_the_bits_of_the_kron_sum(self, ds, db, strength):
+        # an uncoupled model's zeros carry signs, which the bits keep too
+        ham = build_random_model(ds, db, strength, np.random.default_rng(ds * db))
+        total = (np.kron(ham.system, np.eye(db)) + np.kron(np.eye(ds), ham.bath)
+                 + ham.interaction)
+        assert np.array_equal(ham.total().view(np.uint64), total.view(np.uint64))
 
     @pytest.mark.parametrize("fault", [math.nan, 1e-6])
     def test_hermiticity_check_sees_the_last_block(self, fault):
@@ -266,15 +275,82 @@ class TestDenseSolver:
     @pytest.mark.parametrize("solver, status", [("stub", 2), ("zheevr", -6)])
     def test_a_nonzero_status_raises_linalg_error(self, monkeypatch, solver, status):
         """A stub solver's status 2, or LAPACKE's -6 for a NaN in H, its
-        argument 6, which LAPACKE checks before zheevr runs."""
+        argument 6, which LAPACKE checks before zheevr runs; H, its NaN
+        included, comes back bit for bit either way."""
         mat = self._hermitian(spectral.MRRR_MIN_DIM)
         if solver == "stub":
             monkeypatch.setattr(spectral, "_zheevr", lambda: lambda *args: status)
         else:
             self._require_mrrr()
             mat[5, 3] = math.nan  # below the diagonal, the triangle it reads
+        before = mat.view(np.uint64).copy()
         with pytest.raises(np.linalg.LinAlgError, match=f"status {status}$"):
             spectral._eigh(mat)
+        assert np.array_equal(mat.view(np.uint64), before)
+
+    @staticmethod
+    def _spied_buffers(monkeypatch) -> list[int]:
+        """The addresses of the buffers zheevr is handed from now on."""
+        solver, buffers = spectral._zheevr(), []
+
+        def spy(*args):
+            buffers.append(args[5])
+            return solver(*args)
+
+        monkeypatch.setattr(spectral, "_zheevr", lambda: spy)
+        return buffers
+
+    @staticmethod
+    def _asymmetric(mat, change):
+        """``mat`` with one entry below the diagonal no longer the bitwise
+        conjugate of its mirror: moved by 1e-12, or a pair of zeros whose
+        lower one is -0.0."""
+        if change == "1e-12":
+            mat[5, 3] += 1e-12
+        elif change == "-0.0":
+            mat[3, 5], mat[5, 3] = 0.0, complex(-0.0, 0.0)
+        return mat
+
+    @pytest.mark.parametrize("change", [None, "1e-12", "-0.0"])
+    def test_mrrr_works_in_place_and_hands_the_input_back_bit_for_bit(self, monkeypatch,
+                                                                      change):
+        self._require_mrrr()
+        mat = self._asymmetric(self._hermitian(spectral.MRRR_MIN_DIM + 8), change)
+        before, copy = mat.view(np.uint64).copy(), mat.copy()
+        expected = spectral._eigh(copy)
+        buffers = self._spied_buffers(monkeypatch)
+        evals, evecs = spectral._eigh(mat)
+        assert buffers == [mat.ctypes.data]
+        assert np.array_equal(mat.view(np.uint64), before)
+        assert np.array_equal(evals, expected[0]) and np.array_equal(evecs, expected[1])
+
+    @pytest.mark.parametrize("kind", ["read-only", "F-ordered"])
+    def test_an_input_it_may_not_write_is_copied(self, monkeypatch, kind):
+        self._require_mrrr()
+        mat = self._hermitian(spectral.MRRR_MIN_DIM + 8)
+        if kind == "read-only":
+            mat.setflags(write=False)
+        else:
+            mat = np.asfortranarray(mat)
+        before = mat.tobytes(order="A")
+        buffers = self._spied_buffers(monkeypatch)
+        spectral._eigh(mat)
+        assert len(buffers) == 1
+        assert not mat.ctypes.data <= buffers[0] < mat.ctypes.data + mat.nbytes
+        assert mat.tobytes(order="A") == before
+
+    def test_the_checks_read_the_input_as_it_was_given(self, monkeypatch):
+        """eigendecompose of an H within the asymmetry tolerance reports the
+        residual of that H, which the solve wrote into and handed back."""
+        self._require_mrrr()
+        mat = self._asymmetric(self._hermitian(spectral.MRRR_MIN_DIM + 8), "1e-12")
+        evals, evecs = spectral._eigh(mat.copy())
+        evecs = spectral._fix_phases_in_place(evecs)
+        residual = blocked_max(lambda cols: np.abs(
+            mat @ evecs[:, cols] - evecs[:, cols] * evals[cols]).max(), len(mat))
+        monkeypatch.setattr(spectral, "RESIDUAL", 0.0)
+        with pytest.raises(ValidationError, match=f"residual {residual:.3e} exceeds"):
+            eigendecompose(mat)
 
 
 class TestEnergiesOutOfOrder:
