@@ -23,13 +23,13 @@ _BLAS_THREAD_TIMEOUT = 20
 _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(_BLAS_THREAD_TIMEOUT))
 
 from .dynamics import Trajectory, evolve_reduced, stratified_times, write_trajectory_csv
-from .equilibrium import (EigenstateReductions, delta, overlaps, require_nondegenerate,
-                          subspace_projection, time_averaged_state, write_reductions_csv)
+from .equilibrium import (EigenstateReductions, delta, require_nondegenerate,
+                          time_averaged_state, write_reductions_csv)
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
-from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState,
-                      SpaceLayout, batched_bloch_vectors, purities, tensor_product,
-                      trace_distance, trace_norm, weighted_sum)
+from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState, SpaceLayout,
+                      batched_bloch_vectors, purities, tensor_product, trace_distance,
+                      trace_norm, weighted_sum)
 from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
                      build_cucchietti_bath, build_random_model, commuting_norms,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)

@@ -55,13 +55,13 @@ from typing import Any, Callable, NoReturn
 import numpy as np
 
 from .dynamics import Trajectory, evolve_reduced, stratified_times, write_trajectory_csv
-from .equilibrium import (EigenstateReductions, overlaps, require_nondegenerate,
-                          subspace_projection, time_averaged_state, write_reductions_csv)
+from .equilibrium import (EigenstateReductions, require_nondegenerate, time_averaged_state,
+                          write_reductions_csv)
 from .equilibrium import delta as subspace_delta
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
-from .hilbert import (DensityMatrix, PureState, SpaceLayout, batched_bloch_vectors,
-                      batched_trace_distances, purities, tensor_product)
+from .hilbert import (PureState, SpaceLayout, batched_bloch_vectors, batched_trace_distances,
+                      purities, tensor_product)
 from .models import (CommutingModelSpec, analytic_eigensystem, build_random_model,
                      commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import generator, sample_amplitudes
@@ -408,8 +408,8 @@ class Pipeline:
 
     Every command builds one pipeline, which the entries of ``_STAGES``
     read, and every sweep draw builds its own with its own seed table.
-    Stages and writers call the layer functions through this module's
-    imports, so a tracer that wraps those names sees every call.
+    Stages and writers call the layer functions through this module's imports,
+    which a tracer can wrap; ``coeffs`` and ``projection`` call methods instead.
     ``reports`` builds each configured report by its entry in ``_REPORTS``,
     from the stages that entry names; ``theorems.THEOREMS`` holds only the
     bounds.
@@ -548,7 +548,7 @@ class Pipeline:
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        return overlaps(self.spectral, tensor_product(self.psi, self.phi), self.layout)
+        return self.spectral.coefficients(tensor_product(self.psi, self.phi), self.layout)
 
     @cached_property
     def reductions(self) -> EigenstateReductions:
@@ -559,12 +559,12 @@ class Pipeline:
         """W = B^H V of the analysis subspace R on the eigenbasis, shape (dR, d)."""
         token, layout = self.config.subspace, self.layout
         if token == "full":
-            return subspace_projection(self.spectral, layout)
+            return self.spectral.projection(layout)
         prefix_dim = None if token == "product_bath" else int(token.partition(":")[2])
         if prefix_dim is not None and prefix_dim > layout.dim_bath:
             raise ConfigError(f"subspace {token!r} exceeds the bath dimension "
                               f"{layout.dim_bath}")
-        return subspace_projection(self.spectral, layout, self.psi, prefix_dim)
+        return self.spectral.projection(layout, self.psi, prefix_dim)
 
     @cached_property
     def delta(self) -> float:
@@ -578,7 +578,7 @@ class Pipeline:
                 "of the equilibrium formulas is violated"]
 
     @cached_property
-    def rho_bar(self) -> DensityMatrix:
+    def rho_bar(self) -> np.ndarray:
         return time_averaged_state(self.coeffs, self.reductions, self.spectral,
                                    allow_degenerate=self.config.allow_degenerate)
 
@@ -607,7 +607,7 @@ class Pipeline:
         times = stratified_times(horizon, self.config.n_times, rng)
         trajectory = evolve_reduced(self.coeffs, spectral, self.layout, times)
         return horizon, trajectory, float(batched_trace_distances(
-            trajectory.states, self.rho_bar.matrix).mean())
+            trajectory.states, self.rho_bar).mean())
 
     @cached_property
     def theorem0(self) -> tuple[TheoremReport, TheoremReport]:
@@ -686,7 +686,7 @@ def _conclusion_line(pipe: Pipeline) -> str:
 
 
 def _equilibrium_lines(pipe: Pipeline) -> list[str]:
-    rho_bar = pipe.rho_bar.matrix[None]
+    rho_bar = pipe.rho_bar[None]
     lines = [
         f"subspace: {pipe.config.subspace} (dR={pipe.projection.dim})",
         f"delta: {pipe.delta:.12g}",

@@ -1,7 +1,7 @@
 """Reduced-state time evolution and its distance to equilibrium.
 
 Evolution is computed in the energy eigenbasis from the (d,) overlaps c_n
-of ``equilibrium.overlaps``, and no propagator is ever formed
+of ``SpectralData.coefficients``, and no propagator is ever formed
 (``SpectralData.evolved_reductions``).  The times are worked through
 in blocks, which the commuting and cucchietti models deal to one thread per
 CPU with the same bits on any thread, and only the (n_times, dS, dS)

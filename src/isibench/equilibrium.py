@@ -2,18 +2,19 @@
 
 With a nondegenerate spectrum the infinite-time average of the reduced state
 is diagonal in the eigenbasis: rho_bar = sum_n |c_n|^2 rho_n, where rho_n is
-the bath-traced projector of eigenvector n and c_n the overlap of the initial
-state with it, a plain read-only (d,) array (``overlaps``) whose unit norm
-the initial ``PureState``, the checked eigenbasis and the trace check of
-rho_bar keep.  This module computes those objects exactly from spectral
-data, and the weighted-purity functional delta that controls the sufficient
-independence condition.  ``EigenstateReductions`` holds only the rho_n (built
-as ``EigenstateReductions(spectral.reductions(layout))``) and derives from
-them their layout, their purities and, for a qubit, their polarizations
-once, by hilbert's formulas, so delta and the polarization statistics of
-``theorems`` read values that cannot disagree with the matrices.  An
-initial-state subspace R enters only through its projection W on the
-eigenbasis (``subspace_projection``), whose column norms give the weights
+the bath-traced projector of eigenvector n and c_n the overlap of the
+initial state with it, the read-only (d,) array of
+``SpectralData.coefficients``, whose unit norm the initial ``PureState``,
+the checked eigenbasis and the trace check of rho_bar keep.  This module
+computes those objects exactly from spectral data, and the weighted-purity
+functional delta that controls the sufficient independence condition.
+``EigenstateReductions`` holds only the rho_n (built as
+``EigenstateReductions(spectral.reductions(layout))``) and derives from them
+their layout, their purities and, for a qubit, their polarizations once, by
+hilbert's formulas, so delta and the polarization statistics of ``theorems``
+read values that cannot disagree with the matrices.  An initial-state
+subspace R enters only through its projection W on the eigenbasis
+(``SpectralData.projection``), whose column norms give the weights
 <n|Pi_R|n>/dR; the Haar average of the equilibrium state over R is then
 sum_n w_n rho_n (``hilbert.weighted_sum``).  The eigenvectors are read only
 through the methods of ``SpectralData``, so the same code serves every
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
-from .hilbert import (DensityMatrix, PureState, SpaceLayout, batched_bloch_vectors,
-                      check_density_stack, purities, weighted_sum)
+from .hilbert import (SpaceLayout, batched_bloch_vectors, check_density_stack, purities,
+                      weighted_sum)
 from .spectral import (DenseProjection, GroupedProjection, SpectralData,
                        degenerate_level_pairs, write_csv)
 
@@ -89,17 +90,6 @@ class EigenstateReductions:
         return self.matrices.shape[0]
 
 
-def overlaps(spectral: SpectralData, initial: PureState, layout: SpaceLayout) -> np.ndarray:
-    """The read-only (d,) overlaps c_n = <n|initial> with the eigenvectors."""
-    if initial.space != "composite":
-        raise ValidationError(f"initial state must be composite, got {initial.space!r}")
-    if initial.dim != spectral.dim:
-        raise ValidationError(f"state dim {initial.dim} != spectral dim {spectral.dim}")
-    coefficients = spectral.coefficients(initial.amplitudes, layout)
-    coefficients.setflags(write=False)
-    return coefficients
-
-
 def require_nondegenerate(spectral: SpectralData, allow_degenerate: bool = False) -> None:
     """Gate for formulas that assume a nondegenerate spectrum.
 
@@ -120,46 +110,28 @@ def require_nondegenerate(spectral: SpectralData, allow_degenerate: bool = False
 
 def time_averaged_state(coefficients: np.ndarray, reductions: EigenstateReductions,
                         spectral: SpectralData, allow_degenerate: bool = False
-                        ) -> DensityMatrix:
+                        ) -> np.ndarray:
     """Infinite-time average of the reduced state, sum_n |c_n|^2 rho_n.
 
     The formula needs a nondegenerate spectrum; degenerate inputs are refused
     with the colliding levels named.  With ``allow_degenerate=True`` the
     average is computed block-exactly instead (project the initial state onto
-    each run of degenerate levels inside a sector, reduce, and sum), which
-    is the correct infinite-time average when the degeneracy is exact;
-    callers should mark such output as obtained under a violated hypothesis.
-    Overlaps c whose sum |c_n|^2 is not 1 fail the trace check of the result.
+    each run of degenerate levels inside a sector, reduce, and sum), which is
+    the correct infinite-time average when the degeneracy is exact; callers
+    should mark such output as obtained under a violated hypothesis.  The
+    result is a read-only (dS, dS) array checked Hermitian, of unit trace and
+    PSD, so overlaps c whose sum |c_n|^2 is not 1 fail its trace check.
     """
     if np.shape(coefficients) != (spectral.dim,) or reductions.dim != spectral.dim:
         raise ValidationError(f"coefficients of shape {np.shape(coefficients)} and "
                               f"{reductions.dim} reductions do not fit d = {spectral.dim}")
     require_nondegenerate(spectral, allow_degenerate)
-    if not spectral.degenerate.any():
-        return DensityMatrix(weighted_sum(np.abs(coefficients) ** 2, reductions.matrices))
-    return DensityMatrix(spectral.dephased_reduction(coefficients, reductions.layout))
-
-
-def subspace_projection(spectral: SpectralData, layout: SpaceLayout,
-                        psi: PureState | None = None, dim_bath: int | None = None
-                        ) -> DenseProjection | GroupedProjection:
-    """W = B^H V, the (dR, d) overlaps of an orthonormal basis of the
-    initial-state subspace R with the eigenvectors.
-
-    ``psi=None`` is the whole space, taken in the eigenbasis (W = I);
-    otherwise R = psi (x) span of the first ``dim_bath`` bath levels (all by
-    default), and W[b, n] = sum_i conj(psi_i) <i, b|n>.  The result has the
-    dimension dR, the weights w_n = <n|Pi_R|n>/dR and the draw of the T0
-    estimate; it is grouped for the whole space and for sectors of g = 1.
-    """
-    if psi is None:
-        return spectral.projection(layout)
-    if psi.space != "system" or psi.dim != layout.dim_system:
-        raise ValidationError("psi must be a system state matching the layout")
-    k = layout.dim_bath if dim_bath is None else dim_bath
-    if not 1 <= k <= layout.dim_bath:
-        raise ValidationError(f"bath subspace dim {k} outside [1, {layout.dim_bath}]")
-    return spectral.projection(layout, psi.amplitudes, k)
+    rho = (spectral.dephased_reduction(coefficients, reductions.layout)
+           if spectral.degenerate.any()
+           else weighted_sum(np.abs(coefficients) ** 2, reductions.matrices))
+    check_density_stack("density matrix", rho[None])
+    rho.setflags(write=False)
+    return rho
 
 
 def delta(reductions: EigenstateReductions,

@@ -115,34 +115,8 @@ def check_density_stack(name: str, mats: np.ndarray, positive: bool = True) -> N
                                   f"lowest eigenvalue {lowest:.3e}")
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix.
-
-    Positivity is enforced up to a small negative slack
-    (``EIGENVALUE_FLOOR``) to absorb round-off from partial traces
-    of numerically evolved states.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex, copy=True)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
-            raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-        check_density_stack("density matrix", mat[None])
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def _as_matrix(arg) -> np.ndarray:
-    """Accept a DensityMatrix or a plain square array."""
-    if isinstance(arg, DensityMatrix):
-        return arg.matrix
+    """``arg`` as a complex array, refused unless it is a square matrix."""
     mat = np.asarray(arg, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")

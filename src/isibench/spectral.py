@@ -78,7 +78,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, ValidationError
-from .hilbert import DENSE_BLOCK, SpaceLayout, blocked_max, dense_blocks, weighted_sum
+from .hilbert import (DENSE_BLOCK, PureState, SpaceLayout, blocked_max, dense_blocks,
+                      weighted_sum)
 from .sampling import Draw, dirichlet_weights, haar_amplitudes
 
 HAMILTONIAN_ASYMMETRY = 1e-10  # max |H - H^dagger| accepted on assembly
@@ -362,18 +363,24 @@ class SpectralData:
                                   f"match the spectral data (d={self.dim})")
         return self.sectors.reshape(n_sec, layout.dim_system, m // layout.dim_system, m)
 
-    def coefficients(self, amplitudes: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-        """<n|x> for every eigenvector n of the composite vector x: one BLAS
-        product conj(x^H V) for one sector, which conjugates x rather than V,
-        one einsum for more (they round differently)."""
-        sectors = self._view(layout)
+    def coefficients(self, state: PureState, layout: SpaceLayout) -> np.ndarray:
+        """The read-only (d,) overlaps c_n = <n|x> of the composite state x:
+        one BLAS product conj(x^H V) for one sector, which conjugates x
+        rather than V, one einsum for more (they round differently)."""
+        if state.space != "composite":
+            raise ValidationError(f"initial state must be composite, got {state.space!r}")
+        if state.dim != self.dim:
+            raise ValidationError(f"state dim {state.dim} != spectral dim {self.dim}")
+        sectors, amplitudes = self._view(layout), state.amplitudes
         n_sec, ds, g, _ = sectors.shape
         if n_sec == 1:
             per_label = np.conj(amplitudes.conj() @ self.sectors[0])
         else:
             per_label = np.einsum("csgk,scg->ck", sectors.conj(),
                                   amplitudes.reshape(ds, n_sec, g)).ravel()
-        return per_label[self.order]
+        coefficients = per_label[self.order]
+        coefficients.setflags(write=False)
+        return coefficients
 
     def reductions(self, layout: SpaceLayout) -> np.ndarray:
         """C-contiguous (d, dS, dS) bath traces Tr_B |n><n| = A A^H of the
@@ -386,31 +393,37 @@ class SpectralData:
             out[:, cols] = np.einsum("csgk,ctgk->ckst", block, block.conj())
         return out.reshape(self.dim, ds, ds)[self.order]
 
-    def projection(self, layout: SpaceLayout, psi: np.ndarray | None = None,
+    def projection(self, layout: SpaceLayout, psi: PureState | None = None,
                    dim_prefix: int | None = None) -> DenseProjection | GroupedProjection:
-        """W = B^H V for R the whole space (``psi=None``), or R = psi (x)
-        span of the first ``dim_prefix`` bath levels (None: all of them),
-        W[b, n] = sum_i conj(psi_i) <i, b|n>.
+        """W = B^H V, the (dR, d) overlaps of an orthonormal basis of R with
+        the eigenvectors: R is the whole space (``psi=None``), or the system
+        state psi (x) span of the first ``dim_prefix`` bath levels (None: all
+        of them), W[b, n] = sum_i conj(psi_i) <i, b|n>.
 
         The whole space is grouped in the eigenbasis.  With g = 1 sector l
         overlaps only psi (x) |l>, so a product subspace is grouped by bath
         level; otherwise W is dense, each sector's einsum writing its g rows
         and m columns in place, by label (the dense path's order, or permuted).
         """
+        if psi is not None and (psi.space != "system" or psi.dim != layout.dim_system):
+            raise ValidationError("psi must be a system state matching the layout")
+        k = layout.dim_bath if dim_prefix is None else dim_prefix
+        if not 1 <= k <= layout.dim_bath:
+            raise ValidationError(f"bath subspace dim {k} outside [1, {layout.dim_bath}]")
         sectors = self._view(layout)
         n_sec, ds, g, m = sectors.shape
         if psi is None:
             return GroupedProjection(self.dim, np.full(self.dim, 1.0 / self.dim))
-        k = layout.dim_bath if dim_prefix is None else dim_prefix
+        bra = psi.amplitudes.conj()
         if g == 1:
-            shares = np.abs(np.einsum("s,csk->ck", psi.conj(), sectors[:, :, 0])) ** 2
+            shares = np.abs(np.einsum("s,csk->ck", bra, sectors[:, :, 0])) ** 2
             shares[k:] = 0.0
             return GroupedProjection(k, shares.ravel()[self.order] / k,
                                      self._by_sector(np.arange(self.dim))[:k], shares[:k])
         matrix = np.zeros((k, self.dim), dtype=complex)
         for c in range(-(-k // g)):  # the sectors that hold the first k bath levels
             rows = slice(c * g, min(c * g + g, k))
-            np.einsum("s,sjn->jn", psi.conj(), sectors[c, :, :rows.stop - rows.start],
+            np.einsum("s,sjn->jn", bra, sectors[c, :, :rows.stop - rows.start],
                       out=matrix[rows, c * m:c * m + m])
         in_order = np.array_equal(self.order, np.arange(self.dim))
         return DenseProjection(matrix if in_order else matrix[:, self.order])
@@ -567,11 +580,18 @@ def _tiles_left_of_diagonal(rows: slice) -> list[tuple[slice, slice | np.ndarray
             for cols in dense_blocks(rows.stop)]
 
 
+def _mirror(entries: np.ndarray) -> np.ndarray:
+    """conj(``entries``) in C order, but the imaginary parts 0.0 - x: a zero is +0.0."""
+    mirror = np.empty(entries.shape, dtype=complex)
+    mirror.real, mirror.imag = entries.real, 0.0 - entries.imag
+    return mirror
+
+
 def _mirrored(mat: np.ndarray, rows: slice) -> bool:
     """Whether the entries of rows ``rows`` below the diagonal are, bit for
-    bit, the conjugates of their mirrors above it."""
+    bit, the ``_mirror`` of their mirrors above it, as in a real-valued H."""
     return all(np.array_equal(mat[rows, cols][below].view(np.uint64),
-                              np.conjugate(mat[cols, rows].T[below], order="C").view(np.uint64))
+                              _mirror(mat[cols, rows].T[below]).view(np.uint64))
                for cols, below in _tiles_left_of_diagonal(rows))
 
 
@@ -586,8 +606,8 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     LAPACK reads by columns as H itself.  It overwrites the diagonal and the
     lower triangle and leaves the strict upper one, so afterwards, also when
     it fails, the upper triangle is conjugated back, the lower one rebuilt
-    from its mirror, the diagonal put back from a copy, and the blocks of
-    rows whose lower part was not the bitwise conjugate mirror (a tolerated
+    by ``_mirror``, the diagonal put back from a copy, and the blocks of
+    rows whose lower part was not that bitwise mirror (a tolerated
     asymmetry, a -0.0, a NaN) from copies made before the solve: H comes
     back bit for bit.  An input that is not a writeable C-ordered complex
     array is copied first.  The eigenvectors are the column-major array
@@ -617,7 +637,7 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.conjugate(mat, out=mat)  # the strict upper triangle is H's again
         for rows in dense_blocks(d):
             for cols, below in _tiles_left_of_diagonal(rows):
-                mat[rows, cols][below] = np.conjugate(mat[cols, rows].T[below])
+                mat[rows, cols][below] = _mirror(mat[cols, rows].T[below])
         np.fill_diagonal(mat, diagonal)
         for rows, block in unmirrored:
             mat[rows, :rows.stop] = block

@@ -39,7 +39,7 @@ from .equilibrium import EigenstateReductions, delta, require_nondegenerate
 from .errors import ValidationError
 # trace_distance is kept importable from here: the benchmark's tracer test
 # looks it up under this module.
-from .hilbert import (DensityMatrix, SpaceLayout, batched_trace_distances,  # noqa: F401
+from .hilbert import (SpaceLayout, batched_trace_distances, check_density_stack,  # noqa: F401
                       trace_distance, weighted_sum)
 from .sampling import batched_monte_carlo, generator, induced_states, sample_amplitudes
 from .spectral import DenseProjection, GroupedProjection, SpectralData, require_count_fits
@@ -426,7 +426,8 @@ def theorem0_reports(projection: DenseProjection | GroupedProjection,
     require_count_fits("analysis.n_samples", n_samples, ds)
     strong, weak = theorem0_rhs(ds, dim_r, delta_value)
     threshold = strong + epsilon
-    reference = DensityMatrix(weighted_sum(projection.weights, reductions.matrices)).matrix
+    reference = weighted_sum(projection.weights, reductions.matrices)
+    check_density_stack("density matrix", reference[None])
     draw, width, states_of = projection.sampler(reductions.matrices)
 
     def values(draws: np.ndarray) -> np.ndarray:

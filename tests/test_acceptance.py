@@ -13,8 +13,7 @@ from mpmath import mp, mpf
 
 from isibench import cli
 from isibench.dynamics import evolve_reduced, stratified_times
-from isibench.equilibrium import (EigenstateReductions, delta, overlaps,
-                                  subspace_projection, time_averaged_state)
+from isibench.equilibrium import EigenstateReductions, delta, time_averaged_state
 from isibench.hilbert import (PureState, SpaceLayout, batched_trace_distances,
                               tensor_product, trace_distance)
 from isibench.models import analytic_eigensystem, build_random_model, sample_commuting_spec
@@ -73,7 +72,7 @@ def test_criterion_1_commuting_model_violation(tmp_path, capsys):
     if abs(lhs_ii - 1.0) > 1e-10:
         failures.append(f"mean squared polarization {lhs_ii!r} != 1")
 
-    delta_value = delta(reductions, subspace_projection(spectral, spec.layout, PLUS))
+    delta_value = delta(reductions, spectral.projection(spec.layout, PLUS))
     if abs(delta_value - 1.0) > 1e-10:
         failures.append(f"delta {delta_value!r} != 1")
 
@@ -131,11 +130,11 @@ def _equilibrated_fraction(spectral, layout, n_draws, seed):
     hits = 0
     for _ in range(n_draws):
         phi = PureState(sample_amplitudes(layout.dim_bath, 1, draw_rng)[:, 0], space="bath")
-        coeffs = overlaps(spectral, tensor_product(PLUS, phi), layout)
+        coeffs = spectral.coefficients(tensor_product(PLUS, phi), layout)
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
         times = stratified_times(horizon, 2000, time_rng)
         states = evolve_reduced(coeffs, spectral, layout, times).states
-        metric = float(batched_trace_distances(states, equilibrium.matrix).mean())
+        metric = float(batched_trace_distances(states, equilibrium).mean())
         hits += metric <= bound
     return hits / n_draws
 
@@ -309,7 +308,7 @@ def test_criterion_6_concentration_bound_honesty(capsys):
     spec = sample_commuting_spec(16, 1.0, 1.0, 1.0, np.random.default_rng(61))
     spectral = analytic_eigensystem(spec)
     reductions = EigenstateReductions(spectral.reductions(spec.layout))
-    small = subspace_projection(spectral, spec.layout, PLUS)
+    small = spectral.projection(spec.layout, PLUS)
     delta_small = delta(reductions, small)
     reports.append(sufficient_condition_report(delta_small))
     reports.extend(theorem0_reports(small, spectral, reductions, 0.05, 400, 62))
@@ -321,13 +320,13 @@ def test_criterion_6_concentration_bound_honesty(capsys):
     wide_spec = sample_commuting_spec(128, 1.0, 1.0, 1.0, np.random.default_rng(66))
     wide_spectral = analytic_eigensystem(wide_spec)
     wide_reductions = EigenstateReductions(wide_spectral.reductions(wide_spec.layout))
-    wide = subspace_projection(wide_spectral, wide_spec.layout)
+    wide = wide_spectral.projection(wide_spec.layout)
     reports.append(theorem0_reports(wide, wide_spectral, wide_reductions, 1.5, 10_000, 67)[1])
 
     deep_spec = sample_commuting_spec(256, 1.0, 1.0, 1.0, np.random.default_rng(68))
     deep_spectral = analytic_eigensystem(deep_spec)
     deep_reductions = EigenstateReductions(deep_spectral.reductions(deep_spec.layout))
-    deep = subspace_projection(deep_spectral, deep_spec.layout, PLUS)
+    deep = deep_spectral.projection(deep_spec.layout, PLUS)
     reports.append(theorem0_reports(deep, deep_spectral, deep_reductions, 1.5, 10_000, 69)[1])
 
     reports.append(popescu_report(SpaceLayout(2, 4096), 0.5, 10_000, 70))
@@ -365,12 +364,12 @@ def test_criterion_7_average_and_trace_oracles(capsys):
         spectral = eigendecompose(build_random_model(2, 8, 1.0, rng))
         reductions = EigenstateReductions(spectral.reductions(layout))
         initial = PureState(sample_amplitudes(16, 1, rng)[:, 0], space="composite")
-        coeffs = overlaps(spectral, initial, layout)
+        coeffs = spectral.coefficients(initial, layout)
         exact = time_averaged_state(coeffs, reductions, spectral)
         horizon = 1.0e4 / np.diff(spectral.eigenvalues).min()
         windowed = finite_time_average(coeffs, spectral.eigenvalues,
                                        expand_sectors(spectral, layout), 2, 8, horizon)
-        worst_distance = max(worst_distance, trace_distance(exact.matrix, windowed))
+        worst_distance = max(worst_distance, trace_distance(exact, windowed))
     if worst_distance > 5e-3:
         failures.append(f"finite-horizon average drifts {worst_distance:.2e} "
                         "from the infinite-time state")

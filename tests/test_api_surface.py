@@ -49,7 +49,8 @@ GONE = {
                          "reduced state",
     "purity": "purities: one tr(rho^2) formula, on a stack",
     "bloch_vector": "batched_bloch_vectors: one polarization formula, on a stack",
-    "BlochVector": "DensityMatrix: its positivity check bounds |p| by 1",
+    "BlochVector": "batched_bloch_vectors of checked states: the positivity check of "
+                   "check_density_stack bounds |p| by 1",
     "mean_squared_polarization": "theorem2_lhs(reductions)[1], the T2ii left-hand side",
     "_float_params": "TheoremReport normalizes its own parameters",
     "eigenstate_reductions": "EigenstateReductions(spectral.reductions(layout))",
@@ -61,8 +62,9 @@ GONE = {
     "fix_phases": "_fix_phases_in_place: from_sectors fixes a copy, eigendecompose eigh's "
                   "output",
     "_necessary_report": "cli._REPORTS: each report from the pipeline stages it names",
-    "OverlapCoefficients": "overlaps returns the read-only (d,) array; PureState, the "
-                           "eigenbasis and the trace checks keep its unit norm",
+    "OverlapCoefficients": "SpectralData.coefficients returns the read-only (d,) array; "
+                           "PureState, the eigenbasis and the trace checks keep its unit "
+                           "norm",
     "Theorem0Estimate": "theorem0_reports: the T0 pair from one draw set, no value type",
     "MonteCarloEstimate": "batched_monte_carlo returns (mean, standard_error)",
     "theorem0_estimate": "theorem0_reports(projection, spectral, reductions, epsilon, "
@@ -71,6 +73,12 @@ GONE = {
     "theorem0_tail_report": "theorem0_reports(...)[1], the T0ii report",
     "necessary_condition_report": "necessary_condition_reports: T1 and T1prime from one "
                                   "search",
+    "overlaps": "SpectralData.coefficients(state, layout), which checks the composite "
+                "state itself",
+    "subspace_projection": "SpectralData.projection(layout, psi=None, dim_prefix=None), "
+                           "which checks the system state and the prefix itself",
+    "DensityMatrix": "check_density_stack: time_averaged_state and the T0 reference "
+                     "state are read-only arrays that passed it",
 }
 
 # Config entries that were removed, each with its reason; none may come back.
@@ -179,6 +187,17 @@ def test_replaced_definitions_stay_gone():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}  # methods too
     back = sorted(name for name in GONE if name in defined or hasattr(isibench, name))
     assert not back, f"replaced definitions are back: {back}"
+
+
+def test_readme_library_use_names_no_replaced_definition():
+    # a replaced name as a code span (`name`, `module.name` or `name(...)`)
+    # in "## Library use" would document API that no longer exists
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n")[1]
+    section = section.split("\n## ")[0]
+    spans = re.findall(r"`([^`\n]+)`", section)
+    named = sorted({name for span in spans for name in GONE
+                    if re.fullmatch(rf"(?:\w+\.)*{re.escape(name)}(?:\(.*\))?", span)})
+    assert not named, f"README Library use names replaced definitions: {named}"
 
 
 def test_the_registry_holds_the_bounds_and_the_pipeline_the_builders():

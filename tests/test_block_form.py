@@ -31,8 +31,7 @@ import pytest
 import isibench.spectral
 from isibench import cli
 from isibench.dynamics import evolve_reduced, stratified_times
-from isibench.equilibrium import (EigenstateReductions, delta, overlaps,
-                                  subspace_projection, time_averaged_state)
+from isibench.equilibrium import EigenstateReductions, delta, time_averaged_state
 from isibench.hilbert import (DENSE_BLOCK, PureState, SpaceLayout, batched_trace_distances,
                               tensor_product)
 from isibench.models import (analytic_eigensystem, build_random_model, gaussian_hermitian,
@@ -72,16 +71,16 @@ def _stages(spectral, layout, initial, psi, horizon):
     subspaces built on the system state ``psi``; the trajectory is also
     sampled on 64 times of [0, horizon)."""
     reductions = EigenstateReductions(spectral.reductions(layout))
-    coeffs = overlaps(spectral, initial, layout)
+    coeffs = spectral.coefficients(initial, layout)
     out = {"overlaps": coeffs, "reductions": reductions.matrices,
            "purities": reductions.purities,
-           "rho_bar": time_averaged_state(coeffs, reductions, spectral).matrix}
+           "rho_bar": time_averaged_state(coeffs, reductions, spectral)}
     if reductions.bloch is not None:
         out["bloch"] = reductions.bloch
     prefix = max(1, layout.dim_bath // 3)
     for label, factor, k in (("full", None, None), ("product_bath", psi, None),
                              (f"bath_prefix:{prefix}", psi, prefix)):
-        projection = subspace_projection(spectral, layout, factor, k)
+        projection = spectral.projection(layout, factor, k)
         draws = sample_amplitudes(projection.dim, 12, generator(7))
         out[f"{label} weights"] = projection.weights
         out[f"{label} delta"] = delta(reductions, projection)
@@ -90,7 +89,7 @@ def _stages(spectral, layout, initial, psi, horizon):
     # every form draws the whole space's Dirichlet populations of the
     # eigenbasis; the product subspaces draw them in the block form only,
     # so there the draws agree in law (test_dirichlet_draws_match_haar_draws_in_law)
-    mean_report, tail_report = theorem0_reports(subspace_projection(spectral, layout),
+    mean_report, tail_report = theorem0_reports(spectral.projection(layout),
                                                 spectral, reductions, 0.02, 64, 11)
     out["T0i lhs"] = mean_report.lhs
     out["T0ii lhs"] = tail_report.lhs
@@ -170,7 +169,7 @@ def test_stack_reproduces_the_dense_populations(built):
     reductions = EigenstateReductions(block.reductions(layout))
     prefix = max(1, layout.dim_bath // 3)
     for state, k in ((None, None), (PLUS, None), (PLUS, prefix)):
-        projection = subspace_projection(block, layout, state, k)
+        projection = block.projection(layout, state, k)
         amplitudes = sample_amplitudes(projection.dim, 12, generator(17))
         if state is None:
             columns, matrix = vectors @ amplitudes, vectors
@@ -195,7 +194,7 @@ def test_dirichlet_draws_match_haar_draws_in_law(kind, size, prefix):
     estimates, threshold = [], None
     for spectral, seed in ((block, 21), (expanded, 22)):
         reductions = EigenstateReductions(spectral.reductions(spec.layout))
-        projection = subspace_projection(spectral, spec.layout, PLUS, prefix)
+        projection = spectral.projection(spec.layout, PLUS, prefix)
         assert hasattr(projection, "matrix") == (spectral is expanded)
         draw, width, states_of = projection.sampler(reductions.matrices)
         reference = np.einsum("n,nij->ij", projection.weights, reductions.matrices)
@@ -228,9 +227,9 @@ def test_degenerate_block_average_agrees():
     phi = PureState(sample_amplitudes(spec.dim_bath, 1, generator(5))[:, 0],
                     space="bath")
     initial = tensor_product(PLUS, phi)
-    averages = [time_averaged_state(overlaps(s, initial, spec.layout),
+    averages = [time_averaged_state(s.coefficients(initial, spec.layout),
                                     EigenstateReductions(s.reductions(spec.layout)), s,
-                                    allow_degenerate=True).matrix for s in (block, dense)]
+                                    allow_degenerate=True) for s in (block, dense)]
     assert _gap(*averages).max() <= TOL
 
 
@@ -273,17 +272,17 @@ def test_degenerate_levels_inside_a_block_keep_their_coherence():
     assert len(degenerate_level_pairs(block)) == db
     initial = PureState(sample_amplitudes(ds * db, 1, generator(9))[:, 0],
                         space="composite")
-    averages = [time_averaged_state(overlaps(s, initial, layout),
+    averages = [time_averaged_state(s.coefficients(initial, layout),
                                     EigenstateReductions(s.reductions(layout)), s,
-                                    allow_degenerate=True).matrix
+                                    allow_degenerate=True)
                 for s in (block, expanded)]
     assert _gap(*averages).max() <= TOL
-    populations = np.abs(overlaps(block, initial, layout)) ** 2
+    populations = np.abs(block.coefficients(initial, layout)) ** 2
     plain = np.einsum("n,nij->ij", populations,
                       EigenstateReductions(block.reductions(layout)).matrices)
     assert _gap(averages[0], plain).max() > 1e-3
     times = np.linspace(0.0, 50.0, 9)
-    paths = [evolve_reduced(overlaps(s, initial, layout), s, layout, times).states
+    paths = [evolve_reduced(s.coefficients(initial, layout), s, layout, times).states
              for s in (block, expanded)]
     assert _gap(*paths).max() <= TOL
 
@@ -465,12 +464,13 @@ def test_sectors_of_two_levels_match_their_dense_expansion(ds):
     assert sectors.sectors.shape == (4, 2 * ds, 2 * ds)
     rng = generator(ds)
     values = sample_amplitudes(layout.dim_total, 1, rng)[:, 0]
-    psi = sample_amplitudes(ds, 1, rng)[:, 0]
+    psi = PureState(sample_amplitudes(ds, 1, rng)[:, 0], space="system")
+    state = PureState(values)
     # the repeat across sectors 1 and 2 is no pair: only the one inside sector 0
     assert len(degenerate_level_pairs(sectors)) == 1
     times = np.linspace(0.0, 50.0, 300)
     readers = {
-        "coefficients": lambda s: s.coefficients(values, layout),
+        "coefficients": lambda s: s.coefficients(state, layout),
         "reductions": lambda s: s.reductions(layout),
         "whole space": lambda s: s.projection(layout).weights,
         "dephased_reduction": lambda s: s.dephased_reduction(values, layout),
@@ -481,7 +481,7 @@ def test_sectors_of_two_levels_match_their_dense_expansion(ds):
     for name, read in readers.items():
         assert _gap(read(sectors), read(dense)).max() <= TOL, name
     # the pair inside sector 0 keeps its coherence
-    plain = np.einsum("n,nij->ij", np.abs(sectors.coefficients(values, layout)) ** 2,
+    plain = np.einsum("n,nij->ij", np.abs(sectors.coefficients(state, layout)) ** 2,
                       sectors.reductions(layout))
     assert _gap(readers["dephased_reduction"](sectors), plain).max() > 1e-3
 
@@ -492,8 +492,8 @@ def test_product_subspace_without_a_prefix_takes_every_bath_level(kind):
     spectral = analytic_eigensystem(spec)
     if kind == "dense":
         spectral = _dense(spectral, spec.layout)
-    whole = spectral.projection(spec.layout, PLUS.amplitudes)
-    prefix = spectral.projection(spec.layout, PLUS.amplitudes, spec.dim_bath)
+    whole = spectral.projection(spec.layout, PLUS)
+    prefix = spectral.projection(spec.layout, PLUS, spec.dim_bath)
     assert whole.dim == spec.dim_bath
     assert np.array_equal(whole.weights, prefix.weights)
 
@@ -564,9 +564,10 @@ def test_one_sector_coefficients_conjugate_the_vector_not_the_eigenvectors():
     layout = SpaceLayout(2, 512)
     spectral = eigendecompose(gaussian_hermitian(layout.dim_total, generator(9)))
     values = sample_amplitudes(layout.dim_total, 1, generator(11))[:, 0]
+    state = PureState(values)
     tracemalloc.start()
     try:
-        coefficients = spectral.coefficients(values, layout)
+        coefficients = spectral.coefficients(state, layout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -582,9 +583,10 @@ def test_dense_product_projection_is_written_in_place():
     layout = SpaceLayout(3, 128)
     spectral = eigendecompose(gaussian_hermitian(layout.dim_total, generator(5)))
     psi = sample_amplitudes(3, 1, generator(7))[:, 0]
+    state = PureState(psi, space="system")
     tracemalloc.start()
     try:
-        matrix = spectral.projection(layout, psi).matrix
+        matrix = spectral.projection(layout, state).matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,7 +6,7 @@ import pytest
 
 from isibench import (CapExceededError, CompositeHamiltonian, EigenstateReductions,
                       PureState, SpaceLayout, Trajectory, ValidationError, eigendecompose,
-                      evolve_reduced, overlaps, purities, stratified_times,
+                      evolve_reduced, purities, stratified_times,
                       time_averaged_state, trace_distance, tensor_product,
                       write_trajectory_csv)
 from isibench.hilbert import SIGMA_Z, batched_trace_distances
@@ -24,7 +24,7 @@ def _evolution_problem(ds, db, seed):
     ham = random_hermitian(layout.dim_total, rng)
     spectral = eigendecompose(ham)
     state = PureState(random_state(layout.dim_total, rng), space="composite")
-    coeffs = overlaps(spectral, state, layout)
+    coeffs = spectral.coefficients(state, layout)
     return ham, layout, spectral, state, coeffs, rng
 
 
@@ -35,7 +35,7 @@ def _equilibration_metric(coeffs, spectral, layout, horizon, n_times, rng=None):
     equilibrium = time_averaged_state(coeffs, reductions, spectral)
     times = stratified_times(horizon, n_times, rng)
     states = evolve_reduced(coeffs, spectral, layout, times).states
-    return float(batched_trace_distances(states, equilibrium.matrix).mean())
+    return float(batched_trace_distances(states, equilibrium).mean())
 
 
 def _window_average(coeffs, spectral, layout, horizon):
@@ -85,7 +85,7 @@ class TestEvolveReduced:
         spectral = eigendecompose(ham)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
         phi = PureState(np.array([1.0]), space="bath")
-        coeffs = overlaps(spectral, tensor_product(psi, phi), ham.layout)
+        coeffs = spectral.coefficients(tensor_product(psi, phi), ham.layout)
         times = np.linspace(0.0, 10.0, 40)
         bloch = evolve_reduced(coeffs, spectral, ham.layout, times).bloch()
         assert np.abs(bloch[:, 2]).max() < 1e-12
@@ -98,7 +98,7 @@ class TestEvolveReduced:
         spectral = analytic_eigensystem(spec)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
         phi = PureState(random_state(16, rng), space="bath")
-        coeffs = overlaps(spectral, tensor_product(psi, phi), spec.layout)
+        coeffs = spectral.coefficients(tensor_product(psi, phi), spec.layout)
         times = np.linspace(0.0, 200.0, 400)
         trajectory = evolve_reduced(coeffs, spectral, spec.layout, times)
         values = purities(trajectory.states)
@@ -113,7 +113,7 @@ class TestEvolveReduced:
         spectral = analytic_eigensystem(spec)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
         phi = PureState(random_state(dim_bath, rng), space="bath")
-        coeffs = overlaps(spectral, tensor_product(psi, phi), spec.layout)
+        coeffs = spectral.coefficients(tensor_product(psi, phi), spec.layout)
         return coeffs, spectral, spec.layout, stratified_times(50.0, n_times, rng)
 
     # 300 times make blocks of 128, 128 and 44 rows at F = 512 Bohr
@@ -187,8 +187,8 @@ class TestStratifiedTimes:
 class TestEquilibrationMetric:
     def test_zero_for_an_energy_eigenstate(self):
         ham, layout, spectral, _, _, rng = _evolution_problem(2, 4, 23)
-        coeffs = overlaps(spectral, PureState(expand_sectors(spectral, layout)[:, 2],
-                                              space="composite"), layout)
+        coeffs = spectral.coefficients(PureState(expand_sectors(spectral, layout)[:, 2],
+                                                 space="composite"), layout)
         value = _equilibration_metric(coeffs, spectral, layout, horizon=25.0,
                                       n_times=64, rng=rng)
         assert value < 1e-12
@@ -209,7 +209,7 @@ class TestEquilibrationMetric:
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
         times = stratified_times(horizon, n_times)
         trajectory = evolve_reduced(coeffs, spectral, layout, times)
-        distances = [trace_distance(trajectory.states[k], equilibrium.matrix)
+        distances = [trace_distance(trajectory.states[k], equilibrium)
                      for k in range(n_times)]
         assert value == pytest.approx(np.mean(distances), abs=1e-12)
 
@@ -227,8 +227,8 @@ class TestFiniteTimeAverage:
     def test_eigenstate_average_is_stationary(self):
         ham, layout, spectral, _, _, _ = _evolution_problem(2, 4, 41)
         k = 3
-        coeffs = overlaps(spectral, PureState(expand_sectors(spectral, layout)[:, k],
-                                              space="composite"), layout)
+        coeffs = spectral.coefficients(PureState(expand_sectors(spectral, layout)[:, k],
+                                                 space="composite"), layout)
         reductions = EigenstateReductions(spectral.reductions(layout))
         rho = _window_average(coeffs, spectral, layout, horizon=7.7)
         assert np.abs(rho - reductions.matrices[k]).max() < 1e-12

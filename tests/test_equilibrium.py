@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from isibench import (DegenerateSpectrumError, DensityMatrix, PureState,
-                      SpaceLayout, ValidationError, batched_monte_carlo,
-                      delta, eigendecompose, haar_amplitudes,
-                      overlaps,
-                      sample_commuting_spec, subspace_projection, time_averaged_state,
-                      trace_distance, write_reductions_csv)
+from isibench import (DegenerateSpectrumError, PureState, SpaceLayout, ValidationError,
+                      batched_monte_carlo, delta, eigendecompose, haar_amplitudes,
+                      sample_commuting_spec, time_averaged_state, trace_distance,
+                      write_reductions_csv)
 from isibench.equilibrium import EigenstateReductions
 from isibench.hilbert import batched_bloch_vectors, weighted_sum
 from isibench.models import analytic_eigensystem
@@ -43,7 +41,7 @@ class TestOverlaps:
     def test_single_eigenvector(self):
         layout, spectral, _, _ = _random_problem(2, 4, 3)
         state = PureState(expand_sectors(spectral, layout)[:, 3], space="composite")
-        pops = np.abs(overlaps(spectral, state, layout)) ** 2
+        pops = np.abs(spectral.coefficients(state, layout)) ** 2
         assert pops[3] == pytest.approx(1.0, abs=1e-12)
         assert pops.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -51,22 +49,24 @@ class TestOverlaps:
         layout, spectral, _, _ = _random_problem(2, 4, 5)
         vectors = expand_sectors(spectral, layout)
         vec = (vectors[:, 1] + vectors[:, 2]) / math.sqrt(2)
-        pops = np.abs(overlaps(spectral, PureState(vec, space="composite"), layout)) ** 2
+        pops = np.abs(spectral.coefficients(PureState(vec, space="composite"), layout)) ** 2
         assert pops[1] == pytest.approx(0.5, abs=1e-12)
         assert pops[2] == pytest.approx(0.5, abs=1e-12)
 
     def test_returns_a_read_only_vector(self):
         layout, spectral, _, rng = _random_problem(2, 4, 9)
         state = PureState(random_state(8, rng), space="composite")
-        coeffs = overlaps(spectral, state, layout)
+        coeffs = spectral.coefficients(state, layout)
         assert coeffs.shape == (8,) and not coeffs.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             coeffs[0] = 0.0
 
     def test_rejects_factor_space_state(self):
         layout, spectral, _, _ = _random_problem(2, 2, 7)
-        with pytest.raises(ValidationError):
-            overlaps(spectral, PureState(np.array([1.0, 0.0]), space="system"), layout)
+        with pytest.raises(ValidationError, match="must be composite, got 'system'"):
+            spectral.coefficients(PureState(np.array([1.0, 0.0]), space="system"), layout)
+        with pytest.raises(ValidationError, match="state dim 2 != spectral dim 4"):
+            spectral.coefficients(PureState(np.array([1.0, 0.0])), layout)
 
 
 class TestEigenstateReductions:
@@ -135,16 +135,16 @@ class TestTimeAveragedState:
     def test_eigenvector_input_returns_its_reduction(self):
         layout, spectral, reductions, _ = _random_problem(2, 6, 29)
         k = 5
-        coeffs = overlaps(spectral, PureState(expand_sectors(spectral, layout)[:, k],
-                                              space="composite"), layout)
+        coeffs = spectral.coefficients(PureState(expand_sectors(spectral, layout)[:, k],
+                                                 space="composite"), layout)
         rho = time_averaged_state(coeffs, reductions, spectral)
-        assert trace_distance(rho, DensityMatrix(reductions.matrices[k])) < 1e-12
+        assert trace_distance(rho, reductions.matrices[k]) < 1e-12
 
     def test_uniform_coefficients_give_maximally_mixed(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 31)
         d = layout.dim_total
         vec = expand_sectors(spectral, layout).sum(axis=1) / math.sqrt(d)
-        coeffs = overlaps(spectral, PureState(vec, space="composite"), layout)
+        coeffs = spectral.coefficients(PureState(vec, space="composite"), layout)
         rho = time_averaged_state(coeffs, reductions, spectral)
         assert trace_distance(rho, maximally_mixed(2)) < 1e-10
 
@@ -154,7 +154,7 @@ class TestTimeAveragedState:
                                 np.eye(4, dtype=complex)[None])
         reductions = EigenstateReductions(spectral.reductions(layout))
         state = PureState(random_state(4, np.random.default_rng(37)), space="composite")
-        coeffs = overlaps(spectral, state, layout)
+        coeffs = spectral.coefficients(state, layout)
         with pytest.raises(DegenerateSpectrumError, match=r"\(0, 1\)"):
             time_averaged_state(coeffs, reductions, spectral)
 
@@ -168,20 +168,22 @@ class TestTimeAveragedState:
                                 np.eye(4, dtype=complex)[None])
         reductions = EigenstateReductions(spectral.reductions(layout))
         amps = random_state(4, np.random.default_rng(41))
-        coeffs = overlaps(spectral, PureState(amps, space="composite"), layout)
+        coeffs = spectral.coefficients(PureState(amps, space="composite"), layout)
         rho = time_averaged_state(coeffs, reductions, spectral, allow_degenerate=True)
         pops = np.abs(amps) ** 2
         expected = np.diag([pops[0] + pops[1], pops[2] + pops[3]])
-        assert np.abs(rho.matrix - expected).max() < 1e-12
+        assert np.abs(rho - expected).max() < 1e-12
+        assert not rho.flags.writeable
 
     def test_allow_degenerate_is_inert_on_clean_spectra(self):
         layout, spectral, reductions, rng = _random_problem(2, 4, 43)
         state = PureState(random_state(8, rng), space="composite")
-        coeffs = overlaps(spectral, state, layout)
+        coeffs = spectral.coefficients(state, layout)
         plain = time_averaged_state(coeffs, reductions, spectral)
         tolerant = time_averaged_state(coeffs, reductions, spectral,
                                        allow_degenerate=True)
-        assert np.array_equal(plain.matrix, tolerant.matrix)
+        assert np.array_equal(plain, tolerant)
+        assert plain.shape == (2, 2) and not plain.flags.writeable
 
 
 class TestSubspaceProjection:
@@ -195,14 +197,14 @@ class TestSubspaceProjection:
         prefix = 3 if subspace.startswith("bath_prefix") else None
         if subspace == "full":
             # grouped in the eigenbasis B = V, where W = V^H V, kept as |W|
-            projection = projection_matrix(subspace_projection(spectral, layout),
+            projection = projection_matrix(spectral.projection(layout),
                                            layout.dim_total)
             vectors = expand_sectors(spectral, layout)
             expected = np.abs(vectors.conj().T @ vectors)
         else:
             projection = projection_matrix(
-                subspace_projection(spectral, layout, PureState(psi, space="system"),
-                                    prefix), layout.dim_total)
+                spectral.projection(layout, PureState(psi, space="system"), prefix),
+                layout.dim_total)
             expected = kron_projection(expand_sectors(spectral, layout), psi, prefix)
         assert projection.shape == expected.shape
         assert np.abs(projection - expected).max() <= 1e-14
@@ -211,11 +213,13 @@ class TestSubspaceProjection:
         layout, spectral, _, _ = _random_problem(2, 4, 157)
         qutrit = PureState(np.array([1.0, 0.0, 0.0]), space="system")
         plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
-        with pytest.raises(ValidationError):
-            subspace_projection(spectral, layout, qutrit)
+        with pytest.raises(ValidationError, match="psi must be a system state"):
+            spectral.projection(layout, qutrit)
+        with pytest.raises(ValidationError, match="psi must be a system state"):
+            spectral.projection(layout, PureState(np.array([1.0, 0.0])))
         for prefix in (0, 5):
-            with pytest.raises(ValidationError):
-                subspace_projection(spectral, layout, plus, prefix)
+            with pytest.raises(ValidationError, match=rf"bath subspace dim {prefix} outside"):
+                spectral.projection(layout, plus, prefix)
 
 
 class TestDelta:
@@ -228,7 +232,7 @@ class TestDelta:
 
     def test_full_space_averages_purities(self):
         layout, spectral, reductions, _ = _random_problem(2, 6, 53)
-        value = delta(reductions, subspace_projection(spectral, layout))
+        value = delta(reductions, spectral.projection(layout))
         assert value == pytest.approx(reductions.purities.mean(), abs=1e-12)
 
     def test_lower_bound_attained_by_mixed_reductions(self):
@@ -238,7 +242,7 @@ class TestDelta:
                                 np.eye(4, dtype=complex)[None])
         mats = np.broadcast_to(np.eye(2, dtype=complex) / 2, (4, 2, 2)).copy()
         reductions = EigenstateReductions(matrices=mats)
-        projection = subspace_projection(spectral, layout)
+        projection = spectral.projection(layout)
         assert delta(reductions, projection) == pytest.approx(0.5, abs=1e-15)
 
     def test_commuting_model_saturates_upper_bound(self):
@@ -247,20 +251,20 @@ class TestDelta:
         spectral = analytic_eigensystem(spec)
         reductions = EigenstateReductions(spectral.reductions(spec.layout))
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
-        projection = subspace_projection(spectral, spec.layout, psi)
+        projection = spectral.projection(spec.layout, psi)
         assert delta(reductions, projection) == pytest.approx(1.0, abs=1e-10)
 
     def test_range_on_random_draws(self):
         for seed in (61, 67, 71):
             layout, spectral, reductions, rng = _random_problem(2, 8, seed)
             psi = PureState(random_state(2, rng), space="system")
-            value = delta(reductions, subspace_projection(spectral, layout, psi))
+            value = delta(reductions, spectral.projection(layout, psi))
             assert 0.5 - 1e-12 <= value <= 1.0 + 1e-12
 
     def test_weights_are_a_distribution(self):
         layout, spectral, _, rng = _random_problem(2, 8, 73)
         psi = PureState(random_state(2, rng), space="system")
-        w = subspace_projection(spectral, layout, psi, 3).weights
+        w = spectral.projection(layout, psi, 3).weights
         assert np.all(w >= -1e-15)
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -285,7 +289,7 @@ class TestBathAveragedEquilibrium:
         psi = PureState(random_state(2, rng), space="system")
         closed = bath_averaged_equilibrium(psi.amplitudes, reductions.matrices,
                                            layout.dim_bath)
-        via_weights = subspace_averaged_equilibrium(subspace_projection(spectral, layout, psi),
+        via_weights = subspace_averaged_equilibrium(spectral.projection(layout, psi),
                                                     reductions.matrices)
         assert np.abs(closed - via_weights).max() < 1e-12
 
@@ -348,13 +352,13 @@ class TestFullAverage:
     def test_full_average_is_maximally_mixed(self):
         # completeness of the eigenbasis makes the full-space average I/dS
         layout, spectral, reductions, _ = _random_problem(3, 5, 131)
-        rho = subspace_averaged_equilibrium(subspace_projection(spectral, layout),
+        rho = subspace_averaged_equilibrium(spectral.projection(layout),
                                             reductions.matrices)
         assert np.abs(rho - np.eye(3) / 3).max() < 1e-12
 
     def test_full_subspace_average_matches(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 137)
-        rho = subspace_averaged_equilibrium(subspace_projection(spectral, layout),
+        rho = subspace_averaged_equilibrium(spectral.projection(layout),
                                             reductions.matrices)
         assert trace_distance(rho, maximally_mixed(layout.dim_system)) < 1e-10
 

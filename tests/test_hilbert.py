@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isibench import (DensityMatrix, PureState, SpaceLayout, SpectralData, ValidationError,
+from isibench import (PureState, SpaceLayout, SpectralData, ValidationError,
                       batched_bloch_vectors, purities, tensor_product, trace_distance)
 from isibench.hilbert import (SIGMA_X, SIGMA_Y, SIGMA_Z, batched_trace_distances,
                               check_density_stack)
@@ -13,6 +13,11 @@ from _oracles import (batched_partial_trace_bath, density_from_bloch, maximally_
                       partial_trace_system, ptrace_bath_loop, ptrace_system_loop,
                       random_density, random_density_factor, random_hermitian,
                       random_state)
+
+
+def _check_density(mat):
+    """The check of a single density matrix, as time_averaged_state runs it."""
+    check_density_stack("density matrix", np.asarray(mat, dtype=complex)[None])
 
 
 class TestLayout:
@@ -36,15 +41,15 @@ class TestStates:
 
     def test_density_requires_unit_trace(self):
         with pytest.raises(ValidationError):
-            DensityMatrix(np.eye(2))
+            _check_density(np.eye(2))
 
     def test_density_requires_hermitian(self):
         with pytest.raises(ValidationError):
-            DensityMatrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))
+            _check_density(np.array([[0.5, 0.5], [-0.5, 0.5]]))
 
     def test_density_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError):
-            DensityMatrix(np.diag([1.5, -0.5]))
+            _check_density(np.diag([1.5, -0.5]))
 
     @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 1)])
     def test_density_stack_with_a_nan_entry_is_refused(self, cell):
@@ -53,7 +58,7 @@ class TestStates:
         with pytest.raises(ValidationError):
             check_density_stack("stack", stack, positive=False)
         with pytest.raises(ValidationError):
-            DensityMatrix(stack[1])
+            _check_density(stack[1])
 
     def test_density_stack_check_holds_one_block_of_temporaries(self):
         """(2^18, 2, 2) states, 16 MiB: the checks work through the stack in
@@ -153,8 +158,8 @@ class TestPartialTraces:
         rng = np.random.default_rng(29)
         for _ in range(10):
             factor = random_density_factor(12, rng)
-            DensityMatrix(batched_partial_trace_bath(factor, layout).sum(axis=0))
-            DensityMatrix(partial_trace_system(factor @ factor.conj().T, 2, 6))
+            _check_density(batched_partial_trace_bath(factor, layout).sum(axis=0))
+            _check_density(partial_trace_system(factor @ factor.conj().T, 2, 6))
 
     def test_rejects_columns_of_another_dimension(self):
         # the package traces out the bath only from eigenvectors
@@ -165,12 +170,11 @@ class TestPartialTraces:
 
 class TestTraceDistance:
     def test_orthogonal_pure_states(self):
-        a = DensityMatrix(np.diag([1.0, 0.0]))
-        b = DensityMatrix(np.diag([0.0, 1.0]))
+        a, b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         assert trace_distance(a, b) == pytest.approx(2.0)
 
     def test_identical_states(self):
-        rho = DensityMatrix(random_density(4, np.random.default_rng(3)))
+        rho = random_density(4, np.random.default_rng(3))
         assert trace_distance(rho, rho) == 0.0
 
     def test_bloch_axes_give_sqrt_two(self):
@@ -181,7 +185,7 @@ class TestTraceDistance:
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
-            a, b, c = (DensityMatrix(random_density(3, rng)) for _ in range(3))
+            a, b, c = (random_density(3, rng) for _ in range(3))
             assert trace_distance(a, b) == trace_distance(b, a)
             assert (trace_distance(a, c)
                     <= trace_distance(a, b) + trace_distance(b, c) + 1e-10)
@@ -254,7 +258,7 @@ class TestBloch:
         assert tuple(_bloch(maximally_mixed(2))) == (0.0, 0.0, 0.0)
 
     def test_z_convention(self):
-        assert tuple(_bloch(DensityMatrix(np.diag([1.0, 0.0])).matrix)) == \
+        assert tuple(_bloch(np.diag([1.0, 0.0]))) == \
             pytest.approx((0.0, 0.0, 1.0))
 
     def test_round_trip_fixed_vector(self):
@@ -264,14 +268,15 @@ class TestBloch:
     def test_round_trip_random_states(self):
         rng = np.random.default_rng(53)
         for _ in range(30):
-            rho = DensityMatrix(random_density(2, rng))
-            back = density_from_bloch(_bloch(rho.matrix))
-            assert np.abs(back - rho.matrix).max() < 1e-12
+            rho = random_density(2, rng)
+            _check_density(rho)
+            back = density_from_bloch(_bloch(rho))
+            assert np.abs(back - rho).max() < 1e-12
 
     def test_rejects_vector_outside_sphere(self):
         # |p| <= 1 is the positivity of (1 + p.sigma)/2
         with pytest.raises(ValidationError, match="positive semidefinite"):
-            DensityMatrix(density_from_bloch((1.0, 1.0, 0.0)))
+            _check_density(density_from_bloch((1.0, 1.0, 0.0)))
 
     def test_pauli_expectations(self):
         rho = density_from_bloch((0.2, 0.3, -0.1))

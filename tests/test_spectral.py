@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from isibench import (CapExceededError, ConfigError, SpaceLayout, ValidationError,
+from isibench import (CapExceededError, ConfigError, PureState, SpaceLayout, ValidationError,
                       degenerate_level_pairs, eigendecompose, read_matrix,
                       write_matrix)
 from isibench import spectral
-from isibench.hilbert import SIGMA_X, SIGMA_Z, blocked_max
+from isibench.hilbert import SIGMA_X, SIGMA_Z, blocked_max, dense_blocks
 from isibench.models import build_random_model
 from isibench.spectral import CompositeHamiltonian, SpectralData
 
@@ -272,12 +272,15 @@ class TestDenseSolver:
         assert np.abs(evals - reference).max() <= 1e-12 * np.abs(reference).max()
         assert np.array_equal(eigendecompose(mat).eigenvalues, evals)
 
-    @pytest.mark.parametrize("solver, status", [("stub", 2), ("zheevr", -6)])
-    def test_a_nonzero_status_raises_linalg_error(self, monkeypatch, solver, status):
+    @pytest.mark.parametrize("solver, status, change", [
+        ("stub", 2, None), ("zheevr", -6, None), ("stub", 2, "real"), ("stub", 2, "-0.0j")],
+        ids=["stub-2", "zheevr--6", "stub-2-real", "stub-2--0.0j"])
+    def test_a_nonzero_status_raises_linalg_error(self, monkeypatch, solver, status, change):
         """A stub solver's status 2, or LAPACKE's -6 for a NaN in H, its
         argument 6, which LAPACKE checks before zheevr runs; H, its NaN
-        included, comes back bit for bit either way."""
-        mat = self._hermitian(spectral.MRRR_MIN_DIM)
+        included, comes back bit for bit either way, and so does a real H or
+        one with a -0.0 imaginary part below the diagonal (``_asymmetric``)."""
+        mat = self._asymmetric(self._hermitian(spectral.MRRR_MIN_DIM), change)
         if solver == "stub":
             monkeypatch.setattr(spectral, "_zheevr", lambda: lambda *args: status)
         else:
@@ -302,16 +305,33 @@ class TestDenseSolver:
 
     @staticmethod
     def _asymmetric(mat, change):
-        """``mat`` with one entry below the diagonal no longer the bitwise
-        conjugate of its mirror: moved by 1e-12, or a pair of zeros whose
-        lower one is -0.0."""
-        if change == "1e-12":
+        """``mat`` changed in place: its real part alone, whose zero imaginary
+        parts are +0.0 on both sides of the diagonal, or with one entry below
+        the diagonal no longer the bitwise conjugate of its mirror: moved by
+        1e-12, or a pair of zeros whose lower one has a real or an imaginary
+        part of -0.0."""
+        if change == "real":
+            mat.imag = 0.0
+        elif change == "1e-12":
             mat[5, 3] += 1e-12
         elif change == "-0.0":
             mat[3, 5], mat[5, 3] = 0.0, complex(-0.0, 0.0)
+        elif change == "-0.0j":
+            mat[3, 5], mat[5, 3] = 0.0, complex(0.0, -0.0)
         return mat
 
-    @pytest.mark.parametrize("change", [None, "1e-12", "-0.0"])
+    @pytest.mark.parametrize("change, mirrored", [(None, True), ("real", True),
+                                                  ("1e-12", False), ("-0.0", False),
+                                                  ("-0.0j", False)])
+    def test_a_block_is_mirrored_when_its_lower_part_can_be_rebuilt(self, change, mirrored):
+        """A real-valued H holds +0.0 imaginary parts on both sides of the
+        diagonal, so every block of it is mirrored and the solve copies none;
+        a -0.0 below the diagonal is not rebuilt from the +0.0 above it, so
+        its block is saved."""
+        mat = self._asymmetric(self._hermitian(spectral.MRRR_MIN_DIM + 8), change)
+        assert [spectral._mirrored(mat, rows) for rows in dense_blocks(len(mat))] == [mirrored]
+
+    @pytest.mark.parametrize("change", [None, "real", "1e-12", "-0.0", "-0.0j"])
     def test_mrrr_works_in_place_and_hands_the_input_back_bit_for_bit(self, monkeypatch,
                                                                       change):
         self._require_mrrr()
@@ -369,9 +389,10 @@ class TestEnergiesOutOfOrder:
         assert np.array_equal(data.eigenvalues, twin.eigenvalues)
         assert np.all(np.diff(data.eigenvalues) >= 0)
         amplitudes = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        state = PureState(amplitudes / np.linalg.norm(amplitudes))
         times = np.linspace(0.0, 20.0, 9)
-        assert np.abs(data.coefficients(amplitudes, layout)
-                      - twin.coefficients(amplitudes, layout)).max() < 1e-15
+        assert np.abs(data.coefficients(state, layout)
+                      - twin.coefficients(state, layout)).max() < 1e-15
         assert np.array_equal(data.reductions(layout), twin.reductions(layout))
         assert np.abs(data.evolved_reductions(amplitudes, times, layout)
                       - twin.evolved_reductions(amplitudes, times, layout)).max() < 1e-14

@@ -10,7 +10,7 @@ from isibench import (CONCENTRATION_RATE, THEOREM_IDS, PureState, SpaceLayout,
                       concentration_tail, eigendecompose,
                       epsilon_prime, necessary_condition_lhs,
                       necessary_condition_reports, popescu_report,
-                      read_report, recompute_rhs, subspace_projection,
+                      read_report, recompute_rhs,
                       sufficient_condition_report, theorem0_reports,
                       theorem0_rhs, theorem2_lhs, theorem2_reports,
                       write_report)
@@ -153,7 +153,7 @@ class TestTheorem0Sampling:
     def test_commuting_subspace_mean_respects_bound(self):
         spec, spectral, reductions, rng = _commuting_problem(64, 7)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
-        projection = subspace_projection(spectral, spec.layout, psi)
+        projection = spectral.projection(spec.layout, psi)
         report = theorem0_reports(
             projection, spectral, reductions, 0.05, n_samples=400, seed=11)[0]
         strong, _ = theorem0_rhs(2, 64, 1.0)
@@ -161,7 +161,7 @@ class TestTheorem0Sampling:
 
     def test_random_model_full_space_mean_respects_bound(self):
         layout, spectral, reductions, rng = _random_problem(2, 16, 13)
-        projection = subspace_projection(spectral, layout)
+        projection = spectral.projection(layout)
         from isibench import delta as delta_fn
         delta_value = delta_fn(reductions, projection)
         strong, _ = theorem0_rhs(2, 32, delta_value)
@@ -169,10 +169,19 @@ class TestTheorem0Sampling:
             projection, spectral, reductions, 0.05, n_samples=400, seed=17)[0]
         assert report.lhs <= strong + 3.0 * report.parameters["lhs_standard_error"]
 
+    def test_a_reference_state_of_another_trace_is_refused(self):
+        # rows of W that are no orthonormal basis: weights summing to 1.2 keep
+        # delta in [1/dS, 1], so only the check of the reference state refuses
+        layout, spectral, reductions, _ = _random_problem(2, 16, 13)
+        psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
+        scaled = DenseProjection(math.sqrt(1.2) * spectral.projection(layout, psi).matrix)
+        with pytest.raises(ValidationError, match="density matrix trace deviates"):
+            theorem0_reports(scaled, spectral, reductions, 0.05, n_samples=16, seed=5)
+
     def test_tail_frequency_zero_beyond_range(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 19)
         report = theorem0_reports(
-            subspace_projection(spectral, layout), spectral, reductions, epsilon=2.0,
+            spectral.projection(layout), spectral, reductions, epsilon=2.0,
             n_samples=64, seed=23)[1]
         assert report.lhs == 0.0
         assert report.rhs == pytest.approx(concentration_tail(16, 2.0))
@@ -180,7 +189,7 @@ class TestTheorem0Sampling:
     def test_tail_respects_nonvacuous_bound(self):
         layout, spectral, reductions, _ = _random_problem(2, 128, 29)
         report = theorem0_reports(
-            subspace_projection(spectral, layout), spectral, reductions, epsilon=1.5,
+            spectral.projection(layout), spectral, reductions, epsilon=1.5,
             n_samples=200, seed=31)[1]
         assert report.rhs < 1.0
         assert report.lhs <= report.rhs
@@ -306,7 +315,7 @@ def _batched_problem(ds, db, subspace):
     psi = None if subspace == "full" else random_state(ds, rng)
     prefix = 5 if subspace.startswith("bath_prefix") else None
     state = None if psi is None else PureState(psi, space="system")
-    projection = subspace_projection(spectral, layout, state, prefix)
+    projection = spectral.projection(layout, state, prefix)
     return (layout, spectral, reductions, projection), kron_basis(layout.dim_total, psi,
                                                                   prefix)
 
@@ -499,7 +508,7 @@ class TestReports:
         # "n_streams"; the audit reads it as one more parameter
         layout, spectral, reductions, _ = _random_problem(2, 8, 107)
         report = theorem0_reports(
-            subspace_projection(spectral, layout), spectral, reductions, 0.05,
+            spectral.projection(layout), spectral, reductions, 0.05,
             n_samples=20, seed=7)[0]
         assert "n_streams" not in report.parameters
         payload = json.loads(report.to_json())
@@ -514,7 +523,7 @@ class TestReports:
     def test_mean_report_parameters_reproduce_rhs(self):
         layout, spectral, reductions, _ = _random_problem(2, 16, 103)
         report = theorem0_reports(
-            subspace_projection(spectral, layout), spectral, reductions, 0.05,
+            spectral.projection(layout), spectral, reductions, 0.05,
             n_samples=100, seed=7)[0]
         assert report.theorem_id == "T0i"
         assert recompute_rhs("T0i", report.parameters) == pytest.approx(report.rhs,
@@ -525,7 +534,7 @@ class TestReports:
     def test_tail_report_is_vacuous_at_small_dimension(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 107)
         report = theorem0_reports(
-            subspace_projection(spectral, layout), spectral, reductions, epsilon=0.1,
+            spectral.projection(layout), spectral, reductions, epsilon=0.1,
             n_samples=64, seed=9)[1]
         assert report.verdict == "vacuous"
         assert report.rhs > 1.0
