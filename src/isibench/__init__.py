@@ -33,8 +33,8 @@ from .hilbert import (PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState, SpaceLayout,
 from .models import (CommutingModelSpec, analytic_eigensystem, bit_signs,
                      build_cucchietti_bath, build_random_model, commuting_norms,
                      gaussian_hermitian, sample_commuting_spec, sample_cucchietti_spec)
-from .sampling import (batched_monte_carlo, dirichlet_weights, generator,
-                       haar_amplitudes, induced_states, sample_amplitudes)
+from .sampling import (dirichlet_weights, generator, induced_states, sample_amplitudes,
+                       sampled_distances)
 from .spectral import (CompositeHamiltonian, DenseProjection, GroupedProjection,
                        SpectralData, degenerate_level_pairs, eigendecompose, read_matrix,
                        write_csv, write_matrix)

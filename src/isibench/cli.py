@@ -67,7 +67,8 @@ from .models import (CommutingModelSpec, analytic_eigensystem, build_random_mode
 from .sampling import generator, sample_amplitudes
 from .spectral import (STACK_ELEMENT_CAP, CompositeHamiltonian, DenseProjection,
                        GroupedProjection, SpectralData, eigendecompose, evolve_on_one_thread,
-                       read_matrix, read_text, require_count_fits, require_fits, write_csv)
+                       read_matrix, read_text, require_count_fits, require_fits, usable_cpus,
+                       write_csv)
 from .theorems import (THEOREM_IDS, THEOREMS, TheoremReport, necessary_condition_reports,
                        popescu_report, sufficient_condition_report, theorem0_reports,
                        theorem2_lhs, theorem2_reports, write_report)
@@ -893,11 +894,16 @@ def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
     parameter, n_draws = config.sweep_parameter, config.sweep_draws
     cast = CONFIG_KEYS[f"model.{parameter}"].parse  # checked on values in _check_sweep
     values = sorted(config.sweep_values)
+    cells = len(values) * len(config.sweep_metrics)  # of the (points, metrics, draws) array
+    if cells * n_draws > STACK_ELEMENT_CAP:
+        raise CapExceededError(f"sweep.draws * points * metrics = {n_draws} * {cells} exceeds "
+                               f"{STACK_ELEMENT_CAP}; set sweep.draws to at most "
+                               f"{STACK_ELEMENT_CAP // cells}")
     # One task per draw, point-major, so that the pool balances unequal points.
     varied = [replace(config, **{parameter: cast(value)}) for value in values]
     tasks = [(varied[point], point, draw)
              for point in range(len(values)) for draw in range(n_draws)]
-    jobs = min(args.jobs, len(tasks))
+    jobs = min(args.jobs, len(tasks), usable_cpus())
     if jobs == 1:
         samples = [_draw_metrics(task) for task in tasks]
     else:

@@ -80,7 +80,7 @@ import numpy as np
 from .errors import CapExceededError, ConfigError, ValidationError
 from .hilbert import (DENSE_BLOCK, PureState, SpaceLayout, blocked_max, dense_blocks,
                       weighted_sum)
-from .sampling import Draw, dirichlet_weights, haar_amplitudes
+from .sampling import dirichlet_weights, sample_amplitudes
 
 HAMILTONIAN_ASYMMETRY = 1e-10  # max |H - H^dagger| accepted on assembly
 UNITARITY = 1e-10              # max |V^dagger V - I| for eigenvector matrices
@@ -110,14 +110,18 @@ def evolve_on_one_thread() -> None:
     _evolution_threads = 1
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def _on_threads(work: Callable[[int, int], None], tasks: int) -> None:
     """work(k, w) for k < w, on w = min(CPUs, tasks) threads, the calling
     thread being worker 0 (w = 1 runs inline).  Helpers run in copies of the
     caller's context, so numpy's errstate holds in them too; every worker
     ends before this returns, and the first error of a helper is raised here."""
-    cpus = _evolution_threads or (len(os.sched_getaffinity(0))
-                                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    workers = max(1, min(cpus, tasks))
+    workers = max(1, min(_evolution_threads or usable_cpus(), tasks))
     errors: list[BaseException] = []
 
     def guarded(k: int) -> None:
@@ -207,10 +211,10 @@ def _require_hermitian(name: str, mat: np.ndarray) -> np.ndarray:
 # Padding every chunk to whole blocks of this many rows keeps them the same.
 _GEMM_ROW_BLOCK = 8
 
-# A T0 sampler: the draw of the states of a subspace, the length of its
-# per-sample rows, and the map from a chunk of draws to their (count, dS, dS)
-# equilibrium states.
-Sampler = tuple[Draw, int, Callable[[np.ndarray], np.ndarray]]
+# A T0 sampler: the length of the longest per-sample row its draw builds, and
+# the draw itself, which hands out the (count, dS, dS) equilibrium states of
+# the next ``count`` Haar-uniform states of a subspace.
+Sampler = tuple[int, Callable[[int], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -234,11 +238,11 @@ class DenseProjection:
         padded = np.pad(rows, ((0, -len(rows) % _GEMM_ROW_BLOCK), (0, 0)))
         return np.abs((padded @ self.matrix)[:len(rows)]) ** 2
 
-    def sampler(self, matrices: np.ndarray) -> Sampler:
-        """Haar-uniform amplitudes a of R, whose equilibrium states are
-        sum_n |(a^H W)_n|^2 rho_n for the (d, dS, dS) eigenstate reductions."""
-        return (haar_amplitudes(self.dim), self.matrix.shape[1],
-                lambda amplitudes: weighted_sum(self.populations(amplitudes), matrices))
+    def sampler(self, matrices: np.ndarray, rng: np.random.Generator) -> Sampler:
+        """Haar-uniform amplitudes a of R from ``rng``, whose equilibrium states
+        are sum_n |(a^H W)_n|^2 rho_n for the (d, dS, dS) eigenstate reductions."""
+        return (self.matrix.shape[1], lambda count: weighted_sum(
+            self.populations(sample_amplitudes(self.dim, count, rng)), matrices))
 
 
 @dataclass(frozen=True)
@@ -269,11 +273,11 @@ class GroupedProjection:
             stack += self.shares[:, j, None, None] * matrices[self.members[:, j]]
         return stack
 
-    def sampler(self, matrices: np.ndarray) -> Sampler:
-        """Dirichlet weights w, whose equilibrium states are sum_r w_r M_r."""
+    def sampler(self, matrices: np.ndarray, rng: np.random.Generator) -> Sampler:
+        """Dirichlet weights w from ``rng``, whose equilibrium states are sum_r w_r M_r."""
         stack = self.stack(matrices)
-        return (dirichlet_weights(self.dim), self.dim,
-                lambda weights: weighted_sum(weights, stack))
+        return self.dim, lambda count: weighted_sum(dirichlet_weights(self.dim, count, rng),
+                                                    stack)
 
 
 @dataclass(frozen=True)

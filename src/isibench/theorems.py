@@ -39,9 +39,9 @@ from .equilibrium import EigenstateReductions, delta, require_nondegenerate
 from .errors import ValidationError
 # trace_distance is kept importable from here: the benchmark's tracer test
 # looks it up under this module.
-from .hilbert import (SpaceLayout, batched_trace_distances, check_density_stack,  # noqa: F401
-                      trace_distance, weighted_sum)
-from .sampling import batched_monte_carlo, generator, induced_states, sample_amplitudes
+from .hilbert import (SpaceLayout, check_density_stack, trace_distance,  # noqa: F401
+                      weighted_sum)
+from .sampling import generator, induced_states, sample_amplitudes, sampled_distances
 from .spectral import DenseProjection, GroupedProjection, SpectralData, require_count_fits
 
 # Concentration rate constant of the Levy-type tail bounds, 1/(18 pi^3).
@@ -428,13 +428,8 @@ def theorem0_reports(projection: DenseProjection | GroupedProjection,
     threshold = strong + epsilon
     reference = weighted_sum(projection.weights, reductions.matrices)
     check_density_stack("density matrix", reference[None])
-    draw, width, states_of = projection.sampler(reductions.matrices)
-
-    def values(draws: np.ndarray) -> np.ndarray:
-        distances = batched_trace_distances(states_of(draws), reference)
-        return np.stack([distances, (distances > threshold).astype(float)], axis=1)
-
-    mean, se = batched_monte_carlo(values, draw, width, n_samples, seed)
+    width, states_of = projection.sampler(reductions.matrices, generator(seed))
+    mean, se = sampled_distances(states_of, width, reference, threshold, n_samples)
     base = {"dS": ds, "dR": dim_r, "delta": delta_value, "n_samples": n_samples,
             "seed": seed}
     return (TheoremReport("T0i", mean[0], {**base, "lhs_standard_error": se[0],
@@ -509,15 +504,11 @@ def popescu_report(layout: SpaceLayout, epsilon: float, n_samples: int,
     ds, db = layout.dim_system, layout.dim_bath
     require_count_fits("analysis.n_samples", n_samples, ds)
     threshold = math.sqrt(ds / db) + epsilon
-    mixed = np.eye(ds) / ds
-
-    def values(states: np.ndarray) -> np.ndarray:
-        return (batched_trace_distances(states, mixed) > threshold).astype(float)
-
-    mean, se = batched_monte_carlo(values, induced_states(ds, db), ds * ds, n_samples, seed)
-    return TheoremReport("Popescu", mean, {
+    mean, se = sampled_distances(induced_states(ds, db, generator(seed)), ds * ds,
+                                 np.eye(ds) / ds, threshold, n_samples)
+    return TheoremReport("Popescu", mean[1], {
         "dS": ds, "dB": db, "epsilon": epsilon,
         "distance_threshold": threshold, "c": CONCENTRATION_RATE,
         "n_samples": n_samples, "seed": seed,
-        "lhs_standard_error": se,
+        "lhs_standard_error": se[1],
     })

@@ -229,6 +229,15 @@ def stream_generators(seed, n_streams):
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
+def mean_and_standard_error(values):
+    """The mean over the first axis of (n, ...) real or complex values, and
+    the standard error of each component, sqrt(sum |x - mean|^2 / ((n - 1) n))."""
+    values = np.asarray(values)
+    n = len(values)
+    mean = values.mean(axis=0)
+    return mean, np.sqrt((np.abs(values - mean) ** 2).sum(axis=0) / (n - 1) / n)
+
+
 def naive_distance_estimate(state_of, reference, draw, n_samples, seed, threshold=None):
     """Mean and standard error of the trace distance of state_of(sample) to reference.
 

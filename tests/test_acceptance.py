@@ -17,7 +17,7 @@ from isibench.equilibrium import EigenstateReductions, delta, time_averaged_stat
 from isibench.hilbert import (PureState, SpaceLayout, batched_trace_distances,
                               tensor_product, trace_distance)
 from isibench.models import analytic_eigensystem, build_random_model, sample_commuting_spec
-from isibench.sampling import batched_monte_carlo, haar_amplitudes, sample_amplitudes
+from isibench.sampling import generator, sample_amplitudes
 from isibench.spectral import eigendecompose
 from isibench.theorems import (CONCENTRATION_RATE, concentration_tail,
                                THEOREMS, epsilon_prime,
@@ -30,7 +30,8 @@ from isibench.theorems import (CONCENTRATION_RATE, concentration_tail,
 
 from _oracles import (batched_partial_trace_bath, bath_averaged_equilibrium,
                       build_commuting_model, expand_sectors,
-                      finite_time_average, mp_concentration_tail, mp_epsilon_prime,
+                      finite_time_average, mean_and_standard_error,
+                      mp_concentration_tail, mp_epsilon_prime,
                       mp_theorem0_strong, partial_trace_system, ptrace_bath_loop,
                       ptrace_system_loop, random_density_factor, random_state,
                       stream_generators)
@@ -182,8 +183,8 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
 
     closed = bath_averaged_equilibrium(PLUS.amplitudes, matrices, 16)
     plus = PLUS.amplitudes[:, None]
-    mean, se = batched_monte_carlo(lambda bath: rho_bar(plus, bath), haar_amplitudes(16),
-                                   32, 10_000, seed=42)
+    mean, se = mean_and_standard_error(rho_bar(plus, sample_amplitudes(16, 10_000,
+                                                                      generator(42))))
     gap = np.abs(mean - closed)
     if not np.all(gap <= 3.0 * se + 1e-15):
         failures.append(f"bath average misses the closed form by "
@@ -196,7 +197,8 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
         return rho_bar(system / np.linalg.norm(system, axis=0),
                        bath / np.linalg.norm(bath, axis=0))
 
-    mean, se = batched_monte_carlo(joint_product, haar_amplitudes(18), 32, 10_000, seed=43)
+    mean, se = mean_and_standard_error(joint_product(sample_amplitudes(18, 10_000,
+                                                                       generator(43))))
     gap = np.abs(mean - np.eye(2) / 2.0)
     if not np.all(gap <= 3.0 * se + 1e-15):
         failures.append(f"joint average misses I/2 by "

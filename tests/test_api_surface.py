@@ -38,7 +38,7 @@ KEEPERS = {
 # be defined (as a function, class or method) or exported again.
 GONE = {
     "SparseProjection": "GroupedProjection: Dirichlet weights on a stack built once",
-    "split_counts": "batched_monte_carlo: every estimate draws from one stream of its seed",
+    "split_counts": "sampled_distances: every estimate draws from one stream of its seed",
     "Tolerances": "module constants beside their checks",
     "stream_generators": "generator: every draw takes the one stream of its seed",
     "from_blocks": "SpectralData.from_sectors: one sector form for every model",
@@ -66,7 +66,7 @@ GONE = {
                            "PureState, the eigenbasis and the trace checks keep its unit "
                            "norm",
     "Theorem0Estimate": "theorem0_reports: the T0 pair from one draw set, no value type",
-    "MonteCarloEstimate": "batched_monte_carlo returns (mean, standard_error)",
+    "MonteCarloEstimate": "sampled_distances returns (mean, standard_error)",
     "theorem0_estimate": "theorem0_reports(projection, spectral, reductions, epsilon, "
                          "n_samples, seed)",
     "theorem0_mean_report": "theorem0_reports(...)[0], the T0i report",
@@ -79,6 +79,10 @@ GONE = {
                            "which checks the system state and the prefix itself",
     "DensityMatrix": "check_density_stack: time_averaged_state and the T0 reference "
                      "state are read-only arrays that passed it",
+    "batched_monte_carlo": "sampled_distances(states_of, width, reference, threshold, "
+                           "n_samples): the mean distance and the exceedance frequency "
+                           "that T0 and Popescu estimate",
+    "haar_amplitudes": "sample_amplitudes(dim, n, rng), which it only forwarded to",
 }
 
 # Config entries that were removed, each with its reason; none may come back.

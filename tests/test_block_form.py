@@ -32,11 +32,10 @@ import isibench.spectral
 from isibench import cli
 from isibench.dynamics import evolve_reduced, stratified_times
 from isibench.equilibrium import EigenstateReductions, delta, time_averaged_state
-from isibench.hilbert import (DENSE_BLOCK, PureState, SpaceLayout, batched_trace_distances,
-                              tensor_product)
+from isibench.hilbert import DENSE_BLOCK, PureState, SpaceLayout, tensor_product, weighted_sum
 from isibench.models import (analytic_eigensystem, build_random_model, gaussian_hermitian,
                              sample_commuting_spec, sample_cucchietti_spec)
-from isibench.sampling import batched_monte_carlo, generator, sample_amplitudes
+from isibench.sampling import generator, sample_amplitudes, sampled_distances
 from isibench.spectral import SpectralData, degenerate_level_pairs, eigendecompose
 from isibench.theorems import necessary_condition_lhs, theorem0_reports
 
@@ -60,10 +59,9 @@ def _equilibrium_states(projection, reductions, amplitudes):
     """Equilibrium states of the (dR, count) amplitude columns a, the
     coordinates of states of R in the basis of the projection: sum_r |a_r|^2
     M_r for a grouped projection, sum_n |(a^H W)_n|^2 rho_n for a dense one."""
-    _, _, states_of = projection.sampler(reductions.matrices)
     if hasattr(projection, "matrix"):
-        return states_of(amplitudes)
-    return states_of(np.abs(amplitudes.T) ** 2)
+        return weighted_sum(projection.populations(amplitudes), reductions.matrices)
+    return weighted_sum(np.abs(amplitudes.T) ** 2, projection.stack(reductions.matrices))
 
 
 def _stages(spectral, layout, initial, psi, horizon):
@@ -196,18 +194,12 @@ def test_dirichlet_draws_match_haar_draws_in_law(kind, size, prefix):
         reductions = EigenstateReductions(spectral.reductions(spec.layout))
         projection = spectral.projection(spec.layout, PLUS, prefix)
         assert hasattr(projection, "matrix") == (spectral is expanded)
-        draw, width, states_of = projection.sampler(reductions.matrices)
         reference = np.einsum("n,nij->ij", projection.weights, reductions.matrices)
         if threshold is None:
-            threshold = batched_monte_carlo(
-                lambda draws: batched_trace_distances(states_of(draws), reference),
-                draw, width, 4000, seed=20)[0]
-
-        def values(draws):
-            distances = batched_trace_distances(states_of(draws), reference)
-            return np.stack([distances, distances > threshold], axis=1)
-
-        estimates.append(batched_monte_carlo(values, draw, width, 20_000, seed))
+            width, states_of = projection.sampler(reductions.matrices, generator(20))
+            threshold = sampled_distances(states_of, width, reference, 0.0, 4000)[0][0]
+        width, states_of = projection.sampler(reductions.matrices, generator(seed))
+        estimates.append(sampled_distances(states_of, width, reference, threshold, 20_000))
     (dirichlet_mean, dirichlet_se), (haar_mean, haar_se) = estimates
     assert 0.2 < dirichlet_mean[1] < 0.8
     spread = np.hypot(dirichlet_se, haar_se)

@@ -952,6 +952,56 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
         assert not (out_dir / "sweep.csv").exists()
 
+    def test_workers_are_capped_at_the_cpus_the_process_may_run_on(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # the pool starts all its workers at the first task, so a large --jobs
+        # must not ask for more than one per CPU; the recording pool runs the
+        # draws here and starts no process
+        import concurrent.futures
+
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cpus = len(os.sched_getaffinity(0))
+        cfg = _write_cfg(tmp_path, RANDOM_SWEEP)
+        assert cli.main(["sweep", "--config", cfg, "--jobs", "100000",
+                         "--override", f"sweep.draws={cpus}",  # 2 * cpus draws
+                         "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert requested == ([cpus] if cpus > 1 else [])
+
+    def test_draws_above_the_cap_exit_3_before_any_draw(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # the statistics are a (points, metrics, draws) array: 2 * 2 * draws
+        # entries here, held to the cap before any task is built
+        monkeypatch.setattr(cli, "STACK_ELEMENT_CAP", 40)
+        cfg = _write_cfg(tmp_path, RANDOM_SWEEP)
+        assert cli.main(["sweep", "--config", cfg, "--override", "sweep.draws=10",
+                         "--out", str(tmp_path / "fits")]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_draw_metrics",
+                            lambda task: pytest.fail("drawn before the cap was checked"))
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--override", "sweep.draws=11",
+                         "--out", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            "error: sweep.draws * points * metrics = 11 * 4 exceeds 40; "
+            "set sweep.draws to at most 10\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("command", ["run", "model-info", "bounds"])
     def test_jobs_is_an_option_of_sweep_alone(self, tmp_path, capsys, command):
         out_dir = tmp_path / "out"
@@ -1164,7 +1214,7 @@ class TestInputHardening:
         def no_draw(*args):
             pytest.fail("samples were drawn before the cap was checked")
 
-        monkeypatch.setattr(theorems, "batched_monte_carlo", no_draw)
+        monkeypatch.setattr(theorems, "sampled_distances", no_draw)
         out_dir = tmp_path / "out"
         assert cli.main(argv + ["--override", "analysis.n_samples=1001",
                                 "--out", str(out_dir)]) == 3
@@ -1225,8 +1275,8 @@ class TestInputHardening:
     # A matrix file's dS is known once the file is read, so its counts are
     # refused where the draws start.
     @pytest.mark.parametrize("theorem, dim_system, key, draw, largest", [
-        ("T0i", 2, "n_samples", "batched_monte_carlo", 1000),
-        ("Popescu", 2, "n_samples", "batched_monte_carlo", 1000),
+        ("T0i", 2, "n_samples", "sampled_distances", 1000),
+        ("Popescu", 2, "n_samples", "sampled_distances", 1000),
         ("T1", 3, "n_starts", "sample_amplitudes", 444),
     ], ids=["T0i", "Popescu", "T1"])
     def test_a_matrix_files_count_above_the_cap_exits_3_where_the_draws_start(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isibench import (DegenerateSpectrumError, PureState, SpaceLayout, ValidationError,
-                      batched_monte_carlo, delta, eigendecompose, haar_amplitudes,
+                      delta, eigendecompose, generator, sample_amplitudes,
                       sample_commuting_spec, time_averaged_state, trace_distance,
                       write_reductions_csv)
 from isibench.equilibrium import EigenstateReductions
@@ -14,8 +14,9 @@ from isibench.spectral import CompositeHamiltonian, DenseProjection, SpectralDat
 from isibench.theorems import theorem2_lhs
 
 from _oracles import (bath_averaged_equilibrium, expand_sectors, kron_projection,
-                      maximally_mixed, projection_matrix, ptrace_bath_loop, random_hermitian,
-                      random_state, subspace_averaged_equilibrium)
+                      maximally_mixed, mean_and_standard_error, projection_matrix,
+                      ptrace_bath_loop, random_hermitian, random_state,
+                      subspace_averaged_equilibrium)
 
 
 def _random_problem(ds, db, seed):
@@ -27,8 +28,8 @@ def _random_problem(ds, db, seed):
 
 
 def _product_equilibria(psi, spectral, reductions):
-    """The batched functional mapping (dB, count) bath states phi to the
-    (count, dS, dS) equilibrium states of psi (x) phi."""
+    """The map from (dB, count) bath states phi to the (count, dS, dS)
+    equilibrium states of psi (x) phi."""
     def values(phis):
         columns = np.kron(psi.amplitudes[:, None], phis)
         vectors = expand_sectors(spectral, reductions.layout)
@@ -306,9 +307,8 @@ class TestBathAveragedEquilibrium:
         layout, spectral, reductions, rng = _random_problem(2, 8, 97)
         psi = PureState(random_state(2, rng), space="system")
 
-        mean, se = batched_monte_carlo(_product_equilibria(psi, spectral, reductions),
-                                       draw=haar_amplitudes(8), width=16, n_samples=4000,
-                                       seed=101)
+        equilibria = _product_equilibria(psi, spectral, reductions)
+        mean, se = mean_and_standard_error(equilibria(sample_amplitudes(8, 4000, generator(101))))
         closed = bath_averaged_equilibrium(psi.amplitudes, reductions.matrices, 8)
         gap = np.abs(mean - closed)
         assert np.all(gap <= 3.0 * se + 1e-12)
@@ -337,10 +337,8 @@ class TestBathAveragedEquilibrium:
         mean_errors = []
         for size in sizes:
             errors = [
-                trace_distance(
-                    batched_monte_carlo(functional, draw=haar_amplitudes(8), width=16,
-                                        n_samples=size, seed=1000 * size + rep)[0],
-                    closed)
+                trace_distance(mean_and_standard_error(functional(
+                    sample_amplitudes(8, size, generator(1000 * size + rep))))[0], closed)
                 for rep in range(6)
             ]
             mean_errors.append(np.mean(errors))

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from isibench import (SpaceLayout, ValidationError, batched_monte_carlo, dirichlet_weights,
-                      generator, haar_amplitudes, induced_states, sample_amplitudes)
+from isibench import (SpaceLayout, ValidationError, dirichlet_weights, generator,
+                      induced_states, sample_amplitudes, sampled_distances, sampling)
 from isibench.hilbert import batched_trace_distances
 
-from _oracles import batched_partial_trace_bath, ks_uniform_statistic, stream_generators
+from _oracles import (batched_partial_trace_bath, ks_uniform_statistic,
+                      mean_and_standard_error, stream_generators)
 
 
 class TestUniformSampling:
@@ -33,56 +34,66 @@ class TestUniformSampling:
         assert np.array_equal(batch, singles)
 
 
-def _population(level):
-    """The batched functional |a_level|^2 of amplitude columns."""
-    return lambda amplitudes: np.abs(amplitudes[level]) ** 2
+def _handing_out(stack):
+    """states_of that hands out the rows of a fixed stack in order."""
+    taken = [0]
+
+    def states_of(count):
+        taken[0] += count
+        return stack[taken[0] - count:taken[0]]
+    return states_of
 
 
-def _constant(value):
-    return lambda amplitudes: np.full(amplitudes.shape[1], value)
+MIXED = np.eye(2) / 2
 
 
 class TestMonteCarlo:
     def test_constant_functional(self):
-        mean, se = batched_monte_carlo(_constant(1.0), draw=haar_amplitudes(1), width=1,
-                                       n_samples=100, seed=1)
-        assert mean == 1.0
-        assert se == 0.0
+        # states at the reference: distance 0, every one beyond a negative threshold
+        states = np.broadcast_to(MIXED, (100, 2, 2))
+        mean, se = sampled_distances(_handing_out(states), 4, MIXED, -1.0, 100)
+        assert mean.tolist() == [0.0, 1.0]
+        assert se.tolist() == [0.0, 0.0]
 
     def test_reduction_over_full_space_is_maximally_mixed(self):
-        layout = SpaceLayout(2, 8)
-
-        def reductions(amplitudes):
-            return batched_partial_trace_bath(amplitudes, layout)
-
-        mean, se = batched_monte_carlo(reductions, draw=haar_amplitudes(16), width=16,
-                                       n_samples=2000, seed=8)
+        reductions = batched_partial_trace_bath(sample_amplitudes(16, 2000, generator(8)),
+                                                SpaceLayout(2, 8))
+        mean, se = mean_and_standard_error(reductions)
         deviation = np.abs(mean - np.eye(2) / 2)
         assert (deviation <= 3 * se + 1e-12).all()
 
     def test_amplitude_second_moment(self):
-        mean, se = batched_monte_carlo(_population(0), draw=haar_amplitudes(8), width=8,
-                                       n_samples=4000, seed=9)
+        populations = np.abs(sample_amplitudes(8, 4000, generator(9))[0]) ** 2
+        mean, se = mean_and_standard_error(populations)
         assert abs(mean - 1.0 / 8.0) < 3 * se
 
     def test_requires_two_samples(self):
-        with pytest.raises(ValidationError):
-            batched_monte_carlo(_constant(1.0), draw=haar_amplitudes(1), width=1,
-                                n_samples=1, seed=0)
+        with pytest.raises(ValidationError, match="need at least 2 samples, got 1"):
+            sampled_distances(_handing_out(np.broadcast_to(MIXED, (1, 2, 2))), 4, MIXED,
+                              0.5, 1)
 
-    def test_non_finite_value_aborts_with_diagnostic(self):
-        with pytest.raises(ValidationError, match="sample 0"):
-            batched_monte_carlo(_constant(math.nan), draw=haar_amplitudes(1), width=1,
-                                n_samples=10, seed=0)
+    def test_non_finite_value_aborts_with_diagnostic(self, monkeypatch):
+        # chunks of two samples: the index counts across chunks
+        monkeypatch.setattr(sampling, "MONTE_CARLO_ELEMENT_CAP", 8)
+        states = induced_states(2, 4, generator(0))(10)
+        states[5, 0, 0] = math.nan
+        with pytest.raises(ValidationError, match="non-finite value at sample 5$"):
+            sampled_distances(_handing_out(states), 4, MIXED, 0.5, 10)
+
+    def test_an_overflowing_standard_error_is_refused(self):
+        far = np.broadcast_to(np.diag([4e153, -4e153]), (4, 2, 2))  # D^2 = 6.4e307
+        with pytest.raises(ValidationError, match="standard errors must be finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            sampled_distances(_handing_out(far), 4, MIXED, 0.5, 4)
 
     def test_reproducible_across_runs(self):
         def run():
-            return batched_monte_carlo(_population(1), draw=haar_amplitudes(4), width=4,
-                                       n_samples=500, seed=77)
+            return sampled_distances(induced_states(2, 8, generator(77)), 4, MIXED, 0.3, 500)
 
         (first_mean, first_se), (second_mean, second_se) = run(), run()
-        assert first_mean == second_mean
-        assert first_se == second_se
+        assert 0.0 < first_mean[1] < 1.0
+        assert np.array_equal(first_mean, second_mean)
+        assert np.array_equal(first_se, second_se)
 
 
 class TestAccumulation:
@@ -106,9 +117,9 @@ class TestLaws:
             return np.stack([populations[:, 0], populations[:, 0] ** 2,
                              populations[:, 0] * populations[:, 1]], axis=1)
 
-        weights = batched_monte_carlo(moments, dirichlet_weights(5), 5, 20_000, seed=3)
-        haar = batched_monte_carlo(lambda a: moments(np.abs(a.T) ** 2), haar_amplitudes(5),
-                                   5, 20_000, seed=4)
+        weights = mean_and_standard_error(moments(dirichlet_weights(5, 20_000, generator(3))))
+        haar = mean_and_standard_error(
+            moments(np.abs(sample_amplitudes(5, 20_000, generator(4)).T) ** 2))
         # E w = 1/n, E w^2 = 2/(n(n+1)), E w_1 w_2 = 1/(n(n+1))
         assert np.all(_agree_within_3_se(weights, haar))
         exact = [1 / 5, 2 / 30, 1 / 30]
@@ -128,11 +139,9 @@ class TestLaws:
             purities = np.einsum("nij,nji->n", states, states).real
             return np.stack([distances, purities, distances > threshold], axis=1)
 
-        induced = batched_monte_carlo(statistics, induced_states(ds, db), ds * ds,
-                                      20_000, seed=5)
-        direct = batched_monte_carlo(
-            lambda amplitudes: statistics(batched_partial_trace_bath(amplitudes, layout)),
-            haar_amplitudes(ds * db), ds * db, 20_000, seed=6)
+        induced = mean_and_standard_error(statistics(induced_states(ds, db, generator(5))(20_000)))
+        direct = mean_and_standard_error(statistics(batched_partial_trace_bath(
+            sample_amplitudes(ds * db, 20_000, generator(6)), layout)))
         induced_mean, induced_se = induced
         assert 0.05 < induced_mean[2] < 0.95
         assert np.all(_agree_within_3_se(induced, direct))
@@ -142,7 +151,7 @@ class TestLaws:
 
     @pytest.mark.parametrize("ds, db", [(2, 8), (4, 2)])
     def test_chunked_induced_draws_are_the_one_sample_draws(self, ds, db):
-        whole = induced_states(ds, db)(generator(7))(40)
-        one = induced_states(ds, db)(generator(7))
+        whole = induced_states(ds, db, generator(7))(40)
+        one = induced_states(ds, db, generator(7))
         singles = np.concatenate([one(1) for _ in range(40)])
         assert np.array_equal(whole, singles)
