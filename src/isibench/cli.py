@@ -886,6 +886,18 @@ def _draw_metrics(task: tuple[ExperimentConfig, int, int]) -> list[float]:
     return [float(_SWEEP_METRICS[metric](pipe)) for metric in config.sweep_metrics]
 
 
+def _pooled_draws(tasks, jobs: int):
+    """``_draw_metrics`` of each task, in order, with at most 2 * jobs tasks not yet taken."""
+    from concurrent.futures import ProcessPoolExecutor  # only a sweep loads the pool
+    with ProcessPoolExecutor(max_workers=jobs, initializer=evolve_on_one_thread) as pool:
+        pending = []
+        for task in tasks:
+            pending.append(pool.submit(_draw_metrics, task))
+            if len(pending) == 2 * jobs:
+                yield pending.pop(0).result()
+        yield from (future.result() for future in pending)
+
+
 def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
@@ -901,22 +913,17 @@ def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
                                f"{STACK_ELEMENT_CAP // cells}")
     # One task per draw, point-major, so that the pool balances unequal points.
     varied = [replace(config, **{parameter: cast(value)}) for value in values]
-    tasks = [(varied[point], point, draw)
-             for point in range(len(values)) for draw in range(n_draws)]
-    jobs = min(args.jobs, len(tasks), usable_cpus())
-    if jobs == 1:
-        samples = [_draw_metrics(task) for task in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a sweep loads the pool
-        with ProcessPoolExecutor(max_workers=jobs, initializer=evolve_on_one_thread) as pool:
-            samples = list(pool.map(_draw_metrics, tasks))
-
+    tasks = ((varied[point], point, draw)
+             for point in range(len(values)) for draw in range(n_draws))
+    jobs = min(args.jobs, len(values) * n_draws, usable_cpus())
+    results = map(_draw_metrics, tasks) if jobs == 1 else _pooled_draws(tasks, jobs)
     # (points, metrics, draws), C-contiguous: each statistic reduces one row.
-    data = np.ascontiguousarray(
-        np.reshape(samples, (len(values), n_draws, -1)).transpose(0, 2, 1))
+    data = np.empty((len(values), len(config.sweep_metrics), n_draws))
+    for index, metrics in enumerate(results):
+        data[index // n_draws, :, index % n_draws] = metrics
     means = data.mean(axis=-1)
-    errors = (data.std(axis=-1, ddof=1) / math.sqrt(n_draws) if n_draws > 1
-              else np.zeros_like(means))
+    errors = (np.reshape([row.std(ddof=1) for row in data.reshape(-1, n_draws)], means.shape)
+              / math.sqrt(n_draws) if n_draws > 1 else np.zeros_like(means))
 
     columns = ["parameter", "value", "n_draws"]
     for metric in config.sweep_metrics:

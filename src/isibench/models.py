@@ -217,4 +217,5 @@ def build_random_model(dim_system: int, dim_bath: int, interaction_strength: flo
     hb = gaussian_hermitian(dim_bath, rng) * np.sqrt(dim_bath / dim_total)
     hsb = gaussian_hermitian(dim_total, rng)
     np.multiply(interaction_strength, hsb, out=hsb)
+    hsb += 0.0  # a zero product is +0.0, so H is its own bitwise mirror
     return CompositeHamiltonian(hs, hb, hsb)

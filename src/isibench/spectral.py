@@ -42,8 +42,9 @@ reductions above ``STACK_ELEMENT_CAP``, the entries of a (count, dS, dS) stack;
 The dense eigensolver, ``_eigh``, is LAPACK's MRRR driver zheevr, called
 through ctypes in the OpenBLAS that numpy's wheel ships, from
 ``MRRR_MIN_DIM`` on, and ``numpy.linalg.eigh`` below it or on a numpy build
-without that library.  zheevr works on H's own buffer, which it hands back
-bit for bit, so the solve holds H and the eigenvectors and no copy of H.
+without that library.  When the one scan of the Hermiticity check finds H
+its own bitwise mirror, zheevr works on H's buffer and hands it back bit
+for bit, holding no copy of H; any other H is solved on a copy.
 
 The dense path holds each d x d array once.  The assembly, the checks on a
 d x d array, the reductions and the evolution work through it in blocks of
@@ -159,7 +160,7 @@ class CompositeHamiltonian:
     def __post_init__(self) -> None:
         for name in ("system", "bath", "interaction"):
             object.__setattr__(self, name, _require_hermitian(f"{name} part",
-                                                              getattr(self, name)))
+                                                              getattr(self, name))[0])
         layout = SpaceLayout(len(self.system), len(self.bath))
         d, shape = layout.dim_total, np.shape(self.interaction)
         if shape != (d, d):
@@ -189,21 +190,44 @@ class CompositeHamiltonian:
         return total
 
 
-def _require_hermitian(name: str, mat: np.ndarray) -> np.ndarray:
-    """``mat`` as a complex array, refused unless max |A - A^H| is within
-    HAMILTONIAN_ASYMMETRY.  D = A - A^H has |D_ji| = |D_ij| to the bit (the
-    real parts are negatives of each other, the imaginary parts one sum, and
-    a NaN shows on both sides), so the blocks of rows read only the columns
-    on and right of the diagonal."""
+def _mirror_tiles(mat: np.ndarray, cols: slice) -> list[tuple]:
+    """Each DENSE_BLOCK-high tile of columns ``cols`` of ``mat`` from its diagonal down, with
+    the ``_mirror`` of its mirror tile and the index of its entries below the diagonal."""
+    return [(mat[rows, cols], _mirror(mat[cols, rows].T),
+             np.tri(cols.stop - cols.start, k=-1, dtype=bool) if rows == cols else slice(None))
+            for rows in dense_blocks(len(mat))[cols.start // DENSE_BLOCK:]]
+
+
+def _mirror(entries: np.ndarray) -> np.ndarray:
+    """conj(``entries``) in C order, but the imaginary parts 0.0 - x: a zero is +0.0."""
+    mirror = np.empty(entries.shape, dtype=complex)
+    mirror.real, mirror.imag = entries.real, 0.0 - entries.imag
+    return mirror
+
+
+def _require_hermitian(name: str, mat: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``mat`` as a complex array A, refused unless max |A - A^H| is within
+    HAMILTONIAN_ASYMMETRY, and whether each entry below the diagonal is, bit
+    for bit, the ``_mirror`` of its mirror, as in a real-valued A.  D = A - A^H
+    has |D_ji| = |D_ij| to the bit (the real parts are negatives of each other,
+    the imaginary parts one sum, and a NaN shows on both sides), so one pass
+    reads each block of columns from the diagonal down against its mirror."""
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
-    asym = blocked_max(lambda rows: np.abs(
-        arr[rows, rows.start:] - arr[rows.start:, rows].conj().T).max(), len(arr))
+    mirrored = []  # per tile: are its entries below the diagonal mirrored?
+
+    def asymmetry(cols: slice) -> float:
+        tiles = _mirror_tiles(arr, cols)
+        mirrored.extend(lower[below].tobytes() == mirror[below].tobytes()
+                        for lower, mirror, below in tiles)
+        return np.max([np.abs(lower - mirror).max() for lower, mirror, _ in tiles])
+
+    asym = blocked_max(asymmetry, len(arr))
     if not asym <= HAMILTONIAN_ASYMMETRY:  # a NaN entry fails too
         raise ValidationError(f"{name} not Hermitian: max asymmetry {asym:.3e} > "
                               f"{HAMILTONIAN_ASYMMETRY:.1e}")
-    return arr
+    return arr, all(mirrored)
 
 
 # BLAS kernels compute a trailing partial block of GEMM rows differently from
@@ -574,59 +598,29 @@ def _zheevr():
     return None
 
 
-def _tiles_left_of_diagonal(rows: slice) -> list[tuple[slice, slice | np.ndarray]]:
-    """The DENSE_BLOCK-wide column blocks of rows ``rows`` of H up to its
-    diagonal, each with the index of its entries below the diagonal: all of
-    them but in the last, where a mask leaves out the diagonal and the
-    entries right of it."""
-    return [(cols, slice(None) if cols.stop <= rows.start
-             else np.tri(cols.stop - cols.start, k=-1, dtype=bool))
-            for cols in dense_blocks(rows.stop)]
-
-
-def _mirror(entries: np.ndarray) -> np.ndarray:
-    """conj(``entries``) in C order, but the imaginary parts 0.0 - x: a zero is +0.0."""
-    mirror = np.empty(entries.shape, dtype=complex)
-    mirror.real, mirror.imag = entries.real, 0.0 - entries.imag
-    return mirror
-
-
-def _mirrored(mat: np.ndarray, rows: slice) -> bool:
-    """Whether the entries of rows ``rows`` below the diagonal are, bit for
-    bit, the ``_mirror`` of their mirrors above it, as in a real-valued H."""
-    return all(np.array_equal(mat[rows, cols][below].view(np.uint64),
-                              _mirror(mat[cols, rows].T[below]).view(np.uint64))
-               for cols, below in _tiles_left_of_diagonal(rows))
-
-
-def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(mat: np.ndarray, mirrored: bool) -> tuple[np.ndarray, np.ndarray]:
     """The ascending eigenvalues and the eigenvectors (columns) of the
     Hermitian complex d x d ``mat``, read from its lower triangle as
     ``numpy.linalg.eigh`` reads it, which computes them below MRRR_MIN_DIM
     or when ``_zheevr`` finds no solver.
 
     zheevr takes about half the time and workspace of numpy's zheevd.  It
-    works on H's own buffer, conjugated in place: conj(H) in C order, which
-    LAPACK reads by columns as H itself.  It overwrites the diagonal and the
-    lower triangle and leaves the strict upper one, so afterwards, also when
-    it fails, the upper triangle is conjugated back, the lower one rebuilt
-    by ``_mirror``, the diagonal put back from a copy, and the blocks of
-    rows whose lower part was not that bitwise mirror (a tolerated
-    asymmetry, a -0.0, a NaN) from copies made before the solve: H comes
-    back bit for bit.  An input that is not a writeable C-ordered complex
-    array is copied first.  The eigenvectors are the column-major array
-    LAPACK writes.  A nonzero status raises LinAlgError.
+    works on H's own buffer if H is ``mirrored`` (the scan's answer) and
+    writeable, aligned and C-ordered, and on a C-ordered copy of any other
+    H.  The buffer is conjugated in place: conj(H) in C order, which LAPACK
+    reads by columns as H.  zheevr overwrites the diagonal and the lower
+    triangle, so afterwards, also when it fails, the strict upper triangle is
+    conjugated back, the lower one rebuilt by ``_mirror`` and the diagonal
+    put back: H comes back bit for bit.  The eigenvectors are the
+    column-major array LAPACK writes; a nonzero status raises LinAlgError.
     """
     d = len(mat)
     solver = _zheevr() if d >= MRRR_MIN_DIM else None
     if solver is None:
         return np.linalg.eigh(mat)
-    if not (isinstance(mat, np.ndarray) and mat.dtype == complex
-            and mat.flags.c_contiguous and mat.flags.writeable):
-        mat = np.array(mat, dtype=complex)
+    if not (mirrored and mat.flags.carray):  # C-ordered, aligned and writeable
+        mat = np.array(mat, order="C")
     diagonal = mat.diagonal().copy()
-    unmirrored = [(rows, mat[rows, :rows.stop].copy()) for rows in dense_blocks(d)
-                  if not _mirrored(mat, rows)]
     evals = np.empty(d)
     evecs = np.empty((d, d), dtype=complex, order="F")
     count, supports = np.empty(1, dtype=np.int64), np.empty(2 * d, dtype=np.int64)
@@ -639,12 +633,10 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                       supports.ctypes.data)
     finally:
         np.conjugate(mat, out=mat)  # the strict upper triangle is H's again
-        for rows in dense_blocks(d):
-            for cols, below in _tiles_left_of_diagonal(rows):
-                mat[rows, cols][below] = _mirror(mat[cols, rows].T[below])
+        for cols in dense_blocks(d):
+            for lower, mirror, below in _mirror_tiles(mat, cols):
+                lower[below] = mirror[below]
         np.fill_diagonal(mat, diagonal)
-        for rows, block in unmirrored:
-            mat[rows, :rows.stop] = block
     if info:
         raise np.linalg.LinAlgError(f"zheevr failed with status {info}")
     return evals, evecs
@@ -662,18 +654,18 @@ def eigendecompose(hamiltonian) -> SpectralData:
 
     The solver is ``_eigh``: LAPACK's MRRR driver from d = MRRR_MIN_DIM,
     numpy's eigh below it.  The MRRR driver writes into a writeable C-ordered
-    complex H while it runs and hands it back bit for bit, so the checks read
-    H as it was given; any other H is copied for it.  Besides H, the call
-    holds the solver's buffers while it runs (the eigenvector matrix; numpy's
-    eigh holds about four d x d arrays), then the eigenvector matrix, which
-    the phase fixing overwrites and the checks read in blocks of DENSE_BLOCK
-    columns or rows, and which the result keeps as its one sector.
+    H that the scan finds its own bitwise mirror and hands it back bit for
+    bit, and copies any other H, so the checks read H as it was given.
+    Besides H, the call holds the solver's buffers while it runs (the
+    eigenvector matrix; numpy's eigh holds about four d x d arrays), then the
+    eigenvector matrix, which the phase fixing overwrites and the checks read
+    in blocks of DENSE_BLOCK columns or rows; the result keeps it as its sector.
     """
     mat = hamiltonian.total() if isinstance(hamiltonian, CompositeHamiltonian) else hamiltonian
     require_fits(1, max(np.shape(mat), default=0), 1)
-    mat = _require_hermitian("hamiltonian", mat)
+    mat, mirrored = _require_hermitian("hamiltonian", mat)
     d = mat.shape[0]
-    evals, evecs = _eigh(mat)
+    evals, evecs = _eigh(mat, mirrored)
     span = float(evals[-1]) - float(evals[0])  # Python floats: no overflow warning
     if not np.isfinite(span):
         raise ValidationError(f"the energy range E_max - E_min = {span} is not finite")
@@ -798,14 +790,13 @@ def read_matrix(path) -> tuple[np.ndarray, SpaceLayout | None]:
     for i, line in enumerate(lines[2:]):
         values = line.split()
         if len(values) != 2 * cols:
-            raise ConfigError(
-                f"{path}: line {i + 3}: expected {2 * cols} numbers, found {len(values)}"
-            )
+            raise ConfigError(f"{path}: line {i + 3}: expected {2 * cols} numbers, "
+                              f"found {len(values)}")
         try:
             floats = np.array([float(v) for v in values])
         except ValueError as exc:
             raise ConfigError(f"{path}: line {i + 3}: bad number: {exc}") from None
         if not np.isfinite(floats).all():
             raise ConfigError(f"{path}: line {i + 3}: non-finite number")
-        data.append(floats[0::2] + 1j * floats[1::2])
+        data.append(floats.view(complex))  # the bits of each part, signed zeros too
     return np.array(data), None if ds == 0 else SpaceLayout(ds, db)

@@ -83,6 +83,8 @@ GONE = {
                            "n_samples): the mean distance and the exceedance frequency "
                            "that T0 and Popescu estimate",
     "haar_amplitudes": "sample_amplitudes(dim, n, rng), which it only forwarded to",
+    "_mirrored": "_require_hermitian says whether H is its own bitwise mirror, from its "
+                 "one scan",
 }
 
 # Config entries that were removed, each with its reason; none may come back.

@@ -353,9 +353,9 @@ def test_dense_pipeline_holds_each_dense_array_once(monkeypatch):
     array = 1024**2 * 16
     eigh, at_eigh = isibench.spectral._eigh, []
 
-    def spy(mat):
+    def spy(mat, mirrored):
         at_eigh.append(tracemalloc.get_traced_memory()[0])
-        return eigh(mat)
+        return eigh(mat, mirrored)
 
     monkeypatch.setattr(isibench.spectral, "_eigh", spy)
     config = cli.ExperimentConfig(kind="random", dim_system=2, dim_bath=512,

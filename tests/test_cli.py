@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from importlib import resources
 
@@ -875,6 +876,24 @@ class TestRunCommand:
                (out_b / "spectrum.csv").read_bytes()
 
 
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that runs each submitted draw at
+    once, in this process, and starts no worker."""
+
+    def __init__(self, max_workers, initializer):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, task):
+        result = fn(task)
+        return types.SimpleNamespace(result=lambda: result)
+
+
 class TestSweepCommand:
     def test_polarization_decays_with_bath_size(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, RANDOM_SWEEP)
@@ -961,18 +980,9 @@ class TestSweepCommand:
 
         requested = []
 
-        class RecordingPool:
+        class RecordingPool(_SerialPool):
             def __init__(self, max_workers, initializer):
                 requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cpus = len(os.sched_getaffinity(0))
@@ -982,6 +992,63 @@ class TestSweepCommand:
                          "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
         assert requested == ([cpus] if cpus > 1 else [])
+
+    def test_the_pool_holds_at_most_two_tasks_per_worker(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # 2 points x 50 draws over 2 workers: the draws are submitted as
+        # results are taken, never more than 2 x 2 ahead, and the data file
+        # is the one of --jobs 1
+        import concurrent.futures
+
+        pending, most = [], []
+
+        class WindowPool(_SerialPool):
+            def submit(self, fn, task):
+                pending.append(task)
+                most.append(len(pending))
+
+                def result():
+                    pending.remove(task)
+                    return fn(task)
+
+                return types.SimpleNamespace(result=result)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", WindowPool)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_draw_metrics",
+                            lambda task: [task[1] + task[2] / 7.0, task[2] ** 0.5])
+        cfg = _write_cfg(tmp_path, RANDOM_SWEEP)
+        for jobs in ("1", "2"):
+            assert cli.main(["sweep", "--config", cfg, "--jobs", jobs,
+                             "--override", "sweep.draws=50",
+                             "--out", str(tmp_path / jobs)]) == 0
+        capsys.readouterr()
+        assert len(most) == 100 and max(most) == 4 and not pending
+        assert (tmp_path / "1" / "sweep.csv").read_bytes() == \
+               (tmp_path / "2" / "sweep.csv").read_bytes()
+
+    def test_a_sweep_holds_about_its_array(self, tmp_path, capsys, monkeypatch):
+        # 4 points x 125,000 draws x 4 metrics of a stub draw: the sweep fills
+        # its 15 MiB (points, metrics, draws) array as the draws arrive, with
+        # neither a list of tasks nor one of results
+        monkeypatch.setattr(cli, "_draw_metrics",
+                            lambda task: [task[2] / 3.0, 1.0, task[1] * 0.5, 2.0])
+        cfg = _write_cfg(tmp_path, RANDOM_SWEEP)
+        array = 4 * 4 * 125_000 * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert cli.main(["sweep", "--config", cfg, "--jobs", "1",
+                             "--override", "sweep.values=8, 16, 32, 64",
+                             "--override", "sweep.draws=125000",
+                             "--override", "sweep.metrics=delta, lhs_i, necessary_lhs, "
+                                           "min_level_spacing",
+                             "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 2 * array, f"peak {peak / array:.2f} arrays"
 
     def test_draws_above_the_cap_exit_3_before_any_draw(self, tmp_path, capsys,
                                                         monkeypatch):

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from isibench import (CapExceededError, ConfigError, PureState, SpaceLayout, Val
 from isibench import spectral
 from isibench.hilbert import SIGMA_X, SIGMA_Z, blocked_max, dense_blocks
 from isibench.models import build_random_model
+from isibench.sampling import generator
 from isibench.spectral import CompositeHamiltonian, SpectralData
 
 from _oracles import (batched_partial_trace_bath, expand_sectors, random_hermitian,
@@ -91,7 +93,8 @@ class TestBlockedChecks:
     @pytest.mark.parametrize("entry", [LAST, LAST[::-1], (LAST[0], 0), (0, LAST[0])],
                              ids=["below", "above", "below_far", "above_far"])
     def test_hermiticity_check_reads_from_the_diagonal_rightward(self, monkeypatch, entry):
-        """Each block of rows of A - A^H is formed from its diagonal rightward.
+        """Each block of columns of A - A^H is formed from its diagonal down,
+        against its mirror, the block of rows from the diagonal rightward.
         |D_ji| = |D_ij| to the bit, so an asymmetry on either side of the
         diagonal, in the diagonal block or far from it, is refused with the
         value that the full matrix gives."""
@@ -122,8 +125,8 @@ class TestBlockedChecks:
         an eigenvector but breaks unitarity."""
         eigh = spectral._eigh
 
-        def corrupted(mat):
-            evals, evecs = eigh(mat)
+        def corrupted(mat, mirrored):
+            evals, evecs = eigh(mat, mirrored)
             if check == "residual":
                 evecs[0, LAST[0]] += fault
             else:
@@ -241,7 +244,8 @@ class TestEigendecompose:
 
 class TestDenseSolver:
     """``_eigh``: numpy's eigh below MRRR_MIN_DIM and where LAPACKE's zheevr
-    is missing, zheevr (column-major eigenvectors) from MRRR_MIN_DIM on."""
+    is missing, zheevr (column-major eigenvectors) from MRRR_MIN_DIM on, on
+    H's own buffer only for an H that the scan finds to be its own mirror."""
 
     @staticmethod
     def _hermitian(d):
@@ -252,6 +256,12 @@ class TestDenseSolver:
         if spectral._zheevr() is None:
             pytest.skip("this numpy build ships no LAPACKE zheevr")
 
+    @staticmethod
+    def _mirrored(mat) -> bool:
+        """The scan's answer: is each entry below the diagonal the bitwise
+        ``_mirror`` of its mirror above?"""
+        return spectral._require_hermitian("hamiltonian", mat)[1]
+
     @pytest.mark.parametrize("d, found", [(spectral.MRRR_MIN_DIM - 1, True),
                                           (spectral.MRRR_MIN_DIM + 8, False)])
     def test_numpy_eigh_below_the_crossover_or_without_the_solver(self, monkeypatch,
@@ -259,14 +269,14 @@ class TestDenseSolver:
         if not found:
             monkeypatch.setattr(spectral, "_zheevr", lambda: None)
         mat = self._hermitian(d)
-        ours, numpys = spectral._eigh(mat), np.linalg.eigh(mat)
+        ours, numpys = spectral._eigh(mat, self._mirrored(mat)), np.linalg.eigh(mat)
         for mine, theirs in zip(ours, numpys):
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
 
     def test_mrrr_eigenvalues_match_numpy_eigh(self):
         self._require_mrrr()
         mat = self._hermitian(spectral.MRRR_MIN_DIM + 8)
-        evals, evecs = spectral._eigh(mat)
+        evals, evecs = spectral._eigh(mat, self._mirrored(mat))
         reference = np.linalg.eigh(mat)[0]
         assert evecs.flags.f_contiguous and not evecs.flags.c_contiguous
         assert np.abs(evals - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -279,26 +289,30 @@ class TestDenseSolver:
         """A stub solver's status 2, or LAPACKE's -6 for a NaN in H, its
         argument 6, which LAPACKE checks before zheevr runs; H, its NaN
         included, comes back bit for bit either way, and so does a real H or
-        one with a -0.0 imaginary part below the diagonal (``_asymmetric``)."""
+        one with a -0.0 imaginary part below the diagonal (``_asymmetric``).
+        The scan refuses a NaN, which is no entry's mirror, so that H is
+        handed over as not mirrored."""
         mat = self._asymmetric(self._hermitian(spectral.MRRR_MIN_DIM), change)
+        mirrored = self._mirrored(mat)
         if solver == "stub":
             monkeypatch.setattr(spectral, "_zheevr", lambda: lambda *args: status)
         else:
             self._require_mrrr()
-            mat[5, 3] = math.nan  # below the diagonal, the triangle it reads
+            mat[5, 3], mirrored = math.nan, False  # below the diagonal, the triangle it reads
         before = mat.view(np.uint64).copy()
         with pytest.raises(np.linalg.LinAlgError, match=f"status {status}$"):
-            spectral._eigh(mat)
+            spectral._eigh(mat, mirrored)
         assert np.array_equal(mat.view(np.uint64), before)
 
     @staticmethod
-    def _spied_buffers(monkeypatch) -> list[int]:
-        """The addresses of the buffers zheevr is handed from now on."""
+    def _spied_buffers(monkeypatch, status=None) -> list[int]:
+        """The addresses of the buffers zheevr is handed from now on; with a
+        ``status``, a stub that returns it stands in for the solver."""
         solver, buffers = spectral._zheevr(), []
 
         def spy(*args):
             buffers.append(args[5])
-            return solver(*args)
+            return solver(*args) if status is None else status
 
         monkeypatch.setattr(spectral, "_zheevr", lambda: spy)
         return buffers
@@ -308,8 +322,8 @@ class TestDenseSolver:
         """``mat`` changed in place: its real part alone, whose zero imaginary
         parts are +0.0 on both sides of the diagonal, or with one entry below
         the diagonal no longer the bitwise conjugate of its mirror: moved by
-        1e-12, or a pair of zeros whose lower one has a real or an imaginary
-        part of -0.0."""
+        1e-12, a pair of zeros whose lower one has a real or an imaginary
+        part of -0.0, or a NaN."""
         if change == "real":
             mat.imag = 0.0
         elif change == "1e-12":
@@ -318,6 +332,8 @@ class TestDenseSolver:
             mat[3, 5], mat[5, 3] = 0.0, complex(-0.0, 0.0)
         elif change == "-0.0j":
             mat[3, 5], mat[5, 3] = 0.0, complex(0.0, -0.0)
+        elif change == "nan":
+            mat[5, 3] = math.nan
         return mat
 
     @pytest.mark.parametrize("change, mirrored", [(None, True), ("real", True),
@@ -325,46 +341,131 @@ class TestDenseSolver:
                                                   ("-0.0j", False)])
     def test_a_block_is_mirrored_when_its_lower_part_can_be_rebuilt(self, change, mirrored):
         """A real-valued H holds +0.0 imaginary parts on both sides of the
-        diagonal, so every block of it is mirrored and the solve copies none;
+        diagonal, so the scan finds it mirrored and the solve works in place;
         a -0.0 below the diagonal is not rebuilt from the +0.0 above it, so
-        its block is saved."""
+        that H is not."""
         mat = self._asymmetric(self._hermitian(spectral.MRRR_MIN_DIM + 8), change)
-        assert [spectral._mirrored(mat, rows) for rows in dense_blocks(len(mat))] == [mirrored]
+        assert self._mirrored(mat) is mirrored
 
     @pytest.mark.parametrize("change", [None, "real", "1e-12", "-0.0", "-0.0j"])
     def test_mrrr_works_in_place_and_hands_the_input_back_bit_for_bit(self, monkeypatch,
                                                                       change):
         self._require_mrrr()
         mat = self._asymmetric(self._hermitian(spectral.MRRR_MIN_DIM + 8), change)
-        before, copy = mat.view(np.uint64).copy(), mat.copy()
-        expected = spectral._eigh(copy)
+        before, copy, mirrored = mat.view(np.uint64).copy(), mat.copy(), self._mirrored(mat)
+        expected = spectral._eigh(copy, mirrored)
         buffers = self._spied_buffers(monkeypatch)
-        evals, evecs = spectral._eigh(mat)
-        assert buffers == [mat.ctypes.data]
+        evals, evecs = spectral._eigh(mat, mirrored)
+        if mirrored:
+            assert buffers == [mat.ctypes.data]
         assert np.array_equal(mat.view(np.uint64), before)
         assert np.array_equal(evals, expected[0]) and np.array_equal(evecs, expected[1])
 
+    @pytest.mark.parametrize("change", ["1e-12", "-0.0", "-0.0j", "nan"])
+    def test_an_input_that_is_not_its_own_mirror_is_solved_on_a_copy(self, monkeypatch,
+                                                                     change):
+        """The copy comes back bit for bit, and the eigenpairs (for the NaN,
+        LAPACKE's refusal) are those of a solve of a copy.  eigendecompose
+        refuses the NaN before the solve, so ``_eigh`` is handed it as the
+        scan would answer: not mirrored."""
+        self._require_mrrr()
+        mat = self._asymmetric(self._hermitian(spectral.MRRR_MIN_DIM + 8), change)
+        before = mat.view(np.uint64).copy()
+
+        def solve(h):
+            try:
+                return spectral._eigh(h, False if change == "nan" else self._mirrored(h))
+            except np.linalg.LinAlgError as err:
+                return str(err)
+
+        expected = solve(mat.copy())
+        buffers = self._spied_buffers(monkeypatch)
+        solved = solve(mat)
+        assert len(buffers) == 1
+        assert not mat.ctypes.data <= buffers[0] < mat.ctypes.data + mat.nbytes
+        assert np.array_equal(mat.view(np.uint64), before)
+        if change == "nan":
+            assert solved == expected == "zheevr failed with status -6"
+        else:
+            assert np.array_equal(solved[0], expected[0])
+            assert np.array_equal(solved[1], expected[1])
+
+    @pytest.mark.parametrize("dim_system, dim_bath, strength", [
+        (2, 768, 1.0), (3, 64, 1.0), (3, 128, 1.0), (2, 300, -0.5), (3, 200, 0.0),
+        (2, 300, 0.0)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_models_are_solved_on_their_own_buffer(self, monkeypatch, dim_system,
+                                                          dim_bath, strength, seed):
+        """Every random model, the uncoupled ones included, is its own bitwise
+        mirror, so eigendecompose hands zheevr H's own buffer.  A stub that
+        fails stands in for the solve, which the rule does not depend on."""
+        mat = build_random_model(dim_system, dim_bath, strength,
+                                 generator(seed)).total()
+        before = mat.view(np.uint64).copy()
+        assert self._mirrored(mat)
+        buffers = self._spied_buffers(monkeypatch, status=1)
+        with pytest.raises(np.linalg.LinAlgError, match="status 1$"):
+            eigendecompose(mat)
+        assert buffers == [mat.ctypes.data]
+        assert np.array_equal(mat.view(np.uint64), before)
+
+    @pytest.mark.parametrize("dim_system, dim_bath", [(2, 300), (3, 200)])
+    def test_an_uncoupled_solve_holds_no_more_than_a_coupled_one(self, monkeypatch,
+                                                                dim_system, dim_bath):
+        """d = 600: what eigendecompose holds above H when zheevr starts
+        (numpy's traced allocations; LAPACK's workspace is not among them) is
+        the same without the coupling as with it, seeds 0-2.  A saved block of
+        H would hold at least 1 MiB; the slack covers the interpreter's own."""
+        self._require_mrrr()
+        solver, held = spectral._zheevr(), []
+
+        def spy(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return solver(*args)
+
+        monkeypatch.setattr(spectral, "_zheevr", lambda: spy)
+        for seed in range(3):
+            extra = []
+            for strength in (1.0, 0.0):
+                mat = build_random_model(dim_system, dim_bath, strength,
+                                         generator(seed)).total()
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    eigendecompose(mat)
+                    extra.append(held[-1] - start)
+                finally:
+                    tracemalloc.stop()
+            coupled, uncoupled = extra
+            assert uncoupled <= coupled + 2**16, (seed, uncoupled, coupled)
+
     @pytest.mark.parametrize("kind", ["read-only", "F-ordered"])
     def test_an_input_it_may_not_write_is_copied(self, monkeypatch, kind):
+        """The copy is C-ordered, whatever the input's order, so the solve
+        reads H and not its transpose conj(H): the eigenpairs are those of
+        the writeable C-ordered H."""
         self._require_mrrr()
         mat = self._hermitian(spectral.MRRR_MIN_DIM + 8)
+        expected = eigendecompose(mat.copy())
         if kind == "read-only":
             mat.setflags(write=False)
         else:
             mat = np.asfortranarray(mat)
         before = mat.tobytes(order="A")
         buffers = self._spied_buffers(monkeypatch)
-        spectral._eigh(mat)
+        solved = eigendecompose(mat)
         assert len(buffers) == 1
         assert not mat.ctypes.data <= buffers[0] < mat.ctypes.data + mat.nbytes
         assert mat.tobytes(order="A") == before
+        assert np.array_equal(solved.eigenvalues, expected.eigenvalues)
+        assert np.array_equal(solved.sectors, expected.sectors)
 
     def test_the_checks_read_the_input_as_it_was_given(self, monkeypatch):
         """eigendecompose of an H within the asymmetry tolerance reports the
-        residual of that H, which the solve wrote into and handed back."""
+        residual of that H, which the solve read from a copy."""
         self._require_mrrr()
         mat = self._asymmetric(self._hermitian(spectral.MRRR_MIN_DIM + 8), "1e-12")
-        evals, evecs = spectral._eigh(mat.copy())
+        evals, evecs = spectral._eigh(mat.copy(), False)
         evecs = spectral._fix_phases_in_place(evecs)
         residual = blocked_max(lambda cols: np.abs(
             mat @ evecs[:, cols] - evecs[:, cols] * evals[cols]).max(), len(mat))
@@ -471,6 +572,18 @@ class TestMatrixFiles:
         back, layout = read_matrix(path)
         assert np.array_equal(back, matrix)
         assert (layout.dim_system, layout.dim_bath) == (2, 3)
+
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        """Signed zeros in either part, a subnormal and the largest doubles
+        of either sign come back with their bits."""
+        tiny, big = 5e-324, np.finfo(float).max
+        matrix = np.array([[1.0, complex(-0.0, -0.0), complex(tiny, -big)],
+                           [complex(-0.0, 0.0), complex(2.0, -0.0), complex(big, 0.0)],
+                           [complex(-tiny, big), complex(-big, -tiny), complex(0.0, -0.0)]])
+        path = tmp_path / "bits.mat"
+        write_matrix(path, matrix)
+        back, _ = read_matrix(path)
+        assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
 
     def test_round_trip_without_layout(self, tmp_path):
         matrix = np.diag([0.0, 1.0, 2.0]).astype(complex)
