@@ -22,7 +22,7 @@ import os as _os
 _BLAS_THREAD_TIMEOUT = 20
 _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(_BLAS_THREAD_TIMEOUT))
 
-from .dynamics import Trajectory, evolve_reduced, stratified_times, write_trajectory_csv
+from .dynamics import evolve_reduced, stratified_times, write_trajectory_csv
 from .equilibrium import (EigenstateReductions, delta, require_nondegenerate,
                           time_averaged_state, write_reductions_csv)
 from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,

@@ -54,7 +54,7 @@ from typing import Any, Callable, NoReturn
 
 import numpy as np
 
-from .dynamics import Trajectory, evolve_reduced, stratified_times, write_trajectory_csv
+from .dynamics import evolve_reduced, stratified_times, write_trajectory_csv
 from .equilibrium import (EigenstateReductions, require_nondegenerate, time_averaged_state,
                           write_reductions_csv)
 from .equilibrium import delta as subspace_delta
@@ -75,6 +75,7 @@ from .theorems import (THEOREM_IDS, THEOREMS, TheoremReport, necessary_condition
 
 DEFAULT_SEED = 12345
 DEFAULT_OUT_DIR = "isibench-out"
+UNIT_LHS = 1e-10  # |lhs - 1| of a violated T2ii that the conclusion reads as 1
 
 MODEL_KINDS = ("commuting", "cucchietti", "random", "file")
 
@@ -584,8 +585,8 @@ class Pipeline:
                                    allow_degenerate=self.config.allow_degenerate)
 
     @cached_property
-    def dynamics(self) -> tuple[float, Trajectory, float]:
-        """(horizon, trajectory, mean trace distance to the time average)."""
+    def dynamics(self) -> tuple[float, np.ndarray, np.ndarray, float]:
+        """(horizon, times, reduced states, mean trace distance to the time average)."""
         spectral = self.spectral
         # A degenerate spectrum is refused whatever allow_degenerate says.  The
         # horizon divides by the smallest Bohr frequency a reduced state sees.
@@ -606,9 +607,8 @@ class Pipeline:
         require_count_fits("dynamics.n_times", self.config.n_times, self.layout.dim_system)
         rng = generator(self.seed("dynamics"))
         times = stratified_times(horizon, self.config.n_times, rng)
-        trajectory = evolve_reduced(self.coeffs, spectral, self.layout, times)
-        return horizon, trajectory, float(batched_trace_distances(
-            trajectory.states, self.rho_bar).mean())
+        states = evolve_reduced(self.coeffs, spectral, self.layout, times)
+        return horizon, times, states, float(batched_trace_distances(states, self.rho_bar).mean())
 
     @cached_property
     def theorem0(self) -> tuple[TheoremReport, TheoremReport]:
@@ -676,7 +676,7 @@ def _conclusion_line(pipe: Pipeline) -> str:
     if report is None:
         return "conclusion: not evaluated (T2ii absent from analysis.theorems)"
     if report.verdict == "violated":
-        if abs(report.lhs - 1.0) <= 1e-10:
+        if abs(report.lhs - 1.0) <= UNIT_LHS:
             accuracy = "≈ 1/3"
         else:
             accuracy = f"≈ {report.lhs / 3.0:.6g}"
@@ -701,7 +701,7 @@ def _equilibrium_lines(pipe: Pipeline) -> list[str]:
 
 
 def _dynamics_lines(pipe: Pipeline) -> list[str]:
-    horizon, _, metric = pipe.dynamics
+    horizon, _, _, metric = pipe.dynamics
     bound = 2.0 * pipe.layout.dim_system / math.sqrt(pipe.projection.dim)
     return [
         f"dynamics: horizon={horizon:.6g} n_times={pipe.config.n_times}",
@@ -754,7 +754,7 @@ _STAGES: dict[str, tuple[Callable[[Pipeline], list[str]],
         (f"report_{tid}.json", lambda path, report=report: write_report(path, report))
         for tid, report in pipe.reports[0].items()]),
     "dynamics": (_dynamics_lines, lambda pipe: [
-        ("trajectory.csv", lambda path: write_trajectory_csv(path, pipe.dynamics[1]))]),
+        ("trajectory.csv", lambda path: write_trajectory_csv(path, *pipe.dynamics[1:3]))]),
 }
 
 
@@ -874,7 +874,7 @@ _SWEEP_METRICS: dict[str, Callable[[Pipeline], float]] = {
     "mean_squared_polarization": lambda pipe: theorem2_lhs(pipe.reductions)[1],
     "lhs_i": lambda pipe: theorem2_lhs(pipe.reductions)[0],
     "necessary_lhs": lambda pipe: pipe.necessary[0].lhs,
-    "equilibration_metric": lambda pipe: pipe.dynamics[2],
+    "equilibration_metric": lambda pipe: pipe.dynamics[3],
     "min_level_spacing": lambda pipe: pipe.spectral.min_sector_spacing,
 }
 

@@ -5,8 +5,8 @@ of ``SpectralData.coefficients``, and no propagator is ever formed
 (``SpectralData.evolved_reductions``).  The times are worked through
 in blocks, which the commuting and cucchietti models deal to one thread per
 CPU with the same bits on any thread, and only the (n_times, dS, dS)
-trajectory grows with the grid;
-``Trajectory`` keeps it without a copy and reads dS from its shape, and
+trajectory grows with the grid; ``evolve_reduced`` returns it as a
+read-only array that has passed ``check_density_stack``, as rho-bar is, and
 ``spectral.STACK_ELEMENT_CAP``, the cap of every (count, dS, dS) stack a run
 holds, bounds its entries.  The trajectory's purities and Bloch vectors
 come from hilbert's stack formulas, as the reductions' do.  The
@@ -17,8 +17,6 @@ stratified time grid to the infinite-time average, is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -26,48 +24,22 @@ from .hilbert import SpaceLayout, batched_bloch_vectors, check_density_stack, pu
 from .spectral import SpectralData, require_count_fits, write_csv
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Reduced (n_times, dS, dS) states sampled along a time grid."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float, copy=True)
-        states = np.asarray(self.states, dtype=complex)  # kept, not copied
-        if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
-            raise ValidationError(f"times must be a finite vector, got shape {times.shape}")
-        ds = states.shape[-1] if states.ndim else 0
-        if states.shape != (times.size, ds, ds) or ds < 2:
-            raise ValidationError(
-                f"expected ({times.size}, dS, dS) states with dS >= 2, got {states.shape}"
-            )
-        check_density_stack("trajectory states", states, positive=False)
-        for name, value in (("times", times), ("states", states)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-
-    def bloch(self) -> np.ndarray:
-        if self.states.shape[-1] != 2:
-            raise ValidationError("Bloch trajectory is defined for qubit systems")
-        return batched_bloch_vectors(self.states)
-
-
 def evolve_reduced(coefficients: np.ndarray, spectral: SpectralData,
-                   layout: SpaceLayout, times: np.ndarray) -> Trajectory:
-    """Exact reduced evolution of the initial state, given by its (d,)
-    overlaps c, along a time grid; the trajectory's trace check refuses a c
-    whose sum |c_n|^2 is not 1."""
+                   layout: SpaceLayout, times: np.ndarray) -> np.ndarray:
+    """The read-only (n_times, dS, dS) reduced states of the initial state,
+    given by its (d,) overlaps c, along a finite time grid; their trace
+    check refuses a c whose sum |c_n|^2 is not 1."""
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValidationError(f"times must be a nonempty vector, got shape {times.shape}")
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+        raise ValidationError(f"times must be a nonempty finite vector, got shape {times.shape}")
     if np.shape(coefficients) != (spectral.dim,):  # the layout is checked by the spectral data
         raise ValidationError(f"coefficients of shape {np.shape(coefficients)} do not fit "
                               f"d = {spectral.dim}")
     require_count_fits("dynamics.n_times", times.size, layout.dim_system)
     states = spectral.evolved_reductions(coefficients, times, layout)
-    return Trajectory(times=times, states=states)
+    check_density_stack("trajectory states", states, positive=False)
+    states.setflags(write=False)
+    return states
 
 
 def stratified_times(horizon: float, n_times: int,
@@ -86,9 +58,9 @@ def stratified_times(horizon: float, n_times: int,
     return (np.arange(n_times) + offsets) * (horizon / n_times)
 
 
-def write_trajectory_csv(path, trajectory: Trajectory) -> None:
+def write_trajectory_csv(path, times: np.ndarray, states: np.ndarray) -> None:
     """One row per time: t, purity, and Bloch components for qubit systems."""
-    qubit = trajectory.states.shape[-1] == 2
+    qubit = states.shape[-1] == 2
     header = ["t", "purity"] + (["p_x", "p_y", "p_z"] if qubit else [])
-    bloch = trajectory.bloch().T if qubit else ()
-    write_csv(path, header, zip(trajectory.times, purities(trajectory.states), *bloch))
+    bloch = batched_bloch_vectors(states).T if qubit else ()
+    write_csv(path, header, zip(times, purities(states), *bloch))

@@ -42,6 +42,7 @@ from .spectral import (DenseProjection, GroupedProjection, SpectralData,
                        degenerate_level_pairs, write_csv)
 
 COMPLETENESS_TOL = 1e-10  # max |(1/d) sum_n rho_n - I/dS|
+DELTA_SLACK = 1e-9        # rounding accepted outside delta's range [1/dS, 1]
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def delta(reductions: EigenstateReductions,
     """
     value = float(projection.weights @ reductions.purities)
     lower = 1.0 / reductions.layout.dim_system
-    if not lower - 1e-9 <= value <= 1.0 + 1e-9:
+    if not lower - DELTA_SLACK <= value <= 1.0 + DELTA_SLACK:
         raise ValidationError(f"delta = {value:.15g} outside [{lower:.6g}, 1]")
     return value
 

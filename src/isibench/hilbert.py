@@ -36,6 +36,7 @@ STATE_NORM_TOL = 1e-12      # |norm(psi) - 1|
 HERMITICITY_TOL = 1e-12     # max |M - M^dagger| for density matrices
 TRACE_TOL = 1e-12           # |tr(rho) - 1|
 EIGENVALUE_FLOOR = 1e-10    # allowed negative slack on density eigenvalues
+TRACE_NORM_ASYMMETRY = 1e-8  # max |M - M^dagger| of a trace_norm argument
 
 DENSE_BLOCK = 256  # rows, columns, times or matrices per block of a blocked pass
 
@@ -140,7 +141,7 @@ def trace_norm(mat) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     m = _as_matrix(mat)
     asym = float(np.abs(m - m.conj().T).max())
-    if asym > 1e-8:
+    if asym > TRACE_NORM_ASYMMETRY:
         raise ValidationError(f"trace_norm expects a Hermitian matrix, asymmetry {asym:.3e}")
     return float(np.abs(np.linalg.eigvalsh(m)).sum())
 

@@ -42,9 +42,10 @@ reductions above ``STACK_ELEMENT_CAP``, the entries of a (count, dS, dS) stack;
 The dense eigensolver, ``_eigh``, is LAPACK's MRRR driver zheevr, called
 through ctypes in the OpenBLAS that numpy's wheel ships, from
 ``MRRR_MIN_DIM`` on, and ``numpy.linalg.eigh`` below it or on a numpy build
-without that library.  When the one scan of the Hermiticity check finds H
-its own bitwise mirror, zheevr works on H's buffer and hands it back bit
-for bit, holding no copy of H; any other H is solved on a copy.
+without that library.  zheevr solves conj(H), H's C-ordered buffer read by
+columns, and its eigenvectors are conjugated.  When the Hermiticity scan
+finds H its own bitwise mirror, zheevr works on H's buffer and hands it back
+bit for bit; any other H is solved on a copy, dropped as zheevr left it.
 
 The dense path holds each d x d array once.  The assembly, the checks on a
 d x d array, the reductions and the evolution work through it in blocks of
@@ -607,24 +608,24 @@ def _eigh(mat: np.ndarray, mirrored: bool) -> tuple[np.ndarray, np.ndarray]:
     zheevr takes about half the time and workspace of numpy's zheevd.  It
     works on H's own buffer if H is ``mirrored`` (the scan's answer) and
     writeable, aligned and C-ordered, and on a C-ordered copy of any other
-    H.  The buffer is conjugated in place: conj(H) in C order, which LAPACK
-    reads by columns as H.  zheevr overwrites the diagonal and the lower
-    triangle, so afterwards, also when it fails, the strict upper triangle is
-    conjugated back, the lower one rebuilt by ``_mirror`` and the diagonal
-    put back: H comes back bit for bit.  The eigenvectors are the
-    column-major array LAPACK writes; a nonzero status raises LinAlgError.
+    H.  LAPACK reads the C-ordered buffer by columns as conj(H), so its
+    eigenvectors, conjugated in place, are H's.  zheevr overwrites the
+    diagonal and the lower triangle; on H's own buffer, also when it fails,
+    ``_mirror`` rebuilds the lower one and the diagonal is put back, so H
+    comes back bit for bit, and a copy is dropped.  The eigenvectors are
+    the column-major array LAPACK writes; a nonzero status raises LinAlgError.
     """
     d = len(mat)
     solver = _zheevr() if d >= MRRR_MIN_DIM else None
     if solver is None:
         return np.linalg.eigh(mat)
-    if not (mirrored and mat.flags.carray):  # C-ordered, aligned and writeable
+    own = mirrored and mat.flags.carray  # C-ordered, aligned and writeable
+    if not own:
         mat = np.array(mat, order="C")
     diagonal = mat.diagonal().copy()
     evals = np.empty(d)
     evecs = np.empty((d, d), dtype=complex, order="F")
     count, supports = np.empty(1, dtype=np.int64), np.empty(2 * d, dtype=np.int64)
-    np.conjugate(mat, out=mat)
     try:
         # 102: column-major; V: with eigenvectors; A: all of them; U: the
         # upper triangle of the buffer read by columns, which is H's lower one
@@ -632,14 +633,14 @@ def _eigh(mat: np.ndarray, mirrored: bool) -> tuple[np.ndarray, np.ndarray]:
                       count.ctypes.data, evals.ctypes.data, evecs.ctypes.data, d,
                       supports.ctypes.data)
     finally:
-        np.conjugate(mat, out=mat)  # the strict upper triangle is H's again
-        for cols in dense_blocks(d):
-            for lower, mirror, below in _mirror_tiles(mat, cols):
-                lower[below] = mirror[below]
-        np.fill_diagonal(mat, diagonal)
+        if own:
+            for cols in dense_blocks(d):
+                for lower, mirror, below in _mirror_tiles(mat, cols):
+                    lower[below] = mirror[below]
+            np.fill_diagonal(mat, diagonal)
     if info:
         raise np.linalg.LinAlgError(f"zheevr failed with status {info}")
-    return evals, evecs
+    return evals, np.conjugate(evecs, out=evecs)
 
 
 def eigendecompose(hamiltonian) -> SpectralData:
@@ -654,8 +655,8 @@ def eigendecompose(hamiltonian) -> SpectralData:
 
     The solver is ``_eigh``: LAPACK's MRRR driver from d = MRRR_MIN_DIM,
     numpy's eigh below it.  The MRRR driver writes into a writeable C-ordered
-    H that the scan finds its own bitwise mirror and hands it back bit for
-    bit, and copies any other H, so the checks read H as it was given.
+    H that the scan finds its own bitwise mirror, unconjugated, and hands it
+    back bit for bit; it copies any other H, so the checks read H as given.
     Besides H, the call holds the solver's buffers while it runs (the
     eigenvector matrix; numpy's eigh holds about four d x d arrays), then the
     eigenvector matrix, which the phase fixing overwrites and the checks read

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .equilibrium import EigenstateReductions, delta, require_nondegenerate
+from .equilibrium import DELTA_SLACK, EigenstateReductions, delta, require_nondegenerate
 from .errors import ValidationError
 # trace_distance is kept importable from here: the benchmark's tracer test
 # looks it up under this module.
@@ -52,6 +52,7 @@ VERDICT_BOUNDARY = 1e-9         # |lhs - rhs| window reported as indeterminate
 
 VERDICTS = ("satisfied", "violated", "vacuous", "indeterminate")
 REPORT_SCHEMA_VERSION = 1       # "schema_version" of a report's JSON
+RHS_REPRODUCTION = 1e-12        # relative and absolute slack of a recorded rhs
 
 _SCALAR_TYPES = (bool, int, float, str)
 # The parameters that a bound or the verdict reads as numbers (int or float).
@@ -80,7 +81,7 @@ def theorem0_rhs(dim_system: int, dim_restricted: int,
     if dim_restricted < 1:
         raise ValidationError(f"dR must be >= 1, got {dim_restricted}")
     lower = 1.0 / dim_system
-    if not lower - 1e-9 <= delta_value <= 1.0 + 1e-9:
+    if not lower - DELTA_SLACK <= delta_value <= 1.0 + DELTA_SLACK:
         raise ValidationError(f"delta = {delta_value} outside [{lower:.6g}, 1]")
     strong = math.sqrt(dim_system * delta_value / dim_restricted)
     weak = math.sqrt(dim_system / dim_restricted)
@@ -333,8 +334,8 @@ class TheoremReport:
 
     @classmethod
     def from_json(cls, text: str) -> "TheoremReport":
-        """The recorded report, refused unless its rhs reproduces (1e-12
-        relative; inf only as inf) and its verdict is the derived one."""
+        """The recorded report, refused unless its rhs reproduces (to
+        RHS_REPRODUCTION; inf only as inf) and its verdict is the derived one."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as err:
@@ -356,7 +357,7 @@ class TheoremReport:
             raise ValidationError(f"unknown verdict {verdict!r}")
         if not isinstance(rhs, (int, float)) or math.isnan(rhs):
             raise ValidationError(f"rhs must be a number, got {rhs!r}")
-        if not math.isclose(rhs, report.rhs, rel_tol=1e-12, abs_tol=1e-12):
+        if not math.isclose(rhs, report.rhs, rel_tol=RHS_REPRODUCTION, abs_tol=RHS_REPRODUCTION):
             raise ValidationError(f"rhs {rhs!r} not reproducible from parameters "
                                   f"(recomputed {report.rhs!r})")
         if verdict != report.verdict:
@@ -397,7 +398,7 @@ def sufficient_condition_report(delta_value: float) -> TheoremReport:
     SUFFICIENT_ISI_THRESHOLD: satisfied guarantees independence, violated
     only withholds the guarantee.
     """
-    if not 0.0 < delta_value <= 1.0 + 1e-9:
+    if not 0.0 < delta_value <= 1.0 + DELTA_SLACK:
         raise ValidationError(f"delta must lie in (0, 1], got {delta_value}")
     return TheoremReport("SufficientISI", math.sqrt(delta_value),
                          {"delta": delta_value, "threshold": SUFFICIENT_ISI_THRESHOLD})

@@ -134,7 +134,7 @@ def _equilibrated_fraction(spectral, layout, n_draws, seed):
         coeffs = spectral.coefficients(tensor_product(PLUS, phi), layout)
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
         times = stratified_times(horizon, 2000, time_rng)
-        states = evolve_reduced(coeffs, spectral, layout, times).states
+        states = evolve_reduced(coeffs, spectral, layout, times)
         metric = float(batched_trace_distances(states, equilibrium).mean())
         hits += metric <= bound
     return hits / n_draws

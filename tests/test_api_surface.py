@@ -18,7 +18,6 @@ import pytest
 
 import isibench
 from isibench import cli
-from isibench.dynamics import Trajectory
 from isibench.equilibrium import EigenstateReductions
 from isibench.spectral import CompositeHamiltonian, SpectralData
 from isibench.theorems import THEOREM_IDS, Theorem, TheoremReport
@@ -85,6 +84,8 @@ GONE = {
     "haar_amplitudes": "sample_amplitudes(dim, n, rng), which it only forwarded to",
     "_mirrored": "_require_hermitian says whether H is its own bitwise mirror, from its "
                  "one scan",
+    "Trajectory": "evolve_reduced returns the read-only (n_times, dS, dS) states that "
+                  "passed check_density_stack",
 }
 
 # Config entries that were removed, each with its reason; none may come back.
@@ -112,7 +113,6 @@ DERIVED = {
     (EigenstateReductions, "polarization_gram"): "bloch^T bloch of the strided polarizations",
     (EigenstateReductions, "layout"): "dS = k and dB = n / k of the (n, k, k) stack",
     (CompositeHamiltonian, "layout"): "the dimensions of the system and bath parts",
-    (Trajectory, "layout"): "dS is the size of the (n_times, dS, dS) states",
     (TheoremReport, "rhs"): "recompute_rhs of the recorded parameters",
     (TheoremReport, "verdict"): "assign_verdict of the two sides",
     (TheoremReport, "schema_version"): "the module constant REPORT_SCHEMA_VERSION",
@@ -204,6 +204,23 @@ def test_readme_library_use_names_no_replaced_definition():
     named = sorted({name for span in spans for name in GONE
                     if re.fullmatch(rf"(?:\w+\.)*{re.escape(name)}(?:\(.*\))?", span)})
     assert not named, f"README Library use names replaced definitions: {named}"
+
+
+def test_every_threshold_is_a_named_constant():
+    # a float literal below 1e-6 in a comparison, or as a tolerance argument,
+    # is a threshold written at its check: each is a module constant instead
+    def small_literals(node):
+        return [sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant)
+                and type(sub.value) is float and 0.0 < abs(sub.value) < 1e-6]
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) or (
+                    isinstance(node, ast.keyword) and node.arg in ("rel_tol", "abs_tol")):
+                found.extend(f"{path.name}:{node.lineno}: {value!r}"
+                             for value in small_literals(node))
+    assert not found, f"thresholds written as literals: {found}"
 
 
 def test_the_registry_holds_the_bounds_and_the_pipeline_the_builders():

@@ -93,9 +93,9 @@ def _stages(spectral, layout, initial, psi, horizon):
     out["T0ii lhs"] = tail_report.lhs
     # max|E| t <= 1e3 keeps the phases of both paths within 1e-13
     short = np.linspace(0.0, 1e3 / spectral.spectral_norm, 41)
-    out["trajectory"] = evolve_reduced(coeffs, spectral, layout, short).states
+    out["trajectory"] = evolve_reduced(coeffs, spectral, layout, short)
     long = stratified_times(horizon, 64, generator(3))
-    out["trajectory at the horizon"] = evolve_reduced(coeffs, spectral, layout, long).states
+    out["trajectory at the horizon"] = evolve_reduced(coeffs, spectral, layout, long)
     out["phase rounding"] = spectral.spectral_norm * long.max() * 2.0**-52
     return out
 
@@ -274,7 +274,7 @@ def test_degenerate_levels_inside_a_block_keep_their_coherence():
                       EigenstateReductions(block.reductions(layout)).matrices)
     assert _gap(averages[0], plain).max() > 1e-3
     times = np.linspace(0.0, 50.0, 9)
-    paths = [evolve_reduced(s.coefficients(initial, layout), s, layout, times).states
+    paths = [evolve_reduced(s.coefficients(initial, layout), s, layout, times)
              for s in (block, expanded)]
     assert _gap(*paths).max() <= TOL
 
@@ -590,8 +590,8 @@ def test_dense_product_projection_is_written_in_place():
 
 def test_dynamics_stage_keeps_the_evolved_trajectory():
     """The commuting model of sec5_violation at dB = 16 with 500,000 times:
-    the trajectory is 30.5 MiB, and the stage holds it once inside the
-    Trajectory (no copy), besides the 3.8 MiB of distances and one block of
+    the trajectory is 30.5 MiB, and the stage holds it once (no copy),
+    besides the 3.8 MiB of times, the 3.8 MiB of distances and one block of
     the checks' and distances' temporaries."""
     config = cli.ExperimentConfig(kind="commuting", dim_bath=16, dynamics_enabled=True,
                                   n_times=500_000)
@@ -599,9 +599,9 @@ def test_dynamics_stage_keeps_the_evolved_trajectory():
     _ = pipe.coeffs, pipe.rho_bar
     tracemalloc.start()
     try:
-        trajectory = pipe.dynamics[1]
+        states = pipe.dynamics[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not trajectory.states.flags.writeable
+    assert not states.flags.writeable
     assert peak <= 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"

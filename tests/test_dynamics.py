@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from isibench import (CapExceededError, CompositeHamiltonian, EigenstateReductions,
-                      PureState, SpaceLayout, Trajectory, ValidationError, eigendecompose,
+                      PureState, SpaceLayout, ValidationError, eigendecompose,
                       evolve_reduced, purities, stratified_times,
                       time_averaged_state, trace_distance, tensor_product,
                       write_trajectory_csv)
-from isibench.hilbert import SIGMA_Z, batched_trace_distances
+from isibench.hilbert import SIGMA_Z, batched_bloch_vectors, batched_trace_distances
 from isibench import spectral as spectral_module
 from isibench.models import analytic_eigensystem, sample_commuting_spec
 from isibench.spectral import STACK_ELEMENT_CAP
@@ -34,7 +34,7 @@ def _equilibration_metric(coeffs, spectral, layout, horizon, n_times, rng=None):
     reductions = EigenstateReductions(spectral.reductions(layout))
     equilibrium = time_averaged_state(coeffs, reductions, spectral)
     times = stratified_times(horizon, n_times, rng)
-    states = evolve_reduced(coeffs, spectral, layout, times).states
+    states = evolve_reduced(coeffs, spectral, layout, times)
     return float(batched_trace_distances(states, equilibrium).mean())
 
 
@@ -48,35 +48,35 @@ def _window_average(coeffs, spectral, layout, horizon):
 class TestEvolveReduced:
     def test_time_zero_returns_initial_reduction(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 3)
-        trajectory = evolve_reduced(coeffs, spectral, layout, np.array([0.0]))
+        states = evolve_reduced(coeffs, spectral, layout, np.array([0.0]))
         expected = ptrace_bath_loop(np.outer(state.amplitudes, state.amplitudes.conj()),
                                     layout.dim_system, layout.dim_bath)
-        assert np.abs(trajectory.states[0] - expected).max() < 1e-12
+        assert np.abs(states[0] - expected).max() < 1e-12
 
     def test_matches_eigenbasis_loop_oracle(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 5)
         times = np.array([0.3, 1.7, 4.1])
-        trajectory = evolve_reduced(coeffs, spectral, layout, times)
+        states = evolve_reduced(coeffs, spectral, layout, times)
         for k, t in enumerate(times):
             expected = reduced_state_loop(coeffs, spectral.eigenvalues,
                                           expand_sectors(spectral, layout), 2, 4, t)
-            assert np.abs(trajectory.states[k] - expected).max() < 1e-12
+            assert np.abs(states[k] - expected).max() < 1e-12
 
     def test_matches_expm_oracle(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 3, 7)
         t = 2.31
-        trajectory = evolve_reduced(coeffs, spectral, layout, np.array([t]))
+        states = evolve_reduced(coeffs, spectral, layout, np.array([t]))
         evolved = expm_propagate(ham, state.amplitudes, t)
         expected = ptrace_bath_loop(np.outer(evolved, evolved.conj()), 2, 3)
-        assert np.abs(trajectory.states[0] - expected).max() < 1e-10
+        assert np.abs(states[0] - expected).max() < 1e-10
 
     def test_trace_and_hermiticity_along_trajectory(self):
         ham, layout, spectral, state, coeffs, rng = _evolution_problem(2, 8, 11)
         times = stratified_times(50.0, 64, rng)
-        trajectory = evolve_reduced(coeffs, spectral, layout, times)
-        traces = np.einsum("tii->t", trajectory.states)
+        states = evolve_reduced(coeffs, spectral, layout, times)
+        traces = np.einsum("tii->t", states)
         assert np.abs(traces - 1.0).max() < 1e-12
-        herm = np.abs(trajectory.states - trajectory.states.conj().transpose(0, 2, 1))
+        herm = np.abs(states - states.conj().transpose(0, 2, 1))
         assert herm.max() < 1e-12
 
     def test_uncoupled_qubit_precesses_about_z(self):
@@ -87,7 +87,7 @@ class TestEvolveReduced:
         phi = PureState(np.array([1.0]), space="bath")
         coeffs = spectral.coefficients(tensor_product(psi, phi), ham.layout)
         times = np.linspace(0.0, 10.0, 40)
-        bloch = evolve_reduced(coeffs, spectral, ham.layout, times).bloch()
+        bloch = batched_bloch_vectors(evolve_reduced(coeffs, spectral, ham.layout, times))
         assert np.abs(bloch[:, 2]).max() < 1e-12
         assert np.abs(bloch[:, 0] - np.cos(omega * times)).max() < 1e-10
         assert np.abs(bloch[:, 1] - np.sin(omega * times)).max() < 1e-10
@@ -100,8 +100,8 @@ class TestEvolveReduced:
         phi = PureState(random_state(16, rng), space="bath")
         coeffs = spectral.coefficients(tensor_product(psi, phi), spec.layout)
         times = np.linspace(0.0, 200.0, 400)
-        trajectory = evolve_reduced(coeffs, spectral, spec.layout, times)
-        values = purities(trajectory.states)
+        states = evolve_reduced(coeffs, spectral, spec.layout, times)
+        values = purities(states)
         assert values[0] == pytest.approx(1.0, abs=1e-10)
         assert values.min() < 0.9
         assert values[1:].max() > values.min() + 0.05
@@ -124,7 +124,7 @@ class TestEvolveReduced:
         states = []  # kept, so that no result reuses the memory of another
         for workers in (1, 2, 3, n_times + 1):  # the last exceeds the blocks
             monkeypatch.setattr(spectral_module, "_evolution_threads", workers)
-            states.append(evolve_reduced(*problem).states)
+            states.append(evolve_reduced(*problem))
         assert [s.tobytes() for s in states[1:]] == [states[0].tobytes()] * 3
 
     def test_a_helper_threads_error_reaches_the_caller(self, monkeypatch):
@@ -133,10 +133,10 @@ class TestEvolveReduced:
         coeffs, spectral, layout, times = self._commuting_problem(512, 256)
         times[128:] = 1e308
         monkeypatch.setattr(spectral_module, "_evolution_threads", 2)
-        trajectory = None
+        states = None
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            trajectory = evolve_reduced(coeffs, spectral, layout, times)
-        assert trajectory is None
+            states = evolve_reduced(coeffs, spectral, layout, times)
+        assert states is None
 
     def test_element_cap(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(3, 4, 17)
@@ -149,6 +149,24 @@ class TestEvolveReduced:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValidationError, match="trajectory states"):
             evolve_reduced(coeffs, spectral, layout, np.array([0.0, 1e308]))
+
+    def test_the_states_are_a_read_only_array(self):
+        ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 83)
+        states = evolve_reduced(coeffs, spectral, layout, np.array([0.0, 1.5]))
+        assert type(states) is np.ndarray and states.shape == (2, 2, 2)
+        assert not states.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_grid_that_is_not_finite_is_refused_before_any_evolution(self, monkeypatch,
+                                                                        bad):
+        ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 89)
+
+        def evolved(*args):
+            raise AssertionError("the grid was evolved")
+
+        monkeypatch.setattr(spectral_module.SpectralData, "evolved_reductions", evolved)
+        with pytest.raises(ValidationError, match="finite vector"):
+            evolve_reduced(coeffs, spectral, layout, np.array([0.0, bad]))
 
 
 @pytest.mark.parametrize("stage", ["time_averaged_state", "evolve_reduced"])
@@ -208,8 +226,8 @@ class TestEquilibrationMetric:
                                       n_times=n_times)
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
         times = stratified_times(horizon, n_times)
-        trajectory = evolve_reduced(coeffs, spectral, layout, times)
-        distances = [trace_distance(trajectory.states[k], equilibrium)
+        states = evolve_reduced(coeffs, spectral, layout, times)
+        distances = [trace_distance(states[k], equilibrium)
                      for k in range(n_times)]
         assert value == pytest.approx(np.mean(distances), abs=1e-12)
 
@@ -218,11 +236,11 @@ class TestFiniteTimeAverage:
     def test_trajectory_mean(self):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 4, 37)
         times = np.linspace(0.0, 30.0, 16)
-        trajectory = evolve_reduced(coeffs, spectral, layout, times)
+        states = evolve_reduced(coeffs, spectral, layout, times)
         rho = np.mean([reduced_state_loop(coeffs, spectral.eigenvalues,
                                           expand_sectors(spectral, layout), 2, 4, t)
                        for t in times], axis=0)
-        assert np.abs(rho - trajectory.states.mean(axis=0)).max() < 1e-14
+        assert np.abs(rho - states.mean(axis=0)).max() < 1e-14
 
     def test_eigenstate_average_is_stationary(self):
         ham, layout, spectral, _, _, _ = _evolution_problem(2, 4, 41)
@@ -238,9 +256,9 @@ class TestFiniteTimeAverage:
         horizon = 35.0
         closed = _window_average(coeffs, spectral, layout, horizon=horizon)
         times = np.linspace(0.0, horizon, 20001)
-        trajectory = evolve_reduced(coeffs, spectral, layout, times)
+        states = evolve_reduced(coeffs, spectral, layout, times)
         from scipy.integrate import simpson
-        sampled = simpson(trajectory.states, x=times, axis=0) / horizon
+        sampled = simpson(states, x=times, axis=0) / horizon
         assert np.abs(closed - sampled).max() < 1e-6
 
     def test_long_horizon_approaches_infinite_time_average(self):
@@ -267,7 +285,7 @@ class TestFiniteTimeAverage:
         horizon = 200.0
         closed = _window_average(coeffs, spectral, layout, horizon=horizon)
         times = stratified_times(horizon, 40000, np.random.default_rng(61))
-        sampled = evolve_reduced(coeffs, spectral, layout, times).states.mean(axis=0)
+        sampled = evolve_reduced(coeffs, spectral, layout, times).mean(axis=0)
         assert trace_distance(closed, sampled) < 5e-3
 
     def test_evolution_cap_names_the_largest_n_times(self):
@@ -290,31 +308,24 @@ class TestTrajectoryCsv:
     def test_qubit_columns_and_values(self, tmp_path):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(2, 3, 73)
         times = np.array([0.0, 0.5, 1.0])
-        trajectory = evolve_reduced(coeffs, spectral, layout, times)
+        states = evolve_reduced(coeffs, spectral, layout, times)
         path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(path, trajectory)
+        write_trajectory_csv(path, times, states)
         lines = path.read_text().splitlines()
         assert lines[0] == "# schema_version 1"
         assert lines[1] == "t,purity,p_x,p_y,p_z"
         assert len(lines) == 2 + 3
         row = lines[3].split(",")
         assert float(row[0]) == 0.5
-        assert float(row[1]) == pytest.approx(purities(trajectory.states)[1])
+        assert float(row[1]) == pytest.approx(purities(states)[1])
 
     def test_qutrit_drops_bloch_columns(self, tmp_path):
         ham, layout, spectral, state, coeffs, _ = _evolution_problem(3, 2, 79)
-        trajectory = evolve_reduced(coeffs, spectral, layout, np.array([0.0]))
+        times = np.array([0.0])
+        states = evolve_reduced(coeffs, spectral, layout, times)
         path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(path, trajectory)
+        write_trajectory_csv(path, times, states)
         assert path.read_text().splitlines()[1] == "t,purity"
-        with pytest.raises(ValidationError, match="qubit"):
-            trajectory.bloch()
+        with pytest.raises(ValidationError, match=r"\(n, 2, 2\) stack"):
+            batched_bloch_vectors(states)
 
-
-class TestTrajectory:
-    @pytest.mark.parametrize("shape", [(2, 3, 3), (3, 2, 3), (3, 1, 1), (3, 4)])
-    def test_states_must_be_one_square_matrix_per_time(self, shape):
-        # dS is read from the states, so only their own shape can refuse them
-        states = np.zeros(shape, dtype=complex)
-        with pytest.raises(ValidationError, match="states"):
-            Trajectory(np.arange(3.0), states)

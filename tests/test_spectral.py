@@ -390,6 +390,33 @@ class TestDenseSolver:
             assert np.array_equal(solved[0], expected[0])
             assert np.array_equal(solved[1], expected[1])
 
+    @pytest.mark.parametrize("kind", ["1e-12", "-0.0", "read-only", "F-ordered"])
+    def test_a_copy_is_dropped_as_the_solve_left_it(self, monkeypatch, kind):
+        """eigendecompose of an H it solves on a copy reads H's tiles in the
+        scan alone: the copy that zheevr overwrote is not rebuilt."""
+        self._require_mrrr()
+        mat = self._hermitian(spectral.MRRR_MIN_DIM + 8)
+        if kind == "read-only":
+            mat.setflags(write=False)
+        elif kind == "F-ordered":
+            mat = np.asfortranarray(mat)
+        else:
+            mat = self._asymmetric(mat, kind)
+        calls, tiles, solver = [], spectral._mirror_tiles, spectral._zheevr()
+
+        def tiles_spy(*args):
+            calls.append("tiles")
+            return tiles(*args)
+
+        def solver_spy(*args):
+            calls.append("solve")
+            return solver(*args)
+
+        monkeypatch.setattr(spectral, "_mirror_tiles", tiles_spy)
+        monkeypatch.setattr(spectral, "_zheevr", lambda: solver_spy)
+        eigendecompose(mat)
+        assert "tiles" in calls and calls[calls.index("solve"):] == ["solve"]
+
     @pytest.mark.parametrize("dim_system, dim_bath, strength", [
         (2, 768, 1.0), (3, 64, 1.0), (3, 128, 1.0), (2, 300, -0.5), (3, 200, 0.0),
         (2, 300, 0.0)])
