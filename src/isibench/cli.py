@@ -430,21 +430,26 @@ class Pipeline:
         _ = self.coeffs, self.delta
         return self
 
-    def check_theorems(self) -> None:
-        """Refuse, before any draw, what a config-fixed dS decides: after the size
-        cap, qubit-only reports on dS != 2, then the sample count of T0i, T0ii
-        and Popescu and the start count of a dS > 2 search above their cap.  A
+    def check_counts(self, stages: list[str]) -> None:
+        """Refuse, before any draw, what a config-fixed dS decides for the
+        ``bounds`` and ``dynamics`` stages: after the size cap, qubit-only
+        reports on dS != 2, then the sample count of T0i, T0ii and Popescu, the
+        start count of a dS > 2 search and the time count above their cap.  A
         matrix file's dS is checked once read, by ``reports`` and the draws."""
         config = self.config
-        if config.kind == "file":
+        if config.kind == "file" or not {"bounds", "dynamics"} & set(stages):
             return
-        ds, listed = config.dim_system or 2, set(config.theorems)
+        ds = config.dim_system or 2
         self._check_dimension()
-        _require_qubit("analysis.theorems", config.theorems, ds)
-        if listed & {"T0i", "T0ii", "Popescu"}:
-            require_count_fits("analysis.n_samples", config.n_samples, ds)
-        if listed & {"T1", "T1prime"} and ds > 2:
-            require_count_fits("analysis.n_starts", config.n_starts, ds)
+        if "bounds" in stages:
+            listed = set(config.theorems)
+            _require_qubit("analysis.theorems", config.theorems, ds)
+            if listed & {"T0i", "T0ii", "Popescu"}:
+                require_count_fits("analysis.n_samples", config.n_samples, ds)
+            if listed & {"T1", "T1prime"} and ds > 2:
+                require_count_fits("analysis.n_starts", config.n_starts, ds)
+        if "dynamics" in stages:
+            require_count_fits("dynamics.n_times", config.n_times, ds)
 
     def _check_dimension(self) -> None:
         """``require_fits`` on the sectors the config fixes, before any draw: dB
@@ -765,8 +770,7 @@ def _run_stages(config: ExperimentConfig, args, name: str) -> list[str]:
     stages = [stage for stage in _STAGES
               if stage != "dynamics" or config.dynamics_enabled] if run else [args.command]
     pipe = Pipeline(config)
-    if "bounds" in stages:
-        pipe.check_theorems()
+    pipe.check_counts(stages)
     if stages != ["spectrum"]:
         pipe.prepare()
     lines = []

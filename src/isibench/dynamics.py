@@ -42,20 +42,17 @@ def evolve_reduced(coefficients: np.ndarray, spectral: SpectralData,
     return states
 
 
-def stratified_times(horizon: float, n_times: int,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
+def stratified_times(horizon: float, n_times: int, rng: np.random.Generator) -> np.ndarray:
     """n_times points in [0, horizon), one uniform draw per equal stratum.
 
     Stratification keeps the estimator unbiased for uniform time averages
-    while cutting its variance; with no generator the stratum midpoints are
-    used, which makes the grid deterministic.
+    while cutting its variance.
     """
     if horizon <= 0 or not np.isfinite(horizon):
         raise ValidationError(f"horizon must be positive and finite, got {horizon}")
     if n_times < 1:
         raise ValidationError(f"n_times must be >= 1, got {n_times}")
-    offsets = rng.uniform(size=n_times) if rng is not None else np.full(n_times, 0.5)
-    return (np.arange(n_times) + offsets) * (horizon / n_times)
+    return (np.arange(n_times) + rng.uniform(size=n_times)) * (horizon / n_times)
 
 
 def write_trajectory_csv(path, times: np.ndarray, states: np.ndarray) -> None:

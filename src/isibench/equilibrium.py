@@ -91,16 +91,14 @@ class EigenstateReductions:
         return self.matrices.shape[0]
 
 
-def require_nondegenerate(spectral: SpectralData, allow_degenerate: bool = False) -> None:
+def require_nondegenerate(spectral: SpectralData) -> None:
     """Gate for formulas that assume a nondegenerate spectrum.
 
     When the mask ``spectral.degenerate`` marks a gap it raises
-    DegenerateSpectrumError with their count and the first 8 pairs, unless
-    ``allow_degenerate`` asks to proceed (the caller then marks its output as
-    computed under a violated hypothesis).
+    DegenerateSpectrumError with their count and the first 8 pairs.
     """
     count = int(np.count_nonzero(spectral.degenerate))
-    if count and not allow_degenerate:
+    if count:
         shown = ", ".join(f"({a}, {b})" for a, b in degenerate_level_pairs(spectral, 8))
         more = "" if count <= 8 else f" and {count - 8} more"
         raise DegenerateSpectrumError(
@@ -126,7 +124,8 @@ def time_averaged_state(coefficients: np.ndarray, reductions: EigenstateReductio
     if np.shape(coefficients) != (spectral.dim,) or reductions.dim != spectral.dim:
         raise ValidationError(f"coefficients of shape {np.shape(coefficients)} and "
                               f"{reductions.dim} reductions do not fit d = {spectral.dim}")
-    require_nondegenerate(spectral, allow_degenerate)
+    if not allow_degenerate:
+        require_nondegenerate(spectral)
     rho = (spectral.dephased_reduction(coefficients, reductions.layout)
            if spectral.degenerate.any()
            else weighted_sum(np.abs(coefficients) ** 2, reductions.matrices))

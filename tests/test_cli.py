@@ -1339,6 +1339,22 @@ class TestInputHardening:
         assert captured.err.endswith(f"set analysis.{key} to at most {largest}\n")
         assert not out_dir.exists()
 
+    # The time count of the dynamics stage too, whichever command runs it.
+    @pytest.mark.parametrize("command", ["run", "dynamics"])
+    def test_time_count_above_the_cap_exits_3_before_the_model_is_drawn(
+            self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "build_random_model",
+                            lambda *args: pytest.fail("the model was drawn"))
+        out_dir = tmp_path / "out"
+        assert cli.main([command, "--config", "random_contrast", "--out", str(out_dir),
+                         "--override", "model.dim_bath=1024",
+                         "--override", "dynamics.n_times=6000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: dynamics.n_times * dS^2 = 6000000 * 4 exceeds "
+                                "20000000; set dynamics.n_times to at most 5000000\n")
+        assert not out_dir.exists()
+
     # A matrix file's dS is known once the file is read, so its counts are
     # refused where the draws start.
     @pytest.mark.parametrize("theorem, dim_system, key, draw, largest", [

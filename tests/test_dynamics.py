@@ -28,7 +28,7 @@ def _evolution_problem(ds, db, seed):
     return ham, layout, spectral, state, coeffs, rng
 
 
-def _equilibration_metric(coeffs, spectral, layout, horizon, n_times, rng=None):
+def _equilibration_metric(coeffs, spectral, layout, horizon, n_times, rng):
     """Mean trace distance to the infinite-time average on a stratified grid,
     computed as the dynamics stage does."""
     reductions = EigenstateReductions(spectral.reductions(layout))
@@ -191,15 +191,11 @@ class TestStratifiedTimes:
         strata = np.floor(times / 0.5).astype(int)
         assert np.array_equal(strata, np.arange(20))
 
-    def test_midpoints_without_generator(self):
-        times = stratified_times(8.0, 4)
-        assert np.allclose(times, [1.0, 3.0, 5.0, 7.0])
-
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValidationError):
-            stratified_times(0.0, 4)
+            stratified_times(0.0, 4, np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            stratified_times(math.inf, 4)
+            stratified_times(math.inf, 4, np.random.default_rng(0))
 
 
 class TestEquilibrationMetric:
@@ -223,9 +219,9 @@ class TestEquilibrationMetric:
         reductions = EigenstateReductions(spectral.reductions(layout))
         horizon, n_times = 40.0, 32
         value = _equilibration_metric(coeffs, spectral, layout, horizon=horizon,
-                                      n_times=n_times)
+                                      n_times=n_times, rng=np.random.default_rng(5))
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
-        times = stratified_times(horizon, n_times)
+        times = stratified_times(horizon, n_times, np.random.default_rng(5))
         states = evolve_reduced(coeffs, spectral, layout, times)
         distances = [trace_distance(states[k], equilibrium)
                      for k in range(n_times)]
