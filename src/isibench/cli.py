@@ -50,7 +50,7 @@ from datetime import datetime, timezone
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable, Iterable, NoReturn
 
 import numpy as np
 
@@ -287,19 +287,6 @@ def _read(raw: dict[str, dict[str, str]], key: ConfigKey, default: Any):
     return value
 
 
-# Entries defined for qubit systems only, by the config key that lists them.
-_QUBIT_ONLY = {"analysis.theorems": ("T2i", "T2ii"),
-               "sweep.metrics": ("mean_squared_polarization", "lhs_i")}
-
-
-def _require_qubit(key: str, listed: tuple[str, ...], dim_system: float) -> None:
-    """Refuse the qubit-only entries that ``key`` lists for a model with dS != 2."""
-    named = [name for name in listed if name in _QUBIT_ONLY[key]]
-    if named and dim_system != 2:
-        raise ConfigError(f"{key} lists {', '.join(named)}, defined for qubit systems "
-                          f"only; the model has dS = {dim_system:g}")
-
-
 def _check_sweep(config: ExperimentConfig) -> None:
     parameter, values = config.sweep_parameter, config.sweep_values
     # The numeric model keys of the kind but the seed; a matrix file has none.
@@ -327,8 +314,6 @@ def _check_sweep(config: ExperimentConfig) -> None:
             _read({"model": {parameter: f"{value:.17g}"}}, key, None)
         except ConfigError as err:
             raise ConfigError(f"sweep.values: {err}") from None
-    _require_qubit("sweep.metrics", config.sweep_metrics,
-                   max(values) if parameter == "dim_system" else config.dim_system or 2)
 
 
 def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
@@ -413,8 +398,10 @@ class Pipeline:
     Stages and writers call the layer functions through this module's imports,
     which a tracer can wrap; ``coeffs`` and ``projection`` call methods instead.
     ``reports`` builds each configured report by its entry in ``_REPORTS``,
-    from the stages that entry names; ``theorems.THEOREMS`` holds only the
-    bounds.
+    from the stage that entry names; ``theorems.THEOREMS`` holds only the
+    bounds.  ``check`` refuses, before any draw, what those stages need of
+    the config (``_NEEDS``), so the stages themselves refuse only what
+    depends on the model.
     """
 
     def __init__(self, config: ExperimentConfig,
@@ -430,30 +417,36 @@ class Pipeline:
         _ = self.coeffs, self.delta
         return self
 
-    def check_counts(self, stages: list[str]) -> None:
-        """Refuse, before any draw, what a config-fixed dS decides for the
-        ``bounds`` and ``dynamics`` stages: after the size cap, qubit-only
-        reports on dS != 2, then the sample count of T0i, T0ii and Popescu, the
-        start count of a dS > 2 search and the time count above their cap.  A
-        matrix file's dS is checked once read, by ``reports`` and the draws."""
-        config = self.config
-        if config.kind == "file" or not {"bounds", "dynamics"} & set(stages):
-            return
-        ds = config.dim_system or 2
-        self._check_dimension()
-        if "bounds" in stages:
-            listed = set(config.theorems)
-            _require_qubit("analysis.theorems", config.theorems, ds)
-            if listed & {"T0i", "T0ii", "Popescu"}:
-                require_count_fits("analysis.n_samples", config.n_samples, ds)
-            if listed & {"T1", "T1prime"} and ds > 2:
-                require_count_fits("analysis.n_starts", config.n_starts, ds)
-        if "dynamics" in stages:
-            require_count_fits("dynamics.n_times", config.n_times, ds)
+    def check(self, key: str, names: Iterable[str], stages: Iterable[str] = ()) -> None:
+        """Refuse before any draw what ``_NEEDS`` asks of the config for the
+        pipeline ``stages`` and the stages of the ``names`` that ``key`` lists:
+        the size caps, the qubit-only names on dS != 2, the counts above their
+        cap, then a bath_prefix:k and a dR above dB.  A matrix file is read here."""
+        config, table = self.config, _LISTS[key]
+        listed = {name: table[name][0] for name in names}
+        needs = {need for stage in (*stages, *listed.values()) for need in _NEEDS[stage]}
+        ds, db = ((self.layout.dim_system, self.layout.dim_bath) if config.kind == "file"
+                  else self._check_dimension())
+        qubit_only = [name for name, stage in listed.items() if "qubit" in _NEEDS[stage]]
+        if qubit_only and ds != 2:
+            raise ConfigError(f"{key} lists {', '.join(qubit_only)}, defined for qubit "
+                              f"systems only; the model has dS = {ds}")
+        # a qubit's search is exact and draws no start
+        for count_key, count in (("analysis.n_samples", config.n_samples),
+                                 ("analysis.n_starts", config.n_starts if ds > 2 else 0),
+                                 ("dynamics.n_times", config.n_times)):
+            if count_key in needs:
+                require_count_fits(count_key, count, ds)
+        prefix = config.subspace.partition(":")[2]
+        if "analysis.subspace" in needs and prefix and int(prefix) > db:
+            raise ConfigError(f"subspace {config.subspace!r} exceeds the bath dimension {db}")
+        if "analysis.dim_restricted" in needs and (config.dim_restricted or db) > db:
+            raise ConfigError(f"analysis.dim_restricted = {config.dim_restricted} exceeds "
+                              f"the bath dimension dB = {db}")
 
-    def _check_dimension(self) -> None:
-        """``require_fits`` on the sectors the config fixes, before any draw: dB
-        of m = 2 (dB = 2^n_spins, by bit length first so that a huge n_spins is
+    def _check_dimension(self) -> tuple[int, int]:
+        """(dS, dB) after ``require_fits`` on the sectors the config fixes: dB of
+        m = 2 (dB = 2^n_spins, by bit length first so that a huge n_spins is
         never formed), or one of m = dS dB; a matrix file is checked as read."""
         config, ds = self.config, self.config.dim_system or 2
         if config.kind == "cucchietti" and config.n_spins >= STACK_ELEMENT_CAP.bit_length():
@@ -464,6 +457,7 @@ class Pipeline:
             require_fits(dim_bath, 2, 2)
         elif config.kind == "random":
             require_fits(1, ds * dim_bath, ds)
+        return ds, dim_bath
 
     @cached_property
     def model(self) -> ModelBundle:
@@ -568,9 +562,6 @@ class Pipeline:
         if token == "full":
             return self.spectral.projection(layout)
         prefix_dim = None if token == "product_bath" else int(token.partition(":")[2])
-        if prefix_dim is not None and prefix_dim > layout.dim_bath:
-            raise ConfigError(f"subspace {token!r} exceeds the bath dimension "
-                              f"{layout.dim_bath}")
         return self.spectral.projection(layout, self.psi, prefix_dim)
 
     @cached_property
@@ -609,7 +600,6 @@ class Pipeline:
                               f"phases of the evolution (smallest within-sector spacing "
                               f"{spacing:.6g}, max |E| {spectral.spectral_norm:.6g}); "
                               f"set it to at most {largest!r}")
-        require_count_fits("dynamics.n_times", self.config.n_times, self.layout.dim_system)
         rng = generator(self.seed("dynamics"))
         times = stratified_times(horizon, self.config.n_times, rng)
         states = evolve_reduced(self.coeffs, spectral, self.layout, times)
@@ -624,15 +614,10 @@ class Pipeline:
 
     @cached_property
     def necessary(self) -> tuple[TheoremReport, TheoremReport]:
-        """The T1 and T1prime reports, from one search; the sweep reads its lhs.
-        T1's restricted family lies in the bath, so dR above dB is refused
-        before the search."""
-        config, dim_bath = self.config, self.layout.dim_bath
-        dim_restricted = config.dim_restricted or dim_bath
-        if dim_restricted > dim_bath:
-            raise ConfigError(f"analysis.dim_restricted = {dim_restricted} exceeds the "
-                              f"bath dimension dB = {dim_bath}")
-        return necessary_condition_reports(self.reductions, config.epsilon, dim_restricted,
+        """The T1 and T1prime reports, from one search; the sweep reads its lhs."""
+        config = self.config
+        return necessary_condition_reports(self.reductions, config.epsilon,
+                                           config.dim_restricted or self.layout.dim_bath,
                                            config.p, config.n_starts, self.seed("search"))
 
     @cached_property
@@ -643,7 +628,6 @@ class Pipeline:
     def reports(self) -> tuple[dict[str, TheoremReport], list[str]]:
         """The configured theorem reports, and notes on the ones skipped."""
         config = self.config
-        _require_qubit("analysis.theorems", config.theorems, self.layout.dim_system)
         reports: dict[str, TheoremReport] = {}
         notes: list[str] = []
         for tid in config.theorems:
@@ -651,7 +635,7 @@ class Pipeline:
                     and self.spectral.degenerate.any():
                 notes.append(f"note: {tid} skipped (degenerate spectrum)")
                 continue
-            reports[tid] = _REPORTS[tid](self)
+            reports[tid] = _REPORTS[tid][1](self)
         return reports, notes
 
 
@@ -770,8 +754,9 @@ def _run_stages(config: ExperimentConfig, args, name: str) -> list[str]:
     stages = [stage for stage in _STAGES
               if stage != "dynamics" or config.dynamics_enabled] if run else [args.command]
     pipe = Pipeline(config)
-    pipe.check_counts(stages)
-    if stages != ["spectrum"]:
+    if stages != ["spectrum"]:  # the others read delta (see prepare)
+        pipe.check("analysis.theorems", config.theorems if "bounds" in stages else (),
+                   ["delta", "dynamics"] if "dynamics" in stages else ["delta"])
         pipe.prepare()
     lines = []
     if run:
@@ -856,30 +841,42 @@ def _cmd_model_info(config: ExperimentConfig, args, name: str) -> list[str]:
 
 # ------------------------------------------------------------------ sweep --
 
-# Report of each theorem id, each from the stages it is built from.  A family
-# of two reports is one stage, whose pair each id indexes: T0i and T0ii share
-# the draws of the theorem0 stage, T1 and T1prime the search of the necessary
+# Each theorem id: the pipeline stage it reads, and its report.  A family of
+# two reports is one stage, whose pair each id indexes: T0i and T0ii share the
+# draws of the theorem0 stage, T1 and T1prime the search of the necessary
 # stage (see RUN_SEEDS), and T2i and T2ii the Gram matrix of the theorem2 stage.
-_REPORTS: dict[str, Callable[[Pipeline], TheoremReport]] = {
-    "SufficientISI": lambda pipe: sufficient_condition_report(pipe.delta),
-    "T0i": lambda pipe: pipe.theorem0[0],
-    "T0ii": lambda pipe: pipe.theorem0[1],
-    "T1": lambda pipe: pipe.necessary[0],
-    "T1prime": lambda pipe: pipe.necessary[1],
-    "T2i": lambda pipe: pipe.theorem2[0],
-    "T2ii": lambda pipe: pipe.theorem2[1],
-    "Popescu": lambda pipe: popescu_report(
-        pipe.layout, pipe.config.epsilon, pipe.config.n_samples, pipe.seed("popescu")),
+_REPORTS: dict[str, tuple[str, Callable[[Pipeline], TheoremReport]]] = {
+    "SufficientISI": ("delta", lambda pipe: sufficient_condition_report(pipe.delta)),
+    "T0i": ("theorem0", lambda pipe: pipe.theorem0[0]),
+    "T0ii": ("theorem0", lambda pipe: pipe.theorem0[1]),
+    "T1": ("necessary", lambda pipe: pipe.necessary[0]),
+    "T1prime": ("necessary", lambda pipe: pipe.necessary[1]),
+    "T2i": ("theorem2", lambda pipe: pipe.theorem2[0]),
+    "T2ii": ("theorem2", lambda pipe: pipe.theorem2[1]),
+    "Popescu": ("popescu", lambda pipe: popescu_report(
+        pipe.layout, pipe.config.epsilon, pipe.config.n_samples, pipe.seed("popescu"))),
 }
 
-# Metric of one sweep draw, each from the stages it needs.
-_SWEEP_METRICS: dict[str, Callable[[Pipeline], float]] = {
-    "delta": lambda pipe: pipe.delta,
-    "mean_squared_polarization": lambda pipe: theorem2_lhs(pipe.reductions)[1],
-    "lhs_i": lambda pipe: theorem2_lhs(pipe.reductions)[0],
-    "necessary_lhs": lambda pipe: pipe.necessary[0].lhs,
-    "equilibration_metric": lambda pipe: pipe.dynamics[3],
-    "min_level_spacing": lambda pipe: pipe.spectral.min_sector_spacing,
+# Each sweep metric: the stage it reads (theorem2: its Gram matrix), and its value.
+_SWEEP_METRICS: dict[str, tuple[str, Callable[[Pipeline], float]]] = {
+    "delta": ("delta", lambda pipe: pipe.delta),
+    "mean_squared_polarization": ("theorem2", lambda pipe: theorem2_lhs(pipe.reductions)[1]),
+    "lhs_i": ("theorem2", lambda pipe: theorem2_lhs(pipe.reductions)[0]),
+    "necessary_lhs": ("necessary", lambda pipe: pipe.necessary[0].lhs),
+    "equilibration_metric": ("dynamics", lambda pipe: pipe.dynamics[3]),
+    "min_level_spacing": ("spectral", lambda pipe: pipe.spectral.min_sector_spacing),
+}
+
+_LISTS = {"analysis.theorems": _REPORTS, "sweep.metrics": _SWEEP_METRICS}  # by config key
+
+# What each stage needs of the config, refused by Pipeline.check before any
+# draw: dS = 2 ("qubit"), the count of each key below its cap, dR <= dB and,
+# for the stages that read the projection, a bath_prefix:k with k <= dB.
+_NEEDS: dict[str, tuple[str, ...]] = {
+    "spectral": (), "delta": ("analysis.subspace",), "theorem2": ("qubit",),
+    "theorem0": ("analysis.n_samples", "analysis.subspace"),
+    "popescu": ("analysis.n_samples",), "dynamics": ("dynamics.n_times",),
+    "necessary": ("analysis.n_starts", "analysis.dim_restricted"),
 }
 
 
@@ -887,7 +884,7 @@ def _draw_metrics(task: tuple[ExperimentConfig, int, int]) -> list[float]:
     """The sweep metrics of one draw at one grid point."""
     config, point, draw = task
     pipe = Pipeline(config, _draw_seeds(point, draw))
-    return [float(_SWEEP_METRICS[metric](pipe)) for metric in config.sweep_metrics]
+    return [float(_SWEEP_METRICS[metric][1](pipe)) for metric in config.sweep_metrics]
 
 
 def _pooled_draws(tasks, jobs: int):
@@ -917,6 +914,8 @@ def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
                                f"{STACK_ELEMENT_CAP // cells}")
     # One task per draw, point-major, so that the pool balances unequal points.
     varied = [replace(config, **{parameter: cast(value)}) for value in values]
+    for point in varied:
+        Pipeline(point).check("sweep.metrics", config.sweep_metrics)
     tasks = ((varied[point], point, draw)
              for point in range(len(values)) for draw in range(n_draws))
     jobs = min(args.jobs, len(values) * n_draws, usable_cpus())

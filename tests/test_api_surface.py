@@ -34,7 +34,8 @@ KEEPERS = {
 }
 
 # Definitions that were replaced, each with its replacement; none of them may
-# be defined (as a function, class or method) or exported again.
+# be defined (as a function, class, method or module-level name) or exported
+# again.
 GONE = {
     "SparseProjection": "GroupedProjection: Dirichlet weights on a stack built once",
     "split_counts": "sampled_distances: every estimate draws from one stream of its seed",
@@ -86,6 +87,12 @@ GONE = {
                  "one scan",
     "Trajectory": "evolve_reduced returns the read-only (n_times, dS, dS) states that "
                   "passed check_density_stack",
+    "check_counts": "Pipeline.check: what the stages each command and sweep point reads "
+                    "need of the config, by _NEEDS, before any draw",
+    "_QUBIT_ONLY": "cli._NEEDS: the theorem2 stage needs dS = 2, and _REPORTS and "
+                   "_SWEEP_METRICS name each entry's stage",
+    "_require_qubit": "Pipeline.check, which refuses the qubit-only entries a command "
+                      "or sweep reads",
 }
 
 # Config entries that were removed, each with its reason; none may come back.
@@ -189,8 +196,14 @@ def test_exports_no_module_but_its_own():
 
 
 def test_replaced_definitions_stay_gone():
-    defined = {node.name for tree in _trees() for node in ast.walk(tree)
+    trees = _trees()
+    defined = {node.name for tree in trees for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}  # methods too
+    defined |= {target.id for tree in trees for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                if isinstance(target, ast.Name)}
     back = sorted(name for name in GONE if name in defined or hasattr(isibench, name))
     assert not back, f"replaced definitions are back: {back}"
 

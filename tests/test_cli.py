@@ -718,6 +718,14 @@ class TestQubitOnlyEntries:
         assert cli.main([command, *self.QUTRIT, "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_run_reads_no_sweep_metric(self, tmp_path, capsys):
+        # the [sweep] section keeps the default, qubit-only metric
+        assert cli.main(["run", *self.QUTRIT, "--out", str(tmp_path / "out"),
+                         "--override", "analysis.theorems=SufficientISI",
+                         "--override", "sweep.parameter=dim_bath",
+                         "--override", "sweep.values=8"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestSeedStreams:
     def test_every_stream_has_its_own_named_path(self):
@@ -922,7 +930,7 @@ class TestSweepCommand:
     def test_mean_squared_polarization_is_the_t2ii_lhs(self, kind):
         # one formula: the sweep metric has the bits of the T2ii report's lhs
         pipe = cli.Pipeline(cli.ExperimentConfig(kind=kind, dim_bath=16))
-        metric = cli._SWEEP_METRICS["mean_squared_polarization"](pipe)
+        metric = cli._SWEEP_METRICS["mean_squared_polarization"][1](pipe)
         assert metric == pipe.theorem2[1].lhs
         assert 0.0 < metric <= 1.0 + 1e-12
 
@@ -1067,6 +1075,38 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             "error: sweep.draws * points * metrics = 11 * 4 exceeds 40; "
             "set sweep.draws to at most 10\n")
+        assert not out_dir.exists()
+
+    # Every grid point is checked before the first draw, by what the stages of
+    # the metrics need: a size cap, a count above its cap, a dR or a bath
+    # prefix above the bath of the smallest point.
+    @pytest.mark.parametrize("overrides, code, message", [
+        (["sweep.values=16, 5000", "sweep.metrics=delta"], 3,
+         "sector dimension 10000 exceeds the eigensolver cap 8192"),
+        (["sweep.values=16, 512", "sweep.metrics=equilibration_metric",
+          "dynamics.n_times=6000000"], 3,
+         "dynamics.n_times * dS^2 = 6000000 * 4 exceeds 20000000; "
+         "set dynamics.n_times to at most 5000000"),
+        (["model.dim_system=3", "sweep.values=16, 512", "sweep.metrics=necessary_lhs",
+          "analysis.n_starts=3000000"], 3,
+         "analysis.n_starts * dS^2 = 3000000 * 9 exceeds 20000000; "
+         "set analysis.n_starts to at most 2222222"),
+        (["sweep.values=16, 8", "sweep.metrics=necessary_lhs",
+          "analysis.dim_restricted=12"], 2,
+         "analysis.dim_restricted = 12 exceeds the bath dimension dB = 8"),
+        (["sweep.values=16, 8", "sweep.metrics=delta", "analysis.subspace=bath_prefix:12"], 2,
+         "subspace 'bath_prefix:12' exceeds the bath dimension 8"),
+    ], ids=["grid_value", "n_times", "n_starts", "dim_restricted", "bath_prefix"])
+    def test_a_grid_point_the_config_refuses_exits_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, overrides, code, message):
+        monkeypatch.setattr(cli, "_draw_metrics", lambda task: pytest.fail("a draw ran"))
+        out_dir = tmp_path / "out"
+        overrides = ["sweep.parameter=dim_bath", "sweep.draws=2", *overrides]
+        assert cli.main(["sweep", "--config", "random_contrast", "--out", str(out_dir),
+                         *[arg for item in overrides for arg in ("--override", item)]]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["run", "model-info", "bounds"])

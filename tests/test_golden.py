@@ -77,7 +77,7 @@ def _command_lines() -> list[tuple[str, ...]]:
         lines += [(command, "@degenerate", *allow)
                   for command in ("run", "spectrum", "equilibrium", "bounds", "dynamics")]
     lines += [
-        ("bounds", *SMALL, "model.dim_system=3",
+        ("bounds", *SMALL, *QUTRIT,
          "analysis.theorems=SufficientISI,T0i,T0ii,T1,T1prime,Popescu", "--seed=5"),
         ("run", "sec5_violation", "initial_state.system=basis:9", SHORT),
         ("model-info", "sec5_violation"), ("model-info", *SMALL),
@@ -112,6 +112,12 @@ def _command_lines() -> list[tuple[str, ...]]:
         # refused before the d = 2048 model is built
         ("dynamics", "random_contrast", "model.dim_bath=1024", "dynamics.n_times=6000000"),
         ("run", "@cucchietti", "dynamics.enabled=true", SHORT),
+        # a qubit initial state on a qutrit
+        ("bounds", "random_contrast", "model.dim_system=3", "model.dim_bath=16",
+         "analysis.theorems=SufficientISI,T0i,T0ii,T1,T1prime,Popescu", "--seed=5"),
+        # refused before the first draw
+        ("sweep", "random_contrast", "sweep.parameter=dim_bath", "sweep.values=16,5000",
+         "sweep.metrics=delta"),
     ]
     return lines
 
