@@ -358,14 +358,6 @@ def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
 
 # --------------------------------------------------------------- pipeline --
 
-@dataclass
-class ModelBundle:
-    layout: SpaceLayout | None
-    spectral: SpectralData
-    spec: CommutingModelSpec | None  # the commuting kinds' parts, for model-info
-    source: str
-
-
 _S = 1.0 / math.sqrt(2.0)
 _QUBIT_STATES = {"up": (1.0, 0.0), "down": (0.0, 1.0), "plus": (_S, _S), "minus": (_S, -_S)}
 
@@ -394,7 +386,9 @@ class Pipeline:
     """The stages of one experiment, each computed on first use and at most once.
 
     Every command builds one pipeline, which the entries of ``_STAGES``
-    read, and every sweep draw builds its own with its own seed table.
+    read, and every sweep draw builds its own with its own seed table.  The
+    model stage is ``spectral``, which carries the S (x) B layout its readers
+    reduce over; ``parts`` draws the model's parts again for model-info.
     Stages and writers call the layer functions through this module's imports,
     which a tracer can wrap; ``coeffs`` and ``projection`` call methods instead.
     ``reports`` builds each configured report by its entry in ``_REPORTS``,
@@ -460,44 +454,23 @@ class Pipeline:
         return ds, dim_bath
 
     @cached_property
-    def model(self) -> ModelBundle:
+    def spectral(self) -> SpectralData:
         config = self.config
         self._check_dimension()
-        if config.kind in ("commuting", "cucchietti"):
-            rng = generator(self.seed("model"))
-            if config.kind == "commuting":
-                spec = sample_commuting_spec(config.dim_bath, config.level_splitting,
-                                             config.coupling_scale, config.energy_scale,
-                                             rng)
-                source = (f"commuting spin-bath (dS=2, dB={spec.dim_bath}, "
-                          f"level splitting {config.level_splitting:g})")
-                scale_key = "energy_scale"
-            else:
-                spec = sample_cucchietti_spec(config.n_spins, config.level_splitting,
-                                              config.coupling_scale, config.field_scale,
-                                              rng)
-                source = (f"independent-spin bath (n_spins={config.n_spins}, dS=2, "
-                          f"dB={spec.dim_bath})")
-                scale_key = "field_scale"
+        if config.kind in _SPIN:
             try:
-                spectral = analytic_eigensystem(spec)
+                return analytic_eigensystem(self.parts())
             except ValidationError as err:  # an energy range that overflows
+                scale_key = "energy_scale" if config.kind == "commuting" else "field_scale"
                 raise ConfigError(f"{err} (set by model.level_splitting, "
                                   f"model.coupling_scale and model.{scale_key})") from None
-            return ModelBundle(spec.layout, spectral, spec, source)
-
         if config.kind == "random":
-            # Only the total reaches eigh; the parts are released here and
-            # model-info draws them again (random_parts).
-            total = self.random_parts().total()
+            # Only the total reaches eigh; model-info draws the parts again.
             layout = SpaceLayout(config.dim_system or 2, config.dim_bath)
-            source = (f"random Gaussian model (dS={layout.dim_system}, dB={config.dim_bath}, "
-                      f"interaction strength {config.interaction_strength:g})")
             try:
-                spectral = eigendecompose(total)
+                return eigendecompose(self.parts().total(), layout)
             except ValidationError as err:  # an energy range that overflows
                 raise ConfigError(f"{err} (set by model.interaction_strength)") from None
-            return ModelBundle(layout, spectral, None, source)
 
         matrix, layout = read_matrix(config.matrix_path)
         if layout is None and config.dim_system is not None:
@@ -512,30 +485,45 @@ class Pipeline:
             raise ConfigError(f"model.dim_system {config.dim_system} contradicts the "
                               f"file's layout tag dS={layout.dim_system}")
         try:
-            spectral = eigendecompose(matrix)
+            return eigendecompose(matrix, layout)
         except ValidationError as err:  # the file's matrix fails a check
             raise ConfigError(f"{config.matrix_path}: {err}") from None
-        return ModelBundle(layout, spectral, None,
-                           f"matrix file {config.matrix_path} (d={spectral.dim})")
 
-    def random_parts(self) -> CompositeHamiltonian:
-        """The parts of a random model, drawn from the ``model`` seed; every call
-        draws them again, so that no stage keeps them alive."""
-        config = self.config
-        rng = generator(self.seed("model"))
+    def parts(self) -> CommutingModelSpec | CompositeHamiltonian:
+        """The parts of a drawn model, from the ``model`` seed: the spec of a
+        commuting or cucchietti model, or the CompositeHamiltonian of a random
+        one.  Every call draws them again, so that no stage keeps them alive."""
+        config, rng = self.config, generator(self.seed("model"))
+        if config.kind == "commuting":
+            return sample_commuting_spec(config.dim_bath, config.level_splitting,
+                                         config.coupling_scale, config.energy_scale, rng)
+        if config.kind == "cucchietti":
+            return sample_cucchietti_spec(config.n_spins, config.level_splitting,
+                                          config.coupling_scale, config.field_scale, rng)
         return build_random_model(config.dim_system or 2, config.dim_bath,
                                   config.interaction_strength, rng)
 
     @property
-    def spectral(self) -> SpectralData:
-        return self.model.spectral
+    def source(self) -> str:
+        """The model line of ``run`` and ``model-info``."""
+        config = self.config
+        if config.kind == "commuting":
+            return (f"commuting spin-bath (dS=2, dB={config.dim_bath}, "
+                    f"level splitting {config.level_splitting:g})")
+        if config.kind == "cucchietti":
+            return (f"independent-spin bath (n_spins={config.n_spins}, dS=2, "
+                    f"dB={2**config.n_spins})")
+        if config.kind == "random":
+            return (f"random Gaussian model (dS={config.dim_system or 2}, dB={config.dim_bath}, "
+                    f"interaction strength {config.interaction_strength:g})")
+        return f"matrix file {config.matrix_path} (d={self.spectral.dim})"
 
-    @cached_property
+    @property
     def layout(self) -> SpaceLayout:
-        if self.model.layout is None:
+        if self.spectral.layout is None:
             raise ConfigError("the matrix file declares no system/bath split; "
                               "set model.dim_system or tag the file")
-        return self.model.layout
+        return self.spectral.layout
 
     @cached_property
     def psi(self) -> PureState:
@@ -549,20 +537,20 @@ class Pipeline:
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        return self.spectral.coefficients(tensor_product(self.psi, self.phi), self.layout)
+        return self.spectral.coefficients(tensor_product(self.psi, self.phi))
 
     @cached_property
     def reductions(self) -> EigenstateReductions:
-        return EigenstateReductions(self.spectral.reductions(self.layout))
+        return EigenstateReductions(self.spectral.reductions())
 
     @cached_property
     def projection(self) -> DenseProjection | GroupedProjection:
         """W = B^H V of the analysis subspace R on the eigenbasis, shape (dR, d)."""
-        token, layout = self.config.subspace, self.layout
+        token = self.config.subspace
         if token == "full":
-            return self.spectral.projection(layout)
+            return self.spectral.projection()
         prefix_dim = None if token == "product_bath" else int(token.partition(":")[2])
-        return self.spectral.projection(layout, self.psi, prefix_dim)
+        return self.spectral.projection(self.psi, prefix_dim)
 
     @cached_property
     def delta(self) -> float:
@@ -602,7 +590,7 @@ class Pipeline:
                               f"set it to at most {largest!r}")
         rng = generator(self.seed("dynamics"))
         times = stratified_times(horizon, self.config.n_times, rng)
-        states = evolve_reduced(self.coeffs, spectral, self.layout, times)
+        states = evolve_reduced(self.coeffs, spectral, times)
         return horizon, times, states, float(batched_trace_distances(states, self.rho_bar).mean())
 
     @cached_property
@@ -622,7 +610,7 @@ class Pipeline:
 
     @cached_property
     def theorem2(self) -> tuple[TheoremReport, TheoremReport]:
-        return theorem2_reports(self.reductions, self.config.epsilon, self.layout.dim_bath)
+        return theorem2_reports(self.reductions, self.config.epsilon)
 
     @cached_property
     def reports(self) -> tuple[dict[str, TheoremReport], list[str]]:
@@ -765,7 +753,7 @@ def _run_stages(config: ExperimentConfig, args, name: str) -> list[str]:
             f"# generated: {stamp}",
             f"config: {name}",
             f"seed: {config.seed}",
-            f"model: {pipe.model.source}",
+            f"model: {pipe.source}",
             f"initial state: system={config.initial_system} bath={config.initial_bath}",
         ]
     for stage in stages:
@@ -817,17 +805,13 @@ def _dense_norms(ham: CompositeHamiltonian) -> tuple[float, ...]:
 
 def _cmd_model_info(config: ExperimentConfig, args, name: str) -> list[str]:
     pipe = Pipeline(config)
-    model = pipe.model
-    lines = [f"model: {model.source}", f"seed: {config.seed}"]
-    if model.layout is not None:
-        lines.append(f"layout: dS={model.layout.dim_system} "
-                     f"dB={model.layout.dim_bath} d={model.layout.dim_total}")
-    norms = None
-    if model.spec is not None:
-        norms = commuting_norms(model.spec)
-    elif config.kind == "random":
-        norms = _dense_norms(pipe.random_parts())
-    if norms is not None:
+    layout = pipe.spectral.layout
+    lines = [f"model: {pipe.source}", f"seed: {config.seed}"]
+    if layout is not None:
+        lines.append(f"layout: dS={layout.dim_system} dB={layout.dim_bath} d={layout.dim_total}")
+    if config.kind != "file":
+        parts = pipe.parts()
+        norms = commuting_norms(parts) if config.kind in _SPIN else _dense_norms(parts)
         lines.append("part norms: system={:.6g} bath={:.6g} interaction={:.6g}"
                      .format(*norms[:3]))
         lines.append("commutator norms: [HSx1, HSB]={:.6g} [1xHB, HSB]={:.6g}"
@@ -925,8 +909,9 @@ def _cmd_sweep(config: ExperimentConfig, args, name: str) -> list[str]:
     for index, metrics in enumerate(results):
         data[index // n_draws, :, index % n_draws] = metrics
     means = data.mean(axis=-1)
-    errors = (np.reshape([row.std(ddof=1) for row in data.reshape(-1, n_draws)], means.shape)
-              / math.sqrt(n_draws) if n_draws > 1 else np.zeros_like(means))
+    # row by row: data.std(axis=-1) would hold a second array of the draws
+    errors = (np.apply_along_axis(np.std, -1, data, ddof=1) / math.sqrt(n_draws)
+              if n_draws > 1 else np.zeros_like(means))
 
     columns = ["parameter", "value", "n_draws"]
     for metric in config.sweep_metrics:

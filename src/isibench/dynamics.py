@@ -2,13 +2,13 @@
 
 Evolution is computed in the energy eigenbasis from the (d,) overlaps c_n
 of ``SpectralData.coefficients``, and no propagator is ever formed
-(``SpectralData.evolved_reductions``).  The times are worked through
-in blocks, which the commuting and cucchietti models deal to one thread per
-CPU with the same bits on any thread, and only the (n_times, dS, dS)
-trajectory grows with the grid; ``evolve_reduced`` returns it as a
-read-only array that has passed ``check_density_stack``, as rho-bar is, and
-``spectral.STACK_ELEMENT_CAP``, the cap of every (count, dS, dS) stack a run
-holds, bounds its entries.  The trajectory's purities and Bloch vectors
+(``SpectralData.evolved_reductions``, over the layout the data carries).
+The times are worked through in blocks, which the commuting and cucchietti
+models deal to one thread per CPU with the same bits on any thread, and
+only the (n_times, dS, dS) trajectory grows with the grid;
+``evolve_reduced`` returns it as a read-only array that has passed
+``check_density_stack``, as rho-bar is, and ``spectral.STACK_ELEMENT_CAP``,
+the cap of every (count, dS, dS) stack a run holds, bounds its entries.  The trajectory's purities and Bloch vectors
 come from hilbert's stack formulas, as the reductions' do.  The
 equilibration metric, the mean trace distance of the reduced states on a
 stratified time grid to the infinite-time average, is
@@ -20,23 +20,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import SpaceLayout, batched_bloch_vectors, check_density_stack, purities
+from .hilbert import batched_bloch_vectors, check_density_stack, purities
 from .spectral import SpectralData, require_count_fits, write_csv
 
 
 def evolve_reduced(coefficients: np.ndarray, spectral: SpectralData,
-                   layout: SpaceLayout, times: np.ndarray) -> np.ndarray:
+                   times: np.ndarray) -> np.ndarray:
     """The read-only (n_times, dS, dS) reduced states of the initial state,
     given by its (d,) overlaps c, along a finite time grid; their trace
-    check refuses a c whose sum |c_n|^2 is not 1."""
+    check refuses a c whose sum |c_n|^2 is not 1.  Data without a layout,
+    which the evolution refuses, has its grid capped at dS = 1."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise ValidationError(f"times must be a nonempty finite vector, got shape {times.shape}")
-    if np.shape(coefficients) != (spectral.dim,):  # the layout is checked by the spectral data
+    if np.shape(coefficients) != (spectral.dim,):
         raise ValidationError(f"coefficients of shape {np.shape(coefficients)} do not fit "
                               f"d = {spectral.dim}")
-    require_count_fits("dynamics.n_times", times.size, layout.dim_system)
-    states = spectral.evolved_reductions(coefficients, times, layout)
+    require_count_fits("dynamics.n_times", times.size,
+                       spectral.layout.dim_system if spectral.layout else 1)
+    states = spectral.evolved_reductions(coefficients, times)
     check_density_stack("trajectory states", states, positive=False)
     states.setflags(write=False)
     return states

@@ -9,7 +9,8 @@ the checked eigenbasis and the trace check of rho_bar keep.  This module
 computes those objects exactly from spectral data, and the weighted-purity
 functional delta that controls the sufficient independence condition.
 ``EigenstateReductions`` holds only the rho_n (built as
-``EigenstateReductions(spectral.reductions(layout))``) and derives from them
+``EigenstateReductions(spectral.reductions())``, over the layout the
+spectral data carries) and derives from them
 their layout, their purities and, for a qubit, their polarizations once, by
 hilbert's formulas, so delta and the polarization statistics of ``theorems``
 read values that cannot disagree with the matrices.  An initial-state
@@ -126,8 +127,7 @@ def time_averaged_state(coefficients: np.ndarray, reductions: EigenstateReductio
                               f"{reductions.dim} reductions do not fit d = {spectral.dim}")
     if not allow_degenerate:
         require_nondegenerate(spectral)
-    rho = (spectral.dephased_reduction(coefficients, reductions.layout)
-           if spectral.degenerate.any()
+    rho = (spectral.dephased_reduction(coefficients) if spectral.degenerate.any()
            else weighted_sum(np.abs(coefficients) ** 2, reductions.matrices))
     check_density_stack("density matrix", rho[None])
     rho.setflags(write=False)

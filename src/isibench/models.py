@@ -113,7 +113,7 @@ def analytic_eigensystem(spec: CommutingModelSpec) -> SpectralData:
     blocks[:, 0, 1] = vx - 1j * vy
     blocks[:, 1, 0] = vx + 1j * vy
     _, spin_vecs = np.linalg.eigh(blocks)  # ascending, so column 0 is the lower branch
-    return SpectralData.from_sectors(energies, spin_vecs)
+    return SpectralData.from_sectors(energies, spin_vecs, spec.layout)
 
 
 def bit_signs(n_spins: int) -> np.ndarray:

@@ -1,22 +1,22 @@
 """Composite Hamiltonian assembly, eigendecomposition, and the degeneracy test.
 
 Each type here holds its inputs once and derives the rest from them:
-``CompositeHamiltonian`` holds the three parts, checked Hermitian on
-construction, reads the layout from their dimensions and builds H with
-``total()``, and ``SpectralData`` holds the energies by label and derives
-their order, the ascending eigenvalues and the level table below once, on
-construction.  Eigenvector phases follow one rule, ``_fix_phases_in_place``,
-applied to the eigensolver's output and to a copy of the sectors given to
-``SpectralData.from_sectors``.
+``CompositeHamiltonian`` holds the three parts, reads the layout from their
+dimensions and builds H with ``total()``, and ``SpectralData`` holds the
+energies by label and derives their order, the ascending eigenvalues and
+the level table below once, on construction.  Eigenvector phases follow one
+rule, ``_fix_phases_in_place``, applied to the eigensolver's output and to
+a copy of the sectors given to ``SpectralData.from_sectors``.
 
 ``SpectralData`` holds a spectrum and its eigenvectors in one form, by
 sector: H is block-diagonal over S (x) (a sector of g bath levels), and the
 stack holds the eigenvectors of each block.  ``eigendecompose`` gives one
 sector (g = dB); the commuting models give dB sectors of g = 1, whose
-eigenvectors are system vectors times bath basis vectors.  Its methods are
-the package's only readers of eigenvectors, each with one formula whose
-kernel the sizes choose; the subspace projections they build are
-``DenseProjection`` and ``GroupedProjection``, and each hands the T0
+eigenvectors are system vectors times bath basis vectors.  It carries the
+S (x) B layout that every Tr_B reduces over, checked once on construction.
+Its methods are the package's only readers of eigenvectors, each with one
+formula whose kernel the sizes choose; the subspace projections they build
+are ``DenseProjection`` and ``GroupedProjection``, and each hands the T0
 estimate its own draw.
 
 The equilibration statements this package evaluates assume a nondegenerate
@@ -149,9 +149,9 @@ def _on_threads(work: Callable[[int, int], None], tasks: int) -> None:
 class CompositeHamiltonian:
     """The three Hermitian parts of H = HS(x)I + I(x)HB + HSB; ``total()`` builds H.
 
-    On construction each part is checked Hermitian (system, bath, then
-    interaction) and kept as a complex array, and ``layout`` is derived from
-    the dimensions of HS and HB.
+    On construction HS and HB are checked Hermitian and HSB d x d (its
+    Hermiticity is the scan of H by ``eigendecompose``), each kept as a
+    complex array, and ``layout`` is derived from the dimensions of HS and HB.
     """
 
     system: np.ndarray
@@ -159,13 +159,14 @@ class CompositeHamiltonian:
     interaction: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("system", "bath", "interaction"):
+        for name in ("system", "bath"):
             object.__setattr__(self, name, _require_hermitian(f"{name} part",
                                                               getattr(self, name))[0])
         layout = SpaceLayout(len(self.system), len(self.bath))
-        d, shape = layout.dim_total, np.shape(self.interaction)
-        if shape != (d, d):
-            raise ValidationError(f"interaction part must be {d}x{d}, got {shape}")
+        d, interaction = layout.dim_total, np.asarray(self.interaction, dtype=complex)
+        if interaction.shape != (d, d):
+            raise ValidationError(f"interaction part must be {d}x{d}, got {interaction.shape}")
+        object.__setattr__(self, "interaction", interaction)
         object.__setattr__(self, "layout", layout)
 
     def total(self) -> np.ndarray:
@@ -309,15 +310,18 @@ class GroupedProjection:
 class SpectralData:
     """Energies and phase-fixed eigenvectors, held by sector.
 
-    Sector c is S (x) the bath levels c*g, ..., c*g + g - 1, and ``sectors``
-    is the (n_sec, m, m) stack (m = dS*g) of the eigenvectors of H's blocks:
-    row s*g + j of ``sectors[c]`` is the amplitude on |s> (x) |c*g + j>, so
-    column k is the (dS, g) matrix A of the eigenvector labelled c*m + k,
-    whose energy is ``energies[c*m + k]`` (given in any shape, kept flat).
+    Sector c is S (x) the bath levels c*g, ..., c*g + g - 1 of ``layout``, and
+    ``sectors`` is the (n_sec, m, m) stack (m = dS*g) of the eigenvectors of
+    H's blocks: row s*g + j of ``sectors[c]`` is the amplitude on
+    |s> (x) |c*g + j>, so column k is the (dS, g) matrix A of the eigenvector
+    labelled c*m + k, whose energy is ``energies[c*m + k]`` (given in any
+    shape, kept flat).
     ``eigendecompose`` gives one sector (g = dB), the commuting models dB
-    sectors of g = 1.  The methods below are the only readers of the
-    eigenvectors, one per use, each one formula on the (n_sec, dS, g, m)
-    view of the stack; where two kernels compute it, the sizes choose.
+    sectors of g = 1.  A layout is refused unless its d is the data's and its
+    dS divides m; None (a matrix of no known split) has no reduced states.
+    The methods below are the only readers of the eigenvectors, one per use,
+    each one formula on the (n_sec, dS, g, m) view of the stack; where two
+    kernels compute it, the sizes choose.
 
     Derived once, on construction: ``order``, the labels in ascending order
     of energy (a stable argsort), ``eigenvalues``, the energies in that
@@ -327,14 +331,19 @@ class SpectralData:
 
     energies: np.ndarray
     sectors: np.ndarray
+    layout: SpaceLayout | None
 
     def __post_init__(self) -> None:
         energies = np.array(self.energies, dtype=float).ravel()
         sectors = np.asarray(self.sectors, dtype=complex)  # kept, not copied
-        shape = sectors.shape
+        shape, layout = sectors.shape, self.layout
         if len(shape) != 3 or shape[1] != shape[2] or shape[0] * shape[1] != energies.size:
             raise ValidationError(f"inconsistent shapes: energies {np.shape(self.energies)}, "
                                   f"sectors {shape}")
+        if layout is not None and (layout.dim_total != energies.size
+                                   or shape[1] % layout.dim_system):
+            raise ValidationError(f"layout {layout.dim_system}x{layout.dim_bath} does not "
+                                  f"match the spectral data (d={energies.size})")
         order = np.argsort(energies, kind="stable")
         for name, value in (("energies", energies), ("sectors", sectors), ("order", order),
                             ("eigenvalues", energies[order])):
@@ -345,12 +354,13 @@ class SpectralData:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_sectors(cls, level_energies: np.ndarray, sectors: np.ndarray) -> "SpectralData":
+    def from_sectors(cls, level_energies: np.ndarray, sectors: np.ndarray,
+                     layout: SpaceLayout) -> "SpectralData":
         """Sector form from the (n_sec, m) energies and (n_sec, m, m)
         eigenvectors of the sector blocks; each column of a copy is
         phase-fixed by the rule of the dense path (``_fix_phases_in_place``)."""
         return cls(level_energies,
-                   _fix_phases_in_place(np.array(sectors, dtype=complex, copy=True)))
+                   _fix_phases_in_place(np.array(sectors, dtype=complex, copy=True)), layout)
 
     @property
     def dim(self) -> int:
@@ -384,23 +394,23 @@ class SpectralData:
         flat[self.order] = values
         return flat.reshape(self.sectors.shape[:2])
 
-    def _view(self, layout: SpaceLayout) -> np.ndarray:
+    def _view(self) -> np.ndarray:
         """The (n_sec, dS, g, m) view: [c, :, :, k] is A of eigenvector c*m + k."""
+        if self.layout is None:
+            raise ValidationError(f"the spectral data (d={self.dim}) has no system/bath "
+                                  "layout to reduce its eigenvectors by")
         n_sec, m, _ = self.sectors.shape
-        if layout.dim_total != self.dim or m % layout.dim_system:
-            raise ValidationError(f"layout {layout.dim_system}x{layout.dim_bath} does not "
-                                  f"match the spectral data (d={self.dim})")
-        return self.sectors.reshape(n_sec, layout.dim_system, m // layout.dim_system, m)
+        return self.sectors.reshape(n_sec, self.layout.dim_system, -1, m)
 
-    def coefficients(self, state: PureState, layout: SpaceLayout) -> np.ndarray:
+    def coefficients(self, state: PureState) -> np.ndarray:
         """The read-only (d,) overlaps c_n = <n|x> of the composite state x:
         one BLAS product conj(x^H V) for one sector, which conjugates x
         rather than V, one einsum for more (they round differently)."""
+        sectors, amplitudes = self._view(), state.amplitudes
         if state.space != "composite":
             raise ValidationError(f"initial state must be composite, got {state.space!r}")
         if state.dim != self.dim:
             raise ValidationError(f"state dim {state.dim} != spectral dim {self.dim}")
-        sectors, amplitudes = self._view(layout), state.amplitudes
         n_sec, ds, g, _ = sectors.shape
         if n_sec == 1:
             per_label = np.conj(amplitudes.conj() @ self.sectors[0])
@@ -411,10 +421,10 @@ class SpectralData:
         coefficients.setflags(write=False)
         return coefficients
 
-    def reductions(self, layout: SpaceLayout) -> np.ndarray:
+    def reductions(self) -> np.ndarray:
         """C-contiguous (d, dS, dS) bath traces Tr_B |n><n| = A A^H of the
         eigenvectors, DENSE_BLOCK labels of every sector at a time."""
-        sectors = self._view(layout)
+        sectors = self._view()
         n_sec, ds, _, m = sectors.shape
         out = np.empty((n_sec, m, ds, ds), dtype=complex)
         for cols in dense_blocks(m):
@@ -422,7 +432,7 @@ class SpectralData:
             out[:, cols] = np.einsum("csgk,ctgk->ckst", block, block.conj())
         return out.reshape(self.dim, ds, ds)[self.order]
 
-    def projection(self, layout: SpaceLayout, psi: PureState | None = None,
+    def projection(self, psi: PureState | None = None,
                    dim_prefix: int | None = None) -> DenseProjection | GroupedProjection:
         """W = B^H V, the (dR, d) overlaps of an orthonormal basis of R with
         the eigenvectors: R is the whole space (``psi=None``), or the system
@@ -434,13 +444,13 @@ class SpectralData:
         level; otherwise W is dense, each sector's einsum writing its g rows
         and m columns in place, by label (the dense path's order, or permuted).
         """
-        if psi is not None and (psi.space != "system" or psi.dim != layout.dim_system):
+        sectors, layout = self._view(), self.layout
+        n_sec, ds, g, m = sectors.shape
+        if psi is not None and (psi.space != "system" or psi.dim != ds):
             raise ValidationError("psi must be a system state matching the layout")
         k = layout.dim_bath if dim_prefix is None else dim_prefix
         if not 1 <= k <= layout.dim_bath:
             raise ValidationError(f"bath subspace dim {k} outside [1, {layout.dim_bath}]")
-        sectors = self._view(layout)
-        n_sec, ds, g, m = sectors.shape
         if psi is None:
             return GroupedProjection(self.dim, np.full(self.dim, 1.0 / self.dim))
         bra = psi.amplitudes.conj()
@@ -457,14 +467,14 @@ class SpectralData:
         in_order = np.array_equal(self.order, np.arange(self.dim))
         return DenseProjection(matrix if in_order else matrix[:, self.order])
 
-    def dephased_reduction(self, values: np.ndarray, layout: SpaceLayout) -> np.ndarray:
+    def dephased_reduction(self, values: np.ndarray) -> np.ndarray:
         """sum_G Tr_B |x_G><x_G| for x_G = sum_{n in G} values_n |n>, the groups
         G being the runs of degenerate levels inside a sector: the reduced
         state of sum_n values_n |n> with the coherences between groups
         removed.  Tr_B removes those between sectors too, so the A values_n
         of a run are summed into one C, and the result is sum C C^H.
         """
-        sectors = self._view(layout)
+        sectors = self._view()
         n_sec, ds, g, m = sectors.shape
         starts = np.flatnonzero(np.pad(~self.degenerate, ((0, 0), (1, 0)),
                                        constant_values=True))
@@ -474,8 +484,7 @@ class SpectralData:
         summed = np.add.reduceat(columns, starts)  # one row per run
         return np.einsum("ksg,ktg->st", summed, summed.conj())
 
-    def evolved_reductions(self, values: np.ndarray, times: np.ndarray,
-                           layout: SpaceLayout) -> np.ndarray:
+    def evolved_reductions(self, values: np.ndarray, times: np.ndarray) -> np.ndarray:
         """(n_times, dS, dS) reductions Tr_B |x(t)><x(t)| of
         x(t) = sum_n values_n exp(-i E_n t) |n>.
 
@@ -496,7 +505,7 @@ class SpectralData:
         splitting its exponentials as well slowed a sweep of 1-thread
         workers and saved 2 % of a d = 1536 run.
         """
-        sectors = self._view(layout)
+        sectors = self._view()
         n_sec, ds, g, m = sectors.shape
         values, energies = self._by_sector(values), self.energies.reshape(n_sec, m)
         if m > 3:
@@ -643,11 +652,11 @@ def _eigh(mat: np.ndarray, mirrored: bool) -> tuple[np.ndarray, np.ndarray]:
     return evals, np.conjugate(evecs, out=evecs)
 
 
-def eigendecompose(hamiltonian) -> SpectralData:
-    """Dense Hermitian eigendecomposition with deterministic phases.
+def eigendecompose(mat: np.ndarray, layout: SpaceLayout | None = None) -> SpectralData:
+    """Dense Hermitian eigendecomposition with deterministic phases: one
+    sector of ``layout`` (None: no known split).
 
-    Accepts a CompositeHamiltonian, whose ``total()`` it builds, or a plain
-    Hermitian array; H is refused by its shape above ``DECOMPOSE_DIM_CAP``
+    H, a Hermitian array, is refused by its shape above ``DECOMPOSE_DIM_CAP``
     before it is checked or copied.  Verifies the residual
     ``max |H v_n - E_n v_n|`` against ``RESIDUAL * norm(H)`` and the
     unitarity of the eigenvector matrix, so downstream consumers can rely on
@@ -662,7 +671,6 @@ def eigendecompose(hamiltonian) -> SpectralData:
     eigenvector matrix, which the phase fixing overwrites and the checks read
     in blocks of DENSE_BLOCK columns or rows; the result keeps it as its sector.
     """
-    mat = hamiltonian.total() if isinstance(hamiltonian, CompositeHamiltonian) else hamiltonian
     require_fits(1, max(np.shape(mat), default=0), 1)
     mat, mirrored = _require_hermitian("hamiltonian", mat)
     d = mat.shape[0]
@@ -681,7 +689,7 @@ def eigendecompose(hamiltonian) -> SpectralData:
     if not unit_err <= UNITARITY:
         raise ValidationError(f"eigenvector matrix not unitary: {unit_err:.3e}")
 
-    return SpectralData(evals, evecs[None])
+    return SpectralData(evals, evecs[None], layout)
 
 
 def degenerate_level_pairs(spectral: SpectralData,

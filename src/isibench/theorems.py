@@ -440,12 +440,6 @@ def theorem0_reports(projection: DenseProjection | GroupedProjection,
                 "distance_threshold": threshold, "c": CONCENTRATION_RATE}))
 
 
-def _require_restricted_dimension(dim_restricted: int, dim_bath: int) -> None:
-    """A restricted family spans dR of the dB bath dimensions: 1 <= dR <= dB."""
-    if not 1 <= dim_restricted <= dim_bath:
-        raise ValidationError(f"dR must lie in [1, dB = {dim_bath}], got {dim_restricted}")
-
-
 def necessary_condition_reports(reductions: EigenstateReductions, epsilon: float,
                                 dim_restricted: int, p: float, n_starts: int = 512,
                                 seed: int = 0) -> tuple[TheoremReport, TheoremReport]:
@@ -458,11 +452,13 @@ def necessary_condition_reports(reductions: EigenstateReductions, epsilon: float
     dS and dB come from ``reductions.layout``.  For dS > 2 both reports record
     the ``n_starts`` and ``seed`` of the search.  A violated verdict means
     independence at the stated accuracy is impossible; at workstation
-    dimensions the bound is usually vacuous.  A dR outside [1, dB] is refused
-    before the search.
+    dimensions the bound is usually vacuous.  A dR outside [1, dB], the
+    dimensions a restricted family can span, is refused before the search.
     """
     layout = reductions.layout
-    _require_restricted_dimension(dim_restricted, layout.dim_bath)
+    if not 1 <= dim_restricted <= layout.dim_bath:
+        raise ValidationError(f"dR must lie in [1, dB = {layout.dim_bath}], "
+                              f"got {dim_restricted}")
     lhs = necessary_condition_lhs(reductions, n_starts=n_starts, seed=seed)
     base = {"epsilon": epsilon, "dS": layout.dim_system, "c": CONCENTRATION_RATE}
     if layout.dim_system > 2:
@@ -471,8 +467,8 @@ def necessary_condition_reports(reductions: EigenstateReductions, epsilon: float
             TheoremReport("T1prime", lhs, {**base, "dR": layout.dim_bath, "p": 1.0}))
 
 
-def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
-                     dim_restricted: int) -> tuple[TheoremReport, TheoremReport]:
+def theorem2_reports(reductions: EigenstateReductions,
+                     epsilon: float) -> tuple[TheoremReport, TheoremReport]:
     """Qubit necessary conditions: pairwise alignment and mean squared polarization.
 
     The bounds are sqrt(3) epsilon and 3 epsilon, the large-bath limit in
@@ -480,10 +476,10 @@ def theorem2_reports(reductions: EigenstateReductions, epsilon: float,
     is the reading under which a mean squared polarization of 1 forbids
     independence at accuracy better than about 1/3.  The finite-size
     constant, which T1 and T1prime compare against, is recorded as
-    ``epsilon_prime``, at the measure p = 1 of the whole restricted family.
-    A dR outside [1, dB] is refused.
+    ``epsilon_prime``, at the measure p = 1 of the whole restricted family,
+    the full bath: dR = dB of ``reductions.layout``.
     """
-    _require_restricted_dimension(dim_restricted, reductions.layout.dim_bath)
+    dim_restricted = reductions.layout.dim_bath
     base = {
         "epsilon": epsilon, "dS": 2, "dR": dim_restricted, "p": 1.0,
         "c": CONCENTRATION_RATE,

@@ -63,7 +63,7 @@ def test_criterion_1_commuting_model_violation(tmp_path, capsys):
     rng = np.random.default_rng(20260819)
     spec = sample_commuting_spec(256, 1.0, 1.0, 1.0, rng)
     spectral = analytic_eigensystem(spec)
-    reductions = EigenstateReductions(spectral.reductions(spec.layout))
+    reductions = EigenstateReductions(spectral.reductions())
 
     radii = np.linalg.norm(reductions.bloch, axis=1)
     if not np.allclose(radii, 1.0, atol=1e-10, rtol=0.0):
@@ -73,7 +73,7 @@ def test_criterion_1_commuting_model_violation(tmp_path, capsys):
     if abs(lhs_ii - 1.0) > 1e-10:
         failures.append(f"mean squared polarization {lhs_ii!r} != 1")
 
-    delta_value = delta(reductions, spectral.projection(spec.layout, PLUS))
+    delta_value = delta(reductions, spectral.projection(PLUS))
     if abs(delta_value - 1.0) > 1e-10:
         failures.append(f"delta {delta_value!r} != 1")
 
@@ -103,7 +103,7 @@ def test_criterion_2_analytic_matches_dense(capsys):
     for db in baths:
         spec = sample_commuting_spec(db, 1.0, 1.0, 1.0, rng)
         analytic = analytic_eigensystem(spec)
-        dense = eigendecompose(build_commuting_model(spec).total)
+        dense = eigendecompose(build_commuting_model(spec).total, spec.layout)
         gap = float(np.abs(analytic.eigenvalues - dense.eigenvalues).max())
         worst = max(worst, gap / dense.spectral_norm)
         if gap > 1e-10 * dense.spectral_norm:
@@ -111,8 +111,8 @@ def test_criterion_2_analytic_matches_dense(capsys):
                             f"1e-10 * {dense.spectral_norm:.3g}")
         # every other stage is compared in tests/test_block_form.py
         reduction_gap = float(np.abs(
-            EigenstateReductions(analytic.reductions(spec.layout)).matrices
-            - EigenstateReductions(dense.reductions(spec.layout)).matrices).max())
+            EigenstateReductions(analytic.reductions()).matrices
+            - EigenstateReductions(dense.reductions()).matrices).max())
         worst_reduction = max(worst_reduction, reduction_gap)
         if reduction_gap > 1e-12:
             failures.append(f"dB={db}: block and dense eigenstate reductions differ "
@@ -124,17 +124,17 @@ def test_criterion_2_analytic_matches_dense(capsys):
 
 
 def _equilibrated_fraction(spectral, layout, n_draws, seed):
-    reductions = EigenstateReductions(spectral.reductions(layout))
+    reductions = EigenstateReductions(spectral.reductions())
     horizon = 1.0e3 / spectral.min_sector_spacing  # the horizon rule of `run`
     bound = 2.0 * layout.dim_system / math.sqrt(layout.dim_bath)
     draw_rng, time_rng = stream_generators(seed, 2)
     hits = 0
     for _ in range(n_draws):
         phi = PureState(sample_amplitudes(layout.dim_bath, 1, draw_rng)[:, 0], space="bath")
-        coeffs = spectral.coefficients(tensor_product(PLUS, phi), layout)
+        coeffs = spectral.coefficients(tensor_product(PLUS, phi))
         equilibrium = time_averaged_state(coeffs, reductions, spectral)
         times = stratified_times(horizon, 2000, time_rng)
-        states = evolve_reduced(coeffs, spectral, layout, times)
+        states = evolve_reduced(coeffs, spectral, times)
         metric = float(batched_trace_distances(states, equilibrium).mean())
         hits += metric <= bound
     return hits / n_draws
@@ -153,7 +153,8 @@ def test_criterion_3_equilibration_bound(capsys):
 
     layout = SpaceLayout(2, 256)
     ham = build_random_model(2, 256, 1.0, np.random.default_rng(32))
-    random_fraction = _equilibrated_fraction(eigendecompose(ham), layout, 200, 321)
+    random_fraction = _equilibrated_fraction(eigendecompose(ham.total(), layout), layout,
+                                             200, 321)
     if random_fraction < 0.99:
         failures.append(f"random model: only {random_fraction:.1%} of draws "
                         "stayed within 0.25")
@@ -170,8 +171,8 @@ def test_criterion_4_averaged_equilibrium_closed_forms(capsys):
 
     layout = SpaceLayout(2, 16)
     ham = build_random_model(2, 16, 1.0, np.random.default_rng(41))
-    spectral = eigendecompose(ham)
-    reductions = EigenstateReductions(spectral.reductions(layout))
+    spectral = eigendecompose(ham.total(), layout)
+    reductions = EigenstateReductions(spectral.reductions())
     eigenvectors = expand_sectors(spectral, layout)
     matrices = reductions.matrices
 
@@ -309,26 +310,26 @@ def test_criterion_6_concentration_bound_honesty(capsys):
     reports = []
     spec = sample_commuting_spec(16, 1.0, 1.0, 1.0, np.random.default_rng(61))
     spectral = analytic_eigensystem(spec)
-    reductions = EigenstateReductions(spectral.reductions(spec.layout))
-    small = spectral.projection(spec.layout, PLUS)
+    reductions = EigenstateReductions(spectral.reductions())
+    small = spectral.projection(PLUS)
     delta_small = delta(reductions, small)
     reports.append(sufficient_condition_report(delta_small))
     reports.extend(theorem0_reports(small, spectral, reductions, 0.05, 400, 62))
     reports.append(theorem0_reports(small, spectral, reductions, 0.5, 400, 63)[1])
     reports.append(necessary_condition_reports(reductions, 0.05, 16, 1.0, 8, 64)[1])
-    reports.extend(theorem2_reports(reductions, 0.05, 16))
+    reports.extend(theorem2_reports(reductions, 0.05))
     reports.append(popescu_report(spec.layout, 0.05, 400, 65))
 
     wide_spec = sample_commuting_spec(128, 1.0, 1.0, 1.0, np.random.default_rng(66))
     wide_spectral = analytic_eigensystem(wide_spec)
-    wide_reductions = EigenstateReductions(wide_spectral.reductions(wide_spec.layout))
-    wide = wide_spectral.projection(wide_spec.layout)
+    wide_reductions = EigenstateReductions(wide_spectral.reductions())
+    wide = wide_spectral.projection()
     reports.append(theorem0_reports(wide, wide_spectral, wide_reductions, 1.5, 10_000, 67)[1])
 
     deep_spec = sample_commuting_spec(256, 1.0, 1.0, 1.0, np.random.default_rng(68))
     deep_spectral = analytic_eigensystem(deep_spec)
-    deep_reductions = EigenstateReductions(deep_spectral.reductions(deep_spec.layout))
-    deep = deep_spectral.projection(deep_spec.layout, PLUS)
+    deep_reductions = EigenstateReductions(deep_spectral.reductions())
+    deep = deep_spectral.projection(PLUS)
     reports.append(theorem0_reports(deep, deep_spectral, deep_reductions, 1.5, 10_000, 69)[1])
 
     reports.append(popescu_report(SpaceLayout(2, 4096), 0.5, 10_000, 70))
@@ -363,10 +364,10 @@ def test_criterion_7_average_and_trace_oracles(capsys):
     worst_distance = 0.0
     for k in range(10):
         rng = np.random.default_rng(700 + k)
-        spectral = eigendecompose(build_random_model(2, 8, 1.0, rng))
-        reductions = EigenstateReductions(spectral.reductions(layout))
+        spectral = eigendecompose(build_random_model(2, 8, 1.0, rng).total(), layout)
+        reductions = EigenstateReductions(spectral.reductions())
         initial = PureState(sample_amplitudes(16, 1, rng)[:, 0], space="composite")
-        coeffs = spectral.coefficients(initial, layout)
+        coeffs = spectral.coefficients(initial)
         exact = time_averaged_state(coeffs, reductions, spectral)
         horizon = 1.0e4 / np.diff(spectral.eigenvalues).min()
         windowed = finite_time_average(coeffs, spectral.eigenvalues,
@@ -412,8 +413,9 @@ def test_criterion_8_polarization_decays_with_bath_size(capsys):
         values = []
         for k in range(20):
             rng = np.random.default_rng(800 + k)
-            spectral = eigendecompose(build_random_model(2, db, 1.0, rng))
-            reductions = EigenstateReductions(spectral.reductions(SpaceLayout(2, db)))
+            spectral = eigendecompose(build_random_model(2, db, 1.0, rng).total(),
+                                      SpaceLayout(2, db))
+            reductions = EigenstateReductions(spectral.reductions())
             values.append(theorem2_lhs(reductions)[1])
         means.append(float(np.mean(values)))
     for smaller, larger, db in zip(means, means[1:], sizes[1:]):

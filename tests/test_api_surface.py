@@ -53,7 +53,7 @@ GONE = {
                    "check_density_stack bounds |p| by 1",
     "mean_squared_polarization": "theorem2_lhs(reductions)[1], the T2ii left-hand side",
     "_float_params": "TheoremReport normalizes its own parameters",
-    "eigenstate_reductions": "EigenstateReductions(spectral.reductions(layout))",
+    "eigenstate_reductions": "EigenstateReductions(spectral.reductions())",
     "weighted_reduction": "weighted_sum(weights, reductions.matrices)",
     "weighted_purity": "delta: its body and its [1/dS, 1] check",
     "equilibrate": "evolve_reduced, then batched_trace_distances(...).mean()",
@@ -73,10 +73,10 @@ GONE = {
     "theorem0_tail_report": "theorem0_reports(...)[1], the T0ii report",
     "necessary_condition_report": "necessary_condition_reports: T1 and T1prime from one "
                                   "search",
-    "overlaps": "SpectralData.coefficients(state, layout), which checks the composite "
-                "state itself",
-    "subspace_projection": "SpectralData.projection(layout, psi=None, dim_prefix=None), "
-                           "which checks the system state and the prefix itself",
+    "overlaps": "SpectralData.coefficients(state), which checks the composite state "
+                "itself",
+    "subspace_projection": "SpectralData.projection(psi=None, dim_prefix=None), which "
+                           "checks the system state and the prefix itself",
     "DensityMatrix": "check_density_stack: time_averaged_state and the T0 reference "
                      "state are read-only arrays that passed it",
     "batched_monte_carlo": "sampled_distances(states_of, width, reference, threshold, "
@@ -93,6 +93,10 @@ GONE = {
                    "_SWEEP_METRICS name each entry's stage",
     "_require_qubit": "Pipeline.check, which refuses the qubit-only entries a command "
                       "or sweep reads",
+    "ModelBundle": "Pipeline.spectral, the spectral data with its layout, and "
+                   "Pipeline.source",
+    "random_parts": "Pipeline.parts: the spec of a commuting kind or the random "
+                    "CompositeHamiltonian, drawn again from the model seed",
 }
 
 # Config entries that were removed, each with its reason; none may come back.
@@ -206,6 +210,22 @@ def test_replaced_definitions_stay_gone():
                 if isinstance(target, ast.Name)}
     back = sorted(name for name in GONE if name in defined or hasattr(isibench, name))
     assert not back, f"replaced definitions are back: {back}"
+
+
+def test_no_reader_of_the_eigenvectors_takes_a_layout():
+    # SpectralData carries its S (x) B layout, checked once on construction,
+    # so neither its methods (but the constructor from_sectors, which takes
+    # the layout it stores) nor the dynamics functions take one
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+             for name in ("spectral", "dynamics")}
+    spectral_data, = (node for node in trees["spectral"].body
+                      if isinstance(node, ast.ClassDef) and node.name == "SpectralData")
+    functions = [node for node in (*spectral_data.body, *trees["dynamics"].body)
+                 if isinstance(node, ast.FunctionDef)
+                 and "classmethod" not in map(ast.unparse, node.decorator_list)]
+    taking = sorted(node.name for node in functions for arg in ast.walk(node.args)
+                    if isinstance(arg, ast.arg) and arg.arg == "layout")
+    assert functions and not taking, f"functions that take a layout: {taking}"
 
 
 def test_readme_library_use_names_no_replaced_definition():

@@ -68,8 +68,8 @@ def _stages(spectral, layout, initial, psi, horizon):
     """Every stage output that reads the eigenvectors, by name, for the
     subspaces built on the system state ``psi``; the trajectory is also
     sampled on 64 times of [0, horizon)."""
-    reductions = EigenstateReductions(spectral.reductions(layout))
-    coeffs = spectral.coefficients(initial, layout)
+    reductions = EigenstateReductions(spectral.reductions())
+    coeffs = spectral.coefficients(initial)
     out = {"overlaps": coeffs, "reductions": reductions.matrices,
            "purities": reductions.purities,
            "rho_bar": time_averaged_state(coeffs, reductions, spectral)}
@@ -78,7 +78,7 @@ def _stages(spectral, layout, initial, psi, horizon):
     prefix = max(1, layout.dim_bath // 3)
     for label, factor, k in (("full", None, None), ("product_bath", psi, None),
                              (f"bath_prefix:{prefix}", psi, prefix)):
-        projection = spectral.projection(layout, factor, k)
+        projection = spectral.projection(factor, k)
         draws = sample_amplitudes(projection.dim, 12, generator(7))
         out[f"{label} weights"] = projection.weights
         out[f"{label} delta"] = delta(reductions, projection)
@@ -87,15 +87,15 @@ def _stages(spectral, layout, initial, psi, horizon):
     # every form draws the whole space's Dirichlet populations of the
     # eigenbasis; the product subspaces draw them in the block form only,
     # so there the draws agree in law (test_dirichlet_draws_match_haar_draws_in_law)
-    mean_report, tail_report = theorem0_reports(spectral.projection(layout),
+    mean_report, tail_report = theorem0_reports(spectral.projection(),
                                                 spectral, reductions, 0.02, 64, 11)
     out["T0i lhs"] = mean_report.lhs
     out["T0ii lhs"] = tail_report.lhs
     # max|E| t <= 1e3 keeps the phases of both paths within 1e-13
     short = np.linspace(0.0, 1e3 / spectral.spectral_norm, 41)
-    out["trajectory"] = evolve_reduced(coeffs, spectral, layout, short)
+    out["trajectory"] = evolve_reduced(coeffs, spectral, short)
     long = stratified_times(horizon, 64, generator(3))
-    out["trajectory at the horizon"] = evolve_reduced(coeffs, spectral, layout, long)
+    out["trajectory at the horizon"] = evolve_reduced(coeffs, spectral, long)
     out["phase rounding"] = spectral.spectral_norm * long.max() * 2.0**-52
     return out
 
@@ -109,7 +109,7 @@ def built(request):
     initial = tensor_product(PLUS, phi)
     block = analytic_eigensystem(spec)
     expanded = _dense(block, spec.layout)
-    solved = eigendecompose(build_commuting_model(spec).total)
+    solved = eigendecompose(build_commuting_model(spec).total, spec.layout)
     # the run's horizon, from the closed-form level spacing for every form
     horizon = 1e3 / np.diff(block.eigenvalues).min()
     return (spec, block, *(_stages(s, spec.layout, initial, PLUS, horizon)
@@ -118,7 +118,7 @@ def built(request):
 
 def _dense(spectral, layout):
     """The same eigensystem as one dense sector, expanded by the oracle."""
-    return SpectralData(spectral.eigenvalues, expand_sectors(spectral, layout)[None])
+    return SpectralData(spectral.eigenvalues, expand_sectors(spectral, layout)[None], layout)
 
 
 def _gap(a, b):
@@ -164,10 +164,10 @@ def test_stack_reproduces_the_dense_populations(built):
     spec, block = built[:2]
     layout = spec.layout
     vectors = expand_sectors(block, layout)
-    reductions = EigenstateReductions(block.reductions(layout))
+    reductions = EigenstateReductions(block.reductions())
     prefix = max(1, layout.dim_bath // 3)
     for state, k in ((None, None), (PLUS, None), (PLUS, prefix)):
-        projection = block.projection(layout, state, k)
+        projection = block.projection(state, k)
         amplitudes = sample_amplitudes(projection.dim, 12, generator(17))
         if state is None:
             columns, matrix = vectors @ amplitudes, vectors
@@ -191,8 +191,8 @@ def test_dirichlet_draws_match_haar_draws_in_law(kind, size, prefix):
     expanded = _dense(block, spec.layout)
     estimates, threshold = [], None
     for spectral, seed in ((block, 21), (expanded, 22)):
-        reductions = EigenstateReductions(spectral.reductions(spec.layout))
-        projection = spectral.projection(spec.layout, PLUS, prefix)
+        reductions = EigenstateReductions(spectral.reductions())
+        projection = spectral.projection(PLUS, prefix)
         assert hasattr(projection, "matrix") == (spectral is expanded)
         reference = np.einsum("n,nij->ij", projection.weights, reductions.matrices)
         if threshold is None:
@@ -213,14 +213,14 @@ def test_degenerate_block_average_agrees():
     # average over, while eigh mixes each pair and the dense form has them
     spec = _spec("cucchietti", 6, field_scale=0.0, seed=5)
     block = analytic_eigensystem(spec)
-    dense = eigendecompose(build_commuting_model(spec).total)
+    dense = eigendecompose(build_commuting_model(spec).total, spec.layout)
     assert degenerate_level_pairs(block) == []
     assert len(degenerate_level_pairs(dense)) >= spec.dim_bath // 2
     phi = PureState(sample_amplitudes(spec.dim_bath, 1, generator(5))[:, 0],
                     space="bath")
     initial = tensor_product(PLUS, phi)
-    averages = [time_averaged_state(s.coefficients(initial, spec.layout),
-                                    EigenstateReductions(s.reductions(spec.layout)), s,
+    averages = [time_averaged_state(s.coefficients(initial),
+                                    EigenstateReductions(s.reductions()), s,
                                     allow_degenerate=True) for s in (block, dense)]
     assert _gap(*averages).max() <= TOL
 
@@ -235,7 +235,7 @@ def _qudit_blocks(ds, db, seed, degenerate=False):
     energies = rng.uniform(-1.0, 1.0, size=(db, ds))
     if degenerate:
         energies[:, 1] = energies[:, 0]
-    return SpectralData.from_sectors(energies, unitaries)
+    return SpectralData.from_sectors(energies, unitaries, SpaceLayout(ds, db))
 
 
 @pytest.mark.parametrize("ds, db", [(3, 5), (4, 16)])
@@ -264,17 +264,17 @@ def test_degenerate_levels_inside_a_block_keep_their_coherence():
     assert len(degenerate_level_pairs(block)) == db
     initial = PureState(sample_amplitudes(ds * db, 1, generator(9))[:, 0],
                         space="composite")
-    averages = [time_averaged_state(s.coefficients(initial, layout),
-                                    EigenstateReductions(s.reductions(layout)), s,
+    averages = [time_averaged_state(s.coefficients(initial),
+                                    EigenstateReductions(s.reductions()), s,
                                     allow_degenerate=True)
                 for s in (block, expanded)]
     assert _gap(*averages).max() <= TOL
-    populations = np.abs(block.coefficients(initial, layout)) ** 2
+    populations = np.abs(block.coefficients(initial)) ** 2
     plain = np.einsum("n,nij->ij", populations,
-                      EigenstateReductions(block.reductions(layout)).matrices)
+                      EigenstateReductions(block.reductions()).matrices)
     assert _gap(averages[0], plain).max() > 1e-3
     times = np.linspace(0.0, 50.0, 9)
-    paths = [evolve_reduced(s.coefficients(initial, layout), s, layout, times)
+    paths = [evolve_reduced(s.coefficients(initial), s, times)
              for s in (block, expanded)]
     assert _gap(*paths).max() <= TOL
 
@@ -285,9 +285,9 @@ def test_pure_reductions_in_one_basis_reach_the_largest_necessary_lhs(ds):
     # bath average dephases psi and the supremum 2(1 - 1/dS) sits at a basis state
     db = 5
     energies = np.arange(db * ds, dtype=float).reshape(db, ds) * 0.37
-    spectral = SpectralData.from_sectors(energies,
-                                         np.broadcast_to(np.eye(ds), (db, ds, ds)))
-    reductions = EigenstateReductions(spectral.reductions(SpaceLayout(ds, db)))
+    spectral = SpectralData.from_sectors(energies, np.broadcast_to(np.eye(ds), (db, ds, ds)),
+                                         SpaceLayout(ds, db))
+    reductions = EigenstateReductions(spectral.reductions())
     assert _gap(reductions.purities, 1.0).max() <= TOL
     value = necessary_condition_lhs(reductions, n_starts=16, seed=3)
     assert abs(value - 2.0 * (1.0 - 1.0 / ds)) <= TOL
@@ -383,11 +383,10 @@ def test_blocked_evolution_matches_the_one_shot_phase_table(ds, n_times):
     # dS = 4 evolves the amplitudes, whose phases E t round differently from
     # the Bohr phases w t, by up to max|E| t 2^-52
     spectral = _qudit_blocks(ds, 40, 60 + ds)
-    layout = SpaceLayout(ds, 40)
     rng = np.random.default_rng(n_times)
     values = sample_amplitudes(spectral.dim, 1, rng)[:, 0]
     times = np.sort(rng.uniform(0.0, 1e3, size=n_times))
-    ours = spectral.evolved_reductions(values, times, layout)
+    ours = spectral.evolved_reductions(values, times)
     oracle = block_evolution_one_shot(spectral, values, times)
     assert ours.shape == (n_times, ds, ds)
     if ds <= 3:
@@ -402,12 +401,11 @@ def test_block_evolution_holds_one_block_of_phases():
     125 MiB; one block of 256 times is 16 MiB."""
     ds, db = 2, 4096
     spectral = _qudit_blocks(ds, db, 71)
-    layout = SpaceLayout(ds, db)
     values = sample_amplitudes(spectral.dim, 1, generator(73))[:, 0]
     times = stratified_times(1e3, 2000, generator(79))
     tracemalloc.start()
     try:
-        states = spectral.evolved_reductions(values, times, layout)
+        states = spectral.evolved_reductions(values, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -421,18 +419,17 @@ def test_phase_table_holds_at_most_a_square_block_of_entries():
     row keeps the bits it has when evolved alone."""
     ds, db = 2, 10_000
     spectral = _qudit_blocks(ds, db, 83)
-    layout = SpaceLayout(ds, db)
     values = sample_amplitudes(spectral.dim, 1, generator(89))[:, 0]
     times = stratified_times(1e3, 600, generator(97))
     tracemalloc.start()
     try:
-        states = spectral.evolved_reductions(values, times, layout)
+        states = spectral.evolved_reductions(values, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     for row in (0, 5, 6, 599):
-        alone = spectral.evolved_reductions(values, times[row:row + 1], layout)
+        alone = spectral.evolved_reductions(values, times[row:row + 1])
         assert np.array_equal(alone[0], states[row])
 
 
@@ -446,7 +443,8 @@ def _two_level_sectors(ds, seed):
     energies = rng.uniform(-1.0, 1.0, size=(n_sec, m))
     energies[0, 1] = energies[0, 0]
     energies[2, 0] = energies[1, 0]
-    return SpectralData.from_sectors(energies, np.linalg.qr(raw)[0]), SpaceLayout(ds, 8)
+    layout = SpaceLayout(ds, 8)
+    return SpectralData.from_sectors(energies, np.linalg.qr(raw)[0], layout), layout
 
 
 @pytest.mark.parametrize("ds", [2, 3])
@@ -462,19 +460,19 @@ def test_sectors_of_two_levels_match_their_dense_expansion(ds):
     assert len(degenerate_level_pairs(sectors)) == 1
     times = np.linspace(0.0, 50.0, 300)
     readers = {
-        "coefficients": lambda s: s.coefficients(state, layout),
-        "reductions": lambda s: s.reductions(layout),
-        "whole space": lambda s: s.projection(layout).weights,
-        "dephased_reduction": lambda s: s.dephased_reduction(values, layout),
-        "evolved_reductions": lambda s: s.evolved_reductions(values, times, layout),
+        "coefficients": lambda s: s.coefficients(state),
+        "reductions": lambda s: s.reductions(),
+        "whole space": lambda s: s.projection().weights,
+        "dephased_reduction": lambda s: s.dephased_reduction(values),
+        "evolved_reductions": lambda s: s.evolved_reductions(values, times),
     }
     for k in (None, 1, 3, 8):
-        readers[f"product subspace {k}"] = lambda s, k=k: s.projection(layout, psi, k).matrix
+        readers[f"product subspace {k}"] = lambda s, k=k: s.projection(psi, k).matrix
     for name, read in readers.items():
         assert _gap(read(sectors), read(dense)).max() <= TOL, name
     # the pair inside sector 0 keeps its coherence
-    plain = np.einsum("n,nij->ij", np.abs(sectors.coefficients(state, layout)) ** 2,
-                      sectors.reductions(layout))
+    plain = np.einsum("n,nij->ij", np.abs(sectors.coefficients(state)) ** 2,
+                      sectors.reductions())
     assert _gap(readers["dephased_reduction"](sectors), plain).max() > 1e-3
 
 
@@ -484,8 +482,8 @@ def test_product_subspace_without_a_prefix_takes_every_bath_level(kind):
     spectral = analytic_eigensystem(spec)
     if kind == "dense":
         spectral = _dense(spectral, spec.layout)
-    whole = spectral.projection(spec.layout, PLUS)
-    prefix = spectral.projection(spec.layout, PLUS, spec.dim_bath)
+    whole = spectral.projection(PLUS)
+    prefix = spectral.projection(PLUS, spec.dim_bath)
     assert whole.dim == spec.dim_bath
     assert np.array_equal(whole.weights, prefix.weights)
 
@@ -554,12 +552,12 @@ def test_one_sector_coefficients_conjugate_the_vector_not_the_eigenvectors():
     temporary, under a quarter of one (numpy's traced allocations)."""
     array = 1024**2 * 16
     layout = SpaceLayout(2, 512)
-    spectral = eigendecompose(gaussian_hermitian(layout.dim_total, generator(9)))
+    spectral = eigendecompose(gaussian_hermitian(layout.dim_total, generator(9)), layout)
     values = sample_amplitudes(layout.dim_total, 1, generator(11))[:, 0]
     state = PureState(values)
     tracemalloc.start()
     try:
-        coefficients = spectral.coefficients(state, layout)
+        coefficients = spectral.coefficients(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -573,12 +571,12 @@ def test_dense_product_projection_is_written_in_place():
     call holds W once (the one sector of the dense path) and W keeps the bits
     of one einsum over the eigenvector matrix."""
     layout = SpaceLayout(3, 128)
-    spectral = eigendecompose(gaussian_hermitian(layout.dim_total, generator(5)))
+    spectral = eigendecompose(gaussian_hermitian(layout.dim_total, generator(5)), layout)
     psi = sample_amplitudes(3, 1, generator(7))[:, 0]
     state = PureState(psi, space="system")
     tracemalloc.start()
     try:
-        matrix = spectral.projection(layout, state).matrix
+        matrix = spectral.projection(state).matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -23,8 +23,8 @@ def _random_problem(ds, db, seed):
     rng = np.random.default_rng(seed)
     layout = SpaceLayout(ds, db)
     ham = random_hermitian(layout.dim_total, rng)
-    spectral = eigendecompose(ham)
-    return layout, spectral, EigenstateReductions(spectral.reductions(layout)), rng
+    spectral = eigendecompose(ham, layout)
+    return layout, spectral, EigenstateReductions(spectral.reductions()), rng
 
 
 def _product_equilibria(psi, spectral, reductions):
@@ -42,7 +42,7 @@ class TestOverlaps:
     def test_single_eigenvector(self):
         layout, spectral, _, _ = _random_problem(2, 4, 3)
         state = PureState(expand_sectors(spectral, layout)[:, 3], space="composite")
-        pops = np.abs(spectral.coefficients(state, layout)) ** 2
+        pops = np.abs(spectral.coefficients(state)) ** 2
         assert pops[3] == pytest.approx(1.0, abs=1e-12)
         assert pops.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -50,14 +50,14 @@ class TestOverlaps:
         layout, spectral, _, _ = _random_problem(2, 4, 5)
         vectors = expand_sectors(spectral, layout)
         vec = (vectors[:, 1] + vectors[:, 2]) / math.sqrt(2)
-        pops = np.abs(spectral.coefficients(PureState(vec, space="composite"), layout)) ** 2
+        pops = np.abs(spectral.coefficients(PureState(vec, space="composite"))) ** 2
         assert pops[1] == pytest.approx(0.5, abs=1e-12)
         assert pops[2] == pytest.approx(0.5, abs=1e-12)
 
     def test_returns_a_read_only_vector(self):
         layout, spectral, _, rng = _random_problem(2, 4, 9)
         state = PureState(random_state(8, rng), space="composite")
-        coeffs = spectral.coefficients(state, layout)
+        coeffs = spectral.coefficients(state)
         assert coeffs.shape == (8,) and not coeffs.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             coeffs[0] = 0.0
@@ -65,9 +65,9 @@ class TestOverlaps:
     def test_rejects_factor_space_state(self):
         layout, spectral, _, _ = _random_problem(2, 2, 7)
         with pytest.raises(ValidationError, match="must be composite, got 'system'"):
-            spectral.coefficients(PureState(np.array([1.0, 0.0]), space="system"), layout)
+            spectral.coefficients(PureState(np.array([1.0, 0.0]), space="system"))
         with pytest.raises(ValidationError, match="state dim 2 != spectral dim 4"):
-            spectral.coefficients(PureState(np.array([1.0, 0.0])), layout)
+            spectral.coefficients(PureState(np.array([1.0, 0.0])))
 
 
 class TestEigenstateReductions:
@@ -75,7 +75,7 @@ class TestEigenstateReductions:
         rng = np.random.default_rng(11)
         hs = random_hermitian(2, rng)
         ham = CompositeHamiltonian(hs, np.zeros((1, 1)), np.zeros((2, 2)))
-        reductions = EigenstateReductions(eigendecompose(ham).reductions(ham.layout))
+        reductions = EigenstateReductions(eigendecompose(ham.total(), ham.layout).reductions())
         system = eigendecompose(hs)
         for n in range(2):
             v = expand_sectors(system, SpaceLayout(2, 1))[:, n]
@@ -96,7 +96,7 @@ class TestEigenstateReductions:
     def test_commuting_model_reductions_are_pure_unit_bloch(self):
         rng = np.random.default_rng(19)
         spec = sample_commuting_spec(32, 1.0, 1.0, 1.0, rng)
-        reductions = EigenstateReductions(analytic_eigensystem(spec).reductions(spec.layout))
+        reductions = EigenstateReductions(analytic_eigensystem(spec).reductions())
         assert np.abs(reductions.purities - 1.0).max() < 1e-10
         radii = np.linalg.norm(reductions.bloch, axis=1)
         assert np.abs(radii - 1.0).max() < 1e-10
@@ -137,7 +137,7 @@ class TestTimeAveragedState:
         layout, spectral, reductions, _ = _random_problem(2, 6, 29)
         k = 5
         coeffs = spectral.coefficients(PureState(expand_sectors(spectral, layout)[:, k],
-                                                 space="composite"), layout)
+                                                 space="composite"))
         rho = time_averaged_state(coeffs, reductions, spectral)
         assert trace_distance(rho, reductions.matrices[k]) < 1e-12
 
@@ -145,17 +145,17 @@ class TestTimeAveragedState:
         layout, spectral, reductions, _ = _random_problem(2, 8, 31)
         d = layout.dim_total
         vec = expand_sectors(spectral, layout).sum(axis=1) / math.sqrt(d)
-        coeffs = spectral.coefficients(PureState(vec, space="composite"), layout)
+        coeffs = spectral.coefficients(PureState(vec, space="composite"))
         rho = time_averaged_state(coeffs, reductions, spectral)
         assert trace_distance(rho, maximally_mixed(2)) < 1e-10
 
     def test_degenerate_spectrum_is_refused_with_level_pairs(self):
         layout = SpaceLayout(2, 2)
         spectral = SpectralData(np.array([1.0, 1.0, 2.0, 3.0]),
-                                np.eye(4, dtype=complex)[None])
-        reductions = EigenstateReductions(spectral.reductions(layout))
+                                np.eye(4, dtype=complex)[None], layout)
+        reductions = EigenstateReductions(spectral.reductions())
         state = PureState(random_state(4, np.random.default_rng(37)), space="composite")
-        coeffs = spectral.coefficients(state, layout)
+        coeffs = spectral.coefficients(state)
         with pytest.raises(DegenerateSpectrumError, match=r"\(0, 1\)"):
             time_averaged_state(coeffs, reductions, spectral)
 
@@ -166,10 +166,10 @@ class TestTimeAveragedState:
         # so the block result is the diagonal of the populations
         layout = SpaceLayout(2, 2)
         spectral = SpectralData(np.array([1.0, 1.0, 2.0, 3.0]),
-                                np.eye(4, dtype=complex)[None])
-        reductions = EigenstateReductions(spectral.reductions(layout))
+                                np.eye(4, dtype=complex)[None], layout)
+        reductions = EigenstateReductions(spectral.reductions())
         amps = random_state(4, np.random.default_rng(41))
-        coeffs = spectral.coefficients(PureState(amps, space="composite"), layout)
+        coeffs = spectral.coefficients(PureState(amps, space="composite"))
         rho = time_averaged_state(coeffs, reductions, spectral, allow_degenerate=True)
         pops = np.abs(amps) ** 2
         expected = np.diag([pops[0] + pops[1], pops[2] + pops[3]])
@@ -179,7 +179,7 @@ class TestTimeAveragedState:
     def test_allow_degenerate_is_inert_on_clean_spectra(self):
         layout, spectral, reductions, rng = _random_problem(2, 4, 43)
         state = PureState(random_state(8, rng), space="composite")
-        coeffs = spectral.coefficients(state, layout)
+        coeffs = spectral.coefficients(state)
         plain = time_averaged_state(coeffs, reductions, spectral)
         tolerant = time_averaged_state(coeffs, reductions, spectral,
                                        allow_degenerate=True)
@@ -198,13 +198,13 @@ class TestSubspaceProjection:
         prefix = 3 if subspace.startswith("bath_prefix") else None
         if subspace == "full":
             # grouped in the eigenbasis B = V, where W = V^H V, kept as |W|
-            projection = projection_matrix(spectral.projection(layout),
+            projection = projection_matrix(spectral.projection(),
                                            layout.dim_total)
             vectors = expand_sectors(spectral, layout)
             expected = np.abs(vectors.conj().T @ vectors)
         else:
             projection = projection_matrix(
-                spectral.projection(layout, PureState(psi, space="system"), prefix),
+                spectral.projection(PureState(psi, space="system"), prefix),
                 layout.dim_total)
             expected = kron_projection(expand_sectors(spectral, layout), psi, prefix)
         assert projection.shape == expected.shape
@@ -215,12 +215,12 @@ class TestSubspaceProjection:
         qutrit = PureState(np.array([1.0, 0.0, 0.0]), space="system")
         plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
         with pytest.raises(ValidationError, match="psi must be a system state"):
-            spectral.projection(layout, qutrit)
+            spectral.projection(qutrit)
         with pytest.raises(ValidationError, match="psi must be a system state"):
-            spectral.projection(layout, PureState(np.array([1.0, 0.0])))
+            spectral.projection(PureState(np.array([1.0, 0.0])))
         for prefix in (0, 5):
             with pytest.raises(ValidationError, match=rf"bath subspace dim {prefix} outside"):
-                spectral.projection(layout, plus, prefix)
+                spectral.projection(plus, prefix)
 
 
 class TestDelta:
@@ -233,39 +233,39 @@ class TestDelta:
 
     def test_full_space_averages_purities(self):
         layout, spectral, reductions, _ = _random_problem(2, 6, 53)
-        value = delta(reductions, spectral.projection(layout))
+        value = delta(reductions, spectral.projection())
         assert value == pytest.approx(reductions.purities.mean(), abs=1e-12)
 
     def test_lower_bound_attained_by_mixed_reductions(self):
         # hand-built reductions that are all I/2: delta hits its floor 1/dS
         layout = SpaceLayout(2, 2)
         spectral = SpectralData(np.array([0.0, 1.0, 2.0, 4.0]),
-                                np.eye(4, dtype=complex)[None])
+                                np.eye(4, dtype=complex)[None], layout)
         mats = np.broadcast_to(np.eye(2, dtype=complex) / 2, (4, 2, 2)).copy()
         reductions = EigenstateReductions(matrices=mats)
-        projection = spectral.projection(layout)
+        projection = spectral.projection()
         assert delta(reductions, projection) == pytest.approx(0.5, abs=1e-15)
 
     def test_commuting_model_saturates_upper_bound(self):
         rng = np.random.default_rng(59)
         spec = sample_commuting_spec(16, 1.0, 1.0, 1.0, rng)
         spectral = analytic_eigensystem(spec)
-        reductions = EigenstateReductions(spectral.reductions(spec.layout))
+        reductions = EigenstateReductions(spectral.reductions())
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
-        projection = spectral.projection(spec.layout, psi)
+        projection = spectral.projection(psi)
         assert delta(reductions, projection) == pytest.approx(1.0, abs=1e-10)
 
     def test_range_on_random_draws(self):
         for seed in (61, 67, 71):
             layout, spectral, reductions, rng = _random_problem(2, 8, seed)
             psi = PureState(random_state(2, rng), space="system")
-            value = delta(reductions, spectral.projection(layout, psi))
+            value = delta(reductions, spectral.projection(psi))
             assert 0.5 - 1e-12 <= value <= 1.0 + 1e-12
 
     def test_weights_are_a_distribution(self):
         layout, spectral, _, rng = _random_problem(2, 8, 73)
         psi = PureState(random_state(2, rng), space="system")
-        w = spectral.projection(layout, psi, 3).weights
+        w = spectral.projection(psi, 3).weights
         assert np.all(w >= -1e-15)
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -275,7 +275,7 @@ class TestBathAveragedEquilibrium:
         rng = np.random.default_rng(79)
         hs = random_hermitian(2, rng)
         ham = CompositeHamiltonian(hs, np.zeros((1, 1)), np.zeros((2, 2)))
-        reductions = EigenstateReductions(eigendecompose(ham).reductions(ham.layout))
+        reductions = EigenstateReductions(eigendecompose(ham.total(), ham.layout).reductions())
         psi = PureState(random_state(2, rng), space="system")
         rho = bath_averaged_equilibrium(psi.amplitudes, reductions.matrices, 1)
         system = eigendecompose(hs)
@@ -290,7 +290,7 @@ class TestBathAveragedEquilibrium:
         psi = PureState(random_state(2, rng), space="system")
         closed = bath_averaged_equilibrium(psi.amplitudes, reductions.matrices,
                                            layout.dim_bath)
-        via_weights = subspace_averaged_equilibrium(spectral.projection(layout, psi),
+        via_weights = subspace_averaged_equilibrium(spectral.projection(psi),
                                                     reductions.matrices)
         assert np.abs(closed - via_weights).max() < 1e-12
 
@@ -350,13 +350,13 @@ class TestFullAverage:
     def test_full_average_is_maximally_mixed(self):
         # completeness of the eigenbasis makes the full-space average I/dS
         layout, spectral, reductions, _ = _random_problem(3, 5, 131)
-        rho = subspace_averaged_equilibrium(spectral.projection(layout),
+        rho = subspace_averaged_equilibrium(spectral.projection(),
                                             reductions.matrices)
         assert np.abs(rho - np.eye(3) / 3).max() < 1e-12
 
     def test_full_subspace_average_matches(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 137)
-        rho = subspace_averaged_equilibrium(spectral.projection(layout),
+        rho = subspace_averaged_equilibrium(spectral.projection(),
                                             reductions.matrices)
         assert trace_distance(rho, maximally_mixed(layout.dim_system)) < 1e-10
 

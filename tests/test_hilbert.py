@@ -162,10 +162,9 @@ class TestPartialTraces:
             _check_density(partial_trace_system(factor @ factor.conj().T, 2, 6))
 
     def test_rejects_columns_of_another_dimension(self):
-        # the package traces out the bath only from eigenvectors
-        spectral = SpectralData(np.arange(6.0), np.eye(6, dtype=complex)[None])
+        # the package traces out the bath only from eigenvectors of the layout's d
         with pytest.raises(ValidationError, match="2x4"):
-            spectral.reductions(SpaceLayout(2, 4))
+            SpectralData(np.arange(6.0), np.eye(6, dtype=complex)[None], SpaceLayout(2, 4))
 
 
 class TestTraceDistance:

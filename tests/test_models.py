@@ -212,7 +212,7 @@ class TestRandomModel:
     def test_uncoupled_limit_has_product_eigenstates(self):
         rng = np.random.default_rng(37)
         ham = build_random_model(2, 8, 0.0, rng)
-        data = eigendecompose(ham)
+        data = eigendecompose(ham.total(), ham.layout)
         part_sums = np.add.outer(np.linalg.eigvalsh(ham.system),
                                  np.linalg.eigvalsh(ham.bath)).ravel()
         assert np.allclose(np.sort(part_sums), data.eigenvalues, atol=1e-12)
@@ -223,7 +223,7 @@ class TestRandomModel:
     def test_generic_draws_are_nondegenerate(self):
         for seed in (41, 43, 47):
             ham = build_random_model(2, 16, 1.0, np.random.default_rng(seed))
-            assert degenerate_level_pairs(eigendecompose(ham)) == []
+            assert degenerate_level_pairs(eigendecompose(ham.total(), ham.layout)) == []
 
     def test_interaction_norm_stays_order_one_as_bath_grows(self):
         norms = []

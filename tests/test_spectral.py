@@ -53,6 +53,18 @@ class TestAssemble:
             CompositeHamiltonian(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)),
                                  np.zeros((4, 4)))
 
+    def test_an_asymmetric_interaction_is_refused_where_h_is_solved(self):
+        # the parts keep their Hermiticity scans; the interaction's is the scan of H
+        interaction = np.zeros((4, 4))
+        interaction[3, 0] = 1e-6
+        ham = CompositeHamiltonian(0.5 * SIGMA_Z, np.diag([0.0, 1.0]), interaction)
+        with pytest.raises(ValidationError, match="hamiltonian not Hermitian"):
+            eigendecompose(ham.total(), ham.layout)
+
+    def test_an_interaction_of_another_shape_is_refused(self):
+        with pytest.raises(ValidationError, match="interaction part must be 4x4"):
+            CompositeHamiltonian(0.5 * SIGMA_Z, np.diag([0.0, 1.0]), np.zeros((4, 3)))
+
 
 # A dimension that is not a multiple of the block width, and an index pair
 # inside its last block: every blocked check must see a fault placed there.
@@ -158,17 +170,17 @@ class TestBlockedChecks:
 
     def test_dense_readers_match_their_one_shot_forms(self):
         layout = _blocked_parts()[3]
-        data = eigendecompose(_blocked_parts()[2])
+        data = eigendecompose(_blocked_parts()[2], layout)
         vecs = expand_sectors(data, layout)
         rng = np.random.default_rng(59)
         amplitudes = rng.standard_normal(BLOCKED_DIM) + 1j * rng.standard_normal(BLOCKED_DIM)
-        assert np.array_equal(data.reductions(layout),
+        assert np.array_equal(data.reductions(),
                               batched_partial_trace_bath(vecs, layout))
         times = np.linspace(0.0, 50.0, 2 * spectral.DENSE_BLOCK + 7)
         one_shot = batched_partial_trace_bath(
             vecs @ (amplitudes[:, None] * np.exp(-1j * data.eigenvalues[:, None] * times)),
             layout)
-        evolved = data.evolved_reductions(amplitudes, times, layout)
+        evolved = data.evolved_reductions(amplitudes, times)
         assert np.abs(evolved - one_shot).max() < 1e-12 * np.abs(one_shot).max()
 
 
@@ -511,31 +523,63 @@ class TestEnergiesOutOfOrder:
         shuffle = np.array([4, 1, 5, 0, 3, 2])
         energies = solved.eigenvalues[shuffle]
         energies[4] = energies[0]  # labels 0 and 4 tie: the stable order keeps 0 first
-        data = SpectralData(energies, solved.sectors[:, :, shuffle])
-        twin = SpectralData(np.sort(energies), data.sectors[:, :, data.order])
+        data = SpectralData(energies, solved.sectors[:, :, shuffle], layout)
+        twin = SpectralData(np.sort(energies), data.sectors[:, :, data.order], layout)
         assert np.array_equal(data.order, np.argsort(energies, kind="stable"))
         assert np.array_equal(data.eigenvalues, twin.eigenvalues)
         assert np.all(np.diff(data.eigenvalues) >= 0)
         amplitudes = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         state = PureState(amplitudes / np.linalg.norm(amplitudes))
         times = np.linspace(0.0, 20.0, 9)
-        assert np.abs(data.coefficients(state, layout)
-                      - twin.coefficients(state, layout)).max() < 1e-15
-        assert np.array_equal(data.reductions(layout), twin.reductions(layout))
-        assert np.abs(data.evolved_reductions(amplitudes, times, layout)
-                      - twin.evolved_reductions(amplitudes, times, layout)).max() < 1e-14
+        assert np.abs(data.coefficients(state) - twin.coefficients(state)).max() < 1e-15
+        assert np.array_equal(data.reductions(), twin.reductions())
+        assert np.abs(data.evolved_reductions(amplitudes, times)
+                      - twin.evolved_reductions(amplitudes, times)).max() < 1e-14
+
+
+# Each eigenvector reader of SpectralData, called with valid values for d = 4.
+READERS = {
+    "coefficients": lambda data: data.coefficients(PureState(np.eye(4)[0])),
+    "reductions": lambda data: data.reductions(),
+    "projection": lambda data: data.projection(),
+    "dephased_reduction": lambda data: data.dephased_reduction(np.eye(4)[0]),
+    "evolved_reductions": lambda data: data.evolved_reductions(np.eye(4)[0], np.zeros(1)),
+}
+
+
+class TestLayout:
+    @pytest.mark.parametrize("layout", [SpaceLayout(2, 3), SpaceLayout(4, 1)],
+                             ids=["another_d", "ds_not_dividing_m"])
+    def test_a_layout_that_does_not_fit_is_refused_on_construction(self, layout):
+        # two sectors of m = 2: d = 4, and dS must divide m
+        with pytest.raises(ValidationError, match=f"layout {layout.dim_system}x"
+                                                  f"{layout.dim_bath} does not match the "
+                                                  "spectral data \\(d=4\\)"):
+            SpectralData(np.arange(4.0), np.stack([np.eye(2, dtype=complex)] * 2), layout)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_data_without_a_layout_has_its_spectrum_and_no_reader(self, reader):
+        data = eigendecompose(np.diag([3.0, 1.0, 2.0, 0.0]))
+        assert data.layout is None
+        assert np.array_equal(data.eigenvalues, [0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(data.levels, [[0, 1, 2, 3]])
+        assert np.array_equal(data.gaps, [[1.0, 1.0, 1.0]]) and not data.degenerate.any()
+        with pytest.raises(ValidationError, match="has no system/bath layout"):
+            READERS[reader](data)
+        READERS[reader](eigendecompose(np.diag([3.0, 1.0, 2.0, 0.0]), SpaceLayout(2, 2)))
 
 
 class TestDegeneracyChecks:
     def _data(self, eigenvalues):
         return SpectralData(np.asarray(eigenvalues, dtype=float),
-                            np.eye(len(eigenvalues), dtype=complex)[None])
+                            np.eye(len(eigenvalues), dtype=complex)[None], None)
 
     @staticmethod
     def _sectors(energies):
         """Sectors of two levels with the given (n_sec, 2) energies."""
         return SpectralData.from_sectors(np.array(energies),
-                                         np.stack([np.eye(2, dtype=complex)] * len(energies)))
+                                         np.stack([np.eye(2, dtype=complex)] * len(energies)),
+                                         SpaceLayout(2, len(energies)))
 
     def test_spaced_spectrum_passes(self):
         data = self._data([0.0, 1.0, 2.0])

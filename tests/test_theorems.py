@@ -32,14 +32,14 @@ def _commuting_problem(db, seed):
     rng = np.random.default_rng(seed)
     spec = sample_commuting_spec(db, 1.0, 1.0, 1.0, rng)
     spectral = analytic_eigensystem(spec)
-    return spec, spectral, EigenstateReductions(spectral.reductions(spec.layout)), rng
+    return spec, spectral, EigenstateReductions(spectral.reductions()), rng
 
 
 def _random_problem(ds, db, seed):
     rng = np.random.default_rng(seed)
     layout = SpaceLayout(ds, db)
-    spectral = eigendecompose(random_hermitian(layout.dim_total, rng))
-    return layout, spectral, EigenstateReductions(spectral.reductions(layout)), rng
+    spectral = eigendecompose(random_hermitian(layout.dim_total, rng), layout)
+    return layout, spectral, EigenstateReductions(spectral.reductions()), rng
 
 
 def _aligned_reductions():
@@ -47,8 +47,8 @@ def _aligned_reductions():
     largest eigenvalue exactly 1."""
     layout = SpaceLayout(2, 2)
     spectral = SpectralData(np.array([0.0, 1.0, 2.0, 4.0]),
-                            np.eye(4, dtype=complex)[None])
-    return spectral, EigenstateReductions(spectral.reductions(layout))
+                            np.eye(4, dtype=complex)[None], layout)
+    return spectral, EigenstateReductions(spectral.reductions())
 
 
 def _mixed_reductions():
@@ -153,7 +153,7 @@ class TestTheorem0Sampling:
     def test_commuting_subspace_mean_respects_bound(self):
         spec, spectral, reductions, rng = _commuting_problem(64, 7)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
-        projection = spectral.projection(spec.layout, psi)
+        projection = spectral.projection(psi)
         report = theorem0_reports(
             projection, spectral, reductions, 0.05, n_samples=400, seed=11)[0]
         strong, _ = theorem0_rhs(2, 64, 1.0)
@@ -161,7 +161,7 @@ class TestTheorem0Sampling:
 
     def test_random_model_full_space_mean_respects_bound(self):
         layout, spectral, reductions, rng = _random_problem(2, 16, 13)
-        projection = spectral.projection(layout)
+        projection = spectral.projection()
         from isibench import delta as delta_fn
         delta_value = delta_fn(reductions, projection)
         strong, _ = theorem0_rhs(2, 32, delta_value)
@@ -174,14 +174,14 @@ class TestTheorem0Sampling:
         # delta in [1/dS, 1], so only the check of the reference state refuses
         layout, spectral, reductions, _ = _random_problem(2, 16, 13)
         psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2), space="system")
-        scaled = DenseProjection(math.sqrt(1.2) * spectral.projection(layout, psi).matrix)
+        scaled = DenseProjection(math.sqrt(1.2) * spectral.projection(psi).matrix)
         with pytest.raises(ValidationError, match="density matrix trace deviates"):
             theorem0_reports(scaled, spectral, reductions, 0.05, n_samples=16, seed=5)
 
     def test_tail_frequency_zero_beyond_range(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 19)
         report = theorem0_reports(
-            spectral.projection(layout), spectral, reductions, epsilon=2.0,
+            spectral.projection(), spectral, reductions, epsilon=2.0,
             n_samples=64, seed=23)[1]
         assert report.lhs == 0.0
         assert report.rhs == pytest.approx(concentration_tail(16, 2.0))
@@ -189,7 +189,7 @@ class TestTheorem0Sampling:
     def test_tail_respects_nonvacuous_bound(self):
         layout, spectral, reductions, _ = _random_problem(2, 128, 29)
         report = theorem0_reports(
-            spectral.projection(layout), spectral, reductions, epsilon=1.5,
+            spectral.projection(), spectral, reductions, epsilon=1.5,
             n_samples=200, seed=31)[1]
         assert report.rhs < 1.0
         assert report.lhs <= report.rhs
@@ -223,8 +223,8 @@ class TestNecessaryCondition:
         # computational-basis eigenvectors: the bath average dephases psi, and
         # sup_psi ||diag(|psi|^2) - I/3||_1 = 4/3, attained at a basis state
         layout = SpaceLayout(3, 2)
-        spectral = SpectralData(np.arange(6.0), np.eye(6, dtype=complex)[None])
-        reductions = EigenstateReductions(spectral.reductions(layout))
+        spectral = SpectralData(np.arange(6.0), np.eye(6, dtype=complex)[None], layout)
+        reductions = EigenstateReductions(spectral.reductions())
         value = necessary_condition_lhs(reductions, n_starts=16, seed=3)
         assert value <= 4.0 / 3.0 + 1e-9
         assert value >= 4.0 / 3.0 - 1e-3
@@ -315,7 +315,7 @@ def _batched_problem(ds, db, subspace):
     psi = None if subspace == "full" else random_state(ds, rng)
     prefix = 5 if subspace.startswith("bath_prefix") else None
     state = None if psi is None else PureState(psi, space="system")
-    projection = spectral.projection(layout, state, prefix)
+    projection = spectral.projection(state, prefix)
     return (layout, spectral, reductions, projection), kron_basis(layout.dim_total, psi,
                                                                   prefix)
 
@@ -467,7 +467,7 @@ class TestSufficientConditionReport:
 class TestReports:
     def test_theorem2_reports_on_commuting_model(self):
         spec, spectral, reductions, _ = _commuting_problem(64, 83)
-        r2i, r2ii = theorem2_reports(reductions, epsilon=0.05, dim_restricted=64)
+        r2i, r2ii = theorem2_reports(reductions, epsilon=0.05)
         assert r2ii.lhs == pytest.approx(1.0, abs=1e-10)
         assert r2ii.rhs == pytest.approx(0.15, rel=1e-14)
         assert r2ii.verdict == "violated"
@@ -485,14 +485,12 @@ class TestReports:
 
     @pytest.mark.parametrize("dim_restricted", [0, 9, 10**23])
     def test_restricted_dimension_outside_the_bath_is_refused(self, dim_restricted):
-        """dR counts bath dimensions, 1 <= dR <= dB = 8: T1 with T1prime and
-        the T2 pair refuse any other, and record none."""
+        """dR counts bath dimensions, 1 <= dR <= dB = 8: T1 with T1prime
+        refuse any other, and record none."""
         _, _, reductions, _ = _commuting_problem(8, 97)
         message = re.escape(f"dR must lie in [1, dB = 8], got {dim_restricted}")
         with pytest.raises(ValidationError, match=message):
             necessary_condition_reports(reductions, 0.05, dim_restricted, 1.0)
-        with pytest.raises(ValidationError, match=message):
-            theorem2_reports(reductions, 0.05, dim_restricted)
 
     def test_necessary_report_round_trips_infinity(self, tmp_path):
         spec, spectral, reductions, _ = _commuting_problem(8, 101)
@@ -508,7 +506,7 @@ class TestReports:
         # "n_streams"; the audit reads it as one more parameter
         layout, spectral, reductions, _ = _random_problem(2, 8, 107)
         report = theorem0_reports(
-            spectral.projection(layout), spectral, reductions, 0.05,
+            spectral.projection(), spectral, reductions, 0.05,
             n_samples=20, seed=7)[0]
         assert "n_streams" not in report.parameters
         payload = json.loads(report.to_json())
@@ -523,7 +521,7 @@ class TestReports:
     def test_mean_report_parameters_reproduce_rhs(self):
         layout, spectral, reductions, _ = _random_problem(2, 16, 103)
         report = theorem0_reports(
-            spectral.projection(layout), spectral, reductions, 0.05,
+            spectral.projection(), spectral, reductions, 0.05,
             n_samples=100, seed=7)[0]
         assert report.theorem_id == "T0i"
         assert recompute_rhs("T0i", report.parameters) == pytest.approx(report.rhs,
@@ -534,7 +532,7 @@ class TestReports:
     def test_tail_report_is_vacuous_at_small_dimension(self):
         layout, spectral, reductions, _ = _random_problem(2, 8, 107)
         report = theorem0_reports(
-            spectral.projection(layout), spectral, reductions, epsilon=0.1,
+            spectral.projection(), spectral, reductions, epsilon=0.1,
             n_samples=64, seed=9)[1]
         assert report.verdict == "vacuous"
         assert report.rhs > 1.0
@@ -546,7 +544,7 @@ class TestReports:
 
     def test_json_round_trip_and_file_io(self, tmp_path):
         spec, spectral, reductions, _ = _commuting_problem(32, 109)
-        _, report = theorem2_reports(reductions, epsilon=0.05, dim_restricted=32)
+        _, report = theorem2_reports(reductions, epsilon=0.05)
         recovered = TheoremReport.from_json(report.to_json())
         assert recovered == report
         path = tmp_path / "report_T2ii.json"
@@ -555,7 +553,7 @@ class TestReports:
 
     def test_tampered_rhs_is_rejected(self):
         spec, spectral, reductions, _ = _commuting_problem(16, 113)
-        _, report = theorem2_reports(reductions, epsilon=0.05, dim_restricted=16)
+        _, report = theorem2_reports(reductions, epsilon=0.05)
         payload = json.loads(report.to_json())
         payload["rhs"] = payload["rhs"] * 2.0
         with pytest.raises(ValidationError, match="not reproducible"):
@@ -564,7 +562,7 @@ class TestReports:
     def test_formula_mode_t2_report_no_longer_reproduces(self, tmp_path):
         # A T2 report that compared against 3 epsilon' instead of 3 epsilon.
         spec, spectral, reductions, _ = _commuting_problem(16, 89)
-        _, report = theorem2_reports(reductions, epsilon=0.05, dim_restricted=16)
+        _, report = theorem2_reports(reductions, epsilon=0.05)
         payload = json.loads(report.to_json())
         payload["parameters"]["bound_mode"] = "formula"
         payload["rhs"] = 3.0 * epsilon_prime(0.05, 2, 16, 1.0)
@@ -576,7 +574,7 @@ class TestReports:
 
     def test_tampered_verdict_is_rejected(self):
         spec, spectral, reductions, _ = _commuting_problem(16, 127)
-        _, report = theorem2_reports(reductions, epsilon=0.05, dim_restricted=16)
+        _, report = theorem2_reports(reductions, epsilon=0.05)
         payload = json.loads(report.to_json())
         payload["verdict"] = "satisfied"
         with pytest.raises(ValidationError, match="contradicts the policy"):
@@ -584,7 +582,7 @@ class TestReports:
 
     def test_unsupported_schema_version_is_rejected(self):
         spec, spectral, reductions, _ = _commuting_problem(16, 131)
-        _, report = theorem2_reports(reductions, epsilon=0.05, dim_restricted=16)
+        _, report = theorem2_reports(reductions, epsilon=0.05)
         payload = json.loads(report.to_json())
         payload["schema_version"] = 2
         with pytest.raises(ValidationError, match="unsupported schema version 2"):
