@@ -118,6 +118,13 @@ def _command_lines() -> list[tuple[str, ...]]:
         # refused before the first draw
         ("sweep", "random_contrast", "sweep.parameter=dim_bath", "sweep.values=16,5000",
          "sweep.metrics=delta"),
+        # the outputs of each model kind
+        ("model-info", "@cucchietti"), ("model-info", "@negative_zero"),
+        ("model-info", "@untagged", "model.dim_system=2"),
+        ("sweep", "@cucchietti", "sweep.parameter=n_spins", "sweep.values=3,5",
+         "sweep.draws=2"),
+        ("sweep", "@negative_zero", "sweep.parameter=dim_system", "sweep.values=2"),
+        ("run", "sec5_violation", "model.dim_system=2"),
     ]
     return lines
 
@@ -156,8 +163,9 @@ def write_inputs(inputs: Path) -> None:
     negative_zero: a random Hermitian 200 x 200 (dS = 2) with a -0 real part
     and a -0 imaginary part below the diagonal; asymmetric: a random Hermitian
     256 x 256 (dS = 2) with asymmetries below the diagonal that the
-    Hermiticity check tolerates.  The last two are not their own bitwise
-    mirror, so the dense solver works on a copy of them.
+    Hermiticity check tolerates; untagged: a random Hermitian 64 x 64 with no
+    layout tag.  The asymmetric and negative_zero matrices are not their own
+    bitwise mirror, so the dense solver works on a copy of them.
     """
     def hermitian(d, seed):
         rng = np.random.default_rng(seed)
@@ -175,7 +183,8 @@ def write_inputs(inputs: Path) -> None:
     h[5, 3] += 1e-12
     h[200, 17] += 3e-13j
     write_matrix(inputs / "asymmetric.mat", h, SpaceLayout(2, 128))
-    for name in ("degenerate", "negative_zero", "asymmetric"):
+    write_matrix(inputs / "untagged.mat", hermitian(64, 3))
+    for name in ("degenerate", "negative_zero", "asymmetric", "untagged"):
         (inputs / f"{name}.cfg").write_text(
             f"[model]\nkind = file\npath = {inputs / name}.mat\n", encoding="utf-8")
     (inputs / "cucchietti.cfg").write_text("[model]\nkind = cucchietti\nn_spins = 8\n",
