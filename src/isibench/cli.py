@@ -18,19 +18,19 @@ the output directory and writes the files, one ``wrote`` line each (``run``
 names only ``summary.txt``, which holds what it prints).
 
 Configs are flat INI-style text with one level of sections; unknown sections
-or keys are errors.  The numerical thresholds of the checks and verdicts are
-fixed constants of the modules that apply them, and so are the caps that
-refuse a model by the arrays it would hold (``spectral.require_fits``).
+or keys are errors.  Each model kind is one entry of ``MODEL_KINDS``, a
+``ModelKind``: the config and the pipeline read a kind's keys, dimensions,
+parts, spectral build and lines from it, and compare no kind by name.  The
+numerical thresholds of the checks and verdicts are fixed constants of the
+modules that apply them, and so are the caps that refuse a model by the
+arrays it would hold (``spectral.require_fits``).
 
 Every run derives all randomness from a single root seed, so identical
 configs give byte-identical data files (the only timestamp lives in the
 summary header) on the same machine, with the same numpy/BLAS build and the
-same BLAS thread count.  Another thread count moves the numbers in their last
-digits (see the README).  ``OPENBLAS_THREAD_TIMEOUT``, which the package sets
-when it is unset, moves none: it only decides when idle OpenBLAS threads
-sleep, not how BLAS splits its sums.  Nor does the number of CPUs, over
-which the commuting and cucchietti dynamics deal their blocks of times:
-each block's rows are summed the same way on any thread.
+same BLAS thread count; another thread count moves the numbers in their last
+digits, and ``OPENBLAS_THREAD_TIMEOUT`` and the number of CPUs move none
+(see the README).
 
 ``process_main``, the entry of ``python -m isibench.cli`` and of the
 ``isibench`` script, freezes the garbage collector before it runs ``main``;
@@ -62,8 +62,8 @@ from .errors import (CapExceededError, ConfigError, DegenerateSpectrumError,
                      IsibenchError, ValidationError)
 from .hilbert import (PureState, SpaceLayout, batched_bloch_vectors, batched_trace_distances,
                       purities, tensor_product)
-from .models import (CommutingModelSpec, analytic_eigensystem, build_random_model,
-                     commuting_norms, sample_commuting_spec, sample_cucchietti_spec)
+from .models import (analytic_eigensystem, build_random_model, commuting_norms,
+                     sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import generator, sample_amplitudes
 from .spectral import (STACK_ELEMENT_CAP, CompositeHamiltonian, DenseProjection,
                        GroupedProjection, SpectralData, eigendecompose, evolve_on_one_thread,
@@ -76,8 +76,6 @@ from .theorems import (THEOREM_IDS, THEOREMS, TheoremReport, necessary_condition
 DEFAULT_SEED = 12345
 DEFAULT_OUT_DIR = "isibench-out"
 UNIT_LHS = 1e-10  # |lhs - 1| of a violated T2ii that the conclusion reads as 1
-
-MODEL_KINDS = ("commuting", "cucchietti", "random", "file")
 
 # Seed paths below the root seed, by named stream: T0i and T0ii share the
 # theorem0 draws, and T1 and T1prime the necessary-condition search.  The
@@ -163,23 +161,19 @@ class ConfigKey:
     """How the config entry ``name`` (``section.key``) is read.
 
     ``low`` is the smallest valid value: an int bound is inclusive, the float
-    0.0 asks for a positive value.  ``kinds`` lists the model kinds that
-    accept the entry.
+    0.0 asks for a positive value.  The model kinds that accept a ``model.*``
+    entry are the ones whose ``MODEL_KINDS`` entry lists it.
     """
 
     name: str
     parse: Callable[[str], Any]
     low: int | float | None = None
-    kinds: tuple[str, ...] = MODEL_KINDS
 
 
 def _key(name: str, parse: Callable[[str], Any], default: Any = None,
-         low: int | float | None = None, kinds: tuple[str, ...] = MODEL_KINDS):
+         low: int | float | None = None):
     """An ExperimentConfig field read from one config entry."""
-    return field(default=default, metadata={"key": ConfigKey(name, parse, low, kinds)})
-
-
-_SPIN = ("commuting", "cucchietti")
+    return field(default=default, metadata={"key": ConfigKey(name, parse, low)})
 
 
 @dataclass(frozen=True)
@@ -192,16 +186,15 @@ class ExperimentConfig:
 
     kind: str = _key("model.kind", str.strip)
     seed: int = _key("model.seed", int, DEFAULT_SEED, 0)
-    dim_system: int | None = _key("model.dim_system", int, None, 2, ("random", "file"))
-    dim_bath: int = _key("model.dim_bath", int, 16, 1, ("commuting", "random"))
-    n_spins: int | None = _key("model.n_spins", int, None, 1, ("cucchietti",))
-    level_splitting: float = _key("model.level_splitting", _parse_finite, 1.0, kinds=_SPIN)
-    coupling_scale: float = _key("model.coupling_scale", _parse_scale, 1.0, 0.0, _SPIN)
-    energy_scale: float = _key("model.energy_scale", _parse_scale, 1.0, kinds=("commuting",))
-    field_scale: float = _key("model.field_scale", _parse_scale, 1.0, kinds=("cucchietti",))
-    interaction_strength: float = _key("model.interaction_strength", _parse_finite, 1.0,
-                                       kinds=("random",))
-    matrix_path: str | None = _key("model.path", str.strip, kinds=("file",))
+    dim_system: int | None = _key("model.dim_system", int, None, 2)
+    dim_bath: int = _key("model.dim_bath", int, 16, 1)
+    n_spins: int | None = _key("model.n_spins", int, None, 1)
+    level_splitting: float = _key("model.level_splitting", _parse_finite, 1.0)
+    coupling_scale: float = _key("model.coupling_scale", _parse_scale, 1.0, 0.0)
+    energy_scale: float = _key("model.energy_scale", _parse_scale, 1.0)
+    field_scale: float = _key("model.field_scale", _parse_scale, 1.0)
+    interaction_strength: float = _key("model.interaction_strength", _parse_finite, 1.0)
+    matrix_path: str | None = _key("model.path", str.strip)
     initial_system: str = _key("initial_state.system", str.strip, "plus")
     initial_bath: str = _key("initial_state.bath", str.strip, "random")
     theorems: tuple[str, ...] = _key("analysis.theorems", _parse_theorems,
@@ -289,11 +282,11 @@ def _read(raw: dict[str, dict[str, str]], key: ConfigKey, default: Any):
 
 def _check_sweep(config: ExperimentConfig) -> None:
     parameter, values = config.sweep_parameter, config.sweep_values
-    # The numeric model keys of the kind but the seed; a matrix file has none.
-    sweepable = [] if config.kind == "file" else sorted(
-        name.partition(".")[2] for name, key in CONFIG_KEYS.items()
-        if name.startswith("model.") and name != "model.seed"
-        and config.kind in key.kinds and key.parse is not str.strip)
+    entry = MODEL_KINDS[config.kind]
+    # The numeric keys of the kind but the seed; a kind whose dimensions come
+    # from the matrix it reads has none.
+    sweepable = sorted(key for key in entry.keys if entry.dims and key != "seed"
+                       and CONFIG_KEYS[f"model.{key}"].parse is not str.strip)
     if parameter not in sweepable:
         valid = ", ".join(sweepable) or "none"
         raise ConfigError(f"sweep.parameter {parameter!r} is not sweepable "
@@ -331,22 +324,23 @@ def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
             if f"{section}.{key}" not in CONFIG_KEYS:
                 raise ConfigError(f"unknown key {section}.{key}")
 
-    kind = _read(raw, CONFIG_KEYS["model.kind"], None)
-    if kind is None:
+    given = raw.get("model", {})
+    if "kind" not in given:
         raise ConfigError("missing required key model.kind")
-    if kind not in MODEL_KINDS:
+    kind = _read(raw, CONFIG_KEYS["model.kind"], None)
+    entry = MODEL_KINDS.get(kind)
+    if entry is None:
         raise ConfigError(f"unknown model kind {kind!r} "
                           f"(choose one of {', '.join(sorted(MODEL_KINDS))})")
-    for key in raw.get("model", {}):
-        if kind not in CONFIG_KEYS[f"model.{key}"].kinds:
+    for key in given:
+        if key not in ("kind", *entry.keys):
             raise ConfigError(f"key model.{key} is not valid for model kind {kind!r}")
 
     config = ExperimentConfig(**{f.name: _read(raw, f.metadata["key"], f.default)
                                  for f in fields(ExperimentConfig)})
-    if kind == "cucchietti" and config.n_spins is None:
-        raise ConfigError("model kind cucchietti needs model.n_spins")
-    if kind == "file" and config.matrix_path is None:
-        raise ConfigError("model kind file needs model.path")
+    for key in entry.required:
+        if key not in given:
+            raise ConfigError(f"model kind {kind} needs model.{key}")
     if config.epsilon == 0 and {"T0ii", "Popescu"} & set(config.theorems):
         raise ConfigError("analysis.epsilon must be positive with T0ii or Popescu")
     if not 0.0 <= config.p <= 1.0:
@@ -356,30 +350,155 @@ def _extract_config(raw: dict[str, dict[str, str]], args) -> ExperimentConfig:
     return config
 
 
+# ----------------------------------------------------------------- models --
+
+@dataclass(frozen=True)
+class ModelKind:
+    """One model kind, the entry of ``MODEL_KINDS`` that the pipeline reads.
+
+    ``keys`` are the ``model.*`` entries it accepts besides ``kind``, and
+    ``required`` those it needs.  ``dims`` gives (dS, dB) after ``require_fits``
+    on the sectors the config fixes; None: the dimensions come from the matrix
+    the kind reads, and no key can be swept.  ``spectral`` builds the spectral
+    data from one call of ``draw``, which draws the ``parts`` again, so that no
+    part outlives it; its ValidationError is an energy range that overflows,
+    set by the ``energy_keys``.  ``source`` is the model line; model-info adds
+    the ``norms`` of the parts, if any, and the ``info`` lines.
+    """
+
+    keys: tuple[str, ...]
+    dims: Callable[[ExperimentConfig], tuple[int, int]] | None
+    parts: Callable[[ExperimentConfig, np.random.Generator], Any]
+    spectral: Callable[[Callable[[], Any], ExperimentConfig], SpectralData]
+    source: Callable[[ExperimentConfig, SpectralData], str]
+    required: tuple[str, ...] = ()
+    energy_keys: tuple[str, ...] = ()
+    norms: Callable[[Any], tuple[float, ...]] | None = None
+    info: tuple[str, ...] = ()
+
+
+def _spin_dims(dim_bath: int) -> tuple[int, int]:
+    require_fits(dim_bath, 2, 2)  # dB sectors of m = 2
+    return 2, dim_bath
+
+
+def _cucchietti_dims(config: ExperimentConfig) -> tuple[int, int]:
+    # dB = 2^n_spins, refused by its bit length first so that a huge one is never formed
+    if config.n_spins >= STACK_ELEMENT_CAP.bit_length():
+        raise CapExceededError(f"composite dimension 2^{config.n_spins + 1}: its "
+                               f"reductions exceed the cap {STACK_ELEMENT_CAP} entries")
+    return _spin_dims(2**config.n_spins)
+
+
+def _random_dims(config: ExperimentConfig) -> tuple[int, int]:
+    ds = config.dim_system or 2
+    require_fits(1, ds * config.dim_bath, ds)  # one sector of m = d
+    return ds, config.dim_bath
+
+
+def _file_spectral(draw: Callable[[], tuple], config: ExperimentConfig) -> SpectralData:
+    try:
+        return eigendecompose(*draw())
+    except ValidationError as err:  # the file's matrix fails a check
+        raise ConfigError(f"{config.matrix_path}: {err}") from None
+
+
+def _dense_norms(ham: CompositeHamiltonian) -> tuple[float, ...]:
+    """The norms of ``models.commuting_norms``, from the dense parts.
+
+    HS (x) 1 and 1 (x) HB act on the (dS, dB, dS, dB) view of HSB through the
+    factor they hold, as matrix products on reshapes of it, and each
+    commutator i[A, HSB] is formed in place: no lifted part is built.
+    """
+    def norm(mat):
+        return float(np.abs(np.linalg.eigvalsh(mat)).max())
+
+    ds, db, d = ham.layout.dim_system, ham.layout.dim_bath, ham.layout.dim_total
+    hs, hb, hsb = ham.system, ham.bath, ham.interaction
+
+    def commutator_norm(left: np.ndarray, right: np.ndarray) -> float:
+        comm = left.reshape(d, d)
+        comm -= right.reshape(d, d)
+        comm *= 1j
+        return norm(comm)
+
+    return (norm(hs), norm(hb), norm(hsb),
+            # sum_s' HS[s, s'] HSB[s' b, t c] and sum_t' HSB[s b, t' c] HS[t', t]
+            commutator_norm(hs @ hsb.reshape(ds, db * d),
+                            np.matmul(hs.T, hsb.reshape(d, ds, db))),
+            # sum_b' HB[b, b'] HSB[s b', t c] and sum_c' HSB[s b, t c'] HB[c', c]
+            commutator_norm(np.matmul(hb, hsb.reshape(ds, db, d)),
+                            hsb.reshape(d * ds, db) @ hb))
+
+
+# Each model kind: its keys, dims, parts, spectral build and model line, then
+# the fields with defaults.  The callables look the layer functions up when
+# they run, so that a tracer can wrap them; a random model's parts are gone
+# before eigh runs on their total.
+MODEL_KINDS: dict[str, ModelKind] = {
+    "commuting": ModelKind(
+        ("seed", "dim_bath", "level_splitting", "coupling_scale", "energy_scale"),
+        lambda config: _spin_dims(config.dim_bath),
+        lambda config, rng: sample_commuting_spec(config.dim_bath, config.level_splitting,
+                                                  config.coupling_scale, config.energy_scale, rng),
+        lambda draw, config: analytic_eigensystem(draw()),
+        lambda config, spectral: (f"commuting spin-bath (dS=2, dB={config.dim_bath}, "
+                                  f"level splitting {config.level_splitting:g})"),
+        energy_keys=("level_splitting", "coupling_scale", "energy_scale"),
+        norms=lambda spec: commuting_norms(spec)),
+    "cucchietti": ModelKind(
+        ("seed", "n_spins", "level_splitting", "coupling_scale", "field_scale"),
+        _cucchietti_dims,
+        lambda config, rng: sample_cucchietti_spec(config.n_spins, config.level_splitting,
+                                                   config.coupling_scale, config.field_scale, rng),
+        lambda draw, config: analytic_eigensystem(draw()),
+        lambda config, spectral: (f"independent-spin bath (n_spins={config.n_spins}, dS=2, "
+                                  f"dB={2**config.n_spins})"),
+        required=("n_spins",), energy_keys=("level_splitting", "coupling_scale", "field_scale"),
+        norms=lambda spec: commuting_norms(spec)),
+    "random": ModelKind(
+        ("seed", "dim_system", "dim_bath", "interaction_strength"), _random_dims,
+        lambda config, rng: build_random_model(*_random_dims(config),
+                                               config.interaction_strength, rng),
+        lambda draw, config: eigendecompose(draw().total(), SpaceLayout(*_random_dims(config))),
+        lambda config, spectral: (f"random Gaussian model (dS={config.dim_system or 2}, "
+                                  f"dB={config.dim_bath}, interaction strength "
+                                  f"{config.interaction_strength:g})"),
+        energy_keys=("interaction_strength",), norms=lambda ham: _dense_norms(ham),
+        info=("ensemble: independent Gaussian Hermitian parts, entry variance 1/dim per part",)),
+    "file": ModelKind(
+        ("seed", "path", "dim_system"), None,
+        lambda config, rng: read_matrix(config.matrix_path, config.dim_system), _file_spectral,
+        lambda config, spectral: f"matrix file {config.matrix_path} (d={spectral.dim})",
+        required=("path",)),
+}
+
+
 # --------------------------------------------------------------- pipeline --
 
 _S = 1.0 / math.sqrt(2.0)
 _QUBIT_STATES = {"up": (1.0, 0.0), "down": (0.0, 1.0), "plus": (_S, _S), "minus": (_S, -_S)}
 
 
-def _factor_state(name: str, dim: int, space: str, seed: int) -> PureState:
-    if name == "random":
-        rng = generator(seed)
-        return PureState(sample_amplitudes(dim, 1, rng)[:, 0], space=space)
-    if name.startswith("basis:"):
-        index_text = name.partition(":")[2]
-        if not index_text.isdecimal() or int(index_text) >= dim:
-            raise ConfigError(f"basis state {name!r} out of range for dimension {dim}")
-        vec = np.zeros(dim, dtype=complex)
-        vec[int(index_text)] = 1.0
-        return PureState(vec, space=space)
-    if name not in _QUBIT_STATES:
+def _require_state_fits(name: str, dim: int) -> None:
+    """Refuse an initial state ``name`` that a factor of dimension ``dim`` cannot hold."""
+    basis, index = name.startswith("basis:"), name.partition(":")[2]
+    if basis and not (index.isdecimal() and int(index) < dim):
+        raise ConfigError(f"basis state {name!r} out of range for dimension {dim}")
+    if not basis and name not in (*_QUBIT_STATES, "random"):
         raise ConfigError(f"unknown initial state {name!r} "
                           "(use up, down, plus, minus, random, or basis:<k>)")
-    if dim != 2:
+    if name in _QUBIT_STATES and dim != 2:
         raise ConfigError(f"initial state {name!r} needs a two-level factor, "
                           f"got dimension {dim}")
-    return PureState(np.array(_QUBIT_STATES[name], dtype=complex), space=space)
+
+
+def _factor_state(name: str, dim: int, space: str, seed: int) -> PureState:
+    """The initial state ``name`` of a factor, which Pipeline.check fitted to ``dim``."""
+    if name == "random":
+        return PureState(sample_amplitudes(dim, 1, generator(seed))[:, 0], space=space)
+    amplitudes = _QUBIT_STATES.get(name) or np.eye(1, dim, int(name.partition(":")[2]))[0]
+    return PureState(amplitudes, space=space)
 
 
 class Pipeline:
@@ -387,10 +506,12 @@ class Pipeline:
 
     Every command builds one pipeline, which the entries of ``_STAGES``
     read, and every sweep draw builds its own with its own seed table.  The
-    model stage is ``spectral``, which carries the S (x) B layout its readers
-    reduce over; ``parts`` draws the model's parts again for model-info.
-    Stages and writers call the layer functions through this module's imports,
-    which a tracer can wrap; ``coeffs`` and ``projection`` call methods instead.
+    model stage is ``spectral``, built by the config's ``kind`` entry of
+    ``MODEL_KINDS``, which carries the S (x) B layout its readers reduce
+    over; ``parts`` draws the model's parts again for model-info.  Stages,
+    writers and the kinds call the layer functions through this module's
+    imports, which a tracer can wrap; ``coeffs`` and ``projection`` call
+    methods instead.
     ``reports`` builds each configured report by its entry in ``_REPORTS``,
     from the stage that entry names; ``theorems.THEOREMS`` holds only the
     bounds.  ``check`` refuses, before any draw, what those stages need of
@@ -415,12 +536,12 @@ class Pipeline:
         """Refuse before any draw what ``_NEEDS`` asks of the config for the
         pipeline ``stages`` and the stages of the ``names`` that ``key`` lists:
         the size caps, the qubit-only names on dS != 2, the counts above their
-        cap, then a bath_prefix:k and a dR above dB.  A matrix file is read here."""
-        config, table = self.config, _LISTS[key]
+        cap, then a bath_prefix:k and a dR above dB, and last an initial state
+        that does not fit its factor.  A matrix file is read here."""
+        config, table, dims = self.config, _LISTS[key], self.kind.dims
         listed = {name: table[name][0] for name in names}
         needs = {need for stage in (*stages, *listed.values()) for need in _NEEDS[stage]}
-        ds, db = ((self.layout.dim_system, self.layout.dim_bath) if config.kind == "file"
-                  else self._check_dimension())
+        ds, db = dims(config) if dims else (self.layout.dim_system, self.layout.dim_bath)
         qubit_only = [name for name, stage in listed.items() if "qubit" in _NEEDS[stage]]
         if qubit_only and ds != 2:
             raise ConfigError(f"{key} lists {', '.join(qubit_only)}, defined for qubit "
@@ -437,86 +558,34 @@ class Pipeline:
         if "analysis.dim_restricted" in needs and (config.dim_restricted or db) > db:
             raise ConfigError(f"analysis.dim_restricted = {config.dim_restricted} exceeds "
                               f"the bath dimension dB = {db}")
+        # psi: the coefficients, or a projection onto a subspace but the full one
+        if "initial_state" in needs or ("analysis.subspace" in needs
+                                         and config.subspace != "full"):
+            _require_state_fits(config.initial_system, ds)
+        if "initial_state" in needs:
+            _require_state_fits(config.initial_bath, db)
 
-    def _check_dimension(self) -> tuple[int, int]:
-        """(dS, dB) after ``require_fits`` on the sectors the config fixes: dB of
-        m = 2 (dB = 2^n_spins, by bit length first so that a huge n_spins is
-        never formed), or one of m = dS dB; a matrix file is checked as read."""
-        config, ds = self.config, self.config.dim_system or 2
-        if config.kind == "cucchietti" and config.n_spins >= STACK_ELEMENT_CAP.bit_length():
-            raise CapExceededError(f"composite dimension 2^{config.n_spins + 1}: its "
-                                   f"reductions exceed the cap {STACK_ELEMENT_CAP} entries")
-        dim_bath = config.dim_bath if config.n_spins is None else 2**config.n_spins
-        if config.kind in _SPIN:
-            require_fits(dim_bath, 2, 2)
-        elif config.kind == "random":
-            require_fits(1, ds * dim_bath, ds)
-        return ds, dim_bath
+    @property
+    def kind(self) -> ModelKind:
+        return MODEL_KINDS[self.config.kind]
 
     @cached_property
     def spectral(self) -> SpectralData:
-        config = self.config
-        self._check_dimension()
-        if config.kind in _SPIN:
-            try:
-                return analytic_eigensystem(self.parts())
-            except ValidationError as err:  # an energy range that overflows
-                scale_key = "energy_scale" if config.kind == "commuting" else "field_scale"
-                raise ConfigError(f"{err} (set by model.level_splitting, "
-                                  f"model.coupling_scale and model.{scale_key})") from None
-        if config.kind == "random":
-            # Only the total reaches eigh; model-info draws the parts again.
-            layout = SpaceLayout(config.dim_system or 2, config.dim_bath)
-            try:
-                return eigendecompose(self.parts().total(), layout)
-            except ValidationError as err:  # an energy range that overflows
-                raise ConfigError(f"{err} (set by model.interaction_strength)") from None
-
-        matrix, layout = read_matrix(config.matrix_path)
-        if layout is None and config.dim_system is not None:
-            dim = matrix.shape[0]
-            if dim % config.dim_system != 0:
-                raise ConfigError(f"matrix dimension {dim} is not divisible by "
-                                  f"dim_system {config.dim_system}")
-            layout = SpaceLayout(config.dim_system, dim // config.dim_system)
-            require_fits(1, dim, config.dim_system)  # the file was checked at dS = 1
-        elif layout is not None and config.dim_system is not None \
-                and layout.dim_system != config.dim_system:
-            raise ConfigError(f"model.dim_system {config.dim_system} contradicts the "
-                              f"file's layout tag dS={layout.dim_system}")
+        kind = self.kind
+        if kind.dims:  # a matrix file is checked as it is read
+            kind.dims(self.config)
         try:
-            return eigendecompose(matrix, layout)
-        except ValidationError as err:  # the file's matrix fails a check
-            raise ConfigError(f"{config.matrix_path}: {err}") from None
+            return kind.spectral(self.parts, self.config)
+        except ValidationError as err:  # an energy range that overflows
+            *first, last = [f"model.{key}" for key in kind.energy_keys]
+            named = f"{', '.join(first)} and {last}" if first else last
+            raise ConfigError(f"{err} (set by {named})") from None
 
-    def parts(self) -> CommutingModelSpec | CompositeHamiltonian:
-        """The parts of a drawn model, from the ``model`` seed: the spec of a
-        commuting or cucchietti model, or the CompositeHamiltonian of a random
-        one.  Every call draws them again, so that no stage keeps them alive."""
-        config, rng = self.config, generator(self.seed("model"))
-        if config.kind == "commuting":
-            return sample_commuting_spec(config.dim_bath, config.level_splitting,
-                                         config.coupling_scale, config.energy_scale, rng)
-        if config.kind == "cucchietti":
-            return sample_cucchietti_spec(config.n_spins, config.level_splitting,
-                                          config.coupling_scale, config.field_scale, rng)
-        return build_random_model(config.dim_system or 2, config.dim_bath,
-                                  config.interaction_strength, rng)
-
-    @property
-    def source(self) -> str:
-        """The model line of ``run`` and ``model-info``."""
-        config = self.config
-        if config.kind == "commuting":
-            return (f"commuting spin-bath (dS=2, dB={config.dim_bath}, "
-                    f"level splitting {config.level_splitting:g})")
-        if config.kind == "cucchietti":
-            return (f"independent-spin bath (n_spins={config.n_spins}, dS=2, "
-                    f"dB={2**config.n_spins})")
-        if config.kind == "random":
-            return (f"random Gaussian model (dS={config.dim_system or 2}, dB={config.dim_bath}, "
-                    f"interaction strength {config.interaction_strength:g})")
-        return f"matrix file {config.matrix_path} (d={self.spectral.dim})"
+    def parts(self) -> Any:
+        """The parts of the model, drawn from the ``model`` seed (a file's
+        matrix and split, read).  Every call draws them again, so that no
+        stage keeps them alive."""
+        return self.kind.parts(self.config, generator(self.seed("model")))
 
     @property
     def layout(self) -> SpaceLayout:
@@ -742,9 +811,9 @@ def _run_stages(config: ExperimentConfig, args, name: str) -> list[str]:
     stages = [stage for stage in _STAGES
               if stage != "dynamics" or config.dynamics_enabled] if run else [args.command]
     pipe = Pipeline(config)
-    if stages != ["spectrum"]:  # the others read delta (see prepare)
+    if stages != ["spectrum"]:  # the others read the coefficients and delta (see prepare)
         pipe.check("analysis.theorems", config.theorems if "bounds" in stages else (),
-                   ["delta", "dynamics"] if "dynamics" in stages else ["delta"])
+                   ["coeffs", "delta", *(["dynamics"] if "dynamics" in stages else [])])
         pipe.prepare()
     lines = []
     if run:
@@ -753,7 +822,7 @@ def _run_stages(config: ExperimentConfig, args, name: str) -> list[str]:
             f"# generated: {stamp}",
             f"config: {name}",
             f"seed: {config.seed}",
-            f"model: {pipe.source}",
+            f"model: {pipe.kind.source(config, pipe.spectral)}",
             f"initial state: system={config.initial_system} bath={config.initial_bath}",
         ]
     for stage in stages:
@@ -775,50 +844,19 @@ def _run_stages(config: ExperimentConfig, args, name: str) -> list[str]:
 
 # ------------------------------------------------------------- subcommands --
 
-def _dense_norms(ham: CompositeHamiltonian) -> tuple[float, ...]:
-    """The norms of ``models.commuting_norms``, from the dense parts.
-
-    HS (x) 1 and 1 (x) HB act on the (dS, dB, dS, dB) view of HSB through the
-    factor they hold, as matrix products on reshapes of it, and each
-    commutator i[A, HSB] is formed in place: no lifted part is built.
-    """
-    def norm(mat):
-        return float(np.abs(np.linalg.eigvalsh(mat)).max())
-
-    ds, db, d = ham.layout.dim_system, ham.layout.dim_bath, ham.layout.dim_total
-    hs, hb, hsb = ham.system, ham.bath, ham.interaction
-
-    def commutator_norm(left: np.ndarray, right: np.ndarray) -> float:
-        comm = left.reshape(d, d)
-        comm -= right.reshape(d, d)
-        comm *= 1j
-        return norm(comm)
-
-    return (norm(hs), norm(hb), norm(hsb),
-            # sum_s' HS[s, s'] HSB[s' b, t c] and sum_t' HSB[s b, t' c] HS[t', t]
-            commutator_norm(hs @ hsb.reshape(ds, db * d),
-                            np.matmul(hs.T, hsb.reshape(d, ds, db))),
-            # sum_b' HB[b, b'] HSB[s b', t c] and sum_c' HSB[s b, t c'] HB[c', c]
-            commutator_norm(np.matmul(hb, hsb.reshape(ds, db, d)),
-                            hsb.reshape(d * ds, db) @ hb))
-
-
 def _cmd_model_info(config: ExperimentConfig, args, name: str) -> list[str]:
     pipe = Pipeline(config)
-    layout = pipe.spectral.layout
-    lines = [f"model: {pipe.source}", f"seed: {config.seed}"]
+    kind, layout = pipe.kind, pipe.spectral.layout
+    lines = [f"model: {kind.source(config, pipe.spectral)}", f"seed: {config.seed}"]
     if layout is not None:
         lines.append(f"layout: dS={layout.dim_system} dB={layout.dim_bath} d={layout.dim_total}")
-    if config.kind != "file":
-        parts = pipe.parts()
-        norms = commuting_norms(parts) if config.kind in _SPIN else _dense_norms(parts)
+    if kind.norms:
+        norms = kind.norms(pipe.parts())
         lines.append("part norms: system={:.6g} bath={:.6g} interaction={:.6g}"
                      .format(*norms[:3]))
         lines.append("commutator norms: [HSx1, HSB]={:.6g} [1xHB, HSB]={:.6g}"
                      .format(*norms[3:]))
-    if config.kind == "random":
-        lines.append("ensemble: independent Gaussian Hermitian parts, entry "
-                     "variance 1/dim per part")
+    lines.extend(kind.info)
     lines.extend(_spectrum_lines(pipe))
     return lines
 
@@ -855,11 +893,14 @@ _LISTS = {"analysis.theorems": _REPORTS, "sweep.metrics": _SWEEP_METRICS}  # by 
 
 # What each stage needs of the config, refused by Pipeline.check before any
 # draw: dS = 2 ("qubit"), the count of each key below its cap, dR <= dB and,
-# for the stages that read the projection, a bath_prefix:k with k <= dB.
+# for the stages that read the projection, a bath_prefix:k with k <= dB and a
+# system state that fits dS unless the subspace is full; the stages that read
+# the coefficients need both initial states to fit ("initial_state").
 _NEEDS: dict[str, tuple[str, ...]] = {
     "spectral": (), "delta": ("analysis.subspace",), "theorem2": ("qubit",),
     "theorem0": ("analysis.n_samples", "analysis.subspace"),
-    "popescu": ("analysis.n_samples",), "dynamics": ("dynamics.n_times",),
+    "popescu": ("analysis.n_samples",), "coeffs": ("initial_state",),
+    "dynamics": ("dynamics.n_times", "initial_state"),
     "necessary": ("analysis.n_starts", "analysis.dim_restricted"),
 }
 

@@ -771,8 +771,10 @@ def read_text(path) -> str:
                           ) from None
 
 
-def read_matrix(path) -> tuple[np.ndarray, SpaceLayout | None]:
-    """Read a matrix written by write_matrix; returns (matrix, layout-or-None)."""
+def read_matrix(path, dim_system: int | None = None) -> tuple[np.ndarray, SpaceLayout | None]:
+    """Read a matrix written by write_matrix; returns (matrix, layout-or-None).
+    A ``dim_system`` splits an untagged matrix and must match a tag; the
+    layout is checked, and the caps at its dS, before any row is parsed."""
     text = read_text(path)
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -792,7 +794,15 @@ def read_matrix(path) -> tuple[np.ndarray, SpaceLayout | None]:
         raise ConfigError(f"{path}: line 2: layout {ds}x{db} does not fit a {rows}x{cols} "
                           "matrix (need dS >= 2, dB >= 1 and dS*dB rows and columns, "
                           "or 0 0 for no layout)")
-    require_fits(1, rows, ds or 1)  # before any row is parsed
+    if dim_system is not None and ds and ds != dim_system:
+        raise ConfigError(f"model.dim_system {dim_system} contradicts the "
+                          f"file's layout tag dS={ds}")
+    if dim_system is not None and not ds:
+        if rows % dim_system != 0:
+            raise ConfigError(f"matrix dimension {rows} is not divisible by "
+                              f"dim_system {dim_system}")
+        ds, db = dim_system, rows // dim_system
+    require_fits(1, rows, ds or 1)
     if len(lines) != 2 + rows:
         raise ConfigError(f"{path}: expected {rows} data lines, found {len(lines) - 2}")
     data = []

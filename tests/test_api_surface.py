@@ -93,10 +93,12 @@ GONE = {
                    "_SWEEP_METRICS name each entry's stage",
     "_require_qubit": "Pipeline.check, which refuses the qubit-only entries a command "
                       "or sweep reads",
-    "ModelBundle": "Pipeline.spectral, the spectral data with its layout, and "
-                   "Pipeline.source",
+    "ModelBundle": "Pipeline.spectral, the spectral data with its layout, and the "
+                   "model line of its MODEL_KINDS entry",
     "random_parts": "Pipeline.parts: the spec of a commuting kind or the random "
                     "CompositeHamiltonian, drawn again from the model seed",
+    "_SPIN": "cli.MODEL_KINDS: each kind's entry lists its own keys and builders",
+    "_check_dimension": "ModelKind.dims of the config's entry in cli.MODEL_KINDS",
 }
 
 # Config entries that were removed, each with its reason; none may come back.
@@ -287,6 +289,40 @@ def test_readme_documents_each_config_key_under_its_section():
     missing = [f"{section}.{key}" for section, keys in sections.items() for key in keys
                if f"`{key}`" not in documented[section]]
     assert not missing, f"config keys not named under their README heading: {missing}"
+
+
+def test_the_cli_compares_no_model_kind():
+    # each model kind is one entry of cli.MODEL_KINDS, which the config and
+    # the pipeline read: no comparison or match in cli.py names config.kind
+    # or a kind read from the config (a name or attribute ``kind``), and no
+    # ConfigKey lists the kinds that accept it
+    def names_a_kind(node):
+        return any(isinstance(sub, ast.Name) and sub.id == "kind"
+                   or isinstance(sub, ast.Attribute) and sub.attr == "kind"
+                   for sub in ast.walk(node))
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    found = [f"cli.py:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+             if isinstance(node, ast.Compare)
+             and any(map(names_a_kind, (node.left, *node.comparators)))
+             or isinstance(node, ast.Match) and names_a_kind(node.subject)]
+    assert not found, f"comparisons with a model kind: {found}"
+    assert "kinds" not in {field.name for field in dataclasses.fields(cli.ConfigKey)}
+
+
+def test_readme_model_bullets_are_the_kind_table():
+    # one bullet per MODEL_KINDS entry under ### `[model]`, in the table's
+    # order, whose "Keys:" sentence names the entry's keys, each required one
+    # marked "(required)"
+    section = README.read_text(encoding="utf-8").split("\n### `[model]`\n")[1]
+    bullets = re.findall(r"^\* `kind = (\w+)`:(.*?)(?=^\S|^\* )", section.split("\n### ")[0],
+                         flags=re.M | re.S)
+    assert [name for name, _ in bullets] == list(cli.MODEL_KINDS)
+    for name, text in bullets:
+        keys = re.search(r"Keys:(.*?)\.(?:\s|$)", text, flags=re.S).group(1)
+        kind = cli.MODEL_KINDS[name]
+        assert re.findall(r"`(\w+)`", keys) == list(kind.keys), name
+        assert re.findall(r"`(\w+)` \(required\)", keys) == list(kind.required), name
 
 
 def test_readme_subcommand_table_is_the_command_table():

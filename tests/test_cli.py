@@ -1079,7 +1079,8 @@ class TestSweepCommand:
 
     # Every grid point is checked before the first draw, by what the stages of
     # the metrics need: a size cap, a count above its cap, a dR or a bath
-    # prefix above the bath of the smallest point.
+    # prefix above the bath of the smallest point, an initial state that does
+    # not fit the system of a point (delta reads psi on a product subspace).
     @pytest.mark.parametrize("overrides, code, message", [
         (["sweep.values=16, 5000", "sweep.metrics=delta"], 3,
          "sector dimension 10000 exceeds the eigensolver cap 8192"),
@@ -1096,7 +1097,11 @@ class TestSweepCommand:
          "analysis.dim_restricted = 12 exceeds the bath dimension dB = 8"),
         (["sweep.values=16, 8", "sweep.metrics=delta", "analysis.subspace=bath_prefix:12"], 2,
          "subspace 'bath_prefix:12' exceeds the bath dimension 8"),
-    ], ids=["grid_value", "n_times", "n_starts", "dim_restricted", "bath_prefix"])
+        (["sweep.parameter=dim_system", "sweep.values=2, 3", "model.dim_bath=256",
+          "sweep.metrics=delta"], 2,
+         "initial state 'plus' needs a two-level factor, got dimension 3"),
+    ], ids=["grid_value", "n_times", "n_starts", "dim_restricted", "bath_prefix",
+            "dim_system"])
     def test_a_grid_point_the_config_refuses_exits_before_any_draw(
             self, tmp_path, capsys, monkeypatch, overrides, code, message):
         monkeypatch.setattr(cli, "_draw_metrics", lambda task: pytest.fail("a draw ran"))
@@ -1108,6 +1113,21 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert not out_dir.exists()
+
+    # The same grid with metrics that read no initial state: necessary_lhs
+    # reads the reductions alone, and delta on the full subspace no psi.
+    @pytest.mark.parametrize("metrics", [["sweep.metrics=necessary_lhs"],
+                                         ["sweep.metrics=delta", "analysis.subspace=full"]],
+                             ids=["necessary_lhs", "full_subspace"])
+    def test_a_grid_whose_metrics_read_no_state_runs_with_a_qubit_state(
+            self, tmp_path, capsys, metrics):
+        out_dir = tmp_path / "out"
+        overrides = ["sweep.parameter=dim_system", "sweep.values=2, 3", "sweep.draws=2",
+                     "model.dim_bath=256", "analysis.n_starts=8", *metrics]
+        assert cli.main(["sweep", "--config", "random_contrast", "--out", str(out_dir),
+                         *[arg for item in overrides for arg in ("--override", item)]]) == 0
+        assert capsys.readouterr().err == ""
+        assert len((out_dir / "sweep.csv").read_text(encoding="utf-8").splitlines()) == 4
 
     @pytest.mark.parametrize("command", ["run", "model-info", "bounds"])
     def test_jobs_is_an_option_of_sweep_alone(self, tmp_path, capsys, command):
@@ -1124,6 +1144,90 @@ class TestSweepCommand:
                                    "[sweep]\nparameter = dim_system\nvalues = 2\n")
         assert cli.main(["sweep", "--config", cfg]) == 2
         assert "not sweepable" in capsys.readouterr().err
+
+
+class TestInitialStateFit:
+    # Every command that reads the initial states refuses one that does not
+    # fit its factor before the model is drawn; spectrum reads none.
+    @pytest.mark.parametrize("overrides, message", [
+        (["model.dim_system=3"], "initial state 'plus' needs a two-level factor, "
+                                 "got dimension 3"),
+        (["initial_state.bath=basis:256"], "basis state 'basis:256' out of range for "
+                                           "dimension 256"),
+        (["initial_state.system=left"], "unknown initial state 'left' (use up, down, "
+                                        "plus, minus, random, or basis:<k>)"),
+    ], ids=["qubit_name", "basis_index", "unknown_name"])
+    @pytest.mark.parametrize("command", ["run", "equilibrium", "bounds", "dynamics"])
+    def test_a_state_that_does_not_fit_exits_2_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, command, overrides, message):
+        monkeypatch.setattr(cli, "generator", lambda seed: pytest.fail("a draw ran"))
+        out_dir = tmp_path / "out"
+        overrides = ["analysis.theorems=SufficientISI,T0i,T1prime", *overrides]
+        assert cli.main([command, "--config", "random_contrast", "--out", str(out_dir),
+                         *[arg for item in overrides for arg in ("--override", item)]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_spectrum_reads_no_state(self, tmp_path, capsys):
+        assert cli.main(["spectrum", "--config", "random_contrast", "--out",
+                         str(tmp_path / "out"), "--override", "model.dim_bath=16",
+                         "--override", "initial_state.system=basis:7"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestModelKinds:
+    def test_a_kind_is_one_table_entry(self, tmp_path, capsys, monkeypatch):
+        # an uncoupled product model, registered in the table and nowhere else:
+        # its eigenstates are products, so every reduction is pure
+        def dims(config):
+            spectral.require_fits(1, 2 * config.dim_bath, 2)
+            return 2, config.dim_bath
+
+        product = cli.ModelKind(
+            ("seed", "dim_bath"), dims,
+            lambda config, rng: build_random_model(2, config.dim_bath, 0.0, rng),
+            lambda draw, config: spectral.eigendecompose(draw().total(),
+                                                         SpaceLayout(*dims(config))),
+            lambda config, data: f"uncoupled product (dB={config.dim_bath}, d={data.dim})")
+        monkeypatch.setitem(cli.MODEL_KINDS, "product", product)
+        cfg = _write_cfg(tmp_path, "[model]\nkind = product\ndim_bath = 8\n"
+                                   "[analysis]\ntheorems = SufficientISI, T1prime, T2ii\n"
+                                   "[dynamics]\nenabled = true\nn_times = 50\n"
+                                   "[sweep]\nparameter = dim_bath\nvalues = 4, 8\n"
+                                   "draws = 2\nmetrics = delta, mean_squared_polarization\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        out = capsys.readouterr().out
+        assert "model: uncoupled product (dB=8, d=16)" in out
+        assert "delta: 1\n" in out
+        assert ("conclusion: system ISI cannot hold with accuracy better than ≈ 1/3"
+                in out)
+        assert sorted(path.name for path in (tmp_path / "run").iterdir()) == [
+            "reductions.csv", "report_SufficientISI.json", "report_T1prime.json",
+            "report_T2ii.json", "spectrum.csv", "summary.txt", "trajectory.csv"]
+
+        assert cli.main(["sweep", "--config", cfg, "--jobs", "1",
+                         "--out", str(tmp_path / "sweep")]) == 0
+        assert capsys.readouterr().out.splitlines()[1:3] == [
+            "  dim_bath=4 delta=1 mean_squared_polarization=1",
+            "  dim_bath=8 delta=1 mean_squared_polarization=1"]
+
+        assert cli.main(["model-info", "--config", cfg]) == 0
+        assert "part norms:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", list(cli.MODEL_KINDS))
+    def test_a_kind_takes_the_keys_of_its_entry(self, tmp_path, capsys, name):
+        # a key of another kind is refused, and so is a missing required key
+        kind = cli.MODEL_KINDS[name]
+        other = min({key.partition(".")[2] for key in cli.CONFIG_KEYS
+                     if key.startswith("model.")} - {"kind", *kind.keys})
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = {name}\n{other} = 2\n")
+        assert cli.main(["model-info", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (f"error: key model.{other} is not valid for "
+                                           f"model kind {name!r}\n")
+        for key in kind.required:
+            cfg = _write_cfg(tmp_path, f"[model]\nkind = {name}\n")
+            assert cli.main(["model-info", "--config", cfg]) == 2
+            assert capsys.readouterr().err == f"error: model kind {name} needs model.{key}\n"
 
 
 class TestInputHardening:
@@ -1239,7 +1343,7 @@ class TestInputHardening:
                                             ("cucchietti", {"n_spins": 21})])
     def test_largest_closed_form_models_pass_the_check(self, kind, size):
         # d * dS^2 = 20,000,000 and 16,777,216 entries: at the cap and below it
-        cli.Pipeline(cli.ExperimentConfig(kind=kind, **size))._check_dimension()
+        assert cli.MODEL_KINDS[kind].dims(cli.ExperimentConfig(kind=kind, **size))[0] == 2
 
     # energy_scale = 1e12 puts the two levels of each of the 4 bath levels
     # within 1e-10 |H| of each other: 4 degenerate pairs

@@ -676,6 +676,30 @@ class TestMatrixFiles:
         with pytest.raises(ConfigError):
             read_matrix(path)
 
+    def test_dim_system_splits_an_untagged_matrix_and_must_match_a_tag(self, tmp_path):
+        path = tmp_path / "plain.mat"
+        write_matrix(path, np.diag(np.arange(6.0)))
+        assert read_matrix(path, 3)[1] == SpaceLayout(3, 2)
+        with pytest.raises(ConfigError, match="matrix dimension 6 is not divisible by "
+                                              "dim_system 4"):
+            read_matrix(path, 4)
+        write_matrix(path, np.diag(np.arange(6.0)), SpaceLayout(2, 3))
+        assert read_matrix(path, 2)[1] == SpaceLayout(2, 3)
+        with pytest.raises(ConfigError, match="model.dim_system 3 contradicts the file's "
+                                              "layout tag dS=2"):
+            read_matrix(path, 3)
+
+    def test_the_split_is_capped_before_any_row_is_parsed(self, tmp_path, monkeypatch):
+        # 4096 rows fit at dS = 1 but hold 4096 * 64^2 reduction entries at dS = 64;
+        # no data line follows the header
+        monkeypatch.setattr(spectral, "STACK_ELEMENT_CAP", 4096 * 32)
+        path = tmp_path / "header.mat"
+        path.write_text("isibench-matrix 1\n4096 4096 0 0\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="expected 4096 data lines"):
+            read_matrix(path)
+        with pytest.raises(CapExceededError, match="d \\* dS\\^2"):
+            read_matrix(path, 64)
+
 
 def _csv_module_file(header, rows):
     """The data file as the csv module writes it, one f-string per number."""
