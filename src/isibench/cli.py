@@ -558,7 +558,7 @@ class Pipeline:
         if "analysis.dim_restricted" in needs and (config.dim_restricted or db) > db:
             raise ConfigError(f"analysis.dim_restricted = {config.dim_restricted} exceeds "
                               f"the bath dimension dB = {db}")
-        # psi: the coefficients, or a projection onto a subspace but the full one
+        # the coefficients read both states; a projection, psi unless R is the full space
         if "initial_state" in needs or ("analysis.subspace" in needs
                                          and config.subspace != "full"):
             _require_state_fits(config.initial_system, ds)
