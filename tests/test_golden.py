@@ -125,6 +125,9 @@ def _command_lines() -> list[tuple[str, ...]]:
          "sweep.draws=2"),
         ("sweep", "@negative_zero", "sweep.parameter=dim_system", "sweep.values=2"),
         ("run", "sec5_violation", "model.dim_system=2"),
+        # refused by the header of a matrix file, before any row is parsed
+        ("bounds", "@untagged", "model.dim_system=4", "analysis.theorems=T2ii"),
+        ("equilibrium", "@untagged"),
     ]
     return lines
 
