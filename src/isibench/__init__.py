@@ -37,7 +37,7 @@ from .sampling import (dirichlet_weights, generator, induced_states, sample_ampl
                        sampled_distances)
 from .spectral import (CompositeHamiltonian, DenseProjection, GroupedProjection,
                        SpectralData, degenerate_level_pairs, eigendecompose, read_matrix,
-                       write_csv, write_matrix)
+                       read_matrix_header, write_csv, write_matrix)
 from .theorems import (CONCENTRATION_RATE, THEOREM_IDS, VERDICTS, TheoremReport,
                        assign_verdict, concentration_tail, epsilon_prime,
                        necessary_condition_lhs, necessary_condition_reports,

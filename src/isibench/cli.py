@@ -19,7 +19,7 @@ names only ``summary.txt``, which holds what it prints).
 
 Configs are flat INI-style text with one level of sections; unknown sections
 or keys are errors.  Each model kind is one entry of ``MODEL_KINDS``, a
-``ModelKind``: the config and the pipeline read a kind's keys, dimensions,
+``ModelKind``: the config and the pipeline read a kind's keys, layout,
 parts, spectral build and lines from it, and compare no kind by name.  The
 numerical thresholds of the checks and verdicts are fixed constants of the
 modules that apply them, and so are the caps that refuse a model by the
@@ -45,7 +45,7 @@ import gc
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from importlib import resources
@@ -67,8 +67,8 @@ from .models import (analytic_eigensystem, build_random_model, commuting_norms,
 from .sampling import generator, sample_amplitudes
 from .spectral import (STACK_ELEMENT_CAP, CompositeHamiltonian, DenseProjection,
                        GroupedProjection, SpectralData, eigendecompose, evolve_on_one_thread,
-                       read_matrix, read_text, require_count_fits, require_fits, usable_cpus,
-                       write_csv)
+                       read_matrix, read_matrix_header, read_text, require_count_fits,
+                       require_fits, usable_cpus, write_csv)
 from .theorems import (THEOREM_IDS, THEOREMS, TheoremReport, necessary_condition_reports,
                        popescu_report, sufficient_condition_report, theorem0_reports,
                        theorem2_lhs, theorem2_reports, write_report)
@@ -283,9 +283,8 @@ def _read(raw: dict[str, dict[str, str]], key: ConfigKey, default: Any):
 def _check_sweep(config: ExperimentConfig) -> None:
     parameter, values = config.sweep_parameter, config.sweep_values
     entry = MODEL_KINDS[config.kind]
-    # The numeric keys of the kind but the seed; a kind whose dimensions come
-    # from the matrix it reads has none.
-    sweepable = sorted(key for key in entry.keys if entry.dims and key != "seed"
+    # The numeric keys of the kind but the seed; a kind that reads a path has none.
+    sweepable = sorted(key for key in entry.keys if "path" not in entry.keys and key != "seed"
                        and CONFIG_KEYS[f"model.{key}"].parse is not str.strip)
     if parameter not in sweepable:
         valid = ", ".join(sweepable) or "none"
@@ -357,17 +356,18 @@ class ModelKind:
     """One model kind, the entry of ``MODEL_KINDS`` that the pipeline reads.
 
     ``keys`` are the ``model.*`` entries it accepts besides ``kind``, and
-    ``required`` those it needs.  ``dims`` gives (dS, dB) after ``require_fits``
-    on the sectors the config fixes; None: the dimensions come from the matrix
-    the kind reads, and no key can be swept.  ``spectral`` builds the spectral
-    data from one call of ``draw``, which draws the ``parts`` again, so that no
-    part outlives it; its ValidationError is an energy range that overflows,
-    set by the ``energy_keys``.  ``source`` is the model line; model-info adds
-    the ``norms`` of the parts, if any, and the ``info`` lines.
+    ``required`` those it needs.  ``layout`` gives the S (x) B layout after
+    ``require_fits``, before anything is drawn or read; None only for an
+    untagged matrix file with no ``model.dim_system``.  ``spectral`` builds
+    the spectral data from one call of ``draw``, which draws the ``parts``
+    again, so that no part outlives it; its ValidationError is an energy
+    range that overflows, set by the ``energy_keys``.  ``source`` is the
+    model line; model-info adds the ``norms`` of the parts, if any, and the
+    ``info`` lines.
     """
 
     keys: tuple[str, ...]
-    dims: Callable[[ExperimentConfig], tuple[int, int]] | None
+    layout: Callable[[ExperimentConfig], SpaceLayout | None]
     parts: Callable[[ExperimentConfig, np.random.Generator], Any]
     spectral: Callable[[Callable[[], Any], ExperimentConfig], SpectralData]
     source: Callable[[ExperimentConfig, SpectralData], str]
@@ -377,23 +377,23 @@ class ModelKind:
     info: tuple[str, ...] = ()
 
 
-def _spin_dims(dim_bath: int) -> tuple[int, int]:
+def _spin_layout(dim_bath: int) -> SpaceLayout:
     require_fits(dim_bath, 2, 2)  # dB sectors of m = 2
-    return 2, dim_bath
+    return SpaceLayout(2, dim_bath)
 
 
-def _cucchietti_dims(config: ExperimentConfig) -> tuple[int, int]:
+def _cucchietti_layout(config: ExperimentConfig) -> SpaceLayout:
     # dB = 2^n_spins, refused by its bit length first so that a huge one is never formed
     if config.n_spins >= STACK_ELEMENT_CAP.bit_length():
         raise CapExceededError(f"composite dimension 2^{config.n_spins + 1}: its "
                                f"reductions exceed the cap {STACK_ELEMENT_CAP} entries")
-    return _spin_dims(2**config.n_spins)
+    return _spin_layout(2**config.n_spins)
 
 
-def _random_dims(config: ExperimentConfig) -> tuple[int, int]:
+def _random_layout(config: ExperimentConfig) -> SpaceLayout:
     ds = config.dim_system or 2
     require_fits(1, ds * config.dim_bath, ds)  # one sector of m = d
-    return ds, config.dim_bath
+    return SpaceLayout(ds, config.dim_bath)
 
 
 def _file_spectral(draw: Callable[[], tuple], config: ExperimentConfig) -> SpectralData:
@@ -431,14 +431,14 @@ def _dense_norms(ham: CompositeHamiltonian) -> tuple[float, ...]:
                             hsb.reshape(d * ds, db) @ hb))
 
 
-# Each model kind: its keys, dims, parts, spectral build and model line, then
+# Each model kind: its keys, layout, parts, spectral build and model line, then
 # the fields with defaults.  The callables look the layer functions up when
 # they run, so that a tracer can wrap them; a random model's parts are gone
 # before eigh runs on their total.
 MODEL_KINDS: dict[str, ModelKind] = {
     "commuting": ModelKind(
         ("seed", "dim_bath", "level_splitting", "coupling_scale", "energy_scale"),
-        lambda config: _spin_dims(config.dim_bath),
+        lambda config: _spin_layout(config.dim_bath),
         lambda config, rng: sample_commuting_spec(config.dim_bath, config.level_splitting,
                                                   config.coupling_scale, config.energy_scale, rng),
         lambda draw, config: analytic_eigensystem(draw()),
@@ -448,7 +448,7 @@ MODEL_KINDS: dict[str, ModelKind] = {
         norms=lambda spec: commuting_norms(spec)),
     "cucchietti": ModelKind(
         ("seed", "n_spins", "level_splitting", "coupling_scale", "field_scale"),
-        _cucchietti_dims,
+        _cucchietti_layout,
         lambda config, rng: sample_cucchietti_spec(config.n_spins, config.level_splitting,
                                                    config.coupling_scale, config.field_scale, rng),
         lambda draw, config: analytic_eigensystem(draw()),
@@ -457,17 +457,18 @@ MODEL_KINDS: dict[str, ModelKind] = {
         required=("n_spins",), energy_keys=("level_splitting", "coupling_scale", "field_scale"),
         norms=lambda spec: commuting_norms(spec)),
     "random": ModelKind(
-        ("seed", "dim_system", "dim_bath", "interaction_strength"), _random_dims,
-        lambda config, rng: build_random_model(*_random_dims(config),
+        ("seed", "dim_system", "dim_bath", "interaction_strength"), _random_layout,
+        lambda config, rng: build_random_model(*astuple(_random_layout(config)),
                                                config.interaction_strength, rng),
-        lambda draw, config: eigendecompose(draw().total(), SpaceLayout(*_random_dims(config))),
+        lambda draw, config: eigendecompose(draw().total(), _random_layout(config)),
         lambda config, spectral: (f"random Gaussian model (dS={config.dim_system or 2}, "
                                   f"dB={config.dim_bath}, interaction strength "
                                   f"{config.interaction_strength:g})"),
         energy_keys=("interaction_strength",), norms=lambda ham: _dense_norms(ham),
         info=("ensemble: independent Gaussian Hermitian parts, entry variance 1/dim per part",)),
     "file": ModelKind(
-        ("seed", "path", "dim_system"), None,
+        ("seed", "path", "dim_system"),
+        lambda config: read_matrix_header(config.matrix_path, config.dim_system)[1],
         lambda config, rng: read_matrix(config.matrix_path, config.dim_system), _file_spectral,
         lambda config, spectral: f"matrix file {config.matrix_path} (d={spectral.dim})",
         required=("path",)),
@@ -506,12 +507,12 @@ class Pipeline:
 
     Every command builds one pipeline, which the entries of ``_STAGES``
     read, and every sweep draw builds its own with its own seed table.  The
-    model stage is ``spectral``, built by the config's ``kind`` entry of
-    ``MODEL_KINDS``, which carries the S (x) B layout its readers reduce
-    over; ``parts`` draws the model's parts again for model-info.  Stages,
-    writers and the kinds call the layer functions through this module's
-    imports, which a tracer can wrap; ``coeffs`` and ``projection`` call
-    methods instead.
+    config's ``kind`` entry of ``MODEL_KINDS`` gives the S (x) B ``layout``
+    before any draw and builds the model stage, ``spectral``, which carries
+    it to its readers; ``parts`` draws the model's parts again for
+    model-info.  Stages, writers and the kinds call the layer functions
+    through this module's imports, which a tracer can wrap; ``coeffs`` and
+    ``projection`` call methods instead.
     ``reports`` builds each configured report by its entry in ``_REPORTS``,
     from the stage that entry names; ``theorems.THEOREMS`` holds only the
     bounds.  ``check`` refuses, before any draw, what those stages need of
@@ -533,15 +534,14 @@ class Pipeline:
         return self
 
     def check(self, key: str, names: Iterable[str], stages: Iterable[str] = ()) -> None:
-        """Refuse before any draw what ``_NEEDS`` asks of the config for the
-        pipeline ``stages`` and the stages of the ``names`` that ``key`` lists:
-        the size caps, the qubit-only names on dS != 2, the counts above their
-        cap, then a bath_prefix:k and a dR above dB, and last an initial state
-        that does not fit its factor.  A matrix file is read here."""
-        config, table, dims = self.config, _LISTS[key], self.kind.dims
+        """Refuse, from ``layout`` alone, what ``_NEEDS`` asks of the config
+        for the pipeline ``stages`` and the stages of the ``names`` that
+        ``key`` lists: the size caps and a missing split, the qubit-only names
+        on dS != 2, the counts above their cap, then a bath_prefix:k and a dR
+        above dB, and last an initial state that does not fit its factor."""
+        config, table, (ds, db) = self.config, _LISTS[key], astuple(self.layout)
         listed = {name: table[name][0] for name in names}
         needs = {need for stage in (*stages, *listed.values()) for need in _NEEDS[stage]}
-        ds, db = dims(config) if dims else (self.layout.dim_system, self.layout.dim_bath)
         qubit_only = [name for name, stage in listed.items() if "qubit" in _NEEDS[stage]]
         if qubit_only and ds != 2:
             raise ConfigError(f"{key} lists {', '.join(qubit_only)}, defined for qubit "
@@ -572,8 +572,7 @@ class Pipeline:
     @cached_property
     def spectral(self) -> SpectralData:
         kind = self.kind
-        if kind.dims:  # a matrix file is checked as it is read
-            kind.dims(self.config)
+        kind.layout(self.config)  # the caps, before anything is drawn or read
         try:
             return kind.spectral(self.parts, self.config)
         except ValidationError as err:  # an energy range that overflows
@@ -587,12 +586,12 @@ class Pipeline:
         stage keeps them alive."""
         return self.kind.parts(self.config, generator(self.seed("model")))
 
-    @property
+    @cached_property
     def layout(self) -> SpaceLayout:
-        if self.spectral.layout is None:
+        if not (layout := self.kind.layout(self.config)):
             raise ConfigError("the matrix file declares no system/bath split; "
                               "set model.dim_system or tag the file")
-        return self.spectral.layout
+        return layout
 
     @cached_property
     def psi(self) -> PureState:

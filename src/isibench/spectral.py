@@ -713,15 +713,13 @@ def write_matrix(path, matrix: np.ndarray, layout: SpaceLayout | None = None) ->
     ``re im`` pairs in %.17g (lossless round-trip for doubles).
     """
     mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2:
-        raise ValidationError(f"only 2-d matrices are supported, got shape {mat.shape}")
-    if layout is not None and mat.shape[0] != layout.dim_total:
-        raise ValidationError(
-            f"matrix dim {mat.shape[0]} does not match layout {layout.dim_total}"
-        )
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValidationError(f"only square matrices are supported, got shape {mat.shape}")
+    d = len(mat)
+    if layout is not None and d != layout.dim_total:
+        raise ValidationError(f"matrix dim {d} does not match layout {layout.dim_total}")
     ds, db = (layout.dim_system, layout.dim_bath) if layout is not None else (0, 0)
-    lines = [f"{MATRIX_FORMAT_MAGIC} {MATRIX_FORMAT_VERSION}",
-             f"{mat.shape[0]} {mat.shape[1]} {ds} {db}"]
+    lines = [f"{MATRIX_FORMAT_MAGIC} {MATRIX_FORMAT_VERSION}", f"{d} {d} {ds} {db}"]
     lines.extend(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) for row in mat)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -771,12 +769,17 @@ def read_text(path) -> str:
                           ) from None
 
 
-def read_matrix(path, dim_system: int | None = None) -> tuple[np.ndarray, SpaceLayout | None]:
-    """Read a matrix written by write_matrix; returns (matrix, layout-or-None).
-    A ``dim_system`` splits an untagged matrix and must match a tag; the
-    layout is checked, and the caps at its dS, before any row is parsed."""
-    text = read_text(path)
-    lines = [line for line in text.splitlines() if line.strip()]
+def read_matrix_header(path, dim_system: int | None = None) -> tuple[int, SpaceLayout | None]:
+    """d and the layout (None: untagged, no ``dim_system``) of a square matrix
+    file, from its first two non-blank lines; a ``dim_system`` splits an
+    untagged matrix and must match a tag, and the caps hold at its dS."""
+    try:  # the lines str.splitlines keeps of the text, read no further than the second
+        with Path(path).open("rb") as fh:
+            lines = [*itertools.islice((line for raw in fh for line in raw.decode().splitlines()
+                                        if line.strip()), 2)]
+    except (OSError, ValueError):  # ValueError: not UTF-8, or a NUL in the path
+        read_text(path)  # raises the error that names the path
+        raise
     if not lines:
         raise ConfigError(f"{path}: empty matrix file")
     head = lines[0].split()
@@ -788,9 +791,9 @@ def read_matrix(path, dim_system: int | None = None) -> tuple[np.ndarray, SpaceL
         rows, cols, ds, db = (int(x) for x in lines[1].split())
     except (IndexError, ValueError):
         raise ConfigError(f"{path}: line 2: expected integers 'rows cols dS dB'") from None
-    if rows < 1 or cols < 1:
-        raise ConfigError(f"{path}: invalid dimensions {rows}x{cols}")
-    if (ds, db) != (0, 0) and (ds < 2 or db < 1 or ds * db != rows or rows != cols):
+    if rows < 1 or cols != rows:
+        raise ConfigError(f"{path}: line 2: invalid dimensions {rows}x{cols} (need d x d, d >= 1)")
+    if (ds, db) != (0, 0) and (ds < 2 or db < 1 or ds * db != rows):
         raise ConfigError(f"{path}: line 2: layout {ds}x{db} does not fit a {rows}x{cols} "
                           "matrix (need dS >= 2, dB >= 1 and dS*dB rows and columns, "
                           "or 0 0 for no layout)")
@@ -803,13 +806,21 @@ def read_matrix(path, dim_system: int | None = None) -> tuple[np.ndarray, SpaceL
                               f"dim_system {dim_system}")
         ds, db = dim_system, rows // dim_system
     require_fits(1, rows, ds or 1)
-    if len(lines) != 2 + rows:
-        raise ConfigError(f"{path}: expected {rows} data lines, found {len(lines) - 2}")
+    return rows, None if ds == 0 else SpaceLayout(ds, db)
+
+
+def read_matrix(path, dim_system: int | None = None) -> tuple[np.ndarray, SpaceLayout | None]:
+    """Read a matrix written by write_matrix: (matrix, layout-or-None), its
+    header checked by read_matrix_header before any row is parsed."""
+    d, layout = read_matrix_header(path, dim_system)
+    lines = [line for line in read_text(path).splitlines() if line.strip()]
+    if len(lines) != 2 + d:
+        raise ConfigError(f"{path}: expected {d} data lines, found {len(lines) - 2}")
     data = []
     for i, line in enumerate(lines[2:]):
         values = line.split()
-        if len(values) != 2 * cols:
-            raise ConfigError(f"{path}: line {i + 3}: expected {2 * cols} numbers, "
+        if len(values) != 2 * d:
+            raise ConfigError(f"{path}: line {i + 3}: expected {2 * d} numbers, "
                               f"found {len(values)}")
         try:
             floats = np.array([float(v) for v in values])
@@ -818,4 +829,4 @@ def read_matrix(path, dim_system: int | None = None) -> tuple[np.ndarray, SpaceL
         if not np.isfinite(floats).all():
             raise ConfigError(f"{path}: line {i + 3}: non-finite number")
         data.append(floats.view(complex))  # the bits of each part, signed zeros too
-    return np.array(data), None if ds == 0 else SpaceLayout(ds, db)
+    return np.array(data), layout

@@ -98,7 +98,10 @@ GONE = {
     "random_parts": "Pipeline.parts: the spec of a commuting kind or the random "
                     "CompositeHamiltonian, drawn again from the model seed",
     "_SPIN": "cli.MODEL_KINDS: each kind's entry lists its own keys and builders",
-    "_check_dimension": "ModelKind.dims of the config's entry in cli.MODEL_KINDS",
+    "_check_dimension": "ModelKind.layout of the config's entry in cli.MODEL_KINDS",
+    "_spin_dims": "_spin_layout: every kind's entry gives a SpaceLayout, never None",
+    "_cucchietti_dims": "_cucchietti_layout, the layout of the cucchietti entry",
+    "_random_dims": "_random_layout, the layout of the random entry",
 }
 
 # Config entries that were removed, each with its reason; none may come back.

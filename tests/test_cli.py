@@ -1179,15 +1179,14 @@ class TestModelKinds:
     def test_a_kind_is_one_table_entry(self, tmp_path, capsys, monkeypatch):
         # an uncoupled product model, registered in the table and nowhere else:
         # its eigenstates are products, so every reduction is pure
-        def dims(config):
+        def layout(config):
             spectral.require_fits(1, 2 * config.dim_bath, 2)
-            return 2, config.dim_bath
+            return SpaceLayout(2, config.dim_bath)
 
         product = cli.ModelKind(
-            ("seed", "dim_bath"), dims,
+            ("seed", "dim_bath"), layout,
             lambda config, rng: build_random_model(2, config.dim_bath, 0.0, rng),
-            lambda draw, config: spectral.eigendecompose(draw().total(),
-                                                         SpaceLayout(*dims(config))),
+            lambda draw, config: spectral.eigendecompose(draw().total(), layout(config)),
             lambda config, data: f"uncoupled product (dB={config.dim_bath}, d={data.dim})")
         monkeypatch.setitem(cli.MODEL_KINDS, "product", product)
         cfg = _write_cfg(tmp_path, "[model]\nkind = product\ndim_bath = 8\n"
@@ -1213,6 +1212,24 @@ class TestModelKinds:
 
         assert cli.main(["model-info", "--config", cfg]) == 0
         assert "part norms:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", list(cli.MODEL_KINDS))
+    def test_the_check_draws_nothing(self, tmp_path, monkeypatch, name):
+        # the check reads the entry's layout alone: no part is drawn and no
+        # matrix is read, for every pipeline stage and admitted theorem
+        def refuse(*args):
+            raise AssertionError("the check reached the model")
+
+        matrix_path = tmp_path / "tagged.mat"
+        write_matrix(matrix_path, np.diag([1.0, 2.0, 3.0, 5.0]), SpaceLayout(2, 2))
+        monkeypatch.setattr(cli.Pipeline, "parts", refuse)
+        monkeypatch.setattr(cli, "read_matrix", refuse)
+        pipe = cli.Pipeline(cli.ExperimentConfig(kind=name, n_spins=3,
+                                                 matrix_path=str(matrix_path)))
+        admitted = [tid for tid in THEOREM_IDS if pipe.layout.dim_system == 2
+                    or "qubit" not in cli._NEEDS[cli._REPORTS[tid][0]]]
+        pipe.check("analysis.theorems", admitted, ["coeffs", "delta", "dynamics"])
+        assert admitted == list(THEOREM_IDS) and "spectral" not in vars(pipe)
 
     @pytest.mark.parametrize("name", list(cli.MODEL_KINDS))
     def test_a_kind_takes_the_keys_of_its_entry(self, tmp_path, capsys, name):
@@ -1272,6 +1289,42 @@ class TestInputHardening:
         assert err.startswith("error: ")
         assert ("[tolerances]" if section == "tolerances" else f"{section}.{field}") in err
         assert not (tmp_path / "out").exists()
+
+    # a dS = 3, dB = 2 file (untagged: no split) whose first row does not parse
+    @pytest.mark.parametrize("command, overrides, code, message", [
+        ("bounds", ["analysis.theorems=T2ii"], 2, "analysis.theorems lists T2ii, defined "
+         "for qubit systems only; the model has dS = 3"),
+        ("bounds", ["analysis.theorems=T0i", "analysis.n_samples=3000000"], 3,
+         "analysis.n_samples * dS^2 = 3000000 * 9 exceeds 20000000; set "
+         "analysis.n_samples to at most 2222222"),
+        ("equilibrium", ["analysis.subspace=bath_prefix:3"], 2,
+         "subspace 'bath_prefix:3' exceeds the bath dimension 2"),
+        ("bounds", ["analysis.theorems=T1", "analysis.dim_restricted=3"], 2,
+         "analysis.dim_restricted = 3 exceeds the bath dimension dB = 2"),
+        ("equilibrium", ["initial_state.system=plus"], 2,
+         "initial state 'plus' needs a two-level factor, got dimension 3"),
+        ("equilibrium", [], 2, "the matrix file declares no system/bath split; set "
+         "model.dim_system or tag the file"),
+    ], ids=["qubit_only", "n_samples", "bath_prefix", "dim_restricted", "initial_state",
+            "untagged"])
+    def test_file_refusals_come_before_any_row_is_parsed(self, tmp_path, capsys, command,
+                                                         overrides, code, message):
+        matrix_path = tmp_path / "bad_row.mat"
+        write_matrix(matrix_path, np.diag(np.arange(6.0)),
+                     SpaceLayout(3, 2) if overrides else None)
+        lines = matrix_path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].replace("0", "oops", 1)
+        matrix_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = _write_cfg(tmp_path, f"[model]\nkind = file\npath = {matrix_path}\n")
+        out_dir = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", str(out_dir)]
+        assert cli.main(argv + [arg for item in overrides for arg in ("--override", item)]
+                        ) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+        # the row is refused where the file is read
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(out_dir)]) == 2
+        assert "line 3: bad number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["spectrum", "run"])
     @pytest.mark.parametrize("cells", [{(0, 0): "nan"}, {(0, 1): "inf", (1, 0): "inf"},
@@ -1343,7 +1396,8 @@ class TestInputHardening:
                                             ("cucchietti", {"n_spins": 21})])
     def test_largest_closed_form_models_pass_the_check(self, kind, size):
         # d * dS^2 = 20,000,000 and 16,777,216 entries: at the cap and below it
-        assert cli.MODEL_KINDS[kind].dims(cli.ExperimentConfig(kind=kind, **size))[0] == 2
+        config = cli.ExperimentConfig(kind=kind, **size)
+        assert cli.MODEL_KINDS[kind].layout(config).dim_system == 2
 
     # energy_scale = 1e12 puts the two levels of each of the 4 bath levels
     # within 1e-10 |H| of each other: 4 degenerate pairs

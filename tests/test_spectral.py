@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from isibench import (CapExceededError, ConfigError, PureState, SpaceLayout, ValidationError,
-                      degenerate_level_pairs, eigendecompose, read_matrix,
+                      degenerate_level_pairs, eigendecompose, read_matrix, read_matrix_header,
                       write_matrix)
 from isibench import spectral
 from isibench.hilbert import SIGMA_X, SIGMA_Z, blocked_max, dense_blocks
@@ -688,6 +688,49 @@ class TestMatrixFiles:
         with pytest.raises(ConfigError, match="model.dim_system 3 contradicts the file's "
                                               "layout tag dS=2"):
             read_matrix(path, 3)
+
+    @pytest.mark.parametrize("tag, dim_system", [("0 0", 2), ("0 0", None), ("2 2", None)],
+                             ids=["untagged_split", "untagged", "tagged"])
+    def test_a_matrix_that_is_not_square_is_refused_by_its_header(self, tmp_path, tag,
+                                                                  dim_system):
+        # four well-formed rows of two entries each: only line 2 refuses them
+        path = tmp_path / "wide.mat"
+        path.write_text(f"isibench-matrix 1\n4 2 {tag}\n" + "1 0 0 0\n" * 4, encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"line 2: invalid dimensions 4x2 \(need d x d"):
+            read_matrix(path, dim_system)
+
+    @pytest.mark.parametrize("layout", [SpaceLayout(2, 2), None], ids=["tagged", "untagged"])
+    def test_a_matrix_that_is_not_square_is_not_written(self, tmp_path, layout):
+        path = tmp_path / "wide.mat"
+        with pytest.raises(ValidationError, match=r"only square matrices .* \(4, 3\)"):
+            write_matrix(path, np.ones((4, 3)), layout)
+        assert not path.exists()
+
+    def test_the_header_is_read_without_the_rows(self, tmp_path):
+        # a blank line, then rows that do not parse and a byte that is not UTF-8
+        path = tmp_path / "header.mat"
+        path.write_bytes(b"isibench-matrix 1\n\n6 6 3 2\nnot a row\n\xff\n")
+        assert read_matrix_header(path) == (6, SpaceLayout(3, 2))
+        assert read_matrix_header(path, 3) == (6, SpaceLayout(3, 2))
+        with pytest.raises(ConfigError, match=r"not UTF-8 text \(byte 37\)"):
+            read_matrix(path)
+        # the lines are those of str.splitlines: \r and \f break them too
+        path.write_bytes(b"isibench-matrix 1\r6 6 3 2\x0c" + b"0 0 " * 6 + b"\n")
+        assert read_matrix_header(path) == (6, SpaceLayout(3, 2))
+        with pytest.raises(ConfigError, match="expected 6 data lines, found 1"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"isibench-matrix 1\n\xff 6 3 2\n", r"not UTF-8 text \(byte 18\)"),
+        (None, "cannot read")], ids=["not_utf8", "missing"])
+    def test_a_header_that_cannot_be_read_is_named_as_the_text_would_be(self, tmp_path,
+                                                                        data, message):
+        path = tmp_path / "header.mat"
+        if data is not None:
+            path.write_bytes(data)
+        for read in (read_matrix_header, read_matrix):
+            with pytest.raises(ConfigError, match=f"{path}: {message}"):
+                read(path)
 
     def test_the_split_is_capped_before_any_row_is_parsed(self, tmp_path, monkeypatch):
         # 4096 rows fit at dS = 1 but hold 4096 * 64^2 reduction entries at dS = 64;
