@@ -30,7 +30,8 @@ configs give byte-identical data files (the only timestamp lives in the
 summary header) on the same machine, with the same numpy/BLAS build and the
 same BLAS thread count; another thread count moves the numbers in their last
 digits, and ``OPENBLAS_THREAD_TIMEOUT`` and the number of CPUs move none
-(see the README).
+(see the README).  A sweep's worker processes run BLAS on one thread, so
+``--jobs N > 1`` writes the bytes of ``--jobs 1`` on one BLAS thread.
 
 ``process_main``, the entry of ``python -m isibench.cli`` and of the
 ``isibench`` script, freezes the garbage collector before it runs ``main``;
@@ -66,9 +67,9 @@ from .models import (analytic_eigensystem, build_random_model, commuting_norms,
                      sample_commuting_spec, sample_cucchietti_spec)
 from .sampling import generator, sample_amplitudes
 from .spectral import (STACK_ELEMENT_CAP, CompositeHamiltonian, DenseProjection,
-                       GroupedProjection, SpectralData, eigendecompose, evolve_on_one_thread,
-                       read_matrix, read_matrix_header, read_text, require_count_fits,
-                       require_fits, usable_cpus, write_csv)
+                       GroupedProjection, SpectralData, eigendecompose, read_matrix,
+                       read_matrix_header, read_text, require_count_fits, require_fits,
+                       run_on_one_thread, usable_cpus, write_csv)
 from .theorems import (THEOREM_IDS, THEOREMS, TheoremReport, necessary_condition_reports,
                        popescu_report, sufficient_condition_report, theorem0_reports,
                        theorem2_lhs, theorem2_reports, write_report)
@@ -914,7 +915,7 @@ def _draw_metrics(task: tuple[ExperimentConfig, int, int]) -> list[float]:
 def _pooled_draws(tasks, jobs: int):
     """``_draw_metrics`` of each task, in order, with at most 2 * jobs tasks not yet taken."""
     from concurrent.futures import ProcessPoolExecutor  # only a sweep loads the pool
-    with ProcessPoolExecutor(max_workers=jobs, initializer=evolve_on_one_thread) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=run_on_one_thread) as pool:
         pending = []
         for task in tasks:
             pending.append(pool.submit(_draw_metrics, task))

@@ -89,8 +89,8 @@ def analytic_eigensystem(spec: CommutingModelSpec) -> SpectralData:
     + v_lx sigma_x + v_ly sigma_y]; its eigenvectors tensored with the l-th
     bath basis vector are composite eigenvectors, with energies
     E_l -/+ r_l/2 where r_l = sqrt((w + v_lz)^2 + v_lx^2 + v_ly^2).  The
-    result holds the (dB, 2, 2) stack of spin eigenvectors, sorted and
-    phase-fixed as the dense path would be; no d x d array is built.
+    result holds the (dB, 2, 2) stack of spin eigenvectors as ``eigh``
+    returns them; no d x d array is built.
     """
     w = spec.level_splitting
     vx, vy, vz = spec.couplings.T
@@ -113,7 +113,7 @@ def analytic_eigensystem(spec: CommutingModelSpec) -> SpectralData:
     blocks[:, 0, 1] = vx - 1j * vy
     blocks[:, 1, 0] = vx + 1j * vy
     _, spin_vecs = np.linalg.eigh(blocks)  # ascending, so column 0 is the lower branch
-    return SpectralData.from_sectors(energies, spin_vecs, spec.layout)
+    return SpectralData(energies, spin_vecs, spec.layout)
 
 
 def bit_signs(n_spins: int) -> np.ndarray:

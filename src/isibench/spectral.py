@@ -4,9 +4,9 @@ Each type here holds its inputs once and derives the rest from them:
 ``CompositeHamiltonian`` holds the three parts, reads the layout from their
 dimensions and builds H with ``total()``, and ``SpectralData`` holds the
 energies by label and derives their order, the ascending eigenvalues and
-the level table below once, on construction.  Eigenvector phases follow one
-rule, ``_fix_phases_in_place``, applied to the eigensolver's output and to
-a copy of the sectors given to ``SpectralData.from_sectors``.
+the level table below once, on construction.  The eigenvectors are kept as
+their solver returns them: every reader's output is a function of |n><n|
+and c_n |n> alone, so no output depends on an eigenvector's phase.
 
 ``SpectralData`` holds a spectrum and its eigenvectors in one form, by
 sector: H is block-diagonal over S (x) (a sector of g bath levels), and the
@@ -105,11 +105,15 @@ MATRIX_FORMAT_VERSION = 1
 _evolution_threads: int | None = None
 
 
-def evolve_on_one_thread() -> None:
-    """Evolve on the calling thread from now on: for processes that fill the
-    CPUs already, as a sweep's pool does."""
+def run_on_one_thread() -> None:
+    """Evolve on the calling thread, and run numpy's OpenBLAS on one thread
+    whatever ``OPENBLAS_NUM_THREADS`` says (a numpy without it keeps its
+    count): for processes that fill the CPUs already, as a sweep's pool does."""
     global _evolution_threads
     _evolution_threads = 1
+    if set_threads := _openblas_symbol("scipy_openblas_set_num_threads64_"):
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def usable_cpus() -> int:
@@ -308,7 +312,7 @@ class GroupedProjection:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Energies and phase-fixed eigenvectors, held by sector.
+    """Energies and eigenvectors, held by sector as their solver returns them.
 
     Sector c is S (x) the bath levels c*g, ..., c*g + g - 1 of ``layout``, and
     ``sectors`` is the (n_sec, m, m) stack (m = dS*g) of the eigenvectors of
@@ -352,15 +356,6 @@ class SpectralData:
         for name, value in zip(("levels", "gaps", "degenerate"), self._sector_levels()):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_sectors(cls, level_energies: np.ndarray, sectors: np.ndarray,
-                     layout: SpaceLayout) -> "SpectralData":
-        """Sector form from the (n_sec, m) energies and (n_sec, m, m)
-        eigenvectors of the sector blocks; each column of a copy is
-        phase-fixed by the rule of the dense path (``_fix_phases_in_place``)."""
-        return cls(level_energies,
-                   _fix_phases_in_place(np.array(sectors, dtype=complex, copy=True)), layout)
 
     @property
     def dim(self) -> int:
@@ -541,22 +536,6 @@ class SpectralData:
         return out
 
 
-def _fix_phases_in_place(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column of the complex matrix, or stack of matrices, ``vecs``
-    in place, DENSE_BLOCK columns at a time, so that its largest-magnitude
-    component is real positive; returns ``vecs``.
-
-    Ties on the magnitude pick the lowest index (argmax convention), making
-    the output deterministic and shared by every sector form.
-    """
-    for cols in dense_blocks(vecs.shape[-1]):
-        block = vecs[..., cols]
-        anchor = np.argmax(np.abs(block), axis=-2)
-        pivots = np.take_along_axis(block, anchor[..., None, :], axis=-2)
-        block *= (pivots / np.abs(pivots)).conj()
-    return vecs
-
-
 def _unitarity_error(vecs: np.ndarray, rows: slice) -> float:
     """max |(V^H V - I)[rows, rows.start:]|: V^H V is Hermitian, so the blocks
     of rows cover its maximum with the columns on and right of the diagonal."""
@@ -589,23 +568,28 @@ def require_count_fits(key: str, count: int, dim_system: int) -> None:
                                f"{STACK_ELEMENT_CAP // entries}")
 
 
-@functools.cache
-def _zheevr():
-    """LAPACKE_zheevr of the OpenBLAS (64-bit integers) that numpy's wheel
-    ships and has loaded already, or None when this numpy has none."""
+def _openblas_symbol(name: str):
+    """The function ``name`` of the OpenBLAS (64-bit integers) that numpy's
+    wheel ships and has loaded already, or None when this numpy has none."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*")):
         try:
-            solver = ctypes.CDLL(str(path)).scipy_LAPACKE_zheevr64_
+            return getattr(ctypes.CDLL(str(path)), name)
         except (OSError, AttributeError):
             continue
+    return None
+
+
+@functools.cache
+def _zheevr():
+    """LAPACKE_zheevr of numpy's OpenBLAS (``_openblas_symbol``), or None."""
+    if solver := _openblas_symbol("scipy_LAPACKE_zheevr64_"):
         index, address, real = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
         solver.restype = index
         solver.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, index,
                            address, index, real, real, index, index, real,
                            address, address, address, index, address]
-        return solver
-    return None
+    return solver
 
 
 def _eigh(mat: np.ndarray, mirrored: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -653,8 +637,8 @@ def _eigh(mat: np.ndarray, mirrored: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigendecompose(mat: np.ndarray, layout: SpaceLayout | None = None) -> SpectralData:
-    """Dense Hermitian eigendecomposition with deterministic phases: one
-    sector of ``layout`` (None: no known split).
+    """Dense Hermitian eigendecomposition: one sector of ``layout`` (None: no
+    known split), with the eigenvectors as the solver returns them.
 
     H, a Hermitian array, is refused by its shape above ``DECOMPOSE_DIM_CAP``
     before it is checked or copied.  Verifies the residual
@@ -668,8 +652,8 @@ def eigendecompose(mat: np.ndarray, layout: SpaceLayout | None = None) -> Spectr
     back bit for bit; it copies any other H, so the checks read H as given.
     Besides H, the call holds the solver's buffers while it runs (the
     eigenvector matrix; numpy's eigh holds about four d x d arrays), then the
-    eigenvector matrix, which the phase fixing overwrites and the checks read
-    in blocks of DENSE_BLOCK columns or rows; the result keeps it as its sector.
+    eigenvector matrix, which the checks read in blocks of DENSE_BLOCK
+    columns or rows; the result keeps it as its sector.
     """
     require_fits(1, max(np.shape(mat), default=0), 1)
     mat, mirrored = _require_hermitian("hamiltonian", mat)
@@ -678,7 +662,6 @@ def eigendecompose(mat: np.ndarray, layout: SpaceLayout | None = None) -> Spectr
     span = float(evals[-1]) - float(evals[0])  # Python floats: no overflow warning
     if not np.isfinite(span):
         raise ValidationError(f"the energy range E_max - E_min = {span} is not finite")
-    evecs = _fix_phases_in_place(evecs)
 
     hnorm = max(float(np.abs(evals).max()), 1e-300)
     residual = blocked_max(lambda cols: np.abs(
@@ -757,29 +740,40 @@ def write_csv(path, header: list[str], rows) -> None:
             fh.write(template * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))
 
 
+def _unreadable(path, err: Exception, offset: int = 0) -> ConfigError:
+    """The ConfigError of ``path`` for ``err``; a decode error names its byte, after ``offset``."""
+    if isinstance(err, UnicodeDecodeError):
+        return ConfigError(f"{path}: not UTF-8 text (byte {offset + err.start})")
+    return ConfigError(f"{path}: cannot read: {getattr(err, 'strerror', None) or err}")
+
+
 def read_text(path) -> str:
     """The text of a UTF-8 file; one that cannot be read is a ConfigError
     naming the path."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"{path}: not UTF-8 text (byte {err.start})") from None
-    except (OSError, ValueError) as err:  # ValueError: a NUL in the path
-        raise ConfigError(f"{path}: cannot read: {getattr(err, 'strerror', None) or err}"
-                          ) from None
+    except (OSError, ValueError) as err:  # ValueError: not UTF-8, or a NUL in the path
+        raise _unreadable(path, err) from None
+
+
+def _text_lines(path):
+    """The lines of a UTF-8 file as str.splitlines cuts its text, decoded one
+    line at a time; a file that cannot be read is ``read_text``'s ConfigError."""
+    offset = 0
+    try:
+        with Path(path).open("rb") as fh:
+            for raw in fh:  # cut after each b"\n", where str.splitlines cuts too
+                yield from raw.decode().splitlines()
+                offset += len(raw)
+    except (OSError, ValueError) as err:
+        raise _unreadable(path, err, offset) from None
 
 
 def read_matrix_header(path, dim_system: int | None = None) -> tuple[int, SpaceLayout | None]:
     """d and the layout (None: untagged, no ``dim_system``) of a square matrix
     file, from its first two non-blank lines; a ``dim_system`` splits an
     untagged matrix and must match a tag, and the caps hold at its dS."""
-    try:  # the lines str.splitlines keeps of the text, read no further than the second
-        with Path(path).open("rb") as fh:
-            lines = [*itertools.islice((line for raw in fh for line in raw.decode().splitlines()
-                                        if line.strip()), 2)]
-    except (OSError, ValueError):  # ValueError: not UTF-8, or a NUL in the path
-        read_text(path)  # raises the error that names the path
-        raise
+    lines = [*itertools.islice((line for line in _text_lines(path) if line.strip()), 2)]
     if not lines:
         raise ConfigError(f"{path}: empty matrix file")
     head = lines[0].split()
@@ -811,22 +805,26 @@ def read_matrix_header(path, dim_system: int | None = None) -> tuple[int, SpaceL
 
 def read_matrix(path, dim_system: int | None = None) -> tuple[np.ndarray, SpaceLayout | None]:
     """Read a matrix written by write_matrix: (matrix, layout-or-None), its
-    header checked by read_matrix_header before any row is parsed."""
+    header checked by read_matrix_header before any row is parsed.  The text
+    is read a line at a time, twice: to decode it and count the data lines,
+    then to parse each row into the (d, d) array (lines numbered as by
+    str.splitlines, blank ones too)."""
     d, layout = read_matrix_header(path, dim_system)
-    lines = [line for line in read_text(path).splitlines() if line.strip()]
-    if len(lines) != 2 + d:
-        raise ConfigError(f"{path}: expected {d} data lines, found {len(lines) - 2}")
-    data = []
-    for i, line in enumerate(lines[2:]):
+    found = sum(1 for line in _text_lines(path) if line.strip()) - 2
+    if found != d:
+        raise ConfigError(f"{path}: expected {d} data lines, found {found}")
+    matrix = np.empty((d, d), dtype=complex)
+    parts = matrix.view(float)  # re, im of each entry: the bits of each part, signed zeros too
+    rows = ((number, line) for number, line in enumerate(_text_lines(path), 1) if line.strip())
+    for row, (number, line) in enumerate(itertools.islice(rows, 2, None)):
         values = line.split()
         if len(values) != 2 * d:
-            raise ConfigError(f"{path}: line {i + 3}: expected {2 * d} numbers, "
+            raise ConfigError(f"{path}: line {number}: expected {2 * d} numbers, "
                               f"found {len(values)}")
         try:
-            floats = np.array([float(v) for v in values])
+            parts[row] = [float(v) for v in values]
         except ValueError as exc:
-            raise ConfigError(f"{path}: line {i + 3}: bad number: {exc}") from None
-        if not np.isfinite(floats).all():
-            raise ConfigError(f"{path}: line {i + 3}: non-finite number")
-        data.append(floats.view(complex))  # the bits of each part, signed zeros too
-    return np.array(data), layout
+            raise ConfigError(f"{path}: line {number}: bad number: {exc}") from None
+        if not np.isfinite(parts[row]).all():
+            raise ConfigError(f"{path}: line {number}: non-finite number")
+    return matrix, layout

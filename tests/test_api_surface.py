@@ -41,7 +41,8 @@ GONE = {
     "split_counts": "sampled_distances: every estimate draws from one stream of its seed",
     "Tolerances": "module constants beside their checks",
     "stream_generators": "generator: every draw takes the one stream of its seed",
-    "from_blocks": "SpectralData.from_sectors: one sector form for every model",
+    "from_blocks": "SpectralData(energies, sectors, layout): one sector form for every "
+                   "model",
     "batched_partial_trace_bath": "SpectralData's readers trace out the bath themselves",
     "check_nondegenerate_spectrum": "degenerate_level_pairs and min_sector_spacing, read "
                                     "directly by the pipeline",
@@ -59,8 +60,12 @@ GONE = {
     "equilibrate": "evolve_reduced, then batched_trace_distances(...).mean()",
     "max_possible_lhs": "THEOREMS[theorem_id].max_lhs, read by assign_verdict",
     "assemble": "CompositeHamiltonian: checks its three parts Hermitian on construction",
-    "fix_phases": "_fix_phases_in_place: from_sectors fixes a copy, eigendecompose eigh's "
-                  "output",
+    "fix_phases": "nothing: every output is a function of |n><n| and c_n |n>, so the "
+                  "eigenvectors keep their solver's phases",
+    "_fix_phases_in_place": "nothing: the eigenvectors keep their solver's phases "
+                            "(tests/test_invariance.py holds every reader to that)",
+    "from_sectors": "SpectralData(energies, sectors, layout), which keeps the stack as "
+                    "given",
     "_necessary_report": "cli._REPORTS: each report from the pipeline stages it names",
     "OverlapCoefficients": "SpectralData.coefficients returns the read-only (d,) array; "
                            "PureState, the eigenbasis and the trace checks keep its unit "
@@ -219,15 +224,13 @@ def test_replaced_definitions_stay_gone():
 
 def test_no_reader_of_the_eigenvectors_takes_a_layout():
     # SpectralData carries its S (x) B layout, checked once on construction,
-    # so neither its methods (but the constructor from_sectors, which takes
-    # the layout it stores) nor the dynamics functions take one
+    # so neither its methods nor the dynamics functions take one
     trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
              for name in ("spectral", "dynamics")}
     spectral_data, = (node for node in trees["spectral"].body
                       if isinstance(node, ast.ClassDef) and node.name == "SpectralData")
     functions = [node for node in (*spectral_data.body, *trees["dynamics"].body)
-                 if isinstance(node, ast.FunctionDef)
-                 and "classmethod" not in map(ast.unparse, node.decorator_list)]
+                 if isinstance(node, ast.FunctionDef)]
     taking = sorted(node.name for node in functions for arg in ast.walk(node.args)
                     if isinstance(arg, ast.arg) and arg.arg == "layout")
     assert functions and not taking, f"functions that take a layout: {taking}"

@@ -5,6 +5,7 @@ capsys; one smoke test goes through ``python -m isibench.cli`` to cover the
 module entry point.
 """
 
+import ctypes
 import gc
 import json
 import math
@@ -518,6 +519,30 @@ class TestReproducibilityScope:
                               np.loadtxt(second / name, delimiter=",", skiprows=2),
                               bound, f"{config} {name}")
 
+    @pytest.mark.skipif(spectral.usable_cpus() < 2, reason="one CPU: OpenBLAS starts one thread")
+    def test_sweep_workers_run_blas_on_one_thread(self, tmp_path):
+        # the workers pin OpenBLAS to one thread whatever the environment
+        # says, so a sweep at the default thread count writes the bytes of a
+        # serial sweep on one thread; dB = 64 and 128 run the MRRR solver
+        sweep = ["sweep", "--config", "random_contrast", "--seed", "77"]
+        for override in ("model.dim_system=3", "initial_state.system=random",
+                         "sweep.parameter=dim_bath", "sweep.values=64,128", "sweep.draws=2",
+                         "sweep.metrics=delta,necessary_lhs,equilibration_metric",
+                         "analysis.n_starts=8", "dynamics.n_times=200"):
+            sweep += ["--override", override]
+        default = {name: value for name, value in os.environ.items()
+                   if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}
+        written = []
+        for jobs, env in (("2", default), ("1", dict(default, OPENBLAS_NUM_THREADS="1"))):
+            out_dir = tmp_path / jobs
+            result = subprocess.run([sys.executable, "-m", "isibench.cli", *sweep,
+                                     "--jobs", jobs, "--out", str(out_dir)],
+                                    env=env, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            written.append((out_dir / "sweep.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_blas_thread_timeout_moves_no_byte(self, tmp_path):
         # the timeout sets when idle BLAS threads sleep, not how sums are split
         written = []
@@ -902,6 +927,24 @@ class _SerialPool:
         return types.SimpleNamespace(result=lambda: result)
 
 
+@pytest.fixture
+def one_blas_thread():
+    """This process's OpenBLAS on one thread, as a sweep's workers run it,
+    restored after the test (nothing to do on a numpy without it)."""
+    get, put = (spectral._openblas_symbol(f"scipy_openblas_{verb}_num_threads64_")
+                for verb in ("get", "set"))
+    if put is None:
+        yield
+        return
+    put.argtypes, put.restype = [ctypes.c_int], None
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 class TestSweepCommand:
     def test_polarization_decays_with_bath_size(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, RANDOM_SWEEP)
@@ -934,7 +977,8 @@ class TestSweepCommand:
         assert metric == pipe.theorem2[1].lhs
         assert 0.0 < metric <= 1.0 + 1e-12
 
-    def test_parallel_jobs_match_the_serial_result(self, tmp_path, capsys):
+    def test_parallel_jobs_match_the_serial_result(self, tmp_path, capsys, one_blas_thread):
+        # the workers run BLAS on one thread, and so does the serial sweep here
         cfg = _write_cfg(tmp_path, RANDOM_SWEEP)
         cases = [("2", []),
                  ("3", ["sweep.draws=3"]),   # 6 draws do not split evenly over 3 workers
