@@ -11,10 +11,10 @@ value depends on:
   they serve every value that reads the populations in one fixed basis
   (``spectral.GroupedProjection``);
 * ``induced_states(dS, dB, rng)``: the reduced states of Haar-uniform
-  vectors of C^dS (x) C^dB, which are G G^H / tr(G G^H) for a dS x dB
-  standard complex Gaussian G (the induced measure: Zyczkowski and Sommers,
-  J. Phys. A 34, 7111 (2001)).  For dB >= dS the Bartlett factor of G G^H
-  is drawn, O(dS^2) variates per draw whatever dB is; for dB < dS, G itself.
+  vectors of C^dS (x) C^dB, G G^H / tr(G G^H) for a dS x dB standard complex
+  Gaussian G (the induced measure: Zyczkowski and Sommers, J. Phys. A 34,
+  7111 (2001)), drawn from its dS x min(dS, dB) Bartlett factor at every dB:
+  O(dS min(dS, dB)) variates per draw.
 
 Each kind of variate is consumed in sample order, so that chunking never
 changes the draws.  T0 and Popescu both bound how often a random state lies
@@ -59,27 +59,21 @@ def induced_states(dim_system: int, dim_bath: int,
     Haar-uniform unit vectors x of C^dS (x) C^dB as a (count, dS, dS) stack:
     G G^H / tr(G G^H) for a dS x dB standard complex Gaussian G.
 
-    For dB >= dS, G G^H is drawn as L L^H with its Bartlett factor L, lower
-    triangular: |L_ii|^2 ~ Gamma(dB - i) and L_ij ~ CN(0, 1) below the
-    diagonal.  The gamma and the normal variates come from two children of
-    ``rng``, spawned once here, so each kind is consumed in sample order.
-    For dB < dS the generator draws G itself.
+    G G^H is drawn as L L^H for its dS x min(dS, dB) lower-trapezoidal
+    Bartlett factor L (L^H is the R of G^H = QR): |L_ii|^2 ~ Gamma(dB - i)
+    and L_ij ~ CN(0, 1) below the diagonal, row by row, at every dB.  The
+    gamma and the normal variates come from two children of ``rng``, spawned
+    once here, so each kind is consumed in sample order.
     """
-    ds, db = dim_system, dim_bath
-    if db < ds:
-        def direct(count: int) -> np.ndarray:
-            z = rng.standard_normal((count, ds, db, 2))
-            return _normalised_gram(z[..., 0] + 1j * z[..., 1])
-        return direct
-
-    rows, cols = np.tril_indices(ds, -1)
+    ds, rank = dim_system, min(dim_system, dim_bath)
+    rows, cols = np.tril_indices(ds, -1, rank)
     diagonal, lower = rng.spawn(2)
-    shapes = db - np.arange(ds, dtype=float)
+    shapes = dim_bath - np.arange(rank, dtype=float)
 
     def bartlett(count: int) -> np.ndarray:
-        factor = np.zeros((count, ds, ds), dtype=complex)
-        factor[:, np.arange(ds), np.arange(ds)] = np.sqrt(
-            diagonal.standard_gamma(np.broadcast_to(shapes, (count, ds))))
+        factor = np.zeros((count, ds, rank), dtype=complex)
+        factor[:, np.arange(rank), np.arange(rank)] = np.sqrt(
+            diagonal.standard_gamma(np.broadcast_to(shapes, (count, rank))))
         z = lower.standard_normal((count, rows.size, 2)) * np.sqrt(0.5)
         factor[:, rows, cols] = z[..., 0] + 1j * z[..., 1]
         return _normalised_gram(factor)

@@ -58,10 +58,11 @@ that each of its worker threads holds one table of phases at the F Bohr
 frequencies, of at most DENSE_BLOCK times and DENSE_BLOCK^2 entries (one
 time when F is larger).
 
-Hamiltonians can be round-tripped through a small text format (one header
-line with a magic tag, one with dimensions and the system/bath split, then
-one row per line as interleaved real/imag pairs printed with %.17g, which is
-lossless for doubles).  The CSV data files of a run share ``write_csv``.
+Hamiltonians are round-tripped through a small text format (a line with a
+magic tag, one with dimensions and the system/bath split, then one row per
+line as interleaved real/imag pairs in %.17g, lossless for doubles), which
+``write_matrix`` writes one row at a time, refusing a matrix that is not
+square or not finite.  The CSV data files of a run share ``write_csv``.
 """
 
 from __future__ import annotations
@@ -689,11 +690,12 @@ def degenerate_level_pairs(spectral: SpectralData,
 
 
 def write_matrix(path, matrix: np.ndarray, layout: SpaceLayout | None = None) -> None:
-    """Write a complex matrix in the package's text format.
+    """Write a complex matrix in the package's text format, one row at a time.
 
     Line 1 is ``isibench-matrix 1``; line 2 is ``rows cols dS dB`` with zeros
     for an untagged matrix; each following line is one row as interleaved
-    ``re im`` pairs in %.17g (lossless round-trip for doubles).
+    ``re im`` pairs in %.17g (lossless round-trip for doubles).  A matrix
+    that is not square or not finite is refused before the file is created.
     """
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -701,10 +703,13 @@ def write_matrix(path, matrix: np.ndarray, layout: SpaceLayout | None = None) ->
     d = len(mat)
     if layout is not None and d != layout.dim_total:
         raise ValidationError(f"matrix dim {d} does not match layout {layout.dim_total}")
+    if not np.isfinite(mat).all():
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise ValidationError(f"matrix entry ({i}, {j}) is not finite: {mat[i, j]}")
     ds, db = (layout.dim_system, layout.dim_bath) if layout is not None else (0, 0)
-    lines = [f"{MATRIX_FORMAT_MAGIC} {MATRIX_FORMAT_VERSION}", f"{d} {d} {ds} {db}"]
-    lines.extend(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) for row in mat)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as fh:  # savetxt gzips a *.gz path
+        np.savetxt(fh, mat, fmt=" ".join(["%.17g"] * (2 * d)), comments="",
+                   header=f"{MATRIX_FORMAT_MAGIC} {MATRIX_FORMAT_VERSION}\n{d} {d} {ds} {db}")
 
 
 # Rows of a data file formatted by one template at a time.

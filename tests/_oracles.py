@@ -189,35 +189,31 @@ def dirichlet_vector(dim):
 def induced_state(dim_system, dim_bath):
     """One reduced state of a Haar-uniform vector of C^dS (x) C^dB per call.
 
-    For dB >= dS it is L L^H / tr(L L^H) for the Bartlett factor L: the
-    first child of the stream draws the diagonal, |L_ii|^2 ~ Gamma(dB - i),
-    the second the complex normals below it, row by row.  For dB < dS the
-    stream draws a dS x dB complex Gaussian G and the state is G G^H / tr.
+    It is L L^H / tr(L L^H) for the dS x min(dS, dB) lower-trapezoidal
+    Bartlett factor L at every dB: the first child of the stream draws the
+    diagonal, |L_ii|^2 ~ Gamma(dB - i), the second the complex normals below
+    it, row by row, one entry at a time.
     """
-    def bind(rng):
-        if dim_bath < dim_system:
-            def direct():
-                normals = rng.standard_normal((dim_system, dim_bath, 2))
-                gauss = normals[..., 0] + 1j * normals[..., 1]
-                gram = gauss @ gauss.conj().T
-                return gram / np.trace(gram).real
-            return direct
+    rank = min(dim_system, dim_bath)
 
+    def bind(rng):
         diagonal, lower = rng.spawn(2)
 
         def bartlett():
-            gammas = diagonal.standard_gamma(dim_bath - np.arange(dim_system, dtype=float))
-            normals = lower.standard_normal((dim_system * (dim_system - 1) // 2, 2))
-            factor = np.zeros((dim_system, dim_system), dtype=complex)
+            gammas = diagonal.standard_gamma(dim_bath - np.arange(rank, dtype=float))
+            n_lower = sum(min(i, rank) for i in range(dim_system))
+            normals = lower.standard_normal((n_lower, 2))
+            factor = np.zeros((dim_system, rank), dtype=complex)
             k = 0
             for i in range(dim_system):
-                factor[i, i] = np.sqrt(gammas[i])
-                for j in range(i):
+                if i < rank:
+                    factor[i, i] = np.sqrt(gammas[i])
+                for j in range(min(i, rank)):
                     factor[i, j] = complex(normals[k, 0] * np.sqrt(0.5),
                                            normals[k, 1] * np.sqrt(0.5))
                     k += 1
-            gram = factor @ factor.conj().T
-            return gram / np.trace(gram).real
+            # tr(L L^H) as the sum of |L_ij|^2, the sum the library takes
+            return factor @ factor.conj().T / (factor.real ** 2 + factor.imag ** 2).sum()
         return bartlett
     return bind
 

@@ -7,7 +7,7 @@ from isibench import (SpaceLayout, ValidationError, dirichlet_weights, generator
                       induced_states, sample_amplitudes, sampled_distances, sampling)
 from isibench.hilbert import batched_trace_distances
 
-from _oracles import (batched_partial_trace_bath, ks_uniform_statistic,
+from _oracles import (batched_partial_trace_bath, induced_state, ks_uniform_statistic,
                       mean_and_standard_error, stream_generators)
 
 
@@ -126,10 +126,10 @@ class TestLaws:
         weights_mean, weights_se = weights
         assert np.all(np.abs(weights_mean - exact) <= 3.0 * weights_se)
 
-    @pytest.mark.parametrize("ds, db", [(2, 8), (3, 5), (4, 16), (4, 2)])
+    @pytest.mark.parametrize("ds, db", [(2, 8), (3, 5), (4, 16), (4, 2), (3, 2)])
     def test_induced_states_are_haar_reductions(self, ds, db):
-        # Bartlett factors for dB >= dS, a direct Gaussian G for dB < dS,
-        # against the partial traces of Haar-uniform composite vectors
+        # the one Bartlett law, square for dB >= dS and trapezoidal for
+        # dB < dS, against the partial traces of Haar-uniform composite vectors
         layout = SpaceLayout(ds, db)
         mixed = np.eye(ds) / ds
         threshold = 0.8 * math.sqrt(ds / db)
@@ -148,6 +148,19 @@ class TestLaws:
         # E tr rho^2 = (dS + dB) / (dS dB + 1) for the induced measure
         exact_purity = (ds + db) / (ds * db + 1)
         assert abs(induced_mean[1] - exact_purity) <= 3.0 * induced_se[1]
+
+    @pytest.mark.parametrize("ds, db", [(3, 2), (4, 1), (2, 8), (3, 5)])
+    def test_induced_draws_are_the_oracle_draws(self, ds, db):
+        # one Bartlett factor of shape dS x min(dS, dB) at every bath size
+        draws = induced_states(ds, db, generator(13))(30)
+        one = induced_state(ds, db)(generator(13))
+        assert np.array_equal(draws, np.stack([one() for _ in range(30)]))
+
+    @pytest.mark.parametrize("ds", [2, 3, 5])
+    def test_a_one_level_bath_gives_pure_states(self, ds):
+        states = induced_states(ds, 1, generator(17))(200)
+        purities = np.einsum("nij,nji->n", states, states).real
+        assert np.all(np.abs(purities - 1.0) <= 1e-12)
 
     @pytest.mark.parametrize("ds, db", [(2, 8), (4, 2)])
     def test_chunked_induced_draws_are_the_one_sample_draws(self, ds, db):

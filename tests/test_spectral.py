@@ -721,6 +721,32 @@ class TestMatrixFiles:
             write_matrix(path, np.ones((4, 3)), layout)
         assert not path.exists()
 
+    @pytest.mark.parametrize("entry, value, shown", [
+        ((0, 1), math.nan, r"\(nan\+0j\)"), ((2, 0), complex(1.0, -math.inf), r"\(1-infj\)"),
+        ((2, 2), math.inf, r"\(inf\+0j\)")], ids=["nan", "imaginary_inf", "last"])
+    def test_a_matrix_that_is_not_finite_is_not_written(self, tmp_path, entry, value, shown):
+        # read_matrix refuses a non-finite number, so no such file is made
+        matrix = np.eye(3, dtype=complex)
+        matrix[entry] = value
+        path = tmp_path / "nan.mat"
+        with pytest.raises(ValidationError,
+                           match=rf"matrix entry \({entry[0]}, {entry[1]}\) is not finite: {shown}"):
+            write_matrix(path, matrix)
+        assert not path.exists()
+
+    def test_the_rows_are_written_one_line_at_a_time(self, tmp_path):
+        # the text is never held whole: 10.5 MB of it for this matrix
+        path = tmp_path / "big.mat"
+        matrix = random_hermitian(512, np.random.default_rng(6))
+        tracemalloc.start()
+        try:
+            write_matrix(path, matrix, SpaceLayout(2, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert np.array_equal(read_matrix(path)[0], matrix)
+
     def test_the_header_is_read_without_the_rows(self, tmp_path):
         # a blank line, then rows that do not parse and a byte that is not UTF-8
         path = tmp_path / "header.mat"
